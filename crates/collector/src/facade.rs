@@ -3,9 +3,9 @@
 
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
-    BackpressurePolicy, CostSnapshot, DropStats, EpochReport, EpochRotator, EpochSnapshot,
-    FlowMonitor, FlowTracer, HealthPolicy, IntrospectMetric, MemoryBudget, PipelineMetrics,
-    RecordSink, SinkErrors, SinkStatus,
+    BackpressurePolicy, CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor,
+    FlowTracer, HealthPolicy, IntrospectMetric, MemoryBudget, PipelineMetrics, RecordSink,
+    SinkErrors, SinkStatus,
 };
 use hashflow_obs::{FlightRecorder, MetricsRegistry, MetricsSnapshot};
 use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
@@ -170,19 +170,28 @@ impl Collector {
     }
 
     /// Seals the running epoch into an immutable [`EpochSnapshot`]
-    /// (streaming it to the sinks) and resets the live side for the next
-    /// epoch.
+    /// (streaming it to the sinks, retaining it in
+    /// [`Self::completed_epochs`]) and resets the live side for the next
+    /// epoch. The records are copied once, out of the monitor's tables,
+    /// and indexed once; every holder shares that store and index.
     pub fn seal(&mut self) -> EpochSnapshot {
         self.rotator.seal()
     }
 
-    /// Reports of all epochs sealed so far.
-    pub fn completed_epochs(&self) -> &[EpochReport] {
+    /// Every epoch sealed so far and not yet drained or shed, oldest
+    /// first; each shares its record store and index with the snapshot
+    /// [`Self::seal`] returned and the one the sinks received. The store
+    /// is **unbounded** until [`Self::set_retention`] bounds it or a
+    /// driving loop calls [`Self::drain_completed`]: a long run that does
+    /// neither keeps every epoch's records alive.
+    pub fn completed_epochs(&self) -> &[EpochSnapshot] {
         self.rotator.completed_epochs()
     }
 
-    /// Drains completed epoch reports, leaving the current epoch running.
-    pub fn drain_completed(&mut self) -> Vec<EpochReport> {
+    /// Drains [`Self::completed_epochs`], leaving the current epoch
+    /// running. The completed store grows without bound until this is
+    /// called or [`Self::set_retention`] bounds it.
+    pub fn drain_completed(&mut self) -> Vec<EpochSnapshot> {
         self.rotator.drain_completed()
     }
 
@@ -537,14 +546,71 @@ mod tests {
         collector.process_trace(trace.packets());
         collector.seal();
         assert!(collector.completed_epochs().len() >= 2);
-        let retained: usize = collector
-            .completed_epochs()
-            .iter()
-            .map(|e| e.records.len())
-            .sum();
+        let retained: usize = collector.completed_epochs().iter().map(|e| e.len()).sum();
         assert_eq!(exported.load(Ordering::Relaxed), retained);
         assert!(collector.sink_health().iter().all(|s| s.total_errors == 0));
         collector.finish().unwrap();
+    }
+
+    #[test]
+    fn a_sealed_epoch_is_one_store_for_caller_history_and_sinks() {
+        use std::sync::{Arc, Mutex};
+
+        /// A `MemorySink` the test can still read once the collector
+        /// owns the boxed sink.
+        struct Shared(Arc<Mutex<MemorySink>>);
+        impl RecordSink for Shared {
+            fn export_epoch(&mut self, s: &EpochSnapshot) -> io::Result<()> {
+                self.0.lock().unwrap().export_epoch(s)
+            }
+        }
+
+        let trace = TraceGenerator::new(TraceProfile::Isp2, 3).generate(2_000);
+        for (shards, sink_count) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
+            let case = format!("{shards} shard(s), {sink_count} sink(s)");
+            let sinks: Vec<Arc<Mutex<MemorySink>>> = (0..sink_count)
+                .map(|_| Arc::new(Mutex::new(MemorySink::new())))
+                .collect();
+            let mut builder = Collector::builder(AlgorithmKind::HashFlow)
+                .budget(budget())
+                .shards(shards);
+            for sink in &sinks {
+                builder = builder.sink(Box::new(Shared(Arc::clone(sink))));
+            }
+            let mut collector = builder.build().unwrap();
+            for epoch in 0..2 {
+                collector.process_trace(trace.packets());
+                let returned = collector.seal();
+                assert_eq!(returned.epoch(), epoch, "{case}");
+                assert!(!returned.is_empty(), "{case}");
+                assert!(!returned.introspection().is_empty(), "{case}");
+                assert_eq!(collector.completed_epochs().len() as u64, epoch + 1);
+                let retained = collector.completed_epochs().last().unwrap().clone();
+                let received = sinks.iter().map(|sink| {
+                    let sink = sink.lock().unwrap();
+                    assert_eq!(sink.epochs().len() as u64, epoch + 1, "{case}");
+                    sink.epochs().last().unwrap().clone()
+                });
+                for held in std::iter::once(retained).chain(received) {
+                    // One allocation, hence the same records in the same
+                    // order; compared anyway, as the contract.
+                    assert!(
+                        std::ptr::eq(held.as_records().as_ptr(), returned.as_records().as_ptr()),
+                        "{case}: a holder has its own copy of the records"
+                    );
+                    assert_eq!(held.as_records(), returned.as_records(), "{case}");
+                    assert_eq!(held.epoch(), returned.epoch(), "{case}");
+                    assert_eq!(held.start_ns(), returned.start_ns(), "{case}");
+                    assert_eq!(held.end_ns(), returned.end_ns(), "{case}");
+                    assert_eq!(held.cardinality(), returned.cardinality(), "{case}");
+                    assert_eq!(held.cost(), returned.cost(), "{case}");
+                    assert_eq!(held.is_partial(), returned.is_partial(), "{case}");
+                    assert_eq!(held.introspection(), returned.introspection(), "{case}");
+                    let probe = returned.as_records()[0];
+                    assert_eq!(held.estimate_size(probe.key_ref()), probe.count());
+                }
+            }
+        }
     }
 
     #[test]

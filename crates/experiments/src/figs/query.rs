@@ -8,7 +8,7 @@
 //! path amortizes the table walk into one `seal()` and then answers from
 //! the immutable snapshot: `top_k` with a bounded heap (O(n log k)
 //! instead of O(n log n), no re-walk), `estimate_sizes` with one batched
-//! hash-map pass.
+//! pass over the snapshot's compact index.
 //!
 //! Two workload tiers on the CAIDA profile, mirroring the `hotpath`
 //! exhibit: `paper` (1 MB, 100 K flows) and `production` (8x both — the

@@ -39,7 +39,10 @@ use crate::{
 use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 
-/// A completed measurement epoch: its records and bookkeeping.
+/// One epoch's drained records and bookkeeping as plain, mutable data —
+/// the form per-shard drains are merged in ([`EpochReport::merged`])
+/// before [`EpochReport::into_snapshot`] freezes the result into the
+/// shared, indexed [`EpochSnapshot`] every downstream consumer holds.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
     /// Epoch sequence number, starting at 0.
@@ -84,7 +87,13 @@ impl EpochReport {
         let mut records = Vec::new();
         for r in reports {
             shard_introspection.push(r.introspection);
-            records.extend(r.records);
+            if records.is_empty() {
+                // The first non-empty partition becomes the merged store
+                // as it is; a one-shard merge copies nothing.
+                records = r.records;
+            } else {
+                records.extend(r.records);
+            }
         }
         let introspection = merge_introspection(&shard_introspection);
         EpochReport {
@@ -102,7 +111,9 @@ impl EpochReport {
     /// Converts the report into the sealed query engine: an
     /// [`EpochSnapshot`] answering the four §IV-A queries (iterator
     /// records, batched size estimation, bounded-heap top-k) over this
-    /// epoch's records.
+    /// epoch's records. The records move into the snapshot's shared
+    /// store uncopied; this is where the epoch's size-query index is
+    /// built.
     pub fn into_snapshot(self) -> EpochSnapshot {
         EpochSnapshot::from_parts(
             self.epoch,
@@ -150,7 +161,7 @@ pub struct EpochRotator<M> {
     epoch_base_ns: Option<u64>,
     first_ns: Option<u64>,
     last_ns: Option<u64>,
-    completed: Vec<EpochReport>,
+    completed: Vec<EpochSnapshot>,
     /// Bound on `completed` (`None` = unbounded) and the policy applied
     /// when it is reached.
     retention: Option<(usize, BackpressurePolicy)>,
@@ -377,8 +388,8 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.sinks.finish()
     }
 
-    /// Bounds the pending-export report store
-    /// ([`Self::completed_epochs`]) at `max_epochs` reports under
+    /// Bounds the completed-epoch store
+    /// ([`Self::completed_epochs`]) at `max_epochs` epochs under
     /// `policy`. Without a driving loop calling
     /// [`Self::drain_completed`], a long run would otherwise grow the
     /// store without bound. [`BackpressurePolicy::Block`] degrades to
@@ -397,36 +408,34 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.retention_drops.clone()
     }
 
-    /// Retains `report` in the completed store, honouring the retention
-    /// bound. Every report is offered to the ledger exactly once; sheds
-    /// and evictions are dropped exactly once.
-    fn retain_completed(&mut self, report: EpochReport) {
-        self.retention_drops
-            .record_offer(report.records.len() as u64);
+    /// Retains a clone of `snapshot` (sharing its store and index) in
+    /// the completed store, honouring the retention bound. Every epoch
+    /// is offered to the ledger exactly once; sheds and evictions are
+    /// dropped exactly once.
+    fn retain_completed(&mut self, snapshot: &EpochSnapshot) {
+        let records = snapshot.len() as u64;
+        self.retention_drops.record_offer(records);
         if let Some((max, policy)) = self.retention {
             if self.completed.len() >= max {
                 match policy {
                     BackpressurePolicy::Block | BackpressurePolicy::DropNewest => {
-                        self.retention_drops
-                            .record_drop(report.records.len() as u64);
+                        self.retention_drops.record_drop(records);
                         return;
                     }
                     BackpressurePolicy::DropOldest => {
                         while self.completed.len() >= max.max(1) {
                             let evicted = self.completed.remove(0);
-                            self.retention_drops
-                                .record_drop(evicted.records.len() as u64);
+                            self.retention_drops.record_drop(evicted.len() as u64);
                         }
                         if max == 0 {
-                            self.retention_drops
-                                .record_drop(report.records.len() as u64);
+                            self.retention_drops.record_drop(records);
                             return;
                         }
                     }
                 }
             }
         }
-        self.completed.push(report);
+        self.completed.push(snapshot.clone());
     }
 
     /// Epoch length in nanoseconds.
@@ -434,13 +443,21 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.epoch_len_ns
     }
 
-    /// Reports of all epochs sealed so far.
-    pub fn completed_epochs(&self) -> &[EpochReport] {
+    /// Every epoch sealed so far and not yet drained or shed, oldest
+    /// first. Each entry shares its record store and index with the
+    /// snapshot the seal returned and the one the sinks received. The
+    /// store is **unbounded** until [`Self::set_retention`] bounds it or
+    /// a driving loop calls [`Self::drain_completed`]: a long run that
+    /// does neither keeps every epoch's records alive.
+    pub fn completed_epochs(&self) -> &[EpochSnapshot] {
         &self.completed
     }
 
     /// Seals the current epoch immediately (end-of-capture flush),
-    /// streams it to every attached sink, and returns its report.
+    /// streams it to every attached sink, retains it in
+    /// [`Self::completed_epochs`] and returns it. All three hold the
+    /// same record store and the same index: the records are copied
+    /// once, out of the monitor's tables, and indexed once.
     ///
     /// Rotation drains the monitor through its own [`FlowMonitor::seal`]
     /// hook, so adapters layered under the rotator (e.g. a query-monitor
@@ -448,79 +465,77 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// **every** epoch boundary, not just explicit seals. For monitors
     /// with the default `seal` (capture + reset) this is the same drain
     /// as reading the report and resetting.
-    pub fn rotate_now(&mut self) -> EpochReport {
+    pub fn rotate_now(&mut self) -> EpochSnapshot {
         self.flush_metrics();
-        let mut report = self.inner.seal().into_report();
-        report.epoch = self.current_epoch;
-        report.start_ns = self.first_ns;
-        report.end_ns = self.last_ns;
-        if !self.sinks.is_empty() {
-            // Snapshot once, export, recover the report — the record
-            // store is never cloned for the sinks.
-            let snapshot = report.into_snapshot();
+        let snapshot =
+            self.inner
+                .seal()
+                .with_epoch_span(self.current_epoch, self.first_ns, self.last_ns);
+        let exported = !self.sinks.is_empty();
+        if exported {
             let export_timer = self.metrics.as_ref().map(|m| m.export_ns.start_timer());
             self.sinks.export(&snapshot);
             drop(export_timer);
-            report = snapshot.into_report();
         }
         if let Some(m) = &self.metrics {
             m.epochs_sealed.inc();
         }
         if let Some(recorder) = &self.recorder {
-            let severity = if report.partial {
-                Severity::Warn
-            } else {
-                Severity::Info
-            };
+            let partial = snapshot.is_partial();
             recorder.record_with(
-                severity,
+                if partial {
+                    Severity::Warn
+                } else {
+                    Severity::Info
+                },
                 "epoch_sealed",
                 format!(
                     "epoch {} sealed: {} records{}",
-                    report.epoch,
-                    report.records.len(),
-                    if report.partial { " (partial)" } else { "" }
+                    snapshot.epoch(),
+                    snapshot.len(),
+                    if partial { " (partial)" } else { "" }
                 ),
                 vec![
-                    ("epoch".to_string(), report.epoch.to_string()),
-                    ("records".to_string(), report.records.len().to_string()),
-                    ("partial".to_string(), report.partial.to_string()),
+                    ("epoch".to_string(), snapshot.epoch().to_string()),
+                    ("records".to_string(), snapshot.len().to_string()),
+                    ("partial".to_string(), partial.to_string()),
                 ],
             );
         }
         if let Some(registry) = &self.introspect_registry {
-            for metric in &report.introspection {
+            for metric in snapshot.introspection() {
                 registry
                     .gauge(&metric.gauge_name(), &[])
                     .set(metric.gauge_value());
             }
         }
         if let Some(tracer) = &self.tracer {
-            let exported = !self.sinks.is_empty();
-            for rec in &report.records {
+            for rec in snapshot.records() {
                 let key = rec.key();
                 if tracer.is_sampled(&key) {
                     tracer.span(
                         &key,
                         "epoch_seal",
-                        format!("epoch {} count {}", report.epoch, rec.count()),
+                        format!("epoch {} count {}", snapshot.epoch(), rec.count()),
                     );
                     if exported {
-                        tracer.span(&key, "export", format!("epoch {}", report.epoch));
+                        tracer.span(&key, "export", format!("epoch {}", snapshot.epoch()));
                     }
                 }
             }
         }
-        self.retain_completed(report.clone());
+        self.retain_completed(&snapshot);
         self.current_epoch += 1;
         self.epoch_base_ns = None;
         self.first_ns = None;
         self.last_ns = None;
-        report
+        snapshot
     }
 
-    /// Drains completed epoch reports, leaving the current epoch running.
-    pub fn drain_completed(&mut self) -> Vec<EpochReport> {
+    /// Drains [`Self::completed_epochs`], leaving the current epoch
+    /// running. The completed store grows without bound until this is
+    /// called or [`Self::set_retention`] bounds it.
+    pub fn drain_completed(&mut self) -> Vec<EpochSnapshot> {
         std::mem::take(&mut self.completed)
     }
 
@@ -699,7 +714,7 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
     /// [`Self::completed_epochs`] is preserved and the epoch counter
     /// advances.
     fn seal(&mut self) -> crate::EpochSnapshot {
-        self.rotate_now().into_snapshot()
+        self.rotate_now()
     }
 }
 
@@ -761,11 +776,11 @@ mod tests {
         r.process_packet(&pkt(2, 1_000)); // crosses
         assert_eq!(r.completed_epochs().len(), 1);
         let sealed = &r.completed_epochs()[0];
-        assert_eq!(sealed.epoch, 0);
-        assert_eq!(sealed.records.len(), 1);
-        assert_eq!(sealed.records[0].count(), 2);
-        assert_eq!(sealed.start_ns, Some(0));
-        assert_eq!(sealed.end_ns, Some(999));
+        assert_eq!(sealed.epoch(), 0);
+        assert_eq!(sealed.len(), 1);
+        assert_eq!(sealed.as_records()[0].count(), 2);
+        assert_eq!(sealed.start_ns(), Some(0));
+        assert_eq!(sealed.end_ns(), Some(999));
         // Current epoch sees only flow 2.
         assert_eq!(r.estimate_size(&FlowKey::from_index(1)), 0);
         assert_eq!(r.estimate_size(&FlowKey::from_index(2)), 1);
@@ -788,8 +803,8 @@ mod tests {
         let mut r = EpochRotator::new(Exact::default(), u64::MAX);
         r.process_packet(&pkt(1, 5));
         let report = r.rotate_now();
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.cardinality, 1.0);
+        assert_eq!(report.len(), 1);
+        assert_eq!(report.cardinality(), 1.0);
         assert_eq!(r.flow_records().len(), 0);
         assert_eq!(r.completed_epochs().len(), 1);
     }
@@ -830,7 +845,10 @@ mod tests {
         a.process_packet(&pkt(1, 10));
         a.process_packet(&pkt(1, 30));
         b.process_packet(&pkt(2, 5));
-        let merged = EpochReport::merged(vec![a.rotate_now(), b.rotate_now()], 2.0);
+        let merged = EpochReport::merged(
+            vec![a.rotate_now().into_report(), b.rotate_now().into_report()],
+            2.0,
+        );
         assert_eq!(merged.records.len(), 2);
         assert_eq!(merged.cost.packets, 3);
         assert_eq!(merged.start_ns, Some(5));
@@ -858,8 +876,8 @@ mod tests {
         r.process_packet(&pkt(2, 1_100)); // exactly on the edge
         assert_eq!(r.completed_epochs().len(), 1);
         let sealed = &r.completed_epochs()[0];
-        assert_eq!(sealed.records.len(), 1, "edge packet not in old epoch");
-        assert_eq!(sealed.end_ns, Some(1_099));
+        assert_eq!(sealed.len(), 1, "edge packet not in old epoch");
+        assert_eq!(sealed.end_ns(), Some(1_099));
         assert_eq!(r.estimate_size(&FlowKey::from_index(2)), 1);
     }
 
@@ -874,10 +892,10 @@ mod tests {
         assert!(r.completed_epochs().is_empty(), "no backward rotation");
         // The observed span extends before the epoch base...
         let report = r.rotate_now();
-        assert_eq!(report.start_ns, Some(120));
-        assert_eq!(report.end_ns, Some(500));
+        assert_eq!(report.start_ns(), Some(120));
+        assert_eq!(report.end_ns(), Some(500));
         // ... and all three packets are in the sealed epoch.
-        assert_eq!(report.records.len(), 3);
+        assert_eq!(report.len(), 3);
         // A late arrival also must not drag the *next* epoch's boundary
         // backwards: after re-anchoring at 2_000, a packet at 1_999 is
         // late (joins the epoch), and the boundary stays 2_000 + len.
@@ -887,7 +905,7 @@ mod tests {
         assert_eq!(r.completed_epochs().len(), 1);
         r.process_packet(&pkt(4, 3_000)); // edge of [2000, 3000)
         assert_eq!(r.completed_epochs().len(), 2);
-        assert_eq!(r.completed_epochs()[1].start_ns, Some(1_999));
+        assert_eq!(r.completed_epochs()[1].start_ns(), Some(1_999));
     }
 
     #[test]
@@ -898,8 +916,8 @@ mod tests {
         r.process_packet(&pkt(1, 400));
         r.process_packet(&pkt(1, 200)); // out of order, below the max
         let report = r.rotate_now();
-        assert_eq!(report.start_ns, Some(50));
-        assert_eq!(report.end_ns, Some(400));
+        assert_eq!(report.start_ns(), Some(50));
+        assert_eq!(report.end_ns(), Some(400));
     }
 
     #[test]
@@ -963,7 +981,7 @@ mod tests {
         for t in 0..5u64 {
             r.process_packet(&pkt(t, t * 10)); // seals epochs 0..=3
         }
-        let retained: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch).collect();
+        let retained: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch()).collect();
         assert_eq!(retained, vec![2, 3]);
         let ledger = r.retention_drop_stats();
         assert_eq!(ledger.offered_epochs(), 4, "each sealed epoch offered once");
@@ -974,7 +992,7 @@ mod tests {
             ledger.delivered_records(),
             r.completed_epochs()
                 .iter()
-                .map(|e| e.records.len() as u64)
+                .map(|e| e.len() as u64)
                 .sum::<u64>()
         );
 
@@ -984,7 +1002,7 @@ mod tests {
         for t in 0..5u64 {
             r.process_packet(&pkt(t, t * 10));
         }
-        let retained: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch).collect();
+        let retained: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch()).collect();
         assert_eq!(retained, vec![0, 1]);
         assert_eq!(r.retention_drop_stats().dropped_epochs(), 2);
         // Draining frees capacity again.
@@ -995,20 +1013,16 @@ mod tests {
 
     #[test]
     fn merged_report_propagates_the_partial_flag() {
-        let clean = EpochReport::merged(
-            vec![EpochRotator::new(Exact::default(), u64::MAX).rotate_now()],
-            0.0,
-        );
+        let fresh_report = || {
+            EpochRotator::new(Exact::default(), u64::MAX)
+                .rotate_now()
+                .into_report()
+        };
+        let clean = EpochReport::merged(vec![fresh_report()], 0.0);
         assert!(!clean.partial);
-        let mut degraded = EpochRotator::new(Exact::default(), u64::MAX).rotate_now();
+        let mut degraded = fresh_report();
         degraded.partial = true;
-        let merged = EpochReport::merged(
-            vec![
-                EpochRotator::new(Exact::default(), u64::MAX).rotate_now(),
-                degraded,
-            ],
-            0.0,
-        );
+        let merged = EpochReport::merged(vec![fresh_report(), degraded], 0.0);
         assert!(merged.partial, "any partial shard taints the merge");
         assert!(merged.into_snapshot().is_partial(), "snapshot carries it");
     }
@@ -1043,15 +1057,15 @@ mod tests {
             let b = batched.completed_epochs();
             assert_eq!(a.len(), b.len(), "epoch count @ batch {batch_size}");
             for (ea, eb) in a.iter().zip(b) {
-                assert_eq!(ea.epoch, eb.epoch);
-                assert_eq!(ea.start_ns, eb.start_ns, "epoch {} start", ea.epoch);
-                assert_eq!(ea.end_ns, eb.end_ns, "epoch {} end", ea.epoch);
-                assert_eq!(ea.cost, eb.cost);
-                let mut ra = ea.records.clone();
-                let mut rb = eb.records.clone();
+                assert_eq!(ea.epoch(), eb.epoch());
+                assert_eq!(ea.start_ns(), eb.start_ns(), "epoch {} start", ea.epoch());
+                assert_eq!(ea.end_ns(), eb.end_ns(), "epoch {} end", ea.epoch());
+                assert_eq!(ea.cost(), eb.cost());
+                let mut ra = ea.as_records().to_vec();
+                let mut rb = eb.as_records().to_vec();
                 ra.sort_unstable_by_key(|r| (r.key(), r.count()));
                 rb.sort_unstable_by_key(|r| (r.key(), r.count()));
-                assert_eq!(ra, rb, "epoch {} records @ batch {batch_size}", ea.epoch);
+                assert_eq!(ra, rb, "epoch {} records @ batch {batch_size}", ea.epoch());
             }
         }
     }
@@ -1186,7 +1200,7 @@ mod tests {
         for t in 0..4 {
             r.process_packet(&pkt(1, t * 10));
         }
-        let epochs: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch).collect();
+        let epochs: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch()).collect();
         assert_eq!(epochs, vec![0, 1, 2]);
     }
 }

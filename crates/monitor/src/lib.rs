@@ -148,16 +148,17 @@ pub trait FlowMonitor {
     /// (ties broken by flow key).
     ///
     /// The default implementation filters [`Self::flow_records`], which is
-    /// how the paper queries all four algorithms. The result is pre-sized
-    /// to the report and ordered with an unstable sort — the (count, key)
-    /// comparator is already a total order over distinct records, so
-    /// stability buys nothing. For bounded top-k queries prefer
-    /// [`EpochSnapshot::top_k`], which replaces the full sort with a
-    /// bounded heap.
+    /// how the paper queries all four algorithms. The result is ordered
+    /// with an unstable sort — the (count, key) comparator is already a
+    /// total order over distinct records, so stability buys nothing. For
+    /// bounded top-k queries prefer [`EpochSnapshot::top_k`], which
+    /// replaces the full sort with a bounded heap.
     fn heavy_hitters(&self, threshold: u32) -> Vec<FlowRecord> {
-        let records = self.flow_records();
-        let mut hh = Vec::with_capacity(records.len());
-        hh.extend(records.into_iter().filter(|r| r.count() >= threshold));
+        let mut hh: Vec<FlowRecord> = self
+            .flow_records()
+            .into_iter()
+            .filter(|r| r.count() >= threshold)
+            .collect();
         hh.sort_unstable_by(snapshot::heavy_hitter_order);
         hh
     }

@@ -69,9 +69,9 @@ pub use queue::{BatchQueue, PopOutcome, PushOutcome};
 
 use hashflow_hashing::fast_range;
 use hashflow_monitor::{
-    merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochReport, FlowMonitor,
-    FlowTracer, HealthPolicy, IntrospectMetric, MemoryBudget, MergeableMonitor, RecordSink,
-    SinkErrors, SinkSet, SinkStatus,
+    merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochReport, EpochSnapshot,
+    FlowMonitor, FlowTracer, HealthPolicy, IntrospectMetric, MemoryBudget, MergeableMonitor,
+    RecordSink, SinkErrors, SinkSet, SinkStatus,
 };
 use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Severity};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
@@ -183,8 +183,7 @@ pub const QUEUE_DEPTH: usize = 8;
 /// placement (the same independence RSS gives a NIC).
 const DISPATCH_SEED: u64 = 0xd15b_a7c4_0b5e_55ed;
 
-/// The RSS dispatch hash: a SplitMix64-style avalanche over the key's two
-/// machine words.
+/// The RSS dispatch hash: [`FlowKey::mix64`] under [`DISPATCH_SEED`].
 ///
 /// The dispatcher is the serial (Amdahl) term of the sharded pipeline —
 /// every packet pays it before any shard can work — so it is specialized
@@ -199,13 +198,7 @@ const DISPATCH_SEED: u64 = 0xd15b_a7c4_0b5e_55ed;
 /// batch, so no later stage re-hashes for routing.
 #[inline]
 fn dispatch_hash(key: &FlowKey) -> u64 {
-    let (lo, hi) = key.to_words();
-    let mut x = lo ^ DISPATCH_SEED;
-    x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= hi.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 31;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 29)
+    key.mix64(DISPATCH_SEED)
 }
 
 /// Result of one [`ShardedMonitor::ingest`] call.
@@ -577,15 +570,18 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         self.dispatch_hashes
     }
 
+    /// Folds the packets' timestamps into the epoch's span: the observed
+    /// minimum and maximum, whatever order they arrived in — the same
+    /// span [`hashflow_monitor::EpochRotator`] reports.
     fn note_timestamps(&mut self, packets: &[Packet]) {
-        if let Some(p) = packets.first() {
-            if self.first_ns.is_none() {
-                self.first_ns = Some(p.timestamp_ns());
-            }
-        }
-        if let Some(p) = packets.last() {
-            self.last_ns = Some(p.timestamp_ns());
-        }
+        let Some(first) = packets.first().map(Packet::timestamp_ns) else {
+            return;
+        };
+        let (min, max) = packets.iter().fold((first, first), |(min, max), p| {
+            (min.min(p.timestamp_ns()), max.max(p.timestamp_ns()))
+        });
+        self.first_ns = Some(self.first_ns.map_or(min, |f| f.min(min)));
+        self.last_ns = Some(self.last_ns.map_or(max, |l| l.max(max)));
     }
 
     /// Splits `packets` by owning shard, preserving arrival order within
@@ -690,6 +686,13 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// The merged epoch is streamed to every attached sink (one snapshot
     /// for all shards, not one per shard).
     ///
+    /// The report is the plain, mutable form of the epoch, with no query
+    /// index. Callers that want the indexed
+    /// [`hashflow_monitor::EpochSnapshot`] should call
+    /// [`FlowMonitor::seal`], which returns the very snapshot the sinks
+    /// received; with sinks attached this method has to build that
+    /// snapshot for them and convert it back.
+    ///
     /// A degraded shard (its worker panicked mid-epoch) contributes an
     /// empty per-shard report and sets [`EpochReport::partial`] on the
     /// merged result — its post-panic state is not trusted. Sealing is
@@ -697,7 +700,24 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// guard, and a clean reset returns a degraded shard to service for
     /// the next epoch.
     pub fn seal_epoch(&mut self) -> EpochReport {
-        let seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
+        let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
+        if self.sinks.is_empty() {
+            self.drain_shards()
+        } else {
+            self.seal_indexed().into_report()
+        }
+    }
+
+    /// Drains the shards into the one snapshot of this epoch — one record
+    /// store, indexed once — and streams it to the attached sinks.
+    fn seal_indexed(&mut self) -> EpochSnapshot {
+        let snapshot = self.drain_shards().into_snapshot();
+        self.sinks.export(&snapshot);
+        snapshot
+    }
+
+    /// The drain and merge of [`Self::seal_epoch`], without the sinks.
+    fn drain_shards(&mut self) -> EpochReport {
         let estimates: Vec<Option<f64>> = self
             .shards
             .iter()
@@ -755,16 +775,8 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         self.first_ns = None;
         self.last_ns = None;
         let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
-        let mut report = EpochReport::merged(reports, cardinality);
+        let report = EpochReport::merged(reports, cardinality);
         drop(merge_timer);
-        if !self.sinks.is_empty() {
-            // Snapshot once, export, recover the report — the merged
-            // record store is never cloned for the sinks.
-            let snapshot = report.into_snapshot();
-            self.sinks.export(&snapshot);
-            report = snapshot.into_report();
-        }
-        drop(seal_timer);
         report
     }
 
@@ -1170,11 +1182,12 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.epoch = 0;
     }
 
-    /// Seals through [`Self::seal_epoch`]: the merged epoch streams to
-    /// the attached sinks and the epoch counter advances, exactly like a
-    /// timed rotation.
-    fn seal(&mut self) -> hashflow_monitor::EpochSnapshot {
-        self.seal_epoch().into_snapshot()
+    /// Seals like [`Self::seal_epoch`] — the merged epoch streams to the
+    /// attached sinks and the epoch counter advances, exactly like a
+    /// timed rotation — and returns the snapshot the sinks received.
+    fn seal(&mut self) -> EpochSnapshot {
+        let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
+        self.seal_indexed()
     }
 }
 
@@ -1355,6 +1368,76 @@ mod tests {
         let next = m.seal_epoch();
         assert_eq!(next.epoch, 1);
         assert_eq!(next.records.len(), 1);
+    }
+
+    #[test]
+    fn span_is_the_observed_min_and_max_exactly_as_the_rotator_reports() {
+        use hashflow_monitor::EpochRotator;
+
+        // Neither the first packet of the first batch nor the last of
+        // the last batch is an extreme.
+        let timestamps = [500u64, 120, 900, 40, 700, 300, 880, 60];
+        let packets: Vec<Packet> = (timestamps.iter().zip(0u64..))
+            .map(|(&ts, i)| pkt(i % 3, ts))
+            .collect();
+        for batch in [1, 3, packets.len()] {
+            let mut sharded = sharded_hashflow(1, 64);
+            let mut threaded = sharded_hashflow(1, 64);
+            let inner = HashFlow::with_memory(MemoryBudget::from_kib(64).unwrap()).unwrap();
+            let mut rotator = EpochRotator::new(inner, u64::MAX);
+            for chunk in packets.chunks(batch) {
+                sharded.process_batch(chunk);
+                threaded.ingest(chunk);
+                rotator.process_batch(chunk);
+            }
+            let expected = rotator.rotate_now();
+            assert_eq!(
+                (expected.start_ns(), expected.end_ns()),
+                (Some(40), Some(900))
+            );
+            for report in [sharded.seal_epoch(), threaded.seal_epoch()] {
+                assert_eq!(report.start_ns, expected.start_ns(), "batch {batch}");
+                assert_eq!(report.end_ns, expected.end_ns(), "batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_retaining_sink_shares_the_store_with_the_sealed_snapshot() {
+        use hashflow_monitor::{MemorySink, RecordSink};
+        use std::sync::{Arc, Mutex};
+
+        struct Shared(Arc<Mutex<MemorySink>>);
+        impl RecordSink for Shared {
+            fn export_epoch(&mut self, s: &EpochSnapshot) -> std::io::Result<()> {
+                self.0.lock().unwrap().export_epoch(s)
+            }
+        }
+
+        let sink = Arc::new(Mutex::new(MemorySink::new()));
+        let mut m = sharded_hashflow(2, 256);
+        m.add_sink(Box::new(Shared(Arc::clone(&sink))));
+        for flow in 0..200u64 {
+            m.process_packet(&pkt(flow, flow));
+        }
+        let sealed = m.seal();
+        {
+            let sink = sink.lock().unwrap();
+            let received = &sink.epochs()[0];
+            assert!(std::ptr::eq(
+                received.as_records().as_ptr(),
+                sealed.as_records().as_ptr()
+            ));
+        }
+        // The report form is the caller's own: complete and mutable even
+        // while the sink keeps the shared store.
+        for flow in 0..50u64 {
+            m.process_packet(&pkt(flow, 1_000 + flow));
+        }
+        let mut report = m.seal_epoch();
+        report.records.sort_by_key(|r| r.key());
+        assert_eq!(report.records.len(), 50);
+        assert_eq!(sink.lock().unwrap().epochs()[1].len(), 50);
     }
 
     #[test]

@@ -248,6 +248,36 @@ impl FlowKey {
         (lo, hi)
     }
 
+    /// A seeded 64-bit mix of the whole key: a SplitMix64-style avalanche
+    /// over [`Self::to_words`] — three multiplies, a fraction of a full
+    /// byte-stream hash pass, with every output bit depending on every
+    /// key bit.
+    ///
+    /// The one word-wide key hash of the workspace: the shard dispatcher
+    /// keys it with a fixed seed (placement must be reproducible), the
+    /// sealed-epoch index with a per-process random one (so flow keys
+    /// chosen against a known seed do not line up its probe chains).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hashflow_types::FlowKey;
+    /// let k = FlowKey::from_index(9);
+    /// assert_eq!(k.mix64(7), k.mix64(7));
+    /// assert_ne!(k.mix64(7), k.mix64(8));
+    /// assert_ne!(k.mix64(7), FlowKey::from_index(10).mix64(7));
+    /// ```
+    #[inline]
+    pub const fn mix64(&self, seed: u64) -> u64 {
+        let (lo, hi) = self.to_words();
+        let mut x = lo ^ seed;
+        x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^= hi.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 31;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 29)
+    }
+
     /// XORs another key into this one, byte-wise.
     ///
     /// FlowRadar's counting table stores the XOR of all flow IDs hashed into

@@ -41,8 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{:>6} {:>12} {:>9} {:>12} {:>8}",
         "epoch", "records", "flows", "span(ms)", "top-1"
     );
-    for epoch in collector.drain_completed() {
-        let snapshot = epoch.into_snapshot();
+    for snapshot in collector.drain_completed() {
         let span_ms = match (snapshot.start_ns(), snapshot.end_ns()) {
             (Some(s), Some(e)) => (e - s) as f64 / 1e6,
             _ => 0.0,

@@ -121,9 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same questions answered post hoc from the sealed epochs.
     println!("\npost-hoc check over sealed epochs (exact-stream vs sealed records):");
     let mut spreader = TelemetryApp::superspreader(SPREADER_FANOUT);
-    for report in collector.completed_epochs() {
-        let snapshot = report.clone().into_snapshot();
-        let sealed = execute_snapshot(spreader.plan(), &snapshot);
+    for snapshot in collector.completed_epochs() {
+        let sealed = execute_snapshot(spreader.plan(), snapshot);
         let verdict = spreader.observe(&sealed);
         println!(
             "epoch {}: superspreader offenders from sealed records: {}",

@@ -17,21 +17,24 @@ fn epoch_rotation_slices_a_trace_cleanly() {
     rotator.process_trace(trace.packets());
     let last = rotator.rotate_now();
 
-    let mut epochs = rotator.drain_completed();
+    let epochs = rotator.drain_completed();
     assert!(epochs.len() >= 2, "trace should span multiple epochs");
-    assert_eq!(epochs.last().unwrap().epoch, last.epoch);
+    assert_eq!(epochs.last().unwrap().epoch(), last.epoch());
 
     // Epoch windows must be disjoint and ordered.
     for pair in epochs.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
-        assert!(a.end_ns.unwrap() <= b.start_ns.unwrap(), "epoch overlap");
+        assert!(
+            a.end_ns().unwrap() <= b.start_ns().unwrap(),
+            "epoch overlap"
+        );
     }
 
     // Per-epoch record totals must not exceed the per-flow ground truth:
     // a flow's packets are partitioned across epochs.
     let mut per_flow: HashMap<FlowKey, u64> = HashMap::new();
-    for e in &mut epochs {
-        for rec in &e.records {
+    for e in &epochs {
+        for rec in e.records() {
             *per_flow.entry(rec.key()).or_insert(0) += u64::from(rec.count());
         }
     }
@@ -54,14 +57,13 @@ fn sealed_epochs_export_as_netflow_v5() {
     let epoch = rotator.rotate_now();
 
     let mut exporter = Exporter::new(ExportMeta::default());
-    let datagrams = exporter.export(&epoch.records);
-    assert_eq!(exporter.flow_sequence() as usize, epoch.records.len());
+    let datagrams = exporter.export(epoch.as_records());
+    assert_eq!(exporter.flow_sequence() as usize, epoch.len());
 
     let decoded = decode_datagrams(datagrams.iter().map(Vec::as_slice)).unwrap();
-    assert_eq!(decoded.len(), epoch.records.len());
+    assert_eq!(decoded.len(), epoch.len());
     // Exported records round-trip byte-exactly on the fields v5 carries.
-    let originals: HashMap<FlowKey, u32> =
-        epoch.records.iter().map(|r| (r.key(), r.count())).collect();
+    let originals: HashMap<FlowKey, u32> = epoch.records().map(|r| (r.key(), r.count())).collect();
     for rec in decoded {
         assert_eq!(originals.get(&rec.key()), Some(&rec.count()));
     }
@@ -87,10 +89,6 @@ fn pipeline_with_rotating_monitor_forwards_and_measures() {
     let monitor = switch.monitor_mut();
     monitor.rotate_now();
     assert!(!monitor.completed_epochs().is_empty());
-    let total_records: usize = monitor
-        .completed_epochs()
-        .iter()
-        .map(|e| e.records.len())
-        .sum();
+    let total_records: usize = monitor.completed_epochs().iter().map(|e| e.len()).sum();
     assert!(total_records > 0);
 }

@@ -201,18 +201,17 @@ fn applications_agree_across_rotated_epochs() {
     collector.seal();
 
     let banked = collector.drain_query_answers();
-    let reports = collector.completed_epochs();
-    assert_eq!(banked.len(), reports.len());
+    let sealed_epochs = collector.completed_epochs();
+    assert_eq!(banked.len(), sealed_epochs.len());
     assert!(banked.len() >= 3, "multi-epoch run expected");
 
-    for (epoch_answers, report) in banked.iter().zip(reports) {
-        let snapshot = report.clone().into_snapshot();
+    for (epoch_answers, snapshot) in banked.iter().zip(sealed_epochs) {
         for ((app_s, app_p), live) in apps_stream
             .iter_mut()
             .zip(apps_sealed.iter_mut())
             .zip(epoch_answers)
         {
-            let sealed = execute_snapshot(app_p.plan(), &snapshot);
+            let sealed = execute_snapshot(app_p.plan(), snapshot);
             assert_eq!(&sealed, live, "{} epoch {}", app_p.kind(), snapshot.epoch());
             let vs = app_s.observe(live);
             let vp = app_p.observe(&sealed);

@@ -278,11 +278,10 @@ fn run_export_pipeline() -> (Collector, Vec<u8>, String) {
     // buffers back out (sinks attached to a collector are owned by it).
     let mut nf5 = NetFlowV5Sink::new(Vec::new());
     let mut jsonl = JsonLinesSink::new(Vec::new());
-    for report in collector.completed_epochs() {
-        let snapshot = report.clone().into_snapshot();
+    for snapshot in collector.completed_epochs() {
         use hashflow_suite::monitor::RecordSink as _;
-        nf5.export_epoch(&snapshot).expect("in-memory write");
-        jsonl.export_epoch(&snapshot).expect("in-memory write");
+        nf5.export_epoch(snapshot).expect("in-memory write");
+        jsonl.export_epoch(snapshot).expect("in-memory write");
     }
     let nf5_bytes = nf5.into_inner();
     let jsonl_text = String::from_utf8(jsonl.into_inner()).expect("utf8");
@@ -304,7 +303,7 @@ fn netflow_v5_sink_bytes_reparse_to_the_sealed_records() {
     let sealed: Vec<(FlowKey, u32)> = collector
         .completed_epochs()
         .iter()
-        .flat_map(|e| e.records.iter().map(|r| (r.key(), r.count())))
+        .flat_map(|e| e.records().map(|r| (r.key(), r.count())))
         .collect();
     let parsed: Vec<(FlowKey, u32)> = decoded.iter().map(|r| (r.key(), r.count())).collect();
     assert_eq!(parsed, sealed);
@@ -313,21 +312,17 @@ fn netflow_v5_sink_bytes_reparse_to_the_sealed_records() {
 #[test]
 fn jsonl_sink_emits_one_line_per_sealed_record() {
     let (collector, _, text) = run_export_pipeline();
-    let total_records: usize = collector
-        .completed_epochs()
-        .iter()
-        .map(|e| e.records.len())
-        .sum();
+    let total_records: usize = collector.completed_epochs().iter().map(|e| e.len()).sum();
     assert!(total_records > 0);
     assert_eq!(text.lines().count(), total_records);
     // Every epoch number appears on its records' lines.
-    for report in collector.completed_epochs() {
-        let marker = format!("{{\"epoch\": {}, ", report.epoch);
+    for sealed in collector.completed_epochs() {
+        let marker = format!("{{\"epoch\": {}, ", sealed.epoch());
         assert_eq!(
             text.lines().filter(|l| l.contains(&marker)).count(),
-            report.records.len(),
+            sealed.len(),
             "epoch {} line count",
-            report.epoch
+            sealed.epoch()
         );
     }
 }
