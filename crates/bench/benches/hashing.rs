@@ -2,7 +2,9 @@
 //! every algorithm's cost is built from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hashflow_hashing::{HashFamily, KeyHasher, Murmur3, TabulationHash, XxHash64};
+use hashflow_hashing::{
+    compute_lanes, HashFamily, HashLanes, KeyHasher, Murmur3, TabulationHash, XxHash64,
+};
 use hashflow_types::FlowKey;
 use std::hint::black_box;
 use std::time::Duration;
@@ -56,11 +58,47 @@ fn family_probe(c: &mut Criterion) {
     group.finish();
 }
 
+fn key_lanes(c: &mut Criterion) {
+    // What one HashFlow packet costs in hashing — h_1..h_3 plus g_1 —
+    // through the fixed-width key path `compute_lanes` takes, against the
+    // generic byte-slice path evaluated member by member.
+    let keys = keys();
+    let main = HashFamily::<XxHash64>::new(3, 7);
+    let ancillary = HashFamily::<XxHash64>::new(1, 8);
+    let mut lanes = HashLanes::default();
+    let mut group = c.benchmark_group("hash_lanes_d3_plus_g1");
+    group
+        .sample_size(30)
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements(KEYS as u64));
+    group.bench_function("fixed_width", |b| {
+        b.iter(|| {
+            compute_lanes(&[&main, &ancillary], keys.iter().copied(), &mut lanes);
+            black_box(&lanes).rows()
+        })
+    });
+    group.bench_function("bytes", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for k in &keys {
+                let bytes = black_box(k).to_bytes();
+                for i in 0..3 {
+                    acc ^= main.hash_bytes(i, &bytes);
+                }
+                acc ^= ancillary.hash_bytes(0, &bytes);
+            }
+            acc
+        })
+    });
+    group.finish();
+}
+
 fn benches(c: &mut Criterion) {
     hash_one::<XxHash64>(c, "xxhash64");
     hash_one::<Murmur3>(c, "murmur3");
     hash_one::<TabulationHash>(c, "tabulation");
     family_probe(c);
+    key_lanes(c);
 }
 
 criterion_group!(hashing, benches);

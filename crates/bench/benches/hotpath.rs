@@ -3,10 +3,11 @@
 //! (`cargo run -p experiments --bin hotpath` writes `BENCH_hotpath.json`).
 //!
 //! `scalar/*` drives `process_packet` one packet at a time; `batched/*`
-//! drives the default `process_trace`, which feeds `process_batch` — for
-//! HashFlow that is the two-pass hot path with precomputed hash lanes,
-//! software prefetch and one cost flush per batch. Recorded costs are
-//! identical on both paths by contract; only wall clock differs.
+//! drives the default `process_trace`, which feeds `process_batch`. For
+//! HashFlow both are the same step — a packet is a batch of one — and a
+//! real batch adds one-pass hash lanes, probe plans prefetched ahead of
+//! the step and one cost flush. Recorded costs are identical either way
+//! by contract; only wall clock differs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hashflow_bench::{bench_budget, bench_trace};

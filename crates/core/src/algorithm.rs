@@ -8,10 +8,11 @@ use hashflow_monitor::{
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
-/// How many packets ahead of the update cursor the batched path issues
-/// its main-table prefetches: far enough that the lines arrive before
-/// the probe, near enough that they are not evicted again first.
-const PREFETCH_AHEAD: usize = 8;
+/// How many packets ahead of the update cursor a batch's probe plans are
+/// built and their table cells prefetched: far enough that the lines
+/// arrive before the probe, near enough that they are not evicted again
+/// first.
+pub const PREFETCH_AHEAD: usize = 8;
 
 /// The HashFlow algorithm (Algorithm 1 of the paper).
 ///
@@ -55,9 +56,12 @@ pub struct HashFlow {
     cost: CostRecorder,
     promotions: u64,
     ancillary_replacements: u64,
-    // Reusable hash-lane scratch for `process_batch`; carries no
-    // observable state (cleared and refilled per batch).
+    // Reusable scratch of `process_batch`, refilled per batch and carrying
+    // no observable state: every packet's hash lanes, and the probe plans
+    // reduced from them — `depth + 2` words per packet, laid out as
+    // `[main-table slots .., ancillary slot, digest]`.
     lanes: HashLanes,
+    plans: Vec<u32>,
     /// Optional sampled flow-path tracer: packets of sampled flows emit a
     /// span naming the Algorithm 1 stage they landed in (`main_insert`,
     /// `main_hit`, `ancillary`, `promotion`). Measurement state is
@@ -86,6 +90,7 @@ impl HashFlow {
             promotions: 0,
             ancillary_replacements: 0,
             lanes: HashLanes::default(),
+            plans: Vec::new(),
             tracer: None,
         })
     }
@@ -132,7 +137,11 @@ impl HashFlow {
         self.tracer.as_ref().is_some_and(|t| t.is_sampled(key))
     }
 
-    /// Records one stage span for an already-sampled flow.
+    /// Records one stage span for an already-sampled flow. Kept out of
+    /// line: one packet in a thousand gets here, and the formatting would
+    /// otherwise sit in the middle of the ingestion loop.
+    #[cold]
+    #[inline(never)]
     fn trace_stage(&self, key: &FlowKey, stage: &'static str, count: u32) {
         if let Some(t) = &self.tracer {
             t.span(key, stage, format!("count {count}"));
@@ -150,15 +159,69 @@ impl HashFlow {
     }
 
     /// The ancillary coordinates of `key`: its `g_1` slot and the digest
-    /// derived from its `h_1` hash (Algorithm 1, lines 14–15). The single
-    /// source of that derivation for the scalar update, size queries and
-    /// the merge path; the batched path computes the same pair from its
-    /// precomputed lanes.
+    /// derived from its `h_1` hash (Algorithm 1, lines 14–15), for size
+    /// queries and the merge path; ingestion reads the same pair out of
+    /// the packet's probe plan.
     fn ancillary_coords(&self, key: &FlowKey) -> (usize, u32) {
         (
             self.ancillary.slot_of(key),
             self.ancillary.digest_of(self.main.first_hash(key)),
         )
+    }
+
+    /// Reduces one packet's hash lanes (`[h_1 .. h_d, g_1]`) to its probe
+    /// plan and hints every cell the plan names toward L1. This is the
+    /// only place ingestion turns a hash into a table position.
+    #[inline]
+    fn plan_and_prefetch(&self, lanes: &[u64], plan: &mut [u32]) {
+        let (hashes, g1) = lanes.split_at(lanes.len() - 1);
+        let (slots, ancillary) = plan.split_at_mut(hashes.len());
+        self.main.probe_slots(hashes, slots);
+        self.main.prefetch_slots(slots);
+        let slot = self.ancillary.slot_from_hash(g1[0]);
+        self.ancillary.prefetch_slot(slot);
+        // `AncillaryTable::new` checked that every slot fits 32 bits.
+        ancillary[0] = slot as u32;
+        ancillary[1] = self.ancillary.digest_of(hashes[0]);
+    }
+
+    /// One step of Algorithm 1 for a packet of `key` whose probe plan is
+    /// `plan`. Returns the step's cost under the lazy schedule: the probes
+    /// made, plus one hash (`g_1`; the digest reuses `h_1`), one read and
+    /// one write when the packet goes on to the ancillary phase.
+    #[inline]
+    fn step(&mut self, key: FlowKey, plan: &[u32]) -> OpCount {
+        let (slots, ancillary) = plan.split_at(plan.len() - 2);
+        // Phase 1: collision resolution in the main table (lines 2-13).
+        let (outcome, mut ops) = self.main.resolve(&key, slots);
+        let traced = self.is_traced(&key);
+        match outcome {
+            ProbeOutcome::Inserted => {
+                if traced {
+                    self.trace_stage(&key, "main_insert", 1);
+                }
+            }
+            ProbeOutcome::Incremented(count) => {
+                if traced {
+                    self.trace_stage(&key, "main_hit", count);
+                }
+            }
+            ProbeOutcome::Collision {
+                sentinel,
+                min_count,
+            } => {
+                // Phase 2+3: ancillary table and promotion (lines 14-23);
+                // every branch writes exactly one cell.
+                let (slot, digest) = (ancillary[0] as usize, ancillary[1]);
+                self.ancillary_update(key, slot, digest, sentinel, min_count, traced);
+                ops += OpCount {
+                    hashes: 1,
+                    reads: 1,
+                    writes: 1,
+                };
+            }
+        }
+        ops
     }
 
     /// Ancillary update + record promotion (Algorithm 1, lines 14–23) for
@@ -217,109 +280,46 @@ impl HashFlow {
 }
 
 impl FlowMonitor for HashFlow {
+    /// A batch of one: the same plan, the same step.
     fn process_packet(&mut self, packet: &Packet) {
-        self.cost.start_packet();
-        let key = packet.key();
-
-        // Phase 1: collision resolution in the main table (lines 2-13).
-        let (outcome, ops) = self.main.probe(&key);
-        self.cost.record_hashes(ops.hashes);
-        self.cost.record_reads(ops.reads);
-        self.cost.record_writes(ops.writes);
-        let traced = self.is_traced(&key);
-        let (sentinel, min_count) = match outcome {
-            ProbeOutcome::Inserted => {
-                if traced {
-                    self.trace_stage(&key, "main_insert", 1);
-                }
-                return;
-            }
-            ProbeOutcome::Incremented(count) => {
-                if traced {
-                    self.trace_stage(&key, "main_hit", count);
-                }
-                return;
-            }
-            ProbeOutcome::Collision {
-                sentinel,
-                min_count,
-            } => (sentinel, min_count),
-        };
-
-        // Phase 2+3: ancillary table and promotion (lines 14-23). g1 is
-        // one extra hash; the digest reuses h1's value (line 15), costing
-        // nothing new, and every branch writes exactly one cell.
-        let (slot, digest) = self.ancillary_coords(&key);
-        self.cost.record_hashes(1);
-        self.cost.record_reads(1);
-        self.ancillary_update(key, slot, digest, sentinel, min_count, traced);
-        self.cost.record_writes(1);
+        self.process_batch(std::slice::from_ref(packet));
     }
 
-    /// The batched hot path: two passes over the batch.
-    ///
-    /// Pass 1 evaluates every hash lane the batch will need — `h_1..h_d`
-    /// plus `g_1` per packet, bit-identical to the scalar members — in one
-    /// sweep with no table accesses. Pass 2 runs Algorithm 1 against
-    /// cache lines the prefetch window pulled in ahead of the update
-    /// cursor, folding all operation counts into a single cost flush.
-    /// State transitions are identical to the scalar loop (pass 1 is
-    /// pure), and so is the recorded [`CostSnapshot`]: the accounting
-    /// stays at the algorithmic level of Fig. 11 — batching changes when
+    /// The one ingestion path. Pass 1 evaluates every hash lane the batch
+    /// needs — `h_1..h_d` plus `g_1` per packet — with no table access.
+    /// Pass 2 walks the batch running one Algorithm 1 step per packet,
+    /// while [`PREFETCH_AHEAD`] packets further on each packet's lanes
+    /// are reduced to its probe plan and the plan's cells prefetched; the
+    /// step then finds that same plan waiting and warm lines under it.
+    /// All operation counts fold into one cost flush, and what they count
+    /// is Algorithm 1's lazy schedule (Fig. 11): batching changes when
     /// costs are recorded, never what.
     fn process_batch(&mut self, packets: &[Packet]) {
         if packets.is_empty() {
             return;
         }
         let mut lanes = std::mem::take(&mut self.lanes);
+        let mut plans = std::mem::take(&mut self.plans);
         compute_lanes(
             &[self.main.hash_family(), self.ancillary.hash_family()],
             packets.iter().map(|p| p.key()),
             &mut lanes,
         );
-        let depth = self.main.scheme().depth();
-        let prefetch = |main: &MainTable, ancillary: &AncillaryTable, row: &[u64]| {
-            main.prefetch_prehashed(&row[..depth]);
-            ancillary.prefetch_slot(ancillary.slot_from_hash(row[depth]));
-        };
+        let width = self.main.scheme().depth() + 2;
+        // Every row is rewritten before it is read, so stale rows of the
+        // last batch need no clearing.
+        plans.resize(packets.len() * width, 0);
+        let plan_of = |i: usize| i * width..(i + 1) * width;
         for i in 0..PREFETCH_AHEAD.min(packets.len()) {
-            prefetch(&self.main, &self.ancillary, lanes.row(i));
+            self.plan_and_prefetch(lanes.row(i), &mut plans[plan_of(i)]);
         }
         let mut ops = OpCount::default();
         for (i, packet) in packets.iter().enumerate() {
-            if i + PREFETCH_AHEAD < packets.len() {
-                prefetch(&self.main, &self.ancillary, lanes.row(i + PREFETCH_AHEAD));
+            let ahead = i + PREFETCH_AHEAD;
+            if ahead < packets.len() {
+                self.plan_and_prefetch(lanes.row(ahead), &mut plans[plan_of(ahead)]);
             }
-            let key = packet.key();
-            let row = lanes.row(i);
-            let (outcome, probe_ops) = self.main.probe_prehashed(&key, &row[..depth]);
-            ops += probe_ops;
-            let traced = self.is_traced(&key);
-            match outcome {
-                ProbeOutcome::Inserted => {
-                    if traced {
-                        self.trace_stage(&key, "main_insert", 1);
-                    }
-                }
-                ProbeOutcome::Incremented(count) => {
-                    if traced {
-                        self.trace_stage(&key, "main_hit", count);
-                    }
-                }
-                ProbeOutcome::Collision {
-                    sentinel,
-                    min_count,
-                } => {
-                    let slot = self.ancillary.slot_from_hash(row[depth]);
-                    let digest = self.ancillary.digest_of(row[0]);
-                    self.ancillary_update(key, slot, digest, sentinel, min_count, traced);
-                    ops += OpCount {
-                        hashes: 1,
-                        reads: 1,
-                        writes: 1,
-                    };
-                }
-            }
+            ops += self.step(packet.key(), &plans[plan_of(i)]);
         }
         self.cost.absorb(&CostSnapshot {
             packets: packets.len() as u64,
@@ -328,6 +328,7 @@ impl FlowMonitor for HashFlow {
             writes: ops.writes,
         });
         self.lanes = lanes;
+        self.plans = plans;
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

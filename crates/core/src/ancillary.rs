@@ -40,14 +40,19 @@ impl AncillaryTable {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `cells == 0` or a width is outside
-    /// `1..=32`.
+    /// Returns [`ConfigError`] if `cells == 0`, `cells` is too large for
+    /// the 32-bit slots of a probe plan, or a width is outside `1..=32`.
     pub fn new(
         cells: usize,
         digest_bits: u32,
         counter_bits: u32,
         seed: u64,
     ) -> Result<Self, ConfigError> {
+        if u32::try_from(cells).is_err() {
+            return Err(ConfigError::new(format!(
+                "{cells} ancillary buckets exceed the 32-bit slot range"
+            )));
+        }
         Ok(AncillaryTable {
             digests: CounterArray::new(cells, digest_bits)?,
             counts: CounterArray::new(cells, counter_bits)?,
@@ -58,6 +63,7 @@ impl AncillaryTable {
     }
 
     /// Number of buckets.
+    #[inline]
     pub fn len(&self) -> usize {
         self.counts.len()
     }
@@ -74,6 +80,7 @@ impl AncillaryTable {
     }
 
     /// Maximum count value before saturation.
+    #[inline]
     pub fn max_count(&self) -> u64 {
         self.counts.max_value()
     }
@@ -107,12 +114,14 @@ impl AncillaryTable {
     /// Derives the digest of a flow from its `h_1` hash value (Algorithm 1,
     /// line 15: `digest = h1(flowID) % 2^digest_width`, folded away from the
     /// reserved empty value 0).
+    #[inline]
     pub fn digest_of(&self, h1_hash: u64) -> u32 {
         digest_from_hash(h1_hash, self.digest_bits)
     }
 
     /// Returns the stored count at `slot` if its digest matches, `None` for
     /// an empty or differently-keyed bucket.
+    #[inline]
     pub fn count_if_match(&self, slot: usize, digest: u32) -> Option<u32> {
         let count = self.counts.get(slot);
         if count > 0 && self.digests.get(slot) == u64::from(digest) {
@@ -123,6 +132,7 @@ impl AncillaryTable {
     }
 
     /// Returns `true` if `slot` currently holds no record.
+    #[inline]
     pub fn is_vacant(&self, slot: usize) -> bool {
         self.counts.get(slot) == 0
     }
@@ -130,6 +140,7 @@ impl AncillaryTable {
     /// Overwrites `slot` with a fresh `(digest, 1)` record — both the
     /// empty-bucket insert and the replace-on-collision of Algorithm 1,
     /// lines 16–17.
+    #[inline]
     pub fn store(&mut self, slot: usize, digest: u32) {
         if self.counts.get(slot) == 0 {
             self.occupied += 1;
@@ -140,6 +151,7 @@ impl AncillaryTable {
 
     /// Increments the count at `slot` (Algorithm 1, line 19), saturating.
     /// Returns the new count.
+    #[inline]
     pub fn increment(&mut self, slot: usize) -> u32 {
         debug_assert!(self.counts.get(slot) > 0, "incrementing an empty cell");
         self.counts.increment(slot) as u32

@@ -51,7 +51,7 @@ mod config;
 pub mod model;
 pub mod scheme;
 
-pub use algorithm::HashFlow;
+pub use algorithm::{HashFlow, PREFETCH_AHEAD};
 pub use ancillary::AncillaryTable;
 pub use config::{
     HashFlowConfig, HashFlowConfigBuilder, DEFAULT_ALPHA, DEFAULT_ANCILLARY_COUNTER_BITS,

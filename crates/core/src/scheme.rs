@@ -187,13 +187,62 @@ impl std::ops::AddAssign for OpCount {
 #[derive(Debug, Clone)]
 pub struct MainTable {
     scheme: TableScheme,
-    // Flattened bucket storage; pipelined sub-table k occupies
-    // [offsets[k], offsets[k] + sizes[k]).
     buckets: Vec<FlowRecord>,
-    offsets: Vec<usize>,
     sizes: Vec<usize>,
+    // Where probe `i` lands in the flattened bucket storage, as
+    // `(offset, len)`: pipelined sub-table `i`, or the whole table for
+    // every probe of the multi-hash scheme.
+    ranges: Vec<(usize, usize)>,
     hashes: HashFamily<XxHash64>,
     occupied: usize,
+}
+
+/// The one collision-resolution loop (Algorithm 1, lines 2–13): walks the
+/// probe `path` of `key`, inserting into the first empty bucket or
+/// incrementing on a key match, and otherwise reports the sentinel — the
+/// smallest record seen. `path` is pulled one slot at a time, so a lazily
+/// hashed path costs only the probes made; the [`OpCount`] says how many
+/// that was (one hash and one read per bucket probed, one write when the
+/// packet settles).
+#[inline]
+fn walk(
+    buckets: &mut [FlowRecord],
+    occupied: &mut usize,
+    key: &FlowKey,
+    path: impl Iterator<Item = usize>,
+) -> (ProbeOutcome, OpCount) {
+    let mut ops = OpCount::default();
+    let mut min_count = u32::MAX;
+    let mut sentinel = usize::MAX;
+    for idx in path {
+        ops.hashes += 1;
+        ops.reads += 1;
+        let record = buckets[idx];
+        if record.count() == 0 {
+            buckets[idx] = FlowRecord::new(*key, 1);
+            *occupied += 1;
+            ops.writes += 1;
+            return (ProbeOutcome::Inserted, ops);
+        }
+        if record.key() == *key {
+            let mut updated = record;
+            updated.increment();
+            buckets[idx] = updated;
+            ops.writes += 1;
+            return (ProbeOutcome::Incremented(updated.count()), ops);
+        }
+        if record.count() < min_count {
+            min_count = record.count();
+            sentinel = idx;
+        }
+    }
+    (
+        ProbeOutcome::Collision {
+            sentinel,
+            min_count,
+        },
+        ops,
+    )
 }
 
 impl MainTable {
@@ -202,20 +251,30 @@ impl MainTable {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the scheme is invalid or `total_cells` is
-    /// too small for it.
+    /// too small for it, or too large for the 32-bit slots of a probe plan.
     pub fn new(scheme: TableScheme, total_cells: usize, seed: u64) -> Result<Self, ConfigError> {
         let sizes = scheme.segment_sizes(total_cells)?;
-        let mut offsets = Vec::with_capacity(sizes.len());
-        let mut acc = 0;
-        for s in &sizes {
-            offsets.push(acc);
-            acc += s;
+        if u32::try_from(total_cells).is_err() {
+            return Err(ConfigError::new(format!(
+                "{total_cells} main-table buckets exceed the 32-bit slot range"
+            )));
         }
+        let ranges = match scheme {
+            TableScheme::MultiHash { depth } => vec![(0, total_cells); depth],
+            TableScheme::Pipelined { .. } => sizes
+                .iter()
+                .scan(0, |offset, &len| {
+                    let range = (*offset, len);
+                    *offset += len;
+                    Some(range)
+                })
+                .collect(),
+        };
         Ok(MainTable {
             scheme,
             buckets: vec![FlowRecord::new(FlowKey::default(), 0); total_cells],
-            offsets,
             sizes,
+            ranges,
             hashes: HashFamily::new(scheme.depth(), seed ^ 0x3a1d_77f0),
             occupied: 0,
         })
@@ -266,117 +325,69 @@ impl MainTable {
         &self.hashes
     }
 
-    /// Bucket index probed by `h_i` for `key`, flattened.
-    fn slot(&self, i: usize, key: &FlowKey, h1: u64) -> usize {
-        let hash = if i == 0 { h1 } else { self.hashes.hash(i, key) };
-        self.slot_from_hash(i, hash)
+    /// Bucket index probed by `h_{i+1}` for `key`, flattened.
+    fn slot(&self, i: usize, key: &FlowKey) -> usize {
+        let (offset, len) = self.ranges[i];
+        offset + self.hashes.bucket(i, key, len)
     }
 
-    /// Flattened bucket index of probe `i` given that probe's
-    /// already-computed hash value.
-    #[inline]
-    fn slot_from_hash(&self, i: usize, hash: u64) -> usize {
-        match self.scheme {
-            TableScheme::MultiHash { .. } => hashflow_hashing::fast_range(hash, self.buckets.len()),
-            TableScheme::Pipelined { .. } => {
-                self.offsets[i] + hashflow_hashing::fast_range(hash, self.sizes[i])
-            }
-        }
-    }
-
-    /// Hints the CPU to pull every bucket the probe path of `hashes`
-    /// will read toward L1. `hashes[i]` must be the `h_{i+1}` value of
-    /// the key (the layout [`hashflow_hashing::compute_lanes`] produces
-    /// for this table's hash family).
-    #[inline]
-    pub fn prefetch_prehashed(&self, hashes: &[u64]) {
-        for (i, &h) in hashes.iter().enumerate().take(self.scheme.depth()) {
-            hashflow_hashing::prefetch_read(&self.buckets, self.slot_from_hash(i, h));
-        }
-    }
-
-    /// Runs the collision-resolution probe of Algorithm 1 (lines 2–13) for
-    /// one packet of `key`: insert on the first empty bucket, increment on a
-    /// key match, otherwise report the sentinel.
-    pub fn probe(&mut self, key: &FlowKey) -> (ProbeOutcome, OpCount) {
-        self.probe_with(key, None)
-    }
-
-    /// [`Self::probe`] with the key's hash lanes already computed:
-    /// `hashes[i]` must equal `h_{i+1}(key)` (member `i` of the table's
-    /// hash family). The batched ingestion path evaluates all
-    /// lanes up front (one key serialization, independent hash chains,
-    /// prefetchable slots) and probes against warm cache lines here.
-    ///
-    /// The returned [`OpCount`] reports the *algorithmic* cost — exactly
-    /// what the lazy scalar probe of Algorithm 1 would have recorded for
-    /// the same outcome — so Fig. 11 accounting is independent of which
-    /// path ingested the packet.
+    /// Reduces a key's hash values to its probe path: `slots[i]` becomes
+    /// the flattened bucket index `h_{i+1}` addresses. `hashes[i]` must be
+    /// the `h_{i+1}` value of the key (the row layout
+    /// [`hashflow_hashing::compute_lanes`] produces for this table's hash
+    /// family). The range reduction happens here, once per slot; the slots
+    /// then serve [`Self::prefetch_slots`] and [`Self::resolve`] alike.
     ///
     /// # Panics
     ///
-    /// Panics if `hashes` has fewer lanes than the scheme's depth.
-    pub fn probe_prehashed(&mut self, key: &FlowKey, hashes: &[u64]) -> (ProbeOutcome, OpCount) {
+    /// Panics unless `hashes` and `slots` each hold one entry per probe.
+    #[inline]
+    pub fn probe_slots(&self, hashes: &[u64], slots: &mut [u32]) {
         assert!(
-            hashes.len() >= self.scheme.depth(),
-            "need one hash lane per probe"
+            hashes.len() == self.ranges.len() && slots.len() == self.ranges.len(),
+            "need one hash lane and one slot per probe"
         );
-        self.probe_with(key, Some(hashes))
+        for ((slot, &hash), &(offset, len)) in slots.iter_mut().zip(hashes).zip(&self.ranges) {
+            // `new` checked that every bucket index fits 32 bits.
+            *slot = (offset + hashflow_hashing::fast_range(hash, len)) as u32;
+        }
     }
 
-    /// The one collision-resolution loop behind both probe entry points:
-    /// `lanes` supplies precomputed hash values, `None` evaluates family
-    /// members lazily as the scalar path always has. Op accounting is the
-    /// lazy schedule's in both modes, keeping the two paths identical by
-    /// construction.
-    fn probe_with(&mut self, key: &FlowKey, lanes: Option<&[u64]>) -> (ProbeOutcome, OpCount) {
-        let lazy_h1 = match lanes {
-            Some(hashes) => hashes[0],
-            None => self.first_hash(key),
-        };
-        let mut ops = OpCount {
-            hashes: 1,
-            ..OpCount::default()
-        };
-        let mut min_count = u32::MAX;
-        let mut sentinel = usize::MAX;
-        for i in 0..self.scheme.depth() {
-            if i > 0 {
-                ops.hashes += 1;
-            }
-            let hash = match lanes {
-                Some(hashes) => hashes[i],
-                None if i == 0 => lazy_h1,
-                None => self.hashes.hash(i, key),
-            };
-            let idx = self.slot_from_hash(i, hash);
-            ops.reads += 1;
-            let record = self.buckets[idx];
-            if record.count() == 0 {
-                self.buckets[idx] = FlowRecord::new(*key, 1);
-                self.occupied += 1;
-                ops.writes += 1;
-                return (ProbeOutcome::Inserted, ops);
-            }
-            if record.key() == *key {
-                let mut updated = record;
-                updated.increment();
-                self.buckets[idx] = updated;
-                ops.writes += 1;
-                return (ProbeOutcome::Incremented(updated.count()), ops);
-            }
-            if record.count() < min_count {
-                min_count = record.count();
-                sentinel = idx;
-            }
+    /// Hints the CPU to pull every bucket of a probe path toward L1.
+    #[inline]
+    pub fn prefetch_slots(&self, slots: &[u32]) {
+        for &slot in slots {
+            hashflow_hashing::prefetch_read(&self.buckets, slot as usize);
         }
-        (
-            ProbeOutcome::Collision {
-                sentinel,
-                min_count,
-            },
-            ops,
-        )
+    }
+
+    /// Runs the collision-resolution step of Algorithm 1 (lines 2–13) for
+    /// one packet of `key`, hashing as it goes: `h_{i+1}` is evaluated
+    /// only if the first `i` buckets were held by other flows.
+    pub fn probe(&mut self, key: &FlowKey) -> (ProbeOutcome, OpCount) {
+        let path = (self.ranges.iter().enumerate())
+            .map(|(i, &(offset, len))| offset + self.hashes.bucket(i, key, len));
+        walk(&mut self.buckets, &mut self.occupied, key, path)
+    }
+
+    /// The same step on a probe path computed beforehand (`slots`, from
+    /// [`Self::probe_slots`]): loads and compares only. The batched
+    /// ingestion path reduces and prefetches the slots of a packet well
+    /// before it gets here.
+    ///
+    /// The returned [`OpCount`] is still that of the lazy schedule —
+    /// see [`Self::probe`] — so Fig. 11 accounting does not depend on the
+    /// path having been computed up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` does not hold exactly one slot per probe, or a
+    /// slot is out of range.
+    #[inline]
+    pub fn resolve(&mut self, key: &FlowKey, slots: &[u32]) -> (ProbeOutcome, OpCount) {
+        assert_eq!(slots.len(), self.ranges.len(), "need one slot per probe");
+        let path = slots.iter().map(|&slot| slot as usize);
+        walk(&mut self.buckets, &mut self.occupied, key, path)
     }
 
     /// Replaces the record at flattened index `slot` (the promotion of
@@ -408,11 +419,10 @@ impl MainTable {
     /// it into an ancillary summary instead of losing it silently.
     pub fn insert_record(&mut self, record: FlowRecord) -> Option<FlowRecord> {
         let key = record.key();
-        let h1 = self.first_hash(&key);
         let mut min_count = u32::MAX;
         let mut sentinel = usize::MAX;
         for i in 0..self.scheme.depth() {
-            let idx = self.slot(i, &key, h1);
+            let idx = self.slot(i, &key);
             let resident = self.buckets[idx];
             if resident.count() == 0 {
                 self.buckets[idx] = FlowRecord::new(key, record.count().max(1));
@@ -441,9 +451,8 @@ impl MainTable {
 
     /// Looks up the exact count recorded for `key`, if present.
     pub fn lookup(&self, key: &FlowKey) -> Option<u32> {
-        let h1 = self.first_hash(key);
         for i in 0..self.scheme.depth() {
-            let record = self.buckets[self.slot(i, key, h1)];
+            let record = self.buckets[self.slot(i, key)];
             if record.count() > 0 && record.key() == *key {
                 return Some(record.count());
             }
@@ -674,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn prehashed_probe_matches_scalar_probe() {
+    fn planned_step_matches_lazy_probe() {
         for scheme in [
             TableScheme::MultiHash { depth: 3 },
             TableScheme::Pipelined {
@@ -682,32 +691,56 @@ mod tests {
                 alpha: 0.7,
             },
         ] {
-            let mut scalar = MainTable::new(scheme, 64, 11).unwrap();
-            let mut batched = MainTable::new(scheme, 64, 11).unwrap();
-            let mut lanes = [0u64; 3];
+            let mut lazy = MainTable::new(scheme, 64, 11).unwrap();
+            let mut planned = MainTable::new(scheme, 64, 11).unwrap();
+            let (mut lanes, mut slots) = ([0u64; 3], [0u32; 3]);
             for i in 0..500 {
                 let k = key(i % 120);
-                for (m, lane) in lanes.iter_mut().enumerate() {
-                    *lane = batched.hash_family().hash(m, &k);
-                }
-                batched.prefetch_prehashed(&lanes);
-                let (a, ops_a) = scalar.probe(&k);
-                let (b, ops_b) = batched.probe_prehashed(&k, &lanes);
+                planned.hash_family().hash_all(&k, &mut lanes);
+                planned.probe_slots(&lanes, &mut slots);
+                planned.prefetch_slots(&slots);
+                let (a, ops_a) = lazy.probe(&k);
+                let (b, ops_b) = planned.resolve(&k, &slots);
                 assert_eq!(a, b, "outcome diverged at packet {i}");
                 assert_eq!(ops_a, ops_b, "op accounting diverged at packet {i}");
+                // The lazy schedule, worked out from where the packet
+                // settled: one hash and one read per bucket probed.
+                let settled = slots
+                    .iter()
+                    .position(|&s| planned.buckets[s as usize].key() == k);
+                let (probes, writes) = match settled {
+                    Some(at) => (at as u64 + 1, 1),
+                    None => (3, 0),
+                };
+                assert_eq!(
+                    ops_b,
+                    OpCount {
+                        hashes: probes,
+                        reads: probes,
+                        writes
+                    },
+                    "packet {i}"
+                );
             }
-            let a: Vec<FlowRecord> = scalar.records().collect();
-            let b: Vec<FlowRecord> = batched.records().collect();
+            let a: Vec<FlowRecord> = lazy.records().collect();
+            let b: Vec<FlowRecord> = planned.records().collect();
             assert_eq!(a, b);
-            assert_eq!(scalar.occupied(), batched.occupied());
+            assert_eq!(lazy.occupied(), planned.occupied());
         }
     }
 
     #[test]
-    #[should_panic(expected = "one hash lane per probe")]
-    fn prehashed_probe_rejects_short_lanes() {
+    #[should_panic(expected = "one slot per probe")]
+    fn step_rejects_short_plans() {
         let mut t = MainTable::new(TableScheme::MultiHash { depth: 3 }, 16, 0).unwrap();
-        let _ = t.probe_prehashed(&key(1), &[1, 2]);
+        let _ = t.resolve(&key(1), &[1, 2]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn oversized_table_rejected() {
+        let scheme = TableScheme::MultiHash { depth: 1 };
+        assert!(MainTable::new(scheme, u32::MAX as usize + 1, 0).is_err());
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The paper's efficiency claim (Fig. 11) is about *algorithmic* cost —
 //! 1–4 hashes and at most 6 memory accesses per packet. This exhibit
-//! measures what the **batched hot path** buys on top of that, at equal
-//! algorithmic cost: `process_batch` precomputes every hash lane a batch
-//! needs in one pass, issues software prefetches ahead of the update
-//! cursor, and flushes operation counts once per batch instead of per
-//! packet. Recorded `CostSnapshot`s are identical on both paths by
+//! measures what handing a monitor **whole batches** buys on top of
+//! that, at equal algorithmic cost. HashFlow has one ingestion step; a
+//! batch lets it hash every lane in one pass, build each packet's probe
+//! plan and prefetch its cells a few packets ahead of the step, and flush
+//! operation counts once — a packet on its own gets the same step with
+//! nothing to look ahead to. (FlowRadar still has a scalar and a batched
+//! implementation.) Recorded `CostSnapshot`s are identical either way by
 //! contract (the exhibit asserts it), so the speedup is pure schedule:
 //! warm cache lines and amortized bookkeeping.
 //!

@@ -246,12 +246,9 @@ impl FlowMonitor for FlowRadar {
         cell_idx.clear();
         cell_idx.reserve(packets.len() * COUNTING_HASHES);
         for p in packets {
-            let bytes = p.key().to_bytes();
+            let key = p.key();
             for j in 0..COUNTING_HASHES {
-                cell_idx.push(fast_range(
-                    self.hashes.hash_bytes(j, &bytes),
-                    self.cells.len(),
-                ));
+                cell_idx.push(self.hashes.bucket(j, &key, self.cells.len()));
             }
         }
         let prefetch_row = |cells: &[CountingCell], row: &[usize]| {

@@ -73,8 +73,25 @@ impl<H: KeyHasher> HashFamily<H> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn hash(&self, i: usize, key: &FlowKey) -> u64 {
         self.members[i].hash_key(key)
+    }
+
+    /// Hashes `key` with every member in one go: `out[i]` becomes
+    /// [`Self::hash`]`(i, key)`. With the member loop and an inlinable
+    /// [`KeyHasher::hash_key`] in one place, work that depends on the key
+    /// alone is done once for all members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    #[inline]
+    pub fn hash_all(&self, key: &FlowKey, out: &mut [u64]) {
+        assert_eq!(out.len(), self.members.len(), "one lane per member");
+        for (lane, member) in out.iter_mut().zip(&self.members) {
+            *lane = member.hash_key(key);
+        }
     }
 
     /// Hashes raw bytes with member `i`.
@@ -91,6 +108,7 @@ impl<H: KeyHasher> HashFamily<H> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()` or `n == 0`.
+    #[inline]
     pub fn bucket(&self, i: usize, key: &FlowKey, n: usize) -> usize {
         fast_range(self.hash(i, key), n)
     }
@@ -116,6 +134,7 @@ impl<H: KeyHasher> HashFamily<H> {
 /// assert_eq!(digest_from_hash(0x100, 8), 1); // low 8 bits are 0 -> folded to 1
 /// assert_eq!(digest_from_hash(0xab, 8), 0xab);
 /// ```
+#[inline]
 pub fn digest_from_hash(hash: u64, width: u32) -> u32 {
     assert!((1..=32).contains(&width), "digest width must be in 1..=32");
     let mask = if width == 32 {

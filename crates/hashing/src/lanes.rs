@@ -1,13 +1,12 @@
 //! One-pass multi-lane hashing for batched ingestion.
 //!
-//! The scalar hot path hashes a key lazily, one family member at a time,
-//! re-serializing the 13-byte key for every member. The batched hot path
-//! instead evaluates *all* the hash lanes a packet will need — the `d`
-//! main-table members plus the ancillary member — in one pass per key:
-//! the key is serialized once and the member chains are independent, so
-//! the compiler can overlap them. The values are bit-for-bit identical to
-//! the scalar members (`HashFamily::hash`); only the evaluation schedule
-//! changes.
+//! A table probe needs several hash values of one key — the `d`
+//! main-table members plus the ancillary member in HashFlow. Evaluating
+//! them all in one pass per key, before any table is touched, keeps the
+//! member chains independent (the compiler overlaps them and shares what
+//! depends on the key alone) and lets the caller prefetch every slot it
+//! is about to read. The values are bit-for-bit identical to
+//! `HashFamily::hash` member by member.
 
 use crate::{HashFamily, KeyHasher};
 use hashflow_types::FlowKey;
@@ -43,11 +42,13 @@ pub struct HashLanes {
 impl HashLanes {
     /// Lanes per key (the summed member counts of the families the slab
     /// was last filled with).
+    #[inline]
     pub const fn stride(&self) -> usize {
         self.stride
     }
 
     /// Number of keys currently held.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.values.len().checked_div(self.stride).unwrap_or(0)
     }
@@ -57,13 +58,14 @@ impl HashLanes {
     /// # Panics
     ///
     /// Panics if `i >= self.rows()`.
+    #[inline]
     pub fn row(&self, i: usize) -> &[u64] {
         &self.values[i * self.stride..(i + 1) * self.stride]
     }
 }
 
 /// Fills `lanes` with every member of every family in `families`, for
-/// every key of `keys`, serializing each key exactly once.
+/// every key of `keys`.
 ///
 /// Row layout: the members of `families[0]` first, then `families[1]`,
 /// and so on — e.g. `[&main, &ancillary]` yields rows of
@@ -71,21 +73,38 @@ impl HashLanes {
 /// [`HashFamily::hash`] member by member.
 pub fn compute_lanes<H: KeyHasher>(
     families: &[&HashFamily<H>],
-    keys: impl Iterator<Item = FlowKey>,
+    mut keys: impl Iterator<Item = FlowKey>,
     lanes: &mut HashLanes,
 ) {
     let stride: usize = families.iter().map(|f| f.len()).sum();
     lanes.stride = stride;
-    lanes.values.clear();
-    let (low, high) = keys.size_hint();
-    lanes.values.reserve(high.unwrap_or(low) * stride);
-    for key in keys {
-        let bytes = key.to_bytes();
+    if stride == 0 {
+        lanes.values.clear();
+        return;
+    }
+    let fill = |row: &mut [u64], key: FlowKey| {
+        let mut rest = row;
         for family in families {
-            for member in 0..family.len() {
-                lanes.values.push(family.hash_bytes(member, &bytes));
-            }
+            let (head, tail) = rest.split_at_mut(family.len());
+            family.hash_all(&key, head);
+            rest = tail;
         }
+    };
+    // Size the slab from the iterator's hint and write rows in place,
+    // over whatever the last batch left there; a hint that was too short
+    // or too long is corrected afterwards.
+    let (low, high) = keys.size_hint();
+    lanes.values.resize(high.unwrap_or(low) * stride, 0);
+    let mut rows = 0;
+    for (row, key) in lanes.values.chunks_exact_mut(stride).zip(&mut keys) {
+        fill(row, key);
+        rows += 1;
+    }
+    lanes.values.truncate(rows * stride);
+    for key in keys {
+        let filled = lanes.values.len();
+        lanes.values.resize(filled + stride, 0);
+        fill(&mut lanes.values[filled..], key);
     }
 }
 

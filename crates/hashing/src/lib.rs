@@ -59,6 +59,13 @@ pub trait KeyHasher: Clone + std::fmt::Debug {
     fn hash_bytes(&self, bytes: &[u8]) -> u64;
 
     /// Hashes a flow key (its canonical 13-byte serialization).
+    ///
+    /// This is what every table probe calls, so implementors may
+    /// specialise it for the fixed 13-byte width (as [`XxHash64`] does),
+    /// but the result must stay equal to
+    /// `self.hash_bytes(&key.to_bytes())`: `hash_bytes` is the generic
+    /// path and the oracle the property tests hold `hash_key` to.
+    #[inline]
     fn hash_key(&self, key: &FlowKey) -> u64 {
         self.hash_bytes(&key.to_bytes())
     }
@@ -81,6 +88,7 @@ pub trait KeyHasher: Clone + std::fmt::Debug {
 /// assert!(fast_range(u64::MAX, 10) < 10);
 /// assert_eq!(fast_range(0, 10), 0);
 /// ```
+#[inline]
 pub fn fast_range(hash: u64, n: usize) -> usize {
     assert!(n > 0, "range must be non-empty");
     (((hash as u128) * (n as u128)) >> 64) as usize

@@ -13,6 +13,11 @@
 
 /// Hints the CPU to pull `slice[index]` toward L1 for a future read.
 ///
+/// The hint covers the whole element: a `T` larger than its alignment
+/// (a 20-byte record at 4-byte alignment, say) can start near the end of
+/// one cache line and finish in the next, so its last byte is hinted as
+/// well as its first. Elements that cannot straddle a line get one hint.
+///
 /// Out-of-range indices are ignored (a prefetch is advisory; the caller's
 /// later real access carries the bounds check that matters).
 ///
@@ -25,21 +30,29 @@
 /// prefetch_read(&table, 9999); // out of range: ignored
 /// ```
 #[inline(always)]
-#[allow(unsafe_code)]
 pub fn prefetch_read<T>(slice: &[T], index: usize) {
     if let Some(cell) = slice.get(index) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `cell` is a valid reference into `slice`, so the pointer
-        // is dereferenceable; PREFETCHT0 itself cannot fault and has no
-        // architectural side effects.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                (cell as *const T).cast::<i8>(),
-            );
+        let first = (cell as *const T).cast::<u8>();
+        prefetch_line(first);
+        if size_of::<T>() > align_of::<T>() {
+            // Still inside `*cell`, so the address stays in bounds.
+            prefetch_line(first.wrapping_add(size_of::<T>() - 1));
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = cell;
     }
+}
+
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch_line(byte: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 never dereferences architecturally: it cannot
+    // fault and has no side effects, whatever address it is given (both
+    // callers pass one inside a live `&T`).
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(byte.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = byte;
 }
 
 #[cfg(test)]

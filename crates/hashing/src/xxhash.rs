@@ -1,4 +1,5 @@
 use crate::KeyHasher;
+use hashflow_types::{FlowKey, FLOW_KEY_BYTES};
 
 const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
 const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -69,6 +70,35 @@ fn read_u32(bytes: &[u8]) -> u32 {
 impl KeyHasher for XxHash64 {
     fn with_seed(seed: u64) -> Self {
         XxHash64 { seed }
+    }
+
+    /// The canonical xxHash64 of the 13-byte key, evaluated straight-line
+    /// from [`FlowKey::to_words`]: the short-input prologue, one 8-byte
+    /// round, one 4-byte step, one 1-byte step, the avalanche — what
+    /// [`Self::hash_bytes`] does for a 13-byte slice, minus the slice, the
+    /// length dispatch and the re-serialisation. The three input products
+    /// do not depend on the seed, so a caller that hashes one key with
+    /// several members (and inlines this) computes them once.
+    #[inline]
+    fn hash_key(&self, key: &FlowKey) -> u64 {
+        let (lo, hi) = key.to_words();
+        let mut h = self
+            .seed
+            .wrapping_add(PRIME64_5)
+            .wrapping_add(FLOW_KEY_BYTES as u64);
+        h ^= round(0, lo);
+        h = h
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+        h ^= (hi & 0xffff_ffff).wrapping_mul(PRIME64_1);
+        h = h
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        h ^= (hi >> 32).wrapping_mul(PRIME64_5);
+        h = h.rotate_left(11).wrapping_mul(PRIME64_1);
+        avalanche(h)
     }
 
     fn hash_bytes(&self, bytes: &[u8]) -> u64 {

@@ -1,17 +1,21 @@
 //! Statistical and determinism properties of the hashing crate, exercised
 //! through its public API only.
 //!
-//! Three groups:
+//! Four groups:
 //! * known-answer sanity for the widened [`Murmur3`] (the canonical 32-bit
 //!   vectors live next to the private reference function),
 //! * independence checks for [`TabulationHash`] (the paper's ball-and-urn
 //!   analysis in §III-B assumes the hash family behaves independently),
-//! * determinism of [`HashFamily`] under a fixed master seed.
+//! * determinism of [`HashFamily`] under a fixed master seed,
+//! * the fixed-width key path: `hash_key` against its `hash_bytes` oracle,
+//!   and `compute_lanes` against `HashFamily::hash`.
 
 use hashflow_hashing::{
-    digest_from_hash, fast_range, HashFamily, KeyHasher, Murmur3, TabulationHash, XxHash64,
+    compute_lanes, digest_from_hash, fast_range, HashFamily, HashLanes, KeyHasher, Murmur3,
+    TabulationHash, XxHash64,
 };
-use hashflow_types::FlowKey;
+use hashflow_types::{FlowKey, Ipv4Addr};
+use proptest::prelude::*;
 
 fn keys(n: u64) -> impl Iterator<Item = FlowKey> {
     (0..n).map(FlowKey::from_index)
@@ -182,4 +186,122 @@ fn digests_from_any_family_member_are_nonzero() {
             assert!((1..1 << 12).contains(&d));
         }
     }
+}
+
+// --- Fixed-width key hashing against the byte-slice oracle ----------------
+
+/// Five-tuples whose every field is, a quarter of the time each, all-zero
+/// or all-ones (`edges` spends two bits per field), and arbitrary
+/// otherwise.
+fn five_tuple() -> impl Strategy<Value = FlowKey> {
+    let fields = (
+        any::<u32>(),
+        any::<u32>(),
+        any::<u16>(),
+        any::<u16>(),
+        any::<u8>(),
+    );
+    (fields, 0u32..1 << 10).prop_map(|((src, dst, sport, dport, proto), edges)| {
+        let edge = |field: u32, value: u32, ones: u32| match (edges >> (2 * field)) & 3 {
+            2 => 0,
+            3 => ones,
+            _ => value,
+        };
+        FlowKey::new(
+            Ipv4Addr::new(edge(0, src, u32::MAX)),
+            Ipv4Addr::new(edge(1, dst, u32::MAX)),
+            edge(2, u32::from(sport), 0xffff) as u16,
+            edge(3, u32::from(dport), 0xffff) as u16,
+            edge(4, u32::from(proto), 0xff) as u8,
+        )
+    })
+}
+
+/// Keys every run must cover whatever the sampler draws: all-zero,
+/// all-ones, and each of protocol / ports at its extremes alone.
+fn edge_keys() -> Vec<FlowKey> {
+    let ip = |bits: u32| Ipv4Addr::new(bits);
+    vec![
+        FlowKey::default(),
+        FlowKey::new(ip(u32::MAX), ip(u32::MAX), u16::MAX, u16::MAX, u8::MAX),
+        FlowKey::new(ip(0), ip(0), 0, 0, u8::MAX),
+        FlowKey::new(ip(0), ip(0), u16::MAX, 0, 0),
+        FlowKey::new(ip(0), ip(0), 0, u16::MAX, 0),
+        FlowKey::new(ip(u32::MAX), ip(u32::MAX), 0, 0, 0),
+        FlowKey::new(ip(0x0102_0304), ip(0x0506_0708), 0x090a, 0x0b0c, 0x0d),
+    ]
+}
+
+fn assert_key_path_matches_bytes<H: KeyHasher>(seed: u64, key: &FlowKey) {
+    let hasher = H::with_seed(seed);
+    assert_eq!(
+        hasher.hash_key(key),
+        hasher.hash_bytes(&key.to_bytes()),
+        "{hasher:?} on {key:?}"
+    );
+}
+
+/// `compute_lanes` over `n` keys against `HashFamily::hash`, member by
+/// member, for a `[main, ancillary]`-shaped pair of families.
+fn assert_lanes_match_members<H: KeyHasher>(seed: u64, n: u64) {
+    let main = HashFamily::<H>::new(3, seed);
+    let anc = HashFamily::<H>::new(1, !seed);
+    // Dirty slab: a refill must leave nothing of the previous batch.
+    let mut lanes = HashLanes::default();
+    compute_lanes(&[&anc], keys(5), &mut lanes);
+    compute_lanes(&[&main, &anc], keys(n), &mut lanes);
+    assert_eq!(lanes.stride(), 4);
+    assert_eq!(lanes.rows(), n as usize);
+    for (i, key) in keys(n).enumerate() {
+        let row = lanes.row(i);
+        for (m, &lane) in row[..3].iter().enumerate() {
+            assert_eq!(lane, main.hash(m, &key), "main lane {m} of key {i}");
+        }
+        assert_eq!(row[3], anc.hash(0, &key), "ancillary lane of key {i}");
+    }
+}
+
+proptest! {
+    /// `hash_key` may be specialised for the 13-byte width, but must
+    /// equal `hash_bytes` over the canonical serialization.
+    #[test]
+    fn hash_key_equals_hash_bytes_of_the_serialized_key(key in five_tuple(), seed in any::<u64>()) {
+        for key in edge_keys().iter().chain([&key]) {
+            assert_key_path_matches_bytes::<XxHash64>(seed, key);
+            assert_key_path_matches_bytes::<Murmur3>(seed, key);
+            assert_key_path_matches_bytes::<TabulationHash>(seed, key);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Empty, singleton and just-past-a-batch key sets.
+    #[test]
+    fn compute_lanes_rows_equal_family_members(seed in any::<u64>()) {
+        for n in [0, 1, 257] {
+            assert_lanes_match_members::<XxHash64>(seed, n);
+            assert_lanes_match_members::<Murmur3>(seed, n);
+            assert_lanes_match_members::<TabulationHash>(seed, n);
+        }
+    }
+}
+
+/// An iterator whose `size_hint` under- or over-states its length must
+/// still yield exactly one row per key.
+#[test]
+fn compute_lanes_tolerates_inexact_size_hints() {
+    let family = HashFamily::<XxHash64>::new(2, 3);
+    let mut lanes = HashLanes::default();
+    // `filter` reports (0, Some(40)); 20 keys arrive.
+    let evens = (0..40u64).filter(|i| i % 2 == 0).map(FlowKey::from_index);
+    compute_lanes(&[&family], evens, &mut lanes);
+    assert_eq!(lanes.rows(), 20);
+    assert_eq!(lanes.row(19)[1], family.hash(1, &FlowKey::from_index(38)));
+    // `take_while` reports (0, None); 9 keys arrive.
+    let few = (0..).take_while(|&i| i < 9).map(FlowKey::from_index);
+    compute_lanes(&[&family], few, &mut lanes);
+    assert_eq!(lanes.rows(), 9);
+    assert_eq!(lanes.row(8)[0], family.hash(0, &FlowKey::from_index(8)));
 }

@@ -53,6 +53,7 @@ impl CounterArray {
     }
 
     /// Number of counters.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -70,6 +71,7 @@ impl CounterArray {
 
     /// Maximum representable value (`2^width - 1`), at which counters
     /// saturate.
+    #[inline]
     pub fn max_value(&self) -> u64 {
         self.max
     }
@@ -87,14 +89,18 @@ impl CounterArray {
         }
     }
 
-    /// Hints the CPU to pull the word backing counter `index` toward L1
-    /// for a future access ([`hashflow_hashing::prefetch_read`]).
+    /// Hints the CPU to pull the word backing counter `index` — and the
+    /// spill word, for a counter that straddles two — toward L1 for a
+    /// future access ([`hashflow_hashing::prefetch_read`]).
     /// Out-of-range indices are ignored — a prefetch is advisory.
     #[inline]
     pub fn prefetch(&self, index: usize) {
         if index < self.len {
-            let bit = index * self.width as usize;
-            hashflow_hashing::prefetch_read(&self.words, bit / 64);
+            let (word, _, spill) = self.locate(index);
+            hashflow_hashing::prefetch_read(&self.words, word);
+            if let Some((next, _)) = spill {
+                hashflow_hashing::prefetch_read(&self.words, next);
+            }
         }
     }
 

@@ -14,6 +14,21 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// How long [`BatchQueue::pop_deadline`] polls an empty queue, yielding
+/// between looks, before it parks on the condvar.
+///
+/// A consumer about as fast as its producer finds the queue empty now and
+/// then. If it parks at once, the next `offer` has to wake it, the kernel
+/// places the woken thread on the waker's core, it handles the one batch
+/// and parks again: producer and consumer take turns on one core, one
+/// batch per wake-up, while the other core idles, and they stay that way
+/// for seconds (the daemon at 16 Mpackets/s: thousands of parks a second,
+/// whole 250 ms slots at 10). Polling for a few batch-times first keeps
+/// the consumer runnable, so a producer on the same core gets the core by
+/// the yield and the idle core takes one of the two. It costs a consumer
+/// with nothing to do this much per wake-up.
+const POP_POLL: Duration = Duration::from_micros(50);
+
 /// The outcome of a policy-aware [`BatchQueue::offer`].
 ///
 /// Returned batches come back to the *producer* so it can account every
@@ -160,9 +175,12 @@ impl<T> BatchQueue<T> {
     /// most `timeout`. This is the loop primitive for a consumer that
     /// must interleave queue service with wall-clock work (an epoch
     /// timer, a command channel): it blocks while idle yet is guaranteed
-    /// to return by the deadline even if no producer ever shows up.
+    /// to return by the deadline even if no producer ever shows up. An
+    /// empty queue is polled for 50 µs before the thread parks.
     pub fn pop_deadline(&self, timeout: Duration) -> PopOutcome<T> {
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
+        let deadline = start + timeout;
+        let park_after = deadline.min(start + POP_POLL);
         let mut state = self.state.lock().expect("queue mutex poisoned");
         loop {
             if let Some(batch) = state.batches.pop_front() {
@@ -176,6 +194,14 @@ impl<T> BatchQueue<T> {
             let now = Instant::now();
             if now >= deadline {
                 return PopOutcome::TimedOut;
+            }
+            if now < park_after {
+                // A yield, not a pause: the producer may be waiting for
+                // this core.
+                drop(state);
+                std::thread::yield_now();
+                state = self.state.lock().expect("queue mutex poisoned");
+                continue;
             }
             let (next, _timed_out) = self
                 .not_empty
@@ -433,6 +459,16 @@ mod tests {
             PopOutcome::TimedOut
         );
         assert!(started.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn pop_deadline_honours_timeouts_shorter_than_its_polling() {
+        let q: BatchQueue<u8> = BatchQueue::new(1);
+        assert_eq!(q.pop_deadline(Duration::ZERO), PopOutcome::TimedOut);
+        let timeout = POP_POLL / 10;
+        let started = std::time::Instant::now();
+        assert_eq!(q.pop_deadline(timeout), PopOutcome::TimedOut);
+        assert!(started.elapsed() >= timeout);
     }
 
     #[test]

@@ -186,6 +186,7 @@ impl FlowKey {
     }
 
     /// Serializes the key to its canonical 13-byte wire form.
+    #[inline]
     pub const fn to_bytes(&self) -> [u8; FLOW_KEY_BYTES] {
         let s = self.src_ip.to_bits().to_be_bytes();
         let d = self.dst_ip.to_bits().to_be_bytes();
@@ -237,6 +238,7 @@ impl FlowKey {
     /// assert_eq!(lo, u64::from_le_bytes(bytes[0..8].try_into().unwrap()));
     /// assert_eq!(hi & 0xff, u64::from(bytes[8]));
     /// ```
+    #[inline]
     pub const fn to_words(&self) -> (u64, u64) {
         // to_bytes lays out big-endian fields; reading those bytes
         // little-endian is one swap per 32/16-bit field.

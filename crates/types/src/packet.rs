@@ -35,6 +35,7 @@ impl Packet {
     }
 
     /// The flow this packet belongs to.
+    #[inline]
     pub const fn key(&self) -> FlowKey {
         self.key
     }

@@ -28,11 +28,13 @@ pub struct FlowRecord {
 
 impl FlowRecord {
     /// Creates a record for `key` with an initial packet count.
+    #[inline]
     pub const fn new(key: FlowKey, count: u32) -> Self {
         FlowRecord { key, count }
     }
 
     /// The flow identifier.
+    #[inline]
     pub const fn key(&self) -> FlowKey {
         self.key
     }
@@ -44,11 +46,13 @@ impl FlowRecord {
     }
 
     /// The recorded packet count.
+    #[inline]
     pub const fn count(&self) -> u32 {
         self.count
     }
 
     /// Adds one packet to the record, saturating at `u32::MAX`.
+    #[inline]
     pub fn increment(&mut self) {
         self.count = self.count.saturating_add(1);
     }

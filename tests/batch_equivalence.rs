@@ -5,16 +5,23 @@
 //! monitor in the workspace, both main-table schemes, and adversarial
 //! batch shapes (size 1, odd tails, empty batches in the middle).
 //!
-//! HashFlow and FlowRadar override `process_batch` with a real batched
-//! hot path (precomputed hash lanes, software prefetch, one cost flush
-//! per batch), SampledNetFlow batches its sampler pass, and HashPipe and
-//! ElasticSketch ride the default scalar-loop implementation — the suite
-//! pins the contract for all five so a future override cannot silently
-//! diverge.
+//! HashFlow has one ingestion path (a packet is a batch of one; probe
+//! plans are built and prefetched `PREFETCH_AHEAD` packets ahead), so for
+//! it the suite checks that the window's bookkeeping never leaks into
+//! the result, whatever the batch shape. FlowRadar overrides
+//! `process_batch` with a batched hot path of its own, SampledNetFlow
+//! batches its sampler pass, and HashPipe and ElasticSketch ride the
+//! default scalar-loop implementation — the suite pins the contract for
+//! all of them so a future override cannot silently diverge.
+//!
+//! Every HashFlow comparison is followed by the structural invariants of
+//! Algorithm 1 ([`assert_hashflow_invariants`]), which also run over the
+//! adversarial trace regimes.
 
+use hashflow_suite::core::PREFETCH_AHEAD;
 use hashflow_suite::prelude::*;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A packet stream over `flows` distinct flows with arbitrary
 /// interleaving and multiplicities, timestamped in arrival order.
@@ -28,9 +35,23 @@ fn stream(flows: u64, max_packets: usize) -> impl Strategy<Value = Vec<Packet>> 
 }
 
 /// Splits `packets` into batches of cycling sizes, so one replay
-/// exercises singletons, odd tails and interleaved empty batches.
+/// exercises singletons, odd tails, interleaved empty batches, batches
+/// one short of, exactly and one past the prefetch window, and the
+/// collector's own batch size.
 fn batch_plan(packets: &[Packet]) -> Vec<&[Packet]> {
-    let sizes = [1usize, 7, 0, 64, 3, 0, 129];
+    let sizes = [
+        1usize,
+        7,
+        0,
+        64,
+        3,
+        0,
+        129,
+        PREFETCH_AHEAD - 1,
+        PREFETCH_AHEAD,
+        PREFETCH_AHEAD + 1,
+        256,
+    ];
     let mut batches = Vec::new();
     let mut rest = packets;
     let mut i = 0;
@@ -45,8 +66,9 @@ fn batch_plan(packets: &[Packet]) -> Vec<&[Packet]> {
 }
 
 /// Drives `scalar` packet-by-packet and `batched` through the batch
-/// plan, then asserts the two are observationally identical.
-fn assert_equivalent<M: FlowMonitor>(mut scalar: M, mut batched: M, packets: &[Packet]) {
+/// plan, then asserts the two are observationally identical. Hands both
+/// back for further inspection.
+fn assert_equivalent<M: FlowMonitor>(mut scalar: M, mut batched: M, packets: &[Packet]) -> (M, M) {
     for p in packets {
         scalar.process_packet(p);
     }
@@ -78,6 +100,85 @@ fn assert_equivalent<M: FlowMonitor>(mut scalar: M, mut batched: M, packets: &[P
         (ca - cb).abs() < 1e-9,
         "cardinality estimates diverge: {ca} vs {cb}"
     );
+    (scalar, batched)
+}
+
+/// The structural invariants of Algorithm 1 on a HashFlow that ingested
+/// exactly `packets`:
+///
+/// * no key is resident in two of its own probe slots (and every record
+///   sits in one of them, where `lookup` finds it);
+/// * `occupied()` equals the number of non-empty buckets;
+/// * every main-table count is at most that flow's true packet count —
+///   or, for a flow whose ancillary identity `(g_1 slot, h_1 digest)` is
+///   shared with others in the trace, theirs together: a promoted record
+///   starts from the ancillary summary, which §III-A keys by digest
+///   knowing it "may mix flows up, but with a small chance";
+/// * promotions are at most the packets that reached the ancillary phase
+///   (counted on a packet-by-packet twin: neither resident before the
+///   packet nor given an empty bucket by it).
+fn assert_hashflow_invariants(hf: &HashFlow, packets: &[Packet]) {
+    let mut truth: HashMap<FlowKey, u32> = HashMap::new();
+    for p in packets {
+        *truth.entry(p.key()).or_default() += 1;
+    }
+    let (table, ancillary) = (hf.main_table(), hf.ancillary_table());
+    let identity = |key: &FlowKey| {
+        (
+            ancillary.slot_of(key),
+            ancillary.digest_of(table.first_hash(key)),
+        )
+    };
+    let mut sent_by_identity: HashMap<(usize, u32), u32> = HashMap::new();
+    for (key, sent) in &truth {
+        *sent_by_identity.entry(identity(key)).or_default() += sent;
+    }
+    let mut resident = HashMap::new();
+    for record in table.records() {
+        let key = record.key();
+        prop_assert!(
+            resident.insert(key, record.count()).is_none(),
+            "{key:?} is resident twice"
+        );
+        prop_assert_eq!(
+            table.lookup(&key),
+            Some(record.count()),
+            "{key:?} is not on its own probe path"
+        );
+        prop_assert!(truth.contains_key(&key), "{key:?} was never sent");
+        let sent = sent_by_identity[&identity(&key)];
+        prop_assert!(
+            record.count() <= sent,
+            "{key:?} counts {} of {sent} packets",
+            record.count()
+        );
+    }
+    prop_assert_eq!(table.occupied(), resident.len(), "occupied() drifted");
+
+    let mut twin = HashFlow::new(*hf.config()).expect("the config built `hf`");
+    let mut ancillary_phase = 0u64;
+    for p in packets {
+        let was_resident = twin.main_table().lookup(&p.key()).is_some();
+        let occupied = twin.main_table().occupied();
+        twin.process_packet(p);
+        if !was_resident && twin.main_table().occupied() == occupied {
+            ancillary_phase += 1;
+        }
+    }
+    prop_assert_eq!(twin.promotions(), hf.promotions(), "twin diverged");
+    prop_assert!(
+        hf.promotions() <= ancillary_phase,
+        "{} promotions out of {ancillary_phase} ancillary-phase packets",
+        hf.promotions()
+    );
+}
+
+/// Scalar ≡ batched, then the invariants on both sides.
+fn assert_hashflow_equivalent(scheme: TableScheme, packets: &[Packet]) {
+    let (scalar, batched) =
+        assert_equivalent(hashflow_with(scheme), hashflow_with(scheme), packets);
+    assert_hashflow_invariants(&scalar, packets);
+    assert_hashflow_invariants(&batched, packets);
 }
 
 fn hashflow_with(scheme: TableScheme) -> HashFlow {
@@ -92,6 +193,26 @@ fn hashflow_with(scheme: TableScheme) -> HashFlow {
     .expect("valid geometry")
 }
 
+/// The adversarial regimes the invariants were written for — keys sieved
+/// to collide, and mostly single-packet flows — under both main-table
+/// schemes, with tables small enough that every phase of Algorithm 1 is
+/// under pressure.
+#[test]
+fn hashflow_invariants_hold_under_adversarial_regimes() {
+    for regime in [TraceRegime::CollisionAdversarial, TraceRegime::ChurnHeavy] {
+        let trace = regime.generate(0x1a7, 2_000);
+        for scheme in [
+            TableScheme::MultiHash { depth: 3 },
+            TableScheme::Pipelined {
+                depth: 3,
+                alpha: 0.7,
+            },
+        ] {
+            assert_hashflow_equivalent(scheme, trace.packets());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -99,15 +220,13 @@ proptest! {
     /// so collisions, ancillary churn and promotions all trigger.
     #[test]
     fn hashflow_multihash_batches_equivalently(packets in stream(500, 900)) {
-        let scheme = TableScheme::MultiHash { depth: 3 };
-        assert_equivalent(hashflow_with(scheme), hashflow_with(scheme), &packets);
+        assert_hashflow_equivalent(TableScheme::MultiHash { depth: 3 }, &packets);
     }
 
     /// HashFlow's real batched hot path, pipelined scheme.
     #[test]
     fn hashflow_pipelined_batches_equivalently(packets in stream(500, 900)) {
-        let scheme = TableScheme::Pipelined { depth: 3, alpha: 0.7 };
-        assert_equivalent(hashflow_with(scheme), hashflow_with(scheme), &packets);
+        assert_hashflow_equivalent(TableScheme::Pipelined { depth: 3, alpha: 0.7 }, &packets);
     }
 
     /// FlowRadar's batched Bloom+counter path, including decode output
