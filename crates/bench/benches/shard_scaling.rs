@@ -1,14 +1,9 @@
 //! Shard-scaling throughput of `ShardedMonitor<HashFlow>` on the CAIDA
 //! profile at N = 1/2/4/8 shards (beyond the paper's single-core §IV-D).
 //!
-//! Two measurements per shard count:
-//!
-//! * `ingest` — the real threaded path (dispatcher + N workers over
-//!   bounded batch queues). Its wall clock reflects *this* machine's core
-//!   count; on a box with >= N cores it approaches the critical path.
-//! * `lanes`  — the contention-free serial pass behind the modeled
-//!   one-core-per-shard numbers (`experiments --bin scaling_shards`
-//!   derives the critical-path model from the same measurement).
+//! One measurement per shard count: `ingest`, the real threaded path
+//! (dispatcher + N workers over bounded batch queues), by this machine's
+//! wall clock.
 //!
 //! Each timed iteration includes `reset()` (the vendored criterion has
 //! no `iter_batched` to exclude setup). Zeroing the 256 KiB budget costs
@@ -43,17 +38,6 @@ fn shard_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     monitor.reset();
                     monitor.ingest(packets).packets
-                })
-            },
-        );
-        let mut monitor = bench_sharded_hashflow(shards);
-        group.bench_with_input(
-            BenchmarkId::new("lanes", shards),
-            trace.packets(),
-            |b, packets| {
-                b.iter(|| {
-                    monitor.reset();
-                    monitor.record_lane_timings(packets).critical_path_ns()
                 })
             },
         );

@@ -7,7 +7,9 @@ use hashflow_collector::{
 };
 use hashflow_core::model;
 use hashflow_metrics::{evaluate, GroundTruth};
-use hashflow_monitor::{FlowMonitor, JsonLinesSink, MemoryBudget, RecordSink, INGEST_BATCH};
+use hashflow_monitor::{
+    FlowMonitor, Instruments, JsonLinesSink, MemoryBudget, RecordSink, INGEST_BATCH,
+};
 use hashflow_query::{execute_snapshot, QueryPlan};
 use hashflow_server::{ReplayPace, Server, ServerConfig};
 use hashflow_trace::{read_pcap, write_pcap, PcapReader, TraceGenerator};
@@ -346,6 +348,15 @@ fn export(
     ))
 }
 
+/// A fresh registry and nothing else: the capture commands run the whole
+/// pipeline instrumented and render from `Collector::metrics_snapshot`.
+fn metered() -> Instruments {
+    Instruments {
+        registry: Some(MetricsRegistry::new()),
+        ..Instruments::default()
+    }
+}
+
 /// Runs a declarative telemetry query ([`QueryPlan`]) over a capture:
 /// the capture streams through the registry-built monitor (batched,
 /// never fully in memory) with the plan attached as a [`QueryMonitor`],
@@ -364,11 +375,10 @@ fn query_capture(
     // The whole pipeline runs instrumented; the end-of-run report reads
     // its packet count from the same metrics snapshot `--metrics-out`
     // exports, so the printed and exported numbers cannot disagree.
-    let registry = MetricsRegistry::new();
     let mut collector = Collector::builder(algorithm)
         .budget(budget)
         .query(plan.clone())
-        .with_metrics(registry.clone())
+        .instruments(metered())
         .build()?;
     stream_capture(path, &mut collector, |_| {})?;
 
@@ -447,12 +457,11 @@ fn analyze(
     // Analyze prints the flow report and top flows, so the estimate-only
     // sketches are rejected up front with the registry's typed error
     // instead of rendering an empty table.
-    let registry = MetricsRegistry::new();
     let mut collector = Collector::builder(algorithm)
         .budget(budget)
         .shards(shards)
         .require_records()
-        .with_metrics(registry.clone())
+        .instruments(metered())
         .build()?;
     // One streaming pass: the capture is never materialized; ground
     // truth folds packet by packet while the monitor ingests batches.
@@ -535,11 +544,10 @@ fn stats(
     out: Option<&str>,
 ) -> Result<String, Box<dyn Error>> {
     let budget = MemoryBudget::from_kib(memory_kib)?;
-    let registry = MetricsRegistry::new();
     let mut builder = Collector::builder(algorithm)
         .budget(budget)
         .shards(shards)
-        .with_metrics(registry.clone());
+        .instruments(metered());
     if epoch_ms > 0 {
         builder = builder.epoch_ns(epoch_ms.saturating_mul(1_000_000));
     }

@@ -4,13 +4,11 @@
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
     BackpressurePolicy, CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor,
-    FlowTracer, HealthPolicy, IntrospectMetric, MemoryBudget, PipelineMetrics, RecordSink,
-    SinkErrors, SinkStatus,
+    HealthPolicy, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
 };
-use hashflow_obs::{FlightRecorder, MetricsRegistry, MetricsSnapshot};
+use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
 use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
-use std::io;
 
 /// A running collection pipeline: `monitor → queries → rotator → sinks`.
 ///
@@ -30,10 +28,11 @@ use std::io;
 ///
 /// `Collector` itself implements [`FlowMonitor`], so anything that drives
 /// a monitor — the software switch, the evaluation harness — can drive a
-/// whole pipeline unchanged.
+/// whole pipeline unchanged. Its observability handles are fixed at
+/// build time ([`CollectorBuilder::instruments`]), when one call reaches
+/// every layer; there is nothing to attach afterwards.
 pub struct Collector {
     rotator: EpochRotator<QueryMonitor<Box<dyn FlowMonitor + Send>>>,
-    metrics: Option<MetricsRegistry>,
     /// Set by [`Collector::finish`]; the `Drop` impl flushes sinks
     /// best-effort when the pipeline is dropped without finishing.
     finished: bool,
@@ -57,67 +56,11 @@ impl Collector {
             epoch_len_ns: u64::MAX,
             sinks: Vec::new(),
             queries: Vec::new(),
-            metrics: None,
+            instruments: Instruments::default(),
             answer_limit: None,
             retention: None,
             sink_health: None,
-            recorder: None,
-            tracer: None,
         }
-    }
-
-    /// Wraps an already-built monitor (e.g. one with a hand-tuned
-    /// configuration) in the rotation + sink pipeline.
-    pub fn from_monitor(monitor: Box<dyn FlowMonitor + Send>, epoch_len_ns: u64) -> Self {
-        Collector {
-            rotator: EpochRotator::new(QueryMonitor::new(monitor), epoch_len_ns),
-            metrics: None,
-            finished: false,
-        }
-    }
-
-    /// Attaches a runtime-metrics registry to every layer of the running
-    /// pipeline: the rotation layer registers its ingest/seal/sink
-    /// counters ([`PipelineMetrics`]), the query layer its per-plan
-    /// evaluation counters and answer-bank drop accounting. (The monitor
-    /// layer registers at construction — see
-    /// [`CollectorBuilder::with_metrics`], which wires all three at
-    /// build time.)
-    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        self.rotator.inner_mut().set_metrics(registry);
-        self.rotator
-            .set_metrics(PipelineMetrics::register(registry));
-        // Sealed introspection exports as gauges at every rotation.
-        self.rotator.set_introspection_registry(registry.clone());
-        self.metrics = Some(registry.clone());
-    }
-
-    /// Attaches a flight recorder to the rotation and sink layers: epoch
-    /// seals, rotation gaps and sink retry/degrade/quarantine/recover
-    /// transitions record structured events, and quarantine entry dumps
-    /// the recent window (see [`FlightRecorder`]). The monitor layer's
-    /// recorder (shard panics, shed batches) attaches at build time via
-    /// [`CollectorBuilder::with_recorder`].
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.rotator.set_recorder(recorder);
-    }
-
-    /// The flight recorder attached to the rotation layer, if any.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.rotator.recorder()
-    }
-
-    /// Attaches a sampled flow tracer to the rotation layer: sampled
-    /// flows record `epoch_seal` and `export` spans at every rotation.
-    /// Monitor-layer spans (placement stages, dispatch) attach at build
-    /// time via [`CollectorBuilder::with_tracer`].
-    pub fn set_tracer(&mut self, tracer: FlowTracer) {
-        self.rotator.set_tracer(tracer);
-    }
-
-    /// The attached metrics registry, if any.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_ref()
     }
 
     /// Flushes locally accumulated counts and snapshots the attached
@@ -126,7 +69,8 @@ impl Collector {
     /// Returns `None` when no registry is attached.
     pub fn metrics_snapshot(&mut self) -> Option<MetricsSnapshot> {
         self.rotator.flush_metrics();
-        self.metrics.as_ref().map(MetricsRegistry::snapshot)
+        let registry = self.rotator.instruments().registry.as_ref();
+        registry.map(MetricsRegistry::snapshot)
     }
 
     /// Attaches a sink; every epoch sealed from now on streams to it.
@@ -181,8 +125,8 @@ impl Collector {
     /// Every epoch sealed so far and not yet drained or shed, oldest
     /// first; each shares its record store and index with the snapshot
     /// [`Self::seal`] returned and the one the sinks received. The store
-    /// is **unbounded** until [`Self::set_retention`] bounds it or a
-    /// driving loop calls [`Self::drain_completed`]: a long run that does
+    /// is **unbounded** unless [`CollectorBuilder::retention`] bounded it
+    /// or a driving loop calls [`Self::drain_completed`]: a long run with
     /// neither keeps every epoch's records alive.
     pub fn completed_epochs(&self) -> &[EpochSnapshot] {
         self.rotator.completed_epochs()
@@ -190,7 +134,7 @@ impl Collector {
 
     /// Drains [`Self::completed_epochs`], leaving the current epoch
     /// running. The completed store grows without bound until this is
-    /// called or [`Self::set_retention`] bounds it.
+    /// called, unless [`CollectorBuilder::retention`] bounded it.
     pub fn drain_completed(&mut self) -> Vec<EpochSnapshot> {
         self.rotator.drain_completed()
     }
@@ -200,37 +144,11 @@ impl Collector {
         self.rotator.inner().inner()
     }
 
-    /// Takes the **oldest** parked sink I/O error observed since the
-    /// last call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "inspect sink_health() for per-sink state and counts; \
-                finish() returns every parked error"
-    )]
-    pub fn take_sink_error(&mut self) -> Option<io::Error> {
-        #[allow(deprecated)]
-        self.rotator.take_sink_error()
-    }
-
     /// Per-sink health: state-machine position (healthy / degraded /
     /// quarantined), failure counts, epochs skipped while quarantined and
     /// the most recent error. Indexed in attach order.
     pub fn sink_health(&self) -> Vec<SinkStatus> {
         self.rotator.sink_health()
-    }
-
-    /// Sets the failure thresholds of the sink health state machine (see
-    /// [`HealthPolicy`]).
-    pub fn set_sink_health_policy(&mut self, policy: HealthPolicy) {
-        self.rotator.set_sink_health_policy(policy);
-    }
-
-    /// Bounds the completed-epoch store to `max_epochs` reports, shed
-    /// under `policy` (`Block` degrades to `DropNewest`, counted — the
-    /// seal path must not stall). Sheds are accounted in
-    /// [`Self::retention_drop_stats`].
-    pub fn set_retention(&mut self, max_epochs: usize, policy: BackpressurePolicy) {
-        self.rotator.set_retention(max_epochs, policy);
     }
 
     /// The completed-epoch retention ledger (offered / dropped /
@@ -338,12 +256,10 @@ pub struct CollectorBuilder {
     epoch_len_ns: u64,
     sinks: Vec<Box<dyn RecordSink + Send>>,
     queries: Vec<QueryPlan>,
-    metrics: Option<MetricsRegistry>,
+    instruments: Instruments,
     answer_limit: Option<(usize, BackpressurePolicy)>,
     retention: Option<(usize, BackpressurePolicy)>,
     sink_health: Option<HealthPolicy>,
-    recorder: Option<FlightRecorder>,
-    tracer: Option<FlowTracer>,
 }
 
 impl CollectorBuilder {
@@ -407,18 +323,29 @@ impl CollectorBuilder {
         self
     }
 
-    /// Attaches a runtime-metrics registry; every pipeline layer
-    /// (monitor shards, query plans, rotation, sinks) registers into it
-    /// at build time and [`Collector::metrics_snapshot`] exposes the
-    /// combined state.
+    /// Sets the pipeline's observability handles. At build time one
+    /// [`FlowMonitor::instrument`] call on the rotation layer hands them
+    /// to **every** layer, so none can be left bare:
+    ///
+    /// * `registry` — the monitor's shards, the query plans, rotation
+    ///   and the sinks register into it, the retention and answer-bank
+    ///   ledgers are exported, and [`Collector::metrics_snapshot`]
+    ///   exposes the combined state;
+    /// * `recorder` — shard panics and shed batches (with a window dump
+    ///   on panic), epoch seals and rotation gaps, and the sinks'
+    ///   degrade/quarantine/recover transitions (quarantine entry also
+    ///   dumps);
+    /// * `tracer` — sampled flows record `dispatch` spans in the sharded
+    ///   merge layer, placement-stage spans in HashFlow, and
+    ///   `epoch_seal`/`export` spans at rotation.
     #[must_use]
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
+    pub fn instruments(mut self, instruments: Instruments) -> Self {
+        self.instruments = instruments;
         self
     }
 
     /// Bounds the banked query answers to `max_epochs` between drains,
-    /// shed under `policy` (see [`QueryMonitor::with_answer_policy`]).
+    /// shed under `policy` (see [`QueryMonitor::set_answer_limit`]).
     #[must_use]
     pub fn answer_limit(mut self, max_epochs: usize, policy: BackpressurePolicy) -> Self {
         self.answer_limit = Some((max_epochs, policy));
@@ -426,7 +353,9 @@ impl CollectorBuilder {
     }
 
     /// Bounds the completed-epoch store to `max_epochs` reports, shed
-    /// under `policy` (see [`Collector::set_retention`]).
+    /// under `policy` (`Block` degrades to `DropNewest`, counted — the
+    /// seal path must not stall). Sheds are accounted in
+    /// [`Collector::retention_drop_stats`].
     #[must_use]
     pub fn retention(mut self, max_epochs: usize, policy: BackpressurePolicy) -> Self {
         self.retention = Some((max_epochs, policy));
@@ -441,73 +370,34 @@ impl CollectorBuilder {
         self
     }
 
-    /// Attaches a flight recorder to **every** pipeline layer: the
-    /// monitor layer records shard panics and shed batches (with an
-    /// automatic window dump on panic), the rotation layer records epoch
-    /// seals and rotation gaps, and the sink layer records its
-    /// retry/degrade/quarantine/recover transitions (quarantine entry
-    /// also dumps).
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attaches a sampled flow tracer to every pipeline layer: sampled
-    /// flows record placement-stage spans in the monitor (HashFlow),
-    /// `dispatch` spans in the sharded merge layer, and
-    /// `epoch_seal`/`export` spans at rotation.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: FlowTracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
     /// Builds the pipeline.
     ///
     /// # Errors
     ///
     /// Propagates every registry error ([`MonitorBuilder::build`]).
     pub fn build(self) -> Result<Collector, ConfigError> {
-        let mut monitor = self.monitor;
-        if let Some(registry) = &self.metrics {
-            monitor = monitor.metrics(registry.clone());
-        }
-        if let Some(tracer) = &self.tracer {
-            monitor = monitor.tracer(tracer.clone());
-        }
-        if let Some(recorder) = &self.recorder {
-            monitor = monitor.recorder(recorder.clone());
-        }
-        let mut collector = Collector::from_monitor(monitor.build()?, self.epoch_len_ns);
-        if let Some(registry) = &self.metrics {
-            collector.set_metrics(registry);
-        }
-        if let Some(recorder) = self.recorder {
-            collector.set_recorder(recorder);
-        }
-        if let Some(tracer) = self.tracer {
-            collector.set_tracer(tracer);
-        }
+        let mut queries = QueryMonitor::new(self.monitor.build()?);
         if let Some((max_epochs, policy)) = self.answer_limit {
-            collector
-                .rotator
-                .inner_mut()
-                .set_answer_limit(max_epochs, policy);
-        }
-        if let Some((max_epochs, policy)) = self.retention {
-            collector.set_retention(max_epochs, policy);
-        }
-        if let Some(policy) = self.sink_health {
-            collector.set_sink_health_policy(policy);
-        }
-        for sink in self.sinks {
-            collector.add_sink(sink);
+            queries.set_answer_limit(max_epochs, policy);
         }
         for plan in self.queries {
-            collector.attach_query(plan);
+            queries.attach(plan);
         }
-        Ok(collector)
+        let mut rotator = EpochRotator::new(queries, self.epoch_len_ns);
+        if let Some((max_epochs, policy)) = self.retention {
+            rotator.set_retention(max_epochs, policy);
+        }
+        if let Some(policy) = self.sink_health {
+            rotator.set_sink_health_policy(policy);
+        }
+        for sink in self.sinks {
+            rotator.add_sink(sink);
+        }
+        rotator.instrument(&self.instruments);
+        Ok(Collector {
+            rotator,
+            finished: false,
+        })
     }
 }
 
@@ -516,6 +406,7 @@ mod tests {
     use super::*;
     use hashflow_monitor::MemorySink;
     use hashflow_trace::{TraceGenerator, TraceProfile};
+    use std::io;
 
     fn budget() -> MemoryBudget {
         MemoryBudget::from_kib(128).unwrap()
@@ -766,7 +657,10 @@ mod tests {
             .epoch_ns(500_000)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .sink(Box::new(MemorySink::new()))
-            .with_metrics(registry.clone())
+            .instruments(Instruments {
+                registry: Some(registry.clone()),
+                ..Instruments::default()
+            })
             .build()
             .unwrap();
         collector.process_trace(trace.packets());
@@ -790,7 +684,50 @@ mod tests {
         assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), packets);
         // No sink trouble on the happy path.
         assert_eq!(snap.counter("hashflow_sink_errors_total", &[]), Some(0));
-        assert!(collector.metrics().is_some());
+    }
+
+    #[test]
+    fn shed_completed_epochs_show_on_the_registry() {
+        use hashflow_obs::MetricsRegistry;
+        use hashflow_types::{FlowKey, Packet};
+
+        let registry = MetricsRegistry::new();
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .retention(1, BackpressurePolicy::DropOldest)
+            .instruments(Instruments {
+                registry: Some(registry.clone()),
+                ..Instruments::default()
+            })
+            .build()
+            .unwrap();
+        for epoch in 0..3u64 {
+            for flow in 0..=epoch {
+                collector.process_packet(&Packet::new(FlowKey::from_index(flow), epoch, 64));
+            }
+            collector.seal();
+        }
+        let ledger = collector.retention_drop_stats();
+        assert_eq!((ledger.offered_epochs(), ledger.dropped_epochs()), (3, 2));
+        let snap = registry.snapshot();
+        let exported = |name: &str| snap.counter(name, &[("component", "epoch_retention")]);
+        assert_eq!(
+            exported("hashflow_offered_epochs_total"),
+            Some(ledger.offered_epochs())
+        );
+        assert_eq!(
+            exported("hashflow_dropped_epochs_total"),
+            Some(ledger.dropped_epochs())
+        );
+        assert_eq!(
+            exported("hashflow_offered_records_total"),
+            Some(ledger.offered_records())
+        );
+        assert_eq!(
+            exported("hashflow_dropped_records_total"),
+            Some(ledger.dropped_records())
+        );
+        assert_eq!(ledger.dropped_records(), 1 + 2, "epochs 0 and 1 evicted");
     }
 
     #[test]

@@ -55,11 +55,11 @@ mod registry;
 pub use facade::{Collector, CollectorBuilder};
 pub use registry::{AlgorithmKind, MonitorBuilder};
 
-// Re-exported so registry users name budgets, sinks, query plans and
-// metrics registries without a direct hashflow-monitor /
+// Re-exported so registry users name budgets, sinks, instruments, query
+// plans and metrics registries without a direct hashflow-monitor /
 // hashflow-query / hashflow-obs dependency.
 pub use hashflow_monitor::{
-    EpochSnapshot, FlowMonitor, JsonLinesSink, MemoryBudget, MemorySink, RecordSink,
+    EpochSnapshot, FlowMonitor, Instruments, JsonLinesSink, MemoryBudget, MemorySink, RecordSink,
 };
 pub use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
 pub use hashflow_query::{QueryId, QueryPlan, QueryResult};

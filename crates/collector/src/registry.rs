@@ -4,8 +4,7 @@
 use elastic_sketch::ElasticSketch;
 use flowradar::FlowRadar;
 use hashflow_core::{HashFlow, HashFlowConfig};
-use hashflow_monitor::{FlowMonitor, FlowTracer, MemoryBudget, MergeableMonitor};
-use hashflow_obs::{FlightRecorder, MetricsRegistry};
+use hashflow_monitor::{FlowMonitor, Instruments, MemoryBudget, MergeableMonitor};
 use hashflow_shard::ShardedMonitor;
 use hashflow_sketches::{BeauCoupMonitor, CountMinMonitor, ExactBaselineMonitor, FcmMonitor};
 use hashflow_types::ConfigError;
@@ -177,7 +176,8 @@ impl std::str::FromStr for AlgorithmKind {
 /// monitors per trial; omitting it keeps each algorithm's stable default
 /// seeds), a `shards` count (> 1 wraps the monitor in a
 /// [`ShardedMonitor`] with the budget split equally, for the merge-layer
-/// algorithms), and the NetFlow `sampling` rate.
+/// algorithms), the NetFlow `sampling` rate, and the [`Instruments`]
+/// every layer of the built monitor is handed.
 ///
 /// # Examples
 ///
@@ -207,9 +207,7 @@ pub struct MonitorBuilder {
     shards: usize,
     sampling_n: u32,
     require_records: bool,
-    metrics: Option<MetricsRegistry>,
-    tracer: Option<FlowTracer>,
-    recorder: Option<FlightRecorder>,
+    instruments: Instruments,
 }
 
 impl MonitorBuilder {
@@ -222,9 +220,7 @@ impl MonitorBuilder {
             shards: 1,
             sampling_n: 1,
             require_records: false,
-            metrics: None,
-            tracer: None,
-            recorder: None,
+            instruments: Instruments::default(),
         }
     }
 
@@ -286,33 +282,17 @@ impl MonitorBuilder {
         self
     }
 
-    /// Attaches a runtime-metrics registry. Monitors with their own
-    /// telemetry (currently the sharded merge layer: per-shard packet
-    /// counters, queue-depth gauges, dispatch/merge/seal histograms)
-    /// register into it at construction; bare single-instance monitors
-    /// are unaffected — pipeline-level counters live in the rotation
-    /// layer ([`hashflow_monitor::PipelineMetrics`]).
+    /// Sets the observability handles the built monitor is instrumented
+    /// with ([`FlowMonitor::instrument`], called once by [`Self::build`]).
+    /// Each layer takes what it uses: the sharded merge layer its
+    /// per-shard counters, queue gauges, dispatch/merge/seal histograms,
+    /// panic and shed events and `dispatch` spans; HashFlow its
+    /// placement-stage spans. Monitors with nothing to report ignore
+    /// them — pipeline-level counters live in the rotation layer
+    /// ([`hashflow_monitor::PipelineMetrics`]).
     #[must_use]
-    pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Attaches a sampled flow tracer. Monitors that emit per-stage
-    /// spans (HashFlow's placement stages, the sharded dispatcher) pick
-    /// it up at construction; the rest ignore it.
-    #[must_use]
-    pub fn tracer(mut self, tracer: FlowTracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Attaches a flight recorder. The sharded merge layer records shard
-    /// panics (with an automatic window dump) and shed batches into it;
-    /// bare single-instance monitors are unaffected.
-    #[must_use]
-    pub fn recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.recorder = Some(recorder);
+    pub fn instruments(mut self, instruments: Instruments) -> Self {
+        self.instruments = instruments;
         self
     }
 
@@ -325,20 +305,12 @@ impl MonitorBuilder {
         })
     }
 
-    fn hashflow_config(&self, budget: MemoryBudget) -> Result<HashFlowConfig, ConfigError> {
-        let config = HashFlowConfig::with_memory(budget)?;
-        match self.seed {
-            Some(seed) => config.rebuild().seed(seed).build(),
-            None => Ok(config),
-        }
-    }
-
     fn build_hashflow(&self, budget: MemoryBudget) -> Result<HashFlow, ConfigError> {
-        let mut monitor = HashFlow::new(self.hashflow_config(budget)?)?;
-        if let Some(tracer) = &self.tracer {
-            monitor.set_tracer(tracer.clone());
-        }
-        Ok(monitor)
+        let config = HashFlowConfig::with_memory(budget)?;
+        HashFlow::new(match self.seed {
+            Some(seed) => config.rebuild().seed(seed).build()?,
+            None => config,
+        })
     }
 
     fn build_flowradar(&self, budget: MemoryBudget) -> Result<FlowRadar, ConfigError> {
@@ -398,6 +370,12 @@ impl MonitorBuilder {
     /// `shards > 1` is requested for an algorithm without the merge layer
     /// ([`AlgorithmKind::supports_sharding`]).
     pub fn build(&self) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
+        let mut monitor = self.build_bare()?;
+        monitor.instrument(&self.instruments);
+        Ok(monitor)
+    }
+
+    fn build_bare(&self) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
         let budget = self.require_budget()?;
         self.check_records()?;
         if self.shards == 0 {
@@ -437,16 +415,7 @@ impl MonitorBuilder {
             budget: MemoryBudget,
             build: impl FnMut(usize, MemoryBudget) -> Result<M, ConfigError>,
         ) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
-            let mut monitor = ShardedMonitor::with_budget(builder.shards, budget, build)?;
-            if let Some(registry) = &builder.metrics {
-                monitor.set_metrics(registry);
-            }
-            if let Some(tracer) = &builder.tracer {
-                monitor.set_tracer(tracer.clone());
-            }
-            if let Some(recorder) = &builder.recorder {
-                monitor.set_recorder(recorder.clone());
-            }
+            let monitor = ShardedMonitor::with_budget(builder.shards, budget, build)?;
             Ok(Box::new(monitor))
         }
         match self.kind {

@@ -3,8 +3,8 @@ use crate::config::HashFlowConfig;
 use crate::scheme::{MainTable, OpCount, ProbeOutcome};
 use hashflow_hashing::{compute_lanes, HashLanes};
 use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, FlowTracer, IntrospectMetric, MemoryBudget,
-    MergeableMonitor, MonitorIntrospect,
+    CostRecorder, CostSnapshot, FlowMonitor, FlowTracer, Instruments, IntrospectMetric,
+    MemoryBudget, MergeableMonitor, MonitorIntrospect,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
@@ -123,12 +123,6 @@ impl HashFlow {
     /// Number of ancillary-table replacements (evicted summaries) so far.
     pub const fn ancillary_replacements(&self) -> u64 {
         self.ancillary_replacements
-    }
-
-    /// Attaches a sampled flow-path tracer: from here on every packet of
-    /// a sampled flow records which Algorithm 1 stage it landed in.
-    pub fn set_tracer(&mut self, tracer: FlowTracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Whether `key` is in the attached tracer's sampled set (false with
@@ -378,6 +372,12 @@ impl FlowMonitor for HashFlow {
 
     fn introspection(&self) -> Vec<IntrospectMetric> {
         MonitorIntrospect::introspect(self)
+    }
+
+    /// Takes the tracer: from here on every packet of a sampled flow
+    /// records which Algorithm 1 stage it landed in.
+    fn instrument(&mut self, instruments: &Instruments) {
+        self.tracer = instruments.tracer.clone();
     }
 }
 

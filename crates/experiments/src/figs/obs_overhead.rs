@@ -34,7 +34,7 @@ use crate::output::{Cell, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, Collector, MetricsRegistry};
 use hashflow_core::HashFlow;
-use hashflow_monitor::{FlowMonitor, MemoryBudget};
+use hashflow_monitor::{FlowMonitor, Instruments, MemoryBudget};
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceProfile};
 use simswitch::SoftwareSwitch;
@@ -81,12 +81,20 @@ impl ObsRow {
     }
 }
 
-fn collector(budget: MemoryBudget, metrics: Option<&MetricsRegistry>) -> Collector {
-    let mut builder = Collector::builder(AlgorithmKind::HashFlow).budget(budget);
-    if let Some(registry) = metrics {
-        builder = builder.with_metrics(registry.clone());
+/// The instrumented side of every row: a live registry, nothing else.
+fn metered(registry: &MetricsRegistry) -> Instruments {
+    Instruments {
+        registry: Some(registry.clone()),
+        ..Instruments::default()
     }
-    builder.build().expect("exhibit budget fits HashFlow")
+}
+
+fn collector(budget: MemoryBudget, instruments: Instruments) -> Collector {
+    Collector::builder(AlgorithmKind::HashFlow)
+        .budget(budget)
+        .instruments(instruments)
+        .build()
+        .expect("exhibit budget fits HashFlow")
 }
 
 fn measure_pipeline(
@@ -97,9 +105,9 @@ fn measure_pipeline(
     trace: &Trace,
 ) -> ObsRow {
     let switch = SoftwareSwitch::default();
-    let mut bare = collector(budget, None);
+    let mut bare = collector(budget, Instruments::default());
     let registry = MetricsRegistry::new();
-    let mut instrumented = collector(budget, Some(&registry));
+    let mut instrumented = collector(budget, metered(&registry));
 
     let mut bare_kpps = 0.0f64;
     let mut instrumented_kpps = 0.0f64;
@@ -163,7 +171,7 @@ fn measure_sharded(budget: MemoryBudget, flows: usize, trace: &Trace) -> ObsRow 
     let mut bare = sharded(budget);
     let registry = MetricsRegistry::new();
     let mut instrumented = sharded(budget);
-    instrumented.set_metrics(&registry);
+    instrumented.instrument(&metered(&registry));
 
     let mut bare_kpps = 0.0f64;
     let mut instrumented_kpps = 0.0f64;

@@ -7,15 +7,17 @@
 //! (split equally, summing to at most the single-monitor budget) and
 //! reports, per shard count:
 //!
-//! * `native_kpps` — the threaded ingest wall clock on this machine
-//!   (approaches the critical path when the machine has >= N cores);
-//! * `modeled_parallel_kpps` — the critical-path model
-//!   `packets / (dispatch + slowest lane)` from contention-free serial
-//!   lane timings, i.e. the throughput with one core per shard;
-//! * `speedup_modeled` — modeled throughput relative to N = 1;
+//! * `native_kpps` — the threaded ingest (`ShardedMonitor::ingest`: one
+//!   dispatcher, N workers) by this machine's wall clock;
+//! * `serial_kpps` — the serial batched path (`process_batch` on one
+//!   thread: split, then every shard in turn) by the same clock;
 //! * `imbalance` — busiest shard's packet share over the ideal share;
-//! * `dispatch_share` — fraction of serial time spent in RSS dispatch
-//!   (the Amdahl term that bounds the attainable speedup).
+//! * `dispatch_share` — the RSS split alone over the serial pass (the
+//!   Amdahl term that bounds what more cores could buy).
+//!
+//! Every column is a measurement on the machine that ran it (the least
+//! disturbed of [`TRIALS`] replays); nothing is extrapolated to cores it
+//! does not have.
 //!
 //! Alongside the CSV table, the run writes `BENCH_shard.json` into the
 //! output directory (the `scaling_shards` binary also copies it to the
@@ -33,6 +35,10 @@ use std::fmt::Write as _;
 /// Shard counts of the scaling sweep.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// Replays per shard count; the least disturbed one (shortest threaded
+/// plus serial wall clock) is the row.
+pub const TRIALS: usize = 3;
+
 /// Runs the shard-scaling sweep on the CAIDA profile.
 pub fn run(cfg: &RunConfig) -> Vec<Table> {
     let flows = cfg.scaled(100_000, 2_000);
@@ -46,14 +52,13 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             let mut monitor =
                 ShardedMonitor::with_budget(shards, budget, |_, b| HashFlow::with_memory(b))
                     .expect("standard budget splits across the sweep's shard counts");
-            (shards, switch.replay_sharded(&mut monitor, &trace))
+            let quietest = (0..TRIALS)
+                .map(|_| switch.replay_sharded(&mut monitor, &trace))
+                .min_by_key(|r| r.native_elapsed_ns + r.serial_elapsed_ns)
+                .expect("at least one trial");
+            (shards, quietest)
         })
         .collect();
-
-    let base_parallel_pps = reports
-        .first()
-        .map(|(_, r)| r.modeled_parallel_pps)
-        .unwrap_or(f64::NAN);
 
     let mut table = Table::new(
         "scaling_shards",
@@ -61,8 +66,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             "trace",
             "shards",
             "native_kpps",
-            "modeled_parallel_kpps",
-            "speedup_modeled",
+            "serial_kpps",
             "imbalance",
             "dispatch_share",
         ],
@@ -72,14 +76,13 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             Cell::from("CAIDA"),
             Cell::from(*shards),
             Cell::Float(report.native_pps / 1e3),
-            Cell::Float(report.modeled_parallel_pps / 1e3),
-            Cell::Float(report.modeled_parallel_pps / base_parallel_pps),
+            Cell::Float(report.serial_pps / 1e3),
             Cell::Float(report.imbalance),
             Cell::Float(report.dispatch_elapsed_ns as f64 / report.serial_elapsed_ns as f64),
         ]);
     }
 
-    let json = bench_json(flows, budget.bytes(), &reports, base_parallel_pps);
+    let json = bench_json(flows, budget.bytes(), &reports);
     let path = cfg.out_dir.join("BENCH_shard.json");
     if std::fs::create_dir_all(&cfg.out_dir)
         .and_then(|()| std::fs::write(&path, &json))
@@ -97,7 +100,6 @@ fn bench_json(
     flows: usize,
     budget_bytes: usize,
     reports: &[(usize, ShardedReplayReport)],
-    base_parallel_pps: f64,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -111,12 +113,11 @@ fn bench_json(
         let _ = writeln!(
             out,
             "    {{\"shards\": {shards}, \"packets\": {}, \"native_kpps\": {:.3}, \
-             \"modeled_parallel_kpps\": {:.3}, \"speedup_modeled\": {:.3}, \
-             \"imbalance\": {:.3}, \"dispatch_share\": {:.4}}}{comma}",
+             \"serial_kpps\": {:.3}, \"imbalance\": {:.3}, \
+             \"dispatch_share\": {:.4}}}{comma}",
             r.packets,
             r.native_pps / 1e3,
-            r.modeled_parallel_pps / 1e3,
-            r.modeled_parallel_pps / base_parallel_pps,
+            r.serial_pps / 1e3,
             r.imbalance,
             r.dispatch_elapsed_ns as f64 / r.serial_elapsed_ns as f64,
         );
@@ -147,34 +148,12 @@ mod tests {
         let tables = run(&cfg);
         assert_eq!(tables[0].len(), SHARD_COUNTS.len());
         for &n in &SHARD_COUNTS {
-            assert!(column(&tables[0], n as i64, 2) > 0.0);
+            assert!(column(&tables[0], n as i64, 2) > 0.0, "threaded rate");
+            assert!(column(&tables[0], n as i64, 3) > 0.0, "serial rate");
+            assert!(column(&tables[0], n as i64, 4) >= 1.0, "imbalance");
         }
-        // N = 1 is the speedup baseline by construction.
-        assert!((column(&tables[0], 1, 4) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn four_shards_model_at_least_doubles_throughput() {
-        // The acceptance bar: one core per shard buys >= 2x at N = 4 on
-        // the CAIDA profile. The modeled number comes from serial
-        // contention-free lane timings, so it holds on a 1-core CI runner
-        // too; the committed BENCH_shard.json carries the full-scale
-        // release-mode run. Unoptimized (debug) builds pay a much larger
-        // relative dispatch cost, so the bar is looser there — the 2x
-        // claim is about the release artifact the benches measure.
-        let cfg = RunConfig::for_tests(0.2);
-        let tables = run(&cfg);
-        let speedup = column(&tables[0], 4, 4);
-        if cfg!(debug_assertions) {
-            // Debug timings on a contended runner are too noisy for a
-            // meaningful bar; only require a sane, positive measurement.
-            assert!(speedup > 0.5, "modeled speedup at N=4 is {speedup}");
-        } else {
-            assert!(
-                speedup >= 2.0,
-                "modeled speedup at N=4 is {speedup}, expected >= 2"
-            );
-        }
+        // A single shard pays no dispatch at all.
+        assert_eq!(column(&tables[0], 1, 5), 0.0);
     }
 
     #[test]
@@ -185,7 +164,7 @@ mod tests {
         // of inlining both inflate the dispatch share there.
         let bar = if cfg!(debug_assertions) { 0.9 } else { 0.5 };
         for &n in &[2usize, 4, 8] {
-            let share = column(&tables[0], n as i64, 6);
+            let share = column(&tables[0], n as i64, 5);
             assert!(
                 share < bar,
                 "dispatch must stay cheaper than measurement, got {share} at N={n}"
@@ -200,6 +179,6 @@ mod tests {
         let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_shard.json")).unwrap();
         assert!(json.contains("\"exhibit\": \"shard_scaling\""));
         assert!(json.contains("\"shards\": 8"));
-        assert!(json.contains("native_kpps"));
+        assert!(json.contains("native_kpps") && json.contains("serial_kpps"));
     }
 }

@@ -19,8 +19,8 @@
 //!   pipeline; spans come from the HashFlow placement stages.
 //! * `batched` — the batched hot path.
 //! * `sharded4` — a 4-shard [`ShardedMonitor`] on the threaded ingest
-//!   path, where the dispatcher adds a per-packet sampling check and
-//!   shed/panic events ride the recorder.
+//!   path, where the dispatcher and each shard's HashFlow both make the
+//!   per-packet sampling check and shed/panic events ride the recorder.
 //!
 //! Every instrumented run also proves the tracer was actually live: the
 //! recorder must hold events when the replay ends (a "free" tracer that
@@ -36,7 +36,9 @@ use crate::output::{Cell, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_core::HashFlow;
-use hashflow_monitor::{FlowMonitor, FlowTracer, MemoryBudget, DEFAULT_TRACE_SAMPLING};
+use hashflow_monitor::{
+    FlowMonitor, FlowTracer, Instruments, MemoryBudget, DEFAULT_TRACE_SAMPLING,
+};
 use hashflow_obs::FlightRecorder;
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceProfile};
@@ -91,14 +93,22 @@ impl TraceRow {
     }
 }
 
-fn collector(budget: MemoryBudget, recorder: Option<&FlightRecorder>) -> Collector {
-    let mut builder = Collector::builder(AlgorithmKind::HashFlow).budget(budget);
-    if let Some(recorder) = recorder {
-        builder = builder
-            .with_recorder(recorder.clone())
-            .with_tracer(FlowTracer::new(recorder.clone(), SAMPLING));
+/// The traced side of every row: the recorder plus a 1-in-[`SAMPLING`]
+/// tracer writing into it.
+fn tracing(recorder: &FlightRecorder) -> Instruments {
+    Instruments {
+        recorder: Some(recorder.clone()),
+        tracer: Some(FlowTracer::new(recorder.clone(), SAMPLING)),
+        ..Instruments::default()
     }
-    builder.build().expect("exhibit budget fits HashFlow")
+}
+
+fn collector(budget: MemoryBudget, instruments: Instruments) -> Collector {
+    Collector::builder(AlgorithmKind::HashFlow)
+        .budget(budget)
+        .instruments(instruments)
+        .build()
+        .expect("exhibit budget fits HashFlow")
 }
 
 fn measure_pipeline(
@@ -109,9 +119,9 @@ fn measure_pipeline(
     trace: &Trace,
 ) -> TraceRow {
     let switch = SoftwareSwitch::default();
-    let mut bare = collector(budget, None);
+    let mut bare = collector(budget, Instruments::default());
     let recorder = FlightRecorder::new();
-    let mut traced = collector(budget, Some(&recorder));
+    let mut traced = collector(budget, tracing(&recorder));
 
     let mut bare_kpps = 0.0f64;
     let mut traced_kpps = 0.0f64;
@@ -169,8 +179,7 @@ fn measure_sharded(budget: MemoryBudget, flows: usize, trace: &Trace) -> TraceRo
     let mut bare = sharded(budget);
     let recorder = FlightRecorder::new();
     let mut traced = sharded(budget);
-    traced.set_recorder(recorder.clone());
-    traced.set_tracer(FlowTracer::new(recorder.clone(), SAMPLING));
+    traced.instrument(&tracing(&recorder));
 
     let mut bare_kpps = 0.0f64;
     let mut traced_kpps = 0.0f64;

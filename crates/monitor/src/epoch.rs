@@ -31,12 +31,13 @@
 //!    epoch's reported `start_ns`/`end_ns` span the *observed* min/max
 //!    timestamps, which may extend before `base`.
 
+use crate::sink::SinkSet;
 use crate::{
     merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochSnapshot, FlowMonitor,
-    FlowTracer, HealthPolicy, IntrospectMetric, PipelineMetrics, RecordSink, SinkErrors, SinkSet,
+    HealthPolicy, Instruments, IntrospectMetric, PipelineMetrics, RecordSink, SinkErrors,
     SinkStatus, SCALAR_FLUSH_PACKETS,
 };
-use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity};
+use hashflow_obs::Severity;
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 
 /// One epoch's drained records and bookkeeping as plain, mutable data —
@@ -167,12 +168,12 @@ pub struct EpochRotator<M> {
     retention: Option<(usize, BackpressurePolicy)>,
     retention_drops: DropStats,
     sinks: SinkSet,
+    /// The handles given to [`FlowMonitor::instrument`]; the registry
+    /// also receives the sealed introspection report as gauges at each
+    /// rotation (one gauge per metric name).
+    instruments: Instruments,
+    /// Metric handles resolved from `instruments.registry`, once.
     metrics: Option<PipelineMetrics>,
-    recorder: Option<FlightRecorder>,
-    tracer: Option<FlowTracer>,
-    /// Registry the sealed introspection report is exported into as
-    /// gauges at each rotation (one gauge per metric name).
-    introspect_registry: Option<MetricsRegistry>,
     // Packet/byte counts accumulated locally and flushed to the shared
     // atomic counters per batch (or per SCALAR_FLUSH_PACKETS packets on
     // the scalar path), keeping instrumentation off the per-packet path.
@@ -212,95 +213,17 @@ impl<M: FlowMonitor> EpochRotator<M> {
             retention: None,
             retention_drops: DropStats::new(),
             sinks: SinkSet::new(),
+            instruments: Instruments::default(),
             metrics: None,
-            recorder: None,
-            tracer: None,
-            introspect_registry: None,
             pending_packets: 0,
             pending_bytes: 0,
         }
     }
 
-    /// Attaches a flight recorder: epoch seals, rotation gaps and sink
-    /// health transitions (error / degrade / quarantine / recover) are
-    /// recorded as structured events from here on, and entering
-    /// quarantine auto-dumps the recent window to the recorder's dump
-    /// writer.
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.sinks.set_recorder(recorder.clone());
-        self.recorder = Some(recorder);
-    }
-
-    /// Builder-style [`Self::set_recorder`].
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
-        self.set_recorder(recorder);
-        self
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Attaches a flow tracer: sealed records of sampled flows emit
-    /// `flow_span` events (stage `epoch_seal`, and `export` when the
-    /// epoch streamed to sinks), completing the per-flow journey the
-    /// ingest stages started.
-    pub fn set_tracer(&mut self, tracer: FlowTracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Builder-style [`Self::set_tracer`].
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: FlowTracer) -> Self {
-        self.set_tracer(tracer);
-        self
-    }
-
-    /// The attached flow tracer, if any.
-    pub fn tracer(&self) -> Option<&FlowTracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Attaches a registry that receives the sealed introspection report
-    /// as gauges at every rotation (`hashflow_introspect_*`, ratios in
-    /// parts-per-million) — the live-dashboard view of
-    /// [`EpochReport::introspection`].
-    pub fn set_introspection_registry(&mut self, registry: MetricsRegistry) {
-        self.introspect_registry = Some(registry);
-    }
-
-    /// Builder-style [`Self::set_introspection_registry`].
-    #[must_use]
-    pub fn with_introspection_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.set_introspection_registry(registry);
-        self
-    }
-
-    /// Attaches pipeline metrics: ingest counters and histograms, seal
-    /// and rotation-gap counts, sink export latency and error counts all
-    /// start updating from here on. Sinks added before or after both
-    /// report into the same error counter.
-    pub fn set_metrics(&mut self, metrics: PipelineMetrics) {
-        self.sinks.set_error_counter(metrics.sink_errors.clone());
-        self.sinks.set_health_metrics(
-            metrics.sink_skipped_epochs.clone(),
-            metrics.sinks_quarantined.clone(),
-        );
-        self.metrics = Some(metrics);
-    }
-
-    /// Builder-style [`Self::set_metrics`].
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
-        self.set_metrics(metrics);
-        self
-    }
-
-    /// The attached pipeline metrics, if any.
-    pub fn metrics(&self) -> Option<&PipelineMetrics> {
-        self.metrics.as_ref()
+    /// The handles this rotator was instrumented with
+    /// ([`FlowMonitor::instrument`]); all `None` until then.
+    pub fn instruments(&self) -> &Instruments {
+        &self.instruments
     }
 
     /// Pushes locally accumulated packet/byte counts into the shared
@@ -347,21 +270,6 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.sinks.len()
     }
 
-    /// Takes the oldest parked sink I/O error, if any. Rotation itself
-    /// stays infallible — a slow or broken export target must not stall
-    /// measurement — so sink failures are parked ([`SinkSet`]) for the
-    /// driving loop to inspect.
-    #[deprecated(
-        since = "0.1.0",
-        note = "one error at a time hides concurrent sink failures; read \
-                `sink_health()` for per-sink state and `finish_sinks()` \
-                for every collected error"
-    )]
-    pub fn take_sink_error(&mut self) -> Option<std::io::Error> {
-        #[allow(deprecated)]
-        self.sinks.take_error()
-    }
-
     /// Point-in-time health of every attached sink, in attach order —
     /// the per-sink view of the healthy → degraded → quarantined state
     /// machine ([`crate::SinkHealth`]).
@@ -395,9 +303,8 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// store without bound. [`BackpressurePolicy::Block`] degrades to
     /// `DropNewest` here: the store is filled by the rotation path
     /// itself, so there is no consumer to wait for. Shed reports are
-    /// counted in [`Self::retention_drop_stats`]; register that handle
-    /// in a `MetricsRegistry` ([`DropStats::register`], conventionally
-    /// under `component="rotator_completed"`) to expose them.
+    /// counted in [`Self::retention_drop_stats`], which an instrumented
+    /// rotator exports under `component="epoch_retention"`.
     pub fn set_retention(&mut self, max_epochs: usize, policy: BackpressurePolicy) {
         self.retention = Some((max_epochs, policy));
     }
@@ -480,7 +387,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
         if let Some(m) = &self.metrics {
             m.epochs_sealed.inc();
         }
-        if let Some(recorder) = &self.recorder {
+        if let Some(recorder) = &self.instruments.recorder {
             let partial = snapshot.is_partial();
             recorder.record_with(
                 if partial {
@@ -502,14 +409,14 @@ impl<M: FlowMonitor> EpochRotator<M> {
                 ],
             );
         }
-        if let Some(registry) = &self.introspect_registry {
+        if let Some(registry) = &self.instruments.registry {
             for metric in snapshot.introspection() {
                 registry
                     .gauge(&metric.gauge_name(), &[])
                     .set(metric.gauge_value());
             }
         }
-        if let Some(tracer) = &self.tracer {
+        if let Some(tracer) = &self.instruments.tracer {
             for rec in snapshot.records() {
                 let key = rec.key();
                 if tracer.is_sampled(&key) {
@@ -542,7 +449,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// Records a rotation-gap event: the boundary packet skipped at
     /// least one whole quiet window beyond the epoch it sealed.
     fn note_rotation_gap(&self, base: u64, ts: u64) {
-        if let Some(recorder) = &self.recorder {
+        if let Some(recorder) = &self.instruments.recorder {
             recorder.record_with(
                 Severity::Warn,
                 "rotation_gap",
@@ -698,6 +605,27 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         self.inner.introspection()
     }
 
+    /// Wires the rotation layer and its sinks, then forwards inward.
+    /// With a registry: the ingest/seal/sink catalog of
+    /// [`PipelineMetrics`], the completed-store ledger under
+    /// `component="epoch_retention"`, and the sealed introspection report
+    /// as `hashflow_introspect_*` gauges at every rotation. With a
+    /// recorder: `epoch_sealed`, `rotation_gap` and the sinks' health
+    /// transitions (quarantine entry dumps the recent window). With a
+    /// tracer: `epoch_seal` spans for sampled flows, and `export` when
+    /// the epoch streamed to sinks. Sinks added before or after report
+    /// into the same counters.
+    fn instrument(&mut self, instruments: &Instruments) {
+        self.metrics = instruments.registry.as_ref().map(|registry| {
+            self.retention_drops.register(registry, "epoch_retention");
+            PipelineMetrics::register(registry)
+        });
+        self.sinks
+            .instrument(self.metrics.clone(), instruments.recorder.clone());
+        self.instruments = instruments.clone();
+        self.inner.instrument(instruments);
+    }
+
     fn reset(&mut self) {
         self.flush_metrics();
         self.inner.reset();
@@ -765,6 +693,33 @@ mod tests {
 
     fn pkt(flow: u64, ts: u64) -> Packet {
         Packet::new(FlowKey::from_index(flow), ts, 64)
+    }
+
+    /// A rotator over `Exact` registered in `registry`.
+    fn metered(epoch_len_ns: u64, registry: &hashflow_obs::MetricsRegistry) -> EpochRotator<Exact> {
+        let mut r = EpochRotator::new(Exact::default(), epoch_len_ns);
+        r.instrument(&Instruments {
+            registry: Some(registry.clone()),
+            ..Instruments::default()
+        });
+        r
+    }
+
+    /// One shard's plain report, for the merge tests.
+    fn report(records: Vec<FlowRecord>, span: Option<(u64, u64)>) -> EpochReport {
+        EpochReport {
+            epoch: 0,
+            start_ns: span.map(|(start, _)| start),
+            end_ns: span.map(|(_, end)| end),
+            cardinality: records.len() as f64,
+            cost: CostSnapshot {
+                packets: records.iter().map(|r| u64::from(r.count())).sum(),
+                ..CostSnapshot::default()
+            },
+            records,
+            partial: false,
+            introspection: Vec::new(),
+        }
     }
 
     #[test]
@@ -840,15 +795,15 @@ mod tests {
 
     #[test]
     fn merged_report_unions_shard_reports() {
-        let mut a = EpochRotator::new(Exact::default(), u64::MAX);
-        let mut b = EpochRotator::new(Exact::default(), u64::MAX);
-        a.process_packet(&pkt(1, 10));
-        a.process_packet(&pkt(1, 30));
-        b.process_packet(&pkt(2, 5));
-        let merged = EpochReport::merged(
-            vec![a.rotate_now().into_report(), b.rotate_now().into_report()],
-            2.0,
+        let a = report(
+            vec![FlowRecord::new(FlowKey::from_index(1), 2)],
+            Some((10, 30)),
         );
+        let b = report(
+            vec![FlowRecord::new(FlowKey::from_index(2), 1)],
+            Some((5, 5)),
+        );
+        let merged = EpochReport::merged(vec![a, b], 2.0);
         assert_eq!(merged.records.len(), 2);
         assert_eq!(merged.cost.packets, 3);
         assert_eq!(merged.start_ns, Some(5));
@@ -964,11 +919,6 @@ mod tests {
         assert!(errors
             .iter()
             .all(|(i, e)| i == 0 && e.to_string().contains("wire cut")));
-        // The deprecated one-at-a-time accessor still functions.
-        #[allow(deprecated)]
-        {
-            assert!(broken.take_sink_error().is_none(), "finish drained all");
-        }
     }
 
     #[test]
@@ -1013,16 +963,11 @@ mod tests {
 
     #[test]
     fn merged_report_propagates_the_partial_flag() {
-        let fresh_report = || {
-            EpochRotator::new(Exact::default(), u64::MAX)
-                .rotate_now()
-                .into_report()
-        };
-        let clean = EpochReport::merged(vec![fresh_report()], 0.0);
+        let clean = EpochReport::merged(vec![report(Vec::new(), None)], 0.0);
         assert!(!clean.partial);
-        let mut degraded = fresh_report();
+        let mut degraded = report(Vec::new(), None);
         degraded.partial = true;
-        let merged = EpochReport::merged(vec![fresh_report(), degraded], 0.0);
+        let merged = EpochReport::merged(vec![report(Vec::new(), None), degraded], 0.0);
         assert!(merged.partial, "any partial shard taints the merge");
         assert!(merged.into_snapshot().is_partial(), "snapshot carries it");
     }
@@ -1090,12 +1035,10 @@ mod tests {
 
     #[test]
     fn metrics_track_ingest_seals_and_gaps() {
-        use crate::PipelineMetrics;
         use hashflow_obs::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let mut r = EpochRotator::new(Exact::default(), 1_000)
-            .with_metrics(PipelineMetrics::register(&registry));
+        let mut r = metered(1_000, &registry);
         // Scalar path: 3 packets in epoch 0, then a quiet gap of several
         // windows (one rotation, one gap), then a boundary rotation
         // (no gap).
@@ -1136,7 +1079,7 @@ mod tests {
 
     #[test]
     fn metrics_time_sink_exports_and_count_errors() {
-        use crate::{PipelineMetrics, RecordSink};
+        use crate::RecordSink;
         use hashflow_obs::MetricsRegistry;
 
         struct Broken;
@@ -1147,9 +1090,7 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new();
-        let mut r = EpochRotator::new(Exact::default(), u64::MAX)
-            .with_metrics(PipelineMetrics::register(&registry))
-            .with_sink(Box::new(Broken));
+        let mut r = metered(u64::MAX, &registry).with_sink(Box::new(Broken));
         r.process_packet(&pkt(1, 0));
         r.rotate_now();
         r.process_packet(&pkt(2, 5));
@@ -1162,7 +1103,7 @@ mod tests {
 
     #[test]
     fn quarantined_sink_skips_are_counted_in_metrics() {
-        use crate::{HealthPolicy, PipelineMetrics, RecordSink};
+        use crate::{HealthPolicy, RecordSink};
         use hashflow_obs::MetricsRegistry;
 
         struct Broken;
@@ -1173,9 +1114,7 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new();
-        let mut r = EpochRotator::new(Exact::default(), u64::MAX)
-            .with_metrics(PipelineMetrics::register(&registry))
-            .with_sink(Box::new(Broken));
+        let mut r = metered(u64::MAX, &registry).with_sink(Box::new(Broken));
         r.set_sink_health_policy(HealthPolicy {
             quarantine_after: 1,
             probe_interval: 8,

@@ -4,7 +4,7 @@
 //!
 //! A collection run that lasts days *will* see export failures — a log
 //! shipper restarting, a collector briefly unreachable, a disk filling
-//! up. The original `SinkSet` parked the first I/O error and silently
+//! up. The original sink set parked the first I/O error and silently
 //! kept counting later ones; a wedged sink could also never recover.
 //! This module gives every sink an explicit health state driven by
 //! classified errors:
@@ -30,8 +30,8 @@
 
 use std::io;
 
-/// The health of one attached sink, as maintained by
-/// [`SinkSet`](crate::SinkSet).
+/// The health of one attached sink, as maintained by the rotation
+/// layer ([`EpochRotator`](crate::EpochRotator)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SinkHealth {
     /// Exports succeed; every sealed epoch is delivered.
@@ -110,8 +110,7 @@ impl Default for HealthPolicy {
 }
 
 /// A point-in-time view of one sink's health, returned by
-/// [`SinkSet::health`](crate::SinkSet::health) (and surfaced as
-/// `sink_health()` on every rotation layer).
+/// [`EpochRotator::sink_health`](crate::EpochRotator::sink_health).
 #[derive(Debug, Clone)]
 pub struct SinkStatus {
     /// Attach order of the sink in its set.

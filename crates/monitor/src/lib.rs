@@ -53,9 +53,9 @@ pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue, Mon
 pub use merge::MergeableMonitor;
 pub use policy::BackpressurePolicy;
 pub use retry::{RetryPolicy, RetrySink};
-pub use sink::{JsonLinesSink, MemorySink, RecordSink, SinkSet};
+pub use sink::{JsonLinesSink, MemorySink, RecordSink};
 pub use snapshot::EpochSnapshot;
-pub use stats::{DropStats, PipelineMetrics, SCALAR_FLUSH_PACKETS};
+pub use stats::{DropStats, Instruments, PipelineMetrics, SCALAR_FLUSH_PACKETS};
 pub use trace::{FlowTracer, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND};
 
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -221,6 +221,13 @@ pub trait FlowMonitor {
     fn introspection(&self) -> Vec<IntrospectMetric> {
         Vec::new()
     }
+
+    /// Hands the monitor its observability handles ([`Instruments`]): it
+    /// takes what it uses — registering metrics once, here, never per
+    /// packet — and forwards the set to whatever it wraps, so one call
+    /// on the outermost layer instruments the whole stack. Plain monitors
+    /// with nothing to report keep the default, which ignores the call.
+    fn instrument(&mut self, _instruments: &Instruments) {}
 }
 
 /// Boxed monitors are monitors: the registry
@@ -272,6 +279,9 @@ impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     fn introspection(&self) -> Vec<IntrospectMetric> {
         (**self).introspection()
     }
+    fn instrument(&mut self, instruments: &Instruments) {
+        (**self).instrument(instruments);
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +327,11 @@ mod tests {
         fn reset(&mut self) {
             self.flows.clear();
             self.cost.reset();
+        }
+        fn instrument(&mut self, instruments: &Instruments) {
+            if let Some(registry) = &instruments.registry {
+                registry.counter("exact_instrumented_total", &[]).inc();
+            }
         }
     }
 
@@ -375,6 +390,16 @@ mod tests {
     #[test]
     fn boxed_monitor_forwards_everything() {
         let mut m: Box<dyn FlowMonitor> = Box::new(Exact::default());
+        let registry = hashflow_obs::MetricsRegistry::new();
+        m.instrument(&Instruments {
+            registry: Some(registry.clone()),
+            ..Instruments::default()
+        });
+        assert_eq!(
+            registry.snapshot().counter("exact_instrumented_total", &[]),
+            Some(1),
+            "instrument reaches the boxed monitor"
+        );
         m.process_packet(&pkt(1));
         m.process_batch(&[pkt(1), pkt(2)]);
         m.process_trace(&[pkt(2)]);

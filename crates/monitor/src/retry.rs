@@ -2,7 +2,7 @@
 //!
 //! [`RetrySink`] wraps any [`RecordSink`] and re-attempts failed exports
 //! (and the final flush) with exponential backoff and seeded jitter.
-//! Retrying sits *below* the [`SinkSet`](crate::SinkSet) health machine:
+//! Retrying sits *below* the rotation layer's sink health machine:
 //! the wrapper absorbs short blips (a collector restarting, a socket
 //! reset) so they never surface as errors at all, while persistent
 //! failures still bubble up — classified, counted and quarantined — after

@@ -3,10 +3,10 @@
 //! A deployed collector does not stop at sealing epochs — every sealed
 //! epoch is *shipped*: to a NetFlow collector, a log pipeline, a
 //! long-term store. [`RecordSink`] is the contract for that last stage of
-//! the pipeline (`source → collector → rotator → sinks`): anything that
-//! rotates epochs ([`crate::EpochRotator`], `hashflow_shard`'s
-//! `ShardedMonitor`, the `hashflow-collector` facade) streams each sealed
-//! [`EpochSnapshot`] to its attached sinks.
+//! the pipeline (`source → collector → rotator → sinks`): the rotation
+//! layer ([`crate::EpochRotator`], and the `hashflow-collector` facade
+//! built on it) streams each sealed [`EpochSnapshot`] to its attached
+//! sinks.
 //!
 //! Two reference sinks live here (no I/O-format dependencies needed):
 //! [`JsonLinesSink`] for log pipelines and [`MemorySink`] for tests and
@@ -15,9 +15,9 @@
 
 use crate::{
     classify_io_error, BackpressurePolicy, DropStats, EpochSnapshot, ErrorClass, HealthPolicy,
-    SinkErrors, SinkHealth, SinkStatus,
+    PipelineMetrics, SinkErrors, SinkHealth, SinkStatus,
 };
-use hashflow_obs::{Counter, FlightRecorder, Gauge, Severity};
+use hashflow_obs::{FlightRecorder, Severity};
 use std::io::{self, Write};
 
 /// A destination for sealed measurement epochs.
@@ -89,11 +89,9 @@ impl SinkEntry {
     }
 }
 
-/// An owned set of sinks with per-sink health tracking — the shared
-/// plumbing of every rotation layer ([`crate::EpochRotator`],
-/// `hashflow_shard`'s `ShardedMonitor`): export fan-out, infallible from
-/// the caller's side (a broken export target must not stall
-/// measurement), with every I/O error classified
+/// The sinks of an [`crate::EpochRotator`] with per-sink health tracking:
+/// export fan-out, infallible from the caller's side (a broken export
+/// target must not stall measurement), with every I/O error classified
 /// ([`classify_io_error`]), collected (bounded by
 /// [`SinkErrors::MAX_PARKED`]) and driving each sink's
 /// healthy → degraded → quarantined state machine ([`SinkHealth`]).
@@ -101,13 +99,11 @@ impl SinkEntry {
 /// path, and recover through periodic probes
 /// ([`HealthPolicy::probe_interval`]).
 #[derive(Default)]
-pub struct SinkSet {
+pub(crate) struct SinkSet {
     entries: Vec<SinkEntry>,
     parked: Vec<(usize, io::Error)>,
     policy: HealthPolicy,
-    error_counter: Option<Counter>,
-    skipped_counter: Option<Counter>,
-    quarantined_gauge: Option<Gauge>,
+    metrics: Option<PipelineMetrics>,
     recorder: Option<FlightRecorder>,
 }
 
@@ -159,32 +155,22 @@ impl SinkSet {
         self.policy = policy;
     }
 
-    /// The active health-machine thresholds.
-    pub fn health_policy(&self) -> HealthPolicy {
-        self.policy
-    }
-
-    /// Attaches a metrics counter incremented once per sink error — the
-    /// counter sees *every* failed export or flush, so exposition
-    /// reflects the true failure volume of a long run.
-    pub fn set_error_counter(&mut self, counter: Counter) {
-        self.error_counter = Some(counter);
-    }
-
-    /// Attaches a counter for epochs skipped past quarantined sinks and
-    /// a gauge tracking how many sinks are currently quarantined.
-    pub fn set_health_metrics(&mut self, skipped: Counter, quarantined: Gauge) {
-        self.skipped_counter = Some(skipped);
-        self.quarantined_gauge = Some(quarantined);
-    }
-
-    /// Attaches a flight recorder: every export failure and every health
-    /// transition (degrade, quarantine, recover) is recorded as a
-    /// structured event, and a sink *entering* quarantine auto-dumps the
-    /// recorder's recent window — the flight-recorder contract of
-    /// capturing the lead-up the moment a fault latches.
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.recorder = Some(recorder);
+    /// Attaches the rotator's metric handles and flight recorder. With
+    /// metrics, every failed export or flush counts in
+    /// `hashflow_sink_errors_total`, epochs skipped past quarantined sinks
+    /// in `hashflow_sink_skipped_epochs_total`, and
+    /// `hashflow_sinks_quarantined` tracks the quarantined count. With a
+    /// recorder, every export failure and health transition (degrade,
+    /// quarantine, recover) is a structured event, and a sink *entering*
+    /// quarantine auto-dumps the recent window — the lead-up is captured
+    /// the moment the fault latches.
+    pub fn instrument(
+        &mut self,
+        metrics: Option<PipelineMetrics>,
+        recorder: Option<FlightRecorder>,
+    ) {
+        self.metrics = metrics;
+        self.recorder = recorder;
     }
 
     /// Point-in-time health of every attached sink, in attach order.
@@ -211,8 +197,8 @@ impl SinkSet {
     }
 
     fn update_gauge(&self) {
-        if let Some(g) = &self.quarantined_gauge {
-            g.set(self.quarantined() as i64);
+        if let Some(m) = &self.metrics {
+            m.sinks_quarantined.set(self.quarantined() as i64);
         }
     }
 
@@ -225,9 +211,8 @@ impl SinkSet {
     /// [`Self::finish`] / [`Self::health`].
     pub fn export(&mut self, snapshot: &EpochSnapshot) {
         let policy = self.policy;
-        let error_counter = self.error_counter.clone();
-        let skipped_counter = self.skipped_counter.clone();
-        let recorder = self.recorder.clone();
+        let metrics = self.metrics.as_ref();
+        let recorder = self.recorder.as_ref();
         let mut fresh_errors: Vec<(usize, io::Error)> = Vec::new();
         for (index, entry) in self.entries.iter_mut().enumerate() {
             // A quarantined sink skips-and-counts until its probe
@@ -237,8 +222,8 @@ impl SinkSet {
                 entry.epochs_until_probe -= 1;
                 entry.skipped_epochs += 1;
                 entry.skipped_records += snapshot.len() as u64;
-                if let Some(c) = &skipped_counter {
-                    c.inc();
+                if let Some(m) = metrics {
+                    m.sink_skipped_epochs.inc();
                 }
                 continue;
             }
@@ -246,7 +231,7 @@ impl SinkSet {
                 Ok(()) => {
                     if entry.health == SinkHealth::Quarantined {
                         entry.recoveries += 1;
-                        if let Some(r) = &recorder {
+                        if let Some(r) = recorder {
                             r.record_with(
                                 Severity::Info,
                                 "sink_recovered",
@@ -263,7 +248,7 @@ impl SinkSet {
                     entry.consecutive_failures = entry.consecutive_failures.saturating_add(1);
                     entry.last_error = Some(error.to_string());
                     let fatal = classify_io_error(&error) == ErrorClass::Fatal;
-                    if let Some(r) = &recorder {
+                    if let Some(r) = recorder {
                         r.record_with(
                             Severity::Warn,
                             "sink_error",
@@ -282,7 +267,7 @@ impl SinkSet {
                         entry.health = SinkHealth::Quarantined;
                         entry.epochs_until_probe = policy.probe_interval;
                         if was != SinkHealth::Quarantined {
-                            if let Some(r) = &recorder {
+                            if let Some(r) = recorder {
                                 r.record_with(
                                     Severity::Error,
                                     "sink_quarantined",
@@ -301,7 +286,7 @@ impl SinkSet {
                     } else {
                         entry.health = SinkHealth::Degraded;
                         if was == SinkHealth::Healthy {
-                            if let Some(r) = &recorder {
+                            if let Some(r) = recorder {
                                 r.record_with(
                                     Severity::Warn,
                                     "sink_degraded",
@@ -311,8 +296,8 @@ impl SinkSet {
                             }
                         }
                     }
-                    if let Some(c) = &error_counter {
-                        c.inc();
+                    if let Some(m) = metrics {
+                        m.sink_errors.inc();
                     }
                     fresh_errors.push((index, error));
                 }
@@ -322,21 +307,6 @@ impl SinkSet {
             self.park(index, error);
         }
         self.update_gauge();
-    }
-
-    /// Takes the oldest collected I/O error, if any.
-    #[deprecated(
-        since = "0.1.0",
-        note = "a single parked error hides every later failure; read the \
-                per-sink view via `health()` and collect everything via \
-                `finish()` instead"
-    )]
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        if self.parked.is_empty() {
-            None
-        } else {
-            Some(self.parked.remove(0).1)
-        }
     }
 
     /// Flushes every sink (end of the collection run); later sinks are
@@ -355,8 +325,8 @@ impl SinkSet {
             if let Err(error) = entry.sink.finish() {
                 entry.total_errors += 1;
                 entry.last_error = Some(error.to_string());
-                if let Some(c) = &self.error_counter {
-                    c.inc();
+                if let Some(m) = &self.metrics {
+                    m.sink_errors.inc();
                 }
                 self.park(index, error);
             }
@@ -839,15 +809,5 @@ mod tests {
         assert_eq!(status.total_errors, (SinkErrors::MAX_PARKED + 10) as u64);
         let errors = set.finish().unwrap_err();
         assert_eq!(errors.len(), SinkErrors::MAX_PARKED);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_take_error_still_surfaces_oldest() {
-        let mut set = SinkSet::new();
-        set.add(Box::new(FlakySink::new(1, io::ErrorKind::TimedOut)));
-        set.export(&snapshot(0, 1));
-        assert!(set.take_error().is_some());
-        assert!(set.take_error().is_none());
     }
 }

@@ -296,26 +296,6 @@ impl EpochSnapshot {
         .with_introspection(monitor.introspection())
     }
 
-    /// Converts the snapshot into a plain, mutable [`crate::EpochReport`]
-    /// (dropping the query index) — the inverse of
-    /// [`crate::EpochReport::into_snapshot`], for callers that want to
-    /// merge or re-order the records. The store moves into the report
-    /// when this snapshot is its only holder and is copied only when a
-    /// clone (a retaining sink, the completed-epoch store) still shares
-    /// it.
-    pub fn into_report(self) -> crate::EpochReport {
-        crate::EpochReport {
-            epoch: self.epoch,
-            start_ns: self.start_ns,
-            end_ns: self.end_ns,
-            records: Arc::unwrap_or_clone(self.records),
-            cardinality: self.cardinality,
-            cost: self.cost,
-            partial: self.partial,
-            introspection: self.introspection,
-        }
-    }
-
     /// Epoch sequence number (0 for direct captures).
     pub const fn epoch(&self) -> u64 {
         self.epoch
@@ -543,23 +523,25 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_store_and_report_conversion_moves_it() {
-        let s = snapshot(vec![rec(1, 3), rec(2, 8)]);
-        let store = s.as_records().as_ptr();
+    fn clones_share_the_store_and_a_report_moves_into_it() {
+        let records = vec![rec(1, 3), rec(2, 8)];
+        let store = records.as_ptr();
+        // Freezing a report moves its records into the store uncopied.
+        let s = crate::EpochReport {
+            epoch: 0,
+            start_ns: None,
+            end_ns: None,
+            cardinality: 2.0,
+            cost: CostSnapshot::default(),
+            records,
+            partial: false,
+            introspection: Vec::new(),
+        }
+        .into_snapshot();
+        assert!(std::ptr::eq(s.as_records().as_ptr(), store));
         let clone = s.clone();
         assert!(std::ptr::eq(clone.as_records().as_ptr(), store));
         assert_eq!(clone.estimate_size(&FlowKey::from_index(2)), 8);
-        // Shared: the report gets its own copy, the clone keeps the store.
-        let copied = s.into_report();
-        assert!(!std::ptr::eq(copied.records.as_ptr(), store));
-        assert_eq!(copied.records, clone.as_records());
-        // Sole holder: the store itself moves into the report, and back.
-        let moved = clone.into_report();
-        assert!(std::ptr::eq(moved.records.as_ptr(), store));
-        assert!(std::ptr::eq(
-            moved.into_snapshot().as_records().as_ptr(),
-            store
-        ));
     }
 
     #[test]

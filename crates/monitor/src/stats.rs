@@ -4,12 +4,47 @@
 //!
 //! These are thin compositions over `hashflow-obs` primitives. A pipeline
 //! runs un-instrumented by default — stages hold `Option<PipelineMetrics>`
-//! and the bare path pays only the `None` check. When a
-//! [`MetricsRegistry`] is attached (e.g. via the collector facade), every
-//! stage registers into the same registry and one snapshot covers the
-//! whole pipeline.
+//! and the bare path pays only the `None` check. [`Instruments`] is how
+//! the handles arrive: one [`crate::FlowMonitor::instrument`] call on the
+//! outermost stage registers every layer into the same registry, so one
+//! snapshot covers the whole pipeline.
 
-use hashflow_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use crate::FlowTracer;
+use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry};
+
+/// The observability handles of a pipeline, handed to every stage by one
+/// [`crate::FlowMonitor::instrument`] call. Each handle is optional and
+/// independent; the default instruments nothing. A stage takes what it
+/// uses and forwards the whole set inward, so no layer can be left bare.
+/// Cloning shares the registry, the recorder's ring and the tracer.
+///
+/// # Examples
+///
+/// ```
+/// use hashflow_monitor::{FlowTracer, Instruments};
+/// use hashflow_obs::{FlightRecorder, MetricsRegistry};
+///
+/// let recorder = FlightRecorder::new();
+/// let instruments = Instruments {
+///     registry: Some(MetricsRegistry::new()),
+///     tracer: Some(FlowTracer::new(recorder.clone(), 1024)),
+///     recorder: Some(recorder),
+/// };
+/// assert!(Instruments::default().registry.is_none());
+/// # let _ = instruments;
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Instruments {
+    /// Where every stage registers its counters, gauges and histograms.
+    /// Handles are resolved once, at `instrument` time, never per packet.
+    pub registry: Option<MetricsRegistry>,
+    /// Ring of structured events: epoch seals, rotation gaps, sink health
+    /// transitions, shard panics and shed batches.
+    pub recorder: Option<FlightRecorder>,
+    /// Sampled flow-path tracer: `dispatch`, HashFlow placement,
+    /// `epoch_seal` and `export` spans for the flows it samples.
+    pub tracer: Option<FlowTracer>,
+}
 
 /// How many scalar-path packets may accumulate locally before the
 /// pending counts are flushed into the shared atomic counters.

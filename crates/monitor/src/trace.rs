@@ -7,11 +7,12 @@
 //! main-table hit, digest promotion, ancillary fallback — which epochs it
 //! was sealed into, and whether its records were exported. Tracing every
 //! flow would dwarf the measurement itself, so the [`FlowTracer`] samples
-//! deterministically: flow `k` is traced iff `hash(k) % N == 0` under one
-//! fixed seed, so a sampled flow is sampled on **every** path — scalar,
-//! batched and sharded stages all agree on the same flow set, and its
-//! journey assembles into one coherent span sequence in the shared
-//! [`FlightRecorder`].
+//! deterministically: flow `k` is traced iff its key hash
+//! ([`FlowKey::mix64`] under one fixed seed) falls in the first of `N`
+//! equal slices of the hash space, so a sampled flow is sampled on
+//! **every** path — scalar, batched and sharded stages all agree on the
+//! same flow set, and its journey assembles into one coherent span
+//! sequence in the shared [`FlightRecorder`].
 //!
 //! Span events carry `kind = "flow_span"`, a `flow` field holding the
 //! canonical flow-key text (the `GET /debug/flows/{key}` join key) and a
@@ -33,17 +34,6 @@ const TRACE_SEED: u64 = 0x7ace_f10e_5a3b_9d41;
 
 /// The event kind every trace span is recorded under.
 pub const FLOW_SPAN_KIND: &str = "flow_span";
-
-/// splitmix64 over the key's two 64-bit words — the same hash family the
-/// dispatch layer uses, evaluated once per packet on sampled paths.
-#[inline]
-fn trace_hash(seed: u64, key: &FlowKey) -> u64 {
-    let (lo, hi) = key.to_words();
-    let mut z = seed ^ lo.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ hi.rotate_left(32);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[derive(Debug)]
 struct TracerInner {
@@ -86,8 +76,11 @@ impl FlowTracer {
     /// identically for the same flow.
     #[inline]
     pub fn is_sampled(&self, key: &FlowKey) -> bool {
-        let n = self.inner.sample_one_in;
-        n == 1 || trace_hash(TRACE_SEED, key).is_multiple_of(n)
+        // hash * n / 2^64 is the slice the hash falls in: a multiply,
+        // where `hash % n` with a runtime `n` is a divide per packet —
+        // and every traced stage of a pipeline asks once per packet.
+        let scaled = u128::from(key.mix64(TRACE_SEED)) * u128::from(self.inner.sample_one_in);
+        scaled >> 64 == 0
     }
 
     /// Records one span for a flow the caller already knows is sampled

@@ -38,7 +38,7 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::expose::json_escape;
+use crate::json;
 
 /// Default ring capacity of [`FlightRecorder::new`]: enough for the
 /// recent history of a busy pipeline without holding a visible amount of
@@ -105,16 +105,16 @@ impl Event {
             if i > 0 {
                 fields.push(',');
             }
-            fields.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+            fields.push_str(&format!("{}:{}", json::string(k), json::string(v)));
         }
         format!(
-            "{{\"seq\":{},\"unix_ms\":{},\"severity\":\"{}\",\"kind\":\"{}\",\
-             \"message\":\"{}\",\"fields\":{{{}}}}}",
+            "{{\"seq\":{},\"unix_ms\":{},\"severity\":\"{}\",\"kind\":{},\
+             \"message\":{},\"fields\":{{{}}}}}",
             self.seq,
             self.unix_ms,
             self.severity.label(),
-            json_escape(self.kind),
-            json_escape(&self.message),
+            json::string(self.kind),
+            json::string(&self.message),
             fields,
         )
     }
@@ -311,8 +311,8 @@ impl FlightRecorder {
         };
         writeln!(
             writer,
-            "{{\"flight_recorder_dump\":\"{}\",\"events\":{},\"overwritten\":{}}}",
-            json_escape(reason),
+            "{{\"flight_recorder_dump\":{},\"events\":{},\"overwritten\":{}}}",
+            json::string(reason),
             events.len(),
             overwritten,
         )?;

@@ -9,6 +9,7 @@
 //! empty buckets skipped, a `+Inf` bucket equal to the total count, plus
 //! `sum` and `count`.
 
+use crate::json;
 use crate::metric::Histogram;
 use crate::registry::{HistogramSnapshot, MetricsSnapshot, SampleValue};
 use std::fmt::Write as _;
@@ -56,28 +57,10 @@ fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
     }
 }
 
-pub(crate) fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_labels(labels: &[(String, String)]) -> String {
     let pairs: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+        .map(|(k, v)| format!("{}:{}", json::string(k), json::string(v)))
         .collect();
     format!("{{{}}}", pairs.join(","))
 }
@@ -165,19 +148,19 @@ impl MetricsSnapshot {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for sample in self.samples() {
-            let name = json_escape(&sample.name);
+            let name = json::string(&sample.name);
             let labels = json_labels(&sample.labels);
             match &sample.value {
                 SampleValue::Counter(v) => {
                     let _ = writeln!(
                         out,
-                        "{{\"name\":\"{name}\",\"labels\":{labels},\"type\":\"counter\",\"value\":{v}}}"
+                        "{{\"name\":{name},\"labels\":{labels},\"type\":\"counter\",\"value\":{v}}}"
                     );
                 }
                 SampleValue::Gauge(v) => {
                     let _ = writeln!(
                         out,
-                        "{{\"name\":\"{name}\",\"labels\":{labels},\"type\":\"gauge\",\"value\":{v}}}"
+                        "{{\"name\":{name},\"labels\":{labels},\"type\":\"gauge\",\"value\":{v}}}"
                     );
                 }
                 SampleValue::Histogram(h) => {
@@ -187,7 +170,7 @@ impl MetricsSnapshot {
                         .collect();
                     let _ = writeln!(
                         out,
-                        "{{\"name\":\"{name}\",\"labels\":{labels},\"type\":\"histogram\",\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                        "{{\"name\":{name},\"labels\":{labels},\"type\":\"histogram\",\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
                         h.count,
                         h.sum,
                         buckets.join(",")

@@ -1,11 +1,12 @@
-//! Minimal JSON emission for the HTTP API.
+//! Minimal JSON emission: the workspace's one escaper and writer.
 //!
-//! The workspace is offline and dependency-free, so the query API's
-//! responses are built with a small by-hand writer instead of a serde
-//! stack. Only what the endpoints need exists: string escaping per RFC
-//! 8259 and ergonomic object/array builders that keep the endpoint code
-//! readable. Numbers are written via `Display` (all integers or finite
-//! floats in this API), booleans and `null` literally.
+//! The workspace is offline and dependency-free, so the daemon's HTTP
+//! responses, the flight-recorder dump and the JSONL metric exposition
+//! are built with a small by-hand writer instead of a serde stack. Only
+//! what those need exists: string escaping per RFC 8259 and ergonomic
+//! object/array builders that keep the endpoint code readable. Numbers
+//! are written via `Display` (all integers or finite floats here),
+//! booleans and `null` literally.
 
 /// Escapes `s` as the *contents* of a JSON string (no surrounding
 /// quotes): `"`, `\` and control characters become escape sequences,

@@ -50,6 +50,7 @@
 
 mod event;
 mod expose;
+pub mod json;
 mod metric;
 mod registry;
 

@@ -18,7 +18,8 @@
 use crate::exec::{QueryResult, StreamingQuery};
 use crate::plan::QueryPlan;
 use hashflow_monitor::{
-    BackpressurePolicy, CostSnapshot, DropStats, EpochSnapshot, FlowMonitor, IntrospectMetric,
+    BackpressurePolicy, CostSnapshot, DropStats, EpochSnapshot, FlowMonitor, Instruments,
+    IntrospectMetric,
 };
 use hashflow_obs::{Counter, MetricsRegistry};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -73,20 +74,20 @@ pub struct QueryMonitor<M> {
     /// Maximum banked epochs (`None` = unbounded).
     answer_limit: Option<usize>,
     /// What to shed when the bank is full (see
-    /// [`Self::with_answer_policy`]).
+    /// [`Self::set_answer_limit`]).
     answer_policy: BackpressurePolicy,
     /// Whole epochs of answers shed at the answer limit (uniform drop
     /// accounting, `component="query_answers"` when registered).
     drops: DropStats,
-    /// Registry plans attached *after* [`Self::set_metrics`] register
-    /// into.
+    /// Registry plans attached *after* [`FlowMonitor::instrument`]
+    /// register into.
     metrics: Option<MetricsRegistry>,
 }
 
 impl<M: FlowMonitor> QueryMonitor<M> {
     /// Wraps a monitor with no plans attached (a transparent forwarder
     /// until [`Self::attach`] is called). Banked answers are unbounded;
-    /// see [`Self::with_answer_limit`] for long-running pipelines.
+    /// see [`Self::set_answer_limit`] for long-running pipelines.
     pub fn new(inner: M) -> Self {
         QueryMonitor {
             inner,
@@ -100,35 +101,21 @@ impl<M: FlowMonitor> QueryMonitor<M> {
         }
     }
 
-    /// Like [`Self::new`], but banks the answers of at most `max_epochs`
-    /// sealed epochs between drains, so a long-running rotation pipeline
-    /// that never (or rarely) calls [`Self::drain_sealed_answers`] cannot
-    /// grow the bank without bound.
-    ///
-    /// Drop policy (mirrors `MemorySink::with_capacity_limit`): once the
-    /// bank is full, a sealing epoch's answers are dropped **whole** —
-    /// retained epochs stay contiguous from the last drain, and the drop
-    /// is counted in [`Self::dropped_answer_epochs`]. Sealing itself
-    /// never fails: an operator forgetting to drain must not stall
-    /// rotation. Choose a different shed direction with
-    /// [`Self::with_answer_policy`].
-    pub fn with_answer_limit(inner: M, max_epochs: usize) -> Self {
-        Self::with_answer_policy(inner, max_epochs, BackpressurePolicy::DropNewest)
-    }
-
-    /// Like [`Self::with_answer_limit`], but with an explicit
-    /// [`BackpressurePolicy`] for the full bank:
+    /// Banks the answers of at most `max_epochs` sealed epochs between
+    /// drains, so a long-running rotation pipeline that never (or
+    /// rarely) calls [`Self::drain_sealed_answers`] cannot grow the bank
+    /// without bound. Once the bank is full a sealing epoch's answers
+    /// are shed **whole** and counted ([`Self::answer_drop_stats`]):
     /// [`BackpressurePolicy::DropNewest`] keeps the oldest epochs since
     /// the last drain, [`BackpressurePolicy::DropOldest`] slides the
-    /// window to the freshest epochs. [`BackpressurePolicy::Block`]
-    /// degrades to `DropNewest` (counted): the seal path has no consumer
-    /// to wait on, and stalling rotation is never acceptable.
-    pub fn with_answer_policy(inner: M, max_epochs: usize, policy: BackpressurePolicy) -> Self {
-        QueryMonitor {
-            answer_limit: Some(max_epochs),
-            answer_policy: policy,
-            ..Self::new(inner)
-        }
+    /// window to the freshest. [`BackpressurePolicy::Block`] degrades to
+    /// `DropNewest`: the seal path has no consumer to wait on, and an
+    /// operator forgetting to drain must not stall rotation.
+    /// Already-banked epochs are kept; an over-full bank sheds at the
+    /// next seal.
+    pub fn set_answer_limit(&mut self, max_epochs: usize, policy: BackpressurePolicy) {
+        self.answer_limit = Some(max_epochs);
+        self.answer_policy = policy;
     }
 
     /// The shed direction of a full answer bank.
@@ -136,17 +123,8 @@ impl<M: FlowMonitor> QueryMonitor<M> {
         self.answer_policy
     }
 
-    /// Bounds (or re-bounds) the answer bank at runtime — equivalent to
-    /// constructing with [`Self::with_answer_policy`]. Already-banked
-    /// epochs are kept; an over-full bank sheds at the next seal under
-    /// the new policy.
-    pub fn set_answer_limit(&mut self, max_epochs: usize, policy: BackpressurePolicy) {
-        self.answer_limit = Some(max_epochs);
-        self.answer_policy = policy;
-    }
-
     /// Epochs whose streaming answers were dropped whole because the
-    /// bank was at its [`answer limit`](Self::with_answer_limit).
+    /// bank was at its [`answer limit`](Self::set_answer_limit).
     pub fn dropped_answer_epochs(&self) -> u64 {
         self.drops.dropped_epochs()
     }
@@ -168,22 +146,6 @@ impl<M: FlowMonitor> QueryMonitor<M> {
             register_eval_counter(registry, id, &self.eval_packets[id]);
         }
         id
-    }
-
-    /// Registers this adapter's telemetry in `registry` and remembers it
-    /// so plans attached later register too:
-    ///
-    /// | Metric | Type | Meaning |
-    /// |---|---|---|
-    /// | `hashflow_query_eval_packets_total{plan=i}` | counter | packets evaluated against plan `i` |
-    /// | `hashflow_dropped_epochs_total{component="query_answers"}` | counter | answer epochs shed at the bank limit |
-    /// | `hashflow_dropped_records_total{component="query_answers"}` | counter | per-plan answers inside shed epochs |
-    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        self.drops.register(registry, "query_answers");
-        for (id, counter) in self.eval_packets.iter().enumerate() {
-            register_eval_counter(registry, id, counter);
-        }
-        self.metrics = Some(registry.clone());
     }
 
     /// Number of attached plans.
@@ -295,6 +257,25 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
 
     fn introspection(&self) -> Vec<IntrospectMetric> {
         self.inner.introspection()
+    }
+
+    /// Registers this adapter's telemetry and remembers the registry so
+    /// plans attached later register too, then forwards inward:
+    ///
+    /// | Metric | Type | Meaning |
+    /// |---|---|---|
+    /// | `hashflow_query_eval_packets_total{plan=i}` | counter | packets evaluated against plan `i` |
+    /// | `hashflow_dropped_epochs_total{component="query_answers"}` | counter | answer epochs shed at the bank limit |
+    /// | `hashflow_dropped_records_total{component="query_answers"}` | counter | per-plan answers inside shed epochs |
+    fn instrument(&mut self, instruments: &Instruments) {
+        if let Some(registry) = &instruments.registry {
+            self.drops.register(registry, "query_answers");
+            for (id, counter) in self.eval_packets.iter().enumerate() {
+                register_eval_counter(registry, id, counter);
+            }
+        }
+        self.metrics = instruments.registry.clone();
+        self.inner.instrument(instruments);
     }
 
     /// Resets the inner monitor, every plan's running state, **and** the
@@ -478,7 +459,8 @@ mod tests {
 
     #[test]
     fn answer_limit_drops_whole_epochs_and_counts_them() {
-        let mut qm = QueryMonitor::with_answer_limit(Exact::default(), 2);
+        let mut qm = QueryMonitor::new(Exact::default());
+        qm.set_answer_limit(2, BackpressurePolicy::DropNewest);
         qm.attach(fanout_plan());
         for epoch in 0..4u8 {
             qm.process_packet(&pkt(1, epoch));
@@ -496,8 +478,8 @@ mod tests {
 
     #[test]
     fn drop_oldest_answer_policy_keeps_the_freshest_epochs() {
-        let mut qm =
-            QueryMonitor::with_answer_policy(Exact::default(), 2, BackpressurePolicy::DropOldest);
+        let mut qm = QueryMonitor::new(Exact::default());
+        qm.set_answer_limit(2, BackpressurePolicy::DropOldest);
         assert_eq!(qm.answer_policy(), BackpressurePolicy::DropOldest);
         qm.attach(fanout_plan());
         for epoch in 0..4u8 {
@@ -523,10 +505,14 @@ mod tests {
         use hashflow_obs::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let mut qm = QueryMonitor::with_answer_limit(Exact::default(), 1);
+        let mut qm = QueryMonitor::new(Exact::default());
+        qm.set_answer_limit(1, BackpressurePolicy::DropNewest);
         let early = qm.attach(fanout_plan()); // attached before the registry
         qm.process_packet(&pkt(1, 1));
-        qm.set_metrics(&registry);
+        qm.instrument(&Instruments {
+            registry: Some(registry.clone()),
+            ..Instruments::default()
+        });
         let late = qm.attach(fanout_plan()); // attached after the registry
         qm.process_batch(&[pkt(1, 2), pkt(1, 3)]);
         qm.seal(); // banked

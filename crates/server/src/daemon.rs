@@ -59,7 +59,8 @@ use crate::{wire, ShutdownFlag};
 use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_monitor::{
     BackpressurePolicy, DropStats, EpochSnapshot, FlowMonitor, FlowTracer, HealthPolicy,
-    IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND,
+    Instruments, IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING,
+    FLOW_SPAN_KIND,
 };
 use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity, DEFAULT_RECORDER_CAPACITY};
 use hashflow_query::QueryPlan;
@@ -379,8 +380,11 @@ impl Server {
         let mut builder = Collector::builder(config.algorithm)
             .budget(MemoryBudget::from_kib(config.memory_kib)?)
             .seed(config.seed)
-            .with_metrics(registry.clone())
-            .with_recorder(recorder.clone())
+            .instruments(Instruments {
+                registry: Some(registry.clone()),
+                recorder: Some(recorder.clone()),
+                tracer: tracer.clone(),
+            })
             // The published ring is the reader-facing retention; the
             // collector-side stores are belts kept at the same bound.
             .retention(config.retention.max(1), BackpressurePolicy::DropOldest)
@@ -390,9 +394,6 @@ impl Server {
         }
         if let Some(policy) = config.sink_health {
             builder = builder.sink_health_policy(policy);
-        }
-        if let Some(t) = &tracer {
-            builder = builder.with_tracer(t.clone());
         }
         for sink in config.sinks {
             builder = builder.sink(sink);

@@ -45,9 +45,12 @@
 pub mod client;
 pub mod daemon;
 pub mod http;
-pub mod json;
 pub mod state;
 pub mod wire;
+
+/// The workspace's JSON writer (it lives in `hashflow-obs`, next to the
+/// exposition that shares it), under the path the daemon's callers use.
+pub use hashflow_obs::json;
 
 pub use daemon::{
     IngestPort, ReplayPace, ReplayStats, Server, ServerConfig, ServerError, ServerReport,

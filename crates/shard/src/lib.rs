@@ -23,7 +23,10 @@
 //!   estimates combine via
 //!   [`MergeableMonitor::combine_cardinality`], and costs sum.
 //! * [`ShardedMonitor::seal_epoch`] drains all shards into **one**
-//!   [`EpochReport`], the collector-side epoch rotation.
+//!   [`EpochReport`], the collector-side epoch rotation. The monitor owns
+//!   no sinks: one that exports is
+//!   `EpochRotator::new(sharded, epoch_len_ns).with_sink(..)`, which is
+//!   what the `hashflow-collector` facade builds.
 //! * The equal-memory discipline of §IV-A carries over:
 //!   [`ShardedMonitor::with_budget`] splits one budget into `N` equal
 //!   shard budgets that sum to at most the parent
@@ -70,8 +73,7 @@ pub use queue::{BatchQueue, PopOutcome, PushOutcome};
 use hashflow_hashing::fast_range;
 use hashflow_monitor::{
     merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochReport, EpochSnapshot,
-    FlowMonitor, FlowTracer, HealthPolicy, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    RecordSink, SinkErrors, SinkSet, SinkStatus,
+    FlowMonitor, FlowTracer, Instruments, IntrospectMetric, MemoryBudget, MergeableMonitor,
 };
 use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Severity};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
@@ -123,15 +125,14 @@ fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u
     }
 }
 
-/// Metric handles of an instrumented [`ShardedMonitor`] — attached with
-/// [`ShardedMonitor::set_metrics`].
+/// Metric handles of an instrumented [`ShardedMonitor`] — registered
+/// when [`FlowMonitor::instrument`] brings a registry.
 ///
 /// | Metric | Type | Meaning |
 /// |---|---|---|
 /// | `hashflow_shard_packets_total{shard=i}` | counter | packets owned by shard `i` |
 /// | `hashflow_shard_queue_depth{shard=i}` | gauge | in-flight batches on shard `i`'s queue |
 /// | `hashflow_shard_dispatch_ns` | histogram | RSS split time per serial batch |
-/// | `hashflow_shard_lane_ns{shard=i}` | histogram | serial lane time per [`ShardedMonitor::record_lane_timings`] run |
 /// | `hashflow_shard_merge_ns` | histogram | per-seal merge of shard reports |
 /// | `hashflow_shard_seal_ns` | histogram | whole [`ShardedMonitor::seal_epoch`] |
 ///
@@ -145,7 +146,6 @@ pub struct ShardMetrics {
     seal_ns: Histogram,
     lane_packets: Vec<Counter>,
     queue_depth: Vec<Gauge>,
-    lane_ns: Vec<Histogram>,
 }
 
 impl ShardMetrics {
@@ -163,9 +163,6 @@ impl ShardMetrics {
                 .collect(),
             queue_depth: (0..shards)
                 .map(|i| registry.gauge("hashflow_shard_queue_depth", &[("shard", &i.to_string())]))
-                .collect(),
-            lane_ns: (0..shards)
-                .map(|i| registry.histogram("hashflow_shard_lane_ns", &[("shard", &i.to_string())]))
                 .collect(),
         }
     }
@@ -232,61 +229,6 @@ impl IngestReport {
     }
 }
 
-/// One shard's serial timing from [`ShardedMonitor::record_lane_timings`].
-#[derive(Debug, Clone, Copy)]
-pub struct LaneTiming {
-    /// Packets this shard owned.
-    pub packets: u64,
-    /// Contention-free serial processing time for those packets.
-    pub elapsed_ns: u128,
-}
-
-/// Dispatch + per-shard serial timings from
-/// [`ShardedMonitor::record_lane_timings`].
-#[derive(Debug, Clone)]
-pub struct LaneTimings {
-    /// Time spent hashing and partitioning packets (the dispatcher's
-    /// serial work; zero for a single shard).
-    pub dispatch_ns: u128,
-    /// Per-shard serial processing timings.
-    pub lanes: Vec<LaneTiming>,
-}
-
-impl LaneTimings {
-    /// The modeled parallel wall clock: the dispatcher plus the slowest
-    /// lane — what `ingest` approaches when every shard has its own core.
-    pub fn critical_path_ns(&self) -> u128 {
-        self.dispatch_ns + self.lanes.iter().map(|l| l.elapsed_ns).max().unwrap_or(0)
-    }
-
-    /// The single-core wall clock: the dispatcher plus every lane.
-    pub fn serial_ns(&self) -> u128 {
-        self.dispatch_ns + self.lanes.iter().map(|l| l.elapsed_ns).sum::<u128>()
-    }
-
-    /// Component-wise minimum of two measurements of the *same* workload —
-    /// the standard noise-robust estimator for short serial timings (any
-    /// preemption or page-fault stall only ever inflates a component).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane counts or per-lane packet counts differ (the
-    /// measurements would not be of the same workload).
-    pub fn min_with(mut self, other: &LaneTimings) -> LaneTimings {
-        assert_eq!(
-            self.lanes.len(),
-            other.lanes.len(),
-            "cannot combine timings of different lane counts"
-        );
-        self.dispatch_ns = self.dispatch_ns.min(other.dispatch_ns);
-        for (mine, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
-            assert_eq!(mine.packets, theirs.packets, "lane workloads differ");
-            mine.elapsed_ns = mine.elapsed_ns.min(theirs.elapsed_ns);
-        }
-        self
-    }
-}
-
 /// Reusable dispatch buffers: one dispatch-hash-derived owner per packet
 /// plus the per-shard partitions. Holding these on the monitor keeps the
 /// serial dispatch pass allocation-free (and, after the first batch,
@@ -337,7 +279,6 @@ pub struct ShardedMonitor<M> {
     last_ns: Option<u64>,
     epoch: u64,
     scratch: DispatchScratch,
-    sinks: SinkSet,
     metrics: Option<ShardMetrics>,
     recorder: Option<FlightRecorder>,
     tracer: Option<FlowTracer>,
@@ -352,7 +293,6 @@ impl<M: std::fmt::Debug> std::fmt::Debug for ShardedMonitor<M> {
             .field("faults", &self.faults)
             .field("dispatch_hashes", &self.dispatch_hashes)
             .field("epoch", &self.epoch)
-            .field("sinks", &self.sinks)
             .field("queue_policy", &self.queue_policy)
             .finish_non_exhaustive()
     }
@@ -382,103 +322,12 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
             last_ns: None,
             epoch: 0,
             scratch: DispatchScratch::default(),
-            sinks: SinkSet::new(),
             metrics: None,
             recorder: None,
             tracer: None,
             queue_policy: BackpressurePolicy::default(),
             queue_drops: DropStats::new(),
         })
-    }
-
-    /// Registers this monitor's per-shard counters, queue-depth gauges
-    /// and dispatch/merge/seal histograms in `registry` and starts
-    /// updating them ([`ShardMetrics`] lists the catalog). Sink export
-    /// errors report into the registry's shared
-    /// `hashflow_sink_errors_total` counter, so a sharded monitor and an
-    /// epoch rotator given the same registry share one error count.
-    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        self.sinks
-            .set_error_counter(registry.counter("hashflow_sink_errors_total", &[]));
-        self.sinks.set_health_metrics(
-            registry.counter("hashflow_sink_skipped_epochs_total", &[]),
-            registry.gauge("hashflow_sinks_quarantined", &[]),
-        );
-        self.queue_drops.register(registry, "shard_queue");
-        self.metrics = Some(ShardMetrics::register(registry, self.shards.len()));
-    }
-
-    /// The attached metric handles, if [`Self::set_metrics`] was called.
-    pub fn metrics(&self) -> Option<&ShardMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Attaches a flight recorder: shard panics record an error event and
-    /// dump the recent window, shed batches record warnings, and the sink
-    /// layer reports its retry/degrade/quarantine transitions (quarantine
-    /// entry also dumps; see [`SinkSet::set_recorder`]).
-    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
-        self.sinks.set_recorder(recorder.clone());
-        self.recorder = Some(recorder);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Attaches a flow tracer: every dispatch of a sampled flow records a
-    /// `dispatch` span naming the owning shard, on all three ingestion
-    /// paths (scalar, serial batched, threaded).
-    pub fn set_tracer(&mut self, tracer: FlowTracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// The attached flow tracer, if any.
-    pub fn tracer(&self) -> Option<&FlowTracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Attaches a sink; every epoch sealed by [`Self::seal_epoch`] from
-    /// now on is streamed to it as one merged collector-side snapshot.
-    pub fn add_sink(&mut self, sink: Box<dyn RecordSink + Send>) {
-        self.sinks.add(sink);
-    }
-
-    /// Takes the **oldest** parked sink I/O error, if any
-    /// ([`Self::seal_epoch`] itself stays infallible — a broken export
-    /// target must not stall the shards; see [`SinkSet`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "inspect sink_health() for per-sink state and counts; \
-                finish_sinks() returns every parked error"
-    )]
-    pub fn take_sink_error(&mut self) -> Option<std::io::Error> {
-        #[allow(deprecated)]
-        self.sinks.take_error()
-    }
-
-    /// Per-sink health: state machine position, consecutive and total
-    /// failures, skip counts and the most recent error message. Indexed
-    /// in [`Self::add_sink`] order.
-    pub fn sink_health(&self) -> Vec<SinkStatus> {
-        self.sinks.health()
-    }
-
-    /// Sets the failure thresholds of the sink health state machine
-    /// (quarantine-after and probe-interval; see [`HealthPolicy`]).
-    pub fn set_sink_health_policy(&mut self, policy: HealthPolicy) {
-        self.sinks.set_health_policy(policy);
-    }
-
-    /// Flushes every attached sink (end of the collection run).
-    ///
-    /// # Errors
-    ///
-    /// Returns **every** error still parked from earlier seals plus any
-    /// flush failures, as one [`SinkErrors`] bundle.
-    pub fn finish_sinks(&mut self) -> Result<(), SinkErrors> {
-        self.sinks.finish()
     }
 
     /// Sets the backpressure policy of the per-shard ingest queues (and
@@ -599,99 +448,14 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         scratch.parts
     }
 
-    /// Replays `packets` through the shards **serially**, timing the
-    /// dispatch pass and each shard's processing separately.
-    ///
-    /// This is the measurement substrate for modeled multi-core
-    /// throughput: on a machine with at least one core per shard the wall
-    /// clock of [`Self::ingest`] approaches
-    /// `dispatch + max(lane)` (the critical path), while on a smaller
-    /// machine — like a 1-core CI runner — the serial lane timings are the
-    /// only contention-free signal available. State afterwards is
-    /// identical to an [`Self::ingest`] of the same packets.
-    ///
-    /// When metrics are attached ([`Self::set_metrics`]), the same
-    /// timings also stream into the registry — the dispatch time into
-    /// `hashflow_shard_dispatch_ns`, each lane's serial time into
-    /// `hashflow_shard_lane_ns{shard=i}` — so callers that only want the
-    /// telemetry can ignore the return value and read the registry.
-    pub fn record_lane_timings(&mut self, packets: &[Packet]) -> LaneTimings {
-        self.note_timestamps(packets);
-        if self.shards.len() == 1 {
-            // No dispatch work for a single shard (mirrors `ingest`).
-            let start = Instant::now();
-            self.shards[0].process_trace(packets);
-            let timings = LaneTimings {
-                dispatch_ns: 0,
-                lanes: vec![LaneTiming {
-                    packets: packets.len() as u64,
-                    elapsed_ns: start.elapsed().as_nanos(),
-                }],
-            };
-            self.stream_lane_timings(&timings);
-            return timings;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let start = Instant::now();
-        scratch.split(self.shards.len(), packets);
-        let dispatch_ns = start.elapsed().as_nanos();
-        self.dispatch_hashes += packets.len() as u64;
-        let lanes = self
-            .shards
-            .iter_mut()
-            .zip(&scratch.parts)
-            .map(|(shard, part)| {
-                // The batched hot path, exactly as a dedicated worker
-                // core would run it on its drained batches.
-                let start = Instant::now();
-                shard.process_trace(part);
-                LaneTiming {
-                    packets: part.len() as u64,
-                    elapsed_ns: start.elapsed().as_nanos(),
-                }
-            })
-            .collect();
-        self.scratch = scratch;
-        let timings = LaneTimings { dispatch_ns, lanes };
-        self.stream_lane_timings(&timings);
-        timings
-    }
-
-    /// Former name of [`Self::record_lane_timings`], kept as a shim so
-    /// downstream measurement scripts keep compiling.
-    #[deprecated(since = "0.1.0", note = "renamed to record_lane_timings")]
-    pub fn lane_timings(&mut self, packets: &[Packet]) -> LaneTimings {
-        self.record_lane_timings(packets)
-    }
-
-    /// Streams one [`LaneTimings`] measurement into the attached
-    /// registry: dispatch and per-lane histograms plus per-shard packet
-    /// counters. No-op without metrics.
-    fn stream_lane_timings(&self, timings: &LaneTimings) {
-        let Some(m) = &self.metrics else { return };
-        if timings.dispatch_ns > 0 || self.shards.len() > 1 {
-            m.dispatch_ns
-                .observe(u64::try_from(timings.dispatch_ns).unwrap_or(u64::MAX));
-        }
-        for (i, lane) in timings.lanes.iter().enumerate() {
-            m.lane_packets[i].add(lane.packets);
-            m.lane_ns[i].observe(u64::try_from(lane.elapsed_ns).unwrap_or(u64::MAX));
-        }
-    }
-
     /// Drains every shard into one collector-side [`EpochReport`] and
     /// resets the shards for the next epoch: records concatenate (disjoint
     /// partitions — no key appears twice), costs sum, and the cardinality
     /// estimates combine via [`MergeableMonitor::combine_cardinality`].
-    /// The merged epoch is streamed to every attached sink (one snapshot
-    /// for all shards, not one per shard).
     ///
     /// The report is the plain, mutable form of the epoch, with no query
-    /// index. Callers that want the indexed
-    /// [`hashflow_monitor::EpochSnapshot`] should call
-    /// [`FlowMonitor::seal`], which returns the very snapshot the sinks
-    /// received; with sinks attached this method has to build that
-    /// snapshot for them and convert it back.
+    /// index; [`FlowMonitor::seal`] freezes the same drain into the
+    /// indexed [`EpochSnapshot`].
     ///
     /// A degraded shard (its worker panicked mid-epoch) contributes an
     /// empty per-shard report and sets [`EpochReport::partial`] on the
@@ -701,22 +465,10 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// the next epoch.
     pub fn seal_epoch(&mut self) -> EpochReport {
         let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
-        if self.sinks.is_empty() {
-            self.drain_shards()
-        } else {
-            self.seal_indexed().into_report()
-        }
+        self.drain_shards()
     }
 
-    /// Drains the shards into the one snapshot of this epoch — one record
-    /// store, indexed once — and streams it to the attached sinks.
-    fn seal_indexed(&mut self) -> EpochSnapshot {
-        let snapshot = self.drain_shards().into_snapshot();
-        self.sinks.export(&snapshot);
-        snapshot
-    }
-
-    /// The drain and merge of [`Self::seal_epoch`], without the sinks.
+    /// The drain and merge behind [`Self::seal_epoch`].
     fn drain_shards(&mut self) -> EpochReport {
         let estimates: Vec<Option<f64>> = self
             .shards
@@ -827,6 +579,11 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
             // running the inner monitor directly (plus the same panic
             // guard the worker lanes have).
             per_shard[0] = packets.len() as u64;
+            // Routed is routed: the shard's counter moves whether or not
+            // the batch is shed below, as on every other path.
+            if let Some(m) = &self.metrics {
+                m.lane_packets[0].add(packets.len() as u64);
+            }
             if self.faults[0].is_some() {
                 // Degraded since a previous call: shed the whole call,
                 // counted as one offered-and-dropped unit.
@@ -843,19 +600,12 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
                 let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     shard.process_trace(packets);
                 }));
-                match worked {
-                    Ok(()) => {
-                        if let Some(m) = &self.metrics {
-                            m.lane_packets[0].add(packets.len() as u64);
-                        }
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload);
-                        record_shard_panic(self.recorder.as_ref(), 0, &message);
-                        self.faults[0] = Some(message);
-                        self.queue_drops.record_offer(packets.len() as u64);
-                        self.queue_drops.record_drop(packets.len() as u64);
-                    }
+                if let Err(payload) = worked {
+                    let message = panic_message(payload);
+                    record_shard_panic(self.recorder.as_ref(), 0, &message);
+                    self.faults[0] = Some(message);
+                    self.queue_drops.record_offer(packets.len() as u64);
+                    self.queue_drops.record_drop(packets.len() as u64);
                 }
             }
             return IngestReport {
@@ -1182,12 +932,29 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.epoch = 0;
     }
 
-    /// Seals like [`Self::seal_epoch`] — the merged epoch streams to the
-    /// attached sinks and the epoch counter advances, exactly like a
-    /// timed rotation — and returns the snapshot the sinks received.
+    /// [`Self::seal_epoch`], frozen into the indexed snapshot.
     fn seal(&mut self) -> EpochSnapshot {
-        let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
-        self.seal_indexed()
+        self.seal_epoch().into_snapshot()
+    }
+
+    /// Registers the per-shard counters, queue-depth gauges and
+    /// dispatch/merge/seal histograms ([`ShardMetrics`] lists the
+    /// catalog) and the shard-queue ledger (`component="shard_queue"`);
+    /// with a recorder, shard panics record an error event and dump the
+    /// recent window and shed batches record warnings; with a tracer,
+    /// every dispatch of a sampled flow records a `dispatch` span naming
+    /// the owning shard, on all three ingestion paths. The shards
+    /// themselves are instrumented with the same handles.
+    fn instrument(&mut self, instruments: &Instruments) {
+        self.metrics = instruments.registry.as_ref().map(|registry| {
+            self.queue_drops.register(registry, "shard_queue");
+            ShardMetrics::register(registry, self.shards.len())
+        });
+        self.recorder = instruments.recorder.clone();
+        self.tracer = instruments.tracer.clone();
+        for shard in &mut self.shards {
+            shard.instrument(instruments);
+        }
     }
 }
 
@@ -1368,6 +1135,11 @@ mod tests {
         let next = m.seal_epoch();
         assert_eq!(next.epoch, 1);
         assert_eq!(next.records.len(), 1);
+        // The trait-level seal is the same drain, indexed.
+        m.process_packet(&pkt(7, 2000));
+        let snapshot = m.seal();
+        assert_eq!(snapshot.epoch(), 2);
+        assert_eq!(snapshot.estimate_size(&FlowKey::from_index(7)), 1);
     }
 
     #[test]
@@ -1400,89 +1172,6 @@ mod tests {
                 assert_eq!(report.end_ns, expected.end_ns(), "batch {batch}");
             }
         }
-    }
-
-    #[test]
-    fn a_retaining_sink_shares_the_store_with_the_sealed_snapshot() {
-        use hashflow_monitor::{MemorySink, RecordSink};
-        use std::sync::{Arc, Mutex};
-
-        struct Shared(Arc<Mutex<MemorySink>>);
-        impl RecordSink for Shared {
-            fn export_epoch(&mut self, s: &EpochSnapshot) -> std::io::Result<()> {
-                self.0.lock().unwrap().export_epoch(s)
-            }
-        }
-
-        let sink = Arc::new(Mutex::new(MemorySink::new()));
-        let mut m = sharded_hashflow(2, 256);
-        m.add_sink(Box::new(Shared(Arc::clone(&sink))));
-        for flow in 0..200u64 {
-            m.process_packet(&pkt(flow, flow));
-        }
-        let sealed = m.seal();
-        {
-            let sink = sink.lock().unwrap();
-            let received = &sink.epochs()[0];
-            assert!(std::ptr::eq(
-                received.as_records().as_ptr(),
-                sealed.as_records().as_ptr()
-            ));
-        }
-        // The report form is the caller's own: complete and mutable even
-        // while the sink keeps the shared store.
-        for flow in 0..50u64 {
-            m.process_packet(&pkt(flow, 1_000 + flow));
-        }
-        let mut report = m.seal_epoch();
-        report.records.sort_by_key(|r| r.key());
-        assert_eq!(report.records.len(), 50);
-        assert_eq!(sink.lock().unwrap().epochs()[1].len(), 50);
-    }
-
-    #[test]
-    fn sealed_epochs_stream_to_sinks_once_merged() {
-        use hashflow_monitor::{EpochSnapshot, RecordSink};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        // Counts (epochs, records) delivered, observable from outside the
-        // monitor that owns the boxed sink.
-        struct Counting {
-            epochs: Arc<AtomicUsize>,
-            records: Arc<AtomicUsize>,
-        }
-        impl RecordSink for Counting {
-            fn export_epoch(&mut self, s: &EpochSnapshot) -> std::io::Result<()> {
-                self.epochs.fetch_add(1, Ordering::Relaxed);
-                self.records.fetch_add(s.len(), Ordering::Relaxed);
-                Ok(())
-            }
-        }
-
-        let epochs = Arc::new(AtomicUsize::new(0));
-        let records = Arc::new(AtomicUsize::new(0));
-        let mut m = sharded_hashflow(4, 256);
-        m.add_sink(Box::new(Counting {
-            epochs: Arc::clone(&epochs),
-            records: Arc::clone(&records),
-        }));
-        for flow in 0..200u64 {
-            m.process_packet(&pkt(flow, flow));
-        }
-        m.seal_epoch();
-        m.process_packet(&pkt(7, 1_000));
-        let snapshot = m.seal(); // trait-level seal runs the same path
-        assert_eq!(snapshot.epoch(), 1);
-        assert_eq!(snapshot.len(), 1);
-        // One merged snapshot per sealed epoch — not one per shard.
-        assert_eq!(epochs.load(Ordering::Relaxed), 2);
-        assert_eq!(records.load(Ordering::Relaxed), 201);
-        assert!(m
-            .sink_health()
-            .iter()
-            .all(|s| s.total_errors == 0 && s.health == hashflow_monitor::SinkHealth::Healthy));
-        assert!(m.finish_sinks().is_ok());
     }
 
     #[test]
@@ -1555,7 +1244,10 @@ mod tests {
 
         let registry = MetricsRegistry::new();
         let mut m = sharded_hashflow(4, 256);
-        m.set_metrics(&registry);
+        m.instrument(&Instruments {
+            registry: Some(registry.clone()),
+            ..Instruments::default()
+        });
         let trace = TraceGenerator::new(TraceProfile::Caida, 9).generate(5_000);
         let expected = trace.packets().len() as u64 + 300 + 50;
         m.ingest(trace.packets()); // threaded path
@@ -1607,55 +1299,6 @@ mod tests {
                 Some(0)
             );
         }
-    }
-
-    #[test]
-    fn lane_timings_feed_the_registry() {
-        use hashflow_obs::MetricsRegistry;
-
-        let registry = MetricsRegistry::new();
-        let mut m = sharded_hashflow(4, 128);
-        m.set_metrics(&registry);
-        let trace = TraceGenerator::new(TraceProfile::Caida, 17).generate(1_000);
-        let timings = m.record_lane_timings(trace.packets());
-        let snap = registry.snapshot();
-        // The shim reports the same packet split the registry records.
-        for (i, lane) in timings.lanes.iter().enumerate() {
-            assert_eq!(
-                snap.counter("hashflow_shard_packets_total", &[("shard", &i.to_string())]),
-                Some(lane.packets)
-            );
-        }
-        assert_eq!(
-            snap.counter_sum("hashflow_shard_packets_total"),
-            trace.packets().len() as u64
-        );
-    }
-
-    #[test]
-    fn lane_timings_match_ingest_state() {
-        let trace = TraceGenerator::new(TraceProfile::Caida, 13).generate(1_000);
-        let mut timed = sharded_hashflow(4, 128);
-        let mut threaded = sharded_hashflow(4, 128);
-        let timings = timed.record_lane_timings(trace.packets());
-        threaded.ingest(trace.packets());
-        assert_eq!(timings.lanes.len(), 4);
-        assert_eq!(
-            timings.lanes.iter().map(|l| l.packets).sum::<u64>(),
-            trace.packets().len() as u64
-        );
-        assert!(timings.critical_path_ns() <= timings.serial_ns());
-        let mut a = timed.flow_records();
-        let mut b = threaded.flow_records();
-        a.sort_by_key(|r| r.key());
-        b.sort_by_key(|r| r.key());
-        assert_eq!(a, b);
-        assert_eq!(timed.cost(), threaded.cost());
-        // Single shard: no dispatch cost by construction.
-        let mut one = sharded_hashflow(1, 64);
-        let t = one.record_lane_timings(trace.packets());
-        assert_eq!(t.dispatch_ns, 0);
-        assert_eq!(one.dispatch_hashes(), 0);
     }
 
     #[test]
@@ -1765,6 +1408,36 @@ mod tests {
         assert_eq!(m.cost().packets, 1_000);
         let sealed = m.seal_epoch();
         assert!(!sealed.partial);
+    }
+
+    #[test]
+    fn a_degraded_shard_still_counts_the_packets_routed_to_it() {
+        use hashflow_obs::MetricsRegistry;
+
+        // `hashflow_shard_packets_total` is packets *routed* to the
+        // shard on every path; what a degraded shard sheds is the
+        // queue ledger's to report.
+        let registry = MetricsRegistry::new();
+        let mut m = ShardedMonitor::new(vec![Bomb::armed()]).unwrap();
+        m.instrument(&Instruments {
+            registry: Some(registry.clone()),
+            ..Instruments::default()
+        });
+        let packets: Vec<Packet> = (0..10u64).map(|i| pkt(i, i)).collect();
+        m.ingest(&packets); // the bomb goes off: 10 routed, 10 shed
+        assert!(m.is_degraded());
+        m.ingest(&packets[..4]); // degraded: 4 routed, 4 shed
+        m.process_batch(&packets[..3]);
+        m.process_packet(&packets[0]);
+        let routed = registry
+            .snapshot()
+            .counter("hashflow_shard_packets_total", &[("shard", "0")]);
+        assert_eq!(routed, Some(10 + 4 + 3 + 1));
+        assert_eq!(
+            m.queue_drop_stats().dropped_records(),
+            18 - m.cost().packets,
+            "the ledger holds what was routed and not processed"
+        );
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod prelude {
     pub use hashflow_core::{model, HashFlow, HashFlowConfig, TableScheme};
     pub use hashflow_metrics::{evaluate, EvaluationReport, GroundTruth};
     pub use hashflow_monitor::{
-        CostSnapshot, EpochReport, EpochRotator, EpochSnapshot, FlowMonitor, JsonLinesSink,
-        MemoryBudget, MemorySink, MergeableMonitor, RecordSink,
+        CostSnapshot, EpochReport, EpochRotator, EpochSnapshot, FlowMonitor, Instruments,
+        JsonLinesSink, MemoryBudget, MemorySink, MergeableMonitor, RecordSink,
     };
     pub use hashflow_query::{
         execute, execute_snapshot, Aggregate, AppKind, Predicate, Projection, QueryMonitor,

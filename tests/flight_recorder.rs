@@ -135,7 +135,10 @@ fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
             quarantine_after: 2,
             probe_interval: 100,
         })
-        .with_recorder(recorder.clone())
+        .instruments(Instruments {
+            recorder: Some(recorder.clone()),
+            ..Instruments::default()
+        })
         .build()
         .unwrap();
 
@@ -208,7 +211,10 @@ fn shard_panic_records_events_and_dumps() {
         .collect();
     let mut monitor = ShardedMonitor::new(shards).unwrap();
     monitor.set_queue_policy(BackpressurePolicy::DropOldest);
-    monitor.set_recorder(recorder.clone());
+    monitor.instrument(&Instruments {
+        recorder: Some(recorder.clone()),
+        ..Instruments::default()
+    });
 
     let trace = TraceGenerator::new(TraceProfile::Caida, 31).generate(5_000);
     monitor.ingest(trace.packets());

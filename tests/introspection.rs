@@ -51,7 +51,10 @@ fn every_registered_kind_seals_introspection_into_its_snapshot() {
         let mut collector = Collector::builder(kind)
             .budget(MemoryBudget::from_kib(64).expect("positive"))
             .seed(0x1717)
-            .with_metrics(registry.clone())
+            .instruments(Instruments {
+                registry: Some(registry.clone()),
+                ..Instruments::default()
+            })
             .build()
             .expect("collector builds");
         collector.process_batch(trace.packets());
@@ -146,7 +149,10 @@ fn sampled_flows_are_traced_consistently_across_ingest_paths() {
         let mut monitor = MonitorBuilder::new(AlgorithmKind::HashFlow)
             .budget(MemoryBudget::from_kib(64).expect("positive"))
             .seed(0x4242)
-            .tracer(tracer.clone())
+            .instruments(Instruments {
+                tracer: Some(tracer.clone()),
+                ..Instruments::default()
+            })
             .build()
             .expect("budget fits");
         if batched {
