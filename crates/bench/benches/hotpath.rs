@@ -5,8 +5,9 @@
 //! `scalar/*` drives `process_packet` one packet at a time; `batched/*`
 //! drives the default `process_trace`, which feeds `process_batch`. For
 //! HashFlow both are the same step — a packet is a batch of one — and a
-//! real batch adds one-pass hash lanes, probe plans prefetched ahead of
-//! the step and one cost flush. Recorded costs are identical either way
+//! real batch adds lane-major probe plans (one vectorised loop per hash
+//! member over the whole batch), their cells prefetched ahead of the step,
+//! and one cost flush. Recorded costs are identical either way
 //! by contract; only wall clock differs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -1,7 +1,7 @@
-use crate::ancillary::AncillaryTable;
+use crate::ancillary::{AncillaryOutcome, AncillaryTable};
 use crate::config::HashFlowConfig;
 use crate::scheme::{MainTable, OpCount, ProbeOutcome};
-use hashflow_hashing::{compute_lanes, HashLanes};
+use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, KernelCopy};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, FlowTracer, Instruments, IntrospectMetric,
     MemoryBudget, MergeableMonitor, MonitorIntrospect,
@@ -57,11 +57,10 @@ pub struct HashFlow {
     promotions: u64,
     ancillary_replacements: u64,
     // Reusable scratch of `process_batch`, refilled per batch and carrying
-    // no observable state: every packet's hash lanes, and the probe plans
-    // reduced from them — `depth + 2` words per packet, laid out as
-    // `[main-table slots .., ancillary slot, digest]`.
-    lanes: HashLanes,
-    plans: Vec<u32>,
+    // no observable state: every packet's probe plan, lane-major — the
+    // main-table slots of `h_1 .. h_d`, then the ancillary slot of `g_1`,
+    // one probe word each; the digest comes out of `h_1`'s word.
+    plans: HashLanes,
     /// Optional sampled flow-path tracer: packets of sampled flows emit a
     /// span naming the Algorithm 1 stage they landed in (`main_insert`,
     /// `main_hit`, `ancillary`, `promotion`). Measurement state is
@@ -89,8 +88,7 @@ impl HashFlow {
             cost: CostRecorder::new(),
             promotions: 0,
             ancillary_replacements: 0,
-            lanes: HashLanes::default(),
-            plans: Vec::new(),
+            plans: HashLanes::default(),
             tracer: None,
         })
     }
@@ -163,31 +161,26 @@ impl HashFlow {
         )
     }
 
-    /// Reduces one packet's hash lanes (`[h_1 .. h_d, g_1]`) to its probe
-    /// plan and hints every cell the plan names toward L1. This is the
-    /// only place ingestion turns a hash into a table position.
-    #[inline]
-    fn plan_and_prefetch(&self, lanes: &[u64], plan: &mut [u32]) {
-        let (hashes, g1) = lanes.split_at(lanes.len() - 1);
-        let (slots, ancillary) = plan.split_at_mut(hashes.len());
-        self.main.probe_slots(hashes, slots);
-        self.main.prefetch_slots(slots);
-        let slot = self.ancillary.slot_from_hash(g1[0]);
-        self.ancillary.prefetch_slot(slot);
-        // `AncillaryTable::new` checked that every slot fits 32 bits.
-        ancillary[0] = slot as u32;
-        ancillary[1] = self.ancillary.digest_of(hashes[0]);
+    /// Hints every cell the probe plan of packet `i` names toward L1.
+    #[inline(always)]
+    fn prefetch_plan(&self, plans: &HashLanes, depth: usize, i: usize) {
+        for m in 0..depth {
+            self.main.prefetch(probe_slot(plans.word(m, i)));
+        }
+        self.ancillary
+            .prefetch_slot(probe_slot(plans.word(depth, i)));
     }
 
-    /// One step of Algorithm 1 for a packet of `key` whose probe plan is
-    /// `plan`. Returns the step's cost under the lazy schedule: the probes
+    /// One step of Algorithm 1 for packet `i` of a batch, of flow `key`,
+    /// on its probe plan (`depth` main-table lanes, then the ancillary
+    /// one). Returns the step's cost under the lazy schedule: the probes
     /// made, plus one hash (`g_1`; the digest reuses `h_1`), one read and
     /// one write when the packet goes on to the ancillary phase.
     #[inline]
-    fn step(&mut self, key: FlowKey, plan: &[u32]) -> OpCount {
-        let (slots, ancillary) = plan.split_at(plan.len() - 2);
+    fn step(&mut self, key: FlowKey, plans: &HashLanes, depth: usize, i: usize) -> OpCount {
         // Phase 1: collision resolution in the main table (lines 2-13).
-        let (outcome, mut ops) = self.main.resolve(&key, slots);
+        let path = (0..depth).map(|m| probe_slot(plans.word(m, i)));
+        let (outcome, mut ops) = self.main.resolve(&key, path);
         let traced = self.is_traced(&key);
         match outcome {
             ProbeOutcome::Inserted => {
@@ -206,7 +199,9 @@ impl HashFlow {
             } => {
                 // Phase 2+3: ancillary table and promotion (lines 14-23);
                 // every branch writes exactly one cell.
-                let (slot, digest) = (ancillary[0] as usize, ancillary[1]);
+                let slot = probe_slot(plans.word(depth, i));
+                let h1_low = probe_hash_low(plans.word(0, i));
+                let digest = self.ancillary.digest_of(u64::from(h1_low));
                 self.ancillary_update(key, slot, digest, sentinel, min_count, traced);
                 ops += OpCount {
                     hashes: 1,
@@ -216,6 +211,48 @@ impl HashFlow {
             }
         }
         ops
+    }
+
+    /// The one ingestion path. Pass 1 builds every packet's probe plan,
+    /// lane by lane — `h_1..h_d` then `g_1`, each one loop over the whole
+    /// batch — with no table access. Pass 2 runs one Algorithm 1 step per
+    /// packet while, [`PREFETCH_AHEAD`] packets further on, the cells each
+    /// plan names are prefetched. Operation counts fold into one cost
+    /// flush and count Algorithm 1's lazy schedule (Fig. 11): batching
+    /// changes when costs are recorded, never what. Always inlined, so
+    /// that `process_packet` is compiled for a batch of exactly one.
+    #[inline(always)]
+    fn ingest(&mut self, packets: &[Packet]) {
+        if packets.is_empty() {
+            return;
+        }
+        let mut plans = std::mem::take(&mut self.plans);
+        plans.fill_probes(
+            KernelCopy::best(),
+            packets.iter().map(|p| p.key()),
+            (self.main.probe_lanes()).chain([self.ancillary.probe_lane()]),
+        );
+        // Every `word(m, i)` below stays inside the lane it names.
+        let depth = self.main.scheme().depth();
+        assert_eq!((plans.lanes(), plans.rows()), (depth + 1, packets.len()));
+        for i in 0..PREFETCH_AHEAD.min(packets.len()) {
+            self.prefetch_plan(&plans, depth, i);
+        }
+        let mut ops = OpCount::default();
+        for (i, packet) in packets.iter().enumerate() {
+            let ahead = i + PREFETCH_AHEAD;
+            if ahead < packets.len() {
+                self.prefetch_plan(&plans, depth, ahead);
+            }
+            ops += self.step(packet.key(), &plans, depth, i);
+        }
+        self.cost.absorb(&CostSnapshot {
+            packets: packets.len() as u64,
+            hashes: ops.hashes,
+            reads: ops.reads,
+            writes: ops.writes,
+        });
+        self.plans = plans;
     }
 
     /// Ancillary update + record promotion (Algorithm 1, lines 14–23) for
@@ -232,25 +269,19 @@ impl HashFlow {
         min_count: u32,
         traced: bool,
     ) {
-        match self.ancillary.count_if_match(slot, digest) {
-            None => {
-                if !self.ancillary.is_vacant(slot) {
-                    self.ancillary_replacements += 1;
-                }
-                self.ancillary.store(slot, digest);
+        match self.ancillary.update(slot, digest, min_count) {
+            AncillaryOutcome::Stored { evicted } => {
+                self.ancillary_replacements += u64::from(evicted);
                 if traced {
                     self.trace_stage(&key, "ancillary", 1);
                 }
             }
-            Some(count)
-                if u64::from(count) < u64::from(min_count).min(self.ancillary.max_count()) =>
-            {
-                let new = self.ancillary.increment(slot);
+            AncillaryOutcome::Incremented(new) => {
                 if traced {
                     self.trace_stage(&key, "ancillary", new);
                 }
             }
-            Some(count) => {
+            AncillaryOutcome::CaughtUp(count) => {
                 if self.config.promotion_enabled() {
                     // Phase 3: record promotion (lines 21-23). The flow's
                     // count caught up with the sentinel: re-insert it into
@@ -276,53 +307,12 @@ impl HashFlow {
 impl FlowMonitor for HashFlow {
     /// A batch of one: the same plan, the same step.
     fn process_packet(&mut self, packet: &Packet) {
-        self.process_batch(std::slice::from_ref(packet));
+        self.ingest(std::slice::from_ref(packet));
     }
 
-    /// The one ingestion path. Pass 1 evaluates every hash lane the batch
-    /// needs — `h_1..h_d` plus `g_1` per packet — with no table access.
-    /// Pass 2 walks the batch running one Algorithm 1 step per packet,
-    /// while [`PREFETCH_AHEAD`] packets further on each packet's lanes
-    /// are reduced to its probe plan and the plan's cells prefetched; the
-    /// step then finds that same plan waiting and warm lines under it.
-    /// All operation counts fold into one cost flush, and what they count
-    /// is Algorithm 1's lazy schedule (Fig. 11): batching changes when
-    /// costs are recorded, never what.
+    /// A real batch: pass 1 over all of it, then the prefetch window.
     fn process_batch(&mut self, packets: &[Packet]) {
-        if packets.is_empty() {
-            return;
-        }
-        let mut lanes = std::mem::take(&mut self.lanes);
-        let mut plans = std::mem::take(&mut self.plans);
-        compute_lanes(
-            &[self.main.hash_family(), self.ancillary.hash_family()],
-            packets.iter().map(|p| p.key()),
-            &mut lanes,
-        );
-        let width = self.main.scheme().depth() + 2;
-        // Every row is rewritten before it is read, so stale rows of the
-        // last batch need no clearing.
-        plans.resize(packets.len() * width, 0);
-        let plan_of = |i: usize| i * width..(i + 1) * width;
-        for i in 0..PREFETCH_AHEAD.min(packets.len()) {
-            self.plan_and_prefetch(lanes.row(i), &mut plans[plan_of(i)]);
-        }
-        let mut ops = OpCount::default();
-        for (i, packet) in packets.iter().enumerate() {
-            let ahead = i + PREFETCH_AHEAD;
-            if ahead < packets.len() {
-                self.plan_and_prefetch(lanes.row(ahead), &mut plans[plan_of(ahead)]);
-            }
-            ops += self.step(packet.key(), &plans[plan_of(i)]);
-        }
-        self.cost.absorb(&CostSnapshot {
-            packets: packets.len() as u64,
-            hashes: ops.hashes,
-            reads: ops.reads,
-            writes: ops.writes,
-        });
-        self.lanes = lanes;
-        self.plans = plans;
+        self.ingest(packets);
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

@@ -27,11 +27,26 @@ use hashflow_types::{ConfigError, FlowKey};
 /// ```
 #[derive(Debug, Clone)]
 pub struct AncillaryTable {
-    digests: CounterArray,
-    counts: CounterArray,
+    // One `digest << counter_bits | count` cell per bucket, so a bucket is
+    // read, written and prefetched as one word on one line. Count 0 means
+    // *empty* (live counts start at 1).
+    cells: CounterArray,
     digest_bits: u32,
+    counter_bits: u32,
     hash: HashFamily<XxHash64>,
     occupied: usize,
+}
+
+/// What [`AncillaryTable::update`] did to its bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AncillaryOutcome {
+    /// Overwritten with `(digest, 1)`, `evicted` another digest's summary.
+    Stored { evicted: bool },
+    /// The matching summary's count went up to the carried value.
+    Incremented(u32),
+    /// The matching summary's count (carried) has reached the bound;
+    /// nothing was written.
+    CaughtUp(u32),
 }
 
 impl AncillaryTable {
@@ -53,10 +68,15 @@ impl AncillaryTable {
                 "{cells} ancillary buckets exceed the 32-bit slot range"
             )));
         }
+        if !(1..=32).contains(&digest_bits) || !(1..=32).contains(&counter_bits) {
+            return Err(ConfigError::new(
+                "ancillary digest and counter widths must be in 1..=32 bits",
+            ));
+        }
         Ok(AncillaryTable {
-            digests: CounterArray::new(cells, digest_bits)?,
-            counts: CounterArray::new(cells, counter_bits)?,
+            cells: CounterArray::new(cells, digest_bits + counter_bits)?,
             digest_bits,
+            counter_bits,
             hash: HashFamily::new(1, seed ^ 0xa4c1_11a5),
             occupied: 0,
         })
@@ -65,13 +85,13 @@ impl AncillaryTable {
     /// Number of buckets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.cells.len()
     }
 
     /// Returns `true` if the table has zero buckets (construction forbids
     /// this).
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.cells.is_empty()
     }
 
     /// Digest width in bits.
@@ -81,34 +101,27 @@ impl AncillaryTable {
 
     /// Maximum count value before saturation.
     #[inline]
-    pub fn max_count(&self) -> u64 {
-        self.counts.max_value()
+    pub const fn max_count(&self) -> u64 {
+        u64::MAX >> (64 - self.counter_bits)
     }
 
     /// The bucket `g_1` maps `key` to (Algorithm 1, line 14).
     pub fn slot_of(&self, key: &FlowKey) -> usize {
-        self.slot_from_hash(self.hash.hash(0, key))
+        fast_range(self.hash.hash(0, key), self.len())
     }
 
-    /// The bucket for an already-computed `g_1` hash value — the batched
-    /// counterpart of [`Self::slot_of`].
-    #[inline]
-    pub fn slot_from_hash(&self, g1_hash: u64) -> usize {
-        fast_range(g1_hash, self.len())
+    /// The `g_1` lane of a batch's probe plans
+    /// ([`hashflow_hashing::HashLanes::fill_probes`]).
+    pub(crate) fn probe_lane(&self) -> (&XxHash64, (u32, u32)) {
+        // `new` checked that every slot fits 32 bits.
+        (&self.hash.members()[0], (0, self.len() as u32))
     }
 
-    /// The `g_1` hash family; batched callers feed it to
-    /// [`hashflow_hashing::compute_lanes`] alongside the main table's.
-    pub(crate) const fn hash_family(&self) -> &HashFamily<XxHash64> {
-        &self.hash
-    }
-
-    /// Hints the CPU to pull `slot`'s digest and count words toward L1
-    /// for a future access (advisory; see the batched ingestion path).
+    /// Hints the CPU to pull `slot`'s cell toward L1 for a future access
+    /// (advisory; see the batched ingestion path).
     #[inline]
     pub fn prefetch_slot(&self, slot: usize) {
-        self.digests.prefetch(slot);
-        self.counts.prefetch(slot);
+        self.cells.prefetch(slot);
     }
 
     /// Derives the digest of a flow from its `h_1` hash value (Algorithm 1,
@@ -119,71 +132,90 @@ impl AncillaryTable {
         digest_from_hash(h1_hash, self.digest_bits)
     }
 
+    #[inline]
+    fn unpack(&self, cell: u64) -> (u32, u32) {
+        (
+            (cell >> self.counter_bits) as u32,
+            (cell & self.max_count()) as u32,
+        )
+    }
+
+    #[inline]
+    fn write(&mut self, slot: usize, digest: u32, count: u32) {
+        debug_assert!(
+            u64::from(digest) >> self.digest_bits == 0,
+            "digest too wide"
+        );
+        let cell = u64::from(digest) << self.counter_bits | u64::from(count);
+        self.cells.set(slot, cell);
+    }
+
+    /// The `(digest, count)` stored at `slot`, `None` when vacant.
+    #[inline]
+    pub fn entry(&self, slot: usize) -> Option<(u32, u32)> {
+        let (digest, count) = self.unpack(self.cells.get(slot));
+        (count > 0).then_some((digest, count))
+    }
+
     /// Returns the stored count at `slot` if its digest matches, `None` for
     /// an empty or differently-keyed bucket.
     #[inline]
     pub fn count_if_match(&self, slot: usize, digest: u32) -> Option<u32> {
-        let count = self.counts.get(slot);
-        if count > 0 && self.digests.get(slot) == u64::from(digest) {
-            Some(count as u32)
-        } else {
-            None
-        }
+        let (resident, count) = self.entry(slot)?;
+        (resident == digest).then_some(count)
     }
 
-    /// Returns `true` if `slot` currently holds no record.
+    /// Algorithm 1, lines 16–20, on one bucket in one read and at most one
+    /// write: an empty or differently-keyed bucket becomes `(digest, 1)`; a
+    /// matching one is incremented while below `bound` (the sentinel's
+    /// count) and the counter's ceiling, else left for the caller to promote.
     #[inline]
-    pub fn is_vacant(&self, slot: usize) -> bool {
-        self.counts.get(slot) == 0
+    pub(crate) fn update(&mut self, slot: usize, digest: u32, bound: u32) -> AncillaryOutcome {
+        let cell = self.cells.get(slot);
+        let (resident, count) = self.unpack(cell);
+        if count == 0 || resident != digest {
+            self.occupied += usize::from(count == 0);
+            self.write(slot, digest, 1);
+            AncillaryOutcome::Stored { evicted: count > 0 }
+        } else if u64::from(count) < u64::from(bound).min(self.max_count()) {
+            // Below the ceiling, so the carry stays inside the count field.
+            self.cells.set(slot, cell + 1);
+            AncillaryOutcome::Incremented(count + 1)
+        } else {
+            AncillaryOutcome::CaughtUp(count)
+        }
     }
 
     /// Overwrites `slot` with a fresh `(digest, 1)` record — both the
     /// empty-bucket insert and the replace-on-collision of Algorithm 1,
     /// lines 16–17.
-    #[inline]
     pub fn store(&mut self, slot: usize, digest: u32) {
-        if self.counts.get(slot) == 0 {
-            self.occupied += 1;
-        }
-        self.digests.set(slot, u64::from(digest));
-        self.counts.set(slot, 1);
+        self.store_counted(slot, digest, 1);
     }
 
     /// Increments the count at `slot` (Algorithm 1, line 19), saturating.
     /// Returns the new count.
-    #[inline]
     pub fn increment(&mut self, slot: usize) -> u32 {
-        debug_assert!(self.counts.get(slot) > 0, "incrementing an empty cell");
-        self.counts.increment(slot) as u32
+        self.add_count(slot, 1)
     }
 
     /// Overwrites `slot` with `(digest, count)` — the merge-time variant of
     /// [`Self::store`] for folding an already-accumulated summary in. The
     /// count is clamped to `1..=max_count`.
     pub fn store_counted(&mut self, slot: usize, digest: u32, count: u32) {
-        if self.counts.get(slot) == 0 {
-            self.occupied += 1;
-        }
-        self.digests.set(slot, u64::from(digest));
-        self.counts
-            .set(slot, u64::from(count.max(1)).min(self.max_count()));
+        self.occupied += usize::from(self.entry(slot).is_none());
+        let count = u64::from(count.max(1)).min(self.max_count()) as u32;
+        self.write(slot, digest, count);
     }
 
     /// Adds `delta` to the count at `slot`, saturating at
-    /// [`Self::max_count`].
-    pub fn add_count(&mut self, slot: usize, delta: u32) {
-        debug_assert!(self.counts.get(slot) > 0, "boosting an empty cell");
-        self.counts.add(slot, u64::from(delta));
-    }
-
-    /// The `(digest, count)` stored at `slot`, `None` when vacant.
-    pub fn entry(&self, slot: usize) -> Option<(u32, u32)> {
-        let count = self.counts.get(slot);
-        if count == 0 {
-            None
-        } else {
-            (self.digests.get(slot) as u32, count as u32).into()
-        }
+    /// [`Self::max_count`]. Returns the new count.
+    pub fn add_count(&mut self, slot: usize, delta: u32) -> u32 {
+        let (digest, count) = self.unpack(self.cells.get(slot));
+        debug_assert!(count > 0, "boosting an empty cell");
+        let count = (u64::from(count) + u64::from(delta)).min(self.max_count()) as u32;
+        self.write(slot, digest, count);
+        count
     }
 
     /// Folds `other`'s summaries into `self` slot-wise. Both tables must
@@ -194,11 +226,11 @@ impl AncillaryTable {
     ///
     /// # Panics
     ///
-    /// Panics if the tables have different cell counts or digest widths.
+    /// Panics if the tables have different cell counts or widths.
     pub fn merge_from(&mut self, other: &AncillaryTable) {
         assert_eq!(
-            (self.len(), self.digest_bits),
-            (other.len(), other.digest_bits),
+            (self.len(), self.digest_bits, self.counter_bits),
+            (other.len(), other.digest_bits, other.counter_bits),
             "cannot merge ancillary tables of different geometry"
         );
         for slot in 0..self.len() {
@@ -207,7 +239,9 @@ impl AncillaryTable {
             };
             match self.entry(slot) {
                 None => self.store_counted(slot, digest, count),
-                Some((mine, _)) if mine == digest => self.add_count(slot, count),
+                Some((mine, _)) if mine == digest => {
+                    self.add_count(slot, count);
+                }
                 Some((_, resident)) if resident < count => self.store_counted(slot, digest, count),
                 Some(_) => {}
             }
@@ -228,14 +262,13 @@ impl AncillaryTable {
 
     /// Clears the table.
     pub fn reset(&mut self) {
-        self.digests.reset();
-        self.counts.reset();
+        self.cells.reset();
         self.occupied = 0;
     }
 
     /// Logical memory footprint in bits.
     pub fn memory_bits(&self) -> usize {
-        self.digests.logical_bits() + self.counts.logical_bits()
+        self.cells.logical_bits()
     }
 }
 
@@ -294,7 +327,7 @@ mod tests {
         for i in 0..500u64 {
             let k = FlowKey::from_index(i);
             let slot = t.slot_of(&k);
-            if t.is_vacant(slot) {
+            if t.entry(slot).is_none() {
                 t.store(slot, t.digest_of(i));
             }
         }
@@ -321,7 +354,111 @@ mod tests {
         t.store(1, 9);
         t.reset();
         assert_eq!(t.occupied(), 0);
-        assert!(t.is_vacant(1));
+        assert!(t.entry(1).is_none());
+    }
+
+    /// The table against a plain `Vec<(digest, count)>` under seeded
+    /// random operations, for cells that straddle words (5+6, 12+12,
+    /// 20+12) and the narrowest and widest ones.
+    #[test]
+    fn packed_cells_agree_with_a_pair_model() {
+        const CELLS: usize = 37;
+        for (digest_bits, counter_bits) in [(5, 6), (12, 12), (20, 12), (1, 1), (32, 32)] {
+            let mut table = AncillaryTable::new(CELLS, digest_bits, counter_bits, 9).unwrap();
+            let mut other = table.clone();
+            let mut model = vec![(0u32, 0u32); CELLS];
+            let max = table.max_count() as u32;
+            assert_eq!(u64::from(max), (1u64 << counter_bits) - 1);
+            assert_eq!(
+                table.memory_bits(),
+                CELLS * (digest_bits + counter_bits) as usize
+            );
+            let mut state = 0x5eed_u64 + u64::from(digest_bits);
+            let mut next = move || {
+                // SplitMix64.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            for step in 0..6_000 {
+                let slot = (next() % CELLS as u64) as usize;
+                // Few distinct digests, so matches are as common as misses.
+                let digest = table.digest_of(next() % 4);
+                let (resident, count) = model[slot];
+                match next() % 5 {
+                    0 => {
+                        table.store(slot, digest);
+                        model[slot] = (digest, 1);
+                    }
+                    1 if count > 0 => {
+                        let new = count.saturating_add(1).min(max);
+                        assert_eq!(table.increment(slot), new, "step {step}");
+                        model[slot].1 = new;
+                    }
+                    2 => {
+                        let given = next() as u32;
+                        table.store_counted(slot, digest, given);
+                        model[slot] = (digest, given.clamp(1, max));
+                    }
+                    3 if count > 0 => {
+                        let delta = (next() % 7) as u32;
+                        let new = (u64::from(count) + u64::from(delta)).min(u64::from(max)) as u32;
+                        assert_eq!(table.add_count(slot, delta), new, "step {step}");
+                        model[slot].1 = new;
+                    }
+                    _ => {
+                        let bound = (next() % 6) as u32;
+                        let outcome = table.update(slot, digest, bound);
+                        if count == 0 || resident != digest {
+                            let evicted = count > 0;
+                            assert_eq!(outcome, AncillaryOutcome::Stored { evicted });
+                            model[slot] = (digest, 1);
+                        } else if count < bound.min(max) {
+                            assert_eq!(outcome, AncillaryOutcome::Incremented(count + 1));
+                            model[slot].1 = count + 1;
+                        } else {
+                            assert_eq!(outcome, AncillaryOutcome::CaughtUp(count));
+                        }
+                    }
+                }
+                let expect = |(digest, count): (u32, u32)| (count > 0).then_some((digest, count));
+                assert_eq!(table.entry(slot), expect(model[slot]), "step {step}");
+                for near in [slot.wrapping_sub(1), slot + 1] {
+                    if let Some(&cell) = model.get(near) {
+                        assert_eq!(table.entry(near), expect(cell), "neighbour @ {step}");
+                    }
+                }
+                assert_eq!(table.count_if_match(slot, digest), {
+                    let (resident, count) = model[slot];
+                    (count > 0 && resident == digest).then_some(count)
+                });
+                if step == 3_000 {
+                    other = table.clone();
+                }
+            }
+            let occupied = model.iter().filter(|cell| cell.1 > 0).count();
+            assert_eq!(table.occupied(), occupied);
+
+            // `other` is the table as it stood halfway: fold it in.
+            let halfway: Vec<_> = (0..CELLS).map(|slot| other.entry(slot)).collect();
+            table.merge_from(&other);
+            for (slot, theirs) in halfway.into_iter().enumerate() {
+                let (mine, count) = model[slot];
+                let merged = match theirs {
+                    None => (mine, count),
+                    Some(cell) if count == 0 => cell,
+                    Some((digest, more)) if digest == mine => (
+                        mine,
+                        (u64::from(count) + u64::from(more)).min(u64::from(max)) as u32,
+                    ),
+                    Some((digest, more)) if count < more => (digest, more),
+                    Some(_) => (mine, count),
+                };
+                let expect = (merged.1 > 0).then_some(merged);
+                assert_eq!(table.entry(slot), expect, "merged slot {slot}");
+            }
+        }
     }
 
     #[test]

@@ -212,7 +212,10 @@ fn walk(
     path: impl Iterator<Item = usize>,
 ) -> (ProbeOutcome, OpCount) {
     let mut ops = OpCount::default();
-    let mut min_count = u32::MAX;
+    // Wider than any count, so the first record probed (a path has at
+    // least one: depth >= 1) always becomes the sentinel — a saturated one
+    // too — and `<` keeps the earliest among equals after it.
+    let mut min_count = u64::MAX;
     let mut sentinel = usize::MAX;
     for idx in path {
         ops.hashes += 1;
@@ -231,15 +234,15 @@ fn walk(
             ops.writes += 1;
             return (ProbeOutcome::Incremented(updated.count()), ops);
         }
-        if record.count() < min_count {
-            min_count = record.count();
+        if u64::from(record.count()) < min_count {
+            min_count = u64::from(record.count());
             sentinel = idx;
         }
     }
     (
         ProbeOutcome::Collision {
             sentinel,
-            min_count,
+            min_count: min_count as u32,
         },
         ops,
     )
@@ -319,46 +322,29 @@ impl MainTable {
         self.hashes.hash(0, key)
     }
 
-    /// The hash family probing this table (`h_1 .. h_d`); batched callers
-    /// feed it to [`hashflow_hashing::compute_lanes`].
-    pub(crate) const fn hash_family(&self) -> &HashFamily<XxHash64> {
-        &self.hashes
-    }
-
     /// Bucket index probed by `h_{i+1}` for `key`, flattened.
     fn slot(&self, i: usize, key: &FlowKey) -> usize {
         let (offset, len) = self.ranges[i];
         offset + self.hashes.bucket(i, key, len)
     }
 
-    /// Reduces a key's hash values to its probe path: `slots[i]` becomes
-    /// the flattened bucket index `h_{i+1}` addresses. `hashes[i]` must be
-    /// the `h_{i+1}` value of the key (the row layout
-    /// [`hashflow_hashing::compute_lanes`] produces for this table's hash
-    /// family). The range reduction happens here, once per slot; the slots
-    /// then serve [`Self::prefetch_slots`] and [`Self::resolve`] alike.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `hashes` and `slots` each hold one entry per probe.
-    #[inline]
-    pub fn probe_slots(&self, hashes: &[u64], slots: &mut [u32]) {
-        assert!(
-            hashes.len() == self.ranges.len() && slots.len() == self.ranges.len(),
-            "need one hash lane and one slot per probe"
-        );
-        for ((slot, &hash), &(offset, len)) in slots.iter_mut().zip(hashes).zip(&self.ranges) {
-            // `new` checked that every bucket index fits 32 bits.
-            *slot = (offset + hashflow_hashing::fast_range(hash, len)) as u32;
-        }
+    /// The `h_1 .. h_d` lanes of a batch's probe plans
+    /// ([`hashflow_hashing::HashLanes::fill_probes`]): each member with the
+    /// bucket range its probe lands in. Slots are reduced there, once, and
+    /// then serve [`Self::prefetch`] and [`Self::resolve`] alike.
+    pub(crate) fn probe_lanes(&self) -> impl Iterator<Item = (&XxHash64, (u32, u32))> + Clone {
+        // `new` checked that every bucket index fits 32 bits.
+        let ranges = self
+            .ranges
+            .iter()
+            .map(|&(offset, len)| (offset as u32, len as u32));
+        self.hashes.members().iter().zip(ranges)
     }
 
-    /// Hints the CPU to pull every bucket of a probe path toward L1.
+    /// Hints the CPU to pull bucket `slot` toward L1.
     #[inline]
-    pub fn prefetch_slots(&self, slots: &[u32]) {
-        for &slot in slots {
-            hashflow_hashing::prefetch_read(&self.buckets, slot as usize);
-        }
+    pub fn prefetch(&self, slot: usize) {
+        hashflow_hashing::prefetch_read(&self.buckets, slot);
     }
 
     /// Runs the collision-resolution step of Algorithm 1 (lines 2–13) for
@@ -370,23 +356,24 @@ impl MainTable {
         walk(&mut self.buckets, &mut self.occupied, key, path)
     }
 
-    /// The same step on a probe path computed beforehand (`slots`, from
-    /// [`Self::probe_slots`]): loads and compares only. The batched
-    /// ingestion path reduces and prefetches the slots of a packet well
-    /// before it gets here.
-    ///
-    /// The returned [`OpCount`] is still that of the lazy schedule —
-    /// see [`Self::probe`] — so Fig. 11 accounting does not depend on the
-    /// path having been computed up front.
+    /// The same step on a probe path computed beforehand (`path`, the
+    /// slots of the packet's probe plan, reduced and prefetched well before
+    /// it gets here): loads and compares only, one slot at a time. The
+    /// [`OpCount`] is still that of the lazy schedule — see
+    /// [`Self::probe`] — so Fig. 11 accounting does not depend on the path
+    /// having been computed up front.
     ///
     /// # Panics
     ///
-    /// Panics if `slots` does not hold exactly one slot per probe, or a
+    /// Panics if `path` does not hold exactly one slot per probe, or a
     /// slot is out of range.
     #[inline]
-    pub fn resolve(&mut self, key: &FlowKey, slots: &[u32]) -> (ProbeOutcome, OpCount) {
-        assert_eq!(slots.len(), self.ranges.len(), "need one slot per probe");
-        let path = slots.iter().map(|&slot| slot as usize);
+    pub fn resolve(
+        &mut self,
+        key: &FlowKey,
+        path: impl ExactSizeIterator<Item = usize>,
+    ) -> (ProbeOutcome, OpCount) {
+        assert_eq!(path.len(), self.ranges.len(), "need one slot per probe");
         walk(&mut self.buckets, &mut self.occupied, key, path)
     }
 
@@ -477,6 +464,7 @@ impl MainTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hashflow_hashing::{probe_slot, HashLanes, KernelCopy};
 
     fn key(i: u64) -> FlowKey {
         FlowKey::from_index(i)
@@ -508,6 +496,33 @@ mod tests {
                 assert_eq!(min_count, 3);
             }
             other => panic!("expected collision, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn saturated_path_still_names_a_sentinel() {
+        // One bucket per sub-table, so every key probes buckets 0, 1, ..
+        // in order; all of them hold records that cannot count higher.
+        for depth in [1usize, 3] {
+            let scheme = TableScheme::Pipelined { depth, alpha: 1.0 };
+            let mut t = MainTable::new(scheme, depth, 8).unwrap();
+            for i in 0..depth as u64 {
+                assert!(t.insert_record(FlowRecord::new(key(i), u32::MAX)).is_none());
+            }
+            let outcome = t.probe(&key(99)).0;
+            // The first of the equally small records, and a real bucket.
+            assert_eq!(
+                outcome,
+                ProbeOutcome::Collision {
+                    sentinel: 0,
+                    min_count: u32::MAX
+                },
+                "depth {depth}"
+            );
+            t.replace(0, key(99), 7);
+            assert_eq!(t.lookup(&key(99)), Some(7));
+            assert_eq!(t.lookup(&key(0)), None);
+            assert_eq!(t.occupied(), depth);
         }
     }
 
@@ -693,21 +708,19 @@ mod tests {
         ] {
             let mut lazy = MainTable::new(scheme, 64, 11).unwrap();
             let mut planned = MainTable::new(scheme, 64, 11).unwrap();
-            let (mut lanes, mut slots) = ([0u64; 3], [0u32; 3]);
+            let mut plans = HashLanes::default();
             for i in 0..500 {
                 let k = key(i % 120);
-                planned.hash_family().hash_all(&k, &mut lanes);
-                planned.probe_slots(&lanes, &mut slots);
-                planned.prefetch_slots(&slots);
+                plans.fill_probes(KernelCopy::best(), [k].into_iter(), planned.probe_lanes());
+                let slots: Vec<usize> = (0..3).map(|m| probe_slot(plans.word(m, 0))).collect();
+                slots.iter().for_each(|&slot| planned.prefetch(slot));
                 let (a, ops_a) = lazy.probe(&k);
-                let (b, ops_b) = planned.resolve(&k, &slots);
+                let (b, ops_b) = planned.resolve(&k, slots.iter().copied());
                 assert_eq!(a, b, "outcome diverged at packet {i}");
                 assert_eq!(ops_a, ops_b, "op accounting diverged at packet {i}");
                 // The lazy schedule, worked out from where the packet
                 // settled: one hash and one read per bucket probed.
-                let settled = slots
-                    .iter()
-                    .position(|&s| planned.buckets[s as usize].key() == k);
+                let settled = slots.iter().position(|&s| planned.buckets[s].key() == k);
                 let (probes, writes) = match settled {
                     Some(at) => (at as u64 + 1, 1),
                     None => (3, 0),
@@ -733,7 +746,7 @@ mod tests {
     #[should_panic(expected = "one slot per probe")]
     fn step_rejects_short_plans() {
         let mut t = MainTable::new(TableScheme::MultiHash { depth: 3 }, 16, 0).unwrap();
-        let _ = t.resolve(&key(1), &[1, 2]);
+        let _ = t.resolve(&key(1), [1, 2].into_iter());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! 1–4 hashes and at most 6 memory accesses per packet. This exhibit
 //! measures what handing a monitor **whole batches** buys on top of
 //! that, at equal algorithmic cost. HashFlow has one ingestion step; a
-//! batch lets it hash every lane in one pass, build each packet's probe
-//! plan and prefetch its cells a few packets ahead of the step, and flush
-//! operation counts once — a packet on its own gets the same step with
-//! nothing to look ahead to. (FlowRadar still has a scalar and a batched
+//! batch lets it build every packet's probe plan lane by lane (one
+//! vectorised loop per hash member over the whole batch), prefetch each
+//! plan's cells a few packets ahead of the step, and flush operation
+//! counts once — a packet on its own gets the same step with nothing to
+//! look ahead to. (FlowRadar still has a scalar and a batched
 //! implementation.) Recorded `CostSnapshot`s are identical either way by
 //! contract (the exhibit asserts it), so the speedup is pure schedule:
 //! warm cache lines and amortized bookkeeping.
@@ -15,8 +16,8 @@
 //! Two workload tiers on the CAIDA profile:
 //!
 //! * `paper` — the §IV-A setup: 1 MB budget, 100 K flows. The main table
-//!   mostly fits in L2, so batching pays mainly through one-pass hashing
-//!   and amortized cost accounting.
+//!   mostly fits in L2, so batching pays mainly through lane-major
+//!   hashing and amortized cost accounting.
 //! * `production` — 8x the budget and flows (the ROADMAP's
 //!   production-scale direction). The main table is several times larger
 //!   than L2, every probe is a cache miss on the scalar path, and the
@@ -25,7 +26,9 @@
 //! Alongside the CSV table, the run writes `BENCH_hotpath.json` into the
 //! output directory (the `hotpath` binary also copies it to the working
 //! directory), extending the repository's machine-readable performance
-//! trajectory started by `BENCH_shard.json`.
+//! trajectory started by `BENCH_shard.json`. The file names the CPU and,
+//! beside it, which compiled copy of the lane kernel pass 1 ran through
+//! (`baseline` or `avx512`): the batched rate depends on it.
 
 use crate::output::{Cell, Table};
 use crate::{setup, RunConfig};
@@ -195,6 +198,15 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
     vec![table]
 }
 
+/// The host's CPU model as `/proc/cpuinfo` names it, as a JSON string;
+/// `"unknown"` where there is no such file.
+fn cpu_model() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let line = info.lines().find(|l| l.starts_with("model name"));
+    let model = line.and_then(|l| l.split_once(':')).map(|(_, m)| m.trim());
+    hashflow_obs::json::string(model.unwrap_or("unknown"))
+}
+
 /// Renders the machine-readable summary (hand-rolled flat JSON, like the
 /// other `BENCH_*.json` emitters).
 fn bench_json(rows: &[HotpathRow]) -> String {
@@ -202,6 +214,9 @@ fn bench_json(rows: &[HotpathRow]) -> String {
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"exhibit\": \"hotpath\",");
     let _ = writeln!(out, "  \"profile\": \"CAIDA\",");
+    let _ = writeln!(out, "  \"cpu\": {},", cpu_model());
+    let copy = hashflow_hashing::KernelCopy::best().name();
+    let _ = writeln!(out, "  \"kernel_copy\": \"{copy}\",");
     let _ = writeln!(out, "  \"trials\": {TRIALS},");
     let _ = writeln!(out, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -246,6 +261,7 @@ mod tests {
         }
         let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_hotpath.json")).unwrap();
         assert!(json.contains("\"exhibit\": \"hotpath\""));
+        assert!(json.contains("\"kernel_copy\": \"") && json.contains("\"cpu\": \""));
         assert!(json.contains("\"workload\": \"production\""));
         assert!(json.contains("batched_kpps"));
     }

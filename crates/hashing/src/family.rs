@@ -78,20 +78,10 @@ impl<H: KeyHasher> HashFamily<H> {
         self.members[i].hash_key(key)
     }
 
-    /// Hashes `key` with every member in one go: `out[i]` becomes
-    /// [`Self::hash`]`(i, key)`. With the member loop and an inlinable
-    /// [`KeyHasher::hash_key`] in one place, work that depends on the key
-    /// alone is done once for all members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.len()`.
-    #[inline]
-    pub fn hash_all(&self, key: &FlowKey, out: &mut [u64]) {
-        assert_eq!(out.len(), self.members.len(), "one lane per member");
-        for (lane, member) in out.iter_mut().zip(&self.members) {
-            *lane = member.hash_key(key);
-        }
+    /// The members in order, for callers that run one loop per member
+    /// over many keys ([`crate::HashLanes`]).
+    pub fn members(&self) -> &[H] {
+        &self.members
     }
 
     /// Hashes raw bytes with member `i`.

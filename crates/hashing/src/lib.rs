@@ -24,11 +24,13 @@
 //! assert_eq!(h0, family.hash(0, &key), "hashing is deterministic");
 //! ```
 
-// `deny` rather than `forbid`: the `prefetch` module scopes one allow
-// around the (side-effect-free) prefetch intrinsic.
+// `deny` rather than `forbid`: `prefetch` scopes one allow around the
+// (side-effect-free) prefetch intrinsic, `dispatch` one around the call
+// into the AVX-512 copy of the lane kernel.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dispatch;
 mod family;
 mod lanes;
 mod murmur3;
@@ -36,14 +38,15 @@ mod prefetch;
 mod tabulation;
 mod xxhash;
 
+pub use dispatch::KernelCopy;
 pub use family::{digest_from_hash, DigestFn, HashFamily};
-pub use lanes::{compute_lanes, HashLanes};
+pub use lanes::{compute_lanes, probe_hash_low, probe_slot, HashLanes};
 pub use murmur3::Murmur3;
 pub use prefetch::prefetch_read;
 pub use tabulation::TabulationHash;
 pub use xxhash::XxHash64;
 
-use hashflow_types::FlowKey;
+use hashflow_types::{FlowKey, FLOW_KEY_BYTES};
 
 /// A seeded hash function over flow keys.
 ///
@@ -69,7 +72,30 @@ pub trait KeyHasher: Clone + std::fmt::Debug {
     fn hash_key(&self, key: &FlowKey) -> u64 {
         self.hash_bytes(&key.to_bytes())
     }
+
+    /// The part of [`Self::hash_key`] that needs no seed, so that a batch
+    /// hashed by several members does it once per key. By default the
+    /// key's words ([`FlowKey::to_words`]).
+    #[inline]
+    fn key_terms(key: &FlowKey) -> KeyTerms {
+        let (lo, hi) = key.to_words();
+        [lo, hi, 0]
+    }
+
+    /// The seeded rest: `h.hash_terms(H::key_terms(k)) == h.hash_key(k)`.
+    /// Implementors override the two together.
+    #[inline]
+    fn hash_terms(&self, [lo, hi, _]: KeyTerms) -> u64 {
+        // The words read `to_bytes` little-endian; write them back.
+        let mut bytes = [0; FLOW_KEY_BYTES];
+        bytes[..8].copy_from_slice(&lo.to_le_bytes());
+        bytes[8..].copy_from_slice(&hi.to_le_bytes()[..FLOW_KEY_BYTES - 8]);
+        self.hash_bytes(&bytes)
+    }
 }
+
+/// What [`KeyHasher::key_terms`] keeps of one flow key.
+pub type KeyTerms = [u64; 3];
 
 /// Maps a 64-bit hash uniformly onto `[0, n)` without modulo bias.
 ///
@@ -92,6 +118,17 @@ pub trait KeyHasher: Clone + std::fmt::Debug {
 pub fn fast_range(hash: u64, n: usize) -> usize {
     assert!(n > 0, "range must be non-empty");
     (((hash as u128) * (n as u128)) >> 64) as usize
+}
+
+/// [`fast_range`] for ranges below 2³², the high word of `hash · n` put
+/// together from 32-bit halves: no 128-bit multiply, so a loop over many
+/// hashes vectorises. Exact — `hi · n` plus the carry out of `lo · n`
+/// stays below 2⁶⁴.
+#[inline]
+pub fn fast_range32(hash: u64, n: u32) -> u32 {
+    let n = u64::from(n);
+    let (hi, lo) = (hash >> 32, hash & 0xffff_ffff);
+    ((hi * n + ((lo * n) >> 32)) >> 32) as u32
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use crate::KeyHasher;
+use crate::{KeyHasher, KeyTerms};
 use hashflow_types::{FlowKey, FLOW_KEY_BYTES};
 
 const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
@@ -72,31 +72,45 @@ impl KeyHasher for XxHash64 {
         XxHash64 { seed }
     }
 
-    /// The canonical xxHash64 of the 13-byte key, evaluated straight-line
-    /// from [`FlowKey::to_words`]: the short-input prologue, one 8-byte
-    /// round, one 4-byte step, one 1-byte step, the avalanche — what
-    /// [`Self::hash_bytes`] does for a 13-byte slice, minus the slice, the
-    /// length dispatch and the re-serialisation. The three input products
-    /// do not depend on the seed, so a caller that hashes one key with
-    /// several members (and inlines this) computes them once.
+    /// The canonical xxHash64 of the 13-byte key, straight-line from
+    /// [`FlowKey::to_words`]: what [`Self::hash_bytes`] does for 13 bytes,
+    /// minus the slice, the length dispatch and the re-serialisation.
     #[inline]
     fn hash_key(&self, key: &FlowKey) -> u64 {
+        self.hash_terms(Self::key_terms(key))
+    }
+
+    /// The key's three input products — 8-byte round, 4-byte and 1-byte
+    /// step — none of which involves the seed.
+    #[inline]
+    fn key_terms(key: &FlowKey) -> KeyTerms {
         let (lo, hi) = key.to_words();
+        [
+            round(0, lo),
+            (hi & 0xffff_ffff).wrapping_mul(PRIME64_1),
+            (hi >> 32).wrapping_mul(PRIME64_5),
+        ]
+    }
+
+    /// The seeded chain over them (xor, rotate, multiply, add — three
+    /// times) and the avalanche.
+    #[inline]
+    fn hash_terms(&self, [word, half, byte]: KeyTerms) -> u64 {
         let mut h = self
             .seed
             .wrapping_add(PRIME64_5)
             .wrapping_add(FLOW_KEY_BYTES as u64);
-        h ^= round(0, lo);
+        h ^= word;
         h = h
             .rotate_left(27)
             .wrapping_mul(PRIME64_1)
             .wrapping_add(PRIME64_4);
-        h ^= (hi & 0xffff_ffff).wrapping_mul(PRIME64_1);
+        h ^= half;
         h = h
             .rotate_left(23)
             .wrapping_mul(PRIME64_2)
             .wrapping_add(PRIME64_3);
-        h ^= (hi >> 32).wrapping_mul(PRIME64_5);
+        h ^= byte;
         h = h.rotate_left(11).wrapping_mul(PRIME64_1);
         avalanche(h)
     }

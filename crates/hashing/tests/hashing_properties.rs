@@ -1,18 +1,20 @@
 //! Statistical and determinism properties of the hashing crate, exercised
 //! through its public API only.
 //!
-//! Four groups:
+//! Five groups:
 //! * known-answer sanity for the widened [`Murmur3`] (the canonical 32-bit
 //!   vectors live next to the private reference function),
 //! * independence checks for [`TabulationHash`] (the paper's ball-and-urn
 //!   analysis in §III-B assumes the hash family behaves independently),
 //! * determinism of [`HashFamily`] under a fixed master seed,
 //! * the fixed-width key path: `hash_key` against its `hash_bytes` oracle,
-//!   and `compute_lanes` against `HashFamily::hash`.
+//!   and `compute_lanes` against `HashFamily::hash`,
+//! * the lane kernel: every compiled copy this host runs against the
+//!   scalar `offset + fast_range(hash_key(k), len)`.
 
 use hashflow_hashing::{
-    compute_lanes, digest_from_hash, fast_range, HashFamily, HashLanes, KeyHasher, Murmur3,
-    TabulationHash, XxHash64,
+    compute_lanes, digest_from_hash, fast_range, fast_range32, probe_hash_low, probe_slot,
+    HashFamily, HashLanes, KernelCopy, KeyHasher, Murmur3, TabulationHash, XxHash64,
 };
 use hashflow_types::{FlowKey, Ipv4Addr};
 use proptest::prelude::*;
@@ -250,14 +252,21 @@ fn assert_lanes_match_members<H: KeyHasher>(seed: u64, n: u64) {
     let mut lanes = HashLanes::default();
     compute_lanes(&[&anc], keys(5), &mut lanes);
     compute_lanes(&[&main, &anc], keys(n), &mut lanes);
-    assert_eq!(lanes.stride(), 4);
+    assert_eq!(lanes.lanes(), 4);
     assert_eq!(lanes.rows(), n as usize);
     for (i, key) in keys(n).enumerate() {
-        let row = lanes.row(i);
-        for (m, &lane) in row[..3].iter().enumerate() {
-            assert_eq!(lane, main.hash(m, &key), "main lane {m} of key {i}");
+        for m in 0..3 {
+            assert_eq!(
+                lanes.lane(m)[i],
+                main.hash(m, &key),
+                "main lane {m} of key {i}"
+            );
         }
-        assert_eq!(row[3], anc.hash(0, &key), "ancillary lane of key {i}");
+        assert_eq!(
+            lanes.lane(3)[i],
+            anc.hash(0, &key),
+            "ancillary lane of key {i}"
+        );
     }
 }
 
@@ -277,10 +286,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Empty, singleton and just-past-a-batch key sets.
+    /// Empty, singleton, either side of the short-batch cut and
+    /// just-past-a-batch key sets.
     #[test]
     fn compute_lanes_rows_equal_family_members(seed in any::<u64>()) {
-        for n in [0, 1, 257] {
+        for n in [0, 1, 7, 8, 257] {
             assert_lanes_match_members::<XxHash64>(seed, n);
             assert_lanes_match_members::<Murmur3>(seed, n);
             assert_lanes_match_members::<TabulationHash>(seed, n);
@@ -298,10 +308,109 @@ fn compute_lanes_tolerates_inexact_size_hints() {
     let evens = (0..40u64).filter(|i| i % 2 == 0).map(FlowKey::from_index);
     compute_lanes(&[&family], evens, &mut lanes);
     assert_eq!(lanes.rows(), 20);
-    assert_eq!(lanes.row(19)[1], family.hash(1, &FlowKey::from_index(38)));
+    assert_eq!(lanes.lane(1)[19], family.hash(1, &FlowKey::from_index(38)));
     // `take_while` reports (0, None); 9 keys arrive.
     let few = (0..).take_while(|&i| i < 9).map(FlowKey::from_index);
     compute_lanes(&[&family], few, &mut lanes);
     assert_eq!(lanes.rows(), 9);
-    assert_eq!(lanes.row(8)[0], family.hash(0, &FlowKey::from_index(8)));
+    assert_eq!(lanes.lane(0)[8], family.hash(0, &FlowKey::from_index(8)));
+}
+
+// --- The lane kernel, copy by copy -----------------------------------------
+
+/// Batch lengths around the short-batch cut, one vector, and a batch of
+/// 256: empty, one key, vector tails of every kind.
+const BATCH_LENGTHS: [usize; 8] = [0, 1, 7, 8, 9, 255, 256, 257];
+
+/// The half-word high multiply is the `u128` one, at the corners of both
+/// operands and wherever the sampler lands.
+#[test]
+fn half_word_range_reduction_equals_the_wide_multiply_at_the_corners() {
+    for len in [1u32, 2, 0x8000_0000, u32::MAX] {
+        for hash in [0u64, 1, 0xffff_ffff, 1 << 32, u64::MAX - 1, u64::MAX] {
+            assert_eq!(
+                fast_range32(hash, len) as usize,
+                fast_range(hash, len as usize),
+                "hash {hash:#x} len {len:#x}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn half_word_range_reduction_equals_the_wide_multiply(hash in any::<u64>(), len in 1u32..=u32::MAX) {
+        prop_assert_eq!(fast_range32(hash, len) as usize, fast_range(hash, len as usize));
+    }
+}
+
+/// Runs `fill_probes` through `copy` on a dirty slab and holds every
+/// probe word to the scalar definition.
+fn assert_copy_matches_scalar<H: KeyHasher>(
+    copy: KernelCopy,
+    seed: u64,
+    lanes_spec: &[(u32, u32)],
+    batch: &[FlowKey],
+    slab: &mut HashLanes,
+) {
+    let family = HashFamily::<H>::new(lanes_spec.len(), seed);
+    let lanes = family.members().iter().zip(lanes_spec.iter().copied());
+    slab.fill_probes(copy, batch.iter().copied(), lanes);
+    assert_eq!((slab.rows(), slab.lanes()), (batch.len(), lanes_spec.len()));
+    for (m, &(offset, len)) in lanes_spec.iter().enumerate() {
+        assert_eq!(slab.lane(m).len(), batch.len());
+        for (i, key) in batch.iter().enumerate() {
+            let hash = family.hash(m, key);
+            let word = slab.lane(m)[i];
+            assert_eq!(word, slab.word(m, i));
+            assert_eq!(
+                probe_slot(word),
+                offset as usize + fast_range(hash, len as usize),
+                "{} copy, lane {m}, key {i} of {}",
+                copy.name(),
+                batch.len()
+            );
+            assert_eq!(probe_hash_low(word), hash as u32, "{} copy", copy.name());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every compiled copy of the kernel this host runs — the baseline
+    /// always, the AVX-512 one where the CPU has it — computes, for random
+    /// seeds, keys, offsets and lengths up to 2³² − 1, exactly what the
+    /// scalar query path does. Prints which copies ran (CI runners differ).
+    #[test]
+    fn every_kernel_copy_equals_the_scalar_path(
+        seed in any::<u64>(),
+        first in five_tuple(),
+        spec in prop::collection::vec((any::<u32>(), 1u32..=u32::MAX), 1..6),
+    ) {
+        // `offset + len` must stay within 32 bits: shrink the offset.
+        let spec: Vec<(u32, u32)> =
+            spec.into_iter().map(|(offset, len)| (offset % (u32::MAX - len + 1).max(1), len)).collect();
+        // The baseline always; the AVX-512 copy too where `best` finds it.
+        let mut copies = vec![KernelCopy::BASELINE, KernelCopy::best()];
+        copies.dedup();
+        let mut slab = HashLanes::default();
+        for &copy in &copies {
+            for n in BATCH_LENGTHS {
+                let batch: Vec<FlowKey> = edge_keys()
+                    .into_iter()
+                    .chain([first])
+                    .chain(keys(n as u64))
+                    .take(n)
+                    .collect();
+                assert_copy_matches_scalar::<XxHash64>(copy, seed, &spec, &batch, &mut slab);
+                assert_copy_matches_scalar::<Murmur3>(copy, seed, &spec[..1], &batch, &mut slab);
+            }
+        }
+        static PRINTED: std::sync::Once = std::sync::Once::new();
+        PRINTED.call_once(|| {
+            let names: Vec<&str> = copies.iter().map(|c| c.name()).collect();
+            println!("kernel copies run on this host: {names:?}");
+        });
+    }
 }

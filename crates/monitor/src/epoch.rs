@@ -479,6 +479,42 @@ impl<M: FlowMonitor> EpochRotator<M> {
         }
         self.inner.process_batch(run);
     }
+
+    /// The batch path for a batch that may cross an epoch edge: every
+    /// packet is tested against the edge, and each rotation-free run
+    /// between edges goes to [`Self::ingest_run`].
+    fn ingest_across_edges(&mut self, packets: &[Packet]) {
+        let mut start = 0usize;
+        let mut run_first: Option<u64> = None;
+        let mut run_last: Option<u64> = None;
+        for (i, p) in packets.iter().enumerate() {
+            let ts = p.timestamp_ns();
+            match self.epoch_base_ns {
+                None => self.epoch_base_ns = Some(ts),
+                Some(base) => {
+                    if ts >= base.saturating_add(self.epoch_len_ns) {
+                        if ts >= base.saturating_add(self.epoch_len_ns.saturating_mul(2)) {
+                            if let Some(m) = &self.metrics {
+                                m.rotation_gaps.inc();
+                            }
+                            self.note_rotation_gap(base, ts);
+                        }
+                        // Seal everything before the boundary packet,
+                        // then re-anchor the new epoch at it.
+                        self.ingest_run(&packets[start..i], run_first, run_last);
+                        self.rotate_now();
+                        self.epoch_base_ns = Some(ts);
+                        start = i;
+                        run_first = None;
+                        run_last = None;
+                    }
+                }
+            }
+            run_first = Some(run_first.map_or(ts, |f| f.min(ts)));
+            run_last = Some(run_last.map_or(ts, |l| l.max(ts)));
+        }
+        self.ingest_run(&packets[start..], run_first, run_last);
+    }
 }
 
 impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
@@ -535,36 +571,18 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
             m.batch_size.observe(packets.len() as u64);
             m.batch_ns.start_timer()
         });
-        let mut start = 0usize;
-        let mut run_first: Option<u64> = None;
-        let mut run_last: Option<u64> = None;
-        for (i, p) in packets.iter().enumerate() {
-            let ts = p.timestamp_ns();
-            match self.epoch_base_ns {
-                None => self.epoch_base_ns = Some(ts),
-                Some(base) => {
-                    if ts >= base.saturating_add(self.epoch_len_ns) {
-                        if ts >= base.saturating_add(self.epoch_len_ns.saturating_mul(2)) {
-                            if let Some(m) = &self.metrics {
-                                m.rotation_gaps.inc();
-                            }
-                            self.note_rotation_gap(base, ts);
-                        }
-                        // Seal everything before the boundary packet,
-                        // then re-anchor the new epoch at it.
-                        self.ingest_run(&packets[start..i], run_first, run_last);
-                        self.rotate_now();
-                        self.epoch_base_ns = Some(ts);
-                        start = i;
-                        run_first = None;
-                        run_last = None;
-                    }
-                }
+        // The batch's timestamp span in one plain loop; only a batch that
+        // reaches the epoch edge (or is the first ever) is scanned packet
+        // by packet for where to rotate.
+        let (first, last) = packets.iter().fold((u64::MAX, 0), |(first, last), p| {
+            (first.min(p.timestamp_ns()), last.max(p.timestamp_ns()))
+        });
+        match self.epoch_base_ns {
+            Some(base) if last < base.saturating_add(self.epoch_len_ns) => {
+                self.ingest_run(packets, Some(first), Some(last));
             }
-            run_first = Some(run_first.map_or(ts, |f| f.min(ts)));
-            run_last = Some(run_last.map_or(ts, |l| l.max(ts)));
+            _ => self.ingest_across_edges(packets),
         }
-        self.ingest_run(&packets[start..], run_first, run_last);
         if batch_timer.is_some() {
             self.pending_packets += packets.len() as u64;
             self.pending_bytes += packets.iter().map(|p| u64::from(p.wire_len())).sum::<u64>();
@@ -1013,6 +1031,48 @@ mod tests {
                 assert_eq!(ra, rb, "epoch {} records @ batch {batch_size}", ea.epoch());
             }
         }
+    }
+
+    #[test]
+    fn batch_shape_never_moves_an_epoch_edge() {
+        // The span pre-scan must send exactly the batches that reach the
+        // edge down the per-packet path: the same packets as one batch, as
+        // batches of one, and cut right before and right after the packet
+        // on the edge (ts 100) seal the same epochs.
+        let packets: Vec<Packet> = [0u64, 60, 99, 100, 130, 50, 199, 200, 201]
+            .iter()
+            .enumerate()
+            .map(|(i, &ts)| pkt(i as u64 % 3, ts))
+            .collect();
+        let epochs = |cuts: &[usize]| {
+            let mut rotator = EpochRotator::new(Exact::default(), 100);
+            let mut rest = packets.as_slice();
+            for &cut in cuts {
+                let (batch, tail) = rest.split_at(cut);
+                rotator.process_batch(batch);
+                rest = tail;
+            }
+            rotator.process_batch(rest);
+            rotator.rotate_now();
+            let sealed: Vec<_> = rotator
+                .completed_epochs()
+                .iter()
+                .map(|e| {
+                    let mut records = e.as_records().to_vec();
+                    records.sort_unstable_by_key(|r| (r.key(), r.count()));
+                    (e.epoch(), e.start_ns(), e.end_ns(), *e.cost(), records)
+                })
+                .collect();
+            sealed
+        };
+        let whole = epochs(&[]);
+        assert_eq!(whole.len(), 3, "edges at ts 100 and ts 200");
+        assert_eq!(whole[0].1..=whole[0].2, Some(0)..=Some(99));
+        assert_eq!(whole[1].1..=whole[1].2, Some(50)..=Some(199));
+        assert_eq!(epochs(&[1; 8]), whole, "batches of one");
+        assert_eq!(epochs(&[3]), whole, "cut before the edge packet");
+        assert_eq!(epochs(&[4]), whole, "cut after the edge packet");
+        assert_eq!(epochs(&[3, 1]), whole, "the edge packet on its own");
     }
 
     #[test]

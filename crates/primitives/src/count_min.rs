@@ -36,7 +36,7 @@ impl CountMinSketch {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any dimension is zero or the counter width
-    /// is outside `1..=32`.
+    /// is outside `1..=64`.
     pub fn new(
         rows: usize,
         cols: usize,

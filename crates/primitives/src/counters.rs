@@ -1,6 +1,6 @@
 use hashflow_types::ConfigError;
 
-/// A dense array of fixed-width saturating counters (1..=32 bits each),
+/// A dense array of fixed-width saturating counters (1..=64 bits each),
 /// bit-packed into `u64` words.
 ///
 /// ElasticSketch's light part and HashFlow's ancillary table both use 8-bit
@@ -33,13 +33,13 @@ impl CounterArray {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `width` is outside `1..=32` or `len == 0`.
+    /// Returns [`ConfigError`] if `width` is outside `1..=64` or `len == 0`.
     pub fn new(len: usize, width: u32) -> Result<Self, ConfigError> {
         if len == 0 {
             return Err(ConfigError::new("counter array needs at least one cell"));
         }
-        if width == 0 || width > 32 {
-            return Err(ConfigError::new("counter width must be in 1..=32 bits"));
+        if width == 0 || width > 64 {
+            return Err(ConfigError::new("counter width must be in 1..=64 bits"));
         }
         let total_bits = len
             .checked_mul(width as usize)
@@ -48,7 +48,7 @@ impl CounterArray {
             words: vec![0; total_bits.div_ceil(64)],
             len,
             width,
-            max: (1u64 << width) - 1,
+            max: u64::MAX >> (64 - width),
         })
     }
 
@@ -261,6 +261,35 @@ mod tests {
     }
 
     #[test]
+    fn wide_widths_pack_straddle_and_saturate() {
+        for width in [33u32, 40, 47, 63, 64] {
+            let mut c = CounterArray::new(77, width).unwrap();
+            let max = c.max_value();
+            assert_eq!(max, u64::MAX >> (64 - width));
+            let pattern = |i: usize| (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) & max;
+            for i in 0..77 {
+                c.set(i, pattern(i));
+            }
+            for i in 0..77 {
+                assert_eq!(c.get(i), pattern(i), "width {width} cell {i}");
+            }
+            // Rewriting a cell leaves both neighbours alone, whichever
+            // word boundary it straddles.
+            for i in 1..76 {
+                c.set(i, max);
+                assert_eq!(c.add(i, 5), max, "width {width} cell {i} saturates");
+                c.set(i, 0);
+                assert_eq!(
+                    (c.get(i - 1), c.get(i), c.get(i + 1)),
+                    (pattern(i - 1), 0, pattern(i + 1))
+                );
+                c.set(i, pattern(i));
+            }
+            assert_eq!(c.logical_bits(), 77 * width as usize);
+        }
+    }
+
+    #[test]
     fn neighbours_do_not_interfere() {
         let mut c = CounterArray::new(9, 7).unwrap(); // 7 bits straddles words
         c.set(4, 0x55);
@@ -316,7 +345,7 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(CounterArray::new(0, 8).is_err());
         assert!(CounterArray::new(8, 0).is_err());
-        assert!(CounterArray::new(8, 33).is_err());
+        assert!(CounterArray::new(8, 65).is_err());
     }
 
     #[test]

@@ -52,6 +52,15 @@ fn batch_plan(packets: &[Packet]) -> Vec<&[Packet]> {
         PREFETCH_AHEAD + 1,
         256,
     ];
+    batches_of(packets, &sizes)
+}
+
+/// The lengths at which pass 1 changes gear: empty, one key, either side
+/// of one vector of lanes, and either side of the collector's batch.
+const KERNEL_LENGTHS: [usize; 8] = [0, 1, 7, 8, 9, 255, 256, 257];
+
+/// Splits `packets` into batches of the given sizes, cycling.
+fn batches_of<'a>(packets: &'a [Packet], sizes: &[usize]) -> Vec<&'a [Packet]> {
     let mut batches = Vec::new();
     let mut rest = packets;
     let mut i = 0;
@@ -68,11 +77,21 @@ fn batch_plan(packets: &[Packet]) -> Vec<&[Packet]> {
 /// Drives `scalar` packet-by-packet and `batched` through the batch
 /// plan, then asserts the two are observationally identical. Hands both
 /// back for further inspection.
-fn assert_equivalent<M: FlowMonitor>(mut scalar: M, mut batched: M, packets: &[Packet]) -> (M, M) {
+fn assert_equivalent<M: FlowMonitor>(scalar: M, batched: M, packets: &[Packet]) -> (M, M) {
+    assert_equivalent_over(scalar, batched, packets, batch_plan(packets))
+}
+
+/// [`assert_equivalent`] over a batch plan of the caller's.
+fn assert_equivalent_over<M: FlowMonitor>(
+    mut scalar: M,
+    mut batched: M,
+    packets: &[Packet],
+    batches: Vec<&[Packet]>,
+) -> (M, M) {
     for p in packets {
         scalar.process_packet(p);
     }
-    for batch in batch_plan(packets) {
+    for batch in batches {
         batched.process_batch(batch);
     }
 
@@ -181,6 +200,21 @@ fn assert_hashflow_equivalent(scheme: TableScheme, packets: &[Packet]) {
     assert_hashflow_invariants(&batched, packets);
 }
 
+/// The same over the kernel's own batch lengths, largest first so that a
+/// stream of any length meets the long ones.
+fn assert_hashflow_equivalent_at_kernel_lengths(scheme: TableScheme, packets: &[Packet]) {
+    let mut sizes = KERNEL_LENGTHS;
+    sizes.reverse();
+    let (scalar, batched) = assert_equivalent_over(
+        hashflow_with(scheme),
+        hashflow_with(scheme),
+        packets,
+        batches_of(packets, &sizes),
+    );
+    assert_hashflow_invariants(&scalar, packets);
+    assert_hashflow_invariants(&batched, packets);
+}
+
 fn hashflow_with(scheme: TableScheme) -> HashFlow {
     HashFlow::new(
         HashFlowConfig::builder()
@@ -227,6 +261,19 @@ proptest! {
     #[test]
     fn hashflow_pipelined_batches_equivalently(packets in stream(500, 900)) {
         assert_hashflow_equivalent(TableScheme::Pipelined { depth: 3, alpha: 0.7 }, &packets);
+    }
+
+    /// One probe and five, in both organizations, over the batch lengths
+    /// at which pass 1 changes gear (vector tails, the short-batch cut).
+    #[test]
+    fn hashflow_depths_one_and_five_batch_equivalently(packets in stream(500, 1_600)) {
+        for depth in [1, 5] {
+            assert_hashflow_equivalent_at_kernel_lengths(TableScheme::MultiHash { depth }, &packets);
+            assert_hashflow_equivalent_at_kernel_lengths(
+                TableScheme::Pipelined { depth, alpha: 0.7 },
+                &packets,
+            );
+        }
     }
 
     /// FlowRadar's batched Bloom+counter path, including decode output
