@@ -116,8 +116,9 @@ impl Collector {
     /// Seals the running epoch into an immutable [`EpochSnapshot`]
     /// (streaming it to the sinks, retaining it in
     /// [`Self::completed_epochs`]) and resets the live side for the next
-    /// epoch. The records are copied once, out of the monitor's tables,
-    /// and indexed once; every holder shares that store and index.
+    /// epoch. The records are copied once, out of the monitor's tables;
+    /// every holder shares that store, and the size-query index its
+    /// first `estimate_size` builds — sealing hashes nothing.
     pub fn seal(&mut self) -> EpochSnapshot {
         self.rotator.seal()
     }

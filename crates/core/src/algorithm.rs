@@ -3,8 +3,8 @@ use crate::config::HashFlowConfig;
 use crate::scheme::{MainTable, OpCount, ProbeOutcome};
 use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, KernelCopy};
 use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, FlowTracer, Instruments, IntrospectMetric,
-    MemoryBudget, MergeableMonitor, MonitorIntrospect,
+    CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
+    IntrospectMetric, MemoryBudget, MergeableMonitor, MonitorIntrospect,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
@@ -138,6 +138,17 @@ impl HashFlow {
         if let Some(t) = &self.tracer {
             t.span(key, stage, format!("count {count}"));
         }
+    }
+
+    /// Clears everything an epoch leaves outside the main table — the
+    /// ancillary table, the cost counters, the promotion and replacement
+    /// counts — for [`FlowMonitor::reset`] and [`FlowMonitor::seal`]
+    /// alike.
+    fn reset_side_state(&mut self) {
+        self.ancillary.reset();
+        self.cost.reset();
+        self.promotions = 0;
+        self.ancillary_replacements = 0;
     }
 
     /// Read-only view of the main table.
@@ -354,10 +365,21 @@ impl FlowMonitor for HashFlow {
 
     fn reset(&mut self) {
         self.main.reset();
-        self.ancillary.reset();
-        self.cost.reset();
-        self.promotions = 0;
-        self.ancillary_replacements = 0;
+        self.reset_side_state();
+    }
+
+    /// [`EpochSnapshot::capture`] and [`Self::reset`] in one sweep of the
+    /// main table: the scalars are read first, then each occupied bucket
+    /// moves into the report and is cleared in the same visit
+    /// ([`MainTable::drain`]).
+    fn seal(&mut self) -> EpochSnapshot {
+        let cardinality = self.estimate_cardinality();
+        let cost = self.cost();
+        let introspection = self.introspection();
+        let records = self.main.drain();
+        self.reset_side_state();
+        EpochSnapshot::from_parts(0, None, None, records, cardinality, cost)
+            .with_introspection(introspection)
     }
 
     fn introspection(&self) -> Vec<IntrospectMetric> {

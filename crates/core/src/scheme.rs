@@ -459,6 +459,22 @@ impl MainTable {
         }
         self.occupied = 0;
     }
+
+    /// Moves the stored records out, in [`Self::records`] order, and
+    /// leaves the table as [`Self::reset`] would — in one sweep over the
+    /// buckets instead of one to copy and one to clear.
+    pub fn drain(&mut self) -> Vec<FlowRecord> {
+        let vacant = FlowRecord::new(FlowKey::default(), 0);
+        let mut records = Vec::with_capacity(self.occupied);
+        for bucket in &mut self.buckets {
+            let record = std::mem::replace(bucket, vacant);
+            if record.count() > 0 {
+                records.push(record);
+            }
+        }
+        self.occupied = 0;
+        records
+    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,8 @@ use hashflow_types::{FlowKey, FlowRecord, Packet};
 /// One epoch's drained records and bookkeeping as plain, mutable data —
 /// the form per-shard drains are merged in ([`EpochReport::merged`])
 /// before [`EpochReport::into_snapshot`] freezes the result into the
-/// shared, indexed [`EpochSnapshot`] every downstream consumer holds.
+/// shared [`EpochSnapshot`] every downstream consumer holds
+/// ([`EpochSnapshot::into_report`] goes back).
 #[derive(Debug, Clone)]
 pub struct EpochReport {
     /// Epoch sequence number, starting at 0.
@@ -113,8 +114,8 @@ impl EpochReport {
     /// [`EpochSnapshot`] answering the four §IV-A queries (iterator
     /// records, batched size estimation, bounded-heap top-k) over this
     /// epoch's records. The records move into the snapshot's shared
-    /// store uncopied; this is where the epoch's size-query index is
-    /// built.
+    /// store uncopied and unhashed: freezing costs nothing, and the
+    /// size-query index is built by the snapshot's first size query.
     pub fn into_snapshot(self) -> EpochSnapshot {
         EpochSnapshot::from_parts(
             self.epoch,
@@ -351,11 +352,12 @@ impl<M: FlowMonitor> EpochRotator<M> {
     }
 
     /// Every epoch sealed so far and not yet drained or shed, oldest
-    /// first. Each entry shares its record store and index with the
-    /// snapshot the seal returned and the one the sinks received. The
-    /// store is **unbounded** until [`Self::set_retention`] bounds it or
-    /// a driving loop calls [`Self::drain_completed`]: a long run that
-    /// does neither keeps every epoch's records alive.
+    /// first. Each entry shares its record store and (lazily built)
+    /// index with the snapshot the seal returned and the one the sinks
+    /// received. The store is **unbounded** until
+    /// [`Self::set_retention`] bounds it or a driving loop calls
+    /// [`Self::drain_completed`]: a long run that does neither keeps
+    /// every epoch's records alive.
     pub fn completed_epochs(&self) -> &[EpochSnapshot] {
         &self.completed
     }
@@ -363,8 +365,9 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// Seals the current epoch immediately (end-of-capture flush),
     /// streams it to every attached sink, retains it in
     /// [`Self::completed_epochs`] and returns it. All three hold the
-    /// same record store and the same index: the records are copied
-    /// once, out of the monitor's tables, and indexed once.
+    /// same record store and the same index slot: the records are copied
+    /// once, out of the monitor's tables, and indexed at most once — by
+    /// whichever holder first asks a size query, never here.
     ///
     /// Rotation drains the monitor through its own [`FlowMonitor::seal`]
     /// hook, so adapters layered under the rotator (e.g. a query-monitor

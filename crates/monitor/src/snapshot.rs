@@ -36,17 +36,29 @@
 //! report cannot, by design — those tables hold digests or shared
 //! counters, not flow IDs, so their state cannot outlive the epoch.
 //!
-//! # One store, one index
+//! # One store, one index — built by its first reader
 //!
-//! A sealed epoch owns exactly one record store and one size-query
-//! index, both behind `Arc`s: cloning a snapshot (what
+//! A sealed epoch owns exactly one record store and at most one
+//! size-query index, both behind `Arc`s: cloning a snapshot (what
 //! [`crate::MemorySink`] and the rotator's completed-epoch store do)
-//! shares them instead of copying, and the index is built once, when the
-//! snapshot is, never again. Record scans ([`EpochSnapshot::records`],
+//! shares them instead of copying.
+//!
+//! Sealing builds the store and nothing else. The index is built by the
+//! first [`EpochSnapshot::estimate_size`] / [`EpochSnapshot::estimate_sizes`]
+//! on any clone, on the thread that asked, through a shared
+//! [`OnceLock`]: readers racing for it block until the one build is done
+//! and then all use it; no clone ever builds a second. That first lookup
+//! hashes every record (≈ 0.7 ms for the 54 k records of a 1 MiB
+//! HashFlow, ≈ 7.5 ms for the 435 k of an 8 MiB one on the reference
+//! host; `BENCH_query.json` reports it as `index_build_ms`) — in the
+//! daemon, the first `/epochs/{n}/flows/{key}` on a fresh epoch pays it
+//! on an HTTP worker instead of every seal paying it on the ingest
+//! thread. Record scans ([`EpochSnapshot::records`],
 //! [`EpochSnapshot::top_k`], [`EpochSnapshot::heavy_hitters`], sinks,
-//! post-hoc query plans) never touch the index.
+//! post-hoc query plans) never touch the index, so an epoch that is only
+//! exported, ranked or scanned never has one.
 
-use crate::{CostSnapshot, FlowMonitor, IntrospectMetric};
+use crate::{CostSnapshot, EpochReport, FlowMonitor, IntrospectMetric};
 use hashflow_types::{FlowKey, FlowRecord};
 use std::collections::BinaryHeap;
 use std::hash::{BuildHasher, RandomState};
@@ -85,6 +97,8 @@ struct KeyIndex {
 
 impl KeyIndex {
     fn build(records: &[FlowRecord], seed: u64) -> Self {
+        #[cfg(test)]
+        BUILDS.with(|builds| builds.set(builds.get() + 1));
         assert!(
             records.len() <= MAX_RECORDS,
             "a sealed epoch holds at most 2^31 records"
@@ -121,22 +135,31 @@ impl KeyIndex {
         (key.mix64(self.seed) >> self.shift) as usize
     }
 
-    /// The first record of `records` (the store this index was built
-    /// over) carrying `key`.
+    /// The count of the first record of `records` (the store this index
+    /// was built over) carrying `key`; `0` when none does (§IV-A).
     #[inline]
-    fn find<'r>(&self, records: &'r [FlowRecord], key: &FlowKey) -> Option<&'r FlowRecord> {
+    fn count_of(&self, records: &[FlowRecord], key: &FlowKey) -> u32 {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(key);
         loop {
             // A free slot holds EMPTY, which is past the end of any
             // store: one bounds check ends the probe and guards the read.
-            let record = records.get(self.slots[slot] as usize)?;
+            let Some(record) = records.get(self.slots[slot] as usize) else {
+                return 0;
+            };
             if record.key_ref() == key {
-                return Some(record);
+                return record.count();
             }
             slot = (slot + 1) & mask;
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many indexes the current thread has built: the tests' evidence
+    /// that only a size query builds one, and only the first.
+    static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -197,8 +220,8 @@ pub struct EpochSnapshot {
     /// The epoch's one record store, shared by every clone.
     records: Arc<Vec<FlowRecord>>,
     /// First-occurrence index over `records`, for O(1) size queries;
-    /// built once with the snapshot and shared by every clone.
-    index: Arc<KeyIndex>,
+    /// built by the first size query on any clone and shared by all.
+    index: Arc<OnceLock<KeyIndex>>,
     cardinality: f64,
     cost: CostSnapshot,
     /// Whether any contributing shard lost data (e.g. a worker panic)
@@ -212,8 +235,8 @@ pub struct EpochSnapshot {
 impl EpochSnapshot {
     /// Builds a snapshot from raw parts (used by
     /// [`crate::EpochReport::into_snapshot`] and the sealed paths): takes
-    /// ownership of `records` as the epoch's store without copying it and
-    /// builds the size-query index over it, the only time it is built.
+    /// ownership of `records` as the epoch's store without copying or
+    /// hashing it; the size-query index waits for its first reader.
     ///
     /// # Panics
     ///
@@ -226,13 +249,18 @@ impl EpochSnapshot {
         cardinality: f64,
         cost: CostSnapshot,
     ) -> Self {
-        let index = Arc::new(KeyIndex::build(&records, process_seed()));
+        // Checked here so an oversized store is refused where it is
+        // handed over, not by whichever reader first asks a size query.
+        assert!(
+            records.len() <= MAX_RECORDS,
+            "a sealed epoch holds at most 2^31 records"
+        );
         EpochSnapshot {
             epoch,
             start_ns,
             end_ns,
             records: Arc::new(records),
-            index,
+            index: Arc::default(),
             cardinality,
             cost,
             partial: false,
@@ -296,6 +324,25 @@ impl EpochSnapshot {
         .with_introspection(monitor.introspection())
     }
 
+    /// Thaws the snapshot back into the plain, mutable [`EpochReport`] —
+    /// the inverse of [`EpochReport::into_snapshot`], for code that
+    /// merges or rewrites records (the sharded drain). The store moves
+    /// out uncopied when this snapshot is its only holder and is cloned
+    /// only when a sink or another clone still shares it; an index, if
+    /// one was built, is left behind with the other holders.
+    pub fn into_report(self) -> EpochReport {
+        EpochReport {
+            epoch: self.epoch,
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            records: Arc::try_unwrap(self.records).unwrap_or_else(|shared| (*shared).clone()),
+            cardinality: self.cardinality,
+            cost: self.cost,
+            partial: self.partial,
+            introspection: self.introspection,
+        }
+    }
+
     /// Epoch sequence number (0 for direct captures).
     pub const fn epoch(&self) -> u64 {
         self.epoch
@@ -335,11 +382,20 @@ impl EpochSnapshot {
         self.records.is_empty()
     }
 
-    /// Sealed size estimate for one flow (`0` when unreported, §IV-A).
-    pub fn estimate_size(&self, key: &FlowKey) -> u32 {
+    /// The epoch's size-query index, built here by whichever clone asks
+    /// first; a reader arriving while another builds it waits for that
+    /// build instead of starting its own.
+    fn index(&self) -> &KeyIndex {
         self.index
-            .find(&self.records, key)
-            .map_or(0, FlowRecord::count)
+            .get_or_init(|| KeyIndex::build(&self.records, process_seed()))
+    }
+
+    /// Sealed size estimate for one flow (`0` when unreported, §IV-A).
+    ///
+    /// The first size query on a sealed epoch (through any clone) builds
+    /// its index — one hash per record; every later one is a probe.
+    pub fn estimate_size(&self, key: &FlowKey) -> u32 {
+        self.index().count_of(&self.records, key)
     }
 
     /// Batched size estimation: one answer per query key, in query order.
@@ -348,7 +404,10 @@ impl EpochSnapshot {
     /// monitoring dashboard's watchlist, joining against a ground-truth
     /// set): one call, one output allocation, no per-key virtual dispatch.
     pub fn estimate_sizes(&self, keys: &[FlowKey]) -> Vec<u32> {
-        keys.iter().map(|k| self.estimate_size(k)).collect()
+        let index = self.index();
+        keys.iter()
+            .map(|key| index.count_of(&self.records, key))
+            .collect()
     }
 
     /// Sealed cardinality estimate (captured from the live estimator).
@@ -544,6 +603,140 @@ mod tests {
         assert_eq!(clone.estimate_size(&FlowKey::from_index(2)), 8);
     }
 
+    fn builds_on_this_thread() -> usize {
+        BUILDS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn only_a_size_query_builds_the_index_and_only_the_first() {
+        use crate::RecordSink;
+        let before = builds_on_this_thread();
+        let s = snapshot((0..500u64).map(|i| rec(i, i as u32 + 1)).collect());
+        let clone = s.clone().with_epoch_span(4, None, Some(9));
+        assert_eq!(s.records().len(), 500);
+        // `as_records` is all a post-hoc plan reads:
+        // `execute_snapshot(plan, s)` is `execute(plan, s.as_records())`.
+        assert_eq!(s.as_records().len(), 500);
+        assert_eq!(s.top_k(3)[0], rec(499, 500));
+        assert_eq!(clone.heavy_hitters(400).len(), 101);
+        let mut sink = crate::MemorySink::new();
+        sink.export_epoch(&s).unwrap();
+        assert_eq!(sink.epochs()[0].len(), 500);
+        assert_eq!(
+            builds_on_this_thread(),
+            before,
+            "sealing, cloning, scanning, ranking and exporting hash nothing"
+        );
+
+        for holder in [&s, &clone, &sink.epochs()[0], &s.clone()] {
+            for i in [0u64, 77, 499, 500] {
+                let expected = if i < 500 { i as u32 + 1 } else { 0 };
+                assert_eq!(holder.estimate_size(&FlowKey::from_index(i)), expected);
+            }
+            assert_eq!(
+                holder.estimate_sizes(&[FlowKey::from_index(1), FlowKey::from_index(900)]),
+                vec![2, 0]
+            );
+        }
+        assert_eq!(
+            builds_on_this_thread(),
+            before + 1,
+            "every clone answers from the one index the first query built"
+        );
+    }
+
+    #[test]
+    fn racing_first_readers_share_one_build_and_agree_with_a_model() {
+        const READERS: usize = 8;
+        let records: Vec<FlowRecord> = (0..100_000u64)
+            .map(|i| rec(i, (i % 977) as u32 + 1))
+            .collect();
+        let model: HashMap<FlowKey, u32> = records.iter().map(|r| (r.key(), r.count())).collect();
+        let fresh = snapshot(records);
+        let barrier = std::sync::Barrier::new(READERS);
+        let builds: usize = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS as u64)
+                .map(|reader| {
+                    let (clone, barrier, model) = (fresh.clone(), &barrier, &model);
+                    scope.spawn(move || {
+                        // Present and absent keys, a different stride
+                        // per reader.
+                        let keys: Vec<FlowKey> = (0..4_000u64)
+                            .map(|i| FlowKey::from_index((i * (31 + reader)) % 120_000))
+                            .collect();
+                        barrier.wait();
+                        let answers = clone.estimate_sizes(&keys);
+                        for (key, answer) in keys.iter().zip(answers) {
+                            assert_eq!(answer, model.get(key).copied().unwrap_or(0));
+                            assert_eq!(clone.estimate_size(key), answer);
+                        }
+                        builds_on_this_thread()
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|reader| reader.join().expect("reader panicked"))
+                .sum()
+        });
+        assert_eq!(builds, 1, "one of the racing readers built it, once");
+    }
+
+    fn report(records: Vec<FlowRecord>) -> EpochReport {
+        EpochReport {
+            epoch: 6,
+            start_ns: Some(1),
+            end_ns: Some(8),
+            cardinality: 2.5,
+            cost: CostSnapshot {
+                packets: 11,
+                hashes: 12,
+                reads: 13,
+                writes: 14,
+            },
+            records,
+            partial: true,
+            introspection: vec![IntrospectMetric::count("promotions", 3)],
+        }
+    }
+
+    #[test]
+    fn into_report_moves_a_unique_store_and_copies_a_shared_one() {
+        let records = vec![rec(5, 1), rec(2, 9), rec(7, 4)];
+        let carried = |r: &EpochReport| {
+            assert_eq!((r.epoch, r.start_ns, r.end_ns), (6, Some(1), Some(8)));
+            assert_eq!(r.cardinality, 2.5);
+            assert_eq!(r.cost, report(Vec::new()).cost);
+            assert!(r.partial);
+            assert_eq!(r.introspection, report(Vec::new()).introspection);
+        };
+
+        // Unique: the round trip hands back the very same allocation,
+        // even after a size query built the index beside it.
+        let original = report(records.clone());
+        let store = original.records.as_ptr();
+        let sealed = original.into_snapshot();
+        assert_eq!(Arc::strong_count(&sealed.records), 1);
+        assert_eq!(sealed.estimate_size(&FlowKey::from_index(2)), 9);
+        let back = sealed.into_report();
+        assert!(std::ptr::eq(back.records.as_ptr(), store));
+        assert_eq!(back.records, records, "report order survives");
+        carried(&back);
+
+        // Shared: the other holder keeps the store, the report gets a
+        // copy in the same order.
+        let sealed = back.into_snapshot();
+        let holder = sealed.clone();
+        assert_eq!(Arc::strong_count(&sealed.records), 2);
+        let copy = sealed.into_report();
+        assert!(!std::ptr::eq(copy.records.as_ptr(), store));
+        assert_eq!(copy.records, records);
+        carried(&copy);
+        assert_eq!(Arc::strong_count(&holder.records), 1);
+        assert!(std::ptr::eq(holder.as_records().as_ptr(), store));
+        assert_eq!(holder.estimate_size(&FlowKey::from_index(7)), 4);
+    }
+
     #[test]
     fn restamping_keeps_store_and_answers() {
         let s = snapshot(vec![rec(1, 3)]);
@@ -599,7 +792,7 @@ mod tests {
         assert_eq!(attacked.longest_probe(&records), records.len());
         // The index a snapshot actually builds is keyed per process.
         let sealed = snapshot(records.clone());
-        let longest = sealed.index.longest_probe(&records);
+        let longest = sealed.index().longest_probe(&records);
         assert!(longest <= PROBE_BOUND, "longest probe {longest}");
         for r in &records {
             assert_eq!(sealed.estimate_size(r.key_ref()), r.count());
@@ -611,7 +804,7 @@ mod tests {
         let trace = hashflow_trace::TraceRegime::CollisionAdversarial.generate(11, 2_000);
         let records = trace.ground_truth().to_vec();
         let sealed = snapshot(records.clone());
-        let longest = sealed.index.longest_probe(&records);
+        let longest = sealed.index().longest_probe(&records);
         assert!(longest <= PROBE_BOUND, "longest probe {longest}");
         for r in &records {
             assert_eq!(sealed.estimate_size(r.key_ref()), r.count());

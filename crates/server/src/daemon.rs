@@ -27,7 +27,7 @@
 //! | `GET /epochs` | sealed-epoch summaries (retained window) |
 //! | `GET /epochs/{n}` | one epoch's summary |
 //! | `GET /epochs/{n}/top?k=K` | top-K flows of epoch `n` |
-//! | `GET /epochs/{n}/flows/{key}` | size estimate of one flow |
+//! | `GET /epochs/{n}/flows/{key}` | size estimate of one flow (the first on an epoch builds its index) |
 //! | `GET /queries` | attached plans + banked per-epoch answers |
 //! | `POST /queries` | attach a plan (body = plan text) at runtime |
 //! | `GET /metrics` | Prometheus exposition of the runtime registry |

@@ -453,79 +453,91 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// partitions — no key appears twice), costs sum, and the cardinality
     /// estimates combine via [`MergeableMonitor::combine_cardinality`].
     ///
-    /// The report is the plain, mutable form of the epoch, with no query
-    /// index; [`FlowMonitor::seal`] freezes the same drain into the
-    /// indexed [`EpochSnapshot`].
+    /// The report is the plain, mutable form of the epoch;
+    /// [`FlowMonitor::seal`] freezes the same drain into the shared
+    /// [`EpochSnapshot`], which costs nothing.
     ///
-    /// A degraded shard (its worker panicked mid-epoch) contributes an
-    /// empty per-shard report and sets [`EpochReport::partial`] on the
-    /// merged result — its post-panic state is not trusted. Sealing is
-    /// also the recovery point: each shard's state is reset under a panic
-    /// guard, and a clean reset returns a degraded shard to service for
-    /// the next epoch.
+    /// A degraded shard (its worker panicked mid-epoch, or it panics
+    /// here, mid-drain) contributes an empty per-shard report and sets
+    /// [`EpochReport::partial`] on the merged result — its post-panic
+    /// state is not trusted. Sealing is also the recovery point: a
+    /// degraded shard's state is reset under the same panic guard, and a
+    /// clean reset returns it to service for the next epoch.
     pub fn seal_epoch(&mut self) -> EpochReport {
         let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
         self.drain_shards()
     }
 
-    /// The drain and merge behind [`Self::seal_epoch`].
+    /// The drain and merge behind [`Self::seal_epoch`]. Everything that
+    /// runs a shard's own code runs under the panic guard: a healthy
+    /// shard goes through its [`FlowMonitor::seal`] (for HashFlow, one
+    /// sweep that copies and clears) and the records move out of the
+    /// sealed snapshot uncopied; a degraded one is only reset. A shard
+    /// that panics in either stays (or becomes) degraded until the next
+    /// seal, and the epoch ships without its partition.
     fn drain_shards(&mut self) -> EpochReport {
-        let estimates: Vec<Option<f64>> = self
-            .shards
-            .iter()
-            .zip(&self.faults)
-            .map(|(s, fault)| fault.is_none().then(|| s.estimate_cardinality()))
-            .collect();
-        let healthy: Vec<f64> = estimates.iter().flatten().copied().collect();
-        let cardinality = M::combine_cardinality(&healthy);
         let recorder = self.recorder.clone();
-        let reports = self
+        let (epoch, start_ns, end_ns) = (self.epoch, self.first_ns, self.last_ns);
+        // Cardinality estimates of the shards that sealed, in shard order.
+        let mut estimates = Vec::with_capacity(self.shards.len());
+        let reports: Vec<EpochReport> = self
             .shards
             .iter_mut()
             .zip(self.faults.iter_mut())
-            .zip(&estimates)
             .enumerate()
-            .map(|(i, ((shard, fault), &estimate))| {
-                let report = match estimate {
-                    Some(estimate) => EpochReport {
-                        epoch: self.epoch,
-                        start_ns: self.first_ns,
-                        end_ns: self.last_ns,
-                        records: shard.flow_records(),
-                        cardinality: estimate,
-                        cost: shard.cost(),
-                        partial: false,
-                        introspection: shard.introspection(),
-                    },
+            .map(|(i, (shard, fault))| {
+                let healthy = fault.is_none();
+                let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if healthy {
+                        Some(shard.seal())
+                    } else {
+                        // Epoch-boundary recovery: a clean reset returns
+                        // the shard to service for the next epoch.
+                        shard.reset();
+                        None
+                    }
+                }));
+                let sealed = match drained {
+                    Ok(sealed) => {
+                        *fault = None;
+                        sealed
+                    }
+                    Err(payload) => {
+                        let message = panic_message(payload);
+                        record_shard_panic(recorder.as_ref(), i, &message);
+                        *fault = Some(message);
+                        None
+                    }
+                };
+                match sealed {
+                    Some(sealed) => {
+                        estimates.push(sealed.cardinality());
+                        EpochReport {
+                            epoch,
+                            start_ns,
+                            end_ns,
+                            ..sealed.into_report()
+                        }
+                    }
                     // Degraded: nothing from this shard is trusted, so
                     // the epoch ships without its partition and says so.
                     None => EpochReport {
-                        epoch: self.epoch,
-                        start_ns: self.first_ns,
-                        end_ns: self.last_ns,
+                        epoch,
+                        start_ns,
+                        end_ns,
                         records: Vec::new(),
                         cardinality: 0.0,
                         cost: CostSnapshot::default(),
                         partial: true,
                         introspection: Vec::new(),
                     },
-                };
-                // Epoch-boundary recovery: a clean reset returns the
-                // shard to service; a reset that panics keeps it parked.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shard.reset())) {
-                    Ok(()) => *fault = None,
-                    Err(payload) => {
-                        let message = panic_message(payload);
-                        record_shard_panic(recorder.as_ref(), i, &message);
-                        *fault = Some(message);
-                    }
                 }
-                report
             })
             .collect();
         self.epoch += 1;
         self.first_ns = None;
         self.last_ns = None;
+        let cardinality = M::combine_cardinality(&estimates);
         let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
         let report = EpochReport::merged(reports, cardinality);
         drop(merge_timer);
@@ -932,7 +944,7 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.epoch = 0;
     }
 
-    /// [`Self::seal_epoch`], frozen into the indexed snapshot.
+    /// [`Self::seal_epoch`], frozen into the shared snapshot.
     fn seal(&mut self) -> EpochSnapshot {
         self.seal_epoch().into_snapshot()
     }

@@ -254,6 +254,120 @@ fn worker_panic_is_isolated_ledgered_and_recovered_at_the_seal() {
     );
 }
 
+/// A HashFlow whose report blows up once, the first time it is read
+/// after arming: a bug in a shard's drain rather than in its ingest. It
+/// keeps the trait's default `seal` (capture, then reset), so the panic
+/// lands mid-drain with the tables still full.
+struct DrainBomb {
+    inner: HashFlow,
+    armed: std::cell::Cell<bool>,
+}
+
+impl FlowMonitor for DrainBomb {
+    fn process_packet(&mut self, packet: &Packet) {
+        self.inner.process_packet(packet);
+    }
+    fn process_batch(&mut self, packets: &[Packet]) {
+        self.inner.process_batch(packets);
+    }
+    fn flow_records(&self) -> Vec<FlowRecord> {
+        if self.armed.replace(false) {
+            panic!("injected drain panic");
+        }
+        self.inner.flow_records()
+    }
+    fn estimate_size(&self, key: &FlowKey) -> u32 {
+        self.inner.estimate_size(key)
+    }
+    fn estimate_cardinality(&self) -> f64 {
+        self.inner.estimate_cardinality()
+    }
+    fn memory_bits(&self) -> usize {
+        self.inner.memory_bits()
+    }
+    fn name(&self) -> &'static str {
+        "DrainBomb"
+    }
+    fn cost(&self) -> CostSnapshot {
+        self.inner.cost()
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+}
+
+impl MergeableMonitor for DrainBomb {
+    fn merge_from(&mut self, other: &Self) {
+        self.inner.merge_from(&other.inner);
+    }
+}
+
+/// A shard that panics *while being drained* costs its own partition and
+/// nothing else: the seal completes and says `partial`, the panic is
+/// evented, the shard sits out (shedding on the ledger) until the next
+/// seal's clean reset, and from then on the monitor is whole again.
+#[test]
+fn a_panic_mid_drain_yields_a_partial_epoch_and_recovers_at_the_next_seal() {
+    let budget = MemoryBudget::from_kib(128).unwrap();
+    let shard = |armed| DrainBomb {
+        inner: HashFlow::with_memory(budget).unwrap(),
+        armed: std::cell::Cell::new(armed),
+    };
+    let mut chaos = ShardedMonitor::new(vec![shard(true), shard(false)]).unwrap();
+    let recorder = hashflow_suite::obs::FlightRecorder::new();
+    chaos.instrument(&Instruments {
+        recorder: Some(recorder.clone()),
+        ..Instruments::default()
+    });
+    let mut clean = ShardedMonitor::new(vec![shard(false), shard(false)]).unwrap();
+
+    let trace = TraceGenerator::new(TraceProfile::Caida, 23).generate(4_000);
+    let packets = trace.packets();
+    chaos.process_trace(packets);
+    clean.process_trace(packets);
+    assert!(
+        !chaos.is_degraded(),
+        "ingest was clean; the bug is in the drain"
+    );
+
+    // Epoch 0: shard 0 blows up inside the seal; shard 1's partition
+    // comes through exactly as in the clean run.
+    let sealed = chaos.seal_epoch();
+    let reference = clean.seal_epoch();
+    assert!(sealed.partial);
+    let survivors: Vec<FlowRecord> = (reference.records.iter().copied())
+        .filter(|r| chaos.shard_of(r.key_ref()) == 1)
+        .collect();
+    assert!(!survivors.is_empty() && survivors.len() < reference.records.len());
+    assert_eq!(sealed.records, survivors);
+    let events = recorder.snapshot();
+    let panic_event = (events.iter().find(|e| e.kind == "shard_panic")).expect("evented");
+    assert_eq!(panic_event.field("shard"), Some("0"));
+    assert!(panic_event.message.contains("injected drain panic"));
+    assert!(chaos.shard_faults()[0].is_some() && chaos.shard_faults()[1].is_none());
+
+    // Epoch 1: the half-drained shard is not trusted; what is routed to
+    // it is shed and counted, and the seal's clean reset brings it back.
+    let before = chaos.queue_drop_stats().dropped_records();
+    chaos.process_trace(packets);
+    let routed_to_0 = (packets.iter().filter(|p| chaos.shard_of(&p.key()) == 0)).count() as u64;
+    assert_eq!(
+        chaos.queue_drop_stats().dropped_records() - before,
+        routed_to_0
+    );
+    let sealed = chaos.seal_epoch();
+    assert!(sealed.partial);
+    assert_eq!(sealed.records, survivors);
+    assert!(!chaos.is_degraded(), "seal is the recovery point");
+
+    // Epoch 2: whole again, record for record.
+    chaos.process_trace(packets);
+    let sealed = chaos.seal_epoch();
+    assert!(!sealed.partial);
+    assert_eq!(sealed.records, reference.records);
+    assert_eq!(sealed.cost, reference.cost);
+}
+
 /// The queue-level shedding contract, policy by policy: `DropNewest`
 /// bounces the incoming batch back, `DropOldest` displaces the oldest
 /// enqueued batch, and a closed queue rejects under every policy so

@@ -254,6 +254,134 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// seal() is capture() then reset(), whoever overrides it.
+// ---------------------------------------------------------------------
+
+fn sorted(mut records: Vec<FlowRecord>) -> Vec<FlowRecord> {
+    records.sort_unstable_by_key(|r| (r.key(), r.count()));
+    records
+}
+
+/// Two epochs through a monitor that is sealed and through a twin that
+/// is captured and reset: the sealed epoch is the capture taken just
+/// before it, in the same order, and afterwards nothing tells the two
+/// monitors apart. `ordered` is false for a monitor whose report order is
+/// not a function of its state. Returns the pair after the second epoch.
+fn assert_seal_is_capture_then_reset<M: FlowMonitor>(
+    build: impl Fn() -> M,
+    ordered: bool,
+    first: &[Packet],
+    second: &[Packet],
+) -> (M, M) {
+    let (mut sealed_side, mut twin) = (build(), build());
+    sealed_side.process_trace(first);
+    twin.process_trace(first);
+    let name = sealed_side.name();
+
+    let captured = EpochSnapshot::capture(&sealed_side);
+    let sealed = sealed_side.seal();
+    if ordered {
+        assert_eq!(sealed.as_records(), captured.as_records(), "{name}: report");
+    } else {
+        assert_eq!(
+            sorted(sealed.as_records().to_vec()),
+            sorted(captured.as_records().to_vec()),
+            "{name}: report"
+        );
+    }
+    assert_eq!(sealed.cardinality(), captured.cardinality(), "{name}");
+    assert_eq!(sealed.cost(), captured.cost(), "{name}: cost");
+    assert_eq!(sealed.introspection(), captured.introspection(), "{name}");
+    assert_eq!(sealed.cost().packets, first.len() as u64);
+
+    twin.reset();
+    assert!(sealed_side.flow_records().is_empty(), "{name}: drained");
+    assert_eq!(sealed_side.cost(), twin.cost(), "{name}: counters cleared");
+    assert_eq!(sealed_side.introspection(), twin.introspection(), "{name}");
+    sealed_side.process_trace(second);
+    twin.process_trace(second);
+    // Sorted: monitors that report out of a `HashMap` order each
+    // instance's report differently.
+    assert_eq!(
+        sorted(sealed_side.flow_records()),
+        sorted(twin.flow_records()),
+        "{name}: second epoch"
+    );
+    assert_eq!(sealed_side.cost(), twin.cost(), "{name}: second epoch cost");
+    assert_eq!(sealed_side.introspection(), twin.introspection(), "{name}");
+    let (a, b) = (
+        sealed_side.estimate_cardinality(),
+        twin.estimate_cardinality(),
+    );
+    assert!((a - b).abs() < 1e-9, "{name}: cardinality {a} vs {b}");
+    (sealed_side, twin)
+}
+
+/// Every kind the registry builds is held to the rule, so a monitor that
+/// later overrides `seal` is too.
+#[test]
+fn every_registered_algorithm_seals_like_capture_then_reset() {
+    let budget = MemoryBudget::from_kib(16).expect("positive");
+    let first = TraceGenerator::new(TraceProfile::Caida, 41).generate(3_000);
+    let second = TraceGenerator::new(TraceProfile::Campus, 42).generate(2_000);
+    for kind in AlgorithmKind::ALL {
+        let build = || {
+            MonitorBuilder::new(kind)
+                .budget(budget)
+                .seed(0x5ea1)
+                .build()
+                .expect("fits")
+        };
+        // HashPipe aggregates its stages through a fresh `HashMap` per
+        // report, so two reports of one state differ in order.
+        let ordered = kind != AlgorithmKind::HashPipe;
+        assert_seal_is_capture_then_reset(build, ordered, first.packets(), second.packets());
+    }
+}
+
+/// HashFlow's one-sweep drain, both schemes at depth 1, 3 and 5, with
+/// tables small enough that the first epoch promotes records and evicts
+/// ancillary digests: the drained report is in table order and the
+/// drained monitor is a reset one, down to the counters `reset` clears.
+#[test]
+fn hashflow_drain_matches_capture_and_leaves_a_reset_monitor() {
+    let first = TraceGenerator::new(TraceProfile::Caida, 43).generate(3_000);
+    let second = TraceGenerator::new(TraceProfile::Caida, 44).generate(2_500);
+    for depth in [1usize, 3, 5] {
+        for scheme in [
+            TableScheme::MultiHash { depth },
+            TableScheme::Pipelined { depth, alpha: 0.7 },
+        ] {
+            let mut probe = hashflow_with(scheme);
+            probe.process_trace(first.packets());
+            assert!(
+                probe.promotions() > 0 && probe.ancillary_replacements() > 0,
+                "{scheme}: the trace must exercise promotion and digest eviction"
+            );
+            let (sealed_side, twin) = assert_seal_is_capture_then_reset(
+                || hashflow_with(scheme),
+                true,
+                first.packets(),
+                second.packets(),
+            );
+            // Table order is deterministic, so here order must agree too.
+            assert_eq!(sealed_side.flow_records(), twin.flow_records(), "{scheme}");
+            assert_eq!(sealed_side.promotions(), twin.promotions(), "{scheme}");
+            assert_eq!(
+                sealed_side.ancillary_replacements(),
+                twin.ancillary_replacements(),
+                "{scheme}"
+            );
+            assert_eq!(
+                sealed_side.main_table_utilization(),
+                twin.main_table_utilization(),
+                "{scheme}"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Sink round-trips through the full pipeline.
 // ---------------------------------------------------------------------
 
