@@ -20,7 +20,9 @@ commands:
                                                         [default: hashflow]
       --threshold <T>       heavy-hitter threshold      [default: 100]
       --top <K>             flows to list               [default: 10]
-      --shards <N>          parallel ingest shards      [default: 1]
+      --shards <N>          flow-partitioned shards     [default: 1]
+                            fed in turn on one thread (the threaded
+                            replay is ShardedMonitor::ingest)
                             each flow is pinned to one shard by hashing
                             its key; the memory budget is split into N
                             equal shard budgets whose sum never exceeds
@@ -36,7 +38,9 @@ commands:
       --memory-kib <N>      memory budget in KiB        [default: 256]
       --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow
                                                         [default: hashflow]
-      --shards <N>          parallel ingest shards      [default: 1]
+      --shards <N>          flow-partitioned shards     [default: 1]
+                            fed in turn on one thread (the threaded
+                            replay is ShardedMonitor::ingest)
       --epoch-ms <N>        epoch length in ms; 0 seals one epoch at the
                             end of the capture          [default: 0]
       --format <name>       prom (Prometheus text) or jsonl (JSON lines)
@@ -75,7 +79,9 @@ commands:
       --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow|
                             countmin|fcm|beaucoup|exact [default: hashflow]
       --memory-kib <N>      memory budget in KiB        [default: 256]
-      --shards <N>          parallel ingest shards      [default: 1]
+      --shards <N>          flow-partitioned shards     [default: 1]
+                            fed in turn on one thread (the threaded
+                            replay is ShardedMonitor::ingest)
       --epoch-ms <N>        wall-clock epoch length     [default: 1000]
       --retention <N>       sealed epochs kept queryable[default: 64]
       --workers <N>         HTTP worker threads         [default: 4]

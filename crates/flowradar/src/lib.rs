@@ -86,7 +86,7 @@ pub struct FlowRadar {
     decoded: RefCell<Option<HashMap<FlowKey, u32>>>,
     // Reusable counting-cell index scratch for `process_batch`; carries
     // no observable state (cleared and refilled per batch).
-    scratch: Vec<usize>,
+    scratch: Vec<[usize; COUNTING_HASHES]>,
 }
 
 impl Clone for FlowRadar {
@@ -191,6 +191,38 @@ impl FlowRadar {
         out
     }
 
+    /// The `k_c` counting-table cells `key` maps to. (A plain loop:
+    /// `array::from_fn` here cost the batched pass ≈ 5 % at 1 MiB.)
+    fn cell_indices(&self, key: &FlowKey) -> [usize; COUNTING_HASHES] {
+        let mut cells = [0; COUNTING_HASHES];
+        for (j, cell) in cells.iter_mut().enumerate() {
+            *cell = self.hashes.bucket(j, key, self.cells.len());
+        }
+        cells
+    }
+
+    /// The per-packet update, behind both ingestion entries: the flow
+    /// filter (4 hashes and 4 bit reads, plus 4 writes for a new flow),
+    /// then the packet's 3 counting cells, with the packet's cost added
+    /// to `cost`.
+    #[inline]
+    fn update(&mut self, key: &FlowKey, cells: [usize; COUNTING_HASHES], cost: &mut CostSnapshot) {
+        let seen = self.bloom.insert(key);
+        for &idx in &cells {
+            let cell = &mut self.cells[idx];
+            if !seen {
+                cell.flow_xor = cell.flow_xor.xor(key);
+                cell.flow_count = cell.flow_count.saturating_add(1);
+            }
+            cell.packet_count = cell.packet_count.saturating_add(1);
+        }
+        let touched = (BLOOM_HASHES + COUNTING_HASHES) as u64;
+        cost.packets += 1;
+        cost.hashes += touched;
+        cost.reads += touched;
+        cost.writes += COUNTING_HASHES as u64 + if seen { 0 } else { BLOOM_HASHES as u64 };
+    }
+
     /// Fraction of inserted flows the decode recovered, given the true
     /// number of flows — a direct decode-success diagnostic.
     pub fn decode_success_ratio(&self, true_flows: usize) -> f64 {
@@ -203,101 +235,41 @@ impl FlowRadar {
 
 impl FlowMonitor for FlowRadar {
     fn process_packet(&mut self, packet: &Packet) {
-        self.cost.start_packet();
         self.decoded.borrow_mut().take();
         let key = packet.key();
-
-        // Flow filter: 4 hashes, 4 bit reads (plus writes for a new flow).
-        let seen = self.bloom.insert(&key);
-        self.cost.record_hashes(BLOOM_HASHES as u64);
-        self.cost.record_reads(BLOOM_HASHES as u64);
-        if !seen {
-            self.cost.record_writes(BLOOM_HASHES as u64);
-        }
-
-        // Counting table: 3 cells updated per packet.
-        for j in 0..COUNTING_HASHES {
-            let idx = fast_range(self.hashes.hash(j, &key), self.cells.len());
-            let cell = &mut self.cells[idx];
-            if !seen {
-                cell.flow_xor = cell.flow_xor.xor(&key);
-                cell.flow_count = cell.flow_count.saturating_add(1);
-            }
-            cell.packet_count = cell.packet_count.saturating_add(1);
-        }
-        self.cost.record_hashes(COUNTING_HASHES as u64);
-        self.cost.record_reads(COUNTING_HASHES as u64);
-        self.cost.record_writes(COUNTING_HASHES as u64);
+        let mut cost = CostSnapshot::default();
+        self.update(&key, self.cell_indices(&key), &mut cost);
+        self.cost.absorb(&cost);
     }
 
     /// The batched hot path: FlowRadar's update is Bloom + `k_c` blind
     /// counter bumps per packet, so it batches naturally. Pass 1 computes
-    /// every counting-table index for the batch (pure); pass 2 replays
-    /// the per-packet updates against prefetched cells, invalidating the
-    /// decode cache and flushing costs once per batch. State and recorded
-    /// costs are identical to the scalar loop.
+    /// every counting-table index for the batch (pure); pass 2 runs the
+    /// same per-packet `update` the scalar entry runs, against prefetched
+    /// cells, invalidating the decode cache and flushing costs once per
+    /// batch. State and recorded costs are identical to the scalar loop.
     fn process_batch(&mut self, packets: &[Packet]) {
         const PREFETCH_AHEAD: usize = 8;
-        if packets.is_empty() {
-            return;
-        }
         self.decoded.borrow_mut().take();
         let mut cell_idx = std::mem::take(&mut self.scratch);
         cell_idx.clear();
-        cell_idx.reserve(packets.len() * COUNTING_HASHES);
-        for p in packets {
-            let key = p.key();
-            for j in 0..COUNTING_HASHES {
-                cell_idx.push(self.hashes.bucket(j, &key, self.cells.len()));
-            }
-        }
-        let prefetch_row = |cells: &[CountingCell], row: &[usize]| {
+        cell_idx.extend(packets.iter().map(|p| self.cell_indices(&p.key())));
+        let prefetch_row = |cells: &[CountingCell], row: &[usize; COUNTING_HASHES]| {
             for &idx in row {
                 prefetch_read(cells, idx);
             }
         };
-        for i in 0..PREFETCH_AHEAD.min(packets.len()) {
-            prefetch_row(
-                &self.cells,
-                &cell_idx[i * COUNTING_HASHES..(i + 1) * COUNTING_HASHES],
-            );
+        for row in cell_idx.iter().take(PREFETCH_AHEAD) {
+            prefetch_row(&self.cells, row);
         }
-        let mut hashes = 0u64;
-        let mut reads = 0u64;
-        let mut writes = 0u64;
+        let mut cost = CostSnapshot::default();
         for (i, p) in packets.iter().enumerate() {
-            if i + PREFETCH_AHEAD < packets.len() {
-                let ahead = i + PREFETCH_AHEAD;
-                prefetch_row(
-                    &self.cells,
-                    &cell_idx[ahead * COUNTING_HASHES..(ahead + 1) * COUNTING_HASHES],
-                );
+            if let Some(ahead) = cell_idx.get(i + PREFETCH_AHEAD) {
+                prefetch_row(&self.cells, ahead);
             }
-            let key = p.key();
-            let seen = self.bloom.insert(&key);
-            hashes += BLOOM_HASHES as u64;
-            reads += BLOOM_HASHES as u64;
-            if !seen {
-                writes += BLOOM_HASHES as u64;
-            }
-            for &idx in &cell_idx[i * COUNTING_HASHES..(i + 1) * COUNTING_HASHES] {
-                let cell = &mut self.cells[idx];
-                if !seen {
-                    cell.flow_xor = cell.flow_xor.xor(&key);
-                    cell.flow_count = cell.flow_count.saturating_add(1);
-                }
-                cell.packet_count = cell.packet_count.saturating_add(1);
-            }
-            hashes += COUNTING_HASHES as u64;
-            reads += COUNTING_HASHES as u64;
-            writes += COUNTING_HASHES as u64;
+            self.update(&p.key(), cell_idx[i], &mut cost);
         }
-        self.cost.absorb(&CostSnapshot {
-            packets: packets.len() as u64,
-            hashes,
-            reads,
-            writes,
-        });
+        self.cost.absorb(&cost);
         self.scratch = cell_idx;
     }
 

@@ -466,20 +466,47 @@ impl<M: FlowMonitor> EpochRotator<M> {
         }
     }
 
+    /// The epoch-edge rule, stated once for both ingestion entries. The
+    /// first packet ever anchors the epoch. After that the window is
+    /// half-open, `[base, base + len)`: a timestamp at or past the edge
+    /// rotates — one before `base` (an out-of-order arrival) never does,
+    /// time only moves forward — and a boundary packet a whole quiet
+    /// window or more past that edge is a rotation gap. `before`, what the
+    /// caller has scanned but not yet fed (nothing, on the scalar entry),
+    /// belongs to the closing epoch and is ingested ahead of the seal; the
+    /// new epoch is anchored at the boundary packet. Returns whether it
+    /// rotated.
+    #[inline]
+    fn rotate_if_due(&mut self, ts: u64, before: &[Packet]) -> bool {
+        let Some(base) = self.epoch_base_ns else {
+            self.epoch_base_ns = Some(ts);
+            return false;
+        };
+        let due = ts >= base.saturating_add(self.epoch_len_ns);
+        if due {
+            if ts >= base.saturating_add(self.epoch_len_ns.saturating_mul(2)) {
+                if let Some(m) = &self.metrics {
+                    m.rotation_gaps.inc();
+                }
+                self.note_rotation_gap(base, ts);
+            }
+            self.ingest_run(before, span(before));
+            self.rotate_now();
+            self.epoch_base_ns = Some(ts);
+        }
+        due
+    }
+
     /// Feeds one rotation-free run of packets to the inner monitor's
-    /// batched hot path, folding the run's observed timestamp span into
-    /// the epoch's `start_ns`/`end_ns` first (so a rotation immediately
-    /// after reports the same span the per-packet path would have).
-    fn ingest_run(&mut self, run: &[Packet], run_first: Option<u64>, run_last: Option<u64>) {
+    /// batched hot path, folding the run's [`span`] into the epoch's
+    /// `start_ns`/`end_ns` first (so a rotation immediately after reports
+    /// the same span the per-packet path would have).
+    fn ingest_run(&mut self, run: &[Packet], (first, last): (u64, u64)) {
         if run.is_empty() {
             return;
         }
-        if let Some(f) = run_first {
-            self.first_ns = Some(self.first_ns.map_or(f, |x| x.min(f)));
-        }
-        if let Some(l) = run_last {
-            self.last_ns = Some(self.last_ns.map_or(l, |x| x.max(l)));
-        }
+        self.first_ns = Some(self.first_ns.map_or(first, |x| x.min(first)));
+        self.last_ns = Some(self.last_ns.map_or(last, |x| x.max(last)));
         self.inner.process_batch(run);
     }
 
@@ -488,36 +515,21 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// between edges goes to [`Self::ingest_run`].
     fn ingest_across_edges(&mut self, packets: &[Packet]) {
         let mut start = 0usize;
-        let mut run_first: Option<u64> = None;
-        let mut run_last: Option<u64> = None;
         for (i, p) in packets.iter().enumerate() {
-            let ts = p.timestamp_ns();
-            match self.epoch_base_ns {
-                None => self.epoch_base_ns = Some(ts),
-                Some(base) => {
-                    if ts >= base.saturating_add(self.epoch_len_ns) {
-                        if ts >= base.saturating_add(self.epoch_len_ns.saturating_mul(2)) {
-                            if let Some(m) = &self.metrics {
-                                m.rotation_gaps.inc();
-                            }
-                            self.note_rotation_gap(base, ts);
-                        }
-                        // Seal everything before the boundary packet,
-                        // then re-anchor the new epoch at it.
-                        self.ingest_run(&packets[start..i], run_first, run_last);
-                        self.rotate_now();
-                        self.epoch_base_ns = Some(ts);
-                        start = i;
-                        run_first = None;
-                        run_last = None;
-                    }
-                }
+            if self.rotate_if_due(p.timestamp_ns(), &packets[start..i]) {
+                start = i;
             }
-            run_first = Some(run_first.map_or(ts, |f| f.min(ts)));
-            run_last = Some(run_last.map_or(ts, |l| l.max(ts)));
         }
-        self.ingest_run(&packets[start..], run_first, run_last);
+        self.ingest_run(&packets[start..], span(&packets[start..]));
     }
+}
+
+/// The observed timestamp span `(min, max)` of a run of packets, whatever
+/// order they arrived in.
+fn span(packets: &[Packet]) -> (u64, u64) {
+    packets.iter().fold((u64::MAX, 0), |(first, last), p| {
+        (first.min(p.timestamp_ns()), last.max(p.timestamp_ns()))
+    })
 }
 
 impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
@@ -526,26 +538,7 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
     /// (half-open window, forward-only rotation, per-epoch anchoring).
     fn process_packet(&mut self, packet: &Packet) {
         let ts = packet.timestamp_ns();
-        match self.epoch_base_ns {
-            None => self.epoch_base_ns = Some(ts),
-            Some(base) => {
-                // Half-open window [base, base + len): the edge itself
-                // rotates. Timestamps before `base` (out-of-order
-                // arrivals) never rotate — time only moves forward.
-                if ts >= base.saturating_add(self.epoch_len_ns) {
-                    // A quiet gap: the packet skipped at least one whole
-                    // window beyond the epoch it sealed.
-                    if ts >= base.saturating_add(self.epoch_len_ns.saturating_mul(2)) {
-                        if let Some(m) = &self.metrics {
-                            m.rotation_gaps.inc();
-                        }
-                        self.note_rotation_gap(base, ts);
-                    }
-                    self.rotate_now();
-                    self.epoch_base_ns = Some(ts);
-                }
-            }
-        }
+        self.rotate_if_due(ts, &[]);
         // The reported span covers *observed* timestamps: late arrivals
         // may extend start_ns before the epoch base.
         self.first_ns = Some(self.first_ns.map_or(ts, |f| f.min(ts)));
@@ -577,12 +570,10 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         // The batch's timestamp span in one plain loop; only a batch that
         // reaches the epoch edge (or is the first ever) is scanned packet
         // by packet for where to rotate.
-        let (first, last) = packets.iter().fold((u64::MAX, 0), |(first, last), p| {
-            (first.min(p.timestamp_ns()), last.max(p.timestamp_ns()))
-        });
+        let (first, last) = span(packets);
         match self.epoch_base_ns {
             Some(base) if last < base.saturating_add(self.epoch_len_ns) => {
-                self.ingest_run(packets, Some(first), Some(last));
+                self.ingest_run(packets, (first, last));
             }
             _ => self.ingest_across_edges(packets),
         }

@@ -13,7 +13,10 @@
 //! `overload` exhibit, the chaos suite and downstream daemons can all
 //! drive the same faults.
 
-use crate::{CostSnapshot, EpochSnapshot, FlowMonitor, MergeableMonitor, RecordSink};
+use crate::{
+    CostSnapshot, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, MergeableMonitor,
+    RecordSink,
+};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 use std::io;
 use std::ops::Range;
@@ -244,7 +247,9 @@ impl<S: RecordSink> RecordSink for FaultInjectingSink<S> {
 /// count is reached — the worker-side chaos probe for shard panic
 /// isolation.
 ///
-/// Forwards every trait method to the wrapped monitor; the panic fires
+/// Forwards every trait method to the wrapped monitor — its own `seal`,
+/// introspection, faults and instruments included, so a chaos test
+/// drives the code a deployment runs; the panic fires
 /// *inside* `process_packet`/`process_batch` on the packet that crosses
 /// [`panic_at`](Self::panic_at), exactly where a buggy algorithm would
 /// blow up. Wrapping in `ShardedMonitor` therefore exercises the
@@ -336,6 +341,22 @@ impl<M: FlowMonitor> FlowMonitor for PanicInjector<M> {
         // A reset models epoch turnover, not recovery from the injected
         // bug: the packet countdown keeps running across epochs.
         self.inner.reset();
+    }
+
+    fn seal(&mut self) -> EpochSnapshot {
+        self.inner.seal()
+    }
+
+    fn faults(&self) -> Vec<String> {
+        self.inner.faults()
+    }
+
+    fn introspection(&self) -> Vec<IntrospectMetric> {
+        self.inner.introspection()
+    }
+
+    fn instrument(&mut self, instruments: &Instruments) {
+        self.inner.instrument(instruments);
     }
 }
 

@@ -133,10 +133,26 @@ impl SampledNetFlow {
         fast_range(self.hash.hash_bytes(0, &bytes), self.sampling_n as usize) == 0
     }
 
-    /// Flow-cache update for a packet that passed the sampler: one cache
-    /// read and one cache write in every branch (the caller accounts 1
-    /// read + 1 write per sampled packet).
-    fn ingest_sampled(&mut self, key: FlowKey) {
+    /// The per-packet update, behind both ingestion entries, for a packet
+    /// whose sampler verdict is `take`: one sampler hash, and for a
+    /// sampled packet the flow-cache update — one cache read and one cache
+    /// write in every branch — with the packet's cost added to `cost`.
+    #[inline]
+    fn update(&mut self, key: FlowKey, take: bool, cost: &mut CostSnapshot) {
+        cost.packets += 1;
+        cost.hashes += 1;
+        if take {
+            cost.reads += 1;
+            cost.writes += 1;
+            self.admit(key);
+        }
+    }
+
+    /// Flow-cache update for a packet that passed the sampler. Kept out
+    /// of line so [`Self::update`] inlines to two additions and a branch
+    /// for the packets the sampler skips.
+    #[inline(never)]
+    fn admit(&mut self, key: FlowKey) {
         self.sampled_packets += 1;
         if let Some(&slot) = self.index.get(&key) {
             self.slots[slot].1 = self.slots[slot].1.saturating_add(1);
@@ -163,44 +179,26 @@ impl SampledNetFlow {
 
 impl FlowMonitor for SampledNetFlow {
     fn process_packet(&mut self, packet: &Packet) {
-        self.cost.start_packet();
-        self.cost.record_hashes(1);
-        if !self.sampled(packet) {
-            return;
-        }
-        self.cost.record_reads(1);
-        self.ingest_sampled(packet.key());
-        self.cost.record_writes(1);
+        let mut cost = CostSnapshot::default();
+        self.update(packet.key(), self.sampled(packet), &mut cost);
+        self.cost.absorb(&cost);
     }
 
     /// The batched hot path: the 1-in-N sampling decision is a pure
     /// function of the packet, so pass 1 evaluates the sampler for the
-    /// whole batch in one sweep; pass 2 runs the flow cache in arrival
-    /// order for the survivors and flushes one cost record per batch.
-    /// State and recorded costs are identical to the scalar loop.
+    /// whole batch in one sweep; pass 2 runs the same per-packet `update`
+    /// the scalar entry runs, in arrival order, and flushes one cost
+    /// record per batch. State and recorded costs are identical to the
+    /// scalar loop.
     fn process_batch(&mut self, packets: &[Packet]) {
-        if packets.is_empty() {
-            return;
-        }
         let mut flags = std::mem::take(&mut self.scratch);
         flags.clear();
-        flags.reserve(packets.len());
-        for p in packets {
-            flags.push(self.sampled(p));
-        }
-        let mut sampled = 0u64;
+        flags.extend(packets.iter().map(|p| self.sampled(p)));
+        let mut cost = CostSnapshot::default();
         for (p, &take) in packets.iter().zip(&flags) {
-            if take {
-                sampled += 1;
-                self.ingest_sampled(p.key());
-            }
+            self.update(p.key(), take, &mut cost);
         }
-        self.cost.absorb(&CostSnapshot {
-            packets: packets.len() as u64,
-            hashes: packets.len() as u64,
-            reads: sampled,
-            writes: sampled,
-        });
+        self.cost.absorb(&cost);
         self.scratch = flags;
     }
 

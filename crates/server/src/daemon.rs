@@ -412,12 +412,15 @@ impl Server {
         let shutdown = Arc::new(ShutdownFlag::new());
         let published = Arc::new(Published::new());
         let queue = Arc::new(BatchQueue::new(config.ingest_capacity.max(1)));
-        let ingest_drops = DropStats::new();
-        ingest_drops.register(&registry, "server_ingest");
+        let ledger = |component| {
+            let drops = DropStats::new();
+            drops.register(&registry, component);
+            drops
+        };
         let port = Arc::new(IngestPort {
             queue: Arc::clone(&queue),
             policy: config.ingest_policy,
-            drops: ingest_drops,
+            drops: ledger("server_ingest"),
             recorder: recorder.clone(),
         });
 
@@ -430,22 +433,27 @@ impl Server {
         let udp_addr = udp_socket.as_ref().map(|s| s.local_addr()).transpose()?;
 
         let (command_tx, command_rx) = mpsc::channel();
-        let ingest = {
-            let queue = Arc::clone(&queue);
-            let published = Arc::clone(&published);
-            let registry = registry.clone();
-            let epoch_len = Duration::from_millis(config.epoch_ms.max(1));
-            let retention = config.retention.max(1);
-            std::thread::Builder::new()
-                .name("hf-ingest".to_string())
-                .spawn(move || {
-                    run_ingest(
-                        collector, queue, command_rx, published, registry, epoch_len, retention,
-                        queries,
-                    )
-                })
-                .map_err(ServerError::Io)?
+        let retention = config.retention.max(1);
+        let ingest_loop = IngestLoop {
+            collector,
+            queue: Arc::clone(&queue),
+            commands: command_rx,
+            published: Arc::clone(&published),
+            epoch_len: Duration::from_millis(config.epoch_ms.max(1)),
+            retention,
+            epochs: VecDeque::with_capacity(retention),
+            epoch_drops: ledger("server_epochs"),
+            answers: VecDeque::with_capacity(retention),
+            answer_drops: ledger("server_answers"),
+            queries,
+            sealed_total: 0,
+            processed: 0,
+            epoch_packets: 0,
         };
+        let ingest = std::thread::Builder::new()
+            .name("hf-ingest".to_string())
+            .spawn(move || ingest_loop.run())
+            .map_err(ServerError::Io)?;
 
         let udp_thread = match udp_socket {
             Some(socket) => {
@@ -706,195 +714,128 @@ fn run_udp(
 
 /// The writer side: owns the collector, services the queue and the
 /// command channel, seals on the wall clock, publishes sealed views.
-#[allow(clippy::too_many_arguments)]
-fn run_ingest(
-    mut collector: Collector,
+struct IngestLoop {
+    collector: Collector,
     queue: Arc<BatchQueue<Packet>>,
     commands: mpsc::Receiver<Command>,
     published: Arc<Published>,
-    registry: MetricsRegistry,
     epoch_len: Duration,
+    /// Bound of the two published rings below (evictions drop-accounted
+    /// on the ledger beside each).
     retention: usize,
-    mut queries: Vec<QueryInfo>,
-) -> IngestReport {
-    let epoch_drops = DropStats::new();
-    epoch_drops.register(&registry, "server_epochs");
-    let answer_drops = DropStats::new();
-    answer_drops.register(&registry, "server_answers");
-    let mut epochs: VecDeque<Arc<EpochSnapshot>> = VecDeque::with_capacity(retention);
-    let mut answers: VecDeque<EpochAnswers> = VecDeque::with_capacity(retention);
-    let mut sealed_total = 0u64;
-    let mut processed = 0u64;
-    let mut epoch_packets = 0u64;
-    let mut next_seal = Instant::now() + epoch_len;
+    epochs: VecDeque<Arc<EpochSnapshot>>,
+    epoch_drops: DropStats,
+    answers: VecDeque<EpochAnswers>,
+    answer_drops: DropStats,
+    queries: Vec<QueryInfo>,
+    sealed_total: u64,
+    processed: u64,
+    /// Packets ingested since the last seal: an epoch with none is
+    /// skipped, not sealed empty.
+    epoch_packets: u64,
+}
 
-    publish(
-        &published,
-        &collector,
-        &epochs,
-        &answers,
-        &queries,
-        sealed_total,
-        false,
-    );
-    loop {
-        while let Ok(cmd) = commands.try_recv() {
-            match cmd {
-                Command::AttachQuery { plan, text, reply } => {
-                    let id = collector.attach_query(plan);
-                    queries.push(QueryInfo { id, plan: text });
-                    let _ = reply.send(id);
-                    publish(
-                        &published,
-                        &collector,
-                        &epochs,
-                        &answers,
-                        &queries,
-                        sealed_total,
-                        false,
-                    );
+impl IngestLoop {
+    /// Runs until the queue is closed and drained, then seals the
+    /// truncated final epoch and flushes the sinks.
+    fn run(mut self) -> IngestReport {
+        let mut next_seal = Instant::now() + self.epoch_len;
+        self.publish(false);
+        loop {
+            while let Ok(Command::AttachQuery { plan, text, reply }) = self.commands.try_recv() {
+                let id = self.collector.attach_query(plan);
+                self.queries.push(QueryInfo { id, plan: text });
+                let _ = reply.send(id);
+                self.publish(false);
+            }
+            let now = Instant::now();
+            if now >= next_seal {
+                self.seal(false);
+                // Quiet epochs still refresh the published health view.
+                self.publish(false);
+                while next_seal <= now {
+                    next_seal += self.epoch_len;
+                }
+                continue;
+            }
+            let wait = (next_seal - now).min(INGEST_POLL);
+            match self.queue.pop_deadline(wait) {
+                PopOutcome::Batch(batch) => {
+                    let n = batch.len() as u64;
+                    self.collector.process_batch(&batch);
+                    self.processed += n;
+                    self.epoch_packets += n;
+                }
+                PopOutcome::TimedOut => {}
+                PopOutcome::Closed => break,
+            }
+        }
+        // Shutdown: the queue is closed and fully drained. Seal whatever
+        // the truncated final epoch holds, marked partial.
+        self.seal(true);
+        // Exactly-once flush: `finish` marks the collector finished, so its
+        // own `Drop` (which flushes unfinished pipelines) becomes a no-op.
+        let finish = self.collector.finish();
+        self.publish(true);
+        IngestReport {
+            processed: self.processed,
+            sealed: self.sealed_total,
+            finish,
+        }
+    }
+
+    /// Seals the running epoch — unless no packet arrived in it — banks
+    /// its answers and rotates the bounded published rings (evictions
+    /// drop-accounted).
+    fn seal(&mut self, partial: bool) {
+        if self.epoch_packets == 0 {
+            return;
+        }
+        self.epoch_packets = 0;
+        let snapshot = self.collector.seal().with_partial(partial);
+        self.sealed_total += 1;
+        // Keep the collector-side stores empty: the published rings are the
+        // single reader-facing retention buffer.
+        let _ = self.collector.drain_completed();
+        let epoch = snapshot.epoch();
+        for banked in self.collector.drain_query_answers() {
+            let rows = banked.iter().map(|r| r.rows().len() as u64).sum();
+            self.answer_drops.record_offer(rows);
+            self.answers.push_back(EpochAnswers {
+                epoch,
+                answers: banked,
+            });
+            while self.answers.len() > self.retention {
+                if let Some(evicted) = self.answers.pop_front() {
+                    let rows = evicted.answers.iter().map(|r| r.rows().len() as u64).sum();
+                    self.answer_drops.record_drop(rows);
                 }
             }
         }
-        let now = Instant::now();
-        if now >= next_seal {
-            if epoch_packets > 0 {
-                seal_epoch(
-                    &mut collector,
-                    false,
-                    retention,
-                    &mut epochs,
-                    &mut answers,
-                    &epoch_drops,
-                    &answer_drops,
-                    &mut sealed_total,
-                );
-                epoch_packets = 0;
+        self.epoch_drops.record_offer(snapshot.len() as u64);
+        self.epochs.push_back(Arc::new(snapshot));
+        while self.epochs.len() > self.retention {
+            if let Some(evicted) = self.epochs.pop_front() {
+                self.epoch_drops.record_drop(evicted.len() as u64);
             }
-            // Quiet epochs still refresh the published health view.
-            publish(
-                &published,
-                &collector,
-                &epochs,
-                &answers,
-                &queries,
-                sealed_total,
-                false,
-            );
-            while next_seal <= now {
-                next_seal += epoch_len;
-            }
-            continue;
-        }
-        let wait = (next_seal - now).min(INGEST_POLL);
-        match queue.pop_deadline(wait) {
-            PopOutcome::Batch(batch) => {
-                let n = batch.len() as u64;
-                collector.process_batch(&batch);
-                processed += n;
-                epoch_packets += n;
-            }
-            PopOutcome::TimedOut => {}
-            PopOutcome::Closed => break,
         }
     }
-    // Shutdown: the queue is closed and fully drained. Seal whatever
-    // the truncated final epoch holds, marked partial.
-    if epoch_packets > 0 {
-        seal_epoch(
-            &mut collector,
-            true,
-            retention,
-            &mut epochs,
-            &mut answers,
-            &epoch_drops,
-            &answer_drops,
-            &mut sealed_total,
-        );
-    }
-    // Exactly-once flush: `finish` marks the collector finished, so its
-    // own `Drop` (which flushes unfinished pipelines) becomes a no-op.
-    let finish = collector.finish();
-    publish(
-        &published,
-        &collector,
-        &epochs,
-        &answers,
-        &queries,
-        sealed_total,
-        true,
-    );
-    IngestReport {
-        processed,
-        sealed: sealed_total,
-        finish,
-    }
-}
 
-/// Seals the running epoch, banks its answers and rotates the bounded
-/// published rings (evictions drop-accounted).
-#[allow(clippy::too_many_arguments)]
-fn seal_epoch(
-    collector: &mut Collector,
-    partial: bool,
-    retention: usize,
-    epochs: &mut VecDeque<Arc<EpochSnapshot>>,
-    answers: &mut VecDeque<EpochAnswers>,
-    epoch_drops: &DropStats,
-    answer_drops: &DropStats,
-    sealed_total: &mut u64,
-) {
-    let snapshot = collector.seal().with_partial(partial);
-    *sealed_total += 1;
-    // Keep the collector-side stores empty: the published rings are the
-    // single reader-facing retention buffer.
-    let _ = collector.drain_completed();
-    let epoch = snapshot.epoch();
-    for banked in collector.drain_query_answers() {
-        let rows = banked.iter().map(|r| r.rows().len() as u64).sum();
-        answer_drops.record_offer(rows);
-        answers.push_back(EpochAnswers {
-            epoch,
-            answers: banked,
-        });
-        while answers.len() > retention {
-            if let Some(evicted) = answers.pop_front() {
-                let rows = evicted.answers.iter().map(|r| r.rows().len() as u64).sum();
-                answer_drops.record_drop(rows);
-            }
-        }
+    /// Rebuilds and swaps in a fresh [`SealedView`] (O(retention) `Arc`
+    /// clones — never proportional to flow counts).
+    fn publish(&self, finished: bool) {
+        self.published.store(Arc::new(SealedView {
+            epochs: self.epochs.iter().cloned().collect(),
+            queries: self.queries.clone(),
+            answers: self.answers.iter().cloned().collect(),
+            health: HealthView {
+                sinks: self.collector.sink_health(),
+                faults: self.collector.faults(),
+                finished,
+            },
+            sealed_total: self.sealed_total,
+        }));
     }
-    epoch_drops.record_offer(snapshot.len() as u64);
-    epochs.push_back(Arc::new(snapshot));
-    while epochs.len() > retention {
-        if let Some(evicted) = epochs.pop_front() {
-            epoch_drops.record_drop(evicted.len() as u64);
-        }
-    }
-}
-
-/// Rebuilds and swaps in a fresh [`SealedView`] (O(retention) `Arc`
-/// clones — never proportional to flow counts).
-fn publish(
-    published: &Published,
-    collector: &Collector,
-    epochs: &VecDeque<Arc<EpochSnapshot>>,
-    answers: &VecDeque<EpochAnswers>,
-    queries: &[QueryInfo],
-    sealed_total: u64,
-    finished: bool,
-) {
-    published.store(Arc::new(SealedView {
-        epochs: epochs.iter().cloned().collect(),
-        queries: queries.to_vec(),
-        answers: answers.iter().cloned().collect(),
-        health: HealthView {
-            sinks: collector.sink_health(),
-            faults: collector.faults(),
-            finished,
-        },
-        sealed_total,
-    }));
 }
 
 /// Everything the HTTP routing closure needs.

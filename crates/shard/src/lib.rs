@@ -11,13 +11,15 @@
 //!   never splits across shards** — per-record exactness (the property
 //!   HashFlow's non-evicting main table guarantees) is preserved end to
 //!   end.
-//! * [`ShardedMonitor::ingest`] runs the shards on worker threads
-//!   (`std::thread::scope`, no unsafe) fed through bounded [`BatchQueue`]s,
-//!   so a slow shard back-pressures the dispatcher instead of buffering
-//!   the trace. The dispatcher hashes each key exactly once and workers
-//!   drain whole batches through the monitors' batched hot path
-//!   ([`FlowMonitor::process_batch`]); drained batch buffers recycle
-//!   through a free-list so steady-state dispatch allocates nothing.
+//! * There is one way in: one split (one dispatch hash per packet) and
+//!   one guarded feed of each partition through its shard's batched hot
+//!   path. [`FlowMonitor::process_batch`] runs them on the caller's
+//!   thread, [`FlowMonitor::process_packet`] is that on a batch of one,
+//!   and [`ShardedMonitor::ingest`] runs the same split chunk by chunk in
+//!   front of worker threads (`std::thread::scope`, no unsafe) fed through
+//!   bounded [`BatchQueue`]s, so a slow shard back-pressures the
+//!   dispatcher instead of buffering the trace; drained batch buffers
+//!   recycle through a free-list.
 //! * Queries merge: flow records concatenate across the disjoint
 //!   partitions, size queries route to the owning shard, cardinality
 //!   estimates combine via
@@ -36,11 +38,13 @@
 //!   [`BackpressurePolicy`] ([`ShardedMonitor::set_queue_policy`]), every
 //!   shed batch is accounted in a [`DropStats`] ledger
 //!   ([`ShardedMonitor::queue_drop_stats`], exported as
-//!   `component="shard_queue"`), and a panicking worker degrades **only
-//!   its own shard**: the in-flight batch and backlog are counted as
-//!   drops, the remaining shards keep ingesting, the sealed epoch is
-//!   flagged [`EpochReport::partial`], and the shard recovers at the next
-//!   epoch boundary when its state resets cleanly.
+//!   `component="shard_queue"`), and a shard that panics — on a worker
+//!   lane or on the caller's thread, through any entry — degrades **only
+//!   itself**: the panic is caught (`shard_panic`), the batch it died on
+//!   and all routed to it afterwards count as drops (one `batch_shed`
+//!   event per degradation), the remaining shards keep ingesting, the
+//!   sealed epoch is flagged [`EpochReport::partial`], and the shard
+//!   recovers at the next epoch boundary when its state resets cleanly.
 //!
 //! # Examples
 //!
@@ -79,23 +83,26 @@ use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, S
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 use std::time::Instant;
 
-/// Renders a worker panic payload as the fault message recorded against
-/// the degraded shard (panics carry `&str` or `String` in practice).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// Parks shard `shard` after its code panicked: the payload becomes the
+/// fault message (panics carry `&str` or `String` in practice), the
+/// flight recorder gets a `shard_panic` error and dumps the recent
+/// window — a shard dropping out is exactly the moment the events
+/// leading up to it matter — and the shard sheds until a seal resets it.
+/// A free function so the worker lanes, which hold `&mut` borrows of
+/// their shard and its fault, can call it.
+fn degrade(
+    recorder: Option<&FlightRecorder>,
+    shard: usize,
+    fault: &mut Option<String>,
+    payload: Box<dyn std::any::Any + Send>,
+) {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// Records a shard-panic transition in the flight recorder and dumps the
-/// recent window — a shard dropping out is exactly the moment the events
-/// leading up to it matter. Free function (not a method) so worker-lane
-/// closures holding `&mut` shard borrows can call it.
-fn record_shard_panic(recorder: Option<&FlightRecorder>, shard: usize, message: &str) {
+    };
     if let Some(r) = recorder {
         r.record_with(
             Severity::Error,
@@ -105,12 +112,35 @@ fn record_shard_panic(recorder: Option<&FlightRecorder>, shard: usize, message: 
         );
         r.dump("shard_panic");
     }
+    *fault = Some(message);
 }
 
-/// Records one shed batch (queue policy or degraded shard) in the flight
-/// recorder. Batch granularity only — per-packet sheds on the scalar path
-/// stay in the [`DropStats`] ledger so a degraded shard cannot flood the
-/// ring.
+/// Runs `batch` through shard `shard` under the panic guard — the only
+/// place a shard ingests, on the caller's thread and on a worker lane
+/// alike. Returns whether the batch is lost: the shard was already
+/// degraded, or panicked on it just now and was [`degrade`]d.
+fn feed_guarded<M: FlowMonitor>(
+    recorder: Option<&FlightRecorder>,
+    shard: usize,
+    monitor: &mut M,
+    fault: &mut Option<String>,
+    batch: &[Packet],
+) -> bool {
+    if fault.is_none() {
+        let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            monitor.process_batch(batch);
+        }));
+        if let Err(payload) = worked {
+            degrade(recorder, shard, fault, payload);
+        }
+    }
+    fault.is_some()
+}
+
+/// Records one `batch_shed` warning in the flight recorder. A live lane
+/// whose queue policy displaces or rejects a batch records every such
+/// batch; a degraded shard only its first shed
+/// ([`ShardedMonitor::announced`]).
 fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u64, why: &str) {
     if let Some(r) = recorder {
         r.record_with(
@@ -125,6 +155,27 @@ fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u
     }
 }
 
+/// Accounts one partition as routed to `shard`, whatever becomes of it:
+/// the shard's packet counter, and a `dispatch` span naming the shard for
+/// every sampled flow.
+fn note_routed(
+    metrics: Option<&ShardMetrics>,
+    tracer: Option<&FlowTracer>,
+    shard: usize,
+    part: &[Packet],
+) {
+    if let Some(m) = metrics {
+        m.lane_packets[shard].add(part.len() as u64);
+    }
+    if let Some(t) = tracer {
+        for p in part {
+            if t.is_sampled(&p.key()) {
+                t.span(&p.key(), "dispatch", format!("shard {shard}"));
+            }
+        }
+    }
+}
+
 /// Metric handles of an instrumented [`ShardedMonitor`] — registered
 /// when [`FlowMonitor::instrument`] brings a registry.
 ///
@@ -132,7 +183,7 @@ fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u
 /// |---|---|---|
 /// | `hashflow_shard_packets_total{shard=i}` | counter | packets owned by shard `i` |
 /// | `hashflow_shard_queue_depth{shard=i}` | gauge | in-flight batches on shard `i`'s queue |
-/// | `hashflow_shard_dispatch_ns` | histogram | RSS split time per serial batch |
+/// | `hashflow_shard_dispatch_ns` | histogram | RSS split time per `process_batch` call (a batch of one included) |
 /// | `hashflow_shard_merge_ns` | histogram | per-seal merge of shard reports |
 /// | `hashflow_shard_seal_ns` | histogram | whole [`ShardedMonitor::seal_epoch`] |
 ///
@@ -168,8 +219,9 @@ impl ShardMetrics {
     }
 }
 
-/// Packets accumulated per shard before a batch is published to its queue
-/// (amortizes one lock round-trip over this many packets).
+/// Average packets per batch published to a shard's queue (amortizes one
+/// lock round-trip over about this many packets): [`ShardedMonitor::ingest`]
+/// splits the trace in chunks of this many packets per shard.
 pub const BATCH_PACKETS: usize = 1024;
 
 /// Batches that may be in flight per shard before the dispatcher blocks.
@@ -185,14 +237,12 @@ const DISPATCH_SEED: u64 = 0xd15b_a7c4_0b5e_55ed;
 /// The dispatcher is the serial (Amdahl) term of the sharded pipeline —
 /// every packet pays it before any shard can work — so it is specialized
 /// rather than reusing the general [`hashflow_hashing`] families: the
-/// 13-byte flow key is read as two words ([`FlowKey::to_words`], no
-/// serialize-then-reload round trip) and mixed with three multiplies, a
-/// fraction of a full xxhash pass, while still avalanching the high bits
-/// that [`fast_range`] consumes. It remains a pure function of the whole
-/// key, so one flow maps to exactly one shard, and each key is hashed
-/// **exactly once** per ingested packet: the dispatch passes derive the
-/// owning shard from this value and carry that ownership alongside the
-/// batch, so no later stage re-hashes for routing.
+/// 13-byte flow key is read as two words ([`FlowKey::to_words`]) and
+/// mixed with three multiplies, a fraction of a full xxhash pass, while
+/// still avalanching the high bits that [`fast_range`] consumes. It is a
+/// pure function of the whole key, so one flow maps to exactly one
+/// shard, and [`DispatchScratch::split`] evaluates it **exactly once**
+/// per ingested packet.
 #[inline]
 fn dispatch_hash(key: &FlowKey) -> u64 {
     key.mix64(DISPATCH_SEED)
@@ -242,11 +292,19 @@ struct DispatchScratch {
 
 impl DispatchScratch {
     /// Splits `packets` by owning shard, preserving arrival order within
-    /// each partition. Two passes, one dispatch hash per key: pass A
+    /// each partition — the only code that turns packets into per-shard
+    /// partitions. Two passes, one dispatch hash per key: pass A
     /// evaluates the hash for every packet exactly once and keeps the
     /// derived owner alongside the batch; pass B scatters into
     /// exactly-sized partitions without re-hashing anything.
-    fn split(&mut self, shards: usize, packets: &[Packet]) {
+    ///
+    /// Returns the partitions in shard order, or `None` for a single
+    /// shard: partition 0 is then the caller's slice itself — nothing
+    /// hashed, nothing copied.
+    fn split(&mut self, shards: usize, packets: &[Packet]) -> Option<&mut [Vec<Packet>]> {
+        if shards == 1 {
+            return None;
+        }
         self.counts.clear();
         self.counts.resize(shards, 0);
         self.owners.clear();
@@ -264,6 +322,7 @@ impl DispatchScratch {
         for (p, &s) in packets.iter().zip(&self.owners) {
             self.parts[s as usize].push(*p);
         }
+        Some(&mut self.parts)
     }
 }
 
@@ -274,6 +333,12 @@ pub struct ShardedMonitor<M> {
     /// Per-shard fault message; `Some` marks the shard degraded (its
     /// worker panicked) and shedding until an epoch-boundary recovery.
     faults: Vec<Option<String>>,
+    /// Per shard: whether the current degradation has recorded its one
+    /// `batch_shed` event — its first shed after the fault was set. Later
+    /// ones are only counted (the `shard_queue` ledger has the totals), so
+    /// a dead shard under load cannot turn the event ring over and push
+    /// its own `shard_panic` out.
+    announced: Vec<bool>,
     dispatch_hashes: u64,
     first_ns: Option<u64>,
     last_ns: Option<u64>,
@@ -317,6 +382,7 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         Ok(ShardedMonitor {
             shards,
             faults: vec![None; count],
+            announced: vec![false; count],
             dispatch_hashes: 0,
             first_ns: None,
             last_ns: None,
@@ -330,10 +396,9 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         })
     }
 
-    /// Sets the backpressure policy of the per-shard ingest queues (and
-    /// of the degraded-shard shedding paths). [`BackpressurePolicy::Block`]
-    /// — the default — preserves the historical lossless behavior:
-    /// the dispatcher waits for queue room. The dropping policies bound
+    /// Sets the backpressure policy of the per-shard ingest queues.
+    /// [`BackpressurePolicy::Block`] — the default — is lossless: the
+    /// dispatcher waits for queue room. The dropping policies bound
     /// dispatcher latency instead and account every shed batch in
     /// [`Self::queue_drop_stats`].
     pub fn set_queue_policy(&mut self, policy: BackpressurePolicy) {
@@ -347,15 +412,17 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
 
     /// The cumulative shard-queue ledger: batches offered to the worker
     /// queues ("epochs" = batches, "records" = packets) and batches lost
-    /// to policy shedding, displacement, or worker panics. Conservation
-    /// (`offered == delivered + dropped`) holds by construction.
+    /// to policy shedding, displacement, or a degraded shard (whose share
+    /// of the serial entries is offered and dropped in one step).
+    /// Conservation (`offered == delivered + dropped`) holds by
+    /// construction.
     pub fn queue_drop_stats(&self) -> &DropStats {
         &self.queue_drops
     }
 
-    /// Per-shard fault state: `Some(message)` if the shard's worker
-    /// panicked and the shard is currently degraded (shedding its share
-    /// of the load), `None` if healthy. Degraded shards recover at the
+    /// Per-shard fault state: `Some(message)` if the shard panicked and
+    /// is currently degraded (shedding its share of the load), `None` if
+    /// healthy. Degraded shards recover at the
     /// next [`Self::seal_epoch`] when their state resets cleanly.
     pub fn shard_faults(&self) -> &[Option<String>] {
         &self.faults
@@ -433,66 +500,73 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         self.last_ns = Some(self.last_ns.map_or(max, |l| l.max(max)));
     }
 
-    /// Splits `packets` by owning shard, preserving arrival order within
-    /// each partition (the order-preservation RSS guarantees per flow).
-    ///
-    /// Two passes, one hash per key: pass A evaluates the dispatch hash
-    /// for every packet exactly once and keeps the derived owner
-    /// alongside the batch; pass B scatters into exactly-sized partitions
-    /// (no growth checks, no headroom waste) without re-hashing anything.
-    /// The mutable ingestion paths run the same split against reusable
-    /// monitor-owned buffers instead of fresh allocations.
+    /// Hands shard `s` its partition on the caller's thread: routed,
+    /// then the guarded feed, and a partition lost to a degraded shard is
+    /// shed.
+    fn feed(&mut self, s: usize, part: &[Packet]) {
+        if part.is_empty() {
+            return;
+        }
+        note_routed(self.metrics.as_ref(), self.tracer.as_ref(), s, part);
+        let recorder = self.recorder.as_ref();
+        if feed_guarded(recorder, s, &mut self.shards[s], &mut self.faults[s], part) {
+            self.shed(s, part.len() as u64);
+        }
+    }
+
+    /// Sheds `packets` routed to degraded shard `s` before any queue saw
+    /// them: offered and dropped on the ledger in one step, evented by
+    /// the once-per-degradation rule.
+    fn shed(&mut self, s: usize, packets: u64) {
+        self.queue_drops.record_offer(packets);
+        self.queue_drops.record_drop(packets);
+        if !std::mem::replace(&mut self.announced[s], true) {
+            record_batch_shed(self.recorder.as_ref(), s, packets, "shard degraded");
+        }
+    }
+
+    /// The RSS split on its own: `packets` by owning shard, arrival order
+    /// preserved within each partition (the order-preservation RSS
+    /// guarantees per flow). The ingestion paths run the same split
+    /// against reusable monitor-owned buffers instead of fresh allocations.
     pub fn partition(&self, packets: &[Packet]) -> Vec<Vec<Packet>> {
         let mut scratch = DispatchScratch::default();
-        scratch.split(self.shards.len(), packets);
-        scratch.parts
+        match scratch.split(self.shards.len(), packets) {
+            Some(_) => scratch.parts,
+            None => vec![packets.to_vec()],
+        }
     }
 
     /// Drains every shard into one collector-side [`EpochReport`] and
     /// resets the shards for the next epoch: records concatenate (disjoint
     /// partitions — no key appears twice), costs sum, and the cardinality
     /// estimates combine via [`MergeableMonitor::combine_cardinality`].
-    ///
-    /// The report is the plain, mutable form of the epoch;
     /// [`FlowMonitor::seal`] freezes the same drain into the shared
     /// [`EpochSnapshot`], which costs nothing.
     ///
-    /// A degraded shard (its worker panicked mid-epoch, or it panics
-    /// here, mid-drain) contributes an empty per-shard report and sets
-    /// [`EpochReport::partial`] on the merged result — its post-panic
-    /// state is not trusted. Sealing is also the recovery point: a
-    /// degraded shard's state is reset under the same panic guard, and a
-    /// clean reset returns it to service for the next epoch.
+    /// Everything that runs a shard's own code runs under the panic
+    /// guard: a healthy shard goes through its [`FlowMonitor::seal`] (for
+    /// HashFlow, one sweep that copies and clears) and the records move
+    /// out of the sealed snapshot uncopied. A degraded shard (it panicked
+    /// mid-epoch, or panics here, mid-drain) contributes nothing — its
+    /// post-panic state is not trusted — and sets [`EpochReport::partial`].
+    /// Sealing is also the recovery point: a degraded shard is only
+    /// reset, and a clean reset returns it to service for the next epoch.
     pub fn seal_epoch(&mut self) -> EpochReport {
         let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
-        self.drain_shards()
-    }
-
-    /// The drain and merge behind [`Self::seal_epoch`]. Everything that
-    /// runs a shard's own code runs under the panic guard: a healthy
-    /// shard goes through its [`FlowMonitor::seal`] (for HashFlow, one
-    /// sweep that copies and clears) and the records move out of the
-    /// sealed snapshot uncopied; a degraded one is only reset. A shard
-    /// that panics in either stays (or becomes) degraded until the next
-    /// seal, and the epoch ships without its partition.
-    fn drain_shards(&mut self) -> EpochReport {
-        let recorder = self.recorder.clone();
-        let (epoch, start_ns, end_ns) = (self.epoch, self.first_ns, self.last_ns);
+        let recorder = self.recorder.as_ref();
+        let mut partial = false;
         // Cardinality estimates of the shards that sealed, in shard order.
         let mut estimates = Vec::with_capacity(self.shards.len());
-        let reports: Vec<EpochReport> = self
-            .shards
-            .iter_mut()
-            .zip(self.faults.iter_mut())
+        let lanes = self.shards.iter_mut().zip(self.faults.iter_mut());
+        let reports: Vec<EpochReport> = lanes
             .enumerate()
-            .map(|(i, (shard, fault))| {
+            .filter_map(|(i, (shard, fault))| {
                 let healthy = fault.is_none();
                 let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if healthy {
                         Some(shard.seal())
                     } else {
-                        // Epoch-boundary recovery: a clean reset returns
-                        // the shard to service for the next epoch.
                         shard.reset();
                         None
                     }
@@ -503,44 +577,34 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
                         sealed
                     }
                     Err(payload) => {
-                        let message = panic_message(payload);
-                        record_shard_panic(recorder.as_ref(), i, &message);
-                        *fault = Some(message);
+                        degrade(recorder, i, fault, payload);
                         None
                     }
                 };
-                match sealed {
-                    Some(sealed) => {
-                        estimates.push(sealed.cardinality());
-                        EpochReport {
-                            epoch,
-                            start_ns,
-                            end_ns,
-                            ..sealed.into_report()
-                        }
-                    }
-                    // Degraded: nothing from this shard is trusted, so
-                    // the epoch ships without its partition and says so.
-                    None => EpochReport {
-                        epoch,
-                        start_ns,
-                        end_ns,
-                        records: Vec::new(),
-                        cardinality: 0.0,
-                        cost: CostSnapshot::default(),
-                        partial: true,
-                        introspection: Vec::new(),
-                    },
-                }
+                partial |= sealed.is_none();
+                sealed.map(|sealed| {
+                    estimates.push(sealed.cardinality());
+                    sealed.into_report()
+                })
             })
             .collect();
+        let cardinality = M::combine_cardinality(&estimates);
+        let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
+        let merged = EpochReport::merged(reports, cardinality);
+        drop(merge_timer);
+        let report = EpochReport {
+            epoch: self.epoch,
+            start_ns: self.first_ns,
+            end_ns: self.last_ns,
+            partial: partial || merged.partial,
+            ..merged
+        };
+        // Whatever is degraded from here on (a shard that panicked in the
+        // drain) is a new degradation and announces its first shed.
+        self.announced.fill(false);
         self.epoch += 1;
         self.first_ns = None;
         self.last_ns = None;
-        let cardinality = M::combine_cardinality(&estimates);
-        let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
-        let report = EpochReport::merged(reports, cardinality);
-        drop(merge_timer);
         report
     }
 
@@ -564,203 +628,36 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
     /// Feeds `packets` through all shards in parallel: one scoped worker
     /// thread per shard, each owning its inner monitor, fed through a
     /// bounded [`BatchQueue`] by the dispatcher running on the calling
-    /// thread. Equivalent to calling
+    /// thread. The dispatcher splits the trace a chunk at a time with the
+    /// split [`FlowMonitor::process_batch`] uses and publishes each
+    /// partition whole, so the call is equivalent to
     /// [`process_packet`](FlowMonitor::process_packet) for every packet in
     /// order — per-flow packet order is preserved because a flow has
-    /// exactly one queue and queues are FIFO.
+    /// exactly one queue and queues are FIFO. A single shard gets no
+    /// worker: it is the serial path, run on the caller's thread.
     ///
     /// # Fault isolation
     ///
-    /// A worker that panics degrades **only its own shard**: the panic is
-    /// caught, the in-flight batch and the queue backlog are accounted in
-    /// [`Self::queue_drop_stats`], the lane's queue is closed so the
-    /// dispatcher sheds (counted) instead of blocking, and the remaining
-    /// shards keep ingesting. The call never panics and never deadlocks;
-    /// check [`Self::shard_faults`] / [`IngestReport::dropped_packets`]
-    /// for what was lost. The degraded shard recovers at the next
-    /// [`Self::seal_epoch`].
+    /// A shard that panics degrades **only itself**: the panic is caught,
+    /// and its lane keeps draining its queue — so the dispatcher never
+    /// blocks on it — counting the batch that died in flight and all that
+    /// follow in [`Self::queue_drop_stats`], while the remaining shards
+    /// keep ingesting. The call never panics and never deadlocks; check
+    /// [`Self::shard_faults`] / [`IngestReport::dropped_packets`] for what
+    /// was lost. The shard recovers at the next [`Self::seal_epoch`].
     pub fn ingest(&mut self, packets: &[Packet]) -> IngestReport {
-        let shard_count = self.shards.len();
         let start = Instant::now();
-        self.note_timestamps(packets);
-        let mut per_shard = vec![0u64; shard_count];
         let dropped_before = self.queue_drops.dropped_records();
-
-        if shard_count == 1 {
-            // Single shard: no dispatch hash, no threads — identical to
-            // running the inner monitor directly (plus the same panic
-            // guard the worker lanes have).
-            per_shard[0] = packets.len() as u64;
-            // Routed is routed: the shard's counter moves whether or not
-            // the batch is shed below, as on every other path.
-            if let Some(m) = &self.metrics {
-                m.lane_packets[0].add(packets.len() as u64);
+        let per_shard = if self.shards.len() == 1 {
+            for chunk in packets.chunks(BATCH_PACKETS) {
+                self.process_batch(chunk);
             }
-            if self.faults[0].is_some() {
-                // Degraded since a previous call: shed the whole call,
-                // counted as one offered-and-dropped unit.
-                self.queue_drops.record_offer(packets.len() as u64);
-                self.queue_drops.record_drop(packets.len() as u64);
-                record_batch_shed(
-                    self.recorder.as_ref(),
-                    0,
-                    packets.len() as u64,
-                    "shard degraded",
-                );
-            } else {
-                let shard = &mut self.shards[0];
-                let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shard.process_trace(packets);
-                }));
-                if let Err(payload) = worked {
-                    let message = panic_message(payload);
-                    record_shard_panic(self.recorder.as_ref(), 0, &message);
-                    self.faults[0] = Some(message);
-                    self.queue_drops.record_offer(packets.len() as u64);
-                    self.queue_drops.record_drop(packets.len() as u64);
-                }
-            }
-            return IngestReport {
-                packets: packets.len() as u64,
-                per_shard_packets: per_shard,
-                elapsed_ns: start.elapsed().as_nanos(),
-                dropped_packets: self.queue_drops.dropped_records() - dropped_before,
-            };
-        }
-
-        // Clone the gauge handles out of `self` before the scope borrows
-        // the shards; both sides of each queue update its depth gauge.
-        let depth_gauges: Option<Vec<Gauge>> = self.metrics.as_ref().map(|m| m.queue_depth.clone());
-        let queues: Vec<BatchQueue<Packet>> = (0..shard_count)
-            .map(|_| BatchQueue::new(QUEUE_DEPTH))
-            .collect();
-        // A shard already degraded gets no worker; its queue starts
-        // closed, so every offer bounces straight back into the ledger.
-        for (queue, fault) in queues.iter().zip(&self.faults) {
-            if fault.is_some() {
-                queue.close();
-            }
-        }
-        // Free-list of drained batch buffers: workers clear and return
-        // their batches here, the dispatcher reuses them instead of
-        // allocating a fresh `Vec` per published batch. Best-effort on
-        // both sides (`try_*`): losing a buffer only costs an allocation
-        // and is *not* data loss, so it stays out of the drop ledger.
-        let free: BatchQueue<Packet> = BatchQueue::new(shard_count * QUEUE_DEPTH);
-        let policy = self.queue_policy;
-        let drops = &self.queue_drops;
-        let recorder = self.recorder.clone();
-        let tracer = self.tracer.clone();
-        std::thread::scope(|scope| {
-            for (i, ((shard, queue), fault)) in self
-                .shards
-                .iter_mut()
-                .zip(&queues)
-                .zip(self.faults.iter_mut())
-                .enumerate()
-            {
-                if fault.is_some() {
-                    continue;
-                }
-                let free = &free;
-                let depth = depth_gauges.as_ref().map(|g| g[i].clone());
-                let rec = recorder.clone();
-                scope.spawn(move || {
-                    while let Some(mut batch) = queue.pop() {
-                        if let Some(d) = &depth {
-                            d.set(queue.len() as i64);
-                        }
-                        let worked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            shard.process_batch(&batch);
-                        }));
-                        match worked {
-                            Ok(()) => {
-                                batch.clear();
-                                let _ = free.try_push(batch);
-                            }
-                            Err(payload) => {
-                                // Panic isolation: close the lane first so
-                                // the dispatcher sheds (counted) instead
-                                // of blocking forever, account the batch
-                                // that died mid-flight and the stranded
-                                // backlog, park the shard, and let the
-                                // other lanes keep working.
-                                queue.close();
-                                drops.record_drop(batch.len() as u64);
-                                while let Some(stranded) = queue.try_pop() {
-                                    drops.record_drop(stranded.len() as u64);
-                                }
-                                let message = panic_message(payload);
-                                record_shard_panic(rec.as_ref(), i, &message);
-                                *fault = Some(message);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-            // Dispatcher: RSS split into per-shard batches, one dispatch
-            // hash per packet. Every published batch is offered under the
-            // configured policy; whatever the queue gives back (rejected
-            // arrival, displaced elders) is accounted as dropped.
-            let fresh_batch = || {
-                free.try_pop()
-                    .unwrap_or_else(|| Vec::with_capacity(BATCH_PACKETS))
-            };
-            let publish = |s: usize, batch: Vec<Packet>| {
-                drops.record_offer(batch.len() as u64);
-                match queues[s].offer(batch, policy) {
-                    PushOutcome::Enqueued => {}
-                    PushOutcome::Displaced(old) => {
-                        let shed: u64 = old.iter().map(|b| b.len() as u64).sum();
-                        for batch in old {
-                            drops.record_drop(batch.len() as u64);
-                        }
-                        record_batch_shed(recorder.as_ref(), s, shed, "displaced by queue policy");
-                    }
-                    PushOutcome::Rejected(shed) => {
-                        drops.record_drop(shed.len() as u64);
-                        record_batch_shed(
-                            recorder.as_ref(),
-                            s,
-                            shed.len() as u64,
-                            "rejected by queue policy",
-                        );
-                    }
-                }
-                if let Some(g) = &depth_gauges {
-                    g[s].set(queues[s].len() as i64);
-                }
-            };
-            let mut pending: Vec<Vec<Packet>> = (0..shard_count).map(|_| fresh_batch()).collect();
-            for p in packets {
-                let s = fast_range(dispatch_hash(&p.key()), shard_count);
-                per_shard[s] += 1;
-                if let Some(t) = &tracer {
-                    if t.is_sampled(&p.key()) {
-                        t.span(&p.key(), "dispatch", format!("shard {s}"));
-                    }
-                }
-                pending[s].push(*p);
-                if pending[s].len() >= BATCH_PACKETS {
-                    let full = std::mem::replace(&mut pending[s], fresh_batch());
-                    publish(s, full);
-                }
-            }
-            for (s, rest) in pending.into_iter().enumerate() {
-                if !rest.is_empty() {
-                    publish(s, rest);
-                }
-                queues[s].close();
-            }
-        });
-        self.dispatch_hashes += packets.len() as u64;
-        if let Some(m) = &self.metrics {
-            for (counter, &n) in m.lane_packets.iter().zip(&per_shard) {
-                counter.add(n);
-            }
-        }
-
+            vec![packets.len() as u64]
+        } else {
+            self.note_timestamps(packets);
+            self.dispatch_hashes += packets.len() as u64;
+            self.ingest_threaded(packets)
+        };
         IngestReport {
             packets: packets.len() as u64,
             per_shard_packets: per_shard,
@@ -768,107 +665,124 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
             dropped_packets: self.queue_drops.dropped_records() - dropped_before,
         }
     }
+
+    /// The worker lanes and the dispatcher behind [`Self::ingest`];
+    /// returns the packets routed to each shard.
+    fn ingest_threaded(&mut self, packets: &[Packet]) -> Vec<u64> {
+        let shard_count = self.shards.len();
+        let mut per_shard = vec![0u64; shard_count];
+        let metrics = self.metrics.as_ref();
+        let queues: Vec<BatchQueue<Packet>> = (0..shard_count)
+            .map(|_| BatchQueue::new(QUEUE_DEPTH))
+            .collect();
+        // Free-list of drained batch buffers: workers clear and return
+        // their batches here for the dispatcher to reuse. Best-effort on
+        // both sides (`try_*`): losing a buffer only costs an allocation
+        // and is *not* data loss, so it stays out of the drop ledger.
+        let free: BatchQueue<Packet> = BatchQueue::new(shard_count * QUEUE_DEPTH);
+        let policy = self.queue_policy;
+        let drops = &self.queue_drops;
+        let recorder = self.recorder.as_ref();
+        let tracer = self.tracer.as_ref();
+        let scratch = &mut self.scratch;
+        let lanes = (self.shards.iter_mut())
+            .zip(self.faults.iter_mut())
+            .zip(self.announced.iter_mut());
+        std::thread::scope(|scope| {
+            for (i, (((shard, fault), announced), queue)) in lanes.zip(&queues).enumerate() {
+                let free = &free;
+                // Both sides of a queue update its depth gauge.
+                let depth = metrics.map(|m| &m.queue_depth[i]);
+                scope.spawn(move || {
+                    while let Some(mut batch) = queue.pop() {
+                        if let Some(d) = depth {
+                            d.set(queue.len() as i64);
+                        }
+                        let n = batch.len() as u64;
+                        if feed_guarded(recorder, i, shard, fault, &batch) {
+                            // Panic isolation: a dead lane — dead just now
+                            // or since an earlier call — keeps popping, so
+                            // the dispatcher never blocks on it, and drops
+                            // what it pops, the batch that died in flight
+                            // included (the dispatcher counted the offer).
+                            drops.record_drop(n);
+                            if !std::mem::replace(announced, true) {
+                                record_batch_shed(recorder, i, n, "shard degraded");
+                            }
+                        }
+                        batch.clear();
+                        let _ = free.try_push(batch);
+                    }
+                });
+            }
+            // Dispatcher: every published batch is offered under the
+            // configured policy; whatever the queue gives back (rejected
+            // arrival, displaced elders) is accounted as dropped.
+            let publish = |s: usize, batch: Vec<Packet>| {
+                drops.record_offer(batch.len() as u64);
+                let outcome = queues[s].offer(batch, policy);
+                if let Some(m) = metrics {
+                    m.queue_depth[s].set(queues[s].len() as i64);
+                }
+                let (lost, why) = match outcome {
+                    PushOutcome::Enqueued => return,
+                    PushOutcome::Displaced(old) => (old, "displaced by queue policy"),
+                    PushOutcome::Rejected(new) => (vec![new], "rejected by queue policy"),
+                };
+                for batch in &lost {
+                    drops.record_drop(batch.len() as u64);
+                }
+                let shed = lost.iter().map(|b| b.len() as u64).sum();
+                record_batch_shed(recorder, s, shed, why);
+            };
+            for chunk in packets.chunks(shard_count * BATCH_PACKETS) {
+                let parts = scratch.split(shard_count, chunk).expect("several shards");
+                for (s, part) in parts.iter_mut().enumerate() {
+                    if part.is_empty() {
+                        continue;
+                    }
+                    per_shard[s] += part.len() as u64;
+                    note_routed(metrics, tracer, s, part);
+                    let fresh = free.try_pop().unwrap_or_default();
+                    publish(s, std::mem::replace(part, fresh));
+                }
+            }
+            for queue in &queues {
+                queue.close();
+            }
+        });
+        per_shard
+    }
 }
 
 impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
-    /// Scalar dispatch. A degraded shard (see [`ShardedMonitor::ingest`])
-    /// sheds its packets with full [`DropStats`] accounting; panics on
-    /// this caller-thread path propagate to the caller as usual — only
-    /// the worker lanes isolate them.
+    /// A batch of one through [`Self::process_batch`]: the same split,
+    /// the same guarded feed, the same shedding of a degraded shard.
     fn process_packet(&mut self, packet: &Packet) {
-        self.note_timestamps(std::slice::from_ref(packet));
-        if self.shards.len() == 1 {
-            // Mirror `ingest`: a single shard pays no dispatch work.
-            if let Some(m) = &self.metrics {
-                m.lane_packets[0].inc();
-            }
-            if self.faults[0].is_some() {
-                self.queue_drops.record_offer(1);
-                self.queue_drops.record_drop(1);
-                return;
-            }
-            self.shards[0].process_packet(packet);
-            return;
-        }
-        let s = self.shard_of(&packet.key());
-        self.dispatch_hashes += 1;
-        if let Some(m) = &self.metrics {
-            m.lane_packets[s].inc();
-        }
-        if let Some(t) = &self.tracer {
-            if t.is_sampled(&packet.key()) {
-                t.span(&packet.key(), "dispatch", format!("shard {s}"));
-            }
-        }
-        if self.faults[s].is_some() {
-            self.queue_drops.record_offer(1);
-            self.queue_drops.record_drop(1);
-            return;
-        }
-        self.shards[s].process_packet(packet);
+        self.process_batch(std::slice::from_ref(packet));
     }
 
-    /// The serial batched path: partition once (one dispatch hash per
-    /// packet) and feed each shard its slice through the shard's own
-    /// batched hot path. Observationally identical to per-packet
-    /// dispatch — per-flow order is preserved because a flow has exactly
-    /// one partition.
+    /// The serial path, behind every entry that runs on the caller's
+    /// thread: split once (one dispatch hash per packet; none for a
+    /// single shard) and feed each shard its partition through the
+    /// shard's own batched hot path, under the panic guard. Per-flow
+    /// order is preserved because a flow has exactly one partition. A
+    /// shard that panics degrades alone, exactly as on the worker lanes
+    /// of [`ShardedMonitor::ingest`]; the panic never reaches the caller.
     fn process_batch(&mut self, packets: &[Packet]) {
         self.note_timestamps(packets);
-        if self.shards.len() == 1 {
-            if let Some(m) = &self.metrics {
-                m.lane_packets[0].add(packets.len() as u64);
-            }
-            if self.faults[0].is_some() {
-                self.queue_drops.record_offer(packets.len() as u64);
-                self.queue_drops.record_drop(packets.len() as u64);
-                return;
-            }
-            self.shards[0].process_batch(packets);
-            return;
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let dispatch_start = self.metrics.as_ref().map(|_| Instant::now());
-        scratch.split(self.shards.len(), packets);
-        if let (Some(m), Some(start)) = (&self.metrics, dispatch_start) {
-            m.dispatch_ns
-                .observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            for (counter, part) in m.lane_packets.iter().zip(&scratch.parts) {
-                counter.add(part.len() as u64);
-            }
-        }
-        self.dispatch_hashes += packets.len() as u64;
-        if let Some(t) = &self.tracer {
-            for (s, part) in scratch.parts.iter().enumerate() {
-                for p in part {
-                    if t.is_sampled(&p.key()) {
-                        t.span(&p.key(), "dispatch", format!("shard {s}"));
-                    }
+        let dispatch_timer = self.metrics.as_ref().map(|m| m.dispatch_ns.start_timer());
+        let parts = scratch.split(self.shards.len(), packets);
+        drop(dispatch_timer);
+        match parts {
+            None => self.feed(0, packets),
+            Some(parts) => {
+                self.dispatch_hashes += packets.len() as u64;
+                for (s, part) in parts.iter().enumerate() {
+                    self.feed(s, part);
                 }
             }
-        }
-        for (s, ((shard, part), fault)) in self
-            .shards
-            .iter_mut()
-            .zip(&scratch.parts)
-            .zip(&self.faults)
-            .enumerate()
-        {
-            if fault.is_some() {
-                // Degraded shard: its partition sheds, fully accounted.
-                if !part.is_empty() {
-                    self.queue_drops.record_offer(part.len() as u64);
-                    self.queue_drops.record_drop(part.len() as u64);
-                    record_batch_shed(
-                        self.recorder.as_ref(),
-                        s,
-                        part.len() as u64,
-                        "shard degraded",
-                    );
-                }
-                continue;
-            }
-            shard.process_batch(part);
         }
         self.scratch = scratch;
     }
@@ -934,9 +848,8 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         for s in &mut self.shards {
             s.reset();
         }
-        for fault in &mut self.faults {
-            *fault = None;
-        }
+        self.faults.fill(None);
+        self.announced.fill(false);
         self.queue_drops.reset();
         self.dispatch_hashes = 0;
         self.first_ns = None;
@@ -955,8 +868,8 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     /// with a recorder, shard panics record an error event and dump the
     /// recent window and shed batches record warnings; with a tracer,
     /// every dispatch of a sampled flow records a `dispatch` span naming
-    /// the owning shard, on all three ingestion paths. The shards
-    /// themselves are instrumented with the same handles.
+    /// the owning shard. The shards themselves are instrumented with the
+    /// same handles.
     fn instrument(&mut self, instruments: &Instruments) {
         self.metrics = instruments.registry.as_ref().map(|registry| {
             self.queue_drops.register(registry, "shard_queue");
@@ -985,14 +898,8 @@ impl<M: MergeableMonitor + Send> MergeableMonitor for ShardedMonitor<M> {
             mine.merge_from(theirs);
         }
         self.dispatch_hashes += other.dispatch_hashes;
-        self.first_ns = match (self.first_ns, other.first_ns) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last_ns = match (self.last_ns, other.last_ns) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        self.first_ns = (self.first_ns.into_iter().chain(other.first_ns)).min();
+        self.last_ns = (self.last_ns.into_iter().chain(other.last_ns)).max();
     }
 
     fn combine_cardinality(estimates: &[f64]) -> f64 {
@@ -1271,8 +1178,9 @@ mod tests {
         let snap = registry.snapshot();
         // Every packet of every path lands in exactly one shard counter.
         assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), expected);
-        // The serial batch recorded one dispatch split; the seal recorded
-        // one merge and one seal duration.
+        // Every `process_batch` call recorded one dispatch split — the
+        // serial batch and each of the 50 batches of one; the seal
+        // recorded one merge and one seal duration.
         let hist_count = |name: &str| {
             snap.samples()
                 .iter()
@@ -1283,7 +1191,7 @@ mod tests {
                 })
                 .sum::<u64>()
         };
-        assert_eq!(hist_count("hashflow_shard_dispatch_ns"), 1);
+        assert_eq!(hist_count("hashflow_shard_dispatch_ns"), 51);
         assert_eq!(hist_count("hashflow_shard_merge_ns"), 1);
         assert_eq!(hist_count("hashflow_shard_seal_ns"), 1);
         // The shard-queue ledger is registered: the threaded path offered
@@ -1384,8 +1292,8 @@ mod tests {
         // partial, and return the shards to service at the epoch
         // boundary.
         let mut m = ShardedMonitor::new((0..2).map(|_| Bomb::armed()).collect::<Vec<_>>()).unwrap();
-        // Far more than QUEUE_DEPTH * BATCH_PACKETS per shard: without the
-        // close-on-panic path the dispatcher would block forever.
+        // Far more than QUEUE_DEPTH * BATCH_PACKETS per shard: a dead lane
+        // that stopped popping would block the dispatcher forever.
         let packets: Vec<Packet> = (0..40_000u64).map(|i| pkt(i, i)).collect();
         let report = m.ingest(&packets);
         assert_eq!(report.packets, 40_000);

@@ -46,7 +46,6 @@ pub mod prelude {
     pub use hashflow_collector::{
         AlgorithmKind, Collector, MetricsRegistry, MetricsSnapshot, MonitorBuilder,
     };
-    pub use hashflow_core::adaptive::{AdaptiveController, AdaptiveHashFlow};
     pub use hashflow_core::{model, HashFlow, HashFlowConfig, TableScheme};
     pub use hashflow_metrics::{evaluate, EvaluationReport, GroundTruth};
     pub use hashflow_monitor::{

@@ -2,9 +2,9 @@
 //! different times across a measurement window.
 //!
 //! The basic [`crate::TraceGenerator`] emits a single epoch's worth of
-//! packets with synthetic inter-arrival jitter; epoch-rotation and
-//! adaptive-sizing experiments additionally need traffic whose *intensity
-//! varies over time*. [`schedule`] assigns every flow a start
+//! packets with synthetic inter-arrival jitter; epoch-rotation
+//! experiments additionally need traffic whose *intensity varies over
+//! time*. [`schedule`] assigns every flow a start
 //! offset and spreads its packets over a lifetime, producing a stream
 //! whose concurrent-flow count rises and falls like a real link's.
 

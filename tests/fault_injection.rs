@@ -254,6 +254,97 @@ fn worker_panic_is_isolated_ledgered_and_recovered_at_the_seal() {
     );
 }
 
+/// Until it fires, the injector is transparent at the epoch boundary
+/// too: a wrapped `HashFlow` goes through `HashFlow::seal` — the one-sweep
+/// drain a deployment runs — and seals the snapshot its bare twin seals,
+/// introspection included.
+#[test]
+fn an_unfired_panic_injector_seals_like_the_monitor_it_wraps() {
+    let budget = MemoryBudget::from_kib(64).unwrap();
+    let mut bare = HashFlow::with_memory(budget).unwrap();
+    let mut wrapped = PanicInjector::new(HashFlow::with_memory(budget).unwrap(), u64::MAX);
+    let trace = TraceGenerator::new(TraceProfile::Caida, 41).generate(3_000);
+    bare.process_trace(trace.packets());
+    wrapped.process_trace(trace.packets());
+    assert!(!bare.introspection().is_empty());
+    assert_eq!(wrapped.introspection(), bare.introspection());
+    assert!(wrapped.faults().is_empty());
+
+    let (sealed, expected) = (wrapped.seal(), bare.seal());
+    assert!(!expected.is_empty());
+    assert_eq!(sealed.as_records(), expected.as_records(), "same order");
+    assert_eq!(sealed.cost(), expected.cost());
+    assert_eq!(sealed.cardinality(), expected.cardinality());
+    assert_eq!(sealed.introspection(), expected.introspection());
+    assert!(wrapped.flow_records().is_empty(), "the seal drained it");
+}
+
+/// The isolation contract on the entries a deployment runs. Four shards
+/// under an `EpochRotator`, fed only through `process_batch`, then only
+/// through `process_packet`: shard 0's panic never reaches the caller and
+/// degrades nothing else, the ledger balances, the recorder holds exactly
+/// one `shard_panic` and one `batch_shed` for the dead shard however many
+/// batches follow, the sealed epoch says `partial`, and the seal brings
+/// the shard back.
+#[test]
+fn a_panic_on_the_serial_entries_degrades_one_shard_and_announces_it_once() {
+    let trace = TraceGenerator::new(TraceProfile::Caida, 37).generate(6_000);
+    let packets = trace.packets();
+    for per_packet in [false, true] {
+        let budget = MemoryBudget::from_kib(256).unwrap();
+        let sharded = ShardedMonitor::with_budget(4, budget, |i, b| {
+            let threshold = if i == 0 { 300 } else { u64::MAX };
+            Ok(PanicInjector::new(HashFlow::with_memory(b)?, threshold))
+        })
+        .unwrap();
+        let recorder = hashflow_suite::obs::FlightRecorder::new();
+        let mut rotator = EpochRotator::new(sharded, u64::MAX);
+        rotator.instrument(&Instruments {
+            recorder: Some(recorder.clone()),
+            ..Instruments::default()
+        });
+
+        // Dozens of batches after the one that kills shard 0.
+        for batch in packets.chunks(128) {
+            if per_packet {
+                batch.iter().for_each(|p| rotator.process_packet(p));
+            } else {
+                rotator.process_batch(batch);
+            }
+        }
+        let sharded = rotator.inner();
+        let faults = sharded.shard_faults();
+        assert!(faults[0].as_deref().unwrap().contains("injected worker"));
+        assert!(
+            faults[1..].iter().all(|f| f.is_none()),
+            "one shard, one fault"
+        );
+        let routed_to_0 = (packets.iter().filter(|p| sharded.shard_of(&p.key()) == 0)).count();
+        let drops = sharded.queue_drop_stats();
+        assert!(drops.dropped_records() > 0);
+        assert!(
+            drops.dropped_records() <= routed_to_0 as u64,
+            "healthy shards lose nothing"
+        );
+        assert_eq!(
+            drops.offered_records(),
+            drops.delivered_records() + drops.dropped_records()
+        );
+        let count = |kind: &str| {
+            let events = recorder.snapshot();
+            let of_kind = events.iter().filter(|e| e.kind == kind);
+            of_kind.filter(|e| e.field("shard") == Some("0")).count()
+        };
+        assert_eq!(count("shard_panic"), 1, "per_packet {per_packet}");
+        assert_eq!(count("batch_shed"), 1, "per_packet {per_packet}");
+
+        let sealed = rotator.rotate_now();
+        assert!(sealed.is_partial());
+        assert!(!sealed.is_empty(), "three shards kept ingesting");
+        assert!(!rotator.inner().is_degraded(), "seal is the recovery point");
+    }
+}
+
 /// A HashFlow whose report blows up once, the first time it is read
 /// after arming: a bug in a shard's drain rather than in its ingest. It
 /// keeps the trait's default `seal` (capture, then reset), so the panic

@@ -193,7 +193,7 @@ fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
 
 /// An injected worker panic on the threaded ingest path records a
 /// `shard_panic` event naming the dead lane and auto-dumps, while the
-/// shed backlog of the dead lane shows up as `batch_shed` events.
+/// dead lane's shedding shows up as its one `batch_shed` event.
 #[test]
 fn shard_panic_records_events_and_dumps() {
     let buf = SharedBuf::default();
@@ -219,8 +219,8 @@ fn shard_panic_records_events_and_dumps() {
     let trace = TraceGenerator::new(TraceProfile::Caida, 31).generate(5_000);
     monitor.ingest(trace.packets());
     assert!(monitor.is_degraded(), "shard 0 must die at packet 256");
-    // Ingest again while the lane is down: the dead shard's queue starts
-    // closed, so every batch offered to it bounces and is evented.
+    // Ingest again while the lane is down: everything routed to the dead
+    // shard is dropped and counted, and evented once per degradation.
     monitor.ingest(trace.packets());
 
     let events = recorder.snapshot();

@@ -8,8 +8,9 @@
 //! comparison is the equal-memory discipline of §IV-A applied across the
 //! scale-out dimension.
 
+use hashflow_suite::monitor::PanicInjector;
+use hashflow_suite::obs::FlightRecorder;
 use hashflow_suite::prelude::*;
-use hashflow_suite::shard::ShardedMonitor;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -32,6 +33,75 @@ fn pair(kib: usize) -> (HashFlow, ShardedMonitor<HashFlow>) {
     let sharded = ShardedMonitor::with_budget(SHARDS, budget, |_, b| HashFlow::with_memory(b))
         .expect("split budget fits");
     (single, sharded)
+}
+
+/// A four-shard monitor over chaos-wrapped HashFlows, instrumented with
+/// its own registry and recorder. `dead` names a shard that panics on
+/// the first packet routed to it, so it is degraded — shedding, counted —
+/// for the rest of the stream, whichever entry delivers that packet.
+fn instrumented(
+    dead: Option<usize>,
+) -> (
+    ShardedMonitor<PanicInjector<HashFlow>>,
+    MetricsRegistry,
+    FlightRecorder,
+) {
+    let budget = MemoryBudget::from_kib(64).expect("positive budget");
+    let mut sharded = ShardedMonitor::with_budget(SHARDS, budget, |i, b| {
+        let threshold = if dead == Some(i) { 1 } else { u64::MAX };
+        Ok(PanicInjector::new(HashFlow::with_memory(b)?, threshold))
+    })
+    .expect("split budget fits");
+    let (registry, recorder) = (MetricsRegistry::new(), FlightRecorder::new());
+    sharded.instrument(&Instruments {
+        registry: Some(registry.clone()),
+        recorder: Some(recorder.clone()),
+        tracer: None,
+    });
+    (sharded, registry, recorder)
+}
+
+/// Everything the three entries must agree on: sorted records, merged
+/// cost, packets routed per shard, packets the ledger dropped, and the
+/// sorted kinds of the recorded events.
+type Observed = (
+    Vec<FlowRecord>,
+    CostSnapshot,
+    Vec<u64>,
+    u64,
+    Vec<&'static str>,
+);
+
+fn observe(
+    sharded: &ShardedMonitor<PanicInjector<HashFlow>>,
+    registry: &MetricsRegistry,
+    recorder: &FlightRecorder,
+) -> Observed {
+    let mut records = sharded.flow_records();
+    records.sort_by_key(|r| r.key());
+    let metrics = registry.snapshot();
+    let routed = (0..SHARDS)
+        .map(|i| {
+            let shard = i.to_string();
+            metrics
+                .counter("hashflow_shard_packets_total", &[("shard", &shard)])
+                .expect("registered per shard")
+        })
+        .collect();
+    let mut kinds: Vec<_> = recorder.snapshot().into_iter().map(|e| e.kind).collect();
+    kinds.sort();
+    let drops = sharded.queue_drop_stats();
+    assert_eq!(
+        drops.offered_records(),
+        drops.delivered_records() + drops.dropped_records()
+    );
+    (
+        records,
+        sharded.cost(),
+        routed,
+        drops.dropped_records(),
+        kinds,
+    )
 }
 
 fn truth_of(packets: &[Packet]) -> HashMap<FlowKey, u32> {
@@ -133,6 +203,52 @@ proptest! {
         b.sort_by_key(|r| r.key());
         prop_assert_eq!(a, b);
         prop_assert_eq!(threaded.cost(), sequential.cost());
+    }
+
+    /// One way in: any interleaving of the three entries — a packet, a
+    /// batch of any length, a threaded `ingest` — over the same stream
+    /// leaves what the all-`process_packet` run leaves, with every shard
+    /// healthy and with one shard degraded from its first packet on. (The
+    /// ledger is compared on its drops: only `ingest` offers a healthy
+    /// shard's packets to a queue, so what it delivered is counted apart.)
+    #[test]
+    fn any_interleaving_of_the_three_entries_equals_per_packet_dispatch(
+        packets in stream(300, 600),
+        steps in prop::collection::vec((0usize..3, 1usize..120), 1..12),
+        dead in 0..=SHARDS,
+    ) {
+        // `SHARDS` itself stands for "every shard healthy".
+        let dead = (dead < SHARDS).then_some(dead);
+        let (mut scalar, scalar_registry, scalar_recorder) = instrumented(dead);
+        for p in &packets {
+            scalar.process_packet(p);
+        }
+        let (mut mixed, registry, recorder) = instrumented(dead);
+        let mut rest = packets.as_slice();
+        let mut queued_for_live_shards = 0u64;
+        for &(entry, len) in steps.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let len = if entry == 0 { 1 } else { len.min(rest.len()) };
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            match entry {
+                0 => mixed.process_packet(&run[0]),
+                1 => mixed.process_batch(run),
+                _ => {
+                    mixed.ingest(run);
+                    queued_for_live_shards +=
+                        run.iter().filter(|p| Some(mixed.shard_of(&p.key())) != dead).count() as u64;
+                }
+            }
+        }
+        prop_assert_eq!(
+            observe(&mixed, &registry, &recorder),
+            observe(&scalar, &scalar_registry, &scalar_recorder)
+        );
+        prop_assert_eq!(mixed.queue_drop_stats().delivered_records(), queued_for_live_shards);
+        prop_assert_eq!(mixed.shard_faults().iter().flatten().count(), usize::from(dead.is_some()));
     }
 
     /// Registry sweep: every merge-layer algorithm runs sharded through
