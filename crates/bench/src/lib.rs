@@ -1,30 +1,24 @@
-//! Shared helpers for the criterion benchmark harness.
+//! Shared helpers for the criterion micro-benchmarks.
 //!
-//! The benches regenerate the performance exhibits of the paper on native
-//! hardware:
+//! The benches time the primitives the paper's per-packet cost is built
+//! from, on native hardware:
 //!
-//! * `update_throughput` — per-packet update rate of the four algorithms on
-//!   each trace profile (the native counterpart of Fig. 11(a); the modeled
-//!   bmv2 numbers come from `cargo run -p experiments --bin fig11_throughput`);
-//! * `hashing` — the three hash-function implementations on 13-byte keys;
+//! * `hashing` — the three hash-function implementations on 13-byte keys,
+//!   and the lane kernel that hashes a whole batch;
 //! * `flowradar_decode` — decode cost below and above the decode cliff;
 //! * `table_schemes` — multi-hash vs pipelined main-table probes
 //!   (the design ablation of Fig. 2/5);
-//! * `query_latency` — per-flow size queries for each algorithm;
-//! * `shard_scaling` — threaded `ShardedMonitor<HashFlow>` ingestion at
-//!   N = 1/2/4/8 shards (beyond the paper; the modeled one-core-per-shard
-//!   numbers come from `cargo run -p experiments --bin scaling_shards`);
-//! * `hotpath` — scalar `process_packet` loop vs the batched
-//!   `process_batch` ingestion path, per main-table scheme (the JSON
-//!   counterpart comes from `cargo run -p experiments --bin hotpath`).
+//! * `query_latency` — per-flow size queries for each algorithm.
+//!
+//! Whole-pipeline ingest rates (Fig. 11's native column, scalar vs
+//! batched, shard scaling) are experiment exhibits, not benches:
+//! `cargo run -p experiments --bin fig11_throughput|hotpath|scaling_shards`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use hashflow_collector::{AlgorithmKind, MonitorBuilder};
-use hashflow_core::HashFlow;
 use hashflow_monitor::{FlowMonitor, MemoryBudget};
-use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceGenerator, TraceProfile};
 
 /// Benchmark memory budget: 256 KiB keeps construction cheap while
@@ -54,13 +48,6 @@ pub fn bench_monitors() -> Vec<(&'static str, Box<dyn FlowMonitor + Send>)> {
         .collect()
 }
 
-/// A sharded HashFlow at the benchmark budget: `shards` equal sub-budgets
-/// summing to at most [`bench_budget`], identical configuration per shard.
-pub fn bench_sharded_hashflow(shards: usize) -> ShardedMonitor<HashFlow> {
-    ShardedMonitor::with_budget(shards, bench_budget(), |_, b| HashFlow::with_memory(b))
-        .expect("bench budget splits into any bench shard count")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,8 +56,5 @@ mod tests {
     fn helpers_construct() {
         assert_eq!(bench_monitors().len(), 4);
         assert_eq!(bench_trace(TraceProfile::Isp2, 100).flow_count(), 100);
-        let sharded = bench_sharded_hashflow(4);
-        assert_eq!(sharded.shard_count(), 4);
-        assert!(sharded.memory_bits() <= bench_budget().bits());
     }
 }

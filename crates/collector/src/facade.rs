@@ -211,10 +211,6 @@ impl FlowMonitor for Collector {
         self.rotator.estimate_cardinality()
     }
 
-    fn heavy_hitters(&self, threshold: u32) -> Vec<FlowRecord> {
-        self.rotator.heavy_hitters(threshold)
-    }
-
     fn memory_bits(&self) -> usize {
         self.rotator.memory_bits()
     }

@@ -4,7 +4,7 @@ use crate::scheme::{MainTable, OpCount, ProbeOutcome};
 use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, KernelCopy};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
-    IntrospectMetric, MemoryBudget, MergeableMonitor, MonitorIntrospect,
+    IntrospectMetric, MemoryBudget, MergeableMonitor,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
@@ -382,24 +382,12 @@ impl FlowMonitor for HashFlow {
             .with_introspection(introspection)
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-
-    /// Takes the tracer: from here on every packet of a sampled flow
-    /// records which Algorithm 1 stage it landed in.
-    fn instrument(&mut self, instruments: &Instruments) {
-        self.tracer = instruments.tracer.clone();
-    }
-}
-
-impl MonitorIntrospect for HashFlow {
     /// Saturation of Algorithm 1's two tables plus its inter-stage
     /// traffic: the main-table load factor the §III-B model predicts, the
     /// ancillary load factor, promotions (phase 3 firing) and
     /// digest-collision evictions (ancillary summaries overwritten by a
     /// different digest).
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let ancillary_load = self.ancillary.occupied() as f64 / self.ancillary.len().max(1) as f64;
         vec![
             IntrospectMetric::ratio("main_table_load", self.main_table_utilization()),
@@ -407,6 +395,12 @@ impl MonitorIntrospect for HashFlow {
             IntrospectMetric::count("promotions", self.promotions),
             IntrospectMetric::count("digest_collisions", self.ancillary_replacements),
         ]
+    }
+
+    /// Takes the tracer: from here on every packet of a sampled flow
+    /// records which Algorithm 1 stage it landed in.
+    fn instrument(&mut self, instruments: &Instruments) {
+        self.tracer = instruments.tracer.clone();
     }
 }
 

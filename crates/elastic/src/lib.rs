@@ -38,9 +38,7 @@ mod basic;
 pub use basic::BasicElasticSketch;
 
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MonitorIntrospect,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_primitives::{linear_counting_estimate, CountMinSketch};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, FLOW_KEY_BITS};
 
@@ -325,16 +323,10 @@ impl FlowMonitor for ElasticSketch {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for ElasticSketch {
     /// Per-sub-table heavy occupancy, the fraction of heavy buckets whose
     /// flag marks light-part spillover (the §II record-splitting signal),
     /// and the light part's counter occupancy.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let mut metrics = Vec::with_capacity(self.heavy.len() + 2);
         let mut flagged = 0usize;
         for (i, table) in self.heavy.iter().enumerate() {

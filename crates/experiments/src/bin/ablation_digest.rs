@@ -1,11 +1,4 @@
-//! Regenerates the `ablation_digest` exhibit. See `experiments::figs::ablation_digest`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `ablation_digest` exhibit: see `experiments::figs::ablation_digest`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running ablation_digest (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::ablation_digest::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `ablation_elastic` exhibit. See `experiments::figs::ablation_elastic`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `ablation_elastic` exhibit: see `experiments::figs::ablation_elastic`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running ablation_elastic (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::ablation_elastic::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

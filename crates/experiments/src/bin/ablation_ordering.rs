@@ -1,11 +1,4 @@
-//! Regenerates the `ablation_ordering` exhibit. See `experiments::figs::ablation_ordering`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `ablation_ordering` exhibit: see `experiments::figs::ablation_ordering`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running ablation_ordering (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::ablation_ordering::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `ablation_promotion` exhibit. See `experiments::figs::ablation_promotion`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `ablation_promotion` exhibit: see `experiments::figs::ablation_promotion`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running ablation_promotion (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::ablation_promotion::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `ablation_sampling` exhibit. See `experiments::figs::ablation_sampling`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `ablation_sampling` exhibit: see `experiments::figs::ablation_sampling`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running ablation_sampling (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::ablation_sampling::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

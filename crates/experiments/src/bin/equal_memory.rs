@@ -1,19 +1,4 @@
-//! Regenerates the `equal_memory` exhibit (beyond the paper: the §IV
-//! equal-memory comparison over the full monitor zoo × trace-regime
-//! matrix). See `experiments::figs::equal_memory`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `equal_memory` exhibit: see `experiments::figs::equal_memory`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running equal_memory (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::equal_memory::run(&cfg), &cfg.out_dir);
-    // Extend the repository-level perf trajectory next to the sources.
-    let emitted = cfg.out_dir.join("BENCH_equal_memory.json");
-    match std::fs::copy(&emitted, "BENCH_equal_memory.json") {
-        Ok(_) => println!("   -> BENCH_equal_memory.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

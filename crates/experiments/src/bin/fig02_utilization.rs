@@ -1,11 +1,4 @@
-//! Regenerates the `fig02_utilization` exhibit. See `experiments::figs::fig02_utilization`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig02_utilization` exhibit: see `experiments::figs::fig02_utilization`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig02_utilization (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig02_utilization::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `fig04_depth` exhibit. See `experiments::figs::fig04_depth`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig04_depth` exhibit: see `experiments::figs::fig04_depth`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig04_depth (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig04_depth::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `fig05_weights` exhibit. See `experiments::figs::fig05_weights`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig05_weights` exhibit: see `experiments::figs::fig05_weights`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig05_weights (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig05_weights::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `fig06_fsc` exhibit. See `experiments::figs::fig06_fsc`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig06_fsc` exhibit: see `experiments::figs::fig06_fsc`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig06_fsc (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig06_fsc::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

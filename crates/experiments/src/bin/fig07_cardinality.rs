@@ -1,11 +1,4 @@
-//! Regenerates the `fig07_cardinality` exhibit. See `experiments::figs::fig07_cardinality`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig07_cardinality` exhibit: see `experiments::figs::fig07_cardinality`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig07_cardinality (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig07_cardinality::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,11 +1,4 @@
-//! Regenerates the `fig08_size_are` exhibit. See `experiments::figs::fig08_size_are`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig08_size_are` exhibit: see `experiments::figs::fig08_size_are`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig08_size_are (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig08_size_are::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

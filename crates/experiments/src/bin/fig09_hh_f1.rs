@@ -1,11 +1,4 @@
-//! Regenerates the `fig09_hh_f1` exhibit. See `experiments::figs::fig09_hh_f1`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig09_hh_f1` exhibit: see `experiments::figs::fig09_hh_f1`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig09_hh_f1 (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig09_hh_f1::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

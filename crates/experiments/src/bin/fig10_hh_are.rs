@@ -1,11 +1,4 @@
-//! Regenerates the `fig10_hh_are` exhibit. See `experiments::figs::fig10_hh_are`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig10_hh_are` exhibit: see `experiments::figs::fig10_hh_are`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig10_hh_are (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig10_hh_are::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

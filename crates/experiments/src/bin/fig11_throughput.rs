@@ -1,11 +1,4 @@
-//! Regenerates the `fig11_throughput` exhibit. See `experiments::figs::fig11_throughput`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `fig11_throughput` exhibit: see `experiments::figs::fig11_throughput`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running fig11_throughput (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::fig11_throughput::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

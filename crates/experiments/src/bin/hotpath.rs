@@ -1,15 +1,4 @@
-//! Regenerates the `hotpath` exhibit (beyond the paper: scalar vs
-//! batched single-core ingestion). See `experiments::figs::hotpath`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `hotpath` exhibit: see `experiments::figs::hotpath`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!("running hotpath (scale {}, seed {})\n", cfg.scale, cfg.seed);
-    output::emit(&figs::hotpath::run(&cfg), &cfg.out_dir);
-    // Extend the repository-level perf trajectory next to the sources.
-    let emitted = cfg.out_dir.join("BENCH_hotpath.json");
-    match std::fs::copy(&emitted, "BENCH_hotpath.json") {
-        Ok(_) => println!("   -> BENCH_hotpath.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

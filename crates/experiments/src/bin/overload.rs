@@ -1,52 +1,4 @@
-//! Regenerates the `overload` exhibit (beyond the paper: the pipeline
-//! under overload and export faults) and fails the process when any row
-//! violates the conservation identity `offered == delivered + dropped` —
-//! the CI chaos-smoke gate. See `experiments::figs::overload`.
-use experiments::output::Cell;
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `overload` exhibit: see `experiments::figs::overload`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running overload (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    let tables = figs::overload::run(&cfg);
-    output::emit(&tables, &cfg.out_dir);
-    // Extend the repository-level perf trajectory next to the sources.
-    let emitted = cfg.out_dir.join("BENCH_overload.json");
-    match std::fs::copy(&emitted, "BENCH_overload.json") {
-        Ok(_) => println!("   -> BENCH_overload.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
-
-    // Conservation gate: every shed unit must be on a ledger. The run
-    // itself asserts the per-scenario invariants; this re-derives the
-    // identity from the emitted table so the gate survives refactors of
-    // the assertions above it.
-    let mut violations = 0usize;
-    for row in tables[0].rows() {
-        let (scenario, policy) = match (&row[1], &row[2]) {
-            (Cell::Text(s), Cell::Text(p)) => (s.clone(), p.clone()),
-            _ => (String::from("?"), String::from("?")),
-        };
-        if let (Cell::Int(offered), Cell::Int(delivered), Cell::Int(dropped)) =
-            (&row[5], &row[6], &row[7])
-        {
-            if *offered != *delivered + *dropped {
-                eprintln!(
-                    "conservation violation in {scenario}/{policy}: \
-                     offered {offered} != delivered {delivered} + dropped {dropped}"
-                );
-                violations += 1;
-            }
-        } else {
-            eprintln!("malformed overload row for {scenario}/{policy}");
-            violations += 1;
-        }
-    }
-    if violations > 0 {
-        std::process::exit(2);
-    }
-    println!("all overload rows conserve offered == delivered + dropped");
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

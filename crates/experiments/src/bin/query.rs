@@ -1,16 +1,4 @@
-//! Regenerates the `query` exhibit (beyond the paper: live full-sort
-//! queries vs the sealed-snapshot query engine). See
-//! `experiments::figs::query`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `query` exhibit: see `experiments::figs::query`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!("running query (scale {}, seed {})\n", cfg.scale, cfg.seed);
-    output::emit(&figs::query::run(&cfg), &cfg.out_dir);
-    // Extend the repository-level perf trajectory next to the sources.
-    let emitted = cfg.out_dir.join("BENCH_query.json");
-    match std::fs::copy(&emitted, "BENCH_query.json") {
-        Ok(_) => println!("   -> BENCH_query.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

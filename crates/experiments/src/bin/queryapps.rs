@@ -1,19 +1,4 @@
-//! Regenerates the `queryapps` exhibit (beyond the paper: the telemetry
-//! application library over HashFlow and the §IV baselines). See
-//! `experiments::figs::queryapps`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `queryapps` exhibit: see `experiments::figs::queryapps`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running queryapps (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::queryapps::run(&cfg), &cfg.out_dir);
-    // Extend the repository-level perf trajectory next to the sources.
-    let emitted = cfg.out_dir.join("BENCH_queryapps.json");
-    match std::fs::copy(&emitted, "BENCH_queryapps.json") {
-        Ok(_) => println!("   -> BENCH_queryapps.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

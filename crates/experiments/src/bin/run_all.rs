@@ -1,58 +1,6 @@
-//! Regenerates every table and figure of the paper in one go, writing CSV
-//! series under `target/experiments/` (override with `HF_OUT_DIR`). Set
-//! `HF_SCALE=0.1` for a fast smoke run.
-use experiments::{figs, output, RunConfig};
-use std::time::Instant;
-
-/// An exhibit-regeneration entry point.
-type Job = fn(&RunConfig) -> Vec<experiments::output::Table>;
-
+//! Regenerates every exhibit under `HF_OUT_DIR` (default
+//! `target/experiments/`) plus a `REPORT.md`; `HF_SCALE=0.1` makes it a
+//! fast smoke run. See `experiments::run_all`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "regenerating all exhibits (scale {}, seed {}) -> {}\n",
-        cfg.scale,
-        cfg.seed,
-        cfg.out_dir.display()
-    );
-    let mut all_tables = Vec::new();
-    let jobs: Vec<(&str, Job)> = vec![
-        ("table01+fig03", figs::table01_traces::run),
-        ("fig02", figs::fig02_utilization::run),
-        ("fig04", figs::fig04_depth::run),
-        ("fig05", figs::fig05_weights::run),
-        ("fig06", figs::fig06_fsc::run),
-        ("fig07", figs::fig07_cardinality::run),
-        ("fig08", figs::fig08_size_are::run),
-        ("fig09+fig10", run_fig09_and_10),
-        ("fig11", figs::fig11_throughput::run),
-        ("scaling_shards", figs::scaling_shards::run),
-        ("hotpath", figs::hotpath::run),
-        ("obs_overhead", figs::obs_overhead::run),
-        ("trace_overhead", figs::trace_overhead::run),
-        ("query", figs::query::run),
-        ("queryapps", figs::queryapps::run),
-        ("equal_memory", figs::equal_memory::run),
-        ("ablation_digest", figs::ablation_digest::run),
-        ("ablation_promotion", figs::ablation_promotion::run),
-        ("ablation_sampling", figs::ablation_sampling::run),
-        ("ablation_ordering", figs::ablation_ordering::run),
-        ("ablation_elastic", figs::ablation_elastic::run),
-    ];
-    for (name, job) in jobs {
-        let start = Instant::now();
-        let tables = job(&cfg);
-        output::emit(&tables, &cfg.out_dir);
-        println!("[{name}] done in {:.1?}\n", start.elapsed());
-        all_tables.extend(tables);
-    }
-    match experiments::report::save_report(&all_tables, &cfg.out_dir) {
-        Ok(path) => println!("report -> {}", path.display()),
-        Err(e) => eprintln!("failed to write report: {e}"),
-    }
-}
-
-fn run_fig09_and_10(cfg: &RunConfig) -> Vec<experiments::output::Table> {
-    let (f1, are) = figs::fig09_hh_f1::run_both(cfg);
-    vec![f1, are]
+    experiments::run_all();
 }

@@ -1,18 +1,4 @@
-//! Regenerates the `scaling_shards` exhibit (beyond the paper: multi-core
-//! shard scaling). See `experiments::figs::scaling_shards`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `scaling_shards` exhibit: see `experiments::figs::scaling_shards`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running scaling_shards (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::scaling_shards::run(&cfg), &cfg.out_dir);
-    // Seed the repository-level perf trajectory next to the sources.
-    let emitted = cfg.out_dir.join("BENCH_shard.json");
-    match std::fs::copy(&emitted, "BENCH_shard.json") {
-        Ok(_) => println!("   -> BENCH_shard.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

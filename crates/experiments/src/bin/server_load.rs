@@ -1,61 +1,4 @@
-//! Regenerates the `server_load` exhibit (beyond the paper: the
-//! collector daemon under concurrent query load) and fails the process
-//! when any row violates ledger conservation or the health check — the
-//! CI server-smoke gate. See `experiments::figs::server_load`.
-use experiments::output::Cell;
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `server_load` exhibit: see `experiments::figs::server_load`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running server_load (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    let tables = figs::server_load::run(&cfg);
-    output::emit(&tables, &cfg.out_dir);
-    let emitted = cfg.out_dir.join("BENCH_server.json");
-    match std::fs::copy(&emitted, "BENCH_server.json") {
-        Ok(_) => println!("   -> BENCH_server.json"),
-        Err(e) => eprintln!("   !! failed to copy {}: {e}", emitted.display()),
-    }
-
-    // Gates re-derived from the emitted table (so they survive refactors
-    // of the assertions inside the exhibit): the drop ledger must
-    // conserve offered == processed + dropped in every row, /healthz
-    // must have answered 200, and every reader tier must have completed
-    // queries.
-    let mut violations = 0usize;
-    for row in tables[0].rows() {
-        let readers = match &row[0] {
-            Cell::Int(n) => *n,
-            _ => -1,
-        };
-        match (&row[3], &row[4], &row[5]) {
-            (Cell::Int(offered), Cell::Int(processed), Cell::Int(dropped)) => {
-                if *offered != *processed + *dropped {
-                    eprintln!(
-                        "conservation violation at {readers} readers: \
-                         offered {offered} != processed {processed} + dropped {dropped}"
-                    );
-                    violations += 1;
-                }
-            }
-            _ => {
-                eprintln!("malformed server_load row at {readers} readers");
-                violations += 1;
-            }
-        }
-        if row[12] != Cell::Int(1) {
-            eprintln!("health check failed at {readers} readers");
-            violations += 1;
-        }
-        if readers > 0 && row[8] == Cell::Int(0) {
-            eprintln!("{readers} readers completed no requests");
-            violations += 1;
-        }
-    }
-    if violations > 0 {
-        std::process::exit(2);
-    }
-    println!("all server_load rows conserve the ledger and stay healthy");
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

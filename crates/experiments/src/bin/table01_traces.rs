@@ -1,11 +1,4 @@
-//! Regenerates the `table01_traces` exhibit. See `experiments::figs::table01_traces`.
-use experiments::{figs, output, RunConfig};
-
+//! Regenerates the `table01_traces` exhibit: see `experiments::figs::table01_traces`.
 fn main() {
-    let cfg = RunConfig::from_env();
-    println!(
-        "running table01_traces (scale {}, seed {})\n",
-        cfg.scale, cfg.seed
-    );
-    output::emit(&figs::table01_traces::run(&cfg), &cfg.out_dir);
+    experiments::main(env!("CARGO_BIN_NAME"));
 }

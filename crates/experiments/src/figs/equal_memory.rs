@@ -14,15 +14,14 @@
 //! The exact baseline plays ground truth *in band*: it runs under the
 //! same memory accounting as everyone else and must report zero size
 //! ARE and perfect F1 in every cell — which the embedded tests pin, so
-//! the harness itself is checked every CI run. Alongside the CSV table,
-//! the run writes `BENCH_equal_memory.json`, extending the repository's
-//! machine-readable trajectory.
+//! the harness itself is checked every CI run. The run's record is
+//! `BENCH_equal_memory.json`.
 
-use crate::output::{Cell, Table};
+use crate::bench::Bench;
+use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, MonitorBuilder};
 use hashflow_trace::{TraceRegime, REGIME_MATRIX};
-use std::fmt::Write as _;
 
 /// One `(monitor, regime)` cell of the comparison matrix.
 #[derive(Debug, Clone)]
@@ -46,7 +45,7 @@ pub struct MatrixRow {
 }
 
 /// Runs the full zoo × regime matrix at the standard budget.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let budget = setup::standard_budget(cfg);
     let flows = cfg.scaled(60_000, 800);
 
@@ -99,16 +98,17 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         ]);
     }
 
-    let json = bench_json(&rows, budget.bits(), flows);
-    let path = cfg.out_dir.join("BENCH_equal_memory.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    let bench = Bench::new("equal_memory", cfg, 1)
+        .field("budget_bits", budget.bits())
+        .field("flows_per_regime", flows)
+        .field("monitors", AlgorithmKind::ALL.len())
+        .field("regimes", REGIME_MATRIX.len())
+        .table("cells", &table);
+    Output {
+        tables: vec![table],
+        bench: Some(bench),
+        violations: Vec::new(),
     }
-
-    vec![table]
 }
 
 /// Measures every registered monitor on one regime's trace.
@@ -143,53 +143,19 @@ fn regime_rows(
         .collect()
 }
 
-/// Renders the machine-readable summary (hand-rolled flat JSON, like the
-/// other `BENCH_*.json` emitters).
-fn bench_json(rows: &[MatrixRow], budget_bits: usize, flows: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"equal_memory\",");
-    let _ = writeln!(out, "  \"budget_bits\": {budget_bits},");
-    let _ = writeln!(out, "  \"flows_per_regime\": {flows},");
-    let _ = writeln!(out, "  \"monitors\": {},", AlgorithmKind::ALL.len());
-    let _ = writeln!(out, "  \"regimes\": {},", REGIME_MATRIX.len());
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"monitor\": \"{}\", \"regime\": \"{}\", \"hh_threshold\": {}, \
-             \"fsc\": {:.4}, \"size_are\": {:.4}, \"cardinality_re\": {:.4}, \
-             \"hh_f1\": {:.4}, \"hashes_per_pkt\": {:.2}}}{comma}",
-            r.monitor,
-            r.regime,
-            r.threshold,
-            r.fsc,
-            r.size_are,
-            r.cardinality_re,
-            r.hh_f1,
-            r.hashes_per_pkt,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn matrix_covers_the_full_zoo_and_regime_axes() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
-        assert_eq!(tables.len(), 1);
+        let out = run(&RunConfig::for_tests(0.02));
+        assert_eq!(out.tables.len(), 1);
         assert_eq!(
-            tables[0].len(),
+            out.tables[0].len(),
             AlgorithmKind::ALL.len() * REGIME_MATRIX.len()
         );
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_equal_memory.json")).unwrap();
+        let json = out.bench.expect("equal_memory writes a record").render();
         assert!(json.contains("\"exhibit\": \"equal_memory\""));
         for regime in REGIME_MATRIX {
             assert!(json.contains(regime.name()), "missing {regime}");
@@ -201,8 +167,7 @@ mod tests {
 
     #[test]
     fn exact_baseline_is_in_band_ground_truth_in_every_cell() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
+        let tables = run(&RunConfig::for_tests(0.02)).tables;
         let mut exact_cells = 0;
         for row in tables[0].rows() {
             let monitor = match &row[0] {

@@ -1,8 +1,7 @@
 //! Fig. 11 — throughput (modeled bmv2 Kpps, panel a), average hash
 //! operations per packet (panel b) and average memory accesses per packet
 //! (panel c), per trace and algorithm. Native Rust packet rates are
-//! reported alongside; the criterion benches in `hashflow-bench` measure
-//! the same quantity with statistical rigor.
+//! reported alongside.
 
 use crate::output::{Cell, Table};
 use crate::{setup, RunConfig};

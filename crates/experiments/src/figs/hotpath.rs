@@ -23,23 +23,19 @@
 //!   than L2, every probe is a cache miss on the scalar path, and the
 //!   prefetch window does the heavy lifting.
 //!
-//! Alongside the CSV table, the run writes `BENCH_hotpath.json` into the
-//! output directory (the `hotpath` binary also copies it to the working
-//! directory), extending the repository's machine-readable performance
-//! trajectory started by `BENCH_shard.json`. The file names the CPU and,
-//! beside it, which compiled copy of the lane kernel pass 1 ran through
+//! The run's record is `BENCH_hotpath.json`. Its stamp names the CPU
+//! and which compiled copy of the lane kernel pass 1 ran through
 //! (`baseline` or `avx512`): the batched rate depends on it.
 
-use crate::output::{Cell, Table};
+use crate::bench::{best_of, kpps, Bench};
+use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_core::{HashFlow, HashFlowConfig, TableScheme};
 use hashflow_monitor::{FlowMonitor, MemoryBudget};
 use hashflow_trace::TraceProfile;
 use simswitch::SoftwareSwitch;
-use std::fmt::Write as _;
 
-/// Wall-clock repetitions per path; the fastest is kept (the standard
-/// noise-robust estimator for short serial timings).
+/// Timed trials per row; each path keeps its fastest ([`best_of`]).
 pub const TRIALS: usize = 3;
 
 /// One scalar-vs-batched measurement.
@@ -89,10 +85,8 @@ fn measure(
     trace: &hashflow_trace::Trace,
 ) -> HotpathRow {
     let switch = SoftwareSwitch::default();
-    let mut scalar_kpps = 0.0f64;
-    let mut batched_kpps = 0.0f64;
     let mut costs = None;
-    for _ in 0..TRIALS {
+    let [scalar_ns, batched_ns] = best_of(TRIALS, || {
         let s = switch.replay_scalar(monitor, trace);
         let b = switch.replay(monitor, trace);
         // The process_batch contract, enforced at measurement time:
@@ -104,23 +98,23 @@ fn measure(
             monitor.name()
         );
         costs = Some(s.cost);
-        scalar_kpps = scalar_kpps.max(s.native_pps / 1e3);
-        batched_kpps = batched_kpps.max(b.native_pps / 1e3);
-    }
+        [s.native_elapsed_ns, b.native_elapsed_ns]
+    });
+    let packets = costs.expect("at least one trial").packets;
     HotpathRow {
         workload,
         monitor: monitor.name(),
         scheme,
         budget_bytes: budget.bytes(),
         flows,
-        packets: costs.expect("at least one trial").packets,
-        scalar_kpps,
-        batched_kpps,
+        packets,
+        scalar_kpps: kpps(packets, scalar_ns),
+        batched_kpps: kpps(packets, batched_ns),
     }
 }
 
 /// Runs the scalar-vs-batched sweep on the CAIDA profile.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let paper_budget = setup::standard_budget(cfg);
     let production_budget =
         MemoryBudget::from_bytes(paper_budget.bytes() * 8).expect("8x standard budget is positive");
@@ -169,6 +163,9 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             "workload",
             "monitor",
             "scheme",
+            "budget_bytes",
+            "flows",
+            "packets",
             "scalar_kpps",
             "batched_kpps",
             "speedup",
@@ -180,66 +177,20 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             Cell::from(row.workload),
             Cell::from(row.monitor),
             Cell::from(row.scheme.clone()),
+            Cell::from(row.budget_bytes),
+            Cell::from(row.flows),
+            Cell::from(row.packets),
             Cell::Float(row.scalar_kpps),
             Cell::Float(row.batched_kpps),
             Cell::Float(row.speedup()),
         ]);
     }
 
-    let json = bench_json(&rows);
-    let path = cfg.out_dir.join("BENCH_hotpath.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    Output {
+        bench: Some(Bench::new("hotpath", cfg, TRIALS).table("rows", &table)),
+        tables: vec![table],
+        violations: Vec::new(),
     }
-
-    vec![table]
-}
-
-/// The host's CPU model as `/proc/cpuinfo` names it, as a JSON string;
-/// `"unknown"` where there is no such file.
-fn cpu_model() -> String {
-    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let line = info.lines().find(|l| l.starts_with("model name"));
-    let model = line.and_then(|l| l.split_once(':')).map(|(_, m)| m.trim());
-    hashflow_obs::json::string(model.unwrap_or("unknown"))
-}
-
-/// Renders the machine-readable summary (hand-rolled flat JSON, like the
-/// other `BENCH_*.json` emitters).
-fn bench_json(rows: &[HotpathRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"hotpath\",");
-    let _ = writeln!(out, "  \"profile\": \"CAIDA\",");
-    let _ = writeln!(out, "  \"cpu\": {},", cpu_model());
-    let copy = hashflow_hashing::KernelCopy::best().name();
-    let _ = writeln!(out, "  \"kernel_copy\": \"{copy}\",");
-    let _ = writeln!(out, "  \"trials\": {TRIALS},");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"monitor\": \"{}\", \"scheme\": \"{}\", \
-             \"budget_bytes\": {}, \"flows\": {}, \"packets\": {}, \
-             \"scalar_kpps\": {:.3}, \"batched_kpps\": {:.3}, \"speedup\": {:.3}}}{comma}",
-            r.workload,
-            r.monitor,
-            r.scheme,
-            r.budget_bytes,
-            r.flows,
-            r.packets,
-            r.scalar_kpps,
-            r.batched_kpps,
-            r.speedup(),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -248,22 +199,21 @@ mod tests {
 
     #[test]
     fn sweep_emits_rows_and_json() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
+        let out = run(&RunConfig::for_tests(0.02));
         // 2 workloads x (2 HashFlow schemes + FlowRadar).
-        assert_eq!(tables[0].len(), 6);
-        for row in tables[0].rows() {
-            if let Cell::Float(speedup) = &row[6] {
+        assert_eq!(out.tables[0].len(), 6);
+        for row in out.tables[0].rows() {
+            if let Cell::Float(speedup) = &row[9] {
                 assert!(*speedup > 0.0, "speedup must be positive");
             } else {
                 panic!("speedup column must be a float");
             }
         }
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_hotpath.json")).unwrap();
+        let json = out.bench.expect("hotpath writes a record").render();
         assert!(json.contains("\"exhibit\": \"hotpath\""));
         assert!(json.contains("\"kernel_copy\": \"") && json.contains("\"cpu\": \""));
-        assert!(json.contains("\"workload\": \"production\""));
-        assert!(json.contains("batched_kpps"));
+        assert!(json.contains("\"workload\":\"production\""));
+        assert_eq!(json.matches("\"batched_kpps\":").count(), 6);
     }
 
     #[test]
@@ -271,13 +221,12 @@ mod tests {
         // The committed BENCH_hotpath.json carries the full-scale
         // release-mode claim (>= 1.5x on the production tier); in debug
         // or scaled-down smoke runs only a sanity floor is enforced.
-        let cfg = RunConfig::for_tests(0.05);
-        let tables = run(&cfg);
+        let tables = run(&RunConfig::for_tests(0.05)).tables;
         let hashflow_speedups: Vec<f64> = tables[0]
             .rows()
             .iter()
             .filter(|row| matches!(&row[2], Cell::Text(t) if t == "HashFlow"))
-            .filter_map(|row| match &row[6] {
+            .filter_map(|row| match &row[9] {
                 Cell::Float(s) => Some(*s),
                 _ => None,
             })

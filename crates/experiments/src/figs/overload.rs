@@ -25,13 +25,14 @@
 //!   record is either delivered, failed or skipped-while-quarantined,
 //!   and the three buckets sum back to what was offered.
 //!
-//! Every row satisfies the conservation identity
-//! `offered == delivered + dropped`; the `overload` binary re-checks it
-//! and exits non-zero on violation — the CI smoke gate. The committed
-//! `BENCH_overload.json` carries the full-scale CAIDA production-tier
-//! numbers.
+//! Every row must satisfy the conservation identity
+//! `offered == delivered + dropped`: [`check`] rejects a row that does
+//! not, and the `overload` binary exits 2 on it — the CI smoke gate. The
+//! committed `BENCH_overload.json` carries the full-scale CAIDA
+//! production-tier numbers.
 
-use crate::output::{Cell, Table};
+use crate::bench::Bench;
+use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_core::HashFlow;
@@ -42,7 +43,6 @@ use hashflow_monitor::{
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceProfile};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
-use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -146,10 +146,6 @@ impl<M: FlowMonitor> FlowMonitor for Slow<M> {
 
     fn estimate_cardinality(&self) -> f64 {
         self.inner.estimate_cardinality()
-    }
-
-    fn heavy_hitters(&self, threshold: u32) -> Vec<FlowRecord> {
-        self.inner.heavy_hitters(threshold)
     }
 
     fn memory_bits(&self) -> usize {
@@ -477,7 +473,7 @@ fn measure_outage_quarantine(
 }
 
 /// Runs all overload/fault scenarios on the CAIDA production tier.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let paper_budget = setup::standard_budget(cfg);
     let budget =
         MemoryBudget::from_bytes(paper_budget.bytes() * 8).expect("8x standard budget is positive");
@@ -492,18 +488,6 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         measure_outage_retry(cfg, budget, flows, &trace),
         measure_outage_quarantine(cfg, budget, flows, &trace),
     ];
-    for row in &rows {
-        assert!(
-            row.conserved(),
-            "{}/{}: offered {} != delivered {} + dropped {}",
-            row.scenario,
-            row.policy,
-            row.offered,
-            row.delivered,
-            row.dropped
-        );
-    }
-
     let mut table = Table::new(
         "overload",
         &[
@@ -536,52 +520,30 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         ]);
     }
 
-    let json = bench_json(&rows);
-    let path = cfg.out_dir.join("BENCH_overload.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    let bench = Bench::new("overload", cfg, 1)
+        .str("workload", "production")
+        .field("epochs", EPOCHS)
+        .field("stall_ms", STALL.as_millis())
+        .table("rows", &table);
+    Output {
+        tables: vec![table],
+        bench: Some(bench),
+        violations: check(&rows),
     }
-
-    vec![table]
 }
 
-/// Renders the machine-readable summary (hand-rolled flat JSON, like the
-/// other `BENCH_*.json` emitters).
-fn bench_json(rows: &[OverloadRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"overload\",");
-    let _ = writeln!(out, "  \"profile\": \"CAIDA\",");
-    let _ = writeln!(out, "  \"workload\": \"production\",");
-    let _ = writeln!(out, "  \"epochs\": {EPOCHS},");
-    let _ = writeln!(out, "  \"stall_ms\": {},", STALL.as_millis());
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\": \"{}\", \"policy\": \"{}\", \"flows\": {}, \"packets\": {}, \
-             \"offered\": {}, \"delivered\": {}, \"dropped\": {}, \"drop_rate\": {:.4}, \
-             \"kpps\": {:.3}, \"recovery_epochs\": {}, \"conserved\": {}}}{comma}",
-            r.scenario,
-            r.policy,
-            r.flows,
-            r.packets,
-            r.offered,
-            r.delivered,
-            r.dropped,
-            r.drop_rate(),
-            r.kpps,
-            r.recovery_epochs,
-            r.conserved(),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+/// The conservation gate: every row must satisfy
+/// `offered == delivered + dropped` — every shed unit on a ledger.
+pub fn check(rows: &[OverloadRow]) -> Vec<String> {
+    rows.iter()
+        .filter(|r| !r.conserved())
+        .map(|r| {
+            format!(
+                "{}/{}: offered {} != delivered {} + dropped {}",
+                r.scenario, r.policy, r.offered, r.delivered, r.dropped
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -590,16 +552,38 @@ mod tests {
 
     #[test]
     fn all_scenarios_run_and_conserve_at_smoke_scale() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
+        let out = run(&RunConfig::for_tests(0.02));
         // stalled_sink + 3 shard policies + retry + quarantine.
-        assert_eq!(tables[0].len(), 6);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_overload.json")).unwrap();
+        assert_eq!(out.tables[0].len(), 6);
+        assert_eq!(out.violations, Vec::<String>::new());
+        let json = out.bench.expect("overload writes a record").render();
         assert!(json.contains("\"exhibit\": \"overload\""));
-        assert!(json.contains("\"scenario\": \"stalled_sink\""));
-        assert!(json.contains("\"policy\": \"drop_newest\""));
-        assert!(json.contains("\"policy\": \"drop_oldest\""));
-        assert!(json.contains("\"policy\": \"quarantine\""));
-        assert!(!json.contains("\"conserved\": false"));
+        assert!(json.contains("\"scenario\":\"stalled_sink\""));
+        assert!(json.contains("\"policy\":\"drop_newest\""));
+        assert!(json.contains("\"policy\":\"drop_oldest\""));
+        assert!(json.contains("\"policy\":\"quarantine\""));
+    }
+
+    #[test]
+    fn check_rejects_an_unconserved_row_and_accepts_a_clean_one() {
+        let clean = OverloadRow {
+            scenario: "shard_queue",
+            policy: "drop_newest",
+            flows: 10,
+            packets: 100,
+            offered: 100,
+            delivered: 70,
+            dropped: 30,
+            kpps: 1.0,
+            recovery_epochs: 0,
+        };
+        assert!(check(std::slice::from_ref(&clean)).is_empty());
+        let leaky = OverloadRow {
+            dropped: 29,
+            ..clean.clone()
+        };
+        let violations = check(&[clean, leaky]);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("shard_queue/drop_newest: offered 100"));
     }
 }

@@ -17,21 +17,17 @@
 //! tier the ROADMAP's production-scale direction cares about, where the
 //! record store is far larger than L2 and the full sort hurts).
 //!
-//! Alongside the CSV table, the run writes `BENCH_query.json` (the
-//! `query` binary also copies it to the working directory), extending the
-//! repository's machine-readable performance trajectory
-//! (`BENCH_shard.json`, `BENCH_hotpath.json`).
+//! The run's record is `BENCH_query.json`.
 
-use crate::output::{Cell, Table};
+use crate::bench::{best_of, Bench};
+use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{EpochSnapshot, FlowMonitor, MemoryBudget};
 use hashflow_trace::TraceProfile;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Wall-clock repetitions per path; the fastest is kept (the standard
-/// noise-robust estimator for short serial timings).
+/// Timed trials per query loop; each keeps its fastest ([`best_of`]).
 pub const TRIALS: usize = 3;
 
 /// Queries per timed loop (amortizes clock overhead).
@@ -84,15 +80,14 @@ impl QueryRow {
 
 /// Times `f` run [`QUERIES`] times, in ms per query, best of [`TRIALS`].
 fn time_query<T>(mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
+    let [ns] = best_of(TRIALS, || {
         let start = Instant::now();
         for _ in 0..QUERIES {
             std::hint::black_box(f());
         }
-        best = best.min(start.elapsed().as_secs_f64() * 1e3 / QUERIES as f64);
-    }
-    best
+        [start.elapsed().as_nanos()]
+    });
+    ns as f64 / 1e6 / QUERIES as f64
 }
 
 fn measure(
@@ -141,7 +136,7 @@ fn measure(
 }
 
 /// Runs the live-vs-sealed query sweep on the CAIDA profile.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let paper_budget = setup::standard_budget(cfg);
     let production_budget =
         MemoryBudget::from_bytes(paper_budget.bytes() * 8).expect("8x standard budget is positive");
@@ -179,6 +174,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             "workload",
             "monitor",
             "records",
+            "keys",
             "seal_ms",
             "index_build_ms",
             "fullsort_topk_ms",
@@ -194,7 +190,8 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             Cell::from("CAIDA"),
             Cell::from(row.workload),
             Cell::from(row.monitor),
-            Cell::Int(row.records as i64),
+            Cell::from(row.records),
+            Cell::from(row.keys),
             Cell::Float(row.seal_ms),
             Cell::Float(row.index_build_ms),
             Cell::Float(row.fullsort_topk_ms),
@@ -206,54 +203,14 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         ]);
     }
 
-    let json = bench_json(&rows);
-    let path = cfg.out_dir.join("BENCH_query.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    let bench = Bench::new("query", cfg, TRIALS)
+        .field("top_k", TOP_K)
+        .table("rows", &table);
+    Output {
+        tables: vec![table],
+        bench: Some(bench),
+        violations: Vec::new(),
     }
-
-    vec![table]
-}
-
-/// Renders the machine-readable summary (hand-rolled flat JSON, like the
-/// other `BENCH_*.json` emitters).
-fn bench_json(rows: &[QueryRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"query\",");
-    let _ = writeln!(out, "  \"profile\": \"CAIDA\",");
-    let _ = writeln!(out, "  \"top_k\": {TOP_K},");
-    let _ = writeln!(out, "  \"trials\": {TRIALS},");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"monitor\": \"{}\", \"records\": {}, \
-             \"seal_ms\": {:.4}, \"index_build_ms\": {:.4}, \"fullsort_topk_ms\": {:.4}, \
-             \"snapshot_topk_ms\": {:.4}, \"topk_speedup\": {:.3}, \"keys\": {}, \
-             \"live_single_key_ms\": {:.4}, \"snapshot_batched_ms\": {:.4}, \
-             \"estimate_speedup\": {:.3}}}{comma}",
-            r.workload,
-            r.monitor,
-            r.records,
-            r.seal_ms,
-            r.index_build_ms,
-            r.fullsort_topk_ms,
-            r.snapshot_topk_ms,
-            r.topk_speedup(),
-            r.keys,
-            r.live_single_key_ms,
-            r.snapshot_batched_ms,
-            r.estimate_speedup(),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -262,15 +219,14 @@ mod tests {
 
     #[test]
     fn sweep_emits_rows_and_json() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
+        let out = run(&RunConfig::for_tests(0.02));
         // 2 workloads x 2 monitors.
-        assert_eq!(tables[0].len(), 4);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_query.json")).unwrap();
+        assert_eq!(out.tables[0].len(), 4);
+        let json = out.bench.expect("query writes a record").render();
         assert!(json.contains("\"exhibit\": \"query\""));
-        assert!(json.contains("\"workload\": \"production\""));
+        assert!(json.contains("\"workload\":\"production\""));
         assert!(json.contains("topk_speedup"));
-        assert!(json.contains("\"index_build_ms\""));
+        assert_eq!(json.matches("\"index_build_ms\":").count(), 4);
     }
 
     #[test]
@@ -283,13 +239,12 @@ mod tests {
         // shrinks to a few hundred records at paper scale, where sorting
         // everything and a bounded heap cost the same handful of
         // microseconds either way.
-        let cfg = RunConfig::for_tests(0.05);
-        let tables = run(&cfg);
+        let tables = run(&RunConfig::for_tests(0.05)).tables;
         let hashflow_speedups: Vec<f64> = tables[0]
             .rows()
             .iter()
             .filter(|row| matches!(&row[2], Cell::Text(t) if t == "HashFlow"))
-            .filter_map(|row| match &row[8] {
+            .filter_map(|row| match &row[9] {
                 Cell::Float(s) => Some(*s),
                 _ => None,
             })

@@ -16,23 +16,23 @@
 //!   `QueryMonitor`, against the bare monitor (best of [`TRIALS`]).
 //!
 //! The trace spans two epochs (heavy-changer needs a predecessor), with
-//! planted anomalies so every detection has true positives. Alongside
-//! the CSV tables, the run writes `BENCH_queryapps.json`, extending the
-//! repository's machine-readable trajectory (`BENCH_shard.json`,
-//! `BENCH_hotpath.json`, `BENCH_query.json`).
+//! planted anomalies so every detection has true positives. The run's
+//! record is `BENCH_queryapps.json`, both tables in one file.
 
-use crate::output::{Cell, Table};
+use crate::bench::{best_of, Bench};
+use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{EpochSnapshot, FlowMonitor};
+use hashflow_obs::json::Obj;
 use hashflow_query::{execute, execute_snapshot, AppKind, QueryMonitor, QueryResult, TelemetryApp};
 use hashflow_trace::{TraceGenerator, TraceProfile};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Wall-clock repetitions per ingestion measurement; the fastest is kept.
+/// Timed trials per ingestion measurement; each keeps its fastest
+/// ([`best_of`]).
 pub const TRIALS: usize = 3;
 
 /// Detection thresholds of the planted-anomaly workload.
@@ -237,19 +237,18 @@ fn app_plan(kind: AppKind) -> hashflow_query::QueryPlan {
 
 /// Times one full-trace ingestion, ns/packet, best of [`TRIALS`].
 fn time_ingest(mut build: impl FnMut() -> Box<dyn FlowMonitor + Send>, packets: &[Packet]) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
+    let [ns] = best_of(TRIALS, || {
         let mut monitor = build();
         let start = Instant::now();
         monitor.process_trace(packets);
         std::hint::black_box(monitor.flow_records().len());
-        best = best.min(start.elapsed().as_secs_f64() * 1e9 / packets.len() as f64);
-    }
-    best
+        [start.elapsed().as_nanos()]
+    });
+    ns as f64 / packets.len() as f64
 }
 
 /// Runs the application sweep and the overhead measurement.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let budget = setup::standard_budget(cfg);
     // ~60 K flows at the 1 MB standard budget is the paper's load ≈ 1;
     // the smoke floor keeps the scaled-down load below that so HashFlow
@@ -381,70 +380,23 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         ]);
     }
 
-    let json = bench_json(&app_rows, &overhead_rows, packets.len());
-    let path = cfg.out_dir.join("BENCH_queryapps.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    let thresholds = Obj::new()
+        .u64("fanout", FANOUT)
+        .u64("sources", SOURCES)
+        .u64("ports", PORTS)
+        .u64("delta", DELTA);
+    let bench = Bench::new("queryapps", cfg, TRIALS)
+        .str("profile", "CAIDA+planted-anomalies")
+        .field("epochs", 2)
+        .field("packets", packets.len())
+        .field("thresholds", thresholds.build())
+        .table("apps", &apps_table)
+        .table("overhead", &overhead_table);
+    Output {
+        tables: vec![apps_table, overhead_table],
+        bench: Some(bench),
+        violations: Vec::new(),
     }
-
-    vec![apps_table, overhead_table]
-}
-
-/// Renders the machine-readable summary (hand-rolled flat JSON, like the
-/// other `BENCH_*.json` emitters).
-fn bench_json(apps: &[AppRow], overhead: &[OverheadRow], packets: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"queryapps\",");
-    let _ = writeln!(out, "  \"profile\": \"CAIDA+planted-anomalies\",");
-    let _ = writeln!(out, "  \"epochs\": 2,");
-    let _ = writeln!(out, "  \"packets\": {packets},");
-    let _ = writeln!(
-        out,
-        "  \"thresholds\": {{\"fanout\": {FANOUT}, \"sources\": {SOURCES}, \
-         \"ports\": {PORTS}, \"delta\": {DELTA}}},"
-    );
-    let _ = writeln!(out, "  \"apps\": [");
-    for (i, r) in apps.iter().enumerate() {
-        let comma = if i + 1 < apps.len() { "," } else { "" };
-        let entropy = r
-            .entropy_re
-            .map(|v| format!("{v:.4}"))
-            .unwrap_or_else(|| "null".to_owned());
-        let _ = writeln!(
-            out,
-            "    {{\"monitor\": \"{}\", \"app\": \"{}\", \"true_offenders\": {}, \
-             \"reported\": {}, \"precision\": {:.4}, \"recall\": {:.4}, \"f1\": {:.4}, \
-             \"entropy_re\": {entropy}}}{comma}",
-            r.monitor,
-            r.app.name(),
-            r.true_offenders,
-            r.reported_offenders,
-            r.precision,
-            r.recall,
-            r.f1(),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"overhead\": [");
-    for (i, r) in overhead.iter().enumerate() {
-        let comma = if i + 1 < overhead.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"monitor\": \"{}\", \"bare_ns_per_pkt\": {:.2}, \
-             \"query_ns_per_pkt\": {:.2}, \"overhead_ns\": {:.2}}}{comma}",
-            r.monitor,
-            r.bare_ns_per_pkt,
-            r.query_ns_per_pkt,
-            r.overhead_ns(),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -453,14 +405,15 @@ mod tests {
 
     #[test]
     fn sweep_emits_rows_and_json() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
+        let out = run(&RunConfig::for_tests(0.02));
         // 7 records-capable algorithms x 5 apps; 7 overhead rows.
         let zoo = algorithms().count();
         assert_eq!(zoo, 7);
-        assert_eq!(tables[0].len(), zoo * AppKind::ALL.len());
-        assert_eq!(tables[1].len(), zoo);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_queryapps.json")).unwrap();
+        assert_eq!(out.tables[0].len(), zoo * AppKind::ALL.len());
+        assert_eq!(out.tables[1].len(), zoo);
+        let json = out.bench.expect("queryapps writes a record").render();
+        assert_eq!(json.matches("\"f1\":").count(), zoo * AppKind::ALL.len());
+        assert_eq!(json.matches("\"overhead_ns\":").count(), zoo);
         assert!(json.contains("\"exhibit\": \"queryapps\""));
         for name in [
             "HashFlow",
@@ -480,8 +433,7 @@ mod tests {
 
     #[test]
     fn planted_anomalies_are_true_offenders_and_hashflow_finds_them() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
+        let tables = run(&RunConfig::for_tests(0.02)).tables;
         for row in tables[0].rows() {
             let (monitor, app) = match (&row[0], &row[1]) {
                 (Cell::Text(m), Cell::Text(a)) => (m.as_str(), a.as_str()),

@@ -19,18 +19,17 @@
 //! disturbed of [`TRIALS`] replays); nothing is extrapolated to cores it
 //! does not have.
 //!
-//! Alongside the CSV table, the run writes `BENCH_shard.json` into the
-//! output directory (the `scaling_shards` binary also copies it to the
-//! working directory), seeding the repository's performance trajectory
-//! with machine-readable numbers.
+//! The run's record is `BENCH_shard.json`. Its rows keep the whole
+//! quietest replay rather than each column's best ([`crate::bench::best_of`]),
+//! so every row's columns come from one run.
 
-use crate::output::{Cell, Table};
+use crate::bench::Bench;
+use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_core::HashFlow;
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::TraceProfile;
 use simswitch::{ShardedReplayReport, SoftwareSwitch};
-use std::fmt::Write as _;
 
 /// Shard counts of the scaling sweep.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -40,7 +39,7 @@ pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub const TRIALS: usize = 3;
 
 /// Runs the shard-scaling sweep on the CAIDA profile.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let flows = cfg.scaled(100_000, 2_000);
     let budget = setup::standard_budget(cfg);
     let switch = SoftwareSwitch::default();
@@ -65,6 +64,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         &[
             "trace",
             "shards",
+            "packets",
             "native_kpps",
             "serial_kpps",
             "imbalance",
@@ -75,6 +75,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         table.push_row(vec![
             Cell::from("CAIDA"),
             Cell::from(*shards),
+            Cell::from(report.packets),
             Cell::Float(report.native_pps / 1e3),
             Cell::Float(report.serial_pps / 1e3),
             Cell::Float(report.imbalance),
@@ -82,49 +83,15 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         ]);
     }
 
-    let json = bench_json(flows, budget.bytes(), &reports);
-    let path = cfg.out_dir.join("BENCH_shard.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    let bench = Bench::new("shard", cfg, TRIALS)
+        .field("flows", flows)
+        .field("budget_bytes", budget.bytes())
+        .table("rows", &table);
+    Output {
+        tables: vec![table],
+        bench: Some(bench),
+        violations: Vec::new(),
     }
-
-    vec![table]
-}
-
-/// Renders the machine-readable scaling summary (no serde: the format is
-/// flat and hand-rolled like the NetFlow encoder elsewhere in the tree).
-fn bench_json(
-    flows: usize,
-    budget_bytes: usize,
-    reports: &[(usize, ShardedReplayReport)],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"shard_scaling\",");
-    let _ = writeln!(out, "  \"profile\": \"CAIDA\",");
-    let _ = writeln!(out, "  \"flows\": {flows},");
-    let _ = writeln!(out, "  \"budget_bytes\": {budget_bytes},");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, (shards, r)) in reports.iter().enumerate() {
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"shards\": {shards}, \"packets\": {}, \"native_kpps\": {:.3}, \
-             \"serial_kpps\": {:.3}, \"imbalance\": {:.3}, \
-             \"dispatch_share\": {:.4}}}{comma}",
-            r.packets,
-            r.native_pps / 1e3,
-            r.serial_pps / 1e3,
-            r.imbalance,
-            r.dispatch_elapsed_ns as f64 / r.serial_elapsed_ns as f64,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 #[cfg(test)]
@@ -144,27 +111,25 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_shard_counts() {
-        let cfg = RunConfig::for_tests(0.05);
-        let tables = run(&cfg);
+        let tables = run(&RunConfig::for_tests(0.05)).tables;
         assert_eq!(tables[0].len(), SHARD_COUNTS.len());
         for &n in &SHARD_COUNTS {
-            assert!(column(&tables[0], n as i64, 2) > 0.0, "threaded rate");
-            assert!(column(&tables[0], n as i64, 3) > 0.0, "serial rate");
-            assert!(column(&tables[0], n as i64, 4) >= 1.0, "imbalance");
+            assert!(column(&tables[0], n as i64, 3) > 0.0, "threaded rate");
+            assert!(column(&tables[0], n as i64, 4) > 0.0, "serial rate");
+            assert!(column(&tables[0], n as i64, 5) >= 1.0, "imbalance");
         }
         // A single shard pays no dispatch at all.
-        assert_eq!(column(&tables[0], 1, 5), 0.0);
+        assert_eq!(column(&tables[0], 1, 6), 0.0);
     }
 
     #[test]
     fn dispatch_share_is_the_minor_term() {
-        let cfg = RunConfig::for_tests(0.05);
-        let tables = run(&cfg);
+        let tables = run(&RunConfig::for_tests(0.05)).tables;
         // Loose bar in debug builds: contended-runner noise and the lack
         // of inlining both inflate the dispatch share there.
         let bar = if cfg!(debug_assertions) { 0.9 } else { 0.5 };
         for &n in &[2usize, 4, 8] {
-            let share = column(&tables[0], n as i64, 5);
+            let share = column(&tables[0], n as i64, 6);
             assert!(
                 share < bar,
                 "dispatch must stay cheaper than measurement, got {share} at N={n}"
@@ -173,12 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_emitted_with_rows() {
-        let cfg = RunConfig::for_tests(0.05);
-        let _ = run(&cfg);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_shard.json")).unwrap();
-        assert!(json.contains("\"exhibit\": \"shard_scaling\""));
-        assert!(json.contains("\"shards\": 8"));
+    fn bench_record_is_emitted_with_rows() {
+        let out = run(&RunConfig::for_tests(0.05));
+        let json = out.bench.expect("scaling_shards writes a record").render();
+        assert!(json.contains("\"exhibit\": \"shard\""));
+        assert!(json.contains("\"shards\":8,"));
         assert!(json.contains("native_kpps") && json.contains("serial_kpps"));
     }
 }

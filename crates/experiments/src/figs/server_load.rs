@@ -21,16 +21,16 @@
 //! ledgered at the offer side. Reader isolation shows up as the
 //! `dropped` column staying 0 from 0 readers through 8.
 //!
-//! The `server_load` binary re-derives the conservation and health
-//! gates from the emitted table and exits non-zero on violation; the
-//! committed `BENCH_server.json` carries the full-scale numbers.
+//! [`check`] holds every row to conservation and health, and the
+//! `server_load` binary exits 2 on a violation; the committed
+//! `BENCH_server.json` carries the full-scale numbers.
 
-use crate::output::{Cell, Table};
+use crate::bench::Bench;
+use crate::output::{Cell, Output, Table};
 use crate::RunConfig;
 use hashflow_obs::Histogram;
 use hashflow_server::{client, ReplayPace, Server, ServerConfig};
 use hashflow_trace::{TraceGenerator, TraceProfile};
-use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -214,7 +214,7 @@ fn measure(readers: usize, flows: usize, packets: &[hashflow_types::Packet]) -> 
 }
 
 /// Runs the exhibit: one daemon boot + replay per reader count.
-pub fn run(cfg: &RunConfig) -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Output {
     let flows = cfg.scaled(60_000, 1_000);
     let trace = TraceGenerator::new(TraceProfile::Caida, cfg.seed).generate(flows);
     println!(
@@ -234,20 +234,6 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             row
         })
         .collect();
-
-    for row in &rows {
-        assert!(
-            row.conserved,
-            "readers {}: offered {} != processed {} + dropped {}",
-            row.readers, row.offered, row.processed, row.dropped
-        );
-        assert!(row.healthz_ok, "readers {}: /healthz not 200", row.readers);
-        assert!(
-            row.readers == 0 || row.requests > 0,
-            "readers {} completed no requests",
-            row.readers
-        );
-    }
 
     let mut table = Table::new(
         "server_load",
@@ -287,52 +273,38 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         ]);
     }
 
-    let json = bench_json(&rows);
-    let path = cfg.out_dir.join("BENCH_server.json");
-    if std::fs::create_dir_all(&cfg.out_dir)
-        .and_then(|()| std::fs::write(&path, &json))
-        .is_err()
-    {
-        eprintln!("   !! failed to write {}", path.display());
+    let bench = Bench::new("server", cfg, 1)
+        .str("profile", "CAIDA")
+        .field("epoch_ms", EPOCH_MS)
+        .table("rows", &table);
+    Output {
+        tables: vec![table],
+        bench: Some(bench),
+        violations: check(&rows),
     }
-
-    vec![table]
 }
 
-fn bench_json(rows: &[ServerLoadRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"exhibit\": \"server_load\",");
-    let _ = writeln!(out, "  \"profile\": \"CAIDA\",");
-    let _ = writeln!(out, "  \"epoch_ms\": {EPOCH_MS},");
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"readers\": {}, \"flows\": {}, \"packets\": {}, \"offered\": {}, \
-             \"processed\": {}, \"dropped\": {}, \"epochs\": {}, \"kpps\": {:.3}, \
-             \"requests\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \
-             \"healthz_ok\": {}, \"conserved\": {}}}{comma}",
-            r.readers,
-            r.flows,
-            r.packets,
-            r.offered,
-            r.processed,
-            r.dropped,
-            r.epochs,
-            r.kpps,
-            r.requests,
-            r.p50_us,
-            r.p99_us,
-            r.max_us,
-            r.healthz_ok,
-            r.conserved,
-        );
+/// The server gate: in every row the drop ledger conserves
+/// `offered == processed + dropped`, `/healthz` answered 200, and a row
+/// with readers completed requests.
+pub fn check(rows: &[ServerLoadRow]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for r in rows {
+        let readers = r.readers;
+        if !r.conserved {
+            violations.push(format!(
+                "readers {readers}: offered {} != processed {} + dropped {}",
+                r.offered, r.processed, r.dropped
+            ));
+        }
+        if !r.healthz_ok {
+            violations.push(format!("readers {readers}: /healthz not 200"));
+        }
+        if readers > 0 && r.requests == 0 {
+            violations.push(format!("readers {readers}: no request completed"));
+        }
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    violations
 }
 
 #[cfg(test)]
@@ -341,13 +313,61 @@ mod tests {
 
     #[test]
     fn smoke_scale_rows_conserve_and_stay_healthy() {
-        let cfg = RunConfig::for_tests(0.02);
-        let tables = run(&cfg);
-        assert_eq!(tables[0].rows().len(), READER_COUNTS.len());
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_server.json")).unwrap();
-        assert!(json.contains("\"exhibit\": \"server_load\""));
-        assert!(!json.contains("\"conserved\": false"));
-        assert!(!json.contains("\"healthz_ok\": false"));
+        let out = run(&RunConfig::for_tests(0.02));
+        assert_eq!(out.tables[0].rows().len(), READER_COUNTS.len());
+        assert_eq!(out.violations, Vec::<String>::new());
+        let json = out.bench.expect("server_load writes a record").render();
+        assert!(json.contains("\"exhibit\": \"server\""));
+        assert_eq!(
+            json.matches("\"healthz_ok\":1,").count(),
+            READER_COUNTS.len()
+        );
+    }
+
+    fn row(readers: usize) -> ServerLoadRow {
+        ServerLoadRow {
+            readers,
+            flows: 10,
+            packets: 100,
+            offered: 100,
+            processed: 100,
+            dropped: 0,
+            epochs: 3,
+            kpps: 250.0,
+            requests: 40,
+            p50_us: 90.0,
+            p99_us: 900.0,
+            max_us: 1_000.0,
+            healthz_ok: true,
+            conserved: true,
+        }
+    }
+
+    #[test]
+    fn check_rejects_unhealthy_idle_or_leaky_rows() {
+        assert!(check(&[row(0), row(8)]).is_empty());
+        let idle_reader = ServerLoadRow {
+            requests: 0,
+            ..row(4)
+        };
+        // No requests is only a violation when there were readers.
+        let no_readers = ServerLoadRow {
+            requests: 0,
+            ..row(0)
+        };
+        let unhealthy = ServerLoadRow {
+            healthz_ok: false,
+            ..row(1)
+        };
+        let leaky = ServerLoadRow {
+            conserved: false,
+            ..row(2)
+        };
+        let violations = check(&[idle_reader, no_readers, unhealthy, leaky]);
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].starts_with("readers 4: no request"));
+        assert!(violations[1].starts_with("readers 1: /healthz"));
+        assert!(violations[2].starts_with("readers 2: offered"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Tabular experiment output: aligned stdout rendering plus CSV export.
+//! Tabular experiment output: aligned stdout rendering plus CSV export,
+//! and [`Output`], everything one exhibit run hands the shared entry.
 
+use crate::bench::Bench;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -192,14 +194,40 @@ impl Table {
     }
 }
 
-/// Prints each table and saves it under `dir`; convenience used by every
-/// experiment binary.
-pub fn emit(tables: &[Table], dir: &Path) {
-    for t in tables {
+/// What one exhibit run hands the shared entry.
+#[derive(Debug, Default)]
+pub struct Output {
+    /// Result tables: printed, and saved as CSV.
+    pub tables: Vec<Table>,
+    /// The perf exhibits' machine-readable record (`BENCH_<name>.json`).
+    pub bench: Option<Bench>,
+    /// What the exhibit's `check` rejected; any entry fails the binary.
+    pub violations: Vec<String>,
+}
+
+impl From<Vec<Table>> for Output {
+    fn from(tables: Vec<Table>) -> Self {
+        Output {
+            tables,
+            ..Output::default()
+        }
+    }
+}
+
+/// Prints each table and saves it, and the `BENCH_*.json` record if
+/// there is one, under `dir`.
+pub fn emit(output: &Output, dir: &Path) {
+    for t in &output.tables {
         println!("{}", t.render());
         match t.save_csv(dir) {
             Ok(path) => println!("   -> {}\n", path.display()),
             Err(e) => eprintln!("   !! failed to save {}: {e}\n", t.name()),
+        }
+    }
+    if let Some(bench) = &output.bench {
+        match bench.write(dir) {
+            Ok(path) => println!("   -> {}\n", path.display()),
+            Err(e) => eprintln!("   !! failed to write the bench record: {e}\n"),
         }
     }
 }

@@ -36,7 +36,6 @@
 use hashflow_hashing::{fast_range, prefetch_read, HashFamily, XxHash64};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    MonitorIntrospect,
 };
 use hashflow_primitives::BloomFilter;
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, FLOW_KEY_BITS};
@@ -316,16 +315,10 @@ impl FlowMonitor for FlowRadar {
         self.decoded.borrow_mut().take();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for FlowRadar {
     /// The peeling decode starts from pure cells (`FlowCount == 1`), so
     /// the pure-cell ratio is the leading indicator of the decode cliff:
     /// when it hits zero under load, no flow can be recovered.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let occupied = self.cells.iter().filter(|c| c.flow_count > 0).count();
         let pure = self.cells.iter().filter(|c| c.flow_count == 1).count();
         let pure_ratio = if occupied == 0 {

@@ -34,9 +34,7 @@
 #![warn(missing_docs)]
 
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MonitorIntrospect,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 use std::collections::HashMap;
 
@@ -238,16 +236,10 @@ impl FlowMonitor for HashPipe {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for HashPipe {
     /// Per-stage occupancy (fragments, not distinct flows) plus the
     /// fragmentation ratio — occupied cells per distinct flow, the §II
     /// record-splitting pathology made directly observable.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let mut metrics = Vec::with_capacity(self.stages.len() + 2);
         for (i, table) in self.stages.iter().enumerate() {
             let filled = table.iter().filter(|r| r.count() > 0).count();

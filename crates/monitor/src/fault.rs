@@ -321,10 +321,6 @@ impl<M: FlowMonitor> FlowMonitor for PanicInjector<M> {
         self.inner.estimate_cardinality()
     }
 
-    fn heavy_hitters(&self, threshold: u32) -> Vec<FlowRecord> {
-        self.inner.heavy_hitters(threshold)
-    }
-
     fn memory_bits(&self) -> usize {
         self.inner.memory_bits()
     }

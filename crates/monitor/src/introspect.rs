@@ -5,10 +5,9 @@
 //! HashFlow main table fills past the load factor Algorithm 1 was sized
 //! for, FlowRadar's pure-cell ratio sinks toward the decode-failure
 //! cliff, FCM escalates more and more flows to its second layer, BeauCoup
-//! runs out of coupon-table slots. [`MonitorIntrospect`] is the
-//! capability a monitor opts into (like
-//! [`MergeableMonitor`](crate::MergeableMonitor)) to report those
-//! internals as a flat list of named [`IntrospectMetric`]s; the epoch
+//! runs out of coupon-table slots. A monitor reports those internals by
+//! overriding [`FlowMonitor::introspection`](crate::FlowMonitor::introspection)
+//! with a flat list of named [`IntrospectMetric`]s; the epoch
 //! layer seals the report into each
 //! [`EpochSnapshot`](crate::EpochSnapshot) and exports it as gauges at
 //! rotation, so an operator can watch saturation *before* it becomes an
@@ -93,18 +92,6 @@ impl IntrospectMetric {
             IntrospectValue::Flag(f) => f64::from(u8::from(f)),
         }
     }
-}
-
-/// The introspection capability: monitors that can report
-/// structure-internal saturation implement this and forward
-/// [`crate::FlowMonitor::introspection`] to it. Monitors without
-/// meaningful internals simply don't opt in (the `FlowMonitor` default
-/// reports nothing).
-pub trait MonitorIntrospect {
-    /// The monitor's current internal-saturation report. Names must be
-    /// stable across epochs (gauges are keyed by them) and unique within
-    /// one report.
-    fn introspect(&self) -> Vec<IntrospectMetric>;
 }
 
 /// Folds per-shard introspection reports into one, the way a sharded

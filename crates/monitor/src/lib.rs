@@ -49,7 +49,7 @@ pub use cost::{CostRecorder, CostSnapshot};
 pub use epoch::{EpochReport, EpochRotator};
 pub use fault::{FaultInjectingSink, FaultPlan, PanicInjector};
 pub use health::{classify_io_error, ErrorClass, HealthPolicy, SinkErrors, SinkHealth, SinkStatus};
-pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue, MonitorIntrospect};
+pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue};
 pub use merge::MergeableMonitor;
 pub use policy::BackpressurePolicy;
 pub use retry::{RetryPolicy, RetrySink};
@@ -213,11 +213,10 @@ pub trait FlowMonitor {
 
     /// The monitor's structure-internal saturation report
     /// ([`IntrospectMetric`]s), sealed into every [`EpochSnapshot`] and
-    /// exported as gauges at rotation. Monitors implementing
-    /// [`MonitorIntrospect`] forward this to
-    /// [`MonitorIntrospect::introspect`]; the default reports nothing
-    /// (introspection is a capability, like mergeability, not an
-    /// obligation).
+    /// exported as gauges at rotation. Names must be stable across epochs
+    /// (gauges are keyed by them) and unique within one report. The
+    /// default reports nothing: monitors without meaningful internals
+    /// need not override it.
     fn introspection(&self) -> Vec<IntrospectMetric> {
         Vec::new()
     }
@@ -234,8 +233,9 @@ pub trait FlowMonitor {
 /// (`hashflow-collector`) hands out `Box<dyn FlowMonitor + Send>`, and
 /// everything downstream — epoch rotators, switch pipelines, evaluation
 /// harnesses — must accept the boxed form wherever a concrete monitor
-/// fits. Every method forwards, so a box wrapping a monitor with a batched
-/// hot path or a custom heavy-hitter order keeps those overrides.
+/// fits. Every method a monitor overrides forwards, so a box wrapping a
+/// monitor with a batched hot path or a threaded `process_trace` keeps
+/// it; `heavy_hitters` keeps the default, which no monitor overrides.
 impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     fn process_packet(&mut self, packet: &Packet) {
         (**self).process_packet(packet);
@@ -251,9 +251,6 @@ impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     }
     fn estimate_cardinality(&self) -> f64 {
         (**self).estimate_cardinality()
-    }
-    fn heavy_hitters(&self, threshold: u32) -> Vec<FlowRecord> {
-        (**self).heavy_hitters(threshold)
     }
     fn memory_bits(&self) -> usize {
         (**self).memory_bits()

@@ -22,9 +22,8 @@ use hashflow_obs::{FlightRecorder, Severity};
 use hashflow_types::FlowKey;
 use std::sync::Arc;
 
-/// Default sampling rate: one traced flow in 1024 — cheap enough for the
-/// production tier (the `trace_overhead` exhibit holds the whole layer
-/// under 5% at this rate).
+/// Default sampling rate: one traced flow in 1024. The `overhead`
+/// exhibit's `traced` arm prices the whole layer at this rate.
 pub const DEFAULT_TRACE_SAMPLING: u64 = 1024;
 
 /// Seed of the tracer's own hash draw. Deliberately distinct from the

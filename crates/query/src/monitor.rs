@@ -235,10 +235,6 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
         self.inner.estimate_cardinality()
     }
 
-    fn heavy_hitters(&self, threshold: u32) -> Vec<FlowRecord> {
-        self.inner.heavy_hitters(threshold)
-    }
-
     fn memory_bits(&self) -> usize {
         self.inner.memory_bits()
     }
@@ -293,12 +289,6 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
         }
         self.sealed.clear();
         self.drops.reset();
-    }
-
-    fn process_trace(&mut self, packets: &[Packet]) {
-        for chunk in packets.chunks(hashflow_monitor::INGEST_BATCH) {
-            self.process_batch(chunk);
-        }
     }
 
     /// Seals the inner monitor and banks this epoch's streaming answers

@@ -30,7 +30,6 @@
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    MonitorIntrospect,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 use std::collections::HashMap;
@@ -242,16 +241,10 @@ impl FlowMonitor for SampledNetFlow {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for SampledNetFlow {
     /// Cache fill, sampler throughput, and eviction churn — rising
     /// evictions mean the cache is thrashing and the scale-back-by-N
     /// inversion is losing flows, not just precision.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         vec![
             IntrospectMetric::ratio(
                 "nf_cache_fill",

@@ -1263,7 +1263,7 @@ fn debug_flow(state: &RouterState, key: &str) -> Response {
 
 /// `GET /debug/introspect`: the sketch-internal metrics the monitor
 /// sealed into the newest retained epoch (load factors, collision
-/// counters, escalations — see `MonitorIntrospect`).
+/// counters, escalations — see `FlowMonitor::introspection`).
 fn debug_introspect(view: &SealedView) -> Response {
     let Some(snapshot) = view.epochs.last() else {
         return not_found("no epoch sealed yet");

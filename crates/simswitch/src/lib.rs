@@ -12,8 +12,8 @@
 //! 2. converts those counts into a modeled bmv2-like throughput with
 //!    [`ThroughputModel`], calibrated so that baseline forwarding sits at
 //!    ~20 Kpps — reproducing the *relative* ordering of Fig. 11(a); and
-//! 3. measures the *native* Rust packet rate with a wall clock, which the
-//!    criterion benches report as the modern-hardware counterpart.
+//! 3. measures the *native* Rust packet rate with a wall clock — the
+//!    modern-hardware counterpart the experiment exhibits report.
 //!
 //! # Examples
 //!
@@ -36,12 +36,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod pipeline;
-mod port;
-
-pub use pipeline::Pipeline;
-pub use port::{Port, PortStats};
 
 use hashflow_monitor::{CostSnapshot, FlowMonitor, MergeableMonitor, INGEST_BATCH};
 use hashflow_shard::ShardedMonitor;
@@ -243,7 +237,7 @@ impl SoftwareSwitch {
 
     /// [`Self::replay`] forced down the scalar one-packet-at-a-time
     /// path, bypassing any batched override — the baseline the `hotpath`
-    /// bench and exhibit compare against.
+    /// exhibit compares against.
     pub fn replay_scalar<M: FlowMonitor + ?Sized>(
         &self,
         monitor: &mut M,

@@ -4,7 +4,6 @@
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    MonitorIntrospect,
 };
 use hashflow_primitives::LinearCounter;
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, FLOW_KEY_BITS};
@@ -237,16 +236,10 @@ impl FlowMonitor for BeauCoupMonitor {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for BeauCoupMonitor {
     /// Table pressure (tracked keys against capacity, keys dropped at the
     /// full table) and how far the average tracked key's coupon bitmap
     /// has filled toward the 32-coupon ceiling.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let tracked = self.coupons.len();
         let mean_fill = if tracked == 0 {
             0.0

@@ -2,7 +2,6 @@
 
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    MonitorIntrospect,
 };
 use hashflow_primitives::{linear_counting_estimate, CountMinSketch};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
@@ -152,16 +151,10 @@ impl FlowMonitor for CountMinMonitor {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for CountMinMonitor {
     /// Row occupancy is the fraction of first-row counters touched at
     /// least once — the statistic the linear-counting cardinality
     /// estimator diverges on as it approaches 1.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let cols = self.sketch.cols();
         let occupied = cols - self.sketch.first_row_zeros();
         vec![

@@ -3,7 +3,6 @@
 
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    MonitorIntrospect,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 use std::collections::HashMap;
@@ -147,16 +146,10 @@ impl FlowMonitor for ExactBaselineMonitor {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for ExactBaselineMonitor {
     /// Fill against nominal capacity, plus the overflow flag — the exact
     /// baseline keeps every flow, so `overflowed` marks the point where
     /// its memory claim stopped being honest.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let tracked = self.flows.len();
         let fill = tracked as f64 / self.capacity.max(1) as f64;
         vec![

@@ -3,7 +3,6 @@
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    MonitorIntrospect,
 };
 use hashflow_primitives::{linear_counting_estimate, CounterArray};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
@@ -260,16 +259,10 @@ impl FlowMonitor for FcmMonitor {
         self.cost.reset();
     }
 
-    fn introspection(&self) -> Vec<IntrospectMetric> {
-        MonitorIntrospect::introspect(self)
-    }
-}
-
-impl MonitorIntrospect for FcmMonitor {
     /// First-layer pressure on tree 0 (occupancy and saturation) plus the
     /// total escalations absorbed by the wide second layers — the signals
     /// that predict when the cheap 8-bit layer stops doing the work.
-    fn introspect(&self) -> Vec<IntrospectMetric> {
+    fn introspection(&self) -> Vec<IntrospectMetric> {
         let l1 = &self.trees[0].l1;
         let cells = self.l1_cells.max(1);
         let occupied = self.l1_cells - l1.count_zeros();

@@ -1,11 +1,10 @@
 //! Integration: a full collection deployment — HashFlow inside an epoch
-//! rotator inside the switch pipeline, with sealed epochs exported as
-//! NetFlow v5 datagrams and decoded back (the operational loop the paper's
-//! introduction describes).
+//! rotator, with sealed epochs exported as NetFlow v5 datagrams and
+//! decoded back (the operational loop the paper's introduction
+//! describes).
 
 use hashflow_suite::netflow_export::{decode_datagrams, ExportMeta, Exporter};
 use hashflow_suite::prelude::*;
-use hashflow_suite::simswitch::Pipeline;
 use std::collections::HashMap;
 
 #[test]
@@ -67,28 +66,4 @@ fn sealed_epochs_export_as_netflow_v5() {
     for rec in decoded {
         assert_eq!(originals.get(&rec.key()), Some(&rec.count()));
     }
-}
-
-#[test]
-fn pipeline_with_rotating_monitor_forwards_and_measures() {
-    let trace = TraceGenerator::new(TraceProfile::Isp2, 33).generate(3_000);
-    let inner = HashFlow::with_memory(MemoryBudget::from_kib(64).unwrap()).unwrap();
-    let rotator = EpochRotator::new(inner, 1_000_000); // 1 ms epochs
-    let mut switch = Pipeline::new(8, rotator).unwrap();
-
-    let forwarded = switch.forward_trace(trace.packets());
-    assert_eq!(forwarded, trace.packets().len() as u64);
-    assert_eq!(switch.dropped(), 0);
-
-    // Ingress was spread round-robin across all 8 ports.
-    for i in 0..8 {
-        assert!(switch.port(i).ingress().packets > 0, "port {i} idle");
-    }
-
-    // The rotating monitor sealed epochs while forwarding.
-    let monitor = switch.monitor_mut();
-    monitor.rotate_now();
-    assert!(!monitor.completed_epochs().is_empty());
-    let total_records: usize = monitor.completed_epochs().iter().map(|e| e.len()).sum();
-    assert!(total_records > 0);
 }

@@ -1,8 +1,9 @@
 //! Sketch-introspection and flow-tracing suite.
 //!
 //! Every registered algorithm must expose structure-internal metrics
-//! (`MonitorIntrospect`) and seal them into its epoch snapshots, so the
-//! `/debug/introspect` endpoint and the `hashflow_introspect_*` gauges
+//! (`FlowMonitor::introspection`) and seal them into its epoch
+//! snapshots, so the `/debug/introspect` endpoint and the
+//! `hashflow_introspect_*` gauges
 //! never go dark for any monitor the registry can build. The tracing
 //! half pins the property the sampled flow-path tracer is built on:
 //! sampling is a deterministic function of the flow key, so the same
