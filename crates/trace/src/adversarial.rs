@@ -23,11 +23,11 @@
 //! [`TraceRegime::Calibrated`] wraps the existing [`TraceProfile`]s so
 //! one enum spans the full evaluation matrix ([`REGIME_MATRIX`]).
 
-use crate::generator::{Trace, TraceGenerator};
+use crate::generator::{layout, Trace, TraceGenerator};
 use crate::interleave::InterleaveMode;
 use crate::profile::TraceProfile;
 use hashflow_hashing::{fast_range, KeyHasher, TabulationHash};
-use hashflow_types::{FlowKey, FlowRecord, Packet};
+use hashflow_types::{FlowKey, FlowRecord};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -223,22 +223,8 @@ fn regime_salt(regime: TraceRegime) -> u64 {
 /// Lays out each flow's packets with the calibrated generator's bimodal
 /// wire lengths and hands them to the shuffled interleaver.
 fn assemble(regime: TraceRegime, truth: Vec<FlowRecord>, rng: &mut StdRng, seed: u64) -> Trace {
-    let per_flow: Vec<Vec<Packet>> = truth
-        .iter()
-        .map(|rec| {
-            (0..rec.count())
-                .map(|_| {
-                    let len = if rng.gen_bool(0.6) {
-                        rng.gen_range(60..=200)
-                    } else {
-                        rng.gen_range(1000..=1500)
-                    };
-                    Packet::new(rec.key(), 0, len)
-                })
-                .collect()
-        })
-        .collect();
-    let packets = InterleaveMode::Shuffled.interleave(per_flow, seed);
+    let packets = layout(&truth, rng);
+    let packets = InterleaveMode::Shuffled.interleave(packets, &truth, seed);
     Trace::from_parts(regime, packets, truth)
 }
 

@@ -147,26 +147,8 @@ impl TraceGenerator {
             .map(|(i, size)| FlowRecord::new(FlowKey::from_index(key_base + i as u64), size))
             .collect();
 
-        // Lay out each flow's packets with sampled wire lengths, then hand
-        // the groups to the interleaver for arrival ordering.
-        let per_flow: Vec<Vec<Packet>> = truth
-            .iter()
-            .map(|rec| {
-                (0..rec.count())
-                    .map(|_| {
-                        // Bimodal wire length: mostly small packets, some
-                        // MTU-sized.
-                        let len = if rng.gen_bool(0.6) {
-                            rng.gen_range(60..=200)
-                        } else {
-                            rng.gen_range(1000..=1500)
-                        };
-                        Packet::new(rec.key(), 0, len)
-                    })
-                    .collect()
-            })
-            .collect();
-        let packets = self.interleave.interleave(per_flow, self.seed);
+        let packets = layout(&truth, &mut rng);
+        let packets = self.interleave.interleave(packets, &truth, self.seed);
 
         Trace {
             regime: TraceRegime::Calibrated(self.profile),
@@ -174,6 +156,25 @@ impl TraceGenerator {
             truth,
         }
     }
+}
+
+/// Writes every flow's packets, with sampled wire lengths, into one
+/// vector: flow after flow in `truth` order, ready for the interleaver.
+pub(crate) fn layout(truth: &[FlowRecord], rng: &mut StdRng) -> Vec<Packet> {
+    let total = truth.iter().map(|rec| rec.count() as usize).sum();
+    let mut packets = Vec::with_capacity(total);
+    for rec in truth {
+        for _ in 0..rec.count() {
+            // Bimodal wire length: mostly small packets, some MTU-sized.
+            let len = if rng.gen_bool(0.6) {
+                rng.gen_range(60..=200)
+            } else {
+                rng.gen_range(1000..=1500)
+            };
+            packets.push(Packet::new(rec.key(), 0, len));
+        }
+    }
+    packets
 }
 
 #[cfg(test)]

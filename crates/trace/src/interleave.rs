@@ -8,7 +8,7 @@
 //! experiments quantify that sensitivity; [`crate::TraceGenerator`] uses
 //! [`InterleaveMode::Shuffled`] by default.
 
-use hashflow_types::Packet;
+use hashflow_types::{FlowRecord, Packet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -33,66 +33,78 @@ pub enum InterleaveMode {
 }
 
 impl InterleaveMode {
-    /// Orders `per_flow` packet groups into a single stream, re-stamping
-    /// timestamps to keep them monotone (1 µs spacing).
+    /// Orders `packets` into a single stream, re-stamping timestamps to
+    /// keep them monotone (1 µs spacing).
     ///
-    /// Each inner vector holds the packets of one flow.
-    pub fn interleave(self, per_flow: Vec<Vec<Packet>>, seed: u64) -> Vec<Packet> {
+    /// `packets` holds every flow's packets back to back, in `truth`
+    /// order, each flow `truth[i].count()` packets long (the layout
+    /// `generator::layout` writes).
+    pub(crate) fn interleave(
+        self,
+        mut packets: Vec<Packet>,
+        truth: &[FlowRecord],
+        seed: u64,
+    ) -> Vec<Packet> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1317_e11e);
-        let total: usize = per_flow.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
         match self {
-            InterleaveMode::Sequential => {
-                for flow in per_flow {
-                    out.extend(flow);
-                }
-            }
-            InterleaveMode::Shuffled => {
-                for flow in per_flow {
-                    out.extend(flow);
-                }
-                out.shuffle(&mut rng);
-            }
+            InterleaveMode::Sequential => {}
+            InterleaveMode::Shuffled => packets.shuffle(&mut rng),
             InterleaveMode::RoundRobin => {
-                let mut queues: Vec<std::vec::IntoIter<Packet>> =
-                    per_flow.into_iter().map(Vec::into_iter).collect();
-                while !queues.is_empty() {
-                    queues.retain_mut(|q| {
-                        if let Some(p) = q.next() {
-                            out.push(p);
+                let mut out = Vec::with_capacity(packets.len());
+                let mut flows = flow_ranges(truth);
+                while !flows.is_empty() {
+                    flows.retain_mut(|(start, end)| {
+                        if start < end {
+                            out.push(packets[*start]);
+                            *start += 1;
                             true
                         } else {
                             false
                         }
                     });
                 }
+                packets = out;
             }
             InterleaveMode::Bursty => {
-                let mut queues: Vec<std::vec::IntoIter<Packet>> =
-                    per_flow.into_iter().map(Vec::into_iter).collect();
-                while !queues.is_empty() {
-                    let i = rng.gen_range(0..queues.len());
+                let mut out = Vec::with_capacity(packets.len());
+                let mut flows = flow_ranges(truth);
+                while !flows.is_empty() {
+                    let i = rng.gen_range(0..flows.len());
                     // Geometric burst, mean 4 packets.
                     loop {
-                        match queues[i].next() {
-                            Some(p) => out.push(p),
-                            None => {
-                                queues.swap_remove(i);
-                                break;
-                            }
+                        let (start, end) = &mut flows[i];
+                        if start == end {
+                            flows.swap_remove(i);
+                            break;
                         }
+                        out.push(packets[*start]);
+                        *start += 1;
                         if rng.gen_bool(0.25) {
                             break;
                         }
                     }
                 }
+                packets = out;
             }
         }
-        for (i, p) in out.iter_mut().enumerate() {
+        for (i, p) in packets.iter_mut().enumerate() {
             *p = p.with_timestamp(i as u64 * 1_000);
         }
-        out
+        packets
     }
+}
+
+/// Each flow's `(start, end)` range in the flat layout.
+fn flow_ranges(truth: &[FlowRecord]) -> Vec<(usize, usize)> {
+    let mut start = 0;
+    truth
+        .iter()
+        .map(|rec| {
+            let range = (start, start + rec.count() as usize);
+            start = range.1;
+            range
+        })
+        .collect()
 }
 
 impl std::fmt::Display for InterleaveMode {
@@ -112,14 +124,20 @@ mod tests {
     use super::*;
     use hashflow_types::FlowKey;
 
-    fn groups() -> Vec<Vec<Packet>> {
+    /// Five flows of four packets each, laid out flow after flow.
+    fn truth() -> Vec<FlowRecord> {
         (0..5u64)
-            .map(|f| {
-                (0..4)
-                    .map(|_| Packet::new(FlowKey::from_index(f), 0, 64))
-                    .collect()
-            })
+            .map(|f| FlowRecord::new(FlowKey::from_index(f), 4))
             .collect()
+    }
+
+    fn interleave(mode: InterleaveMode, seed: u64) -> Vec<Packet> {
+        let truth = truth();
+        let packets = truth
+            .iter()
+            .flat_map(|rec| (0..rec.count()).map(|_| Packet::new(rec.key(), 0, 64)))
+            .collect();
+        mode.interleave(packets, &truth, seed)
     }
 
     fn key_sequence(packets: &[Packet]) -> Vec<u16> {
@@ -134,7 +152,7 @@ mod tests {
             InterleaveMode::RoundRobin,
             InterleaveMode::Bursty,
         ] {
-            let out = mode.interleave(groups(), 1);
+            let out = interleave(mode, 1);
             assert_eq!(out.len(), 20, "{mode}");
             let mut counts = std::collections::HashMap::new();
             for p in &out {
@@ -146,7 +164,7 @@ mod tests {
 
     #[test]
     fn sequential_keeps_flows_contiguous() {
-        let out = InterleaveMode::Sequential.interleave(groups(), 1);
+        let out = interleave(InterleaveMode::Sequential, 1);
         let seq = key_sequence(&out);
         let mut seen = std::collections::HashSet::new();
         let mut last = None;
@@ -160,7 +178,7 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_flows() {
-        let out = InterleaveMode::RoundRobin.interleave(groups(), 1);
+        let out = interleave(InterleaveMode::RoundRobin, 1);
         let seq = key_sequence(&out);
         // First 5 packets are one from each flow.
         let first: std::collections::HashSet<u16> = seq[..5].iter().copied().collect();
@@ -170,7 +188,7 @@ mod tests {
     #[test]
     fn timestamps_are_monotone_everywhere() {
         for mode in [InterleaveMode::Shuffled, InterleaveMode::Bursty] {
-            let out = mode.interleave(groups(), 2);
+            let out = interleave(mode, 2);
             assert!(out
                 .windows(2)
                 .all(|w| w[0].timestamp_ns() < w[1].timestamp_ns()));
@@ -179,10 +197,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = InterleaveMode::Bursty.interleave(groups(), 3);
-        let b = InterleaveMode::Bursty.interleave(groups(), 3);
+        let a = interleave(InterleaveMode::Bursty, 3);
+        let b = interleave(InterleaveMode::Bursty, 3);
         assert_eq!(a, b);
-        let c = InterleaveMode::Bursty.interleave(groups(), 4);
+        let c = interleave(InterleaveMode::Bursty, 4);
         assert_ne!(key_sequence(&a), key_sequence(&c));
     }
 
@@ -194,7 +212,7 @@ mod tests {
             InterleaveMode::RoundRobin,
             InterleaveMode::Bursty,
         ] {
-            assert!(mode.interleave(Vec::new(), 0).is_empty());
+            assert!(mode.interleave(Vec::new(), &[], 0).is_empty());
         }
     }
 }

@@ -55,14 +55,20 @@ pub fn calibrate_tail_exponent(target_mean: f64, cap: u64) -> f64 {
         target_mean <= max_mean,
         "target mean {target_mean} not reachable under cap {cap} (max {max_mean:.1})"
     );
-    // Mean is decreasing in a: large a -> light tail -> mean ~ 1.
+    // Mean is decreasing in a: large a -> light tail -> mean ~ 1. Once a
+    // step leaves (lo, hi) unchanged, every later step would too, so
+    // stopping there returns what the full 80 steps would.
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
-        if truncated_power_law_mean(mid, cap) > target_mean {
-            lo = mid;
+        let next = if truncated_power_law_mean(mid, cap) > target_mean {
+            (mid, hi)
         } else {
-            hi = mid;
+            (lo, mid)
+        };
+        if next == (lo, hi) {
+            break;
         }
+        (lo, hi) = next;
     }
     0.5 * (lo + hi)
 }

@@ -92,8 +92,19 @@ impl TraceProfile {
     }
 
     /// A flow-size sampler calibrated to this profile's Table I targets.
+    ///
+    /// The tail exponents are tabled: each is the exact `f64` that
+    /// [`crate::calibrate_tail_exponent`] returns for the profile's average
+    /// and maximum flow size (a unit test checks the bits), so no trace
+    /// re-runs the bisection.
     pub fn sampler(&self) -> PowerLawSampler {
-        PowerLawSampler::with_mean(self.avg_flow_size(), self.max_flow_size())
+        let bits = match self {
+            TraceProfile::Caida => 0x3ff6_16f9_d628_d100,
+            TraceProfile::Campus => 0x3fef_48c7_9cfd_48c6,
+            TraceProfile::Isp1 => 0x3ff3_14a3_edfa_b918,
+            TraceProfile::Isp2 => 0x4004_eeb6_d0bb_0d92,
+        };
+        PowerLawSampler::new(f64::from_bits(bits), self.max_flow_size())
     }
 }
 
@@ -106,6 +117,20 @@ impl std::fmt::Display for TraceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibrate_tail_exponent;
+
+    #[test]
+    fn tabled_exponents_match_the_bisection() {
+        for p in ALL_PROFILES {
+            let a = calibrate_tail_exponent(p.avg_flow_size(), p.max_flow_size());
+            assert_eq!(
+                p.sampler().tail_exponent().to_bits(),
+                a.to_bits(),
+                "{p}: tabled {} vs calibrated {a}",
+                p.sampler().tail_exponent()
+            );
+        }
+    }
 
     #[test]
     fn sampler_mean_matches_table1() {
