@@ -16,8 +16,9 @@ usage: hashflow <command> [options]
 commands:
   analyze <capture.pcap>    analyze an Ethernet/IPv4 pcap capture
       --memory-kib <N>      memory budget in KiB        [default: 256]
-      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow
-                                                        [default: hashflow]
+      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow|
+                            beaucoup|exact              [default: hashflow]
+                            (not the estimate-only countmin|fcm)
       --threshold <T>       heavy-hitter threshold      [default: 100]
       --top <K>             flows to list               [default: 10]
       --shards <N>          flow-partitioned shards     [default: 1]
@@ -28,7 +29,8 @@ commands:
                             equal shard budgets whose sum never exceeds
                             the single-monitor budget (the remainder of
                             the division is dropped, not rounded up);
-                            supported by hashflow, flowradar and netflow
+                            supported by hashflow, flowradar, netflow,
+                            countmin, fcm, beaucoup and exact
       --metrics-out <file>  also write the run's pipeline metrics
                             (Prometheus text; JSON lines when the path
                             ends in .jsonl)
@@ -36,8 +38,8 @@ commands:
                             runtime metrics (ingest/rotation/sink/shard/
                             query counters, gauges and histograms)
       --memory-kib <N>      memory budget in KiB        [default: 256]
-      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow
-                                                        [default: hashflow]
+      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow|
+                            countmin|fcm|beaucoup|exact [default: hashflow]
       --shards <N>          flow-partitioned shards     [default: 1]
                             fed in turn on one thread (the threaded
                             replay is ShardedMonitor::ingest)
@@ -62,8 +64,8 @@ commands:
       --alpha <a>           pipeline weight (omit for multi-hash)
   export <capture.pcap>     collect records and stream them to an export sink
       --memory-kib <N>      memory budget in KiB        [default: 256]
-      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow
-                                                        [default: hashflow]
+      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow|
+                            countmin|fcm|beaucoup|exact [default: hashflow]
       --format <name>       nf5 (NetFlow v5 datagrams) or jsonl (JSON lines)
                                                         [default: nf5]
       --out <file>          output path                 (required)
@@ -112,8 +114,8 @@ commands:
                             srcport, dstport, proto), reduce
                             (sum|count|max), threshold N
       --memory-kib <N>      memory budget in KiB        [default: 256]
-      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow
-                                                        [default: hashflow]
+      --algorithm <name>    hashflow|hashpipe|elastic|flowradar|netflow|
+                            countmin|fcm|beaucoup|exact [default: hashflow]
       --top <K>             result rows to print        [default: 10]
                             the capture streams through the monitor in
                             batches (never fully in memory); the report
@@ -760,6 +762,73 @@ mod tests {
         // Documented in --help, including the budget-splitting rule.
         assert!(USAGE.contains("--shards"));
         assert!(USAGE.contains("split into N"));
+    }
+
+    /// Every `flag` entry of [`USAGE`] with its continuation lines,
+    /// paired with the command it belongs to.
+    fn usage_entries(flag: &str) -> Vec<(&'static str, String)> {
+        let mut entries = Vec::new();
+        let mut command = "";
+        let mut entry: Option<String> = None;
+        for line in USAGE.lines() {
+            if !line.starts_with("        ") {
+                entries.extend(entry.take().map(|e| (command, e)));
+            }
+            if let Some(name) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                command = name.split_whitespace().next().unwrap_or("");
+            }
+            if line.trim_start().starts_with(flag) {
+                entry = Some(String::new());
+            }
+            if let Some(e) = &mut entry {
+                e.push_str(line);
+                e.push('\n');
+            }
+        }
+        entries.extend(entry.map(|e| (command, e)));
+        entries
+    }
+
+    #[test]
+    fn usage_names_every_algorithm_each_command_accepts() {
+        let names = |entry: &str| -> Vec<String> {
+            entry
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .map(str::to_string)
+                .collect()
+        };
+        let entries = usage_entries("--algorithm");
+        let commands: Vec<&str> = entries.iter().map(|(command, _)| *command).collect();
+        assert_eq!(commands, ["analyze", "stats", "export", "serve", "query"]);
+        for (command, entry) in &entries {
+            // Analyze prints the flow report, so it refuses the
+            // estimate-only sketches; every other command takes all kinds.
+            let accepted = AlgorithmKind::ALL
+                .into_iter()
+                .filter(|kind| *command != "analyze" || kind.supports_records());
+            for kind in accepted {
+                assert!(
+                    names(entry).iter().any(|n| n == kind.name()),
+                    "{command} --algorithm omits {}:\n{entry}",
+                    kind.name()
+                );
+            }
+        }
+        let shards = usage_entries("--shards");
+        let (_, analyze) = shards
+            .iter()
+            .find(|(command, _)| *command == "analyze")
+            .expect("analyze documents --shards");
+        for kind in AlgorithmKind::ALL
+            .into_iter()
+            .filter(|k| k.supports_sharding())
+        {
+            assert!(
+                names(analyze).iter().any(|n| n == kind.name()),
+                "--shards omits {}:\n{analyze}",
+                kind.name()
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
-    BackpressurePolicy, CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor,
-    HealthPolicy, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
+    CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor, HealthPolicy, Instruments,
+    IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
 };
 use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
 use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
@@ -123,7 +123,7 @@ impl Collector {
         self.rotator.seal()
     }
 
-    /// Every epoch sealed so far and not yet drained or shed, oldest
+    /// Every epoch sealed so far and not yet drained or evicted, oldest
     /// first; each shares its record store and index with the snapshot
     /// [`Self::seal`] returned and the one the sinks received. The store
     /// is **unbounded** unless [`CollectorBuilder::retention`] bounded it
@@ -254,8 +254,8 @@ pub struct CollectorBuilder {
     sinks: Vec<Box<dyn RecordSink + Send>>,
     queries: Vec<QueryPlan>,
     instruments: Instruments,
-    answer_limit: Option<(usize, BackpressurePolicy)>,
-    retention: Option<(usize, BackpressurePolicy)>,
+    answer_limit: Option<usize>,
+    retention: Option<usize>,
     sink_health: Option<HealthPolicy>,
 }
 
@@ -341,21 +341,20 @@ impl CollectorBuilder {
         self
     }
 
-    /// Bounds the banked query answers to `max_epochs` between drains,
-    /// shed under `policy` (see [`QueryMonitor::set_answer_limit`]).
+    /// Keeps the banked query answers of the newest `max_epochs` epochs
+    /// (see [`QueryMonitor::set_answer_limit`]).
     #[must_use]
-    pub fn answer_limit(mut self, max_epochs: usize, policy: BackpressurePolicy) -> Self {
-        self.answer_limit = Some((max_epochs, policy));
+    pub fn answer_limit(mut self, max_epochs: usize) -> Self {
+        self.answer_limit = Some(max_epochs);
         self
     }
 
-    /// Bounds the completed-epoch store to `max_epochs` reports, shed
-    /// under `policy` (`Block` degrades to `DropNewest`, counted — the
-    /// seal path must not stall). Sheds are accounted in
+    /// Keeps the newest `max_epochs` epochs in the completed-epoch
+    /// store; evictions are accounted in
     /// [`Collector::retention_drop_stats`].
     #[must_use]
-    pub fn retention(mut self, max_epochs: usize, policy: BackpressurePolicy) -> Self {
-        self.retention = Some((max_epochs, policy));
+    pub fn retention(mut self, max_epochs: usize) -> Self {
+        self.retention = Some(max_epochs);
         self
     }
 
@@ -374,15 +373,15 @@ impl CollectorBuilder {
     /// Propagates every registry error ([`MonitorBuilder::build`]).
     pub fn build(self) -> Result<Collector, ConfigError> {
         let mut queries = QueryMonitor::new(self.monitor.build()?);
-        if let Some((max_epochs, policy)) = self.answer_limit {
-            queries.set_answer_limit(max_epochs, policy);
+        if let Some(max_epochs) = self.answer_limit {
+            queries.set_answer_limit(max_epochs);
         }
         for plan in self.queries {
             queries.attach(plan);
         }
         let mut rotator = EpochRotator::new(queries, self.epoch_len_ns);
-        if let Some((max_epochs, policy)) = self.retention {
-            rotator.set_retention(max_epochs, policy);
+        if let Some(max_epochs) = self.retention {
+            rotator.set_retention(max_epochs);
         }
         if let Some(policy) = self.sink_health {
             rotator.set_sink_health_policy(policy);
@@ -520,8 +519,8 @@ mod tests {
                 quarantine_after: 2,
                 probe_interval: 4,
             })
-            .retention(1, BackpressurePolicy::DropOldest)
-            .answer_limit(1, BackpressurePolicy::DropOldest)
+            .retention(1)
+            .answer_limit(1)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
             .unwrap();
@@ -537,7 +536,7 @@ mod tests {
         assert_eq!(health[0].health, SinkHealth::Quarantined);
         assert_eq!(health[0].total_errors, 2);
         assert_eq!(health[0].skipped_epochs, 1);
-        // The retention window slid: one report kept, two shed, ledger
+        // The retention window slid: one report kept, two evicted, ledger
         // conserved.
         assert_eq!(collector.completed_epochs().len(), 1);
         let retention = collector.retention_drop_stats();
@@ -691,7 +690,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(budget())
-            .retention(1, BackpressurePolicy::DropOldest)
+            .retention(1)
             .instruments(Instruments {
                 registry: Some(registry.clone()),
                 ..Instruments::default()

@@ -201,7 +201,7 @@ fn measure_stalled_sink(
     let mut collector = Collector::builder(AlgorithmKind::HashFlow)
         .budget(budget)
         .sink(Box::new(sink))
-        .retention(4, BackpressurePolicy::DropOldest)
+        .retention(4)
         .build()
         .expect("exhibit budget fits HashFlow");
 

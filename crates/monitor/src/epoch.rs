@@ -33,7 +33,7 @@
 
 use crate::sink::SinkSet;
 use crate::{
-    merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochSnapshot, FlowMonitor,
+    merge_introspection, CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor,
     HealthPolicy, Instruments, IntrospectMetric, PipelineMetrics, RecordSink, SinkErrors,
     SinkStatus, SCALAR_FLUSH_PACKETS,
 };
@@ -163,11 +163,7 @@ pub struct EpochRotator<M> {
     epoch_base_ns: Option<u64>,
     first_ns: Option<u64>,
     last_ns: Option<u64>,
-    completed: Vec<EpochSnapshot>,
-    /// Bound on `completed` (`None` = unbounded) and the policy applied
-    /// when it is reached.
-    retention: Option<(usize, BackpressurePolicy)>,
-    retention_drops: DropStats,
+    completed: EpochRing<EpochSnapshot>,
     sinks: SinkSet,
     /// The handles given to [`FlowMonitor::instrument`]; the registry
     /// also receives the sealed introspection report as gauges at each
@@ -189,7 +185,7 @@ impl<M: std::fmt::Debug> std::fmt::Debug for EpochRotator<M> {
             .field("epoch_len_ns", &self.epoch_len_ns)
             .field("current_epoch", &self.current_epoch)
             .field("epoch_base_ns", &self.epoch_base_ns)
-            .field("completed", &self.completed.len())
+            .field("completed", &self.completed.as_slice().len())
             .field("sinks", &self.sinks)
             .finish_non_exhaustive()
     }
@@ -210,9 +206,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
             epoch_base_ns: None,
             first_ns: None,
             last_ns: None,
-            completed: Vec::new(),
-            retention: None,
-            retention_drops: DropStats::new(),
+            completed: EpochRing::new(|snapshot: &EpochSnapshot| snapshot.len() as u64),
             sinks: SinkSet::new(),
             instruments: Instruments::default(),
             metrics: None,
@@ -297,53 +291,20 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.sinks.finish()
     }
 
-    /// Bounds the completed-epoch store
-    /// ([`Self::completed_epochs`]) at `max_epochs` epochs under
-    /// `policy`. Without a driving loop calling
-    /// [`Self::drain_completed`], a long run would otherwise grow the
-    /// store without bound. [`BackpressurePolicy::Block`] degrades to
-    /// `DropNewest` here: the store is filled by the rotation path
-    /// itself, so there is no consumer to wait for. Shed reports are
-    /// counted in [`Self::retention_drop_stats`], which an instrumented
-    /// rotator exports under `component="epoch_retention"`.
-    pub fn set_retention(&mut self, max_epochs: usize, policy: BackpressurePolicy) {
-        self.retention = Some((max_epochs, policy));
+    /// Keeps the newest `max_epochs` epochs in the completed store
+    /// ([`Self::completed_epochs`]); without a driving loop calling
+    /// [`Self::drain_completed`], a long run would otherwise grow it
+    /// without bound. Evicted epochs are counted in
+    /// [`Self::retention_drop_stats`], which an instrumented rotator
+    /// exports under `component="epoch_retention"`.
+    pub fn set_retention(&mut self, max_epochs: usize) {
+        self.completed.set_limit(max_epochs);
     }
 
     /// The report store's drop/delivery ledger (shared handle; counts
     /// whole reports and their records).
     pub fn retention_drop_stats(&self) -> DropStats {
-        self.retention_drops.clone()
-    }
-
-    /// Retains a clone of `snapshot` (sharing its store and index) in
-    /// the completed store, honouring the retention bound. Every epoch
-    /// is offered to the ledger exactly once; sheds and evictions are
-    /// dropped exactly once.
-    fn retain_completed(&mut self, snapshot: &EpochSnapshot) {
-        let records = snapshot.len() as u64;
-        self.retention_drops.record_offer(records);
-        if let Some((max, policy)) = self.retention {
-            if self.completed.len() >= max {
-                match policy {
-                    BackpressurePolicy::Block | BackpressurePolicy::DropNewest => {
-                        self.retention_drops.record_drop(records);
-                        return;
-                    }
-                    BackpressurePolicy::DropOldest => {
-                        while self.completed.len() >= max.max(1) {
-                            let evicted = self.completed.remove(0);
-                            self.retention_drops.record_drop(evicted.len() as u64);
-                        }
-                        if max == 0 {
-                            self.retention_drops.record_drop(records);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        self.completed.push(snapshot.clone());
+        self.completed.drop_stats().clone()
     }
 
     /// Epoch length in nanoseconds.
@@ -351,7 +312,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.epoch_len_ns
     }
 
-    /// Every epoch sealed so far and not yet drained or shed, oldest
+    /// Every epoch sealed so far and not yet drained or evicted, oldest
     /// first. Each entry shares its record store and (lazily built)
     /// index with the snapshot the seal returned and the one the sinks
     /// received. The store is **unbounded** until
@@ -359,7 +320,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// [`Self::drain_completed`]: a long run that does neither keeps
     /// every epoch's records alive.
     pub fn completed_epochs(&self) -> &[EpochSnapshot] {
-        &self.completed
+        self.completed.as_slice()
     }
 
     /// Seals the current epoch immediately (end-of-capture flush),
@@ -434,7 +395,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
                 }
             }
         }
-        self.retain_completed(&snapshot);
+        self.completed.push(snapshot.clone());
         self.current_epoch += 1;
         self.epoch_base_ns = None;
         self.first_ns = None;
@@ -446,7 +407,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// running. The completed store grows without bound until this is
     /// called or [`Self::set_retention`] bounds it.
     pub fn drain_completed(&mut self) -> Vec<EpochSnapshot> {
-        std::mem::take(&mut self.completed)
+        self.completed.drain()
     }
 
     /// Records a rotation-gap event: the boundary packet skipped at
@@ -629,7 +590,9 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
     /// into the same counters.
     fn instrument(&mut self, instruments: &Instruments) {
         self.metrics = instruments.registry.as_ref().map(|registry| {
-            self.retention_drops.register(registry, "epoch_retention");
+            self.completed
+                .drop_stats()
+                .register(registry, "epoch_retention");
             PipelineMetrics::register(registry)
         });
         self.sinks
@@ -645,8 +608,7 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         self.epoch_base_ns = None;
         self.first_ns = None;
         self.last_ns = None;
-        self.completed.clear();
-        self.retention_drops.reset();
+        self.completed.reset();
     }
 
     /// Seals the *current epoch* (rotating it through the sinks like any
@@ -935,11 +897,9 @@ mod tests {
 
     #[test]
     fn retention_bounds_the_completed_store() {
-        use crate::BackpressurePolicy;
-
-        // DropOldest: a sliding window over the most recent reports.
+        // A sliding window over the most recent reports.
         let mut r = EpochRotator::new(Exact::default(), 10);
-        r.set_retention(2, BackpressurePolicy::DropOldest);
+        r.set_retention(2);
         for t in 0..5u64 {
             r.process_packet(&pkt(t, t * 10)); // seals epochs 0..=3
         }
@@ -957,20 +917,6 @@ mod tests {
                 .map(|e| e.len() as u64)
                 .sum::<u64>()
         );
-
-        // DropNewest: the store freezes at the first `max` reports.
-        let mut r = EpochRotator::new(Exact::default(), 10);
-        r.set_retention(2, BackpressurePolicy::DropNewest);
-        for t in 0..5u64 {
-            r.process_packet(&pkt(t, t * 10));
-        }
-        let retained: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch()).collect();
-        assert_eq!(retained, vec![0, 1]);
-        assert_eq!(r.retention_drop_stats().dropped_epochs(), 2);
-        // Draining frees capacity again.
-        r.drain_completed();
-        r.process_packet(&pkt(9, 90));
-        assert_eq!(r.completed_epochs().len(), 1);
     }
 
     #[test]

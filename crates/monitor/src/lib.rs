@@ -51,7 +51,7 @@ pub use fault::{FaultInjectingSink, FaultPlan, PanicInjector};
 pub use health::{classify_io_error, ErrorClass, HealthPolicy, SinkErrors, SinkHealth, SinkStatus};
 pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue};
 pub use merge::MergeableMonitor;
-pub use policy::BackpressurePolicy;
+pub use policy::{BackpressurePolicy, EpochRing};
 pub use retry::{RetryPolicy, RetrySink};
 pub use sink::{JsonLinesSink, MemorySink, RecordSink};
 pub use snapshot::EpochSnapshot;

@@ -14,8 +14,8 @@
 //! `netflow-export` crate next to its wire format.
 
 use crate::{
-    classify_io_error, BackpressurePolicy, DropStats, EpochSnapshot, ErrorClass, HealthPolicy,
-    PipelineMetrics, SinkErrors, SinkHealth, SinkStatus,
+    classify_io_error, EpochSnapshot, ErrorClass, HealthPolicy, PipelineMetrics, SinkErrors,
+    SinkHealth, SinkStatus,
 };
 use hashflow_obs::{FlightRecorder, Severity};
 use std::io::{self, Write};
@@ -414,144 +414,40 @@ impl<W: Write> RecordSink for JsonLinesSink<W> {
     }
 }
 
-/// In-memory sink: retains every sealed snapshot, for tests and
-/// in-process consumers (dashboards, anomaly detectors) that want the
-/// full query surface of past epochs rather than a serialized stream.
-///
-/// # Drop policy
-///
-/// By default retention is unbounded. [`MemorySink::with_capacity_limit`]
-/// caps the **total retained records** across all epochs, so a
-/// long-running rotation pipeline cannot grow the sink without bound.
-/// What happens at the cap follows the sink's [`BackpressurePolicy`]
-/// ([`MemorySink::with_policy`]), always whole epochs (snapshots are
-/// immutable — truncating one would silently corrupt its query answers):
-///
-/// - [`BackpressurePolicy::DropNewest`] (the `with_capacity_limit`
-///   default): the arriving epoch is dropped whole iff it does not fit
-///   the remaining capacity — retention is a prefix-by-fit.
-/// - [`BackpressurePolicy::DropOldest`]: the oldest retained epochs are
-///   evicted (and counted) until the arriving epoch fits — a sliding
-///   window over the most recent epochs. An epoch larger than the whole
-///   capacity is dropped without evicting anything.
-/// - [`BackpressurePolicy::Block`] degrades to `DropNewest`: the sink is
-///   filled by the rotation path itself, so there is no consumer to wait
-///   for and blocking would wedge rotation.
-///
-/// Every arriving epoch lands in the sink's [`DropStats`] ledger — either
-/// as a delivery or as a drop (plus evictions), so
-/// `offered == delivered + dropped` holds by construction
-/// ([`DropStats::offered_records`]). Export never errors for a dropped
-/// epoch: a full dashboard buffer must not degrade the rotation layer's
-/// sink health.
+/// In-memory sink: retains every sealed snapshot it is handed, for tests
+/// and in-process consumers (dashboards, anomaly detectors) that want the
+/// full query surface of past epochs rather than a serialized stream. It
+/// has no cap: to keep only recent history, bound the rotator's completed
+/// store instead ([`crate::EpochRotator::set_retention`]).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     epochs: Vec<EpochSnapshot>,
-    /// Maximum total retained records across all epochs (`None` = unbounded).
-    capacity: Option<usize>,
-    policy: BackpressurePolicy,
-    retained_records: usize,
-    drops: DropStats,
 }
 
 impl MemorySink {
-    /// Creates an empty sink with unbounded retention.
+    /// Creates an empty sink.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty sink retaining at most `max_records` total records
-    /// with the [`BackpressurePolicy::DropNewest`] policy (see the
-    /// type-level drop policy).
-    pub fn with_capacity_limit(max_records: usize) -> Self {
-        Self::with_policy(max_records, BackpressurePolicy::DropNewest)
-    }
-
-    /// Creates an empty sink retaining at most `max_records` total
-    /// records under the given overflow `policy`
-    /// ([`BackpressurePolicy::Block`] degrades to `DropNewest` here — see
-    /// the type-level drop policy).
-    pub fn with_policy(max_records: usize, policy: BackpressurePolicy) -> Self {
-        MemorySink {
-            capacity: Some(max_records),
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The sink's overflow policy (meaningful only when a capacity limit
-    /// is set).
-    pub fn policy(&self) -> BackpressurePolicy {
-        self.policy
-    }
-
-    /// Sealed epochs received and retained so far, in arrival order.
+    /// Sealed epochs received so far, in arrival order.
     pub fn epochs(&self) -> &[EpochSnapshot] {
         &self.epochs
     }
 
     /// Total records across all retained epochs.
     pub fn total_records(&self) -> usize {
-        self.retained_records
-    }
-
-    /// Epochs dropped or evicted whole under the capacity limit.
-    pub fn dropped_epochs(&self) -> u64 {
-        self.drops.dropped_epochs()
-    }
-
-    /// Records inside dropped epochs (what a downstream consumer lost).
-    pub fn dropped_records(&self) -> u64 {
-        self.drops.dropped_records()
-    }
-
-    /// The sink's drop accounting, as a shared handle — clone it into a
-    /// `MetricsRegistry` ([`DropStats::register`]) to expose this sink's
-    /// drops, even after the sink is boxed into a rotation pipeline.
-    pub fn drop_stats(&self) -> DropStats {
-        self.drops.clone()
+        self.epochs.iter().map(EpochSnapshot::len).sum()
     }
 
     /// Consumes the sink, returning the retained epochs.
     pub fn into_epochs(self) -> Vec<EpochSnapshot> {
         self.epochs
     }
-
-    /// Evicts oldest epochs until `incoming` more records fit, counting
-    /// each eviction as a drop. Returns false if the epoch can never fit.
-    fn evict_for(&mut self, cap: usize, incoming: usize) -> bool {
-        if incoming > cap {
-            return false;
-        }
-        while self.retained_records + incoming > cap {
-            // Eviction is rare (overflow only), so O(n) removal is fine
-            // and keeps `epochs()` a contiguous slice.
-            let evicted = self.epochs.remove(0);
-            self.retained_records -= evicted.len();
-            self.drops.record_drop(evicted.len() as u64);
-        }
-        true
-    }
 }
 
 impl RecordSink for MemorySink {
     fn export_epoch(&mut self, snapshot: &EpochSnapshot) -> io::Result<()> {
-        self.drops.record_offer(snapshot.len() as u64);
-        if let Some(cap) = self.capacity {
-            if self.retained_records + snapshot.len() > cap {
-                let admitted = match self.policy {
-                    // Block degrades to DropNewest: the rotation path is
-                    // the producer, there is no consumer to wait for.
-                    BackpressurePolicy::Block | BackpressurePolicy::DropNewest => false,
-                    BackpressurePolicy::DropOldest => self.evict_for(cap, snapshot.len()),
-                };
-                if !admitted {
-                    self.drops.record_drop(snapshot.len() as u64);
-                    return Ok(());
-                }
-            }
-        }
-        self.retained_records += snapshot.len();
         self.epochs.push(snapshot.clone());
         Ok(())
     }
@@ -608,75 +504,13 @@ mod tests {
     }
 
     #[test]
-    fn capacity_limit_drops_whole_epochs_and_counts_them() {
-        // Cap of 6 records: epochs of 4 + 2 fit exactly; a further epoch
-        // of 1 is dropped whole, and so is everything after it that does
-        // not fit — retained epochs are a prefix-by-fit, never truncated.
-        let mut sink = MemorySink::with_capacity_limit(6);
-        sink.export_epoch(&snapshot(0, 4)).unwrap();
-        sink.export_epoch(&snapshot(1, 2)).unwrap();
-        sink.export_epoch(&snapshot(2, 1)).unwrap();
-        assert_eq!(sink.epochs().len(), 2);
-        assert_eq!(sink.total_records(), 6);
-        assert_eq!(sink.dropped_epochs(), 1);
-        assert_eq!(sink.dropped_records(), 1);
-        // An empty epoch still fits a full sink.
-        sink.export_epoch(&snapshot(3, 0)).unwrap();
-        assert_eq!(sink.epochs().len(), 3);
-        // An oversized epoch is dropped even by a fresh sink.
-        let mut tiny = MemorySink::with_capacity_limit(2);
-        tiny.export_epoch(&snapshot(0, 3)).unwrap();
-        assert!(tiny.epochs().is_empty());
-        assert_eq!(tiny.dropped_records(), 3);
-    }
-
-    #[test]
     fn unbounded_sink_never_drops() {
         let mut sink = MemorySink::new();
         for e in 0..50 {
             sink.export_epoch(&snapshot(e, 10)).unwrap();
         }
         assert_eq!(sink.total_records(), 500);
-        assert_eq!(sink.dropped_epochs(), 0);
-        assert_eq!(sink.dropped_records(), 0);
-        // The unbounded sink still keeps the delivered side of the
-        // ledger, so conservation is checkable uniformly.
-        assert_eq!(sink.drop_stats().delivered_records(), 500);
-        assert_eq!(sink.drop_stats().offered_epochs(), 50);
-    }
-
-    #[test]
-    fn drop_oldest_slides_the_retention_window() {
-        let mut sink = MemorySink::with_policy(6, BackpressurePolicy::DropOldest);
-        sink.export_epoch(&snapshot(0, 4)).unwrap();
-        sink.export_epoch(&snapshot(1, 2)).unwrap();
-        // Admitting epoch 2 (3 records) evicts epoch 0 (4 records).
-        sink.export_epoch(&snapshot(2, 3)).unwrap();
-        let retained: Vec<u64> = sink.epochs().iter().map(|s| s.epoch()).collect();
-        assert_eq!(retained, vec![1, 2]);
-        assert_eq!(sink.total_records(), 5);
-        assert_eq!(sink.dropped_epochs(), 1);
-        assert_eq!(sink.dropped_records(), 4);
-        // An epoch larger than the whole capacity is shed without
-        // evicting what is retained.
-        sink.export_epoch(&snapshot(3, 7)).unwrap();
-        assert_eq!(sink.total_records(), 5);
-        assert_eq!(sink.dropped_records(), 11);
-        // offered == delivered + dropped, in records — evictions do not
-        // double-count because delivered is derived.
-        let ledger = sink.drop_stats();
-        assert_eq!(ledger.offered_records(), 4 + 2 + 3 + 7);
-        assert_eq!(ledger.delivered_records(), sink.total_records() as u64);
-    }
-
-    #[test]
-    fn block_policy_degrades_to_drop_newest_on_memory_sink() {
-        let mut sink = MemorySink::with_policy(3, BackpressurePolicy::Block);
-        assert_eq!(sink.policy(), BackpressurePolicy::Block);
-        sink.export_epoch(&snapshot(0, 3)).unwrap();
-        sink.export_epoch(&snapshot(1, 1)).unwrap();
-        assert_eq!(sink.epochs().len(), 1);
-        assert_eq!(sink.dropped_records(), 1);
+        assert_eq!(sink.epochs().len(), 50);
     }
 
     #[test]

@@ -59,13 +59,12 @@ pub const SCALAR_FLUSH_PACKETS: u64 = 4096;
 /// Uniform offer/drop accounting for bounded buffers — the ledger behind
 /// the pipeline's backpressure contract.
 ///
-/// Every stage that sheds load under a capacity limit (the sharded
-/// dispatcher's batch queues, `MemorySink`'s retained-record cap,
-/// `QueryMonitor`'s banked-answer cap, the rotator's completed-report
-/// store) accounts the same way: each arriving unit (an epoch, or a
-/// batch for a packet queue) is **offered** exactly once
+/// Every stage that sheds load under a capacity limit (the queues of the
+/// sharded dispatcher and the daemon, and every [`crate::EpochRing`] of
+/// sealed history) accounts the same way: each arriving unit (an epoch,
+/// or a batch for a packet queue) is **offered** exactly once
 /// ([`DropStats::record_offer`]), and every unit later lost — shed on
-/// arrival, evicted by `DropOldest`, or stranded in a dead worker — is
+/// arrival, evicted to make room, or stranded in a dead worker — is
 /// **dropped** exactly once ([`DropStats::record_drop`]). Delivered is
 /// *derived*, never counted:
 ///
@@ -74,11 +73,11 @@ pub const SCALAR_FLUSH_PACKETS: u64 = 4096;
 /// ```
 ///
 /// so the conservation invariant `offered == delivered + dropped` holds
-/// by construction for **every** [`crate::BackpressurePolicy`] — a
-/// sliding-window eviction cannot double-count, because an item offered
-/// once is dropped at most once. The counters are shared atomic handles,
-/// so the same `DropStats` can sit inside the buffer *and* be registered
-/// in a [`MetricsRegistry`] for exposition.
+/// by construction for **every** [`crate::BackpressurePolicy`] and every
+/// ring — a sliding-window eviction cannot double-count, because an item
+/// offered once is dropped at most once. The counters are shared atomic
+/// handles, so the same `DropStats` can sit inside the buffer *and* be
+/// registered in a [`MetricsRegistry`] for exposition.
 ///
 /// # Examples
 ///
@@ -88,7 +87,7 @@ pub const SCALAR_FLUSH_PACKETS: u64 = 4096;
 ///
 /// let drops = DropStats::new();
 /// let registry = MetricsRegistry::new();
-/// drops.register(&registry, "memory_sink");
+/// drops.register(&registry, "epoch_retention");
 /// drops.record_offer(5); // one epoch of 5 records arrives (retained)
 /// drops.record_offer(17); // another arrives...
 /// drops.record_drop(17); // ...and is shed whole
@@ -98,7 +97,7 @@ pub const SCALAR_FLUSH_PACKETS: u64 = 4096;
 /// assert_eq!(
 ///     registry.snapshot().counter(
 ///         "hashflow_dropped_records_total",
-///         &[("component", "memory_sink")],
+///         &[("component", "epoch_retention")],
 ///     ),
 ///     Some(17),
 /// );
@@ -293,17 +292,17 @@ mod tests {
     #[test]
     fn drop_stats_register_under_component_label() {
         let registry = MetricsRegistry::new();
-        let sink = DropStats::new();
+        let store = DropStats::new();
         let bank = DropStats::new();
-        sink.register(&registry, "memory_sink");
+        store.register(&registry, "epoch_retention");
         bank.register(&registry, "query_answers");
-        sink.record_drop(3);
+        store.record_drop(3);
         bank.record_drop(1);
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter(
                 "hashflow_dropped_epochs_total",
-                &[("component", "memory_sink")]
+                &[("component", "epoch_retention")]
             ),
             Some(1)
         );

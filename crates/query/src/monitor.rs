@@ -18,8 +18,7 @@
 use crate::exec::{QueryResult, StreamingQuery};
 use crate::plan::QueryPlan;
 use hashflow_monitor::{
-    BackpressurePolicy, CostSnapshot, DropStats, EpochSnapshot, FlowMonitor, Instruments,
-    IntrospectMetric,
+    CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric,
 };
 use hashflow_obs::{Counter, MetricsRegistry};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -69,16 +68,9 @@ pub struct QueryMonitor<M> {
     /// the same handles can live in a [`MetricsRegistry`].
     eval_packets: Vec<Counter>,
     /// Streaming answers banked at each seal, oldest epoch first; one
-    /// entry per attached plan, in attach order.
-    sealed: Vec<Vec<QueryResult>>,
-    /// Maximum banked epochs (`None` = unbounded).
-    answer_limit: Option<usize>,
-    /// What to shed when the bank is full (see
-    /// [`Self::set_answer_limit`]).
-    answer_policy: BackpressurePolicy,
-    /// Whole epochs of answers shed at the answer limit (uniform drop
-    /// accounting, `component="query_answers"` when registered).
-    drops: DropStats,
+    /// entry per attached plan, in attach order. Its ledger counts one
+    /// record per answer (`component="query_answers"` when registered).
+    sealed: EpochRing<Vec<QueryResult>>,
     /// Registry plans attached *after* [`FlowMonitor::instrument`]
     /// register into.
     metrics: Option<MetricsRegistry>,
@@ -93,46 +85,24 @@ impl<M: FlowMonitor> QueryMonitor<M> {
             inner,
             queries: Vec::new(),
             eval_packets: Vec::new(),
-            sealed: Vec::new(),
-            answer_limit: None,
-            answer_policy: BackpressurePolicy::DropNewest,
-            drops: DropStats::new(),
+            sealed: EpochRing::new(|answers: &Vec<QueryResult>| answers.len() as u64),
             metrics: None,
         }
     }
 
-    /// Banks the answers of at most `max_epochs` sealed epochs between
-    /// drains, so a long-running rotation pipeline that never (or
-    /// rarely) calls [`Self::drain_sealed_answers`] cannot grow the bank
-    /// without bound. Once the bank is full a sealing epoch's answers
-    /// are shed **whole** and counted ([`Self::answer_drop_stats`]):
-    /// [`BackpressurePolicy::DropNewest`] keeps the oldest epochs since
-    /// the last drain, [`BackpressurePolicy::DropOldest`] slides the
-    /// window to the freshest. [`BackpressurePolicy::Block`] degrades to
-    /// `DropNewest`: the seal path has no consumer to wait on, and an
-    /// operator forgetting to drain must not stall rotation.
-    /// Already-banked epochs are kept; an over-full bank sheds at the
-    /// next seal.
-    pub fn set_answer_limit(&mut self, max_epochs: usize, policy: BackpressurePolicy) {
-        self.answer_limit = Some(max_epochs);
-        self.answer_policy = policy;
-    }
-
-    /// The shed direction of a full answer bank.
-    pub fn answer_policy(&self) -> BackpressurePolicy {
-        self.answer_policy
-    }
-
-    /// Epochs whose streaming answers were dropped whole because the
-    /// bank was at its [`answer limit`](Self::set_answer_limit).
-    pub fn dropped_answer_epochs(&self) -> u64 {
-        self.drops.dropped_epochs()
+    /// Banks the answers of the newest `max_epochs` sealed epochs, so a
+    /// long-running rotation pipeline that never (or rarely) calls
+    /// [`Self::drain_sealed_answers`] cannot grow the bank without bound.
+    /// Older epochs' answers are evicted **whole** and counted
+    /// ([`Self::answer_drop_stats`]).
+    pub fn set_answer_limit(&mut self, max_epochs: usize) {
+        self.sealed.set_limit(max_epochs);
     }
 
     /// The full answer-bank ledger (offered/dropped/delivered epochs and
     /// per-plan answers; conservation holds by construction).
     pub fn answer_drop_stats(&self) -> &DropStats {
-        &self.drops
+        self.sealed.drop_stats()
     }
 
     /// Attaches a plan; its streaming state starts empty **now** (packets
@@ -171,13 +141,13 @@ impl<M: FlowMonitor> QueryMonitor<M> {
     /// Streaming answers banked by past seals (oldest epoch first; inner
     /// vectors follow attach order).
     pub fn sealed_answers(&self) -> &[Vec<QueryResult>] {
-        &self.sealed
+        self.sealed.as_slice()
     }
 
     /// Drains the banked per-epoch answers, leaving the running epoch's
     /// state untouched.
     pub fn drain_sealed_answers(&mut self) -> Vec<Vec<QueryResult>> {
-        std::mem::take(&mut self.sealed)
+        self.sealed.drain()
     }
 
     /// The wrapped monitor.
@@ -261,11 +231,11 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
     /// | Metric | Type | Meaning |
     /// |---|---|---|
     /// | `hashflow_query_eval_packets_total{plan=i}` | counter | packets evaluated against plan `i` |
-    /// | `hashflow_dropped_epochs_total{component="query_answers"}` | counter | answer epochs shed at the bank limit |
-    /// | `hashflow_dropped_records_total{component="query_answers"}` | counter | per-plan answers inside shed epochs |
+    /// | `hashflow_dropped_epochs_total{component="query_answers"}` | counter | answer epochs evicted at the bank limit |
+    /// | `hashflow_dropped_records_total{component="query_answers"}` | counter | per-plan answers inside evicted epochs |
     fn instrument(&mut self, instruments: &Instruments) {
         if let Some(registry) = &instruments.registry {
-            self.drops.register(registry, "query_answers");
+            self.sealed.drop_stats().register(registry, "query_answers");
             for (id, counter) in self.eval_packets.iter().enumerate() {
                 register_eval_counter(registry, id, counter);
             }
@@ -287,38 +257,14 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
         for evals in &self.eval_packets {
             evals.reset();
         }
-        self.sealed.clear();
-        self.drops.reset();
+        self.sealed.reset();
     }
 
     /// Seals the inner monitor and banks this epoch's streaming answers
     /// (see [`QueryMonitor::sealed_answers`]) before restarting the query
     /// state for the next epoch.
     fn seal(&mut self) -> EpochSnapshot {
-        // One epoch of answers (one per plan) is offered to the bank.
-        self.drops.record_offer(self.queries.len() as u64);
-        match self.answer_limit {
-            Some(max) if self.sealed.len() >= max => match self.answer_policy {
-                // No consumer drains this bank synchronously, so Block
-                // degrades to DropNewest (counted) rather than stalling
-                // the rotation path.
-                BackpressurePolicy::Block | BackpressurePolicy::DropNewest => {
-                    self.drops.record_drop(self.queries.len() as u64);
-                }
-                BackpressurePolicy::DropOldest => {
-                    while self.sealed.len() >= max.max(1) {
-                        let evicted = self.sealed.remove(0);
-                        self.drops.record_drop(evicted.len() as u64);
-                    }
-                    if max == 0 {
-                        self.drops.record_drop(self.queries.len() as u64);
-                    } else {
-                        self.sealed.push(self.answer_all());
-                    }
-                }
-            },
-            _ => self.sealed.push(self.answer_all()),
-        }
+        self.sealed.push(self.answer_all());
         let snapshot = self.inner.seal();
         for q in &mut self.queries {
             q.reset();
@@ -450,27 +396,30 @@ mod tests {
     #[test]
     fn answer_limit_drops_whole_epochs_and_counts_them() {
         let mut qm = QueryMonitor::new(Exact::default());
-        qm.set_answer_limit(2, BackpressurePolicy::DropNewest);
+        qm.set_answer_limit(2);
         qm.attach(fanout_plan());
         for epoch in 0..4u8 {
             qm.process_packet(&pkt(1, epoch));
             qm.seal();
         }
-        assert_eq!(qm.sealed_answers().len(), 2, "oldest epochs retained");
-        assert_eq!(qm.dropped_answer_epochs(), 2);
-        // Draining frees the bank for subsequent epochs.
+        assert_eq!(qm.sealed_answers().len(), 2);
+        assert_eq!(qm.answer_drop_stats().dropped_epochs(), 2);
+        // Draining empties the bank; the next seal evicts nothing.
         assert_eq!(qm.drain_sealed_answers().len(), 2);
         qm.process_packet(&pkt(1, 9));
         qm.seal();
         assert_eq!(qm.sealed_answers().len(), 1);
-        assert_eq!(qm.dropped_answer_epochs(), 2, "no further drops");
+        assert_eq!(
+            qm.answer_drop_stats().dropped_epochs(),
+            2,
+            "no further drops"
+        );
     }
 
     #[test]
     fn drop_oldest_answer_policy_keeps_the_freshest_epochs() {
         let mut qm = QueryMonitor::new(Exact::default());
-        qm.set_answer_limit(2, BackpressurePolicy::DropOldest);
-        assert_eq!(qm.answer_policy(), BackpressurePolicy::DropOldest);
+        qm.set_answer_limit(2);
         qm.attach(fanout_plan());
         for epoch in 0..4u8 {
             for dst in 0..=epoch {
@@ -496,7 +445,7 @@ mod tests {
 
         let registry = MetricsRegistry::new();
         let mut qm = QueryMonitor::new(Exact::default());
-        qm.set_answer_limit(1, BackpressurePolicy::DropNewest);
+        qm.set_answer_limit(1);
         let early = qm.attach(fanout_plan()); // attached before the registry
         qm.process_packet(&pkt(1, 1));
         qm.instrument(&Instruments {
@@ -506,7 +455,7 @@ mod tests {
         let late = qm.attach(fanout_plan()); // attached after the registry
         qm.process_batch(&[pkt(1, 2), pkt(1, 3)]);
         qm.seal(); // banked
-        qm.seal(); // dropped whole: bank is full
+        qm.seal(); // banked, evicting the first epoch whole
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter(
@@ -536,9 +485,9 @@ mod tests {
                 &[("component", "query_answers")]
             ),
             Some(2),
-            "the shed epoch carried one answer per attached plan"
+            "the evicted epoch carried one answer per attached plan"
         );
-        assert_eq!(qm.dropped_answer_epochs(), 1);
+        assert_eq!(qm.answer_drop_stats().dropped_epochs(), 1);
         qm.reset();
         let snap = registry.snapshot();
         assert_eq!(

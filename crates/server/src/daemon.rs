@@ -58,15 +58,13 @@ use crate::state::{EpochAnswers, HealthView, Published, QueryInfo, SealedView};
 use crate::{wire, ShutdownFlag};
 use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_monitor::{
-    BackpressurePolicy, DropStats, EpochSnapshot, FlowMonitor, FlowTracer, HealthPolicy,
-    Instruments, IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING,
-    FLOW_SPAN_KIND,
+    BackpressurePolicy, DropStats, EpochRing, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
+    IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND,
 };
 use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity, DEFAULT_RECORDER_CAPACITY};
 use hashflow_query::QueryPlan;
 use hashflow_shard::{BatchQueue, PopOutcome, PushOutcome};
 use hashflow_types::{ConfigError, FlowKey, Packet};
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::str::FromStr;
 use std::sync::{mpsc, Arc, Mutex};
@@ -114,8 +112,6 @@ pub struct ServerConfig {
     pub queries: Vec<String>,
     /// Export sinks attached at startup.
     pub sinks: Vec<Box<dyn RecordSink + Send>>,
-    /// Sink health state-machine thresholds, if overriding the default.
-    pub sink_health: Option<HealthPolicy>,
     /// Flow-path tracing: `Some(n)` samples 1-in-`n` flows (by key hash,
     /// so the same flows are sampled on every path) and records their
     /// placement/dispatch/export spans in the flight recorder. `None`
@@ -145,7 +141,6 @@ impl Default for ServerConfig {
             ingest_policy: BackpressurePolicy::DropNewest,
             queries: Vec::new(),
             sinks: Vec::new(),
-            sink_health: None,
             trace_sampling: Some(DEFAULT_TRACE_SAMPLING),
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             dump_path: None,
@@ -384,16 +379,9 @@ impl Server {
                 registry: Some(registry.clone()),
                 recorder: Some(recorder.clone()),
                 tracer: tracer.clone(),
-            })
-            // The published ring is the reader-facing retention; the
-            // collector-side stores are belts kept at the same bound.
-            .retention(config.retention.max(1), BackpressurePolicy::DropOldest)
-            .answer_limit(config.retention.max(1), BackpressurePolicy::DropOldest);
+            });
         if config.shards > 1 {
             builder = builder.shards(config.shards);
-        }
-        if let Some(policy) = config.sink_health {
-            builder = builder.sink_health_policy(policy);
         }
         for sink in config.sinks {
             builder = builder.sink(sink);
@@ -412,17 +400,13 @@ impl Server {
         let shutdown = Arc::new(ShutdownFlag::new());
         let published = Arc::new(Published::new());
         let queue = Arc::new(BatchQueue::new(config.ingest_capacity.max(1)));
-        let ledger = |component| {
-            let drops = DropStats::new();
-            drops.register(&registry, component);
-            drops
-        };
         let port = Arc::new(IngestPort {
             queue: Arc::clone(&queue),
             policy: config.ingest_policy,
-            drops: ledger("server_ingest"),
+            drops: DropStats::new(),
             recorder: recorder.clone(),
         });
+        port.drops.register(&registry, "server_ingest");
 
         let listener = TcpListener::bind(&config.http_addr)?;
         let http_addr = listener.local_addr()?;
@@ -433,18 +417,22 @@ impl Server {
         let udp_addr = udp_socket.as_ref().map(|s| s.local_addr()).transpose()?;
 
         let (command_tx, command_rx) = mpsc::channel();
-        let retention = config.retention.max(1);
+        let mut epochs = EpochRing::new(|s: &Arc<EpochSnapshot>| s.len() as u64);
+        let mut answers = EpochRing::new(|a: &EpochAnswers| {
+            a.answers.iter().map(|r| r.rows().len() as u64).sum()
+        });
+        epochs.set_limit(config.retention.max(1));
+        answers.set_limit(config.retention.max(1));
+        epochs.drop_stats().register(&registry, "server_epochs");
+        answers.drop_stats().register(&registry, "server_answers");
         let ingest_loop = IngestLoop {
             collector,
             queue: Arc::clone(&queue),
             commands: command_rx,
             published: Arc::clone(&published),
             epoch_len: Duration::from_millis(config.epoch_ms.max(1)),
-            retention,
-            epochs: VecDeque::with_capacity(retention),
-            epoch_drops: ledger("server_epochs"),
-            answers: VecDeque::with_capacity(retention),
-            answer_drops: ledger("server_answers"),
+            epochs,
+            answers,
             queries,
             sealed_total: 0,
             processed: 0,
@@ -720,13 +708,10 @@ struct IngestLoop {
     commands: mpsc::Receiver<Command>,
     published: Arc<Published>,
     epoch_len: Duration,
-    /// Bound of the two published rings below (evictions drop-accounted
-    /// on the ledger beside each).
-    retention: usize,
-    epochs: VecDeque<Arc<EpochSnapshot>>,
-    epoch_drops: DropStats,
-    answers: VecDeque<EpochAnswers>,
-    answer_drops: DropStats,
+    /// The published rings, bounded at [`ServerConfig::retention`]
+    /// (ledgers `server_epochs` and `server_answers`).
+    epochs: EpochRing<Arc<EpochSnapshot>>,
+    answers: EpochRing<EpochAnswers>,
     queries: Vec<QueryInfo>,
     sealed_total: u64,
     processed: u64,
@@ -784,9 +769,8 @@ impl IngestLoop {
         }
     }
 
-    /// Seals the running epoch — unless no packet arrived in it — banks
-    /// its answers and rotates the bounded published rings (evictions
-    /// drop-accounted).
+    /// Seals the running epoch — unless no packet arrived in it — and
+    /// pushes it and its answers onto the published rings.
     fn seal(&mut self, partial: bool) {
         if self.epoch_packets == 0 {
             return;
@@ -794,40 +778,23 @@ impl IngestLoop {
         self.epoch_packets = 0;
         let snapshot = self.collector.seal().with_partial(partial);
         self.sealed_total += 1;
-        // Keep the collector-side stores empty: the published rings are the
-        // single reader-facing retention buffer.
+        // Drained at every seal, the collector's own stores never hold
+        // more than this epoch: the published rings are the history.
         let _ = self.collector.drain_completed();
         let epoch = snapshot.epoch();
-        for banked in self.collector.drain_query_answers() {
-            let rows = banked.iter().map(|r| r.rows().len() as u64).sum();
-            self.answer_drops.record_offer(rows);
-            self.answers.push_back(EpochAnswers {
-                epoch,
-                answers: banked,
-            });
-            while self.answers.len() > self.retention {
-                if let Some(evicted) = self.answers.pop_front() {
-                    let rows = evicted.answers.iter().map(|r| r.rows().len() as u64).sum();
-                    self.answer_drops.record_drop(rows);
-                }
-            }
+        for answers in self.collector.drain_query_answers() {
+            self.answers.push(EpochAnswers { epoch, answers });
         }
-        self.epoch_drops.record_offer(snapshot.len() as u64);
-        self.epochs.push_back(Arc::new(snapshot));
-        while self.epochs.len() > self.retention {
-            if let Some(evicted) = self.epochs.pop_front() {
-                self.epoch_drops.record_drop(evicted.len() as u64);
-            }
-        }
+        self.epochs.push(Arc::new(snapshot));
     }
 
     /// Rebuilds and swaps in a fresh [`SealedView`] (O(retention) `Arc`
     /// clones — never proportional to flow counts).
     fn publish(&self, finished: bool) {
         self.published.store(Arc::new(SealedView {
-            epochs: self.epochs.iter().cloned().collect(),
+            epochs: self.epochs.as_slice().to_vec(),
             queries: self.queries.clone(),
-            answers: self.answers.iter().cloned().collect(),
+            answers: self.answers.as_slice().to_vec(),
             health: HealthView {
                 sinks: self.collector.sink_health(),
                 faults: self.collector.faults(),

@@ -509,11 +509,12 @@ fn zero_ts_packets() -> impl Strategy<Value = Vec<Packet>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The conservation invariant, property-tested across every
-    /// backpressure policy, every bounded buffer (shard queue, memory
-    /// sink, answer bank, epoch retention) and every ingest path
-    /// (scalar, batched, sharded): each ledger's delivered side must
-    /// equal what the stage actually holds or processed.
+    /// The conservation invariant, property-tested across every bounded
+    /// buffer and every ingest path (scalar, batched, sharded): the shard
+    /// queues under every backpressure policy, and the answer bank and
+    /// epoch retention under the one keep-newest rule. Each ledger's
+    /// delivered side must equal what the stage actually holds or
+    /// processed.
     #[test]
     fn conservation_holds_for_every_policy_buffer_and_ingest_path(
         packets in zero_ts_packets(),
@@ -521,20 +522,16 @@ proptest! {
         path_idx in 0usize..3,
         cap in 1usize..5,
     ) {
-        let policy = BackpressurePolicy::ALL[policy_idx];
-
-        // Full pipeline: answer bank + retention inside the collector,
-        // a capacity-limited MemorySink fed from the sealed snapshots.
+        // Full pipeline: answer bank + retention inside the collector.
         let shards = [1usize, 1, 3][path_idx];
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(MemoryBudget::from_kib(256).unwrap())
             .shards(shards)
-            .retention(cap, policy)
-            .answer_limit(cap, policy)
+            .retention(cap)
+            .answer_limit(cap)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
             .unwrap();
-        let mut sink = MemorySink::with_policy(cap * 8, policy);
 
         let chunk = packets.len().div_ceil(4).max(1);
         let mut seals = 0u64;
@@ -543,11 +540,12 @@ proptest! {
                 0 => batch.iter().for_each(|p| collector.process_packet(p)),
                 _ => collector.process_batch(batch),
             }
-            sink.export_epoch(&collector.seal()).unwrap();
+            collector.seal();
             seals += 1;
         }
 
-        // Epoch retention: ledger sees every seal, holds min(seals, cap).
+        // Epoch retention: ledger sees every seal, holds the newest
+        // min(seals, cap).
         let retention = collector.retention_drop_stats();
         prop_assert_eq!(retention.offered_epochs(), seals);
         prop_assert_eq!(
@@ -559,6 +557,10 @@ proptest! {
             retention.delivered_epochs()
         );
         prop_assert_eq!(retention.delivered_epochs(), seals.min(cap as u64));
+        prop_assert_eq!(
+            collector.completed_epochs().last().map(|e| e.epoch() + 1),
+            Some(seals)
+        );
 
         // Answer bank: one query per seal; the bank holds min(seals, cap).
         let answers = collector.answer_drop_stats();
@@ -571,18 +573,9 @@ proptest! {
         prop_assert_eq!(banked, answers.delivered_records());
         prop_assert_eq!(banked, seals.min(cap as u64));
 
-        // Memory sink: delivered side must equal what it actually holds.
-        let stats = sink.drop_stats();
-        prop_assert_eq!(stats.offered_epochs(), seals);
-        prop_assert_eq!(sink.epochs().len() as u64, stats.delivered_epochs());
-        prop_assert_eq!(sink.total_records() as u64, stats.delivered_records());
-        prop_assert_eq!(
-            stats.delivered_records(),
-            stats.offered_records() - stats.dropped_records()
-        );
-
         // Shard queues, driven directly so the threaded dispatch path
-        // (with live consumers — Block is safe) is under the same policy.
+        // (with live consumers — Block is safe) runs under each policy.
+        let policy = BackpressurePolicy::ALL[policy_idx];
         let budget = MemoryBudget::from_kib(192).unwrap();
         let mut sharded =
             ShardedMonitor::with_budget(3, budget, |_, b| HashFlow::with_memory(b)).unwrap();

@@ -130,6 +130,54 @@ fn old_views_stay_frozen_across_shutdown() {
 }
 
 #[test]
+fn published_rings_keep_the_newest_epochs_and_ledger_each_eviction() {
+    let _watchdog = watchdog(Duration::from_secs(120));
+    let trace = TraceGenerator::new(TraceProfile::Caida, 7).generate(2_000);
+    let packets: Vec<_> = trace.packets().iter().take(4_000).copied().collect();
+    assert_eq!(packets.len(), 4_000, "profile yields enough packets");
+    let mut server = Server::start(ServerConfig {
+        epoch_ms: 40,
+        retention: 2,
+        queries: vec!["map dst | reduce count | threshold 1".to_string()],
+        ..ServerConfig::default()
+    })
+    .expect("daemon boots");
+    let published = server.published();
+    let registry = server.registry().clone();
+    // 4 000 packets at 10 kpps span about ten 40 ms epochs.
+    server.start_replay(packets, ReplayPace::Pps(10_000));
+    assert!(
+        server.wait_for_sealed(4, Duration::from_secs(60)),
+        "four epochs never sealed"
+    );
+    server.shutdown();
+
+    let view = published.load();
+    let sealed = view.sealed_total;
+    assert!(sealed >= 4, "sealed {sealed}");
+    let newest = vec![sealed - 2, sealed - 1];
+    let epochs: Vec<u64> = view.epochs.iter().map(|s| s.epoch()).collect();
+    assert_eq!(epochs, newest, "the ring keeps the two newest epochs");
+    let answered: Vec<u64> = view.answers.iter().map(|a| a.epoch).collect();
+    assert_eq!(answered, newest, "answers cover the same two epochs");
+
+    let snap = registry.snapshot();
+    for component in ["server_epochs", "server_answers"] {
+        let ledger = |name: &str| snap.counter(name, &[("component", component)]);
+        assert_eq!(
+            ledger("hashflow_offered_epochs_total"),
+            Some(sealed),
+            "{component}: every seal offered once"
+        );
+        assert_eq!(
+            ledger("hashflow_dropped_epochs_total"),
+            Some(sealed - 2),
+            "{component}: every eviction dropped once"
+        );
+    }
+}
+
+#[test]
 fn ledger_accounts_shed_batches_under_overload() {
     let _watchdog = watchdog(Duration::from_secs(120));
     let trace = TraceGenerator::new(TraceProfile::Campus, 31).generate(2_000);
