@@ -249,6 +249,10 @@ impl FlowMonitor for FlowRadar {
     /// batch. State and recorded costs are identical to the scalar loop.
     fn process_batch(&mut self, packets: &[Packet]) {
         const PREFETCH_AHEAD: usize = 8;
+        // Nothing changes on an empty batch, so the cached decode stays.
+        if packets.is_empty() {
+            return;
+        }
         self.decoded.borrow_mut().take();
         let mut cell_idx = std::mem::take(&mut self.scratch);
         cell_idx.clear();
@@ -600,5 +604,18 @@ mod tests {
         fr.process_packet(&pkt(3));
         let copy = fr.clone();
         assert_eq!(copy.estimate_size(&FlowKey::from_index(3)), 1);
+    }
+
+    #[test]
+    fn empty_batch_keeps_the_cached_decode() {
+        let mut fr = FlowRadar::new(256, 4).unwrap();
+        fr.process_batch(&[pkt(1), pkt(2), pkt(2)]);
+        let decoded = fr.decode();
+        fr.process_batch(&[]);
+        assert_eq!(fr.decoded.borrow().as_ref(), Some(&decoded));
+        assert_eq!(fr.cost().packets, 3);
+        fr.process_batch(&[pkt(3)]);
+        assert!(fr.decoded.borrow().is_none());
+        assert_eq!(fr.decode()[&FlowKey::from_index(3)], 1);
     }
 }

@@ -1,43 +1,67 @@
-use crate::FlowKey;
+use crate::{FlowKey, Ipv4Addr};
 use std::fmt;
 
 /// A single observed packet: the unit every flow monitor ingests.
 ///
-/// Only the fields the paper's algorithms consume are kept: the flow key the
-/// packet belongs to, an arrival timestamp (nanoseconds from the start of the
-/// measurement epoch; used by the trace tooling and the switch simulator, not
-/// by the sketches themselves), and the on-wire length in bytes (used by the
-/// pcap writer and throughput accounting).
+/// Only the fields the paper's algorithms consume are kept: the five-tuple
+/// of the flow the packet belongs to, an arrival timestamp (nanoseconds
+/// from the start of the measurement epoch; used by the trace tooling and
+/// the switch simulator, not by the sketches themselves), and the on-wire
+/// length in bytes (used by the pcap writer and throughput accounting).
+///
+/// The five-tuple is stored field by field rather than as an embedded
+/// [`FlowKey`], whose 13 bytes pad to 16: 23 bytes of information in 24,
+/// one more than the 23-byte HFW1 wire record, where a padded key beside
+/// the timestamp and length took 32. Traces, replay buffers, queue batches
+/// and shard partitions are `Vec<Packet>`s, so each is sized by this.
+/// [`Packet::key`] rebuilds the key from the fields.
 ///
 /// # Examples
 ///
 /// ```
 /// use hashflow_types::{FlowKey, Packet};
 /// let p = Packet::new(FlowKey::from_index(3), 1_000, 64);
+/// assert_eq!(p.key(), FlowKey::from_index(3));
 /// assert_eq!(p.timestamp_ns(), 1_000);
 /// assert_eq!(p.wire_len(), 64);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Packet {
-    key: FlowKey,
     timestamp_ns: u64,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
     wire_len: u16,
+    protocol: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Packet>() == 24);
 
 impl Packet {
     /// Creates a packet observation.
     pub const fn new(key: FlowKey, timestamp_ns: u64, wire_len: u16) -> Self {
         Packet {
-            key,
             timestamp_ns,
+            src_ip: key.src_ip(),
+            dst_ip: key.dst_ip(),
+            src_port: key.src_port(),
+            dst_port: key.dst_port(),
             wire_len,
+            protocol: key.protocol(),
         }
     }
 
     /// The flow this packet belongs to.
     #[inline]
     pub const fn key(&self) -> FlowKey {
-        self.key
+        FlowKey::new(
+            self.src_ip,
+            self.dst_ip,
+            self.src_port,
+            self.dst_port,
+            self.protocol,
+        )
     }
 
     /// Arrival time in nanoseconds since the epoch start.
@@ -66,7 +90,9 @@ impl fmt::Debug for Packet {
         write!(
             f,
             "Packet({} @{}ns len={})",
-            self.key, self.timestamp_ns, self.wire_len
+            self.key(),
+            self.timestamp_ns,
+            self.wire_len
         )
     }
 }
@@ -74,6 +100,8 @@ impl fmt::Debug for Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlowRecord;
+    use std::mem::size_of;
 
     #[test]
     fn accessors() {
@@ -96,5 +124,14 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert!(!format!("{:?}", Packet::new(FlowKey::default(), 0, 0)).is_empty());
+    }
+
+    /// A layout change to any of the three hot types is a deliberate diff
+    /// here, not a side effect.
+    #[test]
+    fn layout_sizes_are_pinned() {
+        assert_eq!(size_of::<Packet>(), 24);
+        assert_eq!(size_of::<FlowKey>(), 16);
+        assert_eq!(size_of::<FlowRecord>(), 20);
     }
 }
