@@ -119,9 +119,9 @@ commands:
       --top <K>             result rows to print        [default: 10]
                             the capture streams through the monitor in
                             batches (never fully in memory); the report
-                            shows the exact streaming answer next to the
-                            answer recovered from the monitor's sealed
-                            records
+                            shows the exact answer (the plan over the
+                            capture's ground truth) next to the answer
+                            from the monitor's sealed records
       --metrics-out <file>  also write the run's pipeline metrics
                             (Prometheus text; JSON lines when the path
                             ends in .jsonl)

@@ -10,10 +10,10 @@ use hashflow_metrics::{evaluate, GroundTruth};
 use hashflow_monitor::{
     FlowMonitor, Instruments, JsonLinesSink, MemoryBudget, RecordSink, INGEST_BATCH,
 };
-use hashflow_query::{execute_snapshot, QueryPlan};
+use hashflow_query::{execute, QueryPlan};
 use hashflow_server::{ReplayPace, Server, ServerConfig};
 use hashflow_trace::{read_pcap, write_pcap, PcapReader, TraceGenerator};
-use hashflow_types::Packet;
+use hashflow_types::{FlowRecord, Packet};
 use netflow_export::NetFlowV5Sink;
 use simswitch::SoftwareSwitch;
 use std::collections::HashMap;
@@ -358,10 +358,10 @@ fn metered() -> Instruments {
 }
 
 /// Runs a declarative telemetry query ([`QueryPlan`]) over a capture:
-/// the capture streams through the registry-built monitor (batched,
-/// never fully in memory) with the plan attached as a [`QueryMonitor`],
-/// then the exact streaming answer is reported next to the answer
-/// recovered post hoc from the monitor's sealed records — the
+/// the capture streams through the registry-built collector (batched,
+/// never fully in memory) with the plan attached, and the answer it
+/// banks over the sealed records is reported next to the exact answer,
+/// the same plan executed over the capture's ground truth — the
 /// approximation gap an operator would actually ship.
 fn query_capture(
     path: &str,
@@ -380,12 +380,19 @@ fn query_capture(
         .query(plan.clone())
         .instruments(metered())
         .build()?;
-    stream_capture(path, &mut collector, |_| {})?;
+    let mut truth = GroundTruth::default();
+    stream_capture(path, &mut collector, |p| truth.observe(p))?;
 
-    let streaming = collector.query_answer(0);
+    let truth: Vec<FlowRecord> = truth.iter().map(|(k, c)| FlowRecord::new(*k, c)).collect();
+    let exact = execute(plan, &truth);
     let snapshot = collector.seal();
-    let sealed = execute_snapshot(plan, &snapshot);
-    let group = streaming.group();
+    let sealed = collector
+        .drain_query_answers()
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("one plan answered over the one sealed epoch");
+    let group = exact.group();
     let metrics = collector
         .metrics_snapshot()
         .expect("registry attached at build");
@@ -407,16 +414,16 @@ fn query_capture(
     );
     let _ = writeln!(
         out,
-        "groups reported: {} exact (stream), {} from sealed records\n",
-        streaming.len(),
+        "groups reported: {} exact (ground truth), {} from sealed records\n",
+        exact.len(),
         sealed.len()
     );
     // One pass over the sealed rows; `QueryResult::get` is a linear scan,
-    // so probing it per streaming row would be quadratic in group count.
+    // so probing it per exact row would be quadratic in group count.
     let sealed_by_key: HashMap<_, _> = sealed.rows().iter().map(|r| (r.key, r.value)).collect();
 
-    let _ = writeln!(out, "top {top} groups (exact stream):");
-    for row in streaming.rows().iter().take(top) {
+    let _ = writeln!(out, "top {top} groups (exact):");
+    for row in exact.rows().iter().take(top) {
         let sealed_value = sealed_by_key
             .get(&row.key)
             .map(|v| v.to_string())
@@ -428,15 +435,15 @@ fn query_capture(
             group.format(&row.key)
         );
     }
-    let agree = streaming
+    let agree = exact
         .rows()
         .iter()
         .filter(|r| sealed_by_key.get(&r.key) == Some(&r.value))
         .count();
     let _ = writeln!(
         out,
-        "\nagreement: {agree}/{} stream groups answered identically from the sealed records",
-        streaming.len()
+        "\nagreement: {agree}/{} exact groups answered identically from the sealed records",
+        exact.len()
     );
     Ok(out)
 }
@@ -772,9 +779,10 @@ mod tests {
         assert!(out.contains("top 5 groups"), "{out}");
         assert!(out.contains("agreement:"), "{out}");
         // The capture has 400 distinct src-dst-varied flows; the exact
-        // stream must report a non-zero group count.
-        assert!(out.contains("exact (stream)"), "{out}");
-        // Count-filter plans take the deferred streaming path end to end.
+        // side must report a non-zero group count.
+        assert!(out.contains("exact (ground truth)"), "{out}");
+        assert!(!out.contains("groups reported: 0 exact"), "{out}");
+        // Count-filter plans run end to end.
         let args: Vec<String> = [
             "query",
             pcap.to_str().unwrap(),
@@ -874,9 +882,12 @@ mod tests {
         .map(String::from)
         .collect();
         run(&parse(&args).unwrap()).unwrap();
+        // The plan's answer bank took one epoch: the one the run sealed.
         let jsonl = std::fs::read_to_string(&jsonl_file).unwrap();
         assert!(
-            jsonl.contains(r#""name":"hashflow_query_eval_packets_total""#),
+            jsonl.contains(
+                r#""name":"hashflow_offered_epochs_total","labels":{"component":"query_answers"},"type":"counter","value":1"#
+            ),
             "{jsonl}"
         );
     }

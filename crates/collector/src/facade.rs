@@ -20,11 +20,10 @@ use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 /// ingesting into fresh tables.
 ///
 /// Declarative telemetry queries ([`QueryPlan`]) attach to the pipeline
-/// via [`CollectorBuilder::query`] or [`Collector::attach_query`]: every
-/// ingested packet is evaluated incrementally, per-epoch answers are
-/// banked at each rotation ([`Collector::drain_query_answers`]), and the
-/// running epoch can be asked at any time
-/// ([`Collector::query_answer`]).
+/// via [`CollectorBuilder::query`] or [`Collector::attach_query`]: each
+/// rotation evaluates every attached plan once over the epoch it sealed
+/// and banks the answers ([`Collector::drain_query_answers`]). Ingestion
+/// pays nothing for them.
 ///
 /// `Collector` itself implements [`FlowMonitor`], so anything that drives
 /// a monitor — the software switch, the evaluation harness — can drive a
@@ -33,6 +32,8 @@ use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 /// every layer; there is nothing to attach afterwards.
 pub struct Collector {
     rotator: EpochRotator<QueryMonitor<Box<dyn FlowMonitor + Send>>>,
+    /// The registered algorithm, whose records capability gates plans.
+    kind: AlgorithmKind,
     /// Set by [`Collector::finish`]; the `Drop` impl flushes sinks
     /// best-effort when the pipeline is dropped without finishing.
     finished: bool,
@@ -78,11 +79,18 @@ impl Collector {
         self.rotator.add_sink(sink);
     }
 
-    /// Attaches a query plan to the pipeline; it evaluates incrementally
-    /// from this point on (packets already ingested this epoch are not
-    /// replayed). Returns the id addressing the plan's answers.
-    pub fn attach_query(&mut self, plan: QueryPlan) -> QueryId {
-        self.rotator.inner_mut().attach(plan)
+    /// Attaches a query plan to the pipeline; it is first answered when
+    /// the running epoch seals, over that whole epoch. Returns the id
+    /// addressing the plan's answers.
+    ///
+    /// # Errors
+    ///
+    /// The registry's records-capability error when the algorithm keeps
+    /// no flow records (CountMin, FCM): a plan over it could only answer
+    /// empty.
+    pub fn attach_query(&mut self, plan: QueryPlan) -> Result<QueryId, ConfigError> {
+        self.kind.check_records()?;
+        Ok(self.rotator.inner_mut().attach(plan))
     }
 
     /// Number of attached query plans.
@@ -90,25 +98,8 @@ impl Collector {
         self.rotator.inner().query_count()
     }
 
-    /// The running epoch's streaming answer for one attached plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by [`Self::attach_query`] /
-    /// [`CollectorBuilder::query`].
-    pub fn query_answer(&self, id: QueryId) -> QueryResult {
-        self.rotator.inner().answer(id)
-    }
-
-    /// The running epoch's streaming answers of every attached plan, in
-    /// attach order.
-    pub fn query_answers(&self) -> Vec<QueryResult> {
-        self.rotator.inner().answer_all()
-    }
-
     /// Drains the per-epoch query answers banked at each rotation
-    /// (oldest epoch first; inner vectors follow attach order), leaving
-    /// the running epoch's state untouched.
+    /// (oldest epoch first; inner vectors follow attach order).
     pub fn drain_query_answers(&mut self) -> Vec<Vec<QueryResult>> {
         self.rotator.inner_mut().drain_sealed_answers()
     }
@@ -305,6 +296,8 @@ impl CollectorBuilder {
     }
 
     /// Attaches a query plan (ids follow attach order, starting at 0).
+    /// [`Self::build`] refuses plans over an estimate-only algorithm with
+    /// the [`Self::require_records`] error.
     #[must_use]
     pub fn query(mut self, plan: QueryPlan) -> Self {
         self.queries.push(plan);
@@ -370,8 +363,13 @@ impl CollectorBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates every registry error ([`MonitorBuilder::build`]).
+    /// Propagates every registry error ([`MonitorBuilder::build`]),
+    /// including the records-capability error when plans are attached.
     pub fn build(self) -> Result<Collector, ConfigError> {
+        let kind = self.monitor.kind();
+        if !self.queries.is_empty() {
+            kind.check_records()?;
+        }
         let mut queries = QueryMonitor::new(self.monitor.build()?);
         if let Some(max_epochs) = self.answer_limit {
             queries.set_answer_limit(max_epochs);
@@ -392,6 +390,7 @@ impl CollectorBuilder {
         rotator.instrument(&self.instruments);
         Ok(Collector {
             rotator,
+            kind,
             finished: false,
         })
     }
@@ -623,22 +622,24 @@ mod tests {
         for d in 0..5u32 {
             collector.process_packet(&Packet::new(key(d), 10, 64));
         }
-        // Mid-epoch, the running answer is live.
-        assert_eq!(collector.query_answer(0).rows()[0].value, 5);
         for d in 0..2u32 {
             collector.process_packet(&Packet::new(key(d), 2_000_000, 64));
         }
+        // A plan attached mid-epoch answers over that whole epoch.
+        let second = collector.attach_query(fanout).unwrap();
+        assert_eq!(second, 1);
+        collector.process_packet(&Packet::new(key(9), 2_100_000, 64));
         collector.seal();
         let banked = collector.drain_query_answers();
         assert_eq!(banked.len(), 2, "one answer set per sealed epoch");
+        assert_eq!(
+            banked[0].len(),
+            1,
+            "the first epoch sealed before the attach"
+        );
         assert_eq!(banked[0][0].rows()[0].value, 5);
-        assert_eq!(banked[1][0].rows()[0].value, 2);
-        assert!(collector.query_answers()[0].is_empty(), "fresh epoch");
-        // Late attachment starts counting from now.
-        let second = collector.attach_query(fanout);
-        assert_eq!(second, 1);
-        collector.process_packet(&Packet::new(key(9), 2_100_000, 64));
-        assert_eq!(collector.query_answer(second).rows()[0].value, 1);
+        assert_eq!(banked[1][0].rows()[0].value, 3);
+        assert_eq!(banked[1][second], banked[1][0]);
     }
 
     #[test]
@@ -671,10 +672,13 @@ mod tests {
         let sealed = snap.counter("hashflow_epochs_sealed_total", &[]).unwrap();
         assert_eq!(sealed, collector.completed_epochs().len() as u64);
         assert!(sealed >= 2);
-        // Query layer: the plan evaluated every packet.
+        // Query layer: one banked answer set per sealed epoch.
         assert_eq!(
-            snap.counter_sum("hashflow_query_eval_packets_total"),
-            packets
+            snap.counter(
+                "hashflow_offered_epochs_total",
+                &[("component", "query_answers")]
+            ),
+            Some(sealed)
         );
         // Monitor layer: the sharded merge layer split the same packets.
         assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), packets);
@@ -737,6 +741,23 @@ mod tests {
             Ok(_) => panic!("estimate-only kind must be rejected"),
         };
         assert!(err.to_string().contains("estimate-only"), "{err}");
+        // A query plan needs records too: refused at build, and at attach
+        // with the same error.
+        let plan: QueryPlan = "map src | reduce sum".parse().unwrap();
+        for kind in [AlgorithmKind::CountMin, AlgorithmKind::Fcm] {
+            let refused = match Collector::builder(kind)
+                .budget(budget())
+                .query(plan.clone())
+                .build()
+            {
+                Err(e) => e,
+                Ok(_) => panic!("{kind}: a plan over an estimate-only kind must be refused"),
+            };
+            let mut bare = Collector::builder(kind).budget(budget()).build().unwrap();
+            let at_attach = bare.attach_query(plan.clone()).unwrap_err();
+            assert_eq!(refused.to_string(), at_attach.to_string(), "{kind}");
+            assert_eq!(bare.query_count(), 0, "{kind}: nothing attached");
+        }
     }
 
     #[test]

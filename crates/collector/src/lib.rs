@@ -21,8 +21,8 @@
 //!   [`RecordSink`]s attached, ingesting via the batched hot path while
 //!   sealed epochs stream downstream. Declarative telemetry queries
 //!   ([`QueryPlan`], from the `hashflow-query` crate) attach via
-//!   [`CollectorBuilder::query`] and evaluate incrementally alongside
-//!   the monitor, banking per-epoch answers at every rotation.
+//!   [`CollectorBuilder::query`] and are answered over each sealed
+//!   epoch at every rotation, the answers banked per epoch.
 //!
 //! # Examples
 //!

@@ -143,6 +143,20 @@ impl AlgorithmKind {
         !matches!(self, AlgorithmKind::CountMin | AlgorithmKind::Fcm)
     }
 
+    /// The records-capability error: `Err` for the estimate-only kinds
+    /// ([`Self::supports_records`] is `false`). Behind
+    /// [`MonitorBuilder::require_records`] and every query-plan attach.
+    pub(crate) fn check_records(self) -> Result<(), ConfigError> {
+        if self.supports_records() {
+            return Ok(());
+        }
+        Err(ConfigError::new(format!(
+            "{self} is estimate-only and cannot answer records-based queries \
+             (flow report, heavy hitters, top_k, query plans); use a \
+             key-retaining algorithm or drop require_records()"
+        )))
+    }
+
     /// The canonical names of the merge-layer algorithms, comma-separated
     /// (the list the sharding rejection errors with).
     fn sharded_names() -> String {
@@ -350,13 +364,8 @@ impl MonitorBuilder {
 
     /// The records-capability gate behind [`Self::require_records`].
     fn check_records(&self) -> Result<(), ConfigError> {
-        if self.require_records && !self.kind.supports_records() {
-            return Err(ConfigError::new(format!(
-                "{} is estimate-only and cannot answer records-based queries \
-                 (flow report, heavy hitters, top_k); use a key-retaining \
-                 algorithm or drop require_records()",
-                self.kind
-            )));
+        if self.require_records {
+            self.kind.check_records()?;
         }
         Ok(())
     }

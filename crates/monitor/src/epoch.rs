@@ -332,7 +332,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
     ///
     /// Rotation drains the monitor through its own [`FlowMonitor::seal`]
     /// hook, so adapters layered under the rotator (e.g. a query-monitor
-    /// wrapper banking per-epoch streaming answers at seal time) observe
+    /// wrapper answering its plans over each sealed epoch) observe
     /// **every** epoch boundary, not just explicit seals. For monitors
     /// with the default `seal` (capture + reset) this is the same drain
     /// as reading the report and resetting.

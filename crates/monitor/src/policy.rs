@@ -8,9 +8,10 @@
 //!   (`hashflow-server`). They take a [`BackpressurePolicy`].
 //! - **Sealed history** is filled by the seal path itself, so nothing
 //!   could wait for room: the rotator's completed store, the
-//!   `QueryMonitor` answer bank (`hashflow-query`) and the daemon's
-//!   published epoch and answer rings. It keeps the newest N epochs, in
-//!   an [`EpochRing`].
+//!   `QueryMonitor` answer bank (`hashflow-query`: each seal runs the
+//!   attached plans over the sealed epoch and pushes their answers) and
+//!   the daemon's published epoch and answer rings. It keeps the newest N
+//!   epochs, in an [`EpochRing`].
 
 use crate::DropStats;
 

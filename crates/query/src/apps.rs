@@ -3,12 +3,11 @@
 //! state some of them need.
 //!
 //! Each [`TelemetryApp`] owns one per-epoch [`QueryPlan`] and a fold over
-//! the sequence of epoch answers. Run the plan however the deployment
-//! prefers — incrementally via a [`crate::QueryMonitor`], or post hoc via
-//! [`crate::execute_snapshot`] over sealed epochs — and feed every
-//! epoch's [`QueryResult`] to [`TelemetryApp::observe`] in order; the two
-//! paths produce identical verdicts whenever the per-epoch answers agree
-//! (which `tests/query_equivalence.rs` pins for exact-mode monitors).
+//! the sequence of epoch answers. Attach the plan to a
+//! [`crate::QueryMonitor`] (or a collector) to have it answered at every
+//! seal, or run [`crate::execute_snapshot`] over sealed epochs yourself —
+//! the same executor either way — and feed every epoch's
+//! [`QueryResult`] to [`TelemetryApp::observe`] in order.
 //!
 //! | Application | Plan | Cross-epoch state |
 //! |---|---|---|
@@ -206,7 +205,7 @@ impl TelemetryApp {
         self.threshold
     }
 
-    /// The per-epoch plan to execute (streaming or post hoc).
+    /// The per-epoch plan to execute over each sealed epoch.
     pub fn plan(&self) -> &QueryPlan {
         &self.plan
     }

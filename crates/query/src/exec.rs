@@ -1,7 +1,5 @@
-//! Plan execution.
-//!
-//! Two executors share one semantics, defined over the *flow multiset* of
-//! an epoch (each flow a `(key, packet count)` pair):
+//! Plan execution: one executor, defined over the *flow multiset* of an
+//! epoch (each flow a `(key, packet count)` pair):
 //!
 //! 1. **filter** — a flow passes iff every predicate holds (key
 //!    predicates over its five-tuple, count predicates over its final
@@ -15,17 +13,15 @@
 //! 5. **threshold** — groups whose aggregate is at least the bound
 //!    survive.
 //!
-//! [`execute`] evaluates post hoc over a record report (exact for the
-//! report it is given — over a sealed [`EpochSnapshot`] of an exact
-//! monitor it is ground truth; over a sketch's report it inherits the
-//! sketch's approximation). [`StreamingQuery`] evaluates the same plan
-//! incrementally, packet by packet, and is always exact with respect to
-//! the raw stream; `tests/query_equivalence.rs` pins the two to agree on
-//! exact-mode monitors.
+//! [`execute`] evaluates a plan over a record report. It is exact for
+//! the report it is given: over a sealed [`EpochSnapshot`] of an exact
+//! monitor (or over ground truth) the answer is exact; over a sketch's
+//! report it inherits the sketch's approximation.
+//! `tests/query_equivalence.rs` checks it against an independent oracle.
 
-use crate::plan::{Aggregate, Projection, QueryPlan};
+use crate::plan::{Aggregate, Predicate, Projection, QueryPlan};
 use hashflow_monitor::EpochSnapshot;
-use hashflow_types::{FlowKey, FlowRecord, Packet};
+use hashflow_types::{FlowKey, FlowRecord};
 use std::collections::{HashMap, HashSet};
 
 /// One group of a query answer: the projected key and its aggregate.
@@ -93,45 +89,6 @@ impl QueryResult {
     }
 }
 
-/// Folds one flow observation into the per-group aggregation state.
-fn reduce_flow(
-    plan: &QueryPlan,
-    groups: &mut HashMap<FlowKey, u64>,
-    seen: &mut HashSet<(FlowKey, FlowKey)>,
-    key: &FlowKey,
-    count: u64,
-) {
-    let group = plan.group().project(key);
-    match plan.distinct() {
-        Some(sub) => {
-            // Distinct items all carry value 1: sum == count == number of
-            // deduplicated pairs, max == 1 for any non-empty group.
-            if seen.insert((group, sub.project(key))) {
-                match plan.aggregate() {
-                    Aggregate::Sum | Aggregate::Count => *groups.entry(group).or_insert(0) += 1,
-                    Aggregate::Max => {
-                        groups.insert(group, 1);
-                    }
-                }
-            }
-        }
-        None => match plan.aggregate() {
-            Aggregate::Sum => *groups.entry(group).or_insert(0) += count,
-            // One item per distinct flow key, however often it is
-            // reported (approximate reports can duplicate keys).
-            Aggregate::Count => {
-                if seen.insert((group, *key)) {
-                    *groups.entry(group).or_insert(0) += 1;
-                }
-            }
-            Aggregate::Max => {
-                let slot = groups.entry(group).or_insert(0);
-                *slot = (*slot).max(count);
-            }
-        },
-    }
-}
-
 /// Evaluates `plan` over a flow record report, post hoc.
 ///
 /// # Examples
@@ -158,12 +115,41 @@ pub fn execute<'a, I>(plan: &QueryPlan, records: I) -> QueryResult
 where
     I: IntoIterator<Item = &'a FlowRecord>,
 {
+    let filters: Vec<Predicate> = plan.filters().copied().collect();
+    let (group_by, distinct, aggregate) = (plan.group(), plan.distinct(), plan.aggregate());
     let mut groups = HashMap::new();
     let mut seen = HashSet::new();
     for rec in records {
         let (key, count) = (rec.key(), u64::from(rec.count()));
-        if plan.filters().all(|p| p.test(&key, count)) {
-            reduce_flow(plan, &mut groups, &mut seen, &key, count);
+        if !filters.iter().all(|p| p.test(&key, count)) {
+            continue;
+        }
+        let group = group_by.project(&key);
+        match (distinct, aggregate) {
+            // Distinct items all carry value 1: sum == count == number of
+            // deduplicated pairs, max == 1 for any non-empty group.
+            (Some(sub), aggregate) => {
+                if seen.insert((group, sub.project(&key))) {
+                    let slot = groups.entry(group).or_insert(0);
+                    *slot = if aggregate == Aggregate::Max {
+                        1
+                    } else {
+                        *slot + 1
+                    };
+                }
+            }
+            (None, Aggregate::Sum) => *groups.entry(group).or_insert(0) += count,
+            // One item per distinct flow key, however often it is
+            // reported (approximate reports can duplicate keys).
+            (None, Aggregate::Count) => {
+                if seen.insert((group, key)) {
+                    *groups.entry(group).or_insert(0) += 1;
+                }
+            }
+            (None, Aggregate::Max) => {
+                let slot = groups.entry(group).or_insert(0);
+                *slot = (*slot).max(count);
+            }
         }
     }
     QueryResult::from_groups(plan, groups)
@@ -173,124 +159,6 @@ where
 /// collector pipeline (`seal()` once, ask any number of questions).
 pub fn execute_snapshot(plan: &QueryPlan, snapshot: &EpochSnapshot) -> QueryResult {
     execute(plan, snapshot.as_records())
-}
-
-/// Incremental plan evaluation over the live packet stream.
-///
-/// Per-packet work is O(filters) plus one or two hash-map operations; the
-/// state held is exactly what the plan needs:
-///
-/// * key filters are decided per packet, dropping flows before they cost
-///   any state;
-/// * `distinct` keeps the deduplication set and per-group counters;
-/// * `reduce sum` keeps one counter per group;
-/// * `reduce count` keeps the distinct-flow set per group;
-/// * `reduce max` additionally keeps per-flow counts (a maximum over
-///   final counts cannot be formed without them);
-/// * plans with **count filters** cannot be decided per packet at all, so
-///   the stream state degrades gracefully to exact per-flow counts and
-///   [`StreamingQuery::answer`] defers to the record-level executor.
-///
-/// Answers are exact with respect to the packets observed.
-#[derive(Debug, Clone)]
-pub struct StreamingQuery {
-    plan: QueryPlan,
-    /// Per-group aggregates (all modes except deferred).
-    groups: HashMap<FlowKey, u64>,
-    /// Deduplication set: `(group, sub-key)` pairs for `distinct`,
-    /// `(group, flow key)` pairs for `reduce count`.
-    seen: HashSet<(FlowKey, FlowKey)>,
-    /// Exact per-flow counts, kept only when the plan needs them
-    /// (`reduce max`, or any count filter).
-    flow_counts: HashMap<FlowKey, u64>,
-    /// Deferred mode: count filters force whole-plan evaluation at
-    /// answer time over `flow_counts`.
-    deferred: bool,
-}
-
-impl StreamingQuery {
-    /// Compiles a plan into empty streaming state.
-    pub fn new(plan: QueryPlan) -> Self {
-        let deferred = plan.has_count_filter();
-        StreamingQuery {
-            deferred,
-            groups: HashMap::new(),
-            seen: HashSet::new(),
-            flow_counts: HashMap::new(),
-            plan,
-        }
-    }
-
-    /// The compiled plan.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// Folds one packet into the state.
-    pub fn observe(&mut self, packet: &Packet) {
-        let key = packet.key();
-        // Key-level filters are decided now; count filters never are
-        // (deferred mode keeps every key-passing flow).
-        if !self
-            .plan
-            .filters()
-            .all(|p| !p.is_key_level() || p.test(&key, 0))
-        {
-            return;
-        }
-        if self.deferred {
-            *self.flow_counts.entry(key).or_insert(0) += 1;
-            return;
-        }
-        match (self.plan.distinct(), self.plan.aggregate()) {
-            (Some(_), _) | (None, Aggregate::Count) => {
-                // reduce_flow's dedup path counts each pair / flow once;
-                // per-packet counts are irrelevant, so pass 1.
-                reduce_flow(&self.plan, &mut self.groups, &mut self.seen, &key, 1);
-            }
-            (None, Aggregate::Sum) => {
-                let group = self.plan.group().project(&key);
-                *self.groups.entry(group).or_insert(0) += 1;
-            }
-            (None, Aggregate::Max) => {
-                let count = self.flow_counts.entry(key).or_insert(0);
-                *count += 1;
-                let group = self.plan.group().project(&key);
-                let slot = self.groups.entry(group).or_insert(0);
-                *slot = (*slot).max(*count);
-            }
-        }
-    }
-
-    /// Folds a batch of packets into the state.
-    pub fn observe_batch(&mut self, packets: &[Packet]) {
-        for p in packets {
-            self.observe(p);
-        }
-    }
-
-    /// The current answer (threshold applied, groups sorted).
-    pub fn answer(&self) -> QueryResult {
-        if self.deferred {
-            let records: Vec<FlowRecord> = self
-                .flow_counts
-                .iter()
-                .map(|(k, c)| FlowRecord::new(*k, (*c).min(u64::from(u32::MAX)) as u32))
-                .collect();
-            return execute(&self.plan, records.iter());
-        }
-        QueryResult::from_groups(
-            &self.plan,
-            self.groups.iter().map(|(k, v)| (*k, *v)).collect(),
-        )
-    }
-
-    /// Clears the state for a fresh epoch (the plan is kept).
-    pub fn reset(&mut self) {
-        self.groups.clear();
-        self.seen.clear();
-        self.flow_counts.clear();
-    }
 }
 
 #[cfg(test)]
@@ -307,22 +175,21 @@ mod tests {
         )
     }
 
-    fn run_both(plan_text: &str, flows: &[(FlowKey, u32)]) -> (QueryResult, QueryResult) {
+    /// Runs the plan through both entry points — [`execute`] over the
+    /// records and [`execute_snapshot`] over an epoch sealed from them —
+    /// and checks they agree.
+    fn run(plan_text: &str, flows: &[(FlowKey, u32)]) -> QueryResult {
         let plan: QueryPlan = plan_text.parse().unwrap();
         let records: Vec<FlowRecord> = flows.iter().map(|(k, c)| FlowRecord::new(*k, *c)).collect();
-        let post_hoc = execute(&plan, records.iter());
-        let mut stream = StreamingQuery::new(plan);
-        // Interleave packets round-robin so streaming sees flows mixed.
-        let mut remaining: Vec<(FlowKey, u32)> = flows.to_vec();
-        while remaining.iter().any(|(_, c)| *c > 0) {
-            for (k, c) in &mut remaining {
-                if *c > 0 {
-                    stream.observe(&Packet::new(*k, 0, 64));
-                    *c -= 1;
-                }
-            }
-        }
-        (post_hoc, stream.answer())
+        let over_records = execute(&plan, records.iter());
+        let sealed = EpochSnapshot::from_parts(0, None, None, records, 0.0, Default::default());
+        assert_eq!(execute_snapshot(&plan, &sealed), over_records, "{plan}");
+        over_records
+    }
+
+    /// The answer as `(group key, value)` pairs, in report order.
+    fn values(result: &QueryResult) -> Vec<(FlowKey, u64)> {
+        result.rows().iter().map(|r| (r.key, r.value)).collect()
     }
 
     #[test]
@@ -334,15 +201,14 @@ mod tests {
             (key(1, 3, 80, 6), 2),
             (key(2, 1, 80, 6), 9),
         ];
-        let (post, live) = run_both(
+        let result = run(
             "map src | distinct dst | reduce count | threshold 3",
             &flows,
         );
-        assert_eq!(post, live);
-        assert_eq!(post.len(), 1);
-        assert_eq!(post.rows()[0].value, 3);
+        assert_eq!(result.len(), 1);
+        assert_eq!(result.rows()[0].value, 3);
         assert_eq!(
-            post.rows()[0].key,
+            result.rows()[0].key,
             Projection::Src.project(&key(1, 0, 0, 0))
         );
     }
@@ -354,22 +220,23 @@ mod tests {
             (key(1, 2, 443, 6), 3),
             (key(2, 1, 53, 17), 7),
         ];
-        for plan in [
-            "map src | reduce sum",
-            "map src | reduce count",
-            "map src | reduce max",
-            "reduce sum",
-            "map dst | reduce max | threshold 4",
-            "filter proto=6 | map src | reduce sum",
+        let src = |s| Projection::Src.project(&key(s, 0, 0, 0));
+        let dst = |d| Projection::Dst.project(&key(0, d, 0, 0));
+        for (plan, want) in [
+            ("map src | reduce sum", vec![(src(1), 8), (src(2), 7)]),
+            ("map src | reduce count", vec![(src(1), 2), (src(2), 1)]),
+            ("map src | reduce max", vec![(src(2), 7), (src(1), 5)]),
+            ("map dst | reduce max | threshold 4", vec![(dst(1), 7)]),
+            (
+                "map src | distinct dst | reduce max",
+                vec![(src(1), 1), (src(2), 1)],
+            ),
+            ("filter proto=6 | map src | reduce sum", vec![(src(1), 8)]),
         ] {
-            let (post, live) = run_both(plan, &flows);
-            assert_eq!(post, live, "{plan}");
+            assert_eq!(values(&run(plan, &flows)), want, "{plan}");
         }
-        let (post, _) = run_both("map src | reduce max", &flows);
-        assert_eq!(
-            post.get(&Projection::Src.project(&key(1, 0, 0, 0))),
-            Some(5)
-        );
+        let total = run("reduce sum", &flows);
+        assert_eq!(total.rows().iter().map(|r| r.value).sum::<u64>(), 15);
     }
 
     #[test]
@@ -379,22 +246,28 @@ mod tests {
             (key(1, 2, 80, 6), 1),
             (key(2, 1, 80, 6), 2),
         ];
-        let (post, live) = run_both("filter count>=2 | map src | reduce count", &flows);
-        assert_eq!(post, live);
+        let result = run("filter count>=2 | map src | reduce count", &flows);
         // src 1 has one flow >= 2 packets, src 2 has one.
-        assert_eq!(post.len(), 2);
-        let plan: QueryPlan = "filter count>=2 | map src | reduce count".parse().unwrap();
-        assert!(StreamingQuery::new(plan).deferred);
+        assert_eq!(result.len(), 2);
+        assert!(result.rows().iter().all(|r| r.value == 1));
     }
 
     #[test]
     fn key_filters_drop_before_state() {
-        let plan: QueryPlan = "filter proto=6 | map src | reduce sum".parse().unwrap();
-        let mut stream = StreamingQuery::new(plan);
-        stream.observe(&Packet::new(key(1, 1, 80, 17), 0, 64));
-        assert!(stream.groups.is_empty() && stream.flow_counts.is_empty());
-        stream.observe(&Packet::new(key(1, 1, 80, 6), 0, 64));
-        assert_eq!(stream.answer().len(), 1);
+        // A filtered flow never opens a group: no zero-valued row appears
+        // even without a threshold.
+        let flows = [(key(1, 1, 80, 17), 4), (key(2, 1, 80, 6), 1)];
+        for plan in [
+            "filter proto=6 | map src | reduce max",
+            "filter proto=6 | map src | distinct dst | reduce count",
+        ] {
+            let result = run(plan, &flows);
+            assert_eq!(result.len(), 1, "{plan}");
+            assert_eq!(
+                result.rows()[0].key,
+                Projection::Src.project(&key(2, 0, 0, 0))
+            );
+        }
     }
 
     #[test]
@@ -409,35 +282,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state_for_next_epoch() {
-        let plan: QueryPlan = "map src | distinct dst | reduce count".parse().unwrap();
-        let mut stream = StreamingQuery::new(plan);
-        stream.observe(&Packet::new(key(1, 1, 80, 6), 0, 64));
-        assert_eq!(stream.answer().len(), 1);
-        stream.reset();
-        assert!(stream.answer().is_empty());
-        // Dedup state restarted: the same pair counts again.
-        stream.observe(&Packet::new(key(1, 1, 80, 6), 0, 64));
-        assert_eq!(stream.answer().rows()[0].value, 1);
-    }
-
-    #[test]
     fn result_accessors() {
         let flows = [(key(1, 1, 80, 6), 5), (key(2, 1, 80, 6), 2)];
-        let (post, _) = run_both("map src | reduce sum", &flows);
-        assert_eq!(post.group(), Projection::Src);
-        assert_eq!(post.len(), 2);
-        assert!(!post.is_empty());
-        assert_eq!(post.key_set().len(), 2);
-        assert_eq!(post.get(&key(9, 9, 9, 9)), None);
+        let result = run("map src | reduce sum", &flows);
+        assert_eq!(result.group(), Projection::Src);
+        assert_eq!(result.len(), 2);
+        assert!(!result.is_empty());
+        assert_eq!(result.key_set().len(), 2);
+        assert_eq!(result.get(&key(9, 9, 9, 9)), None);
         // Sorted by value descending.
-        assert!(post.rows()[0].value >= post.rows()[1].value);
+        assert!(result.rows()[0].value >= result.rows()[1].value);
     }
 
     #[test]
     fn empty_input_empty_answer() {
         let plan: QueryPlan = "map src | reduce sum".parse().unwrap();
         assert!(execute(&plan, &Vec::<FlowRecord>::new()).is_empty());
-        assert!(StreamingQuery::new(plan).answer().is_empty());
     }
 }

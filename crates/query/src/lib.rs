@@ -14,23 +14,22 @@
 //!   (`filter* → map → distinct? → reduce → threshold?`), built with a
 //!   typed [builder](QueryPlan::builder) or parsed from the compact text
 //!   form above.
-//! * [`execute`] / [`execute_snapshot`] — post-hoc evaluation over flow
+//! * [`execute`] / [`execute_snapshot`] — the one executor, over flow
 //!   record reports and sealed
 //!   [`EpochSnapshot`](hashflow_monitor::EpochSnapshot)s.
-//! * [`StreamingQuery`] / [`QueryMonitor`] — the same semantics evaluated
-//!   incrementally against the live packet stream;
-//!   [`QueryMonitor`] implements
-//!   [`FlowMonitor`](hashflow_monitor::FlowMonitor), so plans ride every
-//!   ingestion path (scalar, batched, sharded, collector/rotator).
+//! * [`QueryMonitor`] — a [`FlowMonitor`](hashflow_monitor::FlowMonitor)
+//!   wrapper that answers its attached plans with [`execute_snapshot`]
+//!   over every epoch it seals, so plans ride every ingestion path
+//!   (scalar, batched, sharded, collector/rotator) at no per-packet cost.
 //! * [`TelemetryApp`] — the built-in application library (superspreader,
 //!   DDoS victim, port scan, heavy changer, flow-size entropy) as plans
 //!   plus cross-epoch state.
 //!
-//! The two executors agree exactly whenever the record report equals the
-//! true flow multiset (`tests/query_equivalence.rs` pins this for
-//! exact-mode monitors across both HashFlow table schemes and the
-//! sharded path); over an approximate monitor's report, [`execute`]
-//! inherits that monitor's approximation — the trade-off the
+//! An answer is exact for the record report it is computed from. Over an
+//! exact-mode monitor that report is the true flow multiset
+//! (`tests/query_equivalence.rs` checks this against an independent
+//! oracle over the raw packets); over an approximate monitor the answer
+//! inherits the monitor's record-report error — the trade-off the
 //! `queryapps` experiment quantifies.
 
 #![forbid(unsafe_code)]
@@ -43,7 +42,7 @@ mod parse;
 mod plan;
 
 pub use apps::{shannon_entropy_bits, AppKind, AppVerdict, TelemetryApp};
-pub use exec::{execute, execute_snapshot, QueryResult, QueryRow, StreamingQuery};
+pub use exec::{execute, execute_snapshot, QueryResult, QueryRow};
 pub use monitor::{QueryId, QueryMonitor};
 pub use plan::{Aggregate, CmpOp, Field, PlanBuilder, PlanOp, Predicate, Projection, QueryPlan};
 

@@ -1,79 +1,61 @@
-//! The [`QueryMonitor`] adapter: query plans riding the ingestion paths.
+//! The [`QueryMonitor`] adapter: query plans answered at every seal.
 //!
 //! `QueryMonitor<M>` wraps any [`FlowMonitor`] and implements
-//! [`FlowMonitor`] itself, tee-ing every ingested packet into the
-//! attached plans' [`StreamingQuery`] state while forwarding to the inner
-//! monitor unchanged. Because it *is* a monitor, plans automatically ride
-//! every existing ingestion path: the scalar `process_packet` loop, the
-//! batched `process_batch` hot path, a `ShardedMonitor` wrapped inside,
-//! and the `Collector`/`EpochRotator` pipeline outside (both drive the
-//! adapter through the trait).
+//! [`FlowMonitor`] itself. Ingestion is a plain forward to the inner
+//! monitor, so its batched hot path, a `ShardedMonitor` inside and the
+//! `Collector`/`EpochRotator` outside all run unchanged. The plans cost
+//! nothing per packet and hold no state of their own.
 //!
-//! Epoch semantics: plans are epoch-scoped like the tables themselves.
-//! [`FlowMonitor::seal`] (and therefore every rotation layer) banks the
-//! streaming answers of the closing epoch — retrievable via
-//! [`QueryMonitor::sealed_answers`]/[`QueryMonitor::drain_sealed_answers`]
-//! — and restarts the state alongside the fresh tables.
+//! [`FlowMonitor::seal`] (and therefore every rotation layer, timed or
+//! explicit) evaluates each attached plan once with
+//! [`execute_snapshot`] over the epoch it just sealed, and banks the
+//! answers — retrievable via
+//! [`QueryMonitor::sealed_answers`]/[`QueryMonitor::drain_sealed_answers`].
+//! A plan therefore answers over whole epochs, including the one it was
+//! attached in, and through an approximate monitor it inherits that
+//! monitor's record-report error.
 
-use crate::exec::{QueryResult, StreamingQuery};
+use crate::exec::{execute_snapshot, QueryResult};
 use crate::plan::QueryPlan;
 use hashflow_monitor::{
     CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric,
 };
-use hashflow_obs::{Counter, MetricsRegistry};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 
 /// Identifier of a plan attached to a [`QueryMonitor`] (its attach
-/// order), used to address [`QueryMonitor::answer`].
+/// order): the index of its answer in each banked epoch.
 pub type QueryId = usize;
 
-/// A [`FlowMonitor`] wrapper evaluating attached query plans
-/// incrementally against the live stream.
+/// A [`FlowMonitor`] wrapper that answers its attached query plans over
+/// every epoch it seals.
 ///
 /// # Examples
 ///
 /// ```
-/// use hashflow_monitor::FlowMonitor;
+/// use hashflow_core::HashFlow;
+/// use hashflow_monitor::{FlowMonitor, MemoryBudget};
 /// use hashflow_query::{QueryMonitor, QueryPlan};
 /// use hashflow_types::{FlowKey, Packet};
 ///
-/// # use hashflow_monitor::CostSnapshot;
-/// # #[derive(Default)]
-/// # struct Null;
-/// # impl FlowMonitor for Null {
-/// #     fn process_packet(&mut self, _: &Packet) {}
-/// #     fn flow_records(&self) -> Vec<hashflow_types::FlowRecord> { Vec::new() }
-/// #     fn estimate_size(&self, _: &FlowKey) -> u32 { 0 }
-/// #     fn estimate_cardinality(&self) -> f64 { 0.0 }
-/// #     fn memory_bits(&self) -> usize { 0 }
-/// #     fn name(&self) -> &'static str { "Null" }
-/// #     fn cost(&self) -> CostSnapshot { CostSnapshot::default() }
-/// #     fn reset(&mut self) {}
-/// # }
 /// let plan: QueryPlan = "map src | distinct dst | reduce count".parse()?;
-/// let mut qm = QueryMonitor::new(Null);
+/// let mut qm = QueryMonitor::new(HashFlow::with_memory(MemoryBudget::from_kib(64)?)?);
 /// let fanout = qm.attach(plan);
 /// for dst in 0..5u32 {
 ///     let key = FlowKey::new([10, 0, 0, 1].into(), dst.into(), 1, 2, 6);
 ///     qm.process_packet(&Packet::new(key, 0, 64));
 /// }
-/// assert_eq!(qm.answer(fanout).rows()[0].value, 5);
+/// qm.seal();
+/// assert_eq!(qm.sealed_answers()[0][fanout].rows()[0].value, 5);
 /// # Ok::<(), hashflow_types::ConfigError>(())
 /// ```
 #[derive(Debug)]
 pub struct QueryMonitor<M> {
     inner: M,
-    queries: Vec<StreamingQuery>,
-    /// Packets evaluated per plan, parallel to `queries` — counters so
-    /// the same handles can live in a [`MetricsRegistry`].
-    eval_packets: Vec<Counter>,
-    /// Streaming answers banked at each seal, oldest epoch first; one
-    /// entry per attached plan, in attach order. Its ledger counts one
-    /// record per answer (`component="query_answers"` when registered).
+    plans: Vec<QueryPlan>,
+    /// Answers banked at each seal, oldest epoch first; one entry per
+    /// attached plan, in attach order. Its ledger counts one record per
+    /// answer (`component="query_answers"` when registered).
     sealed: EpochRing<Vec<QueryResult>>,
-    /// Registry plans attached *after* [`FlowMonitor::instrument`]
-    /// register into.
-    metrics: Option<MetricsRegistry>,
 }
 
 impl<M: FlowMonitor> QueryMonitor<M> {
@@ -83,10 +65,8 @@ impl<M: FlowMonitor> QueryMonitor<M> {
     pub fn new(inner: M) -> Self {
         QueryMonitor {
             inner,
-            queries: Vec::new(),
-            eval_packets: Vec::new(),
+            plans: Vec::new(),
             sealed: EpochRing::new(|answers: &Vec<QueryResult>| answers.len() as u64),
-            metrics: None,
         }
     }
 
@@ -105,47 +85,25 @@ impl<M: FlowMonitor> QueryMonitor<M> {
         self.sealed.drop_stats()
     }
 
-    /// Attaches a plan; its streaming state starts empty **now** (packets
-    /// ingested earlier in the epoch are not replayed). Returns the id
-    /// addressing this plan's answers.
+    /// Attaches a plan; it is first answered at the next seal, over that
+    /// whole epoch. Returns the id addressing this plan's answers.
     pub fn attach(&mut self, plan: QueryPlan) -> QueryId {
-        self.queries.push(StreamingQuery::new(plan));
-        self.eval_packets.push(Counter::new());
-        let id = self.queries.len() - 1;
-        if let Some(registry) = &self.metrics {
-            register_eval_counter(registry, id, &self.eval_packets[id]);
-        }
-        id
+        self.plans.push(plan);
+        self.plans.len() - 1
     }
 
     /// Number of attached plans.
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        self.plans.len()
     }
 
-    /// The current-epoch streaming answer of one attached plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by [`Self::attach`].
-    pub fn answer(&self, id: QueryId) -> QueryResult {
-        self.queries[id].answer()
-    }
-
-    /// Current-epoch streaming answers of every attached plan, in attach
-    /// order.
-    pub fn answer_all(&self) -> Vec<QueryResult> {
-        self.queries.iter().map(StreamingQuery::answer).collect()
-    }
-
-    /// Streaming answers banked by past seals (oldest epoch first; inner
-    /// vectors follow attach order).
+    /// Answers banked by past seals (oldest epoch first; inner vectors
+    /// follow attach order).
     pub fn sealed_answers(&self) -> &[Vec<QueryResult>] {
         self.sealed.as_slice()
     }
 
-    /// Drains the banked per-epoch answers, leaving the running epoch's
-    /// state untouched.
+    /// Drains the banked per-epoch answers.
     pub fn drain_sealed_answers(&mut self) -> Vec<Vec<QueryResult>> {
         self.sealed.drain()
     }
@@ -160,36 +118,18 @@ impl<M: FlowMonitor> QueryMonitor<M> {
         &mut self.inner
     }
 
-    /// Unwraps the adapter, discarding query state.
+    /// Unwraps the adapter, discarding plans and banked answers.
     pub fn into_inner(self) -> M {
         self.inner
     }
 }
 
-/// Registers one plan's evaluation counter under its attach id.
-fn register_eval_counter(registry: &MetricsRegistry, id: QueryId, counter: &Counter) {
-    registry.register_counter(
-        "hashflow_query_eval_packets_total",
-        &[("plan", &id.to_string())],
-        counter.clone(),
-    );
-}
-
 impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
     fn process_packet(&mut self, packet: &Packet) {
-        for (q, evals) in self.queries.iter_mut().zip(&self.eval_packets) {
-            q.observe(packet);
-            evals.inc();
-        }
         self.inner.process_packet(packet);
     }
 
     fn process_batch(&mut self, packets: &[Packet]) {
-        for (q, evals) in self.queries.iter_mut().zip(&self.eval_packets) {
-            q.observe_batch(packets);
-            evals.add(packets.len() as u64);
-        }
-        // The inner batched hot path (hash lanes, prefetch) is preserved.
         self.inner.process_batch(packets);
     }
 
@@ -225,50 +165,39 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
         self.inner.introspection()
     }
 
-    /// Registers this adapter's telemetry and remembers the registry so
-    /// plans attached later register too, then forwards inward:
+    /// Registers the answer bank's ledger, then forwards inward:
     ///
     /// | Metric | Type | Meaning |
     /// |---|---|---|
-    /// | `hashflow_query_eval_packets_total{plan=i}` | counter | packets evaluated against plan `i` |
+    /// | `hashflow_offered_epochs_total{component="query_answers"}` | counter | epochs whose answers were banked (one per seal) |
     /// | `hashflow_dropped_epochs_total{component="query_answers"}` | counter | answer epochs evicted at the bank limit |
     /// | `hashflow_dropped_records_total{component="query_answers"}` | counter | per-plan answers inside evicted epochs |
     fn instrument(&mut self, instruments: &Instruments) {
         if let Some(registry) = &instruments.registry {
             self.sealed.drop_stats().register(registry, "query_answers");
-            for (id, counter) in self.eval_packets.iter().enumerate() {
-                register_eval_counter(registry, id, counter);
-            }
         }
-        self.metrics = instruments.registry.clone();
         self.inner.instrument(instruments);
     }
 
-    /// Resets the inner monitor, every plan's running state, **and** the
-    /// banked per-epoch answers — a reset is a fresh collection run, so
-    /// stale banked epochs must not prepend themselves to the next run's
-    /// drains. The per-plan evaluation counters and drop accounting
-    /// restart too (registered registry views included).
+    /// Resets the inner monitor **and** the banked per-epoch answers — a
+    /// reset is a fresh collection run, so stale banked epochs must not
+    /// prepend themselves to the next run's drains. The drop accounting
+    /// restarts too (registered registry views included).
     fn reset(&mut self) {
         self.inner.reset();
-        for q in &mut self.queries {
-            q.reset();
-        }
-        for evals in &self.eval_packets {
-            evals.reset();
-        }
         self.sealed.reset();
     }
 
-    /// Seals the inner monitor and banks this epoch's streaming answers
-    /// (see [`QueryMonitor::sealed_answers`]) before restarting the query
-    /// state for the next epoch.
+    /// Seals the inner monitor and banks every attached plan's answer
+    /// over the sealed epoch (see [`QueryMonitor::sealed_answers`]).
     fn seal(&mut self) -> EpochSnapshot {
-        self.sealed.push(self.answer_all());
         let snapshot = self.inner.seal();
-        for q in &mut self.queries {
-            q.reset();
-        }
+        let answers = self
+            .plans
+            .iter()
+            .map(|plan| execute_snapshot(plan, &snapshot))
+            .collect();
+        self.sealed.push(answers);
         snapshot
     }
 }
@@ -346,6 +275,11 @@ mod tests {
         assert_eq!(qm.into_inner().flows.len(), 3);
     }
 
+    /// The value of plan `id`'s first row in banked epoch `epoch`.
+    fn first_value(qm: &QueryMonitor<Exact>, epoch: usize, id: QueryId) -> u64 {
+        qm.sealed_answers()[epoch][id].rows()[0].value
+    }
+
     #[test]
     fn answers_track_all_ingestion_paths() {
         let mut qm = QueryMonitor::new(Exact::default());
@@ -353,11 +287,15 @@ mod tests {
         qm.process_packet(&pkt(1, 1));
         qm.process_batch(&[pkt(1, 2), pkt(1, 1)]);
         qm.process_trace(&[pkt(1, 3), pkt(2, 1)]);
-        let answer = qm.answer(id);
+        assert!(
+            qm.sealed_answers().is_empty(),
+            "nothing answers before a seal"
+        );
+        qm.seal();
+        let answer = &qm.sealed_answers()[0][id];
         // src .1 contacted 3 distinct dsts, src .2 one.
         assert_eq!(answer.rows()[0].value, 3);
         assert_eq!(answer.rows()[1].value, 1);
-        assert_eq!(qm.answer_all().len(), 1);
     }
 
     #[test]
@@ -367,29 +305,39 @@ mod tests {
         qm.process_batch(&[pkt(1, 1), pkt(1, 2)]);
         let snapshot = qm.seal();
         assert_eq!(snapshot.len(), 2, "inner sealed normally");
-        assert!(qm.answer(id).is_empty(), "query state restarted");
         qm.process_packet(&pkt(1, 7));
         qm.seal();
+        // An epoch without packets still banks one (empty) answer per plan.
+        qm.seal();
         let banked = qm.drain_sealed_answers();
-        assert_eq!(banked.len(), 2);
-        assert_eq!(banked[0][0].rows()[0].value, 2);
-        assert_eq!(banked[1][0].rows()[0].value, 1);
+        assert_eq!(banked.len(), 3);
+        assert_eq!(banked[0][id].rows()[0].value, 2);
+        assert_eq!(
+            banked[1][id].rows()[0].value,
+            1,
+            "the next epoch starts empty"
+        );
+        assert!(banked[2][id].is_empty());
         assert!(qm.sealed_answers().is_empty());
     }
 
     #[test]
     fn reset_clears_query_state_too() {
         let mut qm = QueryMonitor::new(Exact::default());
-        let id = qm.attach(fanout_plan());
+        qm.attach(fanout_plan());
         qm.process_packet(&pkt(1, 1));
         qm.seal();
         qm.process_packet(&pkt(1, 2));
         qm.reset();
-        assert!(qm.answer(id).is_empty());
         assert!(qm.flow_records().is_empty());
         assert!(
             qm.sealed_answers().is_empty(),
             "a reset run must not prepend stale banked epochs"
+        );
+        qm.seal();
+        assert!(
+            qm.sealed_answers()[0][0].is_empty(),
+            "reset packets are gone"
         );
     }
 
@@ -429,10 +377,9 @@ mod tests {
         }
         // The window slid: the two freshest epochs (3 and 4 distinct
         // dsts) remain, the oldest were evicted and counted.
-        let banked = qm.sealed_answers();
-        assert_eq!(banked.len(), 2);
-        assert_eq!(banked[0][0].rows()[0].value, 3);
-        assert_eq!(banked[1][0].rows()[0].value, 4);
+        assert_eq!(qm.sealed_answers().len(), 2);
+        assert_eq!(first_value(&qm, 0, 0), 3);
+        assert_eq!(first_value(&qm, 1, 0), 4);
         let drops = qm.answer_drop_stats();
         assert_eq!(drops.offered_epochs(), 4);
         assert_eq!(drops.dropped_epochs(), 2);
@@ -440,69 +387,53 @@ mod tests {
     }
 
     #[test]
-    fn metrics_expose_per_plan_evals_and_answer_drops() {
+    fn metrics_expose_the_answer_bank_ledger() {
         use hashflow_obs::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
         let mut qm = QueryMonitor::new(Exact::default());
         qm.set_answer_limit(1);
-        let early = qm.attach(fanout_plan()); // attached before the registry
+        qm.attach(fanout_plan()); // attached before the registry
         qm.process_packet(&pkt(1, 1));
         qm.instrument(&Instruments {
             registry: Some(registry.clone()),
             ..Instruments::default()
         });
-        let late = qm.attach(fanout_plan()); // attached after the registry
+        qm.attach(fanout_plan()); // attached after the registry
         qm.process_batch(&[pkt(1, 2), pkt(1, 3)]);
         qm.seal(); // banked
         qm.seal(); // banked, evicting the first epoch whole
         let snap = registry.snapshot();
+        let ledger = |name: &str| snap.counter(name, &[("component", "query_answers")]);
         assert_eq!(
-            snap.counter(
-                "hashflow_query_eval_packets_total",
-                &[("plan", &early.to_string())]
-            ),
-            Some(3),
-            "pre-registry counts carry over at registration"
+            ledger("hashflow_offered_epochs_total"),
+            Some(2),
+            "one per seal"
         );
+        assert_eq!(ledger("hashflow_dropped_epochs_total"), Some(1));
         assert_eq!(
-            snap.counter(
-                "hashflow_query_eval_packets_total",
-                &[("plan", &late.to_string())]
-            ),
-            Some(2)
-        );
-        assert_eq!(
-            snap.counter(
-                "hashflow_dropped_epochs_total",
-                &[("component", "query_answers")]
-            ),
-            Some(1)
-        );
-        assert_eq!(
-            snap.counter(
-                "hashflow_dropped_records_total",
-                &[("component", "query_answers")]
-            ),
+            ledger("hashflow_dropped_records_total"),
             Some(2),
             "the evicted epoch carried one answer per attached plan"
         );
         assert_eq!(qm.answer_drop_stats().dropped_epochs(), 1);
         qm.reset();
-        let snap = registry.snapshot();
         assert_eq!(
-            snap.counter_sum("hashflow_query_eval_packets_total"),
+            registry
+                .snapshot()
+                .counter_sum("hashflow_offered_epochs_total"),
             0,
-            "reset restarts the registered counters too"
+            "reset restarts the registered ledger too"
         );
     }
 
     #[test]
-    fn attach_starts_counting_from_now() {
+    fn a_plan_attached_mid_epoch_answers_the_whole_epoch() {
         let mut qm = QueryMonitor::new(Exact::default());
         qm.process_packet(&pkt(1, 1));
         let id = qm.attach(fanout_plan());
         qm.process_packet(&pkt(1, 2));
-        assert_eq!(qm.answer(id).rows()[0].value, 1, "pre-attach not replayed");
+        qm.seal();
+        assert_eq!(first_value(&qm, 0, id), 2, "pre-attach packets count");
     }
 }

@@ -121,10 +121,8 @@ pub enum Predicate {
         /// Constant to compare against.
         value: u64,
     },
-    /// Compares a flow's **final epoch packet count**. Count predicates
-    /// cannot be decided per packet, so streaming execution keeps exact
-    /// per-flow counts and defers the whole evaluation to query time (see
-    /// [`crate::StreamingQuery`]).
+    /// Compares a flow's **final epoch packet count** — the count in the
+    /// sealed record report the plan is executed over ([`crate::execute`]).
     Count {
         /// Comparison operator.
         op: CmpOp,
@@ -466,12 +464,6 @@ impl QueryPlan {
             _ => None,
         })
     }
-
-    /// Whether any filter needs final flow counts — the condition that
-    /// forces streaming execution into deferred (per-flow-count) mode.
-    pub fn has_count_filter(&self) -> bool {
-        self.filters().any(|p| !p.is_key_level())
-    }
 }
 
 impl fmt::Display for QueryPlan {
@@ -558,7 +550,7 @@ mod tests {
         assert_eq!(plan.distinct(), Some(Projection::DstPort));
         assert_eq!(plan.aggregate(), Aggregate::Count);
         assert_eq!(plan.threshold(), Some(10));
-        assert!(!plan.has_count_filter());
+        assert!(plan.filters().all(Predicate::is_key_level));
         assert_eq!(plan.filters().count(), 1);
     }
 
@@ -613,7 +605,7 @@ mod tests {
             .reduce(Aggregate::Count)
             .build()
             .unwrap();
-        assert!(plan.has_count_filter());
+        assert!(plan.filters().any(|p| !p.is_key_level()));
     }
 
     #[test]

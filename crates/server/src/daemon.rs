@@ -29,7 +29,7 @@
 //! | `GET /epochs/{n}/top?k=K` | top-K flows of epoch `n` |
 //! | `GET /epochs/{n}/flows/{key}` | size estimate of one flow (the first on an epoch builds its index) |
 //! | `GET /queries` | attached plans + banked per-epoch answers |
-//! | `POST /queries` | attach a plan (body = plan text) at runtime |
+//! | `POST /queries` | attach a plan (body = plan text) at runtime; `409` once [`MAX_QUERIES`] are attached |
 //! | `GET /metrics` | Prometheus exposition of the runtime registry |
 //! | `GET /healthz` | sink + shard health (`503` when unhealthy) |
 //! | `GET /debug/events?since=N` | flight-recorder events after seq `N` |
@@ -50,7 +50,8 @@
 //! empty snapshots), mirroring the timestamp-driven rotator's quiet-gap
 //! rule. The final epoch sealed during shutdown is marked
 //! [`EpochSnapshot::is_partial`]: it was truncated by the shutdown, not
-//! by the timer.
+//! by the timer. Each seal answers every attached plan over the epoch it
+//! sealed, on the ingest thread, and publishes those answers with it.
 
 use crate::http::{self, Request, Response};
 use crate::json::{self, Obj};
@@ -62,7 +63,7 @@ use hashflow_monitor::{
     IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND,
 };
 use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity, DEFAULT_RECORDER_CAPACITY};
-use hashflow_query::QueryPlan;
+use hashflow_query::{QueryId, QueryPlan};
 use hashflow_shard::{BatchQueue, PopOutcome, PushOutcome};
 use hashflow_types::{ConfigError, FlowKey, Packet};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
@@ -78,6 +79,12 @@ pub const REPLAY_BATCH: usize = 256;
 /// How long the ingest loop waits on the queue before re-checking the
 /// epoch timer and the command channel.
 const INGEST_POLL: Duration = Duration::from_millis(50);
+
+/// Most plans `POST /queries` lets clients attach (boot-time plans
+/// count too). Every plan is evaluated over each sealed epoch on the
+/// thread that seals, so the cap bounds the work an untrusted client can
+/// add to every seal.
+pub const MAX_QUERIES: usize = 16;
 
 /// Daemon configuration. `Default` is a runnable single-shard HashFlow
 /// collector on ephemeral loopback ports with no UDP front-end.
@@ -309,7 +316,8 @@ enum Command {
     AttachQuery {
         plan: QueryPlan,
         text: String,
-        reply: mpsc::Sender<usize>,
+        /// The plan's id, or the HTTP status and message refusing it.
+        reply: mpsc::Sender<Result<QueryId, (u16, String)>>,
     },
 }
 
@@ -390,7 +398,7 @@ impl Server {
         let mut queries = Vec::with_capacity(config.queries.len());
         for text in &config.queries {
             let plan = QueryPlan::from_str(text)?;
-            let id = collector.attach_query(plan.clone());
+            let id = collector.attach_query(plan.clone())?;
             queries.push(QueryInfo {
                 id,
                 plan: plan.to_string(),
@@ -565,19 +573,12 @@ impl Server {
         self.replays.push(handle);
     }
 
-    /// Polls the published view until at least `n` epochs have sealed
-    /// or `timeout` elapses. Returns whether the target was reached.
+    /// Blocks until at least `n` epochs have sealed or `timeout`
+    /// elapses, woken by each publish. Returns whether the target was
+    /// reached.
     pub fn wait_for_sealed(&self, n: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.published.load().sealed_total >= n {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.published
+            .wait_for(timeout, |view| view.sealed_total >= n)
     }
 
     /// Graceful shutdown: stops the front-ends, drains the queue, seals
@@ -728,9 +729,7 @@ impl IngestLoop {
         self.publish(false);
         loop {
             while let Ok(Command::AttachQuery { plan, text, reply }) = self.commands.try_recv() {
-                let id = self.collector.attach_query(plan);
-                self.queries.push(QueryInfo { id, plan: text });
-                let _ = reply.send(id);
+                let _ = reply.send(self.attach(plan, text));
                 self.publish(false);
             }
             let now = Instant::now();
@@ -767,6 +766,23 @@ impl IngestLoop {
             sealed: self.sealed_total,
             finish,
         }
+    }
+
+    /// Attaches a client's plan unless [`MAX_QUERIES`] are attached
+    /// (`409`) or the collector refuses it (`400`).
+    fn attach(&mut self, plan: QueryPlan, text: String) -> Result<QueryId, (u16, String)> {
+        if self.queries.len() >= MAX_QUERIES {
+            return Err((
+                409,
+                format!("at most {MAX_QUERIES} query plans may be attached"),
+            ));
+        }
+        let id = self
+            .collector
+            .attach_query(plan)
+            .map_err(|e| (400, e.to_string()))?;
+        self.queries.push(QueryInfo { id, plan: text });
+        Ok(id)
     }
 
     /// Seals the running epoch — unless no packet arrived in it — and
@@ -1111,13 +1127,14 @@ fn attach_query(state: &RouterState, req: &Request) -> Response {
         );
     }
     match reply_rx.recv_timeout(Duration::from_secs(2)) {
-        Ok(id) => Response::json(
+        Ok(Ok(id)) => Response::json(
             201,
             Obj::new()
                 .u64("id", id as u64)
                 .str("plan", &canonical)
                 .build(),
         ),
+        Ok(Err((status, error))) => Response::json(status, Obj::new().str("error", &error).build()),
         Err(_) => Response::json(
             503,
             Obj::new().str("error", "collector did not confirm").build(),
@@ -1405,6 +1422,45 @@ mod tests {
 
         let report = server.shutdown();
         assert!(report.conserved());
+    }
+
+    #[test]
+    fn post_queries_is_capped_and_refuses_estimate_only_kinds() {
+        let server = Server::start(small_config()).expect("boot");
+        let addr = server.http_addr();
+        // One plan attached at boot; clients may add the rest.
+        for id in 1..MAX_QUERIES {
+            let (status, body) =
+                client::post(addr, "/queries", "map src | reduce sum").expect("POST query");
+            assert_eq!(status, 201, "{body}");
+            assert!(body.contains(&format!("\"id\":{id}")), "{body}");
+        }
+        let (status, body) =
+            client::post(addr, "/queries", "map src | reduce sum").expect("POST over the cap");
+        assert_eq!(status, 409, "{body}");
+        assert!(body.contains("\"error\""), "{body}");
+        assert_eq!(server.view().queries.len(), MAX_QUERIES, "nothing attached");
+        server.shutdown();
+
+        let server = Server::start(ServerConfig {
+            algorithm: AlgorithmKind::CountMin,
+            queries: Vec::new(),
+            ..small_config()
+        })
+        .expect("boot without plans");
+        let (status, body) =
+            client::post(server.http_addr(), "/queries", "map src | reduce sum").expect("POST");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("estimate-only"), "{body}");
+        server.shutdown();
+        let refused = Server::start(ServerConfig {
+            algorithm: AlgorithmKind::CountMin,
+            ..small_config()
+        });
+        assert!(
+            refused.is_err(),
+            "a boot-time plan over CountMin is refused"
+        );
     }
 
     #[test]

@@ -99,6 +99,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            409 => "Conflict",
             413 => "Payload Too Large",
             500 => "Internal Server Error",
             503 => "Service Unavailable",

@@ -17,7 +17,8 @@
 
 use hashflow_monitor::{EpochSnapshot, SinkStatus};
 use hashflow_query::{QueryId, QueryResult};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// One attached query plan, as the API reports it.
 #[derive(Debug, Clone)]
@@ -101,10 +102,12 @@ impl SealedView {
 ///
 /// `load` and `store` both hold the mutex only to clone or replace one
 /// `Arc` — no reader ever blocks the writer for longer than a pointer
-/// copy, and readers never block each other on the data itself.
+/// copy, and readers never block each other on the data itself. Each
+/// `store` also wakes every [`Published::wait_for`] caller.
 #[derive(Debug)]
 pub struct Published {
     current: Mutex<Arc<SealedView>>,
+    stored: Condvar,
 }
 
 impl Default for Published {
@@ -118,6 +121,7 @@ impl Published {
     pub fn new() -> Self {
         Published {
             current: Mutex::new(Arc::new(SealedView::default())),
+            stored: Condvar::new(),
         }
     }
 
@@ -130,9 +134,22 @@ impl Published {
             .clone()
     }
 
-    /// Replaces the current view.
+    /// Replaces the current view and wakes the waiters.
     pub fn store(&self, view: Arc<SealedView>) {
         *self.current.lock().expect("published view poisoned") = view;
+        self.stored.notify_all();
+    }
+
+    /// Blocks until the current view satisfies `ready` or `timeout`
+    /// elapses, re-checking at each [`Published::store`]. Returns whether
+    /// `ready` held.
+    pub fn wait_for(&self, timeout: Duration, ready: impl Fn(&SealedView) -> bool) -> bool {
+        let current = self.current.lock().expect("published view poisoned");
+        let (current, _) = self
+            .stored
+            .wait_timeout_while(current, timeout, |view| !ready(view))
+            .expect("published view poisoned");
+        ready(&current)
     }
 }
 
@@ -164,6 +181,31 @@ mod tests {
         assert!(after.epoch(6).is_none());
         // The pre-swap reader still sees its own consistent generation.
         assert_eq!(before.sealed_total, 0);
+    }
+
+    #[test]
+    fn a_store_wakes_a_waiter_before_its_timeout() {
+        let p = Arc::new(Published::new());
+        let writer = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                p.store(Arc::new(SealedView {
+                    sealed_total: 1,
+                    ..Default::default()
+                }));
+            })
+        };
+        let started = std::time::Instant::now();
+        assert!(p.wait_for(Duration::from_secs(10), |view| view.sealed_total >= 1));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "woken by the store, not the timeout: {:?}",
+            started.elapsed()
+        );
+        writer.join().unwrap();
+        // An unmet condition gives up at its deadline.
+        assert!(!p.wait_for(Duration::from_millis(10), |view| view.sealed_total >= 2));
     }
 
     #[test]

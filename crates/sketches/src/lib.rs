@@ -3,7 +3,7 @@
 //! this workspace's [`FlowMonitor`](hashflow_monitor::FlowMonitor) /
 //! [`MergeableMonitor`](hashflow_monitor::MergeableMonitor) contract so every
 //! registry consumer (CLI, sharding, batching, epoch snapshots, sinks,
-//! streaming queries) runs them with zero extra wiring.
+//! query plans) runs them with zero extra wiring.
 //!
 //! * [`CountMinMonitor`] — the textbook Count-Min sketch (Cormode &
 //!   Muthukrishnan, 2005) as an *estimate-only* monitor: point queries

@@ -54,7 +54,7 @@ pub mod prelude {
     };
     pub use hashflow_query::{
         execute, execute_snapshot, Aggregate, AppKind, Predicate, Projection, QueryMonitor,
-        QueryPlan, QueryResult, StreamingQuery, TelemetryApp,
+        QueryPlan, QueryResult, TelemetryApp,
     };
     pub use hashflow_shard::ShardedMonitor;
     pub use hashflow_sketches::{

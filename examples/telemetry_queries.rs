@@ -77,8 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
 
-    // One collector runs every plan incrementally while HashFlow
-    // measures; per-epoch answers bank at each rotation.
+    // One collector measures with HashFlow; each rotation answers every
+    // plan over the epoch it sealed and banks the answers.
     let mut builder = Collector::builder(AlgorithmKind::HashFlow)
         .budget(MemoryBudget::from_kib(512)?)
         .epoch_ns(EPOCH_NS);
@@ -118,8 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The same questions answered post hoc from the sealed epochs.
-    println!("\npost-hoc check over sealed epochs (exact-stream vs sealed records):");
+    // The same executor answers new questions post hoc over any retained
+    // sealed epoch.
+    println!("\npost-hoc query over the retained sealed epochs:");
     let mut spreader = TelemetryApp::superspreader(SPREADER_FANOUT);
     for snapshot in collector.completed_epochs() {
         let sealed = execute_snapshot(spreader.plan(), snapshot);

@@ -84,10 +84,13 @@ fn one_registry_watches_every_stage() {
         Some(0)
     );
 
-    // Queries: the attached plan evaluated every packet incrementally.
+    // Queries: the attached plan was answered once per sealed epoch.
     assert_eq!(
-        snapshot.counter("hashflow_query_eval_packets_total", &[("plan", "0")]),
-        Some(packets)
+        snapshot.counter(
+            "hashflow_offered_epochs_total",
+            &[("component", "query_answers")]
+        ),
+        Some(collector.completed_epochs().len() as u64)
     );
 
     // Sinks: a MemorySink export path reports zero errors.
@@ -157,8 +160,11 @@ fn one_builder_call_instruments_every_layer() {
         Some(collector.completed_epochs().len() as u64)
     );
     assert_eq!(
-        snapshot.counter_sum("hashflow_query_eval_packets_total"),
-        packets
+        snapshot.counter(
+            "hashflow_offered_epochs_total",
+            &[("component", "query_answers")]
+        ),
+        Some(collector.completed_epochs().len() as u64)
     );
     assert_eq!(
         snapshot.counter_sum("hashflow_shard_packets_total"),

@@ -238,3 +238,149 @@ mod parser_robustness {
         }
     }
 }
+
+// The plan parser reads untrusted `POST /queries` bodies: arbitrary text
+// must never panic it, and every valid plan must survive its text form.
+mod plan_parser {
+    use hashflow_suite::query::{Aggregate, CmpOp, Field, Predicate, Projection, QueryPlan};
+    use proptest::prelude::*;
+    use std::str::FromStr;
+
+    /// Grammar words, operators, numbers and odd characters: strings built
+    /// from them get past the first word and into every branch of the
+    /// parser, which uniformly random text almost never does.
+    const TOKENS: [&str; 34] = [
+        "filter",
+        "map",
+        "distinct",
+        "reduce",
+        "threshold",
+        "|",
+        " ",
+        " | ",
+        "src",
+        "dst",
+        "srcport",
+        "dstport",
+        "proto",
+        "count",
+        "flow",
+        "srcdst",
+        "sum",
+        "max",
+        "=",
+        "!=",
+        "<",
+        "<=",
+        ">",
+        ">=",
+        "10.0.0.1",
+        "256.1.1.1",
+        "6",
+        "65536",
+        "18446744073709551616",
+        "-1",
+        "+7",
+        "\t",
+        "\u{e9}",
+        "\u{1F600}",
+    ];
+
+    const FIELDS: [Field; 5] = [
+        Field::SrcIp,
+        Field::DstIp,
+        Field::SrcPort,
+        Field::DstPort,
+        Field::Protocol,
+    ];
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    const AGGREGATES: [Aggregate; 3] = [Aggregate::Sum, Aggregate::Count, Aggregate::Max];
+
+    /// Grammar tokens interleaved with arbitrary characters.
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec((0..TOKENS.len() + 8, any::<u32>()), 0..24).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(i, c)| match TOKENS.get(i) {
+                    Some(token) => (*token).to_owned(),
+                    None => char::from_u32(c % 0x11_0000)
+                        .unwrap_or(char::REPLACEMENT_CHARACTER)
+                        .to_string(),
+                })
+                .collect()
+        })
+    }
+
+    /// Any key or count predicate the grammar can express (addresses are
+    /// 32-bit; everything else takes any `u64`).
+    fn predicate() -> impl Strategy<Value = Predicate> {
+        (0..FIELDS.len() + 1, 0..OPS.len(), any::<u64>()).prop_map(|(f, op, value)| {
+            match FIELDS.get(f) {
+                Some(field @ (Field::SrcIp | Field::DstIp)) => {
+                    Predicate::key(*field, OPS[op], value & 0xffff_ffff)
+                }
+                Some(field) => Predicate::key(*field, OPS[op], value),
+                None => Predicate::count(OPS[op], value),
+            }
+        })
+    }
+
+    /// Any plan in normal form: optional filters, map, distinct and
+    /// threshold around the mandatory reduce.
+    fn plan() -> impl Strategy<Value = QueryPlan> {
+        let n = Projection::ALL.len();
+        (
+            prop::collection::vec(predicate(), 0..4),
+            (0..n + 1, 0..n + 1),
+            0..AGGREGATES.len(),
+            any::<bool>(),
+            any::<u64>(),
+        )
+            .prop_map(
+                |(filters, (map, distinct), aggregate, thresholded, bound)| {
+                    let mut builder = QueryPlan::builder();
+                    for predicate in filters {
+                        builder = builder.filter(predicate);
+                    }
+                    if let Some(projection) = Projection::ALL.get(map) {
+                        builder = builder.map(*projection);
+                    }
+                    if let Some(projection) = Projection::ALL.get(distinct) {
+                        builder = builder.distinct(*projection);
+                    }
+                    builder = builder.reduce(AGGREGATES[aggregate]);
+                    if thresholded {
+                        builder = builder.threshold(bound);
+                    }
+                    builder.build().expect("stages given in normal-form order")
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary text: an error is fine, a panic is not, and whatever
+        /// does parse prints back to a text that parses to the same plan.
+        #[test]
+        fn arbitrary_text_never_panics_the_plan_parser(text in text()) {
+            if let Ok(plan) = QueryPlan::from_str(&text) {
+                prop_assert_eq!(plan.to_string().parse::<QueryPlan>().ok(), Some(plan), "{:?}", text);
+            }
+        }
+
+        /// Every valid plan round-trips through `to_string().parse()`.
+        #[test]
+        fn valid_plans_round_trip_through_text(plan in plan()) {
+            let text = plan.to_string();
+            prop_assert_eq!(text.parse::<QueryPlan>().ok(), Some(plan), "{}", text);
+        }
+    }
+}

@@ -1,32 +1,41 @@
-//! Property suite for the telemetry query subsystem: for each built-in
-//! application (and a set of hand-picked plan shapes), the **streaming**
-//! [`QueryMonitor`] answers over an exact-mode monitor must equal the
-//! **snapshot-executor** answers over the same monitor's sealed records,
-//! on the same trace.
+//! Property suite for the telemetry query subsystem: the one executor
+//! against an independent oracle.
 //!
-//! "Exact mode" means the monitor's record report equals the true flow
-//! multiset — HashFlow with tables comfortably above the flow universe
-//! (its main table never evicts silently, so light load is exact). The
-//! streaming path folds raw packets; the post-hoc path folds sealed
-//! records; they can only agree when both reductions see the same flows,
-//! so this pins the whole chain: plan compilation, incremental state,
-//! snapshot sealing and record-level evaluation. Covered monitors: both
-//! HashFlow main-table schemes, the sharded merge path, and the
-//! `Collector` pipeline with rotation.
+//! Plans are answered at every seal, over the sealed records. For each
+//! covered plan (hand-picked shapes plus every application plan), every
+//! answer a pipeline banks for an epoch must equal the oracle: the same
+//! plan over the **per-epoch flow multiset of the raw packets**, computed
+//! twice — by [`execute`], and by [`reference`], a naive evaluator written
+//! in this file from the plan semantics alone (no shared code with the
+//! executor). The applications' verdicts, folded epoch by epoch from the
+//! banked answers, must equal those folded from the truth, heavy changer
+//! included.
+//!
+//! The oracle only holds where the record report equals the true flow
+//! multiset ("exact mode"), so every case checks that precondition
+//! rather than assuming it. Covered pipelines: HashFlow under both main-
+//! table schemes with tables well above the flow universe, the 4-shard
+//! merge path, `ExactBaselineMonitor`, and the rotating `Collector`.
 
 use hashflow_suite::core::{HashFlowConfig, TableScheme};
 use hashflow_suite::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Plans covering every stage combination the executors branch on
-/// (distinct / plain sum / count / max / threshold / key filters /
-/// deferred count filters), plus every application plan.
+/// Application thresholds low enough for the small test universe.
+fn apps() -> Vec<TelemetryApp> {
+    TelemetryApp::standard_suite(3, 3, 3, 2)
+}
+
+/// Plans covering every stage combination the executor branches on
+/// (distinct / plain sum / count / max / threshold / key filters / count
+/// filters), then every application plan, in [`apps`] order.
 fn covered_plans() -> Vec<QueryPlan> {
     let mut plans: Vec<QueryPlan> = [
         "map src | distinct dst | reduce count",
         "map dst | distinct src | reduce count | threshold 2",
         "map src | distinct dstport | reduce count",
+        "map src | distinct dst | reduce max",
         "filter proto=6 | map src | distinct dst | reduce count",
         "map flow | reduce sum",
         "map srcdst | reduce sum | threshold 3",
@@ -40,10 +49,120 @@ fn covered_plans() -> Vec<QueryPlan> {
     .into_iter()
     .map(|text| text.parse().expect("covered plan parses"))
     .collect();
-    for app in TelemetryApp::standard_suite(3, 3, 3, 2) {
-        plans.push(app.plan().clone());
-    }
+    plans.extend(apps().iter().map(|app| app.plan().clone()));
     plans
+}
+
+/// The plan semantics, evaluated the slow and obvious way: collect each
+/// group's items, then aggregate them. Items are whole flows, or the
+/// deduplicated projected sub-keys after `distinct` (each worth 1).
+fn reference(plan: &QueryPlan, truth: &[FlowRecord]) -> Vec<(FlowKey, u64)> {
+    let mut flows: BTreeMap<FlowKey, Vec<u64>> = BTreeMap::new();
+    let mut subkeys: BTreeMap<FlowKey, BTreeSet<FlowKey>> = BTreeMap::new();
+    for record in truth {
+        let (key, count) = (record.key(), u64::from(record.count()));
+        if !plan.filters().all(|p| p.test(&key, count)) {
+            continue;
+        }
+        let group = plan.group().project(&key);
+        match plan.distinct() {
+            Some(sub) => {
+                subkeys.entry(group).or_default().insert(sub.project(&key));
+            }
+            None => flows.entry(group).or_default().push(count),
+        }
+    }
+    let items = flows.into_iter().chain(
+        subkeys
+            .into_iter()
+            .map(|(group, set)| (group, vec![1; set.len()])),
+    );
+    let mut rows: Vec<(FlowKey, u64)> = items
+        .map(|(group, items)| {
+            let value = match plan.aggregate() {
+                Aggregate::Sum => items.iter().sum(),
+                Aggregate::Count => items.len() as u64,
+                Aggregate::Max => items.iter().copied().max().unwrap_or(0),
+            };
+            (group, value)
+        })
+        .filter(|(_, value)| *value >= plan.threshold().unwrap_or(0))
+        .collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    rows
+}
+
+/// Exact flow multiset of some packets.
+fn flow_multiset(packets: &[Packet]) -> Vec<FlowRecord> {
+    let mut counts: HashMap<FlowKey, u32> = HashMap::new();
+    for p in packets {
+        *counts.entry(p.key()).or_insert(0) += 1;
+    }
+    counts
+        .into_iter()
+        .map(|(k, c)| FlowRecord::new(k, c))
+        .collect()
+}
+
+fn sorted(records: &[FlowRecord]) -> Vec<(FlowKey, u32)> {
+    let mut pairs: Vec<(FlowKey, u32)> = records.iter().map(|r| (r.key(), r.count())).collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// Checks one pipeline's banked answers, epoch by epoch, against the
+/// oracle over `truth` (one flow multiset per sealed epoch), then folds
+/// the application verdicts from both sides.
+fn assert_banked_match_oracle(banked: &[Vec<QueryResult>], truth: &[Vec<FlowRecord>]) {
+    let plans = covered_plans();
+    assert_eq!(banked.len(), truth.len(), "one answer set per sealed epoch");
+    let mut apps_banked = apps();
+    let mut apps_truth = apps();
+    let first_app = plans.len() - apps_banked.len();
+    for (epoch, (answers, truth)) in banked.iter().zip(truth).enumerate() {
+        assert_eq!(answers.len(), plans.len());
+        for (plan, answer) in plans.iter().zip(answers) {
+            let oracle = execute(plan, truth);
+            assert_eq!(answer, &oracle, "plan '{plan}', epoch {epoch}");
+            let rows: Vec<(FlowKey, u64)> =
+                oracle.rows().iter().map(|r| (r.key, r.value)).collect();
+            assert_eq!(
+                rows,
+                reference(plan, truth),
+                "execute vs reference: '{plan}'"
+            );
+        }
+        for (i, (app_b, app_t)) in apps_banked.iter_mut().zip(&mut apps_truth).enumerate() {
+            let from_banked = app_b.observe(&answers[first_app + i]);
+            let from_truth = app_t.observe(&execute(app_t.plan(), truth));
+            assert_eq!(from_banked, from_truth, "{} epoch {epoch}", app_t.kind());
+        }
+    }
+}
+
+/// Runs each epoch's packets through a [`QueryMonitor`] wrapping
+/// `monitor` with every covered plan attached, sealing after each, and
+/// checks the banked answers against the oracle.
+fn assert_answers_match_oracle<M: FlowMonitor>(monitor: M, epochs: &[Vec<Packet>]) {
+    let mut qm = QueryMonitor::new(monitor);
+    for plan in covered_plans() {
+        qm.attach(plan);
+    }
+    let mut truth = Vec::new();
+    for packets in epochs {
+        qm.process_trace(packets);
+        let epoch_truth = flow_multiset(packets);
+        // Exact-mode precondition: a violation would make the property
+        // vacuous, so check it rather than assume it.
+        assert_eq!(
+            sorted(&qm.flow_records()),
+            sorted(&epoch_truth),
+            "monitor not in exact mode at this load"
+        );
+        qm.seal();
+        truth.push(epoch_truth);
+    }
+    assert_banked_match_oracle(&qm.drain_sealed_answers(), &truth);
 }
 
 /// A packet stream over a small five-tuple universe with repetition, so
@@ -67,54 +186,10 @@ fn stream(max_packets: usize) -> impl Strategy<Value = Vec<Packet>> {
     })
 }
 
-/// Exact flow multiset of the stream (the reference the monitor must hit
-/// for the property to be in contract).
-fn exact_records(packets: &[Packet]) -> Vec<FlowRecord> {
-    let mut counts: HashMap<FlowKey, u32> = HashMap::new();
-    for p in packets {
-        *counts.entry(p.key()).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .map(|(k, c)| FlowRecord::new(k, c))
-        .collect()
-}
-
-/// Ingests the trace through a [`QueryMonitor`] wrapping `monitor` with
-/// every covered plan attached, then asserts, per plan, streaming answer
-/// == snapshot-executor answer over the sealed records.
-fn assert_query_equivalent<M: FlowMonitor>(monitor: M, packets: &[Packet]) {
-    let plans = covered_plans();
-    let mut qm = QueryMonitor::new(monitor);
-    let ids: Vec<usize> = plans.iter().map(|p| qm.attach(p.clone())).collect();
-    qm.process_trace(packets);
-
-    // Exact-mode precondition: the monitor's report is the true flow
-    // multiset. At these loads HashFlow is exact; a violation would make
-    // the property vacuous, so check it rather than assume it.
-    let mut reported: Vec<(FlowKey, u32)> = qm
-        .flow_records()
-        .iter()
-        .map(|r| (r.key(), r.count()))
-        .collect();
-    let mut truth: Vec<(FlowKey, u32)> = exact_records(packets)
-        .iter()
-        .map(|r| (r.key(), r.count()))
-        .collect();
-    reported.sort_unstable();
-    truth.sort_unstable();
-    prop_assert_eq!(reported, truth, "monitor not in exact mode at this load");
-
-    let streaming: Vec<QueryResult> = ids.iter().map(|id| qm.answer(*id)).collect();
-    let snapshot = qm.seal();
-    for (plan, live) in plans.iter().zip(&streaming) {
-        let sealed = execute_snapshot(plan, &snapshot);
-        prop_assert_eq!(&sealed, live, "plan '{}' diverges", plan);
-    }
-    // Post-seal, streaming state restarted alongside the tables.
-    for id in &ids {
-        prop_assert!(qm.answer(*id).is_empty(), "state must reset at seal");
-    }
+/// Two epochs of traffic over the same universe, so the heavy changer
+/// has a predecessor to diff against.
+fn two_epochs(max_packets: usize) -> impl Strategy<Value = Vec<Vec<Packet>>> {
+    (stream(max_packets), stream(max_packets)).prop_map(|(a, b)| vec![a, b])
 }
 
 fn hashflow_with(scheme: TableScheme) -> HashFlow {
@@ -129,53 +204,62 @@ fn hashflow_with(scheme: TableScheme) -> HashFlow {
     .expect("valid geometry")
 }
 
+fn budget() -> MemoryBudget {
+    MemoryBudget::from_kib(512).expect("positive")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// HashFlow, multi-hash scheme, exact mode.
+    /// HashFlow, multi-hash scheme, exact mode: the answers sealed from
+    /// the snapshot equal the oracle over the raw stream.
     #[test]
-    fn multihash_streaming_matches_snapshot(packets in stream(600)) {
-        assert_query_equivalent(
+    fn multihash_streaming_matches_snapshot(epochs in two_epochs(600)) {
+        assert_answers_match_oracle(
             hashflow_with(TableScheme::MultiHash { depth: 3 }),
-            &packets,
+            &epochs,
         );
     }
 
     /// HashFlow, pipelined scheme (the paper's default), exact mode.
     #[test]
-    fn pipelined_streaming_matches_snapshot(packets in stream(600)) {
-        assert_query_equivalent(
+    fn pipelined_streaming_matches_snapshot(epochs in two_epochs(600)) {
+        assert_answers_match_oracle(
             hashflow_with(TableScheme::Pipelined { depth: 3, alpha: 0.7 }),
-            &packets,
+            &epochs,
         );
     }
 
-    /// The sharded merge path: plans ride the RSS dispatch layer
-    /// unchanged (the QueryMonitor wraps the whole ShardedMonitor).
+    /// The 4-shard merge path: the QueryMonitor wraps the whole
+    /// ShardedMonitor and answers over its merged seal.
     #[test]
-    fn sharded_streaming_matches_snapshot(packets in stream(500)) {
-        let budget = MemoryBudget::from_kib(512).expect("positive");
-        let sharded = ShardedMonitor::with_budget(4, budget, |_, b| HashFlow::with_memory(b))
+    fn sharded_streaming_matches_snapshot(epochs in two_epochs(500)) {
+        let sharded = ShardedMonitor::with_budget(4, budget(), |_, b| HashFlow::with_memory(b))
             .expect("split fits");
-        assert_query_equivalent(sharded, &packets);
+        assert_answers_match_oracle(sharded, &epochs);
+    }
+
+    /// The budgeted exact baseline: the pipeline's source of exact
+    /// answers.
+    #[test]
+    fn exact_baseline_answers_match_the_oracle(epochs in two_epochs(600)) {
+        let exact = ExactBaselineMonitor::with_memory(budget()).expect("budget holds records");
+        assert_answers_match_oracle(exact, &epochs);
     }
 }
 
-/// The applications agree end to end across a rotating multi-epoch
-/// pipeline: verdicts folded from the Collector's banked streaming
-/// answers equal verdicts folded from plan execution over the sealed
-/// epoch reports — including the heavy changer's cross-epoch deltas.
+/// The rotating `Collector`: timed rotations answer every plan over each
+/// sealed epoch, and the applications' verdicts (the heavy changer's
+/// cross-epoch deltas included) equal those folded from the truth.
 #[test]
 fn applications_agree_across_rotated_epochs() {
     const EPOCH_NS: u64 = 1_000_000;
-    let mut apps_stream = TelemetryApp::standard_suite(4, 4, 4, 3);
-    let mut apps_sealed = TelemetryApp::standard_suite(4, 4, 4, 3);
 
-    // Three epochs of deterministic traffic with drifting flow counts.
+    // Three epochs of deterministic traffic with drifting flow counts,
+    // each starting on its epoch edge.
     let mut packets = Vec::new();
     for epoch in 0..3u64 {
-        let base = epoch * EPOCH_NS;
-        let mut at = base;
+        let mut at = epoch * EPOCH_NS;
         for i in 0..800u64 {
             // Flow universe shifts per epoch so heavy deltas exist.
             let key = FlowKey::from_index(i % (40 + epoch * 17));
@@ -189,33 +273,35 @@ fn applications_agree_across_rotated_epochs() {
             at += 900;
         }
     }
+    let truth: Vec<Vec<FlowRecord>> = (0..3u64)
+        .map(|epoch| {
+            let in_epoch: Vec<Packet> = packets
+                .iter()
+                .filter(|p| p.timestamp_ns() / EPOCH_NS == epoch)
+                .copied()
+                .collect();
+            flow_multiset(&in_epoch)
+        })
+        .collect();
 
     let mut builder = Collector::builder(AlgorithmKind::HashFlow)
-        .budget(MemoryBudget::from_kib(512).expect("positive"))
+        .budget(budget())
         .epoch_ns(EPOCH_NS);
-    for app in &apps_stream {
-        builder = builder.query(app.plan().clone());
+    for plan in covered_plans() {
+        builder = builder.query(plan);
     }
     let mut collector = builder.build().expect("registry build");
     collector.process_trace(&packets);
     collector.seal();
 
-    let banked = collector.drain_query_answers();
-    let sealed_epochs = collector.completed_epochs();
-    assert_eq!(banked.len(), sealed_epochs.len());
-    assert!(banked.len() >= 3, "multi-epoch run expected");
-
-    for (epoch_answers, snapshot) in banked.iter().zip(sealed_epochs) {
-        for ((app_s, app_p), live) in apps_stream
-            .iter_mut()
-            .zip(apps_sealed.iter_mut())
-            .zip(epoch_answers)
-        {
-            let sealed = execute_snapshot(app_p.plan(), snapshot);
-            assert_eq!(&sealed, live, "{} epoch {}", app_p.kind(), snapshot.epoch());
-            let vs = app_s.observe(live);
-            let vp = app_p.observe(&sealed);
-            assert_eq!(vs, vp, "{} verdicts diverge", app_p.kind());
-        }
+    for (sealed, truth) in collector.completed_epochs().iter().zip(&truth) {
+        assert_eq!(sorted(sealed.as_records()), sorted(truth), "exact mode");
     }
+    let banked = collector.drain_query_answers();
+    assert_banked_match_oracle(&banked, &truth);
+    // The planted fan-out source is the one superspreader of every epoch.
+    let superspreader = covered_plans().len() - apps().len();
+    assert!(banked
+        .iter()
+        .all(|answers| answers[superspreader].len() == 1));
 }
