@@ -12,7 +12,7 @@
 //!   rule may later evict.
 
 use hashflow_hashing::{HashFamily, XxHash64};
-use hashflow_types::{ConfigError, FlowKey, FlowRecord};
+use hashflow_types::{ConfigError, FlowKey, FlowRecord, FLOW_KEY_BYTES};
 
 /// How the main table is organized (§III-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,7 +169,10 @@ impl std::ops::AddAssign for OpCount {
 /// resolution, in either [`TableScheme`] organization.
 ///
 /// Buckets hold `(key, count)` with `count == 0` meaning *empty* (counts of
-/// live records start at 1, so the sentinel value is unambiguous).
+/// live records start at 1, so the sentinel value is unambiguous). They
+/// keep an aligned 20-byte layout of their own; records are packed into
+/// 17-byte [`FlowRecord`]s only where they leave the table
+/// ([`Self::drain`], [`Self::records`]).
 ///
 /// # Examples
 ///
@@ -187,7 +190,7 @@ impl std::ops::AddAssign for OpCount {
 #[derive(Debug, Clone)]
 pub struct MainTable {
     scheme: TableScheme,
-    buckets: Vec<FlowRecord>,
+    buckets: Vec<Bucket>,
     sizes: Vec<usize>,
     // Where probe `i` lands in the flattened bucket storage, as
     // `(offset, len)`: pipelined sub-table `i`, or the whole table for
@@ -195,6 +198,31 @@ pub struct MainTable {
     ranges: Vec<(usize, usize)>,
     hashes: HashFamily<XxHash64>,
     occupied: usize,
+}
+
+/// One main-table bucket: the 13 key bytes padded to 16, then the count as
+/// an aligned `u32` — the layout Algorithm 1's probe loop reads and writes,
+/// wider than the 17-byte [`FlowRecord`] the table reports. A bucket whose
+/// count is 0 is empty, and its key bytes are never read.
+#[derive(Debug, Clone, Copy)]
+#[repr(C)]
+struct Bucket {
+    key: FlowKey,
+    count: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 20 && std::mem::align_of::<Bucket>() == 4);
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        key: FlowKey::from_bytes([0; FLOW_KEY_BYTES]),
+        count: 0,
+    };
+
+    #[inline]
+    fn record(self) -> FlowRecord {
+        FlowRecord::new(self.key, self.count)
+    }
 }
 
 /// The one collision-resolution loop (Algorithm 1, lines 2–13): walks the
@@ -206,7 +234,7 @@ pub struct MainTable {
 /// packet settles).
 #[inline]
 fn walk(
-    buckets: &mut [FlowRecord],
+    buckets: &mut [Bucket],
     occupied: &mut usize,
     key: &FlowKey,
     path: impl Iterator<Item = usize>,
@@ -220,22 +248,24 @@ fn walk(
     for idx in path {
         ops.hashes += 1;
         ops.reads += 1;
-        let record = buckets[idx];
-        if record.count() == 0 {
-            buckets[idx] = FlowRecord::new(*key, 1);
+        let bucket = buckets[idx];
+        if bucket.count == 0 {
+            buckets[idx] = Bucket {
+                key: *key,
+                count: 1,
+            };
             *occupied += 1;
             ops.writes += 1;
             return (ProbeOutcome::Inserted, ops);
         }
-        if record.key() == *key {
-            let mut updated = record;
-            updated.increment();
-            buckets[idx] = updated;
+        if bucket.key == *key {
+            let count = bucket.count.saturating_add(1);
+            buckets[idx].count = count;
             ops.writes += 1;
-            return (ProbeOutcome::Incremented(updated.count()), ops);
+            return (ProbeOutcome::Incremented(count), ops);
         }
-        if u64::from(record.count()) < min_count {
-            min_count = u64::from(record.count());
+        if u64::from(bucket.count) < min_count {
+            min_count = u64::from(bucket.count);
             sentinel = idx;
         }
     }
@@ -275,7 +305,7 @@ impl MainTable {
         };
         Ok(MainTable {
             scheme,
-            buckets: vec![FlowRecord::new(FlowKey::default(), 0); total_cells],
+            buckets: vec![Bucket::EMPTY; total_cells],
             sizes,
             ranges,
             hashes: HashFamily::new(scheme.depth(), seed ^ 0x3a1d_77f0),
@@ -388,10 +418,13 @@ impl MainTable {
     pub fn replace(&mut self, slot: usize, key: FlowKey, count: u32) {
         let bucket = &mut self.buckets[slot];
         assert!(
-            bucket.count() > 0,
+            bucket.count > 0,
             "promotion target {slot} is empty; sentinels are always occupied"
         );
-        *bucket = FlowRecord::new(key, count.max(1));
+        *bucket = Bucket {
+            key,
+            count: count.max(1),
+        };
     }
 
     /// Inserts a whole flow record (the collector-side merge counterpart
@@ -405,32 +438,32 @@ impl MainTable {
     /// the incoming one or an evicted sentinel), so the caller can fold
     /// it into an ancillary summary instead of losing it silently.
     pub fn insert_record(&mut self, record: FlowRecord) -> Option<FlowRecord> {
-        let key = record.key();
+        let (key, count) = (record.key(), record.count());
         let mut min_count = u32::MAX;
         let mut sentinel = usize::MAX;
         for i in 0..self.scheme.depth() {
             let idx = self.slot(i, &key);
-            let resident = self.buckets[idx];
-            if resident.count() == 0 {
-                self.buckets[idx] = FlowRecord::new(key, record.count().max(1));
+            let resident = &mut self.buckets[idx];
+            if resident.count == 0 {
+                *resident = Bucket {
+                    key,
+                    count: count.max(1),
+                };
                 self.occupied += 1;
                 return None;
             }
-            if resident.key() == key {
-                let mut updated = resident;
-                updated.set_count(resident.count().saturating_add(record.count()));
-                self.buckets[idx] = updated;
+            if resident.key == key {
+                resident.count = resident.count.saturating_add(count);
                 return None;
             }
-            if resident.count() < min_count {
-                min_count = resident.count();
+            if resident.count < min_count {
+                min_count = resident.count;
                 sentinel = idx;
             }
         }
-        if record.count() > min_count {
-            let evicted = self.buckets[sentinel];
-            self.buckets[sentinel] = record;
-            Some(evicted)
+        if count > min_count {
+            let evicted = std::mem::replace(&mut self.buckets[sentinel], Bucket { key, count });
+            Some(evicted.record())
         } else {
             Some(record)
         }
@@ -439,9 +472,9 @@ impl MainTable {
     /// Looks up the exact count recorded for `key`, if present.
     pub fn lookup(&self, key: &FlowKey) -> Option<u32> {
         for i in 0..self.scheme.depth() {
-            let record = self.buckets[self.slot(i, key)];
-            if record.count() > 0 && record.key() == *key {
-                return Some(record.count());
+            let bucket = self.buckets[self.slot(i, key)];
+            if bucket.count > 0 && bucket.key == *key {
+                return Some(bucket.count);
             }
         }
         None
@@ -449,13 +482,15 @@ impl MainTable {
 
     /// Iterates over the stored records.
     pub fn records(&self) -> impl Iterator<Item = FlowRecord> + '_ {
-        self.buckets.iter().copied().filter(|r| r.count() > 0)
+        (self.buckets.iter())
+            .filter(|b| b.count > 0)
+            .map(|b| b.record())
     }
 
     /// Clears all buckets.
     pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            *b = FlowRecord::new(FlowKey::default(), 0);
+        for bucket in &mut self.buckets {
+            bucket.count = 0;
         }
         self.occupied = 0;
     }
@@ -464,12 +499,11 @@ impl MainTable {
     /// leaves the table as [`Self::reset`] would — in one sweep over the
     /// buckets instead of one to copy and one to clear.
     pub fn drain(&mut self) -> Vec<FlowRecord> {
-        let vacant = FlowRecord::new(FlowKey::default(), 0);
         let mut records = Vec::with_capacity(self.occupied);
         for bucket in &mut self.buckets {
-            let record = std::mem::replace(bucket, vacant);
-            if record.count() > 0 {
-                records.push(record);
+            let count = std::mem::take(&mut bucket.count);
+            if count > 0 {
+                records.push(FlowRecord::new(bucket.key, count));
             }
         }
         self.occupied = 0;
@@ -736,7 +770,7 @@ mod tests {
                 assert_eq!(ops_a, ops_b, "op accounting diverged at packet {i}");
                 // The lazy schedule, worked out from where the packet
                 // settled: one hash and one read per bucket probed.
-                let settled = slots.iter().position(|&s| planned.buckets[s].key() == k);
+                let settled = slots.iter().position(|&s| planned.buckets[s].key == k);
                 let (probes, writes) = match settled {
                     Some(at) => (at as u64 + 1, 1),
                     None => (3, 0),

@@ -14,9 +14,10 @@
 /// Hints the CPU to pull `slice[index]` toward L1 for a future read.
 ///
 /// The hint covers the whole element: a `T` larger than its alignment
-/// (a 20-byte record at 4-byte alignment, say) can start near the end of
-/// one cache line and finish in the next, so its last byte is hinted as
-/// well as its first. Elements that cannot straddle a line get one hint.
+/// (a 20-byte main-table bucket at 4-byte alignment, say) can start near
+/// the end of one cache line and finish in the next, so its last byte is
+/// hinted as well as its first. Elements that cannot straddle a line get
+/// one hint.
 ///
 /// Out-of-range indices are ignored (a prefetch is advisory; the caller's
 /// later real access carries the bounds check that matters).

@@ -48,8 +48,8 @@
 //! on any clone, on the thread that asked, through a shared
 //! [`OnceLock`]: readers racing for it block until the one build is done
 //! and then all use it; no clone ever builds a second. That first lookup
-//! hashes every record (≈ 0.7 ms for the 54 k records of a 1 MiB
-//! HashFlow, ≈ 7.5 ms for the 435 k of an 8 MiB one on the reference
+//! hashes every record (≈ 1.2 ms for the 54 k records of a 1 MiB
+//! HashFlow, ≈ 10.6 ms for the 435 k of an 8 MiB one, on a 2-vCPU Xeon
 //! host; `BENCH_query.json` reports it as `index_build_ms`) — in the
 //! daemon, the first `/epochs/{n}/flows/{key}` on a fresh epoch pays it
 //! on an HTTP worker instead of every seal paying it on the ingest
@@ -486,7 +486,9 @@ impl EpochSnapshot {
 /// ascending on ties. Shared by the live default, the sealed filter, and
 /// the bounded-heap top-k so all three agree record for record.
 pub(crate) fn heavy_hitter_order(a: &FlowRecord, b: &FlowRecord) -> std::cmp::Ordering {
-    b.count().cmp(&a.count()).then(a.key().cmp(&b.key()))
+    b.count()
+        .cmp(&a.count())
+        .then_with(|| a.key_ref().cmp(b.key_ref()))
 }
 
 #[cfg(test)]

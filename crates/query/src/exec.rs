@@ -50,7 +50,7 @@ impl QueryResult {
             .filter(|(_, value)| *value >= bound)
             .map(|(key, value)| QueryRow { key, value })
             .collect();
-        rows.sort_unstable_by(|a, b| b.value.cmp(&a.value).then(a.key.cmp(&b.key)));
+        rows.sort_unstable_by(|a, b| b.value.cmp(&a.value).then_with(|| a.key.cmp(&b.key)));
         QueryResult {
             group: plan.group(),
             rows,

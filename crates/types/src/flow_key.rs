@@ -93,9 +93,15 @@ impl fmt::Debug for Ipv4Addr {
 /// A 104-bit five-tuple flow identifier (§IV-A).
 ///
 /// Flows are keyed by `(src_ip, dst_ip, src_port, dst_port, protocol)`. The
-/// serialized form ([`FlowKey::to_bytes`]) is exactly [`FLOW_KEY_BYTES`]
-/// bytes and is the unit all the algorithms in this workspace hash over, so
-/// two keys are equal if and only if their serialized forms are equal.
+/// key *is* its serialized form ([`FlowKey::to_bytes`]): exactly
+/// [`FLOW_KEY_BYTES`] bytes, each field big-endian in that order, at
+/// alignment 1 — the paper's 104 bits with no padding, so a
+/// [`FlowRecord`](crate::FlowRecord) is 17 bytes and a
+/// [`Packet`](crate::Packet) carries the key whole. It is the unit all the
+/// algorithms in this workspace hash over, two keys are equal if and only
+/// if their serialized forms are, and because the fields are big-endian the
+/// byte-wise order is the field-by-field order of the five-tuple, which
+/// sorted reports and top-k tie-breaks rely on.
 ///
 /// # Examples
 ///
@@ -104,14 +110,12 @@ impl fmt::Debug for Ipv4Addr {
 /// let k = FlowKey::new([1, 2, 3, 4].into(), [5, 6, 7, 8].into(), 1234, 80, 6);
 /// assert_eq!(FlowKey::from_bytes(k.to_bytes()), k);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct FlowKey {
-    src_ip: Ipv4Addr,
-    dst_ip: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    protocol: u8,
-}
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct FlowKey([u8; FLOW_KEY_BYTES]);
+
+const _: () = assert!(
+    std::mem::size_of::<FlowKey>() == FLOW_KEY_BYTES && std::mem::align_of::<FlowKey>() == 1
+);
 
 impl FlowKey {
     /// Creates a flow key from its five-tuple components.
@@ -122,13 +126,13 @@ impl FlowKey {
         dst_port: u16,
         protocol: u8,
     ) -> Self {
-        FlowKey {
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            protocol,
-        }
+        let s = src_ip.to_bits().to_be_bytes();
+        let d = dst_ip.to_bits().to_be_bytes();
+        let sp = src_port.to_be_bytes();
+        let dp = dst_port.to_be_bytes();
+        FlowKey([
+            s[0], s[1], s[2], s[3], d[0], d[1], d[2], d[3], sp[0], sp[1], dp[0], dp[1], protocol,
+        ])
     }
 
     /// Builds a synthetic-but-distinct flow key from a dense flow index.
@@ -151,82 +155,60 @@ impl FlowKey {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        FlowKey {
-            src_ip: Ipv4Addr::new((z >> 32) as u32),
-            dst_ip: Ipv4Addr::new(z as u32),
-            src_port: (index & 0xffff) as u16,
-            dst_port: ((index >> 16) & 0xffff) as u16,
-            protocol: if index & 1 == 0 { 6 } else { 17 },
-        }
+        FlowKey::new(
+            Ipv4Addr::new((z >> 32) as u32),
+            Ipv4Addr::new(z as u32),
+            (index & 0xffff) as u16,
+            ((index >> 16) & 0xffff) as u16,
+            if index & 1 == 0 { 6 } else { 17 },
+        )
     }
 
     /// Source IPv4 address.
     pub const fn src_ip(&self) -> Ipv4Addr {
-        self.src_ip
+        let b = &self.0;
+        Ipv4Addr::new(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Destination IPv4 address.
     pub const fn dst_ip(&self) -> Ipv4Addr {
-        self.dst_ip
+        let b = &self.0;
+        Ipv4Addr::new(u32::from_be_bytes([b[4], b[5], b[6], b[7]]))
     }
 
     /// Source transport port.
     pub const fn src_port(&self) -> u16 {
-        self.src_port
+        u16::from_be_bytes([self.0[8], self.0[9]])
     }
 
     /// Destination transport port.
     pub const fn dst_port(&self) -> u16 {
-        self.dst_port
+        u16::from_be_bytes([self.0[10], self.0[11]])
     }
 
     /// IP protocol number (6 = TCP, 17 = UDP, ...).
     pub const fn protocol(&self) -> u8 {
-        self.protocol
+        self.0[12]
     }
 
     /// Serializes the key to its canonical 13-byte wire form.
     #[inline]
     pub const fn to_bytes(&self) -> [u8; FLOW_KEY_BYTES] {
-        let s = self.src_ip.to_bits().to_be_bytes();
-        let d = self.dst_ip.to_bits().to_be_bytes();
-        let sp = self.src_port.to_be_bytes();
-        let dp = self.dst_port.to_be_bytes();
-        [
-            s[0],
-            s[1],
-            s[2],
-            s[3],
-            d[0],
-            d[1],
-            d[2],
-            d[3],
-            sp[0],
-            sp[1],
-            dp[0],
-            dp[1],
-            self.protocol,
-        ]
+        self.0
     }
 
     /// Deserializes a key from its canonical 13-byte wire form.
+    #[inline]
     pub const fn from_bytes(bytes: [u8; FLOW_KEY_BYTES]) -> Self {
-        FlowKey {
-            src_ip: Ipv4Addr::new(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])),
-            dst_ip: Ipv4Addr::new(u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]])),
-            src_port: u16::from_be_bytes([bytes[8], bytes[9]]),
-            dst_port: u16::from_be_bytes([bytes[10], bytes[11]]),
-            protocol: bytes[12],
-        }
+        FlowKey(bytes)
     }
 
     /// The canonical 13 bytes viewed as two little-endian machine words:
     /// `lo` is bytes 0–7 and `hi` is bytes 8–12 (zero-extended).
     ///
     /// Hot paths that mix the whole key with word-wide arithmetic (the
-    /// shard dispatch hash) use this instead of [`Self::to_bytes`]: it is
-    /// the same pure function of every field, computed with two byte
-    /// swaps instead of a serialize-then-reload round trip.
+    /// hash lanes, the shard dispatch hash, the sealed-epoch index) use
+    /// this instead of [`Self::to_bytes`]: two loads of the stored bytes.
     ///
     /// # Examples
     ///
@@ -240,13 +222,9 @@ impl FlowKey {
     /// ```
     #[inline]
     pub const fn to_words(&self) -> (u64, u64) {
-        // to_bytes lays out big-endian fields; reading those bytes
-        // little-endian is one swap per 32/16-bit field.
-        let lo = self.src_ip.to_bits().swap_bytes() as u64
-            | ((self.dst_ip.to_bits().swap_bytes() as u64) << 32);
-        let hi = self.src_port.swap_bytes() as u64
-            | ((self.dst_port.swap_bytes() as u64) << 16)
-            | ((self.protocol as u64) << 32);
+        let b = &self.0;
+        let lo = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        let hi = u32::from_le_bytes([b[8], b[9], b[10], b[11]]) as u64 | (b[12] as u64) << 32;
         (lo, hi)
     }
 
@@ -295,12 +273,11 @@ impl FlowKey {
     /// assert_eq!(a.xor(&b).xor(&b), a);
     /// ```
     pub fn xor(&self, other: &FlowKey) -> FlowKey {
-        let mut bytes = self.to_bytes();
-        let rhs = other.to_bytes();
-        for (b, r) in bytes.iter_mut().zip(rhs.iter()) {
+        let mut bytes = self.0;
+        for (b, r) in bytes.iter_mut().zip(other.0) {
             *b ^= r;
         }
-        FlowKey::from_bytes(bytes)
+        FlowKey(bytes)
     }
 
     /// Returns `true` if every byte of the serialized key is zero.
@@ -308,7 +285,16 @@ impl FlowKey {
     /// The all-zero key is what an XOR accumulator returns to after every
     /// encoded flow has been peeled away.
     pub fn is_zero(&self) -> bool {
-        self.to_bytes() == [0u8; FLOW_KEY_BYTES]
+        self.0 == [0u8; FLOW_KEY_BYTES]
+    }
+}
+
+/// Hashes the 13 canonical bytes, with no length prefix: the width is
+/// fixed.
+impl std::hash::Hash for FlowKey {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
     }
 }
 
@@ -327,7 +313,11 @@ impl fmt::Display for FlowKey {
         write!(
             f,
             "{}:{}->{}:{}/{}",
-            self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol
+            self.src_ip(),
+            self.src_port(),
+            self.dst_ip(),
+            self.dst_port(),
+            self.protocol()
         )
     }
 }

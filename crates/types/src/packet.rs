@@ -1,4 +1,4 @@
-use crate::{FlowKey, Ipv4Addr};
+use crate::FlowKey;
 use std::fmt;
 
 /// A single observed packet: the unit every flow monitor ingests.
@@ -9,12 +9,12 @@ use std::fmt;
 /// the switch simulator, not by the sketches themselves), and the on-wire
 /// length in bytes (used by the pcap writer and throughput accounting).
 ///
-/// The five-tuple is stored field by field rather than as an embedded
-/// [`FlowKey`], whose 13 bytes pad to 16: 23 bytes of information in 24,
-/// one more than the 23-byte HFW1 wire record, where a padded key beside
-/// the timestamp and length took 32. Traces, replay buffers, queue batches
-/// and shard partitions are `Vec<Packet>`s, so each is sized by this.
-/// [`Packet::key`] rebuilds the key from the fields.
+/// The key is the 13-byte [`FlowKey`] itself, which has alignment 1, so
+/// it sits beside the timestamp and length with one byte of padding: 23
+/// bytes of information in 24, the size of the 23-byte HFW1 wire record
+/// rounded up to the timestamp's alignment. Traces, replay buffers, queue
+/// batches and shard partitions are `Vec<Packet>`s, so each is sized by
+/// this.
 ///
 /// # Examples
 ///
@@ -28,12 +28,8 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Packet {
     timestamp_ns: u64,
-    src_ip: Ipv4Addr,
-    dst_ip: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
+    key: FlowKey,
     wire_len: u16,
-    protocol: u8,
 }
 
 const _: () = assert!(std::mem::size_of::<Packet>() == 24);
@@ -43,25 +39,15 @@ impl Packet {
     pub const fn new(key: FlowKey, timestamp_ns: u64, wire_len: u16) -> Self {
         Packet {
             timestamp_ns,
-            src_ip: key.src_ip(),
-            dst_ip: key.dst_ip(),
-            src_port: key.src_port(),
-            dst_port: key.dst_port(),
+            key,
             wire_len,
-            protocol: key.protocol(),
         }
     }
 
     /// The flow this packet belongs to.
     #[inline]
     pub const fn key(&self) -> FlowKey {
-        FlowKey::new(
-            self.src_ip,
-            self.dst_ip,
-            self.src_port,
-            self.dst_port,
-            self.protocol,
-        )
+        self.key
     }
 
     /// Arrival time in nanoseconds since the epoch start.
@@ -90,9 +76,7 @@ impl fmt::Debug for Packet {
         write!(
             f,
             "Packet({} @{}ns len={})",
-            self.key(),
-            self.timestamp_ns,
-            self.wire_len
+            self.key, self.timestamp_ns, self.wire_len
         )
     }
 }
@@ -131,7 +115,7 @@ mod tests {
     #[test]
     fn layout_sizes_are_pinned() {
         assert_eq!(size_of::<Packet>(), 24);
-        assert_eq!(size_of::<FlowKey>(), 16);
-        assert_eq!(size_of::<FlowRecord>(), 20);
+        assert_eq!(size_of::<FlowKey>(), 13);
+        assert_eq!(size_of::<FlowRecord>(), 17);
     }
 }

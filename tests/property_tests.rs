@@ -207,9 +207,23 @@ proptest! {
 
 // Robustness: the wire-format parsers must never panic on arbitrary bytes.
 mod parser_robustness {
+    use hashflow_server::wire::{self, DATAGRAM_RECORDS, MAGIC};
     use hashflow_suite::netflow_export::decode_datagram;
     use hashflow_suite::trace::read_pcap;
+    use hashflow_suite::types::{FlowKey, Packet, FLOW_KEY_BYTES};
     use proptest::prelude::*;
+
+    /// A packet from any 13 key bytes, any timestamp and any length.
+    fn packet() -> impl Strategy<Value = Packet> {
+        (
+            prop::collection::vec(any::<u8>(), FLOW_KEY_BYTES),
+            any::<u64>(),
+            any::<u16>(),
+        )
+            .prop_map(|(key, ts, len)| {
+                Packet::new(FlowKey::from_bytes(key.try_into().unwrap()), ts, len)
+            })
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -235,6 +249,35 @@ mod parser_robustness {
             hashflow_suite::trace::write_pcap(&mut buf, &[]).unwrap();
             buf.extend_from_slice(&bytes);
             let _ = read_pcap(&buf[..]);
+        }
+
+        /// Arbitrary bytes through the HFW1 decoder the daemon runs on
+        /// every UDP datagram.
+        #[test]
+        fn hfw1_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2_000)) {
+            let _ = wire::decode_datagram(&bytes);
+        }
+
+        /// Bytes after a valid `HFW1` magic, so the record count and the
+        /// records are garbage: errors are fine, panics are not.
+        #[test]
+        fn hfw1_garbage_after_header(bytes in prop::collection::vec(any::<u8>(), 0..2_000)) {
+            let mut buf = MAGIC.to_vec();
+            buf.extend_from_slice(&bytes);
+            let _ = wire::decode_datagram(&buf);
+        }
+
+        /// Encoding then decoding is the identity, empty, single-record,
+        /// odd-sized and full datagrams alike.
+        #[test]
+        fn hfw1_round_trips(
+            pick in 0usize..4,
+            packets in prop::collection::vec(packet(), DATAGRAM_RECORDS),
+        ) {
+            let n = [0, 1, 255, DATAGRAM_RECORDS][pick];
+            let packets = &packets[..n];
+            let decoded = wire::decode_datagram(&wire::encode_datagram(packets)).unwrap();
+            prop_assert_eq!(decoded.as_slice(), packets);
         }
     }
 }
