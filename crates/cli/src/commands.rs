@@ -1,16 +1,17 @@
 //! Command execution: each subcommand renders its report into a `String`
 //! so the logic is unit-testable without capturing stdout.
 
-use crate::args::{Command, ExportFormat, MetricsFormat, ParsedArgs, USAGE};
-use hashflow_collector::{
-    AlgorithmKind, Collector, MetricsRegistry, MetricsSnapshot, MonitorBuilder,
+use crate::args::{
+    usage, Analyze, Command, Compare, Export, ExportFormat, Generate, MetricsFormat, Model, Query,
+    Serve, Stats,
 };
+use hashflow_collector::{AlgorithmKind, Collector, MetricsRegistry, MonitorBuilder};
 use hashflow_core::model;
 use hashflow_metrics::{evaluate, GroundTruth};
 use hashflow_monitor::{
     FlowMonitor, Instruments, JsonLinesSink, MemoryBudget, RecordSink, INGEST_BATCH,
 };
-use hashflow_query::{execute, QueryPlan};
+use hashflow_query::execute;
 use hashflow_server::{ReplayPace, Server, ServerConfig};
 use hashflow_trace::{read_pcap, write_pcap, PcapReader, TraceGenerator};
 use hashflow_types::{FlowRecord, Packet};
@@ -24,39 +25,49 @@ use std::io::BufReader;
 
 /// Streams a capture through `monitor` in [`INGEST_BATCH`]-sized batches
 /// without materializing it ([`PcapReader`]), handing every packet to
-/// `per_packet` first (ground-truth counting, custom stats). Returns the
-/// number of packets ingested.
+/// `per_packet` first (ground-truth counting, custom stats).
 fn stream_capture(
     path: &str,
     monitor: &mut dyn FlowMonitor,
     mut per_packet: impl FnMut(&Packet),
-) -> Result<u64, Box<dyn Error>> {
+) -> Result<(), Box<dyn Error>> {
     let reader = PcapReader::new(BufReader::new(File::open(path)?))?;
     let mut batch = Vec::with_capacity(INGEST_BATCH);
-    let mut total = 0u64;
     for packet in reader {
         let packet = packet?;
         per_packet(&packet);
         batch.push(packet);
-        total += 1;
         if batch.len() == INGEST_BATCH {
             monitor.process_batch(&batch);
             batch.clear();
         }
     }
     monitor.process_batch(&batch);
-    Ok(total)
+    Ok(())
 }
 
-/// Writes a metrics snapshot to `path`: JSON lines when the path ends in
-/// `.jsonl`, Prometheus text otherwise.
-fn write_metrics(snapshot: &MetricsSnapshot, path: &str) -> std::io::Result<()> {
-    let rendered = if path.ends_with(".jsonl") {
-        snapshot.to_jsonl()
-    } else {
-        snapshot.to_prometheus()
-    };
-    std::fs::write(path, rendered)
+/// The packets `collector` ingested, read from the metrics snapshot that
+/// `--metrics-out` writes (JSON lines when the path ends in `.jsonl`,
+/// Prometheus text otherwise), so the printed and exported numbers
+/// cannot disagree.
+fn packets_and_metrics(
+    collector: &mut Collector,
+    metrics_out: Option<&str>,
+) -> std::io::Result<u64> {
+    let metrics = collector
+        .metrics_snapshot()
+        .expect("registry attached at build");
+    if let Some(path) = metrics_out {
+        let rendered = if path.ends_with(".jsonl") {
+            metrics.to_jsonl()
+        } else {
+            metrics.to_prometheus()
+        };
+        std::fs::write(path, rendered)?;
+    }
+    Ok(metrics
+        .counter("hashflow_ingest_packets_total", &[])
+        .unwrap_or(0))
 }
 
 /// Executes a parsed command and returns its rendered report.
@@ -64,195 +75,79 @@ fn write_metrics(snapshot: &MetricsSnapshot, path: &str) -> std::io::Result<()> 
 /// # Errors
 ///
 /// Propagates I/O and configuration errors with context.
-pub fn run(parsed: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    match &parsed.command {
-        Command::Help => Ok(USAGE.to_owned()),
-        Command::Analyze {
-            path,
-            memory_kib,
-            algorithm,
-            threshold,
-            top,
-            shards,
-            metrics_out,
-        } => analyze(
-            path,
-            *memory_kib,
-            *algorithm,
-            *threshold,
-            *top,
-            *shards,
-            metrics_out.as_deref(),
-        ),
-        Command::Stats {
-            path,
-            memory_kib,
-            algorithm,
-            shards,
-            epoch_ms,
-            format,
-            out,
-        } => stats(
-            path,
-            *memory_kib,
-            *algorithm,
-            *shards,
-            *epoch_ms,
-            *format,
-            out.as_deref(),
-        ),
-        Command::Generate {
-            profile,
-            flows,
-            seed,
-            out,
-        } => {
-            let trace = TraceGenerator::new(*profile, *seed).generate(*flows);
-            let file = File::create(out)?;
-            write_pcap(file, trace.packets())?;
-            Ok(format!(
-                "wrote {} packets of {} flows ({} profile) to {out}\n",
-                trace.packets().len(),
-                trace.flow_count(),
-                profile.name()
-            ))
-        }
-        Command::Compare {
-            profile,
-            flows,
-            memory_kib,
-            seed,
-        } => compare(*profile, *flows, *memory_kib, *seed),
-        Command::Export {
-            path,
-            memory_kib,
-            algorithm,
-            format,
-            out,
-        } => export(path, *memory_kib, *algorithm, *format, out),
-        Command::Query {
-            path,
-            plan,
-            memory_kib,
-            algorithm,
-            top,
-            metrics_out,
-        } => query_capture(
-            path,
-            plan,
-            *memory_kib,
-            *algorithm,
-            *top,
-            metrics_out.as_deref(),
-        ),
-        Command::Serve {
-            algorithm,
-            memory_kib,
-            shards,
-            epoch_ms,
-            retention,
-            http,
-            udp,
-            workers,
-            queue_batches,
-            queries,
-            replay,
-            pps,
-            duration_ms,
-            seed,
-            addr_file,
-            trace_sample_one_in,
-            dump_path,
-        } => serve(&ServeSpec {
-            algorithm: *algorithm,
-            memory_kib: *memory_kib,
-            shards: *shards,
-            epoch_ms: *epoch_ms,
-            retention: *retention,
-            http: http.clone(),
-            udp: udp.clone(),
-            workers: *workers,
-            queue_batches: *queue_batches,
-            queries: queries.clone(),
-            replay: replay.clone(),
-            pps: *pps,
-            duration_ms: *duration_ms,
-            seed: *seed,
-            addr_file: addr_file.clone(),
-            trace_sample_one_in: *trace_sample_one_in,
-            dump_path: dump_path.clone(),
-        }),
-        Command::Model { load, depth, alpha } => {
-            let mut out = String::new();
-            match alpha {
-                Some(a) => {
-                    let u = model::pipelined_utilization(*load, *depth, *a);
-                    let _ = writeln!(
-                        out,
-                        "pipelined tables: d = {depth}, alpha = {a}, load m/n = {load}"
-                    );
-                    let _ = writeln!(out, "predicted utilization: {:.4}", u);
-                    let _ = writeln!(
-                        out,
-                        "improvement over multi-hash: {:+.4}",
-                        model::pipelined_improvement(*load, *depth, *a)
-                    );
-                }
-                None => {
-                    let u = model::multi_hash_utilization(*load, *depth);
-                    let _ = writeln!(out, "multi-hash table: d = {depth}, load m/n = {load}");
-                    let _ = writeln!(out, "predicted utilization: {:.4}", u);
-                }
-            }
-            Ok(out)
-        }
+pub(crate) fn run(command: &Command) -> Result<String, Box<dyn Error>> {
+    match command {
+        Command::Help => Ok(usage()),
+        Command::Analyze(a) => analyze(a),
+        Command::Stats(s) => stats(s),
+        Command::Generate(g) => generate(g),
+        Command::Compare(c) => compare(c),
+        Command::Model(m) => Ok(predict(m)),
+        Command::Export(e) => export(e),
+        Command::Serve(s) => serve(s),
+        Command::Query(q) => query_capture(q),
     }
 }
 
-/// Owned parameters of the `serve` command (one struct so the daemon
-/// runner has a readable signature).
-struct ServeSpec {
-    algorithm: AlgorithmKind,
-    memory_kib: usize,
-    shards: usize,
-    epoch_ms: u64,
-    retention: usize,
-    http: String,
-    udp: Option<String>,
-    workers: usize,
-    queue_batches: usize,
-    queries: Vec<String>,
-    replay: Option<String>,
-    pps: Option<u64>,
-    duration_ms: Option<u64>,
-    seed: u64,
-    addr_file: Option<String>,
-    trace_sample_one_in: Option<u64>,
-    dump_path: Option<String>,
+fn generate(g: &Generate) -> Result<String, Box<dyn Error>> {
+    let trace = TraceGenerator::new(g.profile, g.seed).generate(g.flows);
+    write_pcap(File::create(&g.out)?, trace.packets())?;
+    Ok(format!(
+        "wrote {} packets of {} flows ({} profile) to {}\n",
+        trace.packets().len(),
+        trace.flow_count(),
+        g.profile.name(),
+        g.out
+    ))
+}
+
+fn predict(&Model { load, depth, alpha }: &Model) -> String {
+    let mut out = String::new();
+    match alpha {
+        Some(a) => {
+            let u = model::pipelined_utilization(load, depth, a);
+            let _ = writeln!(
+                out,
+                "pipelined tables: d = {depth}, alpha = {a}, load m/n = {load}"
+            );
+            let _ = writeln!(out, "predicted utilization: {:.4}", u);
+            let _ = writeln!(
+                out,
+                "improvement over multi-hash: {:+.4}",
+                model::pipelined_improvement(load, depth, a)
+            );
+        }
+        None => {
+            let u = model::multi_hash_utilization(load, depth);
+            let _ = writeln!(out, "multi-hash table: d = {depth}, load m/n = {load}");
+            let _ = writeln!(out, "predicted utilization: {:.4}", u);
+        }
+    }
+    out
 }
 
 /// Boots the daemon, optionally replays a capture into it, waits for
 /// shutdown (`POST /shutdown` or `--duration-ms`), then renders the
 /// end-of-run conservation report.
-fn serve(spec: &ServeSpec) -> Result<String, Box<dyn Error>> {
+fn serve(s: &Serve) -> Result<String, Box<dyn Error>> {
     let mut server = Server::start(ServerConfig {
-        algorithm: spec.algorithm,
-        memory_kib: spec.memory_kib,
-        shards: spec.shards,
-        seed: spec.seed,
-        epoch_ms: spec.epoch_ms,
-        retention: spec.retention,
-        http_addr: spec.http.clone(),
-        udp_addr: spec.udp.clone(),
-        http_workers: spec.workers,
-        ingest_capacity: spec.queue_batches,
-        queries: spec.queries.clone(),
-        trace_sampling: spec.trace_sample_one_in,
-        dump_path: spec.dump_path.clone(),
+        algorithm: s.algorithm,
+        memory_kib: s.memory_kib,
+        shards: s.shards,
+        seed: s.seed,
+        epoch_ms: s.epoch_ms,
+        retention: s.retention,
+        http_addr: s.http.clone(),
+        udp_addr: s.udp.clone(),
+        http_workers: s.workers,
+        ingest_capacity: s.queue_batches,
+        queries: s.queries.clone(),
+        trace_sampling: s.trace_sample_one_in,
+        dump_path: s.dump_path.clone(),
         ..ServerConfig::default()
     })?;
     // Scripts binding port 0 learn the real addresses from this file.
-    if let Some(path) = &spec.addr_file {
+    if let Some(path) = &s.addr_file {
         let mut lines = server.http_addr().to_string();
         if let Some(udp) = server.udp_addr() {
             lines.push('\n');
@@ -261,9 +156,9 @@ fn serve(spec: &ServeSpec) -> Result<String, Box<dyn Error>> {
         lines.push('\n');
         std::fs::write(path, lines)?;
     }
-    if let Some(capture) = &spec.replay {
+    if let Some(capture) = &s.replay {
         let packets = read_pcap(BufReader::new(File::open(capture)?))?;
-        let pace = match spec.pps {
+        let pace = match s.pps {
             Some(pps) => ReplayPace::Pps(pps),
             None => ReplayPace::LineRate,
         };
@@ -277,7 +172,7 @@ fn serve(spec: &ServeSpec) -> Result<String, Box<dyn Error>> {
             .map(|u| format!(", udp ingest on {u}"))
             .unwrap_or_default()
     );
-    let deadline = spec
+    let deadline = s
         .duration_ms
         .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
     while !server.shutdown_requested() {
@@ -318,23 +213,17 @@ fn serve(spec: &ServeSpec) -> Result<String, Box<dyn Error>> {
     Ok(out)
 }
 
-fn export(
-    path: &str,
-    memory_kib: usize,
-    algorithm: AlgorithmKind,
-    format: ExportFormat,
-    out: &str,
-) -> Result<String, Box<dyn Error>> {
-    let packets = read_pcap(BufReader::new(File::open(path)?))?;
-    let budget = MemoryBudget::from_kib(memory_kib)?;
-    let mut monitor = MonitorBuilder::new(algorithm).budget(budget).build()?;
-    monitor.process_trace(&packets);
+fn export(e: &Export) -> Result<String, Box<dyn Error>> {
+    let budget = MemoryBudget::from_kib(e.memory_kib)?;
+    let mut monitor = MonitorBuilder::new(e.algorithm).budget(budget).build()?;
+    stream_capture(&e.path, monitor.as_mut(), |_| {})?;
     let snapshot = monitor.seal();
+    let out = &e.out;
     let file = File::create(out)?;
 
     // One sealed epoch through the chosen sink; the same loop a
     // continuously-rotating deployment runs per epoch.
-    let (mut sink, unit): (Box<dyn RecordSink>, &str) = match format {
+    let (mut sink, unit): (Box<dyn RecordSink>, &str) = match e.format {
         ExportFormat::NetFlowV5 => (Box::new(NetFlowV5Sink::new(file)), "netflow v5 datagrams"),
         ExportFormat::JsonLines => (Box::new(JsonLinesSink::new(file)), "json lines"),
     };
@@ -363,19 +252,12 @@ fn metered() -> Instruments {
 /// banks over the sealed records is reported next to the exact answer,
 /// the same plan executed over the capture's ground truth — the
 /// approximation gap an operator would actually ship.
-fn query_capture(
-    path: &str,
-    plan: &QueryPlan,
-    memory_kib: usize,
-    algorithm: AlgorithmKind,
-    top: usize,
-    metrics_out: Option<&str>,
-) -> Result<String, Box<dyn Error>> {
-    let budget = MemoryBudget::from_kib(memory_kib)?;
-    // The whole pipeline runs instrumented; the end-of-run report reads
-    // its packet count from the same metrics snapshot `--metrics-out`
-    // exports, so the printed and exported numbers cannot disagree.
-    let mut collector = Collector::builder(algorithm)
+fn query_capture(q: &Query) -> Result<String, Box<dyn Error>> {
+    let Query {
+        path, plan, top, ..
+    } = q;
+    let budget = MemoryBudget::from_kib(q.memory_kib)?;
+    let mut collector = Collector::builder(q.algorithm)
         .budget(budget)
         .query(plan.clone())
         .instruments(metered())
@@ -393,15 +275,7 @@ fn query_capture(
         .next()
         .expect("one plan answered over the one sealed epoch");
     let group = exact.group();
-    let metrics = collector
-        .metrics_snapshot()
-        .expect("registry attached at build");
-    let packets = metrics
-        .counter("hashflow_ingest_packets_total", &[])
-        .unwrap_or(0);
-    if let Some(out_path) = metrics_out {
-        write_metrics(&metrics, out_path)?;
-    }
+    let packets = packets_and_metrics(&mut collector, q.metrics_out.as_deref())?;
 
     let mut out = String::new();
     let _ = writeln!(out, "capture: {path}   packets: {packets}");
@@ -423,7 +297,7 @@ fn query_capture(
     let sealed_by_key: HashMap<_, _> = sealed.rows().iter().map(|r| (r.key, r.value)).collect();
 
     let _ = writeln!(out, "top {top} groups (exact):");
-    for row in exact.rows().iter().take(top) {
+    for row in exact.rows().iter().take(*top) {
         let sealed_value = sealed_by_key
             .get(&row.key)
             .map(|v| v.to_string())
@@ -448,23 +322,18 @@ fn query_capture(
     Ok(out)
 }
 
-fn analyze(
-    path: &str,
-    memory_kib: usize,
-    algorithm: AlgorithmKind,
-    threshold: u32,
-    top: usize,
-    shards: usize,
-    metrics_out: Option<&str>,
-) -> Result<String, Box<dyn Error>> {
-    let budget = MemoryBudget::from_kib(memory_kib)?;
+fn analyze(a: &Analyze) -> Result<String, Box<dyn Error>> {
+    let &Analyze {
+        threshold, shards, ..
+    } = a;
+    let budget = MemoryBudget::from_kib(a.memory_kib)?;
     // The registry is the single construction path: shards > 1 wraps the
     // monitor in the threaded RSS dispatch layer, shards == 1 runs the
     // bare single-core batched hot path.
     // Analyze prints the flow report and top flows, so the estimate-only
     // sketches are rejected up front with the registry's typed error
     // instead of rendering an empty table.
-    let mut collector = Collector::builder(algorithm)
+    let mut collector = Collector::builder(a.algorithm)
         .budget(budget)
         .shards(shards)
         .require_records()
@@ -473,21 +342,11 @@ fn analyze(
     // One streaming pass: the capture is never materialized; ground
     // truth folds packet by packet while the monitor ingests batches.
     let mut truth = GroundTruth::default();
-    stream_capture(path, &mut collector, |p| truth.observe(p))?;
-    // The printed packet count and the `--metrics-out` export render
-    // from the same snapshot — they cannot disagree.
-    let metrics = collector
-        .metrics_snapshot()
-        .expect("registry attached at build");
-    let packets = metrics
-        .counter("hashflow_ingest_packets_total", &[])
-        .unwrap_or(0);
-    if let Some(out_path) = metrics_out {
-        write_metrics(&metrics, out_path)?;
-    }
+    stream_capture(&a.path, &mut collector, |p| truth.observe(p))?;
+    let packets = packets_and_metrics(&mut collector, a.metrics_out.as_deref())?;
 
     let mut out = String::new();
-    let _ = writeln!(out, "capture: {path}");
+    let _ = writeln!(out, "capture: {}", a.path);
     let _ = writeln!(
         out,
         "packets: {}   distinct flows: {}",
@@ -520,8 +379,8 @@ fn analyze(
         hh.len(),
         truth.heavy_hitter_count(threshold)
     );
-    let _ = writeln!(out, "top {top} flows:");
-    for rec in hh.iter().take(top) {
+    let _ = writeln!(out, "top {} flows:", a.top);
+    for rec in hh.iter().take(a.top) {
         let true_size = truth
             .size_of(&rec.key())
             .map(|s| s.to_string())
@@ -541,35 +400,27 @@ fn analyze(
 /// the resulting runtime metrics — the operational "what did the
 /// collector actually do" view (packets, bytes, epochs, drops, shard
 /// split, latencies) next to `analyze`'s accuracy view.
-fn stats(
-    path: &str,
-    memory_kib: usize,
-    algorithm: AlgorithmKind,
-    shards: usize,
-    epoch_ms: u64,
-    format: MetricsFormat,
-    out: Option<&str>,
-) -> Result<String, Box<dyn Error>> {
-    let budget = MemoryBudget::from_kib(memory_kib)?;
-    let mut builder = Collector::builder(algorithm)
+fn stats(s: &Stats) -> Result<String, Box<dyn Error>> {
+    let budget = MemoryBudget::from_kib(s.memory_kib)?;
+    let mut builder = Collector::builder(s.algorithm)
         .budget(budget)
-        .shards(shards)
+        .shards(s.shards)
         .instruments(metered());
-    if epoch_ms > 0 {
-        builder = builder.epoch_ns(epoch_ms.saturating_mul(1_000_000));
+    if s.epoch_ms > 0 {
+        builder = builder.epoch_ns(s.epoch_ms.saturating_mul(1_000_000));
     }
     let mut collector = builder.build()?;
-    stream_capture(path, &mut collector, |_| {})?;
+    stream_capture(&s.path, &mut collector, |_| {})?;
     collector.seal();
     collector.finish()?;
     let metrics = collector
         .metrics_snapshot()
         .expect("registry attached at build");
-    let rendered = match format {
+    let rendered = match s.format {
         MetricsFormat::Prometheus => metrics.to_prometheus(),
         MetricsFormat::JsonLines => metrics.to_jsonl(),
     };
-    match out {
+    match &s.out {
         Some(out_path) => {
             std::fs::write(out_path, &rendered)?;
             Ok(format!(
@@ -582,10 +433,12 @@ fn stats(
 }
 
 fn compare(
-    profile: hashflow_trace::TraceProfile,
-    flows: usize,
-    memory_kib: usize,
-    seed: u64,
+    &Compare {
+        profile,
+        flows,
+        memory_kib,
+        seed,
+    }: &Compare,
 ) -> Result<String, Box<dyn Error>> {
     let budget = MemoryBudget::from_kib(memory_kib)?;
     let trace = TraceGenerator::new(profile, seed).generate(flows);

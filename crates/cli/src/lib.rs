@@ -16,15 +16,12 @@
 mod args;
 mod commands;
 
-pub use args::{ArgError, Command, ParsedArgs};
-pub use commands::run;
-
 /// Entry point used by the binary: parse, run, render.
 ///
 /// # Errors
 ///
 /// Returns a human-readable error string for bad usage or I/O failures.
 pub fn main_with_args(args: &[String]) -> Result<String, String> {
-    let parsed = args::parse(args).map_err(|e| format!("{e}\n\n{}", args::USAGE))?;
+    let parsed = args::parse(args).map_err(|e| format!("{e}\n\n{}", args::usage()))?;
     commands::run(&parsed).map_err(|e| e.to_string())
 }

@@ -272,13 +272,6 @@ impl CollectorBuilder {
         self
     }
 
-    /// Sets NetFlow's 1-in-N sampling rate.
-    #[must_use]
-    pub fn sampling(mut self, n: u32) -> Self {
-        self.monitor = self.monitor.sampling(n);
-        self
-    }
-
     /// Sets the epoch length in nanoseconds. The default (`u64::MAX`)
     /// never rotates on time — the paper's single-epoch mode, sealed
     /// explicitly via [`Collector::seal`].

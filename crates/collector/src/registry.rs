@@ -190,8 +190,9 @@ impl std::str::FromStr for AlgorithmKind {
 /// monitors per trial; omitting it keeps each algorithm's stable default
 /// seeds), a `shards` count (> 1 wraps the monitor in a
 /// [`ShardedMonitor`] with the budget split equally, for the merge-layer
-/// algorithms), the NetFlow `sampling` rate, and the [`Instruments`]
-/// every layer of the built monitor is handed.
+/// algorithms), and the [`Instruments`] every layer of the built monitor
+/// is handed. NetFlow is built unsampled (1-in-1); a sampled one comes
+/// from `SampledNetFlow::with_memory(budget, n)`.
 ///
 /// # Examples
 ///
@@ -219,7 +220,6 @@ pub struct MonitorBuilder {
     budget: Option<MemoryBudget>,
     seed: Option<u64>,
     shards: usize,
-    sampling_n: u32,
     require_records: bool,
     instruments: Instruments,
 }
@@ -232,20 +232,9 @@ impl MonitorBuilder {
             budget: None,
             seed: None,
             shards: 1,
-            sampling_n: 1,
             require_records: false,
             instruments: Instruments::default(),
         }
-    }
-
-    /// Starts a builder from an algorithm name ([`AlgorithmKind::parse`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for unknown names, listing the valid
-    /// algorithms.
-    pub fn named(name: &str) -> Result<Self, ConfigError> {
-        Ok(Self::new(AlgorithmKind::parse(name)?))
     }
 
     /// The algorithm this builder constructs.
@@ -274,14 +263,6 @@ impl MonitorBuilder {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets NetFlow's 1-in-N packet sampling rate (ignored by the other
-    /// algorithms; default 1, i.e. unsampled).
-    #[must_use]
-    pub fn sampling(mut self, n: u32) -> Self {
-        self.sampling_n = n;
         self
     }
 
@@ -336,8 +317,8 @@ impl MonitorBuilder {
 
     fn build_netflow(&self, budget: MemoryBudget) -> Result<SampledNetFlow, ConfigError> {
         match self.seed {
-            Some(seed) => SampledNetFlow::with_memory_seeded(budget, self.sampling_n, seed),
-            None => SampledNetFlow::with_memory(budget, self.sampling_n),
+            Some(seed) => SampledNetFlow::with_memory_seeded(budget, 1, seed),
+            None => SampledNetFlow::with_memory(budget, 1),
         }
     }
 
@@ -623,19 +604,5 @@ mod tests {
                 "{kind} retains records and must pass the gate"
             );
         }
-    }
-
-    #[test]
-    fn netflow_sampling_knob_applies() {
-        let monitor = MonitorBuilder::new(AlgorithmKind::NetFlow)
-            .budget(budget())
-            .sampling(0)
-            .build();
-        assert!(monitor.is_err(), "sampling_n = 0 must be rejected");
-        assert!(MonitorBuilder::new(AlgorithmKind::NetFlow)
-            .budget(budget())
-            .sampling(30)
-            .build()
-            .is_ok());
     }
 }

@@ -253,13 +253,6 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.sinks.add(sink);
     }
 
-    /// Builder-style [`Self::add_sink`].
-    #[must_use]
-    pub fn with_sink(mut self, sink: Box<dyn RecordSink + Send>) -> Self {
-        self.add_sink(sink);
-        self
-    }
-
     /// Number of attached sinks.
     pub fn sink_count(&self) -> usize {
         self.sinks.len()
@@ -861,8 +854,8 @@ mod tests {
             }
         }
 
-        let mut r =
-            EpochRotator::new(Exact::default(), 1_000).with_sink(Box::new(MemorySink::new()));
+        let mut r = EpochRotator::new(Exact::default(), 1_000);
+        r.add_sink(Box::new(MemorySink::new()));
         r.add_sink(Box::new(JsonLinesSink::new(Vec::new())));
         assert_eq!(r.sink_count(), 2);
         for t in 0..3u64 {
@@ -874,7 +867,8 @@ mod tests {
         // Sealed history and the epoch counter agree with what streamed.
         assert_eq!(r.completed_epochs().len(), 3);
 
-        let mut broken = EpochRotator::new(Exact::default(), u64::MAX).with_sink(Box::new(Broken));
+        let mut broken = EpochRotator::new(Exact::default(), u64::MAX);
+        broken.add_sink(Box::new(Broken));
         broken.process_packet(&pkt(1, 0));
         broken.rotate_now();
         broken.process_packet(&pkt(2, 5));
@@ -1018,8 +1012,8 @@ mod tests {
     #[test]
     fn seal_rotates_through_the_pipeline() {
         use crate::MemorySink;
-        let mut r =
-            EpochRotator::new(Exact::default(), u64::MAX).with_sink(Box::new(MemorySink::new()));
+        let mut r = EpochRotator::new(Exact::default(), u64::MAX);
+        r.add_sink(Box::new(MemorySink::new()));
         r.process_packet(&pkt(1, 10));
         r.process_packet(&pkt(1, 20));
         let snapshot = r.seal();
@@ -1090,7 +1084,8 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new();
-        let mut r = metered(u64::MAX, &registry).with_sink(Box::new(Broken));
+        let mut r = metered(u64::MAX, &registry);
+        r.add_sink(Box::new(Broken));
         r.process_packet(&pkt(1, 0));
         r.rotate_now();
         r.process_packet(&pkt(2, 5));
@@ -1114,7 +1109,8 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new();
-        let mut r = metered(u64::MAX, &registry).with_sink(Box::new(Broken));
+        let mut r = metered(u64::MAX, &registry);
+        r.add_sink(Box::new(Broken));
         r.set_sink_health_policy(HealthPolicy {
             quarantine_after: 1,
             probe_interval: 8,

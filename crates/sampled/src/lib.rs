@@ -306,6 +306,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_sampling_rate_is_rejected() {
+        let budget = MemoryBudget::from_kib(64).unwrap();
+        assert!(SampledNetFlow::with_memory(budget, 0).is_err());
+        assert!(SampledNetFlow::with_memory_seeded(budget, 0, 7).is_err());
+        assert!(SampledNetFlow::with_memory(budget, 30).is_ok());
+    }
+
+    #[test]
     fn merge_unions_disjoint_caches() {
         let mut a = SampledNetFlow::new(100, 1, 0).unwrap();
         let mut b = SampledNetFlow::new(100, 1, 0).unwrap();

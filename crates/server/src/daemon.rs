@@ -121,11 +121,10 @@ pub struct ServerConfig {
     pub sinks: Vec<Box<dyn RecordSink + Send>>,
     /// Flow-path tracing: `Some(n)` samples 1-in-`n` flows (by key hash,
     /// so the same flows are sampled on every path) and records their
-    /// placement/dispatch/export spans in the flight recorder. `None`
+    /// placement/dispatch/export spans in the flight recorder (a ring of
+    /// the newest [`DEFAULT_RECORDER_CAPACITY`] events). `None`
     /// disables tracing entirely (zero per-packet cost beyond a branch).
     pub trace_sampling: Option<u64>,
-    /// Flight-recorder ring capacity in events.
-    pub recorder_capacity: usize,
     /// File that automatic fault dumps (sink quarantine, shard panic)
     /// append to as JSONL; `None` keeps dumps in-memory only (the ring
     /// is still served by `/debug/events`).
@@ -149,7 +148,6 @@ impl Default for ServerConfig {
             queries: Vec::new(),
             sinks: Vec::new(),
             trace_sampling: Some(DEFAULT_TRACE_SAMPLING),
-            recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             dump_path: None,
         }
     }
@@ -369,7 +367,7 @@ impl Server {
                 &[("version", env!("CARGO_PKG_VERSION"))],
             )
             .set(1);
-        let recorder = FlightRecorder::with_capacity(config.recorder_capacity.max(1));
+        let recorder = FlightRecorder::with_capacity(DEFAULT_RECORDER_CAPACITY);
         if let Some(path) = &config.dump_path {
             let file = std::fs::OpenOptions::new()
                 .create(true)
@@ -1361,12 +1359,13 @@ mod tests {
 
     #[test]
     fn debug_endpoints_serve_events_flows_and_introspection() {
-        let trace = TraceGenerator::new(TraceProfile::Caida, 11).generate(1_200);
+        // 1-in-1 sampling records a span per packet placed and per record
+        // exported; the run must fit the recorder's ring for the
+        // lifecycle events to survive for the asserts below.
+        let trace = TraceGenerator::new(TraceProfile::Caida, 11).generate(150);
+        assert!(trace.packets().len() + trace.flow_count() < DEFAULT_RECORDER_CAPACITY);
         let mut server = Server::start(ServerConfig {
             trace_sampling: Some(1), // sample every flow
-            // 1-in-1 sampling emits thousands of spans; keep the whole
-            // run in the ring so lifecycle events survive for asserts.
-            recorder_capacity: 16 * 1024,
             ..small_config()
         })
         .expect("boot");

@@ -26,9 +26,9 @@
 //!   [`MergeableMonitor::combine_cardinality`], and costs sum.
 //! * [`ShardedMonitor::seal_epoch`] drains all shards into **one**
 //!   [`EpochReport`], the collector-side epoch rotation. The monitor owns
-//!   no sinks: one that exports is
-//!   `EpochRotator::new(sharded, epoch_len_ns).with_sink(..)`, which is
-//!   what the `hashflow-collector` facade builds.
+//!   no sinks: one that exports is an
+//!   `EpochRotator::new(sharded, epoch_len_ns)` given sinks with
+//!   `add_sink(..)`, which is what the `hashflow-collector` facade builds.
 //! * The equal-memory discipline of §IV-A carries over:
 //!   [`ShardedMonitor::with_budget`] splits one budget into `N` equal
 //!   shard budgets that sum to at most the parent

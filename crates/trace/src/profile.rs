@@ -114,6 +114,22 @@ impl std::fmt::Display for TraceProfile {
     }
 }
 
+impl std::str::FromStr for TraceProfile {
+    type Err = hashflow_types::ConfigError;
+
+    /// Resolves a profile by its [`TraceProfile::name`], ignoring case.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        ALL_PROFILES
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| {
+                hashflow_types::ConfigError::new(format!(
+                    "unknown profile '{s}'; valid profiles: caida, campus, isp1, isp2"
+                ))
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
