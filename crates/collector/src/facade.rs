@@ -319,8 +319,9 @@ impl CollectorBuilder {
     ///   degrade/quarantine/recover transitions (quarantine entry also
     ///   dumps);
     /// * `tracer` — sampled flows record `dispatch` spans in the sharded
-    ///   merge layer, placement-stage spans in HashFlow, and
-    ///   `epoch_seal`/`export` spans at rotation.
+    ///   merge layer and placement-stage spans in HashFlow (each once per
+    ///   flow, stage and epoch, then a `placement` span with the stage
+    ///   counts at the seal), and `epoch_seal`/`export` spans at rotation.
     #[must_use]
     pub fn instruments(mut self, instruments: Instruments) -> Self {
         self.instruments = instruments;

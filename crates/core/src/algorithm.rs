@@ -4,7 +4,7 @@ use crate::scheme::{MainTable, OpCount, ProbeOutcome};
 use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, KernelCopy};
 use hashflow_monitor::{
     CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
-    IntrospectMetric, MemoryBudget, MergeableMonitor,
+    IntrospectMetric, MemoryBudget, MergeableMonitor, StageTally,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
@@ -13,6 +13,22 @@ use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 /// arrive before the probe, near enough that they are not evicted again
 /// first.
 pub const PREFETCH_AHEAD: usize = 8;
+
+/// The Algorithm 1 stage a packet landed in, as a trace span names it.
+#[derive(Clone, Copy)]
+enum Placement {
+    MainInsert,
+    MainHit,
+    Ancillary,
+    Promotion,
+}
+
+/// Span names of the [`Placement`] stages, in declaration order.
+const PLACEMENTS: [&str; 4] = ["main_insert", "main_hit", "ancillary", "promotion"];
+
+/// Stage of the span [`FlowMonitor::seal`] records for each sampled flow:
+/// how many of its packets landed in each [`PLACEMENTS`] stage.
+const PLACEMENT_SUMMARY: &str = "placement";
 
 /// The HashFlow algorithm (Algorithm 1 of the paper).
 ///
@@ -61,11 +77,14 @@ pub struct HashFlow {
     // main-table slots of `h_1 .. h_d`, then the ancillary slot of `g_1`,
     // one probe word each; the digest comes out of `h_1`'s word.
     plans: HashLanes,
-    /// Optional sampled flow-path tracer: packets of sampled flows emit a
-    /// span naming the Algorithm 1 stage they landed in (`main_insert`,
-    /// `main_hit`, `ancillary`, `promotion`). Measurement state is
-    /// unaffected; the scalar and batched paths emit identical spans.
+    /// Optional sampled flow-path tracer: a sampled flow's first packet
+    /// in each Algorithm 1 stage of an epoch (`main_insert`, `main_hit`,
+    /// `ancillary`, `promotion`) emits a span, the rest are counted in
+    /// `placements`, and the seal emits one `placement` span per sampled
+    /// flow with the counts. Measurement state is unaffected; the scalar
+    /// and batched paths emit identical spans.
     tracer: Option<FlowTracer>,
+    placements: StageTally<4>,
 }
 
 impl HashFlow {
@@ -90,6 +109,7 @@ impl HashFlow {
             ancillary_replacements: 0,
             plans: HashLanes::default(),
             tracer: None,
+            placements: StageTally::new(PLACEMENTS),
         })
     }
 
@@ -129,26 +149,29 @@ impl HashFlow {
         self.tracer.as_ref().is_some_and(|t| t.is_sampled(key))
     }
 
-    /// Records one stage span for an already-sampled flow. Kept out of
-    /// line: one packet in a thousand gets here, and the formatting would
-    /// otherwise sit in the middle of the ingestion loop.
+    /// Counts a packet of an already-sampled flow in its stage, with a
+    /// span if it is the flow's first there this epoch. Kept out of line:
+    /// one packet in a thousand gets here, and the tally would otherwise
+    /// sit in the middle of the ingestion loop.
     #[cold]
     #[inline(never)]
-    fn trace_stage(&self, key: &FlowKey, stage: &'static str, count: u32) {
+    fn trace_stage(&mut self, key: &FlowKey, stage: Placement, count: u32) {
         if let Some(t) = &self.tracer {
-            t.span(key, stage, format!("count {count}"));
+            self.placements
+                .note(t, key, stage as usize, || format!("count {count}"));
         }
     }
 
     /// Clears everything an epoch leaves outside the main table — the
     /// ancillary table, the cost counters, the promotion and replacement
-    /// counts — for [`FlowMonitor::reset`] and [`FlowMonitor::seal`]
-    /// alike.
+    /// counts, the trace tally — for [`FlowMonitor::reset`] and
+    /// [`FlowMonitor::seal`] alike.
     fn reset_side_state(&mut self) {
         self.ancillary.reset();
         self.cost.reset();
         self.promotions = 0;
         self.ancillary_replacements = 0;
+        self.placements.clear();
     }
 
     /// Read-only view of the main table.
@@ -196,12 +219,12 @@ impl HashFlow {
         match outcome {
             ProbeOutcome::Inserted => {
                 if traced {
-                    self.trace_stage(&key, "main_insert", 1);
+                    self.trace_stage(&key, Placement::MainInsert, 1);
                 }
             }
             ProbeOutcome::Incremented(count) => {
                 if traced {
-                    self.trace_stage(&key, "main_hit", count);
+                    self.trace_stage(&key, Placement::MainHit, count);
                 }
             }
             ProbeOutcome::Collision {
@@ -284,12 +307,12 @@ impl HashFlow {
             AncillaryOutcome::Stored { evicted } => {
                 self.ancillary_replacements += u64::from(evicted);
                 if traced {
-                    self.trace_stage(&key, "ancillary", 1);
+                    self.trace_stage(&key, Placement::Ancillary, 1);
                 }
             }
             AncillaryOutcome::Incremented(new) => {
                 if traced {
-                    self.trace_stage(&key, "ancillary", new);
+                    self.trace_stage(&key, Placement::Ancillary, new);
                 }
             }
             AncillaryOutcome::CaughtUp(count) => {
@@ -301,13 +324,13 @@ impl HashFlow {
                     self.main.replace(sentinel, key, count.saturating_add(1));
                     self.promotions += 1;
                     if traced {
-                        self.trace_stage(&key, "promotion", count.saturating_add(1));
+                        self.trace_stage(&key, Placement::Promotion, count.saturating_add(1));
                     }
                 } else {
                     // Ablation: keep counting in place, saturating.
                     let new = self.ancillary.increment(slot);
                     if traced {
-                        self.trace_stage(&key, "ancillary", new);
+                        self.trace_stage(&key, Placement::Ancillary, new);
                     }
                 }
             }
@@ -377,6 +400,9 @@ impl FlowMonitor for HashFlow {
         let cost = self.cost();
         let introspection = self.introspection();
         let records = self.main.drain();
+        if let Some(t) = &self.tracer {
+            self.placements.seal(t, PLACEMENT_SUMMARY);
+        }
         self.reset_side_state();
         EpochSnapshot::from_parts(0, None, None, records, cardinality, cost)
             .with_introspection(introspection)
@@ -397,8 +423,9 @@ impl FlowMonitor for HashFlow {
         ]
     }
 
-    /// Takes the tracer: from here on every packet of a sampled flow
-    /// records which Algorithm 1 stage it landed in.
+    /// Takes the tracer: from here on a sampled flow records the
+    /// Algorithm 1 stages its packets land in, one span per stage and
+    /// epoch plus the seal's `placement` summary.
     fn instrument(&mut self, instruments: &Instruments) {
         self.tracer = instruments.tracer.clone();
     }

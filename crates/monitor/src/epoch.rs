@@ -516,11 +516,6 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
     /// scalar loop. Observationally identical to routing every packet
     /// through [`Self::process_packet`].
     fn process_batch(&mut self, packets: &[Packet]) {
-        let batch_timer = self.metrics.as_ref().map(|m| {
-            m.batches.inc();
-            m.batch_size.observe(packets.len() as u64);
-            m.batch_ns.start_timer()
-        });
         // The batch's timestamp span in one plain loop; only a batch that
         // reaches the epoch edge (or is the first ever) is scanned packet
         // by packet for where to rotate.
@@ -531,12 +526,12 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
             }
             _ => self.ingest_across_edges(packets),
         }
-        if batch_timer.is_some() {
+        if let Some(m) = &self.metrics {
+            m.batches.inc();
             self.pending_packets += packets.len() as u64;
             self.pending_bytes += packets.iter().map(|p| u64::from(p.wire_len())).sum::<u64>();
             self.flush_metrics();
         }
-        drop(batch_timer);
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

@@ -56,7 +56,7 @@ pub use retry::{RetryPolicy, RetrySink};
 pub use sink::{JsonLinesSink, MemorySink, RecordSink};
 pub use snapshot::EpochSnapshot;
 pub use stats::{DropStats, Instruments, PipelineMetrics, SCALAR_FLUSH_PACKETS};
-pub use trace::{FlowTracer, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND};
+pub use trace::{FlowTracer, StageTally, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND};
 
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 

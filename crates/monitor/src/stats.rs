@@ -42,7 +42,8 @@ pub struct Instruments {
     /// transitions, shard panics and shed batches.
     pub recorder: Option<FlightRecorder>,
     /// Sampled flow-path tracer: `dispatch`, HashFlow placement,
-    /// `epoch_seal` and `export` spans for the flows it samples.
+    /// `epoch_seal` and `export` spans for the flows it samples, the
+    /// per-packet stages once per flow and epoch.
     pub tracer: Option<FlowTracer>,
 }
 
@@ -209,8 +210,6 @@ impl DropStats {
 /// | `hashflow_ingest_packets_total` | counter | packets ingested |
 /// | `hashflow_ingest_bytes_total` | counter | wire bytes ingested |
 /// | `hashflow_ingest_batches_total` | counter | `process_batch` calls |
-/// | `hashflow_ingest_batch_size` | histogram | packets per batch |
-/// | `hashflow_ingest_batch_ns` | histogram | wall time per batch |
 /// | `hashflow_epochs_sealed_total` | counter | epochs sealed |
 /// | `hashflow_rotation_gaps_total` | counter | rotations that skipped ≥ 1 quiet window |
 /// | `hashflow_sink_export_ns` | histogram | sink fan-out time per sealed epoch |
@@ -222,8 +221,6 @@ pub struct PipelineMetrics {
     pub(crate) packets: Counter,
     pub(crate) bytes: Counter,
     pub(crate) batches: Counter,
-    pub(crate) batch_size: Histogram,
-    pub(crate) batch_ns: Histogram,
     pub(crate) epochs_sealed: Counter,
     pub(crate) rotation_gaps: Counter,
     pub(crate) export_ns: Histogram,
@@ -241,8 +238,6 @@ impl PipelineMetrics {
             packets: registry.counter("hashflow_ingest_packets_total", &[]),
             bytes: registry.counter("hashflow_ingest_bytes_total", &[]),
             batches: registry.counter("hashflow_ingest_batches_total", &[]),
-            batch_size: registry.histogram("hashflow_ingest_batch_size", &[]),
-            batch_ns: registry.histogram("hashflow_ingest_batch_ns", &[]),
             epochs_sealed: registry.counter("hashflow_epochs_sealed_total", &[]),
             rotation_gaps: registry.counter("hashflow_rotation_gaps_total", &[]),
             export_ns: registry.histogram("hashflow_sink_export_ns", &[]),

@@ -17,9 +17,17 @@
 //! Span events carry `kind = "flow_span"`, a `flow` field holding the
 //! canonical flow-key text (the `GET /debug/flows/{key}` join key) and a
 //! `stage` field naming the pipeline stage.
+//!
+//! A trace follows a flow, not its packets. A per-packet stage records a
+//! span on a sampled flow's first packet in that stage of an epoch and
+//! from then on only counts, in a [`StageTally`]; the seal records one
+//! summary span per sampled flow carrying every stage's count. An
+//! elephant therefore leaves as many spans as a mouse, and cannot turn the
+//! recorder's ring over on its own.
 
 use hashflow_obs::{FlightRecorder, Severity};
 use hashflow_types::FlowKey;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default sampling rate: one traced flow in 1024. The `overhead`
@@ -113,6 +121,63 @@ impl FlowTracer {
     }
 }
 
+/// One epoch's tally of the `N` per-packet stages each sampled flow
+/// reached (see the module docs). Only sampled packets touch it, so it
+/// holds about one key in [`FlowTracer::sample_one_in`] of the epoch's
+/// flows.
+#[derive(Clone, Debug)]
+pub struct StageTally<const N: usize> {
+    stages: [&'static str; N],
+    flows: BTreeMap<FlowKey, [u64; N]>,
+}
+
+impl<const N: usize> StageTally<N> {
+    /// An empty tally of the stages named `stages`.
+    pub const fn new(stages: [&'static str; N]) -> Self {
+        StageTally {
+            stages,
+            flows: BTreeMap::new(),
+        }
+    }
+
+    /// Counts one packet of sampled flow `key` in stage `stage` (an index
+    /// into the names), recording that stage's span through `tracer` if it
+    /// is the flow's first packet there this epoch. `detail` is built only
+    /// then.
+    pub fn note(
+        &mut self,
+        tracer: &FlowTracer,
+        key: &FlowKey,
+        stage: usize,
+        detail: impl FnOnce() -> String,
+    ) {
+        let count = &mut self.flows.entry(*key).or_insert([0; N])[stage];
+        *count += 1;
+        if *count == 1 {
+            tracer.span(key, self.stages[stage], detail());
+        }
+    }
+
+    /// Ends the epoch: records one `stage` span per tallied flow, in key
+    /// order, whose detail lists each stage the flow reached with its
+    /// packet count (`main_insert 1, main_hit 41`), and empties the tally.
+    pub fn seal(&mut self, tracer: &FlowTracer, stage: &'static str) {
+        for (key, counts) in std::mem::take(&mut self.flows) {
+            let detail: Vec<String> = (self.stages.iter().zip(counts))
+                .filter(|(_, n)| *n > 0)
+                .map(|(name, n)| format!("{name} {n}"))
+                .collect();
+            tracer.span(&key, stage, detail.join(", "));
+        }
+    }
+
+    /// Ends the epoch without a summary: a stage whose first-packet span
+    /// says all there is to say, or an epoch that is discarded.
+    pub fn clear(&mut self) {
+        self.flows.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,5 +239,57 @@ mod tests {
         }
         assert_eq!(recorder.len(), traced);
         assert!(traced <= 1, "1-in-2^40 over 1000 flows");
+    }
+
+    #[test]
+    fn a_tally_spans_each_stage_once_per_epoch_and_sums_at_the_seal() {
+        let recorder = FlightRecorder::with_capacity(64);
+        let tracer = FlowTracer::new(recorder.clone(), 1);
+        let mut tally = StageTally::new(["insert", "hit"]);
+        let (a, b) = (FlowKey::from_index(1), FlowKey::from_index(2));
+        tally.note(&tracer, &a, 0, || "count 1".to_string());
+        for n in 2..=100 {
+            tally.note(&tracer, &a, 1, || format!("count {n}"));
+        }
+        tally.note(&tracer, &b, 0, || "count 1".to_string());
+        let stages = |events: &[hashflow_obs::Event]| -> Vec<(String, String)> {
+            events
+                .iter()
+                .map(|e| (e.field("stage").unwrap().to_string(), e.message.clone()))
+                .collect()
+        };
+        assert_eq!(
+            stages(&recorder.snapshot()),
+            [
+                ("insert".to_string(), "count 1".to_string()),
+                ("hit".to_string(), "count 2".to_string()),
+                ("insert".to_string(), "count 1".to_string()),
+            ],
+            "one span per (flow, stage), however many packets"
+        );
+
+        tally.seal(&tracer, "summary");
+        let events = recorder.snapshot();
+        let summaries: Vec<_> = events[3..]
+            .iter()
+            .map(|e| (e.field("flow").unwrap().to_string(), e.message.clone()))
+            .collect();
+        assert_eq!(
+            summaries,
+            [
+                (a.to_string(), "insert 1, hit 99".to_string()),
+                (b.to_string(), "insert 1".to_string()),
+            ]
+        );
+
+        // The seal emptied the tally; the next epoch spans its stages
+        // afresh, and a cleared one sums nothing.
+        tally.seal(&tracer, "summary");
+        assert_eq!(recorder.len(), 5);
+        tally.note(&tracer, &a, 1, || "count 101".to_string());
+        assert_eq!(recorder.len(), 6);
+        tally.clear();
+        tally.seal(&tracer, "summary");
+        assert_eq!(recorder.len(), 6);
     }
 }

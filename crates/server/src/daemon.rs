@@ -1359,18 +1359,27 @@ mod tests {
 
     #[test]
     fn debug_endpoints_serve_events_flows_and_introspection() {
-        // 1-in-1 sampling records a span per packet placed and per record
-        // exported; the run must fit the recorder's ring for the
-        // lifecycle events to survive for the asserts below.
-        let trace = TraceGenerator::new(TraceProfile::Caida, 11).generate(150);
-        assert!(trace.packets().len() + trace.flow_count() < DEFAULT_RECORDER_CAPACITY);
+        // Every flow sampled, and over six times the recorder's ring in
+        // packets, most of them from elephants: a trace spans a flow's
+        // stages, not its packets, so the lifecycle events survive.
+        const FLOWS: u64 = 24;
+        const PACKETS_PER_FLOW: u64 = 300;
+        let packets: Vec<Packet> = (0..FLOWS * PACKETS_PER_FLOW)
+            .map(|i| Packet::new(FlowKey::from_index(i % FLOWS), i * 1_000, 64))
+            .collect();
+        assert!(packets.len() > 6 * DEFAULT_RECORDER_CAPACITY);
         let mut server = Server::start(ServerConfig {
             trace_sampling: Some(1), // sample every flow
+            shards: 2,               // so packets leave `dispatch` spans
+            sinks: vec![Box::new(hashflow_monitor::MemorySink::new())], // and `export`
+            epoch_ms: 200,
+            ingest_policy: BackpressurePolicy::Block, // every packet counts
             ..small_config()
         })
         .expect("boot");
         let addr = server.http_addr();
-        server.start_replay(trace.packets().to_vec(), ReplayPace::LineRate);
+        let recorder = server.recorder().clone();
+        server.start_replay(packets.clone(), ReplayPace::LineRate);
         assert!(server.wait_for_sealed(1, Duration::from_secs(10)));
 
         let (status, body) = client::get(addr, "/debug/events").expect("GET events");
@@ -1387,7 +1396,9 @@ mod tests {
         let (status, _) = client::get(addr, "/debug/events?since=bogus").expect("GET bad cursor");
         assert_eq!(status, 400);
 
-        // Flow debug: with 1-in-1 sampling every key reports sampled.
+        // Flow debug: with 1-in-1 sampling every key reports sampled, and
+        // a flow's spans name its shard, its placement stages with their
+        // counts, its seal and its export.
         let view = server.view();
         let key = view.epochs.first().unwrap().as_records()[0].key();
         let encoded = key.to_string().replace('/', "%2F").replace('>', "%3E");
@@ -1396,6 +1407,19 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"sampled\":true"), "{body}");
         assert!(body.contains("\"sample_one_in\":1"));
+        for stage in [
+            "dispatch",
+            "main_insert",
+            "placement",
+            "epoch_seal",
+            "export",
+        ] {
+            assert!(body.contains(&format!("\"stage\":\"{stage}\"")), "{body}");
+        }
+        assert!(
+            body.contains("\"message\":\"main_insert 1, main_hit "),
+            "{body}"
+        );
         let (status, _) = client::get(addr, "/debug/flows/garbage").expect("GET bad flow");
         assert_eq!(status, 400);
 
@@ -1421,6 +1445,32 @@ mod tests {
 
         let report = server.shutdown();
         assert!(report.conserved());
+        assert_eq!(report.packets_processed, packets.len() as u64);
+
+        // Nothing was pushed out of the ring, and per flow and epoch the
+        // spans are bounded by the stages, not by the packets: `dispatch`
+        // and up to four placement stages, then at the seal `placement`,
+        // `epoch_seal` and `export`.
+        let events = recorder.snapshot();
+        assert_eq!(
+            events.first().map(|e| e.seq),
+            Some(1),
+            "the ring turned over"
+        );
+        let stages: Vec<&str> = (events.iter())
+            .filter(|e| e.kind == FLOW_SPAN_KIND)
+            .map(|e| e.field("stage").expect("spans carry their stage"))
+            .collect();
+        let seal_spans = (stages.iter())
+            .filter(|s| ["placement", "epoch_seal", "export"].contains(s))
+            .count() as u64;
+        let per_packet_stages = stages.len() as u64 - seal_spans;
+        assert!(
+            per_packet_stages <= FLOWS * 5 * report.epochs_sealed,
+            "{per_packet_stages} spans over {FLOWS} flows in {} epochs",
+            report.epochs_sealed
+        );
+        assert!(seal_spans <= FLOWS * 3 * report.epochs_sealed);
     }
 
     #[test]

@@ -78,6 +78,7 @@ use hashflow_hashing::fast_range;
 use hashflow_monitor::{
     merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochReport, EpochSnapshot,
     FlowMonitor, FlowTracer, Instruments, IntrospectMetric, MemoryBudget, MergeableMonitor,
+    StageTally,
 };
 use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Severity};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
@@ -155,24 +156,45 @@ fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u
     }
 }
 
-/// Accounts one partition as routed to `shard`, whatever becomes of it:
-/// the shard's packet counter, and a `dispatch` span naming the shard for
-/// every sampled flow.
-fn note_routed(
-    metrics: Option<&ShardMetrics>,
-    tracer: Option<&FlowTracer>,
-    shard: usize,
-    part: &[Packet],
-) {
+/// Accounts one partition as routed to `shard`, whatever becomes of it,
+/// on the shard's packet counter.
+fn note_routed(metrics: Option<&ShardMetrics>, shard: usize, part: &[Packet]) {
     if let Some(m) = metrics {
         m.lane_packets[shard].add(part.len() as u64);
     }
-    if let Some(t) = tracer {
-        for p in part {
-            if t.is_sampled(&p.key()) {
-                t.span(&p.key(), "dispatch", format!("shard {shard}"));
-            }
+}
+
+/// The dispatcher's half of flow tracing: a sampled flow's first packet
+/// of each epoch records a `dispatch` span naming the shard that owns it.
+#[derive(Debug)]
+struct DispatchTrace {
+    tracer: FlowTracer,
+    /// Sampled flows that recorded their `dispatch` span this epoch.
+    dispatched: StageTally<1>,
+}
+
+impl DispatchTrace {
+    fn new(tracer: FlowTracer) -> Self {
+        DispatchTrace {
+            tracer,
+            dispatched: StageTally::new(["dispatch"]),
         }
+    }
+
+    /// Checks the flow of one packet routed to `shard`.
+    #[inline]
+    fn note(&mut self, key: &FlowKey, shard: usize) {
+        if self.tracer.is_sampled(key) {
+            self.span(key, shard);
+        }
+    }
+
+    /// Kept out of line: one packet in a thousand gets here.
+    #[cold]
+    #[inline(never)]
+    fn span(&mut self, key: &FlowKey, shard: usize) {
+        self.dispatched
+            .note(&self.tracer, key, 0, || format!("shard {shard}"));
     }
 }
 
@@ -296,13 +318,25 @@ impl DispatchScratch {
     /// partitions. Two passes, one dispatch hash per key: pass A
     /// evaluates the hash for every packet exactly once and keeps the
     /// derived owner alongside the batch; pass B scatters into
-    /// exactly-sized partitions without re-hashing anything.
+    /// exactly-sized partitions without re-hashing anything. With a
+    /// `trace`, pass A also makes the dispatcher's sampling check, on the
+    /// key it has already loaded.
     ///
     /// Returns the partitions in shard order, or `None` for a single
-    /// shard: partition 0 is then the caller's slice itself — nothing
-    /// hashed, nothing copied.
-    fn split(&mut self, shards: usize, packets: &[Packet]) -> Option<&mut [Vec<Packet>]> {
+    /// shard: partition 0 is then the caller's slice itself — no dispatch
+    /// hash, nothing copied.
+    fn split(
+        &mut self,
+        shards: usize,
+        packets: &[Packet],
+        mut trace: Option<&mut DispatchTrace>,
+    ) -> Option<&mut [Vec<Packet>]> {
         if shards == 1 {
+            if let Some(t) = trace {
+                for p in packets {
+                    t.note(&p.key(), 0);
+                }
+            }
             return None;
         }
         self.counts.clear();
@@ -310,9 +344,13 @@ impl DispatchScratch {
         self.owners.clear();
         self.owners.reserve(packets.len());
         for p in packets {
-            let s = fast_range(dispatch_hash(&p.key()), shards);
+            let key = p.key();
+            let s = fast_range(dispatch_hash(&key), shards);
             self.counts[s] += 1;
             self.owners.push(s as u32);
+            if let Some(t) = trace.as_deref_mut() {
+                t.note(&key, s);
+            }
         }
         self.parts.resize_with(shards, Vec::new);
         for (part, &count) in self.parts.iter_mut().zip(&self.counts) {
@@ -346,7 +384,7 @@ pub struct ShardedMonitor<M> {
     scratch: DispatchScratch,
     metrics: Option<ShardMetrics>,
     recorder: Option<FlightRecorder>,
-    tracer: Option<FlowTracer>,
+    trace: Option<DispatchTrace>,
     queue_policy: BackpressurePolicy,
     queue_drops: DropStats,
 }
@@ -390,7 +428,7 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
             scratch: DispatchScratch::default(),
             metrics: None,
             recorder: None,
-            tracer: None,
+            trace: None,
             queue_policy: BackpressurePolicy::default(),
             queue_drops: DropStats::new(),
         })
@@ -507,7 +545,7 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         if part.is_empty() {
             return;
         }
-        note_routed(self.metrics.as_ref(), self.tracer.as_ref(), s, part);
+        note_routed(self.metrics.as_ref(), s, part);
         let recorder = self.recorder.as_ref();
         if feed_guarded(recorder, s, &mut self.shards[s], &mut self.faults[s], part) {
             self.shed(s, part.len() as u64);
@@ -531,7 +569,7 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// against reusable monitor-owned buffers instead of fresh allocations.
     pub fn partition(&self, packets: &[Packet]) -> Vec<Vec<Packet>> {
         let mut scratch = DispatchScratch::default();
-        match scratch.split(self.shards.len(), packets) {
+        match scratch.split(self.shards.len(), packets, None) {
             Some(_) => scratch.parts,
             None => vec![packets.to_vec()],
         }
@@ -602,6 +640,9 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         // Whatever is degraded from here on (a shard that panicked in the
         // drain) is a new degradation and announces its first shed.
         self.announced.fill(false);
+        if let Some(t) = &mut self.trace {
+            t.dispatched.clear();
+        }
         self.epoch += 1;
         self.first_ns = None;
         self.last_ns = None;
@@ -683,7 +724,7 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
         let policy = self.queue_policy;
         let drops = &self.queue_drops;
         let recorder = self.recorder.as_ref();
-        let tracer = self.tracer.as_ref();
+        let mut trace = self.trace.as_mut();
         let scratch = &mut self.scratch;
         let lanes = (self.shards.iter_mut())
             .zip(self.faults.iter_mut())
@@ -736,13 +777,14 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
                 record_batch_shed(recorder, s, shed, why);
             };
             for chunk in packets.chunks(shard_count * BATCH_PACKETS) {
-                let parts = scratch.split(shard_count, chunk).expect("several shards");
+                let parts = (scratch.split(shard_count, chunk, trace.as_deref_mut()))
+                    .expect("several shards");
                 for (s, part) in parts.iter_mut().enumerate() {
                     if part.is_empty() {
                         continue;
                     }
                     per_shard[s] += part.len() as u64;
-                    note_routed(metrics, tracer, s, part);
+                    note_routed(metrics, s, part);
                     let fresh = free.try_pop().unwrap_or_default();
                     publish(s, std::mem::replace(part, fresh));
                 }
@@ -773,7 +815,7 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.note_timestamps(packets);
         let mut scratch = std::mem::take(&mut self.scratch);
         let dispatch_timer = self.metrics.as_ref().map(|m| m.dispatch_ns.start_timer());
-        let parts = scratch.split(self.shards.len(), packets);
+        let parts = scratch.split(self.shards.len(), packets, self.trace.as_mut());
         drop(dispatch_timer);
         match parts {
             None => self.feed(0, packets),
@@ -852,6 +894,9 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.announced.fill(false);
         self.queue_drops.reset();
         self.dispatch_hashes = 0;
+        if let Some(t) = &mut self.trace {
+            t.dispatched.clear();
+        }
         self.first_ns = None;
         self.last_ns = None;
         self.epoch = 0;
@@ -866,9 +911,9 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     /// dispatch/merge/seal histograms ([`ShardMetrics`] lists the
     /// catalog) and the shard-queue ledger (`component="shard_queue"`);
     /// with a recorder, shard panics record an error event and dump the
-    /// recent window and shed batches record warnings; with a tracer,
-    /// every dispatch of a sampled flow records a `dispatch` span naming
-    /// the owning shard. The shards themselves are instrumented with the
+    /// recent window and shed batches record warnings; with a tracer, a
+    /// sampled flow's first dispatch of each epoch records a `dispatch`
+    /// span naming the owning shard. The shards themselves are instrumented with the
     /// same handles.
     fn instrument(&mut self, instruments: &Instruments) {
         self.metrics = instruments.registry.as_ref().map(|registry| {
@@ -876,7 +921,7 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
             ShardMetrics::register(registry, self.shards.len())
         });
         self.recorder = instruments.recorder.clone();
-        self.tracer = instruments.tracer.clone();
+        self.trace = instruments.tracer.clone().map(DispatchTrace::new);
         for shard in &mut self.shards {
             shard.instrument(instruments);
         }
@@ -921,6 +966,45 @@ mod tests {
 
     fn pkt(flow: u64, ts: u64) -> Packet {
         Packet::new(FlowKey::from_index(flow), ts, 64)
+    }
+
+    /// A sampled flow's `dispatch` span is recorded on its first packet
+    /// of each epoch, on the caller's thread and on the worker lanes
+    /// alike, and names the shard that owns it.
+    #[test]
+    fn dispatch_spans_once_per_flow_and_epoch_on_both_paths() {
+        let packets: Vec<Packet> = (0..2_000u64).map(|i| pkt(i % 50, i)).collect();
+        for threaded in [false, true] {
+            let recorder = FlightRecorder::with_capacity(1 << 14);
+            let mut m = sharded_hashflow(4, 256);
+            m.instrument(&Instruments {
+                tracer: Some(FlowTracer::new(recorder.clone(), 1)),
+                ..Instruments::default()
+            });
+            for epoch in 0..2 {
+                let since = recorder.last_seq();
+                if threaded {
+                    let _ = m.ingest(&packets);
+                } else {
+                    m.process_batch(&packets);
+                }
+                let _ = m.seal_epoch();
+                let mut flows = std::collections::BTreeSet::new();
+                for e in recorder.events_since(since) {
+                    if e.field("stage") != Some("dispatch") {
+                        continue;
+                    }
+                    let flow = e.field("flow").unwrap().to_string();
+                    let key = (0..50u64)
+                        .map(FlowKey::from_index)
+                        .find(|k| k.to_string() == flow)
+                        .unwrap();
+                    assert_eq!(e.message, format!("shard {}", m.shard_of(&key)));
+                    assert!(flows.insert(flow), "threaded {threaded}, epoch {epoch}");
+                }
+                assert_eq!(flows.len(), 50, "threaded {threaded}, epoch {epoch}");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //! [`crate::BATCH_PACKETS`] packets per shard before publishing them, and
 //! the queue bounds how many batches may be in flight so a slow shard
 //! back-pressures the dispatcher instead of buffering the whole trace.
+//!
+//! A notify is a syscall (`FUTEX_WAKE`) whether or not a thread waits on
+//! the condvar, so the queue counts the threads parked on each condvar
+//! and notifies only when one is: a producer and a consumer that keep
+//! pace hand batches over without entering the kernel.
 
 use hashflow_monitor::BackpressurePolicy;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long [`BatchQueue::pop_deadline`] polls an empty queue, yielding
@@ -88,6 +93,11 @@ pub struct BatchQueue<T> {
 struct State<T> {
     batches: VecDeque<Vec<T>>,
     closed: bool,
+    /// Consumers parked on `not_empty` (in `pop` or `pop_deadline`'s
+    /// timed wait; not in its yield-poll phase).
+    consumers_parked: usize,
+    /// Producers parked on `not_full` (in `push` or a `Block` `offer`).
+    producers_parked: usize,
 }
 
 impl<T> BatchQueue<T> {
@@ -103,6 +113,8 @@ impl<T> BatchQueue<T> {
             state: Mutex::new(State {
                 batches: VecDeque::with_capacity(capacity),
                 closed: false,
+                consumers_parked: 0,
+                producers_parked: 0,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -119,11 +131,7 @@ impl<T> BatchQueue<T> {
     /// producer or consumer can change the answer immediately — use it
     /// for telemetry (queue-depth gauges), not for flow control.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("queue mutex poisoned")
-            .batches
-            .len()
+        self.lock().batches.len()
     }
 
     /// Whether no batches are currently in flight (same caveat as
@@ -141,33 +149,30 @@ impl<T> BatchQueue<T> {
     /// panic propagates at scope exit).
     #[must_use = "a false return means the consumer is gone and the batch was dropped"]
     pub fn push(&self, batch: Vec<T>) -> bool {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
-        while state.batches.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).expect("queue mutex poisoned");
-        }
+        let mut state = self.wait_for_room(self.lock());
         if state.closed {
             return false;
         }
         state.batches.push_back(batch);
-        drop(state);
-        self.not_empty.notify_one();
+        self.filled(state);
         true
     }
 
     /// Dequeues the next batch, blocking while the queue is empty.
     /// Returns `None` once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<Vec<T>> {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = self.lock();
         loop {
             if let Some(batch) = state.batches.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
+                self.emptied(state);
                 return Some(batch);
             }
             if state.closed {
                 return None;
             }
+            state.consumers_parked += 1;
             state = self.not_empty.wait(state).expect("queue mutex poisoned");
+            state.consumers_parked -= 1;
         }
     }
 
@@ -181,11 +186,10 @@ impl<T> BatchQueue<T> {
         let start = Instant::now();
         let deadline = start + timeout;
         let park_after = deadline.min(start + POP_POLL);
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = self.lock();
         loop {
             if let Some(batch) = state.batches.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
+                self.emptied(state);
                 return PopOutcome::Batch(batch);
             }
             if state.closed {
@@ -200,14 +204,16 @@ impl<T> BatchQueue<T> {
                 // this core.
                 drop(state);
                 std::thread::yield_now();
-                state = self.state.lock().expect("queue mutex poisoned");
+                state = self.lock();
                 continue;
             }
+            state.consumers_parked += 1;
             let (next, _timed_out) = self
                 .not_empty
                 .wait_timeout(state, deadline - now)
                 .expect("queue mutex poisoned");
             state = next;
+            state.consumers_parked -= 1;
         }
     }
 
@@ -216,13 +222,12 @@ impl<T> BatchQueue<T> {
     /// or closed. This is what a best-effort recycling path wants: losing
     /// a spare buffer only costs a future allocation.
     pub fn try_push(&self, batch: Vec<T>) -> bool {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = self.lock();
         if state.closed || state.batches.len() >= self.capacity {
             return false;
         }
         state.batches.push_back(batch);
-        drop(state);
-        self.not_empty.notify_one();
+        self.filled(state);
         true
     }
 
@@ -240,11 +245,9 @@ impl<T> BatchQueue<T> {
     /// A closed queue rejects under every policy. The caller owns the
     /// accounting of whatever comes back (see [`PushOutcome`]).
     pub fn offer(&self, batch: Vec<T>, policy: BackpressurePolicy) -> PushOutcome<T> {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = self.lock();
         if let BackpressurePolicy::Block = policy {
-            while state.batches.len() >= self.capacity && !state.closed {
-                state = self.not_full.wait(state).expect("queue mutex poisoned");
-            }
+            state = self.wait_for_room(state);
         }
         if state.closed {
             return PushOutcome::Rejected(batch);
@@ -267,8 +270,7 @@ impl<T> BatchQueue<T> {
             }
         }
         state.batches.push_back(batch);
-        drop(state);
-        self.not_empty.notify_one();
+        self.filled(state);
         if displaced.is_empty() {
             PushOutcome::Enqueued
         } else {
@@ -279,24 +281,66 @@ impl<T> BatchQueue<T> {
     /// Non-blocking [`Self::pop`]: returns `None` immediately when the
     /// queue is currently empty (whether or not it is closed).
     pub fn try_pop(&self) -> Option<Vec<T>> {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
-        let batch = state.batches.pop_front();
-        if batch.is_some() {
-            drop(state);
-            self.not_full.notify_one();
-        }
-        batch
+        let mut state = self.lock();
+        let batch = state.batches.pop_front()?;
+        self.emptied(state);
+        Some(batch)
     }
 
     /// Marks the queue closed: blocked and future `pop`s return `None`
     /// once the backlog drains, and blocked and future `push`es return
     /// `false`.
     pub fn close(&self) {
-        let mut state = self.state.lock().expect("queue mutex poisoned");
+        let mut state = self.lock();
         state.closed = true;
         drop(state);
         self.not_empty.notify_all();
         self.not_full.notify_all();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("queue mutex poisoned")
+    }
+
+    /// Parks a producer on `not_full`, counted, until the queue has room
+    /// or is closed.
+    fn wait_for_room<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        while state.batches.len() >= self.capacity && !state.closed {
+            state.producers_parked += 1;
+            state = self.not_full.wait(state).expect("queue mutex poisoned");
+            state.producers_parked -= 1;
+        }
+        state
+    }
+
+    /// Releases the lock after a batch was enqueued, then wakes one
+    /// consumer if any is parked. The count is read under the lock a
+    /// consumer increments it under before it waits, so a consumer either
+    /// saw the batch or is counted here: no wakeup is lost.
+    fn filled(&self, state: MutexGuard<'_, State<T>>) {
+        let wake = state.consumers_parked > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Releases the lock after a batch was dequeued, then wakes one
+    /// producer if any is parked (the mirror of [`Self::filled`]).
+    fn emptied(&self, state: MutexGuard<'_, State<T>>) {
+        let wake = state.producers_parked > 0;
+        drop(state);
+        if wake {
+            self.not_full.notify_one();
+        }
+    }
+
+    /// `(consumers, producers)` parked right now, for tests that must
+    /// know a thread is asleep before they wake it.
+    #[cfg(test)]
+    fn parked(&self) -> (usize, usize) {
+        let state = self.lock();
+        (state.consumers_parked, state.producers_parked)
     }
 }
 
@@ -304,6 +348,7 @@ impl<T> BatchQueue<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn fifo_within_and_across_batches() {
@@ -505,6 +550,268 @@ mod tests {
                 "{}",
                 policy.label()
             );
+        }
+    }
+
+    /// How long a wake-up test waits for a thread before it calls the
+    /// wakeup lost.
+    const HANG: Duration = Duration::from_secs(20);
+
+    /// Spins until `q` reports exactly `(consumers, producers)` parked.
+    fn await_parked<T>(q: &BatchQueue<T>, parked: (usize, usize)) {
+        let start = Instant::now();
+        while q.parked() != parked {
+            assert!(
+                start.elapsed() < HANG,
+                "wanted {parked:?} parked, have {:?}",
+                q.parked()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs `f` on its own thread and returns its result, failing the
+    /// test if it has not returned within [`HANG`]. A thread stuck on a
+    /// lost wakeup is left behind rather than joined.
+    fn spawn_bounded<R: Send + 'static>(
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<R> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Fill {
+        Push,
+        Offer(BackpressurePolicy),
+        TryPush,
+        Close,
+    }
+
+    impl Fill {
+        const ALL: [Fill; 6] = [
+            Fill::Push,
+            Fill::Offer(BackpressurePolicy::Block),
+            Fill::Offer(BackpressurePolicy::DropNewest),
+            Fill::Offer(BackpressurePolicy::DropOldest),
+            Fill::TryPush,
+            Fill::Close,
+        ];
+
+        /// Applies the operation; returns the batch a consumer should
+        /// now receive (`None` after `Close`).
+        fn apply(self, q: &BatchQueue<u32>) -> Option<Vec<u32>> {
+            let batch = vec![42];
+            match self {
+                Fill::Push => assert!(q.push(batch.clone())),
+                Fill::Offer(policy) => {
+                    assert_eq!(q.offer(batch.clone(), policy), PushOutcome::Enqueued);
+                }
+                Fill::TryPush => assert!(q.try_push(batch.clone())),
+                Fill::Close => {
+                    q.close();
+                    return None;
+                }
+            }
+            Some(batch)
+        }
+    }
+
+    #[test]
+    fn a_parked_pop_is_woken_by_every_enqueue_and_by_close() {
+        for fill in Fill::ALL {
+            let q = Arc::new(BatchQueue::<u32>::new(2));
+            let consumer = spawn_bounded({
+                let q = Arc::clone(&q);
+                move || q.pop()
+            });
+            await_parked(&q, (1, 0));
+            let expected = fill.apply(&q);
+            let got = consumer.recv_timeout(HANG);
+            assert_eq!(got, Ok(expected), "{fill:?} lost the wakeup");
+            assert_eq!(q.parked(), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_parked_pop_deadline_is_woken_by_every_enqueue_and_by_close() {
+        for fill in Fill::ALL {
+            let q = Arc::new(BatchQueue::<u32>::new(2));
+            let consumer = spawn_bounded({
+                let q = Arc::clone(&q);
+                // Far past the test's own timeout: only a wakeup returns it.
+                move || q.pop_deadline(HANG * 10)
+            });
+            // Counted only once past the yield-poll phase, on the condvar.
+            await_parked(&q, (1, 0));
+            let expected = match fill.apply(&q) {
+                Some(batch) => PopOutcome::Batch(batch),
+                None => PopOutcome::Closed,
+            };
+            let got = consumer.recv_timeout(HANG);
+            assert_eq!(got, Ok(expected), "{fill:?} lost the wakeup");
+            assert_eq!(q.parked(), (0, 0));
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Drain {
+        Pop,
+        PopDeadline,
+        TryPop,
+        Close,
+    }
+
+    #[test]
+    fn a_blocked_producer_is_woken_by_every_dequeue_and_by_close() {
+        for drain in [Drain::Pop, Drain::PopDeadline, Drain::TryPop, Drain::Close] {
+            for via_offer in [false, true] {
+                let q = Arc::new(BatchQueue::<u32>::new(1));
+                assert!(q.push(vec![1]));
+                let producer = spawn_bounded({
+                    let q = Arc::clone(&q);
+                    move || {
+                        if via_offer {
+                            q.offer(vec![2], BackpressurePolicy::Block) == PushOutcome::Enqueued
+                        } else {
+                            q.push(vec![2])
+                        }
+                    }
+                });
+                await_parked(&q, (0, 1));
+                match drain {
+                    Drain::Pop => assert_eq!(q.pop(), Some(vec![1])),
+                    Drain::PopDeadline => {
+                        assert_eq!(q.pop_deadline(HANG), PopOutcome::Batch(vec![1]));
+                    }
+                    Drain::TryPop => assert_eq!(q.try_pop(), Some(vec![1])),
+                    Drain::Close => q.close(),
+                }
+                let enqueued = !matches!(drain, Drain::Close);
+                let got = producer.recv_timeout(HANG);
+                assert_eq!(got, Ok(enqueued), "{drain:?} lost the wakeup");
+                assert_eq!(q.parked(), (0, 0));
+                if enqueued {
+                    assert_eq!(q.try_pop(), Some(vec![2]));
+                }
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream of operation choices, no dependency.
+    struct Choices(u64);
+
+    impl Choices {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// Several producers and consumers on a two-batch queue, each picking
+    /// a random operation per step, under each policy: every batch is
+    /// either delivered to a consumer or handed back to its producer
+    /// (rejected, displaced, or refused by `try_push`), exactly once.
+    #[test]
+    fn randomised_producers_and_consumers_account_every_batch_exactly_once() {
+        const PRODUCERS: u32 = 3;
+        const CONSUMERS: u64 = 3;
+        const PER_PRODUCER: u32 = 2_000;
+        for (round, policy) in BackpressurePolicy::ALL.into_iter().enumerate() {
+            let done = spawn_bounded(move || {
+                let q = BatchQueue::<u32>::new(2);
+                let (mut seen, shed) = std::thread::scope(|scope| {
+                    let consumers: Vec<_> = (0..CONSUMERS)
+                        .map(|c| {
+                            let q = &q;
+                            scope.spawn(move || {
+                                let mut rng = Choices(c << 8 | round as u64);
+                                let mut got = Vec::new();
+                                loop {
+                                    match rng.below(3) {
+                                        0 => match q.pop() {
+                                            Some(b) => got.extend(b),
+                                            None => return got,
+                                        },
+                                        1 => {
+                                            let wait = Duration::from_micros(rng.below(200));
+                                            match q.pop_deadline(wait) {
+                                                PopOutcome::Batch(b) => got.extend(b),
+                                                PopOutcome::TimedOut => {}
+                                                PopOutcome::Closed => return got,
+                                            }
+                                        }
+                                        _ => match q.try_pop() {
+                                            Some(b) => got.extend(b),
+                                            None => std::thread::yield_now(),
+                                        },
+                                    }
+                                }
+                            })
+                        })
+                        .collect();
+                    let producers: Vec<_> = (0..PRODUCERS)
+                        .map(|p| {
+                            let q = &q;
+                            scope.spawn(move || {
+                                let mut rng = Choices(u64::from(p) << 16 | round as u64);
+                                let mut shed = Vec::new();
+                                for i in 0..PER_PRODUCER {
+                                    let id = p * PER_PRODUCER + i;
+                                    match rng.below(3) {
+                                        0 if policy == BackpressurePolicy::Block => {
+                                            assert!(q.push(vec![id]));
+                                        }
+                                        1 => {
+                                            if !q.try_push(vec![id]) {
+                                                shed.push(id);
+                                            }
+                                        }
+                                        _ => match q.offer(vec![id], policy) {
+                                            PushOutcome::Enqueued => {}
+                                            PushOutcome::Displaced(old) => {
+                                                shed.extend(old.into_iter().flatten());
+                                            }
+                                            PushOutcome::Rejected(b) => shed.extend(b),
+                                        },
+                                    }
+                                }
+                                shed
+                            })
+                        })
+                        .collect();
+                    let shed: Vec<u32> = producers
+                        .into_iter()
+                        .flat_map(|h| h.join().unwrap())
+                        .collect();
+                    q.close();
+                    let seen: Vec<u32> = consumers
+                        .into_iter()
+                        .flat_map(|h| h.join().unwrap())
+                        .collect();
+                    (seen, shed)
+                });
+                let delivered = seen.len();
+                seen.extend(&shed);
+                seen.sort_unstable();
+                let all: Vec<u32> = (0..PRODUCERS * PER_PRODUCER).collect();
+                (seen == all, delivered, shed.len(), q.parked())
+            });
+            let (exact, delivered, shed, parked) = done
+                .recv_timeout(HANG * 3)
+                .unwrap_or_else(|_| panic!("{}: hung", policy.label()));
+            assert!(
+                exact,
+                "{}: {delivered} delivered + {shed} shed is not every batch once",
+                policy.label()
+            );
+            assert_eq!(parked, (0, 0), "{}", policy.label());
         }
     }
 }

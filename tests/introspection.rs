@@ -13,7 +13,7 @@ use hashflow_suite::collector::{AlgorithmKind, Collector, MetricsRegistry, Monit
 use hashflow_suite::monitor::{FlowTracer, IntrospectValue, FLOW_SPAN_KIND};
 use hashflow_suite::obs::FlightRecorder;
 use hashflow_suite::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn test_trace(seed: u64) -> hashflow_suite::trace::Trace {
     TraceGenerator::new(TraceProfile::Caida, seed).generate(1_500)
@@ -188,4 +188,101 @@ fn sampled_flows_are_traced_consistently_across_ingest_paths() {
             "{key}: traced iff sampled must hold"
         );
     }
+}
+
+/// A trace follows flows, not packets: whatever a flow sends, it leaves
+/// at most one span per placement stage per epoch, and the seal's
+/// `placement` span counts every packet it placed, stage by stage — on
+/// the scalar and the batched path alike, span for span.
+#[test]
+fn placement_spans_are_one_per_flow_stage_and_epoch() {
+    const ELEPHANTS: u64 = 4;
+    let mut packets = Vec::new();
+    for mouse in 0..2_000u64 {
+        packets.push(Packet::new(FlowKey::from_index(1_000 + mouse), mouse, 64));
+        // The elephants arrive once the mice have filled the table.
+        if mouse >= 1_000 && mouse % 2 == 0 {
+            for e in 0..ELEPHANTS {
+                packets.push(Packet::new(FlowKey::from_index(e), mouse, 64));
+            }
+        }
+    }
+    let mut sent: BTreeMap<String, u64> = BTreeMap::new();
+    for p in &packets {
+        *sent.entry(p.key().to_string()).or_default() += 1;
+    }
+    // (flow, stage, detail) of every span, per epoch.
+    let epochs = |batched: bool| -> Vec<Vec<(String, String, String)>> {
+        let recorder = FlightRecorder::with_capacity(1 << 16);
+        let mut monitor = MonitorBuilder::new(AlgorithmKind::HashFlow)
+            // A small table: mice collide, elephants reach the ancillary
+            // table and get promoted.
+            .budget(MemoryBudget::from_kib(4).expect("positive"))
+            .seed(0x5eed)
+            .instruments(Instruments {
+                tracer: Some(FlowTracer::new(recorder.clone(), 1)),
+                ..Instruments::default()
+            })
+            .build()
+            .expect("budget fits");
+        (0..2)
+            .map(|_| {
+                let since = recorder.last_seq();
+                if batched {
+                    monitor.process_batch(&packets);
+                } else {
+                    for p in &packets {
+                        monitor.process_packet(p);
+                    }
+                }
+                let _ = monitor.seal();
+                recorder
+                    .events_since(since)
+                    .into_iter()
+                    .filter(|e| e.kind == FLOW_SPAN_KIND)
+                    .map(|e| {
+                        let field = |name| e.field(name).expect("span field").to_string();
+                        (field("flow"), field("stage"), e.message.clone())
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+
+    let scalar = epochs(false);
+    assert_eq!(scalar, epochs(true), "both paths record the same spans");
+    let mut staged = 0;
+    for spans in &scalar {
+        // flow → the stages it spanned on first arrival.
+        let mut first: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut summaries = BTreeMap::new();
+        for (flow, stage, detail) in spans {
+            if stage == "placement" {
+                assert!(summaries.insert(flow.as_str(), detail).is_none());
+            } else {
+                assert!(
+                    first.entry(flow).or_default().insert(stage),
+                    "{flow}: a second {stage} span in one epoch"
+                );
+            }
+        }
+        assert_eq!(
+            summaries.len(),
+            2_000 + ELEPHANTS as usize,
+            "one summary per flow"
+        );
+        for (flow, detail) in summaries {
+            let mut total = 0;
+            let mut stages = BTreeSet::new();
+            for part in detail.split(", ") {
+                let (stage, count) = part.split_once(' ').expect("`stage count`");
+                stages.insert(stage);
+                total += count.parse::<u64>().expect("count");
+            }
+            assert_eq!(total, sent[flow], "{flow}: {detail}");
+            assert_eq!(stages, first[flow], "{flow}: {detail}");
+            staged = staged.max(stages.len());
+        }
+    }
+    assert!(staged >= 3, "some elephant crossed three stages");
 }
