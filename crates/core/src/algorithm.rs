@@ -207,54 +207,90 @@ impl HashFlow {
 
     /// One step of Algorithm 1 for packet `i` of a batch, of flow `key`,
     /// on its probe plan (`depth` main-table lanes, then the ancillary
-    /// one). Returns the step's cost under the lazy schedule: the probes
+    /// one). The packet pays one data-dependent branch, settled in the
+    /// main table or lost to it; only a traced flow tells an insert from a
+    /// hit. Returns the step's cost under the lazy schedule: the probes
     /// made, plus one hash (`g_1`; the digest reuses `h_1`), one read and
     /// one write when the packet goes on to the ancillary phase.
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, key: FlowKey, plans: &HashLanes, depth: usize, i: usize) -> OpCount {
+        // Asked before the probes, so that it overlaps them.
+        let traced = self.is_traced(&key);
         // Phase 1: collision resolution in the main table (lines 2-13).
         let path = (0..depth).map(|m| probe_slot(plans.word(m, i)));
         let (outcome, mut ops) = self.main.resolve(&key, path);
-        let traced = self.is_traced(&key);
-        match outcome {
-            ProbeOutcome::Inserted => {
-                if traced {
-                    self.trace_stage(&key, Placement::MainInsert, 1);
-                }
-            }
-            ProbeOutcome::Incremented(count) => {
-                if traced {
-                    self.trace_stage(&key, Placement::MainHit, count);
-                }
-            }
-            ProbeOutcome::Collision {
-                sentinel,
-                min_count,
-            } => {
-                // Phase 2+3: ancillary table and promotion (lines 14-23);
-                // every branch writes exactly one cell.
-                let slot = probe_slot(plans.word(depth, i));
-                let h1_low = probe_hash_low(plans.word(0, i));
-                let digest = self.ancillary.digest_of(u64::from(h1_low));
-                self.ancillary_update(key, slot, digest, sentinel, min_count, traced);
-                ops += OpCount {
-                    hashes: 1,
-                    reads: 1,
-                    writes: 1,
+        let ProbeOutcome::Collision {
+            sentinel,
+            min_count,
+        } = outcome
+        else {
+            if traced {
+                let (stage, count) = match outcome {
+                    ProbeOutcome::Incremented(count) => (Placement::MainHit, count),
+                    _ => (Placement::MainInsert, 1),
                 };
+                self.trace_stage(&key, stage, count);
             }
+            return ops;
+        };
+        // Phases 2+3: ancillary table and promotion (lines 14-23); every
+        // outcome writes exactly one cell.
+        let slot = probe_slot(plans.word(depth, i));
+        let h1_low = probe_hash_low(plans.word(0, i));
+        let digest = self.ancillary.digest_of(u64::from(h1_low));
+        match self.ancillary.update(slot, digest, min_count) {
+            AncillaryOutcome::Counted { count, evicted } => {
+                self.ancillary_replacements += u64::from(evicted);
+                if traced {
+                    self.trace_stage(&key, Placement::Ancillary, count);
+                }
+            }
+            AncillaryOutcome::CaughtUp(count) => self.caught_up(key, slot, sentinel, count, traced),
+        }
+        ops += OpCount {
+            hashes: 1,
+            reads: 1,
+            writes: 1,
+        };
+        ops
+    }
+
+    /// Pass 2 of [`Self::ingest`]: one Algorithm 1 step per packet while,
+    /// [`PREFETCH_AHEAD`] packets further on, the cells each plan names
+    /// are prefetched. One source body compiled once per depth `D` in
+    /// `1..=4`, where the depth is a constant and the `d` reads of a step
+    /// unroll into straight-line code, and once with `D = 0` for every
+    /// other depth, read at run time from `depth`.
+    #[inline(always)]
+    fn steps<const D: usize>(
+        &mut self,
+        packets: &[Packet],
+        plans: &HashLanes,
+        depth: usize,
+    ) -> OpCount {
+        let depth = if D == 0 { depth } else { D };
+        for i in 0..PREFETCH_AHEAD.min(packets.len()) {
+            self.prefetch_plan(plans, depth, i);
+        }
+        let mut ops = OpCount::default();
+        for (i, packet) in packets.iter().enumerate() {
+            let ahead = i + PREFETCH_AHEAD;
+            if ahead < packets.len() {
+                self.prefetch_plan(plans, depth, ahead);
+            }
+            ops += self.step(packet.key(), plans, depth, i);
         }
         ops
     }
 
     /// The one ingestion path. Pass 1 builds every packet's probe plan,
     /// lane by lane — `h_1..h_d` then `g_1`, each one loop over the whole
-    /// batch — with no table access. Pass 2 runs one Algorithm 1 step per
-    /// packet while, [`PREFETCH_AHEAD`] packets further on, the cells each
-    /// plan names are prefetched. Operation counts fold into one cost
-    /// flush and count Algorithm 1's lazy schedule (Fig. 11): batching
-    /// changes when costs are recorded, never what. Always inlined, so
-    /// that `process_packet` is compiled for a batch of exactly one.
+    /// batch — with no table access. Pass 2 ([`Self::steps`], picked once
+    /// per batch by depth) runs the Algorithm 1 steps. Operation counts
+    /// fold into one cost flush and count Algorithm 1's lazy schedule
+    /// (Fig. 11): batching changes when costs are recorded, never what.
+    /// Always inlined, so that `process_packet` is compiled for a batch of
+    /// exactly one.
     #[inline(always)]
     fn ingest(&mut self, packets: &[Packet]) {
         if packets.is_empty() {
@@ -269,17 +305,13 @@ impl HashFlow {
         // Every `word(m, i)` below stays inside the lane it names.
         let depth = self.main.scheme().depth();
         assert_eq!((plans.lanes(), plans.rows()), (depth + 1, packets.len()));
-        for i in 0..PREFETCH_AHEAD.min(packets.len()) {
-            self.prefetch_plan(&plans, depth, i);
-        }
-        let mut ops = OpCount::default();
-        for (i, packet) in packets.iter().enumerate() {
-            let ahead = i + PREFETCH_AHEAD;
-            if ahead < packets.len() {
-                self.prefetch_plan(&plans, depth, ahead);
-            }
-            ops += self.step(packet.key(), &plans, depth, i);
-        }
+        let ops = match depth {
+            1 => self.steps::<1>(packets, &plans, depth),
+            2 => self.steps::<2>(packets, &plans, depth),
+            3 => self.steps::<3>(packets, &plans, depth),
+            4 => self.steps::<4>(packets, &plans, depth),
+            _ => self.steps::<0>(packets, &plans, depth),
+        };
         self.cost.absorb(&CostSnapshot {
             packets: packets.len() as u64,
             hashes: ops.hashes,
@@ -289,51 +321,29 @@ impl HashFlow {
         self.plans = plans;
     }
 
-    /// Ancillary update + record promotion (Algorithm 1, lines 14–23) for
-    /// a packet of `key` that lost the main-table collision carrying
-    /// `(sentinel, min_count)`. Every branch performs exactly one
-    /// ancillary (or promotion) write; the caller accounts the phase's
-    /// fixed cost of 1 hash, 1 read and 1 write.
-    fn ancillary_update(
-        &mut self,
-        key: FlowKey,
-        slot: usize,
-        digest: u32,
-        sentinel: usize,
-        min_count: u32,
-        traced: bool,
-    ) {
-        match self.ancillary.update(slot, digest, min_count) {
-            AncillaryOutcome::Stored { evicted } => {
-                self.ancillary_replacements += u64::from(evicted);
-                if traced {
-                    self.trace_stage(&key, Placement::Ancillary, 1);
-                }
-            }
-            AncillaryOutcome::Incremented(new) => {
-                if traced {
-                    self.trace_stage(&key, Placement::Ancillary, new);
-                }
-            }
-            AncillaryOutcome::CaughtUp(count) => {
-                if self.config.promotion_enabled() {
-                    // Phase 3: record promotion (lines 21-23). The flow's
-                    // count caught up with the sentinel: re-insert it into
-                    // the main table with count + 1 (the current packet),
-                    // evicting the sentinel record.
-                    self.main.replace(sentinel, key, count.saturating_add(1));
-                    self.promotions += 1;
-                    if traced {
-                        self.trace_stage(&key, Placement::Promotion, count.saturating_add(1));
-                    }
-                } else {
-                    // Ablation: keep counting in place, saturating.
-                    let new = self.ancillary.increment(slot);
-                    if traced {
-                        self.trace_stage(&key, Placement::Ancillary, new);
-                    }
-                }
-            }
+    /// Algorithm 1, lines 20–23, for a packet of `key` whose ancillary
+    /// summary at `slot` (count `count`) caught up with the sentinel
+    /// record: promote the flow into the sentinel's bucket, or, in the
+    /// promotion-disabled ablation, keep counting in place. Either way one
+    /// cell is written. Out of line: a few packets in a hundred get here.
+    #[cold]
+    #[inline(never)]
+    fn caught_up(&mut self, key: FlowKey, slot: usize, sentinel: usize, count: u32, traced: bool) {
+        let (stage, count) = if self.config.promotion_enabled() {
+            // Phase 3: record promotion (lines 21-23). The flow's count
+            // caught up with the sentinel: re-insert it into the main
+            // table with count + 1 (the current packet), evicting the
+            // sentinel record.
+            let count = count.saturating_add(1);
+            self.main.replace(sentinel, key, count);
+            self.promotions += 1;
+            (Placement::Promotion, count)
+        } else {
+            // Ablation: keep counting in place, saturating.
+            (Placement::Ancillary, self.ancillary.increment(slot))
+        };
+        if traced {
+            self.trace_stage(&key, stage, count);
         }
     }
 }

@@ -1,6 +1,7 @@
-use hashflow_hashing::{digest_from_hash, fast_range, HashFamily, XxHash64};
-use hashflow_primitives::{linear_counting_estimate, CounterArray};
+use hashflow_hashing::{digest_from_hash, fast_range, prefetch_read, HashFamily, XxHash64};
+use hashflow_primitives::linear_counting_estimate;
 use hashflow_types::{ConfigError, FlowKey};
+use std::hint::select_unpredictable;
 
 /// The ancillary table `A`: summarized `(digest, count)` records for flows
 /// the main table could not hold (§III-A).
@@ -27,10 +28,12 @@ use hashflow_types::{ConfigError, FlowKey};
 /// ```
 #[derive(Debug, Clone)]
 pub struct AncillaryTable {
-    // One `digest << counter_bits | count` cell per bucket, so a bucket is
-    // read, written and prefetched as one word on one line. Count 0 means
-    // *empty* (live counts start at 1).
-    cells: CounterArray,
+    // One `digest << counter_bits | count` word per bucket, so a bucket is
+    // read, written and prefetched as one aligned `u32` — which is why the
+    // two widths must fit 32 bits together. Count 0 means *empty* (live
+    // counts start at 1). `memory_bits` reports the logical widths, not
+    // the word.
+    cells: Vec<u32>,
     digest_bits: u32,
     counter_bits: u32,
     hash: HashFamily<XxHash64>,
@@ -40,13 +43,25 @@ pub struct AncillaryTable {
 /// What [`AncillaryTable::update`] did to its bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AncillaryOutcome {
-    /// Overwritten with `(digest, 1)`, `evicted` another digest's summary.
-    Stored { evicted: bool },
-    /// The matching summary's count went up to the carried value.
-    Incremented(u32),
+    /// The bucket now counts `count` packets of the digest: `(digest, 1)`
+    /// after a store into an empty or differently-keyed bucket (`evicted`
+    /// another digest's summary), or the matching summary incremented.
+    Counted { count: u32, evicted: bool },
     /// The matching summary's count (carried) has reached the bound;
     /// nothing was written.
     CaughtUp(u32),
+}
+
+/// Refuses digest and counter widths that are not both positive or do not
+/// fit one 32-bit cell together.
+pub(crate) fn check_widths(digest_bits: u32, counter_bits: u32) -> Result<(), ConfigError> {
+    if digest_bits == 0 || counter_bits == 0 || digest_bits + counter_bits > 32 {
+        return Err(ConfigError::new(format!(
+            "ancillary digest and counter widths must be at least 1 bit each \
+             and fit one 32-bit cell together, got {digest_bits} + {counter_bits}"
+        )));
+    }
+    Ok(())
 }
 
 impl AncillaryTable {
@@ -56,25 +71,25 @@ impl AncillaryTable {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if `cells == 0`, `cells` is too large for
-    /// the 32-bit slots of a probe plan, or a width is outside `1..=32`.
+    /// the 32-bit slots of a probe plan, a width is 0, or the two widths
+    /// add up to more than 32 bits.
     pub fn new(
         cells: usize,
         digest_bits: u32,
         counter_bits: u32,
         seed: u64,
     ) -> Result<Self, ConfigError> {
+        if cells == 0 {
+            return Err(ConfigError::new("ancillary table needs at least one cell"));
+        }
         if u32::try_from(cells).is_err() {
             return Err(ConfigError::new(format!(
                 "{cells} ancillary buckets exceed the 32-bit slot range"
             )));
         }
-        if !(1..=32).contains(&digest_bits) || !(1..=32).contains(&counter_bits) {
-            return Err(ConfigError::new(
-                "ancillary digest and counter widths must be in 1..=32 bits",
-            ));
-        }
+        check_widths(digest_bits, counter_bits)?;
         Ok(AncillaryTable {
-            cells: CounterArray::new(cells, digest_bits + counter_bits)?,
+            cells: vec![0; cells],
             digest_bits,
             counter_bits,
             hash: HashFamily::new(1, seed ^ 0xa4c1_11a5),
@@ -102,7 +117,14 @@ impl AncillaryTable {
     /// Maximum count value before saturation.
     #[inline]
     pub const fn max_count(&self) -> u64 {
-        u64::MAX >> (64 - self.counter_bits)
+        self.count_mask() as u64
+    }
+
+    /// The count field of a cell; also the largest count.
+    #[inline]
+    const fn count_mask(&self) -> u32 {
+        // `new` keeps `counter_bits` in 1..=31.
+        u32::MAX >> (32 - self.counter_bits)
     }
 
     /// The bucket `g_1` maps `key` to (Algorithm 1, line 14).
@@ -121,7 +143,7 @@ impl AncillaryTable {
     /// (advisory; see the batched ingestion path).
     #[inline]
     pub fn prefetch_slot(&self, slot: usize) {
-        self.cells.prefetch(slot);
+        prefetch_read(&self.cells, slot);
     }
 
     /// Derives the digest of a flow from its `h_1` hash value (Algorithm 1,
@@ -133,28 +155,17 @@ impl AncillaryTable {
     }
 
     #[inline]
-    fn unpack(&self, cell: u64) -> (u32, u32) {
-        (
-            (cell >> self.counter_bits) as u32,
-            (cell & self.max_count()) as u32,
-        )
-    }
-
-    #[inline]
-    fn write(&mut self, slot: usize, digest: u32, count: u32) {
-        debug_assert!(
-            u64::from(digest) >> self.digest_bits == 0,
-            "digest too wide"
-        );
-        let cell = u64::from(digest) << self.counter_bits | u64::from(count);
-        self.cells.set(slot, cell);
+    fn cell(&self, digest: u32, count: u32) -> u32 {
+        debug_assert!(digest >> self.digest_bits == 0, "digest too wide");
+        digest << self.counter_bits | count
     }
 
     /// The `(digest, count)` stored at `slot`, `None` when vacant.
     #[inline]
     pub fn entry(&self, slot: usize) -> Option<(u32, u32)> {
-        let (digest, count) = self.unpack(self.cells.get(slot));
-        (count > 0).then_some((digest, count))
+        let cell = self.cells[slot];
+        let count = cell & self.count_mask();
+        (count > 0).then_some((cell >> self.counter_bits, count))
     }
 
     /// Returns the stored count at `slot` if its digest matches, `None` for
@@ -168,21 +179,28 @@ impl AncillaryTable {
     /// Algorithm 1, lines 16–20, on one bucket in one read and at most one
     /// write: an empty or differently-keyed bucket becomes `(digest, 1)`; a
     /// matching one is incremented while below `bound` (the sentinel's
-    /// count) and the counter's ceiling, else left for the caller to promote.
-    #[inline]
+    /// count) and the counter's ceiling, else left for the caller to
+    /// promote. Store and increment are one select and one write; only the
+    /// caught-up case branches.
+    #[inline(always)]
     pub(crate) fn update(&mut self, slot: usize, digest: u32, bound: u32) -> AncillaryOutcome {
-        let cell = self.cells.get(slot);
-        let (resident, count) = self.unpack(cell);
-        if count == 0 || resident != digest {
-            self.occupied += usize::from(count == 0);
-            self.write(slot, digest, 1);
-            AncillaryOutcome::Stored { evicted: count > 0 }
-        } else if u64::from(count) < u64::from(bound).min(self.max_count()) {
-            // Below the ceiling, so the carry stays inside the count field.
-            self.cells.set(slot, cell + 1);
-            AncillaryOutcome::Incremented(count + 1)
-        } else {
-            AncillaryOutcome::CaughtUp(count)
+        let cell = self.cells[slot];
+        let count = cell & self.count_mask();
+        // Caught up: the cell holds `digest` with a count of at least
+        // `cap`, i.e. lies in `[(digest, cap), (digest, max)]` — one range
+        // test, so one branch. (A cap of 0 would admit an empty cell, and
+        // for a live one means the same as a cap of 1.)
+        let cap = bound.clamp(1, self.count_mask());
+        if cell.wrapping_sub(self.cell(digest, cap)) <= self.count_mask() - cap {
+            return AncillaryOutcome::CaughtUp(count);
+        }
+        let matches = (count > 0) & (cell >> self.counter_bits == digest);
+        // Below the ceiling, so the carry stays inside the count field.
+        self.cells[slot] = select_unpredictable(matches, cell + 1, self.cell(digest, 1));
+        self.occupied += usize::from(count == 0);
+        AncillaryOutcome::Counted {
+            count: select_unpredictable(matches, count + 1, 1),
+            evicted: !matches & (count > 0),
         }
     }
 
@@ -204,17 +222,18 @@ impl AncillaryTable {
     /// count is clamped to `1..=max_count`.
     pub fn store_counted(&mut self, slot: usize, digest: u32, count: u32) {
         self.occupied += usize::from(self.entry(slot).is_none());
-        let count = u64::from(count.max(1)).min(self.max_count()) as u32;
-        self.write(slot, digest, count);
+        let count = count.clamp(1, self.count_mask());
+        self.cells[slot] = self.cell(digest, count);
     }
 
     /// Adds `delta` to the count at `slot`, saturating at
     /// [`Self::max_count`]. Returns the new count.
     pub fn add_count(&mut self, slot: usize, delta: u32) -> u32 {
-        let (digest, count) = self.unpack(self.cells.get(slot));
+        let cell = self.cells[slot];
+        let count = cell & self.count_mask();
         debug_assert!(count > 0, "boosting an empty cell");
-        let count = (u64::from(count) + u64::from(delta)).min(self.max_count()) as u32;
-        self.write(slot, digest, count);
+        let count = count.saturating_add(delta).min(self.count_mask());
+        self.cells[slot] = self.cell(cell >> self.counter_bits, count);
         count
     }
 
@@ -262,13 +281,15 @@ impl AncillaryTable {
 
     /// Clears the table.
     pub fn reset(&mut self) {
-        self.cells.reset();
+        self.cells.fill(0);
         self.occupied = 0;
     }
 
-    /// Logical memory footprint in bits.
+    /// Logical memory footprint in bits: `digest_bits + counter_bits` per
+    /// bucket, the paper's accounting (§IV-A), not the 32-bit word a bucket
+    /// is stored in.
     pub fn memory_bits(&self) -> usize {
-        self.cells.logical_bits()
+        self.len() * (self.digest_bits + self.counter_bits) as usize
     }
 }
 
@@ -358,12 +379,12 @@ mod tests {
     }
 
     /// The table against a plain `Vec<(digest, count)>` under seeded
-    /// random operations, for cells that straddle words (5+6, 12+12,
-    /// 20+12) and the narrowest and widest ones.
+    /// random operations, for odd and even splits of the 32-bit cell
+    /// (5+6, 12+12, 20+12, 16+16) and the narrowest one.
     #[test]
     fn packed_cells_agree_with_a_pair_model() {
         const CELLS: usize = 37;
-        for (digest_bits, counter_bits) in [(5, 6), (12, 12), (20, 12), (1, 1), (32, 32)] {
+        for (digest_bits, counter_bits) in [(5, 6), (12, 12), (20, 12), (1, 1), (16, 16)] {
             let mut table = AncillaryTable::new(CELLS, digest_bits, counter_bits, 9).unwrap();
             let mut other = table.clone();
             let mut model = vec![(0u32, 0u32); CELLS];
@@ -412,11 +433,13 @@ mod tests {
                         let outcome = table.update(slot, digest, bound);
                         if count == 0 || resident != digest {
                             let evicted = count > 0;
-                            assert_eq!(outcome, AncillaryOutcome::Stored { evicted });
+                            let count = 1;
+                            assert_eq!(outcome, AncillaryOutcome::Counted { count, evicted });
                             model[slot] = (digest, 1);
                         } else if count < bound.min(max) {
-                            assert_eq!(outcome, AncillaryOutcome::Incremented(count + 1));
-                            model[slot].1 = count + 1;
+                            let (count, evicted) = (count + 1, false);
+                            assert_eq!(outcome, AncillaryOutcome::Counted { count, evicted });
+                            model[slot].1 = count;
                         } else {
                             assert_eq!(outcome, AncillaryOutcome::CaughtUp(count));
                         }
@@ -465,6 +488,34 @@ mod tests {
     fn rejects_bad_config() {
         assert!(AncillaryTable::new(0, 8, 8, 0).is_err());
         assert!(AncillaryTable::new(8, 0, 8, 0).is_err());
+        assert!(AncillaryTable::new(8, 8, 0, 0).is_err());
         assert!(AncillaryTable::new(8, 8, 33, 0).is_err());
+    }
+
+    /// A cell is one `u32`: digest and counter must fit it together, in
+    /// the table and in the configuration that sizes it.
+    #[test]
+    fn widths_must_share_one_word() {
+        for (digest_bits, counter_bits) in [(32, 32), (17, 16), (1, 32), (32, 1)] {
+            assert!(
+                AncillaryTable::new(8, digest_bits, counter_bits, 0).is_err(),
+                "{digest_bits} + {counter_bits}"
+            );
+            let config = crate::HashFlowConfig::builder()
+                .main_cells(8)
+                .digest_bits(digest_bits)
+                .ancillary_counter_bits(counter_bits)
+                .build();
+            assert!(config.is_err(), "config {digest_bits} + {counter_bits}");
+        }
+        for (digest_bits, counter_bits) in [(16, 16), (24, 8), (8, 24), (31, 1)] {
+            assert!(AncillaryTable::new(8, digest_bits, counter_bits, 0).is_ok());
+            let config = crate::HashFlowConfig::builder()
+                .main_cells(8)
+                .digest_bits(digest_bits)
+                .ancillary_counter_bits(counter_bits)
+                .build();
+            assert!(config.is_ok(), "config {digest_bits} + {counter_bits}");
+        }
     }
 }

@@ -1,3 +1,4 @@
+use crate::ancillary::check_widths;
 use crate::scheme::TableScheme;
 use hashflow_monitor::MemoryBudget;
 use hashflow_types::{ConfigError, RECORD_BITS};
@@ -189,13 +190,15 @@ impl HashFlowConfigBuilder {
         self
     }
 
-    /// Sets the digest width (1..=32 bits).
+    /// Sets the digest width (at least 1 bit; digest and counter share one
+    /// 32-bit ancillary cell).
     pub fn digest_bits(&mut self, bits: u32) -> &mut Self {
         self.digest_bits = bits;
         self
     }
 
-    /// Sets the ancillary counter width (1..=32 bits).
+    /// Sets the ancillary counter width (at least 1 bit; digest and
+    /// counter share one 32-bit ancillary cell).
     pub fn ancillary_counter_bits(&mut self, bits: u32) -> &mut Self {
         self.ancillary_counter_bits = bits;
         self
@@ -219,8 +222,8 @@ impl HashFlowConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the scheme is invalid (see
-    /// [`TableScheme::validate`]), any table is empty, or a bit width is out
-    /// of range.
+    /// [`TableScheme::validate`]), any table is empty, or a bit width is 0
+    /// or the digest and counter widths add up to more than 32 bits.
     pub fn build(&self) -> Result<HashFlowConfig, ConfigError> {
         self.scheme.validate()?;
         if self.main_cells == 0 {
@@ -237,14 +240,7 @@ impl HashFlowConfigBuilder {
         if ancillary_cells == 0 {
             return Err(ConfigError::new("ancillary table needs at least one cell"));
         }
-        if self.digest_bits == 0 || self.digest_bits > 32 {
-            return Err(ConfigError::new("digest width must be in 1..=32 bits"));
-        }
-        if self.ancillary_counter_bits == 0 || self.ancillary_counter_bits > 32 {
-            return Err(ConfigError::new(
-                "ancillary counter width must be in 1..=32 bits",
-            ));
-        }
+        check_widths(self.digest_bits, self.ancillary_counter_bits)?;
         Ok(HashFlowConfig {
             scheme: self.scheme,
             main_cells: self.main_cells,

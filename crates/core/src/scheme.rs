@@ -13,6 +13,7 @@
 
 use hashflow_hashing::{HashFamily, XxHash64};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, FLOW_KEY_BYTES};
+use std::hint::select_unpredictable;
 
 /// How the main table is organized (§III-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,57 +226,101 @@ impl Bucket {
     }
 }
 
-/// The one collision-resolution loop (Algorithm 1, lines 2–13): walks the
-/// probe `path` of `key`, inserting into the first empty bucket or
-/// incrementing on a key match, and otherwise reports the sentinel — the
-/// smallest record seen. `path` is pulled one slot at a time, so a lazily
-/// hashed path costs only the probes made; the [`OpCount`] says how many
-/// that was (one hash and one read per bucket probed, one write when the
-/// packet settles).
-#[inline]
-fn walk(
+/// A key's 13 bytes as two overlapping words, bytes `0..8` and `5..13`:
+/// equal pairs, equal keys — two loads and compares per bucket.
+#[inline(always)]
+fn key_words(key: &FlowKey) -> (u64, u64) {
+    let bytes = key.to_bytes();
+    let word = |at: usize| {
+        let mut word = [0; 8];
+        word.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(word)
+    };
+    (word(0), word(FLOW_KEY_BYTES - 8))
+}
+
+/// The one collision-resolution body (Algorithm 1, lines 2–13): reads
+/// every bucket of `key`'s probe `path`, then settles the packet with one
+/// write or reports the sentinel. The first probe whose bucket is empty or
+/// holds `key` takes the packet with one store of `(key, count + 1)` —
+/// the insert (count 0 → 1) and the hit alike; with no such probe the
+/// sentinel is the smallest record seen, the earliest among equals. The
+/// marks, the first mark and the sentinel are all selects, so a packet
+/// pays one data-dependent branch: settled or lost. This is the
+/// early-exit walk's result by construction — the walk stops at the first
+/// probe that is empty or matching and changes nothing before it, however
+/// often a slot repeats along the path — and the [`OpCount`] is the walk's
+/// too: one hash and one read per bucket up to the settling one, one
+/// write if the packet settles.
+///
+/// A caller whose path length is a constant gets the reads unrolled into
+/// straight-line code.
+#[inline(always)]
+fn settle(
     buckets: &mut [Bucket],
     occupied: &mut usize,
     key: &FlowKey,
     path: impl Iterator<Item = usize>,
 ) -> (ProbeOutcome, OpCount) {
-    let mut ops = OpCount::default();
     // Wider than any count, so the first record probed (a path has at
     // least one: depth >= 1) always becomes the sentinel — a saturated one
     // too — and `<` keeps the earliest among equals after it.
     let mut min_count = u64::MAX;
     let mut sentinel = usize::MAX;
-    for idx in path {
-        ops.hashes += 1;
-        ops.reads += 1;
+    // The first marked probe (`usize::MAX`: none yet) and its slot.
+    let mut first = usize::MAX;
+    let mut target = 0;
+    let mut probes = 0;
+    let want = key_words(key);
+    for (m, idx) in path.enumerate() {
         let bucket = buckets[idx];
-        if bucket.count == 0 {
-            buckets[idx] = Bucket {
-                key: *key,
-                count: 1,
-            };
-            *occupied += 1;
-            ops.writes += 1;
-            return (ProbeOutcome::Inserted, ops);
-        }
-        if bucket.key == *key {
-            let count = bucket.count.saturating_add(1);
-            buckets[idx].count = count;
-            ops.writes += 1;
-            return (ProbeOutcome::Incremented(count), ops);
-        }
-        if u64::from(bucket.count) < min_count {
-            min_count = u64::from(bucket.count);
-            sentinel = idx;
-        }
+        let marked = (bucket.count == 0) | (key_words(&bucket.key) == want);
+        let take = marked & (first == usize::MAX);
+        // Where a packet settles is data, not control: a branch here
+        // would be mispredicted on every other packet.
+        first = select_unpredictable(take, m, first);
+        target = select_unpredictable(take, idx, target);
+        let count = u64::from(bucket.count);
+        let smaller = count < min_count;
+        min_count = select_unpredictable(smaller, count, min_count);
+        sentinel = select_unpredictable(smaller, idx, sentinel);
+        probes = m as u64 + 1;
     }
-    (
-        ProbeOutcome::Collision {
-            sentinel,
-            min_count: min_count as u32,
-        },
-        ops,
-    )
+    if first == usize::MAX {
+        let ops = OpCount {
+            hashes: probes,
+            reads: probes,
+            writes: 0,
+        };
+        let min_count = min_count as u32;
+        return (
+            ProbeOutcome::Collision {
+                sentinel,
+                min_count,
+            },
+            ops,
+        );
+    }
+    let bucket = &mut buckets[target];
+    let count = bucket.count;
+    let new = count.saturating_add(1);
+    *bucket = Bucket {
+        key: *key,
+        count: new,
+    };
+    *occupied += usize::from(count == 0);
+    let probes = first as u64 + 1;
+    let ops = OpCount {
+        hashes: probes,
+        reads: probes,
+        writes: 1,
+    };
+    let outcome = if count == 0 {
+        ProbeOutcome::Inserted
+    } else {
+        ProbeOutcome::Incremented(new)
+    };
+    (outcome, ops)
 }
 
 impl MainTable {
@@ -378,18 +423,19 @@ impl MainTable {
     }
 
     /// Runs the collision-resolution step of Algorithm 1 (lines 2–13) for
-    /// one packet of `key`, hashing as it goes: `h_{i+1}` is evaluated
-    /// only if the first `i` buckets were held by other flows.
+    /// one packet of `key`: hashes its `d` slots, then [`Self::resolve`]s
+    /// them. The [`OpCount`] is that of the lazy schedule — `h_{i+1}`
+    /// counted only if the first `i` buckets were held by other flows.
     pub fn probe(&mut self, key: &FlowKey) -> (ProbeOutcome, OpCount) {
         let path = (self.ranges.iter().enumerate())
             .map(|(i, &(offset, len))| offset + self.hashes.bucket(i, key, len));
-        walk(&mut self.buckets, &mut self.occupied, key, path)
+        settle(&mut self.buckets, &mut self.occupied, key, path)
     }
 
     /// The same step on a probe path computed beforehand (`path`, the
     /// slots of the packet's probe plan, reduced and prefetched well before
-    /// it gets here): loads and compares only, one slot at a time. The
-    /// [`OpCount`] is still that of the lazy schedule — see
+    /// it gets here): loads, compares and selects, then at most one write.
+    /// The [`OpCount`] is still that of the lazy schedule — see
     /// [`Self::probe`] — so Fig. 11 accounting does not depend on the path
     /// having been computed up front.
     ///
@@ -397,14 +443,14 @@ impl MainTable {
     ///
     /// Panics if `path` does not hold exactly one slot per probe, or a
     /// slot is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn resolve(
         &mut self,
         key: &FlowKey,
         path: impl ExactSizeIterator<Item = usize>,
     ) -> (ProbeOutcome, OpCount) {
         assert_eq!(path.len(), self.ranges.len(), "need one slot per probe");
-        walk(&mut self.buckets, &mut self.occupied, key, path)
+        settle(&mut self.buckets, &mut self.occupied, key, path)
     }
 
     /// Replaces the record at flattened index `slot` (the promotion of
@@ -792,11 +838,177 @@ mod tests {
         }
     }
 
+    /// Algorithm 1's collision resolution as the paper writes it: probe
+    /// in order and stop at the first empty or matching bucket.
+    fn early_exit_walk(
+        t: &mut MainTable,
+        key: &FlowKey,
+        path: &[usize],
+    ) -> (ProbeOutcome, OpCount) {
+        let mut min_count = u64::MAX;
+        let mut sentinel = usize::MAX;
+        for (m, &idx) in path.iter().enumerate() {
+            let probes = m as u64 + 1;
+            let ops = OpCount {
+                hashes: probes,
+                reads: probes,
+                writes: 1,
+            };
+            let bucket = &mut t.buckets[idx];
+            if bucket.count == 0 {
+                *bucket = Bucket {
+                    key: *key,
+                    count: 1,
+                };
+                t.occupied += 1;
+                return (ProbeOutcome::Inserted, ops);
+            }
+            if bucket.key == *key {
+                bucket.count = bucket.count.saturating_add(1);
+                return (ProbeOutcome::Incremented(bucket.count), ops);
+            }
+            if u64::from(bucket.count) < min_count {
+                min_count = u64::from(bucket.count);
+                sentinel = idx;
+            }
+        }
+        let probes = path.len() as u64;
+        let ops = OpCount {
+            hashes: probes,
+            reads: probes,
+            writes: 0,
+        };
+        let min_count = min_count as u32;
+        (
+            ProbeOutcome::Collision {
+                sentinel,
+                min_count,
+            },
+            ops,
+        )
+    }
+
+    /// Runs `resolve` on `t` and the early-exit walk on a copy of it, and
+    /// asserts the same outcome, cost, buckets and occupancy.
+    fn resolve_like_walk(t: &mut MainTable, key: &FlowKey, path: &[usize]) -> ProbeOutcome {
+        let mut walked = t.clone();
+        let expect = early_exit_walk(&mut walked, key, path);
+        let got = t.resolve(key, path.iter().copied());
+        assert_eq!(got, expect, "{key:?} along {path:?}");
+        let cells = |t: &MainTable| -> Vec<(FlowKey, u32)> {
+            t.buckets.iter().map(|b| (b.key, b.count)).collect()
+        };
+        assert_eq!(cells(t), cells(&walked), "{key:?} along {path:?}");
+        assert_eq!(t.occupied(), walked.occupied());
+        got.0
+    }
+
+    #[test]
+    fn resolve_matches_walk_on_repeated_slots() {
+        // Paths drawn at random over as many buckets as probes, so most
+        // of them repeat a slot.
+        for (cells, depth) in [(2, 2), (3, 3)] {
+            let mut t = MainTable::new(TableScheme::MultiHash { depth }, cells, 3).unwrap();
+            let mut state = 0x2545_f491_4f6c_dd1d_u64 + cells as u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut outcomes = [0usize; 3];
+            for _ in 0..400 {
+                let k = key(next() % 5);
+                let path: Vec<usize> = (0..depth)
+                    .map(|_| (next() % cells as u64) as usize)
+                    .collect();
+                let outcome = resolve_like_walk(&mut t, &k, &path);
+                outcomes[match outcome {
+                    ProbeOutcome::Inserted => 0,
+                    ProbeOutcome::Incremented(_) => 1,
+                    ProbeOutcome::Collision { .. } => 2,
+                }] += 1;
+                if next() % 50 == 0 {
+                    let _ = t.drain();
+                }
+            }
+            assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+        }
+    }
+
+    #[test]
+    fn resolve_inserts_over_a_stale_copy_of_its_own_key() {
+        let scheme = TableScheme::Pipelined {
+            depth: 3,
+            alpha: 1.0,
+        };
+        let mut t = MainTable::new(scheme, 3, 5).unwrap();
+        assert_eq!(
+            resolve_like_walk(&mut t, &key(1), &[0, 1, 2]),
+            ProbeOutcome::Inserted
+        );
+        assert_eq!(
+            resolve_like_walk(&mut t, &key(2), &[0, 1, 2]),
+            ProbeOutcome::Inserted
+        );
+        assert_eq!(t.drain().len(), 2);
+        // Bucket 0 is empty but still holds key(1)'s bytes, and key(2)'s
+        // sit in bucket 1 behind it.
+        assert_eq!(t.buckets[0].key, key(1));
+        for k in [key(1), key(2)] {
+            let before = t.occupied();
+            let outcome = resolve_like_walk(&mut t, &k, &[0, 1, 2]);
+            assert_eq!(outcome, ProbeOutcome::Inserted, "{k:?}");
+            assert_eq!(t.occupied(), before + 1);
+            assert_eq!(t.lookup(&k), Some(1));
+        }
+    }
+
+    #[test]
+    fn resolve_names_a_saturated_sentinel() {
+        let scheme = TableScheme::Pipelined {
+            depth: 3,
+            alpha: 1.0,
+        };
+        let mut t = MainTable::new(scheme, 3, 6).unwrap();
+        for (i, count) in [(0, u32::MAX), (1, u32::MAX), (2, 7)] {
+            assert!(t.insert_record(FlowRecord::new(key(i), count)).is_none());
+        }
+        let lost = resolve_like_walk(&mut t, &key(9), &[0, 1, 2]);
+        assert_eq!(
+            lost,
+            ProbeOutcome::Collision {
+                sentinel: 2,
+                min_count: 7
+            }
+        );
+        // A saturated record is still the sentinel when nothing is smaller,
+        // and its own flow's packets leave it saturated.
+        assert!(t.insert_record(FlowRecord::new(key(2), u32::MAX)).is_none());
+        let lost = resolve_like_walk(&mut t, &key(9), &[1, 2, 0]);
+        assert_eq!(
+            lost,
+            ProbeOutcome::Collision {
+                sentinel: 1,
+                min_count: u32::MAX
+            }
+        );
+        let hit = resolve_like_walk(&mut t, &key(0), &[1, 2, 0]);
+        assert_eq!(hit, ProbeOutcome::Incremented(u32::MAX));
+    }
+
     #[test]
     #[should_panic(expected = "one slot per probe")]
     fn step_rejects_short_plans() {
         let mut t = MainTable::new(TableScheme::MultiHash { depth: 3 }, 16, 0).unwrap();
         let _ = t.resolve(&key(1), [1, 2].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot per probe")]
+    fn step_rejects_long_plans() {
+        let mut t = MainTable::new(TableScheme::MultiHash { depth: 3 }, 16, 0).unwrap();
+        let _ = t.resolve(&key(1), [1, 2, 3, 4].into_iter());
     }
 
     #[test]
