@@ -423,9 +423,10 @@ impl MainTable {
     }
 
     /// Runs the collision-resolution step of Algorithm 1 (lines 2–13) for
-    /// one packet of `key`: hashes its `d` slots, then [`Self::resolve`]s
-    /// them. The [`OpCount`] is that of the lazy schedule — `h_{i+1}`
-    /// counted only if the first `i` buckets were held by other flows.
+    /// one packet of `key`: hashes its `d` slots, then settles the packet
+    /// with the body [`Self::resolve`] runs. The [`OpCount`] is that of the
+    /// lazy schedule — `h_{i+1}` counted only if the first `i` buckets were
+    /// held by other flows.
     pub fn probe(&mut self, key: &FlowKey) -> (ProbeOutcome, OpCount) {
         let path = (self.ranges.iter().enumerate())
             .map(|(i, &(offset, len))| offset + self.hashes.bucket(i, key, len));

@@ -31,12 +31,16 @@
 //! the recorder must hold events (a tracer that recorded nothing measured
 //! a no-op).
 //!
+//! An arm replays at least [`MIN_ARM_PACKETS`] packets per trial — the
+//! trace as many times over as that takes — so that it runs for tens of
+//! milliseconds at any scale: a scaled-down smoke trace replayed once
+//! finishes in a millisecond or two, where a scheduler hiccup alone
+//! swings a ratio by ±20 %.
+//!
 //! The run's record is `BENCH_overhead.json`. [`check`] holds every path
 //! to [`METERED_FLOOR`] and [`TRACED_FLOOR`] and the `overhead` binary
-//! exits 2 below either — the CI gate. The floors are loose because
-//! scaled-down smoke traces finish in microseconds, where timer noise
-//! dwarfs the real cost; the ≤ 3 % and ≤ 5 % claims are the committed
-//! full-scale record's.
+//! exits 2 below either — the CI gate. The ≤ 3 % and ≤ 5 % claims are the
+//! committed full-scale record's.
 
 use crate::bench::{best_of, kpps, Bench};
 use crate::output::{Cell, Output, Table};
@@ -60,6 +64,12 @@ pub const SHARDS: usize = 4;
 /// Flow-sampling rate of the traced arm: the production default.
 pub const SAMPLING: u64 = DEFAULT_TRACE_SAMPLING;
 
+/// Packets every arm replays per trial, at least: a shorter trace is
+/// replayed whole as many times as it takes, the monitor reset before
+/// each pass as before a single one. The full-scale trace (≈ 2.5 M
+/// packets) is one pass.
+pub const MIN_ARM_PACKETS: usize = 1_000_000;
+
 /// Floor on `metered / bare`, on every path.
 pub const METERED_FLOOR: f64 = 0.80;
 
@@ -75,8 +85,10 @@ pub struct OverheadRow {
     pub budget_bytes: usize,
     /// Distinct flows in the trace.
     pub flows: usize,
-    /// Packets replayed per trial.
+    /// Packets replayed per trial (`passes` times the trace's).
     pub packets: u64,
+    /// Whole-trace replays per trial.
+    pub passes: usize,
     /// Throughput with no instruments (Kpps).
     pub bare_kpps: f64,
     /// Throughput with the registry attached (Kpps).
@@ -135,10 +147,11 @@ impl Sinks {
         path: &'static str,
         budget: MemoryBudget,
         trace: &Trace,
+        passes: usize,
         [bare, metered, traced]: [u128; 3],
         counted: u64,
     ) -> OverheadRow {
-        let packets = trace.packets().len() as u64;
+        let packets = (passes * trace.packets().len()) as u64;
         assert_eq!(
             counted,
             TRIALS as u64 * packets,
@@ -157,6 +170,7 @@ impl Sinks {
             budget_bytes: budget.bytes(),
             flows,
             packets,
+            passes,
             bare_kpps: kpps(packets, bare),
             metered_kpps: kpps(packets, metered),
             traced_kpps: kpps(packets, traced),
@@ -166,9 +180,12 @@ impl Sinks {
 }
 
 /// Best-of-[`TRIALS`] wall clock of each arm, the arms interleaved
-/// within every trial.
-fn time_arms<M>(arms: &mut [M; 3], replay: impl Fn(&mut M) -> u128) -> [u128; 3] {
-    best_of(TRIALS, || arms.each_mut().map(&replay))
+/// within every trial and each trial of an arm `passes` replays.
+fn time_arms<M>(arms: &mut [M; 3], passes: usize, replay: impl Fn(&mut M) -> u128) -> [u128; 3] {
+    best_of(TRIALS, || {
+        arms.each_mut()
+            .map(|arm| (0..passes).map(|_| replay(arm)).sum())
+    })
 }
 
 /// The `scalar` or `batched` path: a HashFlow `Collector` per arm.
@@ -177,6 +194,7 @@ fn measure_pipeline(
     batched: bool,
     budget: MemoryBudget,
     trace: &Trace,
+    passes: usize,
 ) -> OverheadRow {
     let sinks = Sinks::new();
     let mut arms = sinks.arms().map(|instruments| {
@@ -187,7 +205,7 @@ fn measure_pipeline(
             .expect("exhibit budget fits HashFlow")
     });
     let switch = SoftwareSwitch::default();
-    let ns = time_arms(&mut arms, |c| {
+    let ns = time_arms(&mut arms, passes, |c| {
         let report = if batched {
             switch.replay(c, trace)
         } else {
@@ -201,11 +219,11 @@ fn measure_pipeline(
         .metrics_snapshot()
         .and_then(|s| s.counter("hashflow_ingest_packets_total", &[]))
         .unwrap_or(0);
-    sinks.row(path, budget, trace, ns, counted)
+    sinks.row(path, budget, trace, passes, ns, counted)
 }
 
 /// The `sharded4` path: a [`ShardedMonitor`] per arm on threaded ingest.
-fn measure_sharded(budget: MemoryBudget, trace: &Trace) -> OverheadRow {
+fn measure_sharded(budget: MemoryBudget, trace: &Trace, passes: usize) -> OverheadRow {
     let sinks = Sinks::new();
     let mut arms = sinks.arms().map(|instruments| {
         let mut monitor =
@@ -214,7 +232,7 @@ fn measure_sharded(budget: MemoryBudget, trace: &Trace) -> OverheadRow {
         monitor.instrument(&instruments);
         monitor
     });
-    let ns = time_arms(&mut arms, |m| {
+    let ns = time_arms(&mut arms, passes, |m| {
         m.reset();
         m.ingest(trace.packets()).elapsed_ns
     });
@@ -222,18 +240,24 @@ fn measure_sharded(budget: MemoryBudget, trace: &Trace) -> OverheadRow {
         .registry
         .snapshot()
         .counter_sum("hashflow_shard_packets_total");
-    sinks.row("sharded4", budget, trace, ns, counted)
+    sinks.row("sharded4", budget, trace, passes, ns, counted)
 }
 
 /// Runs the bare / metered / traced sweep on the CAIDA production tier.
 pub fn run(cfg: &RunConfig) -> Output {
+    sweep(cfg, MIN_ARM_PACKETS)
+}
+
+/// [`run`] with every arm replaying at least `min_packets` per trial.
+fn sweep(cfg: &RunConfig, min_packets: usize) -> Output {
     let budget = MemoryBudget::from_bytes(setup::standard_budget(cfg).bytes() * 8)
         .expect("8x standard budget is positive");
     let trace = setup::trace_for(cfg, TraceProfile::Caida, cfg.scaled(800_000, 4_000));
+    let passes = min_packets.div_ceil(trace.packets().len()).max(1);
     let rows = [
-        measure_pipeline("scalar", false, budget, &trace),
-        measure_pipeline("batched", true, budget, &trace),
-        measure_sharded(budget, &trace),
+        measure_pipeline("scalar", false, budget, &trace, passes),
+        measure_pipeline("batched", true, budget, &trace, passes),
+        measure_sharded(budget, &trace, passes),
     ];
 
     let mut table = Table::new(
@@ -250,6 +274,7 @@ pub fn run(cfg: &RunConfig) -> Output {
             "metered_ratio",
             "traced_ratio",
             "events",
+            "passes",
         ],
     );
     for row in &rows {
@@ -265,12 +290,14 @@ pub fn run(cfg: &RunConfig) -> Output {
             Cell::Float(row.metered_ratio()),
             Cell::Float(row.traced_ratio()),
             Cell::from(row.events),
+            Cell::from(row.passes),
         ]);
     }
 
     let bench = Bench::new("overhead", cfg, TRIALS)
         .str("workload", "production")
         .field("sampling_one_in", SAMPLING)
+        .field("min_arm_packets", MIN_ARM_PACKETS)
         .field("metered_floor", METERED_FLOOR)
         .field("traced_floor", TRACED_FLOOR)
         .table("rows", &table);
@@ -307,7 +334,9 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_three_paths_and_emits_json() {
-        let out = run(&RunConfig::for_tests(0.02));
+        // One pass per arm: the minimum is for timing, and unoptimised
+        // code would take minutes over it.
+        let out = sweep(&RunConfig::for_tests(0.02), 0);
         let paths: Vec<Cell> = out.tables[0]
             .rows()
             .iter()
@@ -322,6 +351,7 @@ mod tests {
                 assert!(matches!(ratio, Cell::Float(r) if *r > 0.0), "{ratio:?}");
             }
             assert!(matches!(row[10], Cell::Int(events) if events > 0));
+            assert_eq!(row[11], Cell::from(1usize));
         }
         let json = out.bench.expect("overhead writes a record").render();
         assert!(json.contains("\"exhibit\": \"overhead\""));
@@ -337,6 +367,7 @@ mod tests {
             budget_bytes: 1 << 23,
             flows: 10,
             packets: 100,
+            passes: 1,
             bare_kpps: 1_000.0,
             metered_kpps,
             traced_kpps,
