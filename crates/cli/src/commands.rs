@@ -268,11 +268,8 @@ fn query_capture(q: &Query) -> Result<String, Box<dyn Error>> {
     let truth: Vec<FlowRecord> = truth.iter().map(|(k, c)| FlowRecord::new(*k, c)).collect();
     let exact = execute(plan, &truth);
     let snapshot = collector.seal();
-    let sealed = collector
-        .drain_query_answers()
-        .into_iter()
-        .flatten()
-        .next()
+    let sealed = (collector.drain_query_answers().first())
+        .and_then(|answers| answers.first().cloned())
         .expect("one plan answered over the one sealed epoch");
     let group = exact.group();
     let packets = packets_and_metrics(&mut collector, q.metrics_out.as_deref())?;

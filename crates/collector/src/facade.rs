@@ -9,6 +9,7 @@ use hashflow_monitor::{
 use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
 use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
+use std::sync::Arc;
 
 /// A running collection pipeline: `monitor → queries → rotator → sinks`.
 ///
@@ -58,7 +59,6 @@ impl Collector {
             sinks: Vec::new(),
             queries: Vec::new(),
             instruments: Instruments::default(),
-            answer_limit: None,
             retention: None,
             sink_health: None,
         }
@@ -98,9 +98,18 @@ impl Collector {
         self.rotator.inner().query_count()
     }
 
+    /// The query answers banked at each rotation and not yet drained or
+    /// evicted, one entry per epoch in attach order, oldest first. Until
+    /// a caller drains either store, entry `i` answers
+    /// `completed_epochs()[i]`: each seal adds one to both, and
+    /// [`CollectorBuilder::retention`] bounds both.
+    pub fn query_answers(&self) -> &[Arc<[QueryResult]>] {
+        self.rotator.inner().sealed_answers()
+    }
+
     /// Drains the per-epoch query answers banked at each rotation
-    /// (oldest epoch first; inner vectors follow attach order).
-    pub fn drain_query_answers(&mut self) -> Vec<Vec<QueryResult>> {
+    /// (oldest epoch first; each entry follows attach order).
+    pub fn drain_query_answers(&mut self) -> Vec<Arc<[QueryResult]>> {
         self.rotator.inner_mut().drain_sealed_answers()
     }
 
@@ -150,28 +159,32 @@ impl Collector {
     }
 
     /// The query answer bank's drop ledger (see
-    /// [`CollectorBuilder::answer_limit`]).
+    /// [`CollectorBuilder::retention`]).
     pub fn answer_drop_stats(&self) -> DropStats {
         self.rotator.inner().answer_drop_stats().clone()
     }
 
-    /// Ends the collection run: flushes every sink (quarantined ones
-    /// included — a final flush is the last chance to drain buffers).
+    /// Ends the collection run ([`EpochRotator::finish`]): seals a
+    /// running epoch, marked [partial](EpochSnapshot::is_partial) before
+    /// the sinks see it, then flushes every sink, quarantined ones
+    /// included. After [`Self::seal`] nothing is running to seal.
     ///
     /// # Errors
     ///
     /// Returns **every** sink error parked from earlier rotations plus
-    /// any flush failures, as one [`SinkErrors`] bundle (which converts
-    /// into `io::Error` via `?` where an `io::Result` is expected).
+    /// any export or flush failures of this call, as one [`SinkErrors`]
+    /// bundle (which converts into `io::Error` via `?` where an
+    /// `io::Result` is expected).
     pub fn finish(&mut self) -> Result<(), SinkErrors> {
         self.finished = true;
-        self.rotator.finish_sinks()
+        self.rotator.finish()
     }
 }
 
 impl Drop for Collector {
     /// Best-effort sink flush for pipelines dropped without
     /// [`Collector::finish`]: buffered exports are not silently lost.
+    /// It seals nothing: the running epoch is dropped with the pipeline.
     /// Errors are discarded — panicking in `Drop` is never acceptable —
     /// so call `finish()` explicitly when you need to observe them.
     fn drop(&mut self) {
@@ -245,7 +258,6 @@ pub struct CollectorBuilder {
     sinks: Vec<Box<dyn RecordSink + Send>>,
     queries: Vec<QueryPlan>,
     instruments: Instruments,
-    answer_limit: Option<usize>,
     retention: Option<usize>,
     sink_health: Option<HealthPolicy>,
 }
@@ -328,17 +340,10 @@ impl CollectorBuilder {
         self
     }
 
-    /// Keeps the banked query answers of the newest `max_epochs` epochs
-    /// (see [`QueryMonitor::set_answer_limit`]).
-    #[must_use]
-    pub fn answer_limit(mut self, max_epochs: usize) -> Self {
-        self.answer_limit = Some(max_epochs);
-        self
-    }
-
-    /// Keeps the newest `max_epochs` epochs in the completed-epoch
-    /// store; evictions are accounted in
-    /// [`Collector::retention_drop_stats`].
+    /// Keeps the newest `max_epochs` epochs in the completed-epoch store
+    /// and their answers in the query answer bank; evictions are
+    /// accounted in [`Collector::retention_drop_stats`] and
+    /// [`Collector::answer_drop_stats`].
     #[must_use]
     pub fn retention(mut self, max_epochs: usize) -> Self {
         self.retention = Some(max_epochs);
@@ -365,7 +370,7 @@ impl CollectorBuilder {
             kind.check_records()?;
         }
         let mut queries = QueryMonitor::new(self.monitor.build()?);
-        if let Some(max_epochs) = self.answer_limit {
+        if let Some(max_epochs) = self.retention {
             queries.set_answer_limit(max_epochs);
         }
         for plan in self.queries {
@@ -485,7 +490,13 @@ mod tests {
                     assert_eq!(held.cardinality(), returned.cardinality(), "{case}");
                     assert_eq!(held.cost(), returned.cost(), "{case}");
                     assert_eq!(held.is_partial(), returned.is_partial(), "{case}");
-                    assert_eq!(held.introspection(), returned.introspection(), "{case}");
+                    assert!(
+                        std::ptr::eq(
+                            held.introspection().as_ptr(),
+                            returned.introspection().as_ptr()
+                        ),
+                        "{case}: a holder has its own copy of the introspection"
+                    );
                     let probe = returned.as_records()[0];
                     assert_eq!(held.estimate_size(probe.key_ref()), probe.count());
                 }
@@ -513,7 +524,6 @@ mod tests {
                 probe_interval: 4,
             })
             .retention(1)
-            .answer_limit(1)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
             .unwrap();
@@ -577,6 +587,46 @@ mod tests {
             1,
             "an explicit finish() is not double-flushed by Drop"
         );
+    }
+
+    #[test]
+    fn finish_seals_a_running_epoch_partial_and_nothing_after_a_seal() {
+        use std::sync::{Arc, Mutex};
+
+        /// Records each exported epoch's partial flag.
+        struct Flags(Arc<Mutex<Vec<bool>>>);
+        impl RecordSink for Flags {
+            fn export_epoch(&mut self, s: &EpochSnapshot) -> io::Result<()> {
+                self.0.lock().unwrap().push(s.is_partial());
+                Ok(())
+            }
+        }
+
+        let trace = TraceGenerator::new(TraceProfile::Caida, 5).generate(500);
+        for seal_first in [false, true] {
+            let flags = Arc::new(Mutex::new(Vec::new()));
+            let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+                .budget(budget())
+                .sink(Box::new(Flags(Arc::clone(&flags))))
+                .build()
+                .unwrap();
+            collector.process_trace(trace.packets());
+            if seal_first {
+                collector.seal();
+            }
+            collector.finish().unwrap();
+            // Ingest then finish: the truncated epoch, marked partial.
+            // Seal then finish: the sealed epoch, complete, and no other.
+            assert_eq!(
+                *flags.lock().unwrap(),
+                [!seal_first],
+                "seal first {seal_first}"
+            );
+            let retained = collector.completed_epochs();
+            assert_eq!(retained.len(), 1, "seal first {seal_first}");
+            assert_eq!(retained[0].is_partial(), !seal_first);
+            assert!(!retained[0].is_empty());
+        }
     }
 
     #[test]

@@ -73,16 +73,15 @@ pub struct EpochReport {
 impl EpochReport {
     /// Folds per-shard reports of the *same* epoch into one collector-side
     /// report: records concatenate (RSS partitions are disjoint, so no key
-    /// appears twice), costs sum, and the time span covers all shards.
+    /// appears twice) and costs sum. The merge reports epoch 0 and no
+    /// span, like any monitor's seal: numbering an epoch and stamping its
+    /// span is the rotation layer's job ([`EpochRotator`]).
     ///
     /// `cardinality` is supplied by the caller because combining per-shard
     /// estimates is a property of the monitor
     /// ([`crate::MergeableMonitor::combine_cardinality`]), not of the
     /// report.
     pub fn merged(reports: Vec<EpochReport>, cardinality: f64) -> EpochReport {
-        let epoch = reports.iter().map(|r| r.epoch).max().unwrap_or(0);
-        let start_ns = reports.iter().filter_map(|r| r.start_ns).min();
-        let end_ns = reports.iter().filter_map(|r| r.end_ns).max();
         let cost = CostSnapshot::sum(reports.iter().map(|r| &r.cost));
         let partial = reports.iter().any(|r| r.partial);
         let mut shard_introspection = Vec::with_capacity(reports.len());
@@ -99,9 +98,9 @@ impl EpochReport {
         }
         let introspection = merge_introspection(&shard_introspection);
         EpochReport {
-            epoch,
-            start_ns,
-            end_ns,
+            epoch: 0,
+            start_ns: None,
+            end_ns: None,
             records,
             cardinality,
             cost,
@@ -284,6 +283,22 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.sinks.finish()
     }
 
+    /// Ends the collection run: seals the running epoch if it holds any
+    /// packet, marked [partial](EpochSnapshot::is_partial) before the
+    /// sinks see it — the run cut it short, not its edge — then flushes
+    /// every sink ([`Self::finish_sinks`]). After an explicit
+    /// [`Self::rotate_now`] nothing is running and nothing more is sealed.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::finish_sinks`], the tail epoch's export included.
+    pub fn finish(&mut self) -> Result<(), SinkErrors> {
+        if self.first_ns.is_some() {
+            self.rotate(true);
+        }
+        self.finish_sinks()
+    }
+
     /// Keeps the newest `max_epochs` epochs in the completed store
     /// ([`Self::completed_epochs`]); without a driving loop calling
     /// [`Self::drain_completed`], a long run would otherwise grow it
@@ -330,11 +345,18 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// with the default `seal` (capture + reset) this is the same drain
     /// as reading the report and resetting.
     pub fn rotate_now(&mut self) -> EpochSnapshot {
+        self.rotate(false)
+    }
+
+    /// The one seal: numbers and stamps the drained epoch, marks it
+    /// partial when the run `truncated` it (a flag the monitor may
+    /// already have set stays set), and hands it to the sinks, the
+    /// instruments and the completed store.
+    fn rotate(&mut self, truncated: bool) -> EpochSnapshot {
         self.flush_metrics();
-        let snapshot =
-            self.inner
-                .seal()
-                .with_epoch_span(self.current_epoch, self.first_ns, self.last_ns);
+        let snapshot = (self.inner.seal())
+            .with_epoch_span(self.current_epoch, self.first_ns, self.last_ns)
+            .with_partial(truncated);
         let exported = !self.sinks.is_empty();
         if exported {
             let export_timer = self.metrics.as_ref().map(|m| m.export_ns.start_timer());
@@ -768,10 +790,12 @@ mod tests {
         let merged = EpochReport::merged(vec![a, b], 2.0);
         assert_eq!(merged.records.len(), 2);
         assert_eq!(merged.cost.packets, 3);
-        assert_eq!(merged.start_ns, Some(5));
-        assert_eq!(merged.end_ns, Some(30));
         assert_eq!(merged.cardinality, 2.0);
-        assert_eq!(merged.epoch, 0);
+        // Numbering and the span are the rotator's to stamp.
+        assert_eq!(
+            (merged.epoch, merged.start_ns, merged.end_ns),
+            (0, None, None)
+        );
     }
 
     #[test]

@@ -38,10 +38,10 @@
 //!
 //! # One store, one index — built by its first reader
 //!
-//! A sealed epoch owns exactly one record store and at most one
-//! size-query index, both behind `Arc`s: cloning a snapshot (what
-//! [`crate::MemorySink`] and the rotator's completed-epoch store do)
-//! shares them instead of copying.
+//! A sealed epoch owns exactly one record store, at most one size-query
+//! index and one introspection report, all behind `Arc`s: cloning a
+//! snapshot (what [`crate::MemorySink`] and the rotator's completed-epoch
+//! store do) shares them instead of copying.
 //!
 //! Sealing builds the store and nothing else. The index is built by the
 //! first [`EpochSnapshot::estimate_size`] / [`EpochSnapshot::estimate_sizes`]
@@ -228,8 +228,9 @@ pub struct EpochSnapshot {
     /// before this epoch was sealed.
     partial: bool,
     /// Structure-internal saturation report captured at seal time
-    /// (empty for monitors that don't opt into introspection).
-    introspection: Vec<IntrospectMetric>,
+    /// (empty for monitors that don't opt into introspection), shared by
+    /// every clone.
+    introspection: Arc<[IntrospectMetric]>,
 }
 
 impl EpochSnapshot {
@@ -264,7 +265,7 @@ impl EpochSnapshot {
             cardinality,
             cost,
             partial: false,
-            introspection: Vec::new(),
+            introspection: Arc::new([]),
         }
     }
 
@@ -283,16 +284,18 @@ impl EpochSnapshot {
         self
     }
 
-    /// Marks (or clears) the partial-data flag — set by sharded seals
-    /// whose workers lost data to a panic, so downstream consumers can
-    /// tell a complete epoch from a degraded one.
-    pub fn with_partial(mut self, partial: bool) -> Self {
-        self.partial = partial;
+    /// Sets the partial-data flag when `partial` holds and never clears
+    /// it: a sharded seal whose worker lost data to a panic, or a rotator
+    /// whose run ended mid-epoch, marks the epoch, and no later layer can
+    /// make it look complete.
+    pub(crate) fn with_partial(mut self, partial: bool) -> Self {
+        self.partial |= partial;
         self
     }
 
-    /// Whether this epoch is known to be missing data (a contributing
-    /// shard was degraded when the epoch sealed).
+    /// Whether this epoch is known to be missing data: a contributing
+    /// shard was degraded when the epoch sealed, or the collection run
+    /// ended before the epoch did ([`crate::EpochRotator::finish`]).
     pub const fn is_partial(&self) -> bool {
         self.partial
     }
@@ -300,7 +303,7 @@ impl EpochSnapshot {
     /// Attaches the monitor's structure-internal saturation report
     /// ([`FlowMonitor::introspection`]) captured when the epoch sealed.
     pub fn with_introspection(mut self, introspection: Vec<IntrospectMetric>) -> Self {
-        self.introspection = introspection;
+        self.introspection = introspection.into();
         self
     }
 
@@ -339,7 +342,7 @@ impl EpochSnapshot {
             cardinality: self.cardinality,
             cost: self.cost,
             partial: self.partial,
-            introspection: self.introspection,
+            introspection: self.introspection.to_vec(),
         }
     }
 
@@ -596,12 +599,16 @@ mod tests {
             cost: CostSnapshot::default(),
             records,
             partial: false,
-            introspection: Vec::new(),
+            introspection: vec![IntrospectMetric::count("promotions", 3)],
         }
         .into_snapshot();
         assert!(std::ptr::eq(s.as_records().as_ptr(), store));
         let clone = s.clone();
         assert!(std::ptr::eq(clone.as_records().as_ptr(), store));
+        assert!(
+            std::ptr::eq(clone.introspection().as_ptr(), s.introspection().as_ptr()),
+            "a clone shares the introspection report too"
+        );
         assert_eq!(clone.estimate_size(&FlowKey::from_index(2)), 8);
     }
 

@@ -21,6 +21,7 @@ use hashflow_monitor::{
     CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric,
 };
 use hashflow_types::{FlowKey, FlowRecord, Packet};
+use std::sync::Arc;
 
 /// Identifier of a plan attached to a [`QueryMonitor`] (its attach
 /// order): the index of its answer in each banked epoch.
@@ -53,9 +54,10 @@ pub struct QueryMonitor<M> {
     inner: M,
     plans: Vec<QueryPlan>,
     /// Answers banked at each seal, oldest epoch first; one entry per
-    /// attached plan, in attach order. Its ledger counts one record per
-    /// answer (`component="query_answers"` when registered).
-    sealed: EpochRing<Vec<QueryResult>>,
+    /// attached plan, in attach order, shared so a reader's copy of the
+    /// bank costs a reference count per epoch. Its ledger counts one
+    /// record per answer (`component="query_answers"` when registered).
+    sealed: EpochRing<Arc<[QueryResult]>>,
 }
 
 impl<M: FlowMonitor> QueryMonitor<M> {
@@ -66,7 +68,7 @@ impl<M: FlowMonitor> QueryMonitor<M> {
         QueryMonitor {
             inner,
             plans: Vec::new(),
-            sealed: EpochRing::new(|answers: &Vec<QueryResult>| answers.len() as u64),
+            sealed: EpochRing::new(|answers: &Arc<[QueryResult]>| answers.len() as u64),
         }
     }
 
@@ -99,12 +101,12 @@ impl<M: FlowMonitor> QueryMonitor<M> {
 
     /// Answers banked by past seals (oldest epoch first; inner vectors
     /// follow attach order).
-    pub fn sealed_answers(&self) -> &[Vec<QueryResult>] {
+    pub fn sealed_answers(&self) -> &[Arc<[QueryResult]>] {
         self.sealed.as_slice()
     }
 
     /// Drains the banked per-epoch answers.
-    pub fn drain_sealed_answers(&mut self) -> Vec<Vec<QueryResult>> {
+    pub fn drain_sealed_answers(&mut self) -> Vec<Arc<[QueryResult]>> {
         self.sealed.drain()
     }
 
@@ -192,11 +194,15 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
     /// over the sealed epoch (see [`QueryMonitor::sealed_answers`]).
     fn seal(&mut self) -> EpochSnapshot {
         let snapshot = self.inner.seal();
-        let answers = self
-            .plans
-            .iter()
-            .map(|plan| execute_snapshot(plan, &snapshot))
-            .collect();
+        // Without plans the epoch still banks its empty entry, which
+        // `Arc::default` shares instead of allocating.
+        let answers = if self.plans.is_empty() {
+            Arc::default()
+        } else {
+            (self.plans.iter())
+                .map(|plan| execute_snapshot(plan, &snapshot))
+                .collect()
+        };
         self.sealed.push(answers);
         snapshot
     }

@@ -26,20 +26,23 @@
 //! | `GET /` | endpoint index |
 //! | `GET /epochs` | sealed-epoch summaries (retained window) |
 //! | `GET /epochs/{n}` | one epoch's summary |
-//! | `GET /epochs/{n}/top?k=K` | top-K flows of epoch `n` |
+//! | `GET /epochs/{n}/top` | top-`k` flows of epoch `n` (`?k=K`, default 10) |
 //! | `GET /epochs/{n}/flows/{key}` | size estimate of one flow (the first on an epoch builds its index) |
 //! | `GET /queries` | attached plans + banked per-epoch answers |
 //! | `POST /queries` | attach a plan (body = plan text) at runtime; `409` once [`MAX_QUERIES`] are attached |
 //! | `GET /metrics` | Prometheus exposition of the runtime registry |
 //! | `GET /healthz` | sink + shard health (`503` when unhealthy) |
-//! | `GET /debug/events?since=N` | flight-recorder events after seq `N` |
+//! | `GET /debug/events` | flight-recorder events after seq `N` (`?since=N`) |
 //! | `GET /debug/flows/{key}` | sampling verdict + recorded spans of one flow |
 //! | `GET /debug/introspect` | sketch-internal gauges of the latest epoch |
 //! | `POST /shutdown` | trigger graceful shutdown |
 //!
-//! Every request is self-instrumented: the daemon counts
-//! `hashflow_server_http_requests_total{route,status}` and feeds a
-//! per-route latency histogram, both visible on its own `/metrics`.
+//! The table is the daemon's route table (`ROUTES`): `GET /` lists it,
+//! a path under none of its patterns is `404` and one under a pattern
+//! with another method `405`. Every request is self-instrumented: the
+//! daemon counts `hashflow_server_http_requests_total{route,status}`
+//! and feeds a per-route latency histogram, both labelled by pattern and
+//! visible on its own `/metrics`.
 //!
 //! # Epochs
 //!
@@ -48,10 +51,13 @@
 //! cannot wait for packet timestamps to cross an edge — a quiet link
 //! would never seal. Epochs in which no packet arrived are skipped (no
 //! empty snapshots), mirroring the timestamp-driven rotator's quiet-gap
-//! rule. The final epoch sealed during shutdown is marked
-//! [`EpochSnapshot::is_partial`]: it was truncated by the shutdown, not
-//! by the timer. Each seal answers every attached plan over the epoch it
-//! sealed, on the ingest thread, and publishes those answers with it.
+//! rule. At shutdown [`Collector::finish`] seals the final epoch, if it
+//! holds packets, marked [`EpochSnapshot::is_partial`] before the sinks
+//! see it: it was truncated by the shutdown, not by the timer. Each seal
+//! answers every attached plan over the epoch it sealed, on the ingest
+//! thread. The collector numbers, stamps and flags every epoch and keeps
+//! the newest [`ServerConfig::retention`] with their answers; each
+//! publish hands readers that history as it stands.
 
 use crate::http::{self, Request, Response};
 use crate::json::{self, Obj};
@@ -59,7 +65,7 @@ use crate::state::{EpochAnswers, HealthView, Published, QueryInfo, SealedView};
 use crate::{wire, ShutdownFlag};
 use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_monitor::{
-    BackpressurePolicy, DropStats, EpochRing, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
+    BackpressurePolicy, DropStats, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
     IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND,
 };
 use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity, DEFAULT_RECORDER_CAPACITY};
@@ -381,6 +387,7 @@ impl Server {
         let mut builder = Collector::builder(config.algorithm)
             .budget(MemoryBudget::from_kib(config.memory_kib)?)
             .seed(config.seed)
+            .retention(config.retention.max(1))
             .instruments(Instruments {
                 registry: Some(registry.clone()),
                 recorder: Some(recorder.clone()),
@@ -423,24 +430,13 @@ impl Server {
         let udp_addr = udp_socket.as_ref().map(|s| s.local_addr()).transpose()?;
 
         let (command_tx, command_rx) = mpsc::channel();
-        let mut epochs = EpochRing::new(|s: &Arc<EpochSnapshot>| s.len() as u64);
-        let mut answers = EpochRing::new(|a: &EpochAnswers| {
-            a.answers.iter().map(|r| r.rows().len() as u64).sum()
-        });
-        epochs.set_limit(config.retention.max(1));
-        answers.set_limit(config.retention.max(1));
-        epochs.drop_stats().register(&registry, "server_epochs");
-        answers.drop_stats().register(&registry, "server_answers");
         let ingest_loop = IngestLoop {
             collector,
             queue: Arc::clone(&queue),
             commands: command_rx,
             published: Arc::clone(&published),
             epoch_len: Duration::from_millis(config.epoch_ms.max(1)),
-            epochs,
-            answers,
             queries,
-            sealed_total: 0,
             processed: 0,
             epoch_packets: 0,
         };
@@ -707,12 +703,7 @@ struct IngestLoop {
     commands: mpsc::Receiver<Command>,
     published: Arc<Published>,
     epoch_len: Duration,
-    /// The published rings, bounded at [`ServerConfig::retention`]
-    /// (ledgers `server_epochs` and `server_answers`).
-    epochs: EpochRing<Arc<EpochSnapshot>>,
-    answers: EpochRing<EpochAnswers>,
     queries: Vec<QueryInfo>,
-    sealed_total: u64,
     processed: u64,
     /// Packets ingested since the last seal: an epoch with none is
     /// skipped, not sealed empty.
@@ -720,8 +711,9 @@ struct IngestLoop {
 }
 
 impl IngestLoop {
-    /// Runs until the queue is closed and drained, then seals the
-    /// truncated final epoch and flushes the sinks.
+    /// Runs until the queue is closed and drained, then finishes the
+    /// collector: it seals the truncated final epoch and flushes the
+    /// sinks.
     fn run(mut self) -> IngestReport {
         let mut next_seal = Instant::now() + self.epoch_len;
         self.publish(false);
@@ -732,7 +724,7 @@ impl IngestLoop {
             }
             let now = Instant::now();
             if now >= next_seal {
-                self.seal(false);
+                self.seal();
                 // Quiet epochs still refresh the published health view.
                 self.publish(false);
                 while next_seal <= now {
@@ -752,16 +744,16 @@ impl IngestLoop {
                 PopOutcome::Closed => break,
             }
         }
-        // Shutdown: the queue is closed and fully drained. Seal whatever
-        // the truncated final epoch holds, marked partial.
-        self.seal(true);
-        // Exactly-once flush: `finish` marks the collector finished, so its
-        // own `Drop` (which flushes unfinished pipelines) becomes a no-op.
+        // Shutdown: the queue is closed and fully drained. `finish` seals
+        // whatever the truncated final epoch holds, marked partial, and
+        // flushes the sinks exactly once: it marks the collector finished,
+        // so its own `Drop` (which flushes unfinished pipelines) becomes a
+        // no-op.
         let finish = self.collector.finish();
         self.publish(true);
         IngestReport {
             processed: self.processed,
-            sealed: self.sealed_total,
+            sealed: self.sealed_total(),
             finish,
         }
     }
@@ -783,38 +775,46 @@ impl IngestLoop {
         Ok(id)
     }
 
-    /// Seals the running epoch — unless no packet arrived in it — and
-    /// pushes it and its answers onto the published rings.
-    fn seal(&mut self, partial: bool) {
-        if self.epoch_packets == 0 {
-            return;
+    /// Seals the running epoch, unless no packet arrived in it.
+    fn seal(&mut self) {
+        if self.epoch_packets > 0 {
+            self.epoch_packets = 0;
+            self.collector.seal();
         }
-        self.epoch_packets = 0;
-        let snapshot = self.collector.seal().with_partial(partial);
-        self.sealed_total += 1;
-        // Drained at every seal, the collector's own stores never hold
-        // more than this epoch: the published rings are the history.
-        let _ = self.collector.drain_completed();
-        let epoch = snapshot.epoch();
-        for answers in self.collector.drain_query_answers() {
-            self.answers.push(EpochAnswers { epoch, answers });
-        }
-        self.epochs.push(Arc::new(snapshot));
     }
 
-    /// Rebuilds and swaps in a fresh [`SealedView`] (O(retention) `Arc`
-    /// clones — never proportional to flow counts).
+    /// Epochs sealed so far: the collector numbers them from 0 in seal
+    /// order and always retains the newest.
+    fn sealed_total(&self) -> u64 {
+        (self.collector.completed_epochs().last()).map_or(0, |newest| newest.epoch() + 1)
+    }
+
+    /// Rebuilds and swaps in a fresh [`SealedView`] of the collector's
+    /// retained history: per retained epoch a snapshot clone and an
+    /// answers clone, reference-count bumps both, never proportional to
+    /// flow counts or answer rows.
     fn publish(&self, finished: bool) {
+        let epochs = self.collector.completed_epochs();
+        // Answers pair with epochs by position: every seal retains one
+        // epoch and banks one entry of answers, both stores keep the
+        // newest `retention`, and nothing drains either.
+        let answers = self.collector.query_answers();
+        debug_assert_eq!(epochs.len(), answers.len());
         self.published.store(Arc::new(SealedView {
-            epochs: self.epochs.as_slice().to_vec(),
+            epochs: epochs.iter().cloned().map(Arc::new).collect(),
             queries: self.queries.clone(),
-            answers: self.answers.as_slice().to_vec(),
+            answers: (epochs.iter().zip(answers))
+                .map(|(epoch, answers)| EpochAnswers {
+                    epoch: epoch.epoch(),
+                    answers: Arc::clone(answers),
+                })
+                .collect(),
             health: HealthView {
                 sinks: self.collector.sink_health(),
                 faults: self.collector.faults(),
                 finished,
             },
-            sealed_total: self.sealed_total,
+            sealed_total: self.sealed_total(),
         }));
     }
 }
@@ -837,11 +837,11 @@ impl RouterState {
     }
 
     /// Counts the request and feeds the per-route latency histogram.
-    /// Routes are recorded as their *pattern* (`/epochs/{n}/top`), never
-    /// the raw path, so label cardinality stays bounded whatever clients
-    /// request.
+    /// Routes are recorded as their *pattern* (`/epochs/{n}/top`), or
+    /// `other` for a path under none, never the raw path, so label
+    /// cardinality stays bounded whatever clients request.
     fn observe_http(&self, req: &Request, response: &Response, elapsed: Duration) {
-        let route = route_pattern(&req.path);
+        let route = route_pattern(&segments(&req.path)).unwrap_or("other");
         let status = response.status.to_string();
         self.registry
             .counter(
@@ -855,24 +855,49 @@ impl RouterState {
     }
 }
 
-/// Collapses a request path onto its route pattern (bounded label set).
-fn route_pattern(path: &str) -> &'static str {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        [] => "/",
-        ["epochs"] => "/epochs",
-        ["epochs", _] => "/epochs/{n}",
-        ["epochs", _, "top"] => "/epochs/{n}/top",
-        ["epochs", _, "flows", ..] => "/epochs/{n}/flows/{key}",
-        ["queries"] => "/queries",
-        ["metrics"] => "/metrics",
-        ["healthz"] => "/healthz",
-        ["shutdown"] => "/shutdown",
-        ["debug", "events"] => "/debug/events",
-        ["debug", "flows", ..] => "/debug/flows/{key}",
-        ["debug", "introspect"] => "/debug/introspect",
-        _ => "other",
-    }
+/// Every `(method, pattern)` the daemon serves, in the order `GET /`
+/// lists them; the module docs' endpoint table has the same rows. In a
+/// pattern `{n}` stands for one path segment and a trailing `{key}` for
+/// the rest of the path (a flow key contains `/`).
+const ROUTES: [(&str, &str); 13] = [
+    ("GET", "/"),
+    ("GET", "/epochs"),
+    ("GET", "/epochs/{n}"),
+    ("GET", "/epochs/{n}/top"),
+    ("GET", "/epochs/{n}/flows/{key}"),
+    ("GET", "/queries"),
+    ("POST", "/queries"),
+    ("GET", "/metrics"),
+    ("GET", "/healthz"),
+    ("GET", "/debug/events"),
+    ("GET", "/debug/flows/{key}"),
+    ("GET", "/debug/introspect"),
+    ("POST", "/shutdown"),
+];
+
+/// The non-empty segments of a request path.
+fn segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
+/// The pattern of [`ROUTES`] a path falls under, whatever the method.
+fn route_pattern(segments: &[&str]) -> Option<&'static str> {
+    let matches = |pattern: &str| {
+        let mut parts = pattern.split('/').filter(|p| !p.is_empty());
+        let mut rest = segments.iter();
+        loop {
+            match (parts.next(), rest.next()) {
+                (Some("{key}"), _) | (None, None) => return true,
+                (Some("{n}"), Some(_)) => {}
+                (Some(part), Some(segment)) if part == *segment => {}
+                _ => return false,
+            }
+        }
+    };
+    ROUTES
+        .iter()
+        .map(|&(_, pattern)| pattern)
+        .find(|p| matches(p))
 }
 
 fn not_found(what: &str) -> Response {
@@ -885,7 +910,7 @@ fn method_not_allowed() -> Response {
 
 /// Routes one request against the current published view.
 fn route(state: &RouterState, req: &Request) -> Response {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let segments = segments(&req.path);
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", []) => index(),
         ("GET", ["epochs"]) => list_epochs(&state.published.load()),
@@ -919,43 +944,21 @@ fn route(state: &RouterState, req: &Request) -> Response {
             state.shutdown.trigger();
             Response::json(200, Obj::new().bool("shutting_down", true).build())
         }
-        (
-            _,
-            []
-            | ["epochs", ..]
-            | ["queries"]
-            | ["metrics"]
-            | ["healthz"]
-            | ["shutdown"]
-            | ["debug", ..],
-        ) => method_not_allowed(),
+        // Every served (method, pattern) has its arm above.
+        _ if route_pattern(&segments).is_some() => method_not_allowed(),
         _ => not_found("no such endpoint"),
     }
 }
 
 fn index() -> Response {
-    let endpoints = [
-        "GET /epochs",
-        "GET /epochs/{n}",
-        "GET /epochs/{n}/top?k=K",
-        "GET /epochs/{n}/flows/{key}",
-        "GET /queries",
-        "POST /queries",
-        "GET /metrics",
-        "GET /healthz",
-        "GET /debug/events?since=N",
-        "GET /debug/flows/{key}",
-        "GET /debug/introspect",
-        "POST /shutdown",
-    ];
+    let endpoints = ROUTES
+        .iter()
+        .map(|(method, pattern)| json::string(&format!("{method} {pattern}")));
     Response::json(
         200,
         Obj::new()
             .str("service", "hashflow-server")
-            .raw(
-                "endpoints",
-                json::array(endpoints.iter().map(|e| json::string(e))),
-            )
+            .raw("endpoints", json::array(endpoints))
             .build(),
     )
 }
@@ -1283,6 +1286,32 @@ mod tests {
             http_workers: 2,
             queries: vec!["map dst | reduce count | threshold 1".to_string()],
             ..ServerConfig::default()
+        }
+    }
+
+    #[test]
+    fn one_route_table_documents_labels_and_splits_404_from_405() {
+        let documented: Vec<(&str, &str)> = include_str!("daemon.rs")
+            .lines()
+            .take_while(|line| line.starts_with("//!"))
+            .filter_map(|line| line.strip_prefix("//! | `")?.split_once('`'))
+            .filter_map(|(row, _)| row.split_once(' '))
+            .collect();
+        assert_eq!(documented, ROUTES, "module docs and ROUTES disagree");
+        for (path, pattern) in [
+            ("/", Some("/")),
+            ("/epochs/7", Some("/epochs/{n}")),
+            (
+                "/epochs/7/flows/10.0.0.1:80->10.0.0.2:443/6",
+                Some("/epochs/{n}/flows/{key}"),
+            ),
+            ("/debug/flows/x", Some("/debug/flows/{key}")),
+            ("/shutdown/", Some("/shutdown")),
+            ("/epochs/7/bottom", None),
+            ("/debug/nope", None),
+            ("/nope", None),
+        ] {
+            assert_eq!(route_pattern(&segments(path)), pattern, "{path}");
         }
     }
 

@@ -21,7 +21,7 @@
 //! closing the listener out from under them.
 
 use crate::ShutdownFlag;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -313,12 +313,15 @@ fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<(Request, bool)
     };
     let mut keep_alive = keep_alive;
     let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
+    for headers in 0.. {
         line.clear();
         read_limited_line(reader, &mut line)?;
         let header = line.trim_end();
         if header.is_empty() {
             break;
+        }
+        if headers == MAX_HEADERS {
+            return Err(bad("too many headers"));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(bad("malformed header"));
@@ -363,9 +366,11 @@ fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<(Request, bool)
     )))
 }
 
-/// `read_line` with the request-line/header size limit enforced.
+/// `read_line` with the request-line/header size limit enforced while
+/// reading: at most one byte past the limit is taken from `reader`, so a
+/// client streaming a line without end is refused, not buffered.
 fn read_limited_line<R: BufRead>(reader: &mut R, line: &mut String) -> io::Result<usize> {
-    let n = reader.read_line(line)?;
+    let n = reader.take(MAX_REQUEST_LINE as u64 + 1).read_line(line)?;
     if line.len() > MAX_REQUEST_LINE {
         return Err(bad("request line or header too long"));
     }
@@ -431,6 +436,93 @@ mod tests {
             "GET / HTTP/1.1\r\nbroken header\r\n\r\n".as_bytes()
         ))
         .is_err());
+    }
+
+    /// Counts the bytes taken from the reader it wraps.
+    struct Counted<R> {
+        inner: R,
+        taken: usize,
+    }
+
+    impl<R: io::Read> io::Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.taken += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_line_without_end_is_refused_at_the_limit() {
+        const BUFFER: usize = 4096;
+        for prefix in ["", "GET / HTTP/1.1\r\nX-Long: "] {
+            let endless = Counted {
+                inner: prefix.as_bytes().chain(io::repeat(b'a')),
+                taken: 0,
+            };
+            let mut reader = BufReader::with_capacity(BUFFER, endless);
+            let err = read_request(&mut reader).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{prefix:?}");
+            let taken = reader.get_ref().taken;
+            assert!(
+                taken <= prefix.len() + MAX_REQUEST_LINE + 1 + BUFFER,
+                "{prefix:?}: read {taken} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn more_than_the_header_limit_is_refused() {
+        let request = |headers: usize| {
+            let mut raw = "GET / HTTP/1.1\r\n".to_string();
+            for i in 0..headers {
+                raw.push_str(&format!("X-H{i}: v\r\n"));
+            }
+            raw.push_str("\r\n");
+            read_request(&mut BufReader::new(raw.as_bytes()))
+        };
+        assert!(request(MAX_HEADERS).unwrap().is_some());
+        let err = request(MAX_HEADERS + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_seeded_sweep_of_garbage_requests_never_panics() {
+        // SplitMix64, so the sweep is the same on every run.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Fragments of real requests, so the garbage reaches past the
+        // request line into headers, lengths, bodies and escapes.
+        const PIECES: [&[u8]; 12] = [
+            b"GET ",
+            b"POST ",
+            b"/epochs/1/flows/10.0.0.1:80-%3E10.0.0.2:443%2F6",
+            b"?k=%",
+            b" HTTP/1.1",
+            b"\r\n",
+            b"\n",
+            b"Content-Length: ",
+            b"99999999999999999999",
+            b"Connection: close",
+            b": ",
+            b"\xff\xfe%zz+",
+        ];
+        for _ in 0..2_000 {
+            let mut raw = Vec::new();
+            for _ in 0..next() % 24 {
+                match next() % 3 {
+                    0 => raw.push(next() as u8),
+                    _ => raw.extend_from_slice(PIECES[(next() % 12) as usize]),
+                }
+            }
+            let _ = read_request(&mut BufReader::new(raw.as_slice()));
+        }
     }
 
     #[test]

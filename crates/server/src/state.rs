@@ -11,9 +11,9 @@
 //! O(1) and independent of reader count, and readers holding an old view
 //! keep it alive (and consistent) for as long as they need it.
 //!
-//! Memory stays bounded because the view's epoch ring is capped at the
-//! configured retention — evicted epochs die when the last reader drops
-//! its `Arc`.
+//! Memory stays bounded because the collector retains at most the
+//! configured retention of epochs and their answers — evicted epochs die
+//! when the last reader drops its `Arc`.
 
 use hashflow_monitor::{EpochSnapshot, SinkStatus};
 use hashflow_query::{QueryId, QueryResult};
@@ -35,7 +35,7 @@ pub struct EpochAnswers {
     /// Epoch sequence number the answers belong to.
     pub epoch: u64,
     /// One result per attached plan, in attach order.
-    pub answers: Vec<QueryResult>,
+    pub answers: Arc<[QueryResult]>,
 }
 
 /// Pipeline health as of the last publish.

@@ -25,9 +25,9 @@
 //!   estimates combine via
 //!   [`MergeableMonitor::combine_cardinality`], and costs sum.
 //! * [`ShardedMonitor::seal_epoch`] drains all shards into **one**
-//!   [`EpochReport`], the collector-side epoch rotation. The monitor owns
-//!   no sinks: one that exports is an
-//!   `EpochRotator::new(sharded, epoch_len_ns)` given sinks with
+//!   [`EpochReport`]. The monitor owns no sinks and no clock: the epoch's
+//!   number, timestamp span and retained history belong to an
+//!   `EpochRotator::new(sharded, epoch_len_ns)`, given sinks with
 //!   `add_sink(..)`, which is what the `hashflow-collector` facade builds.
 //! * The equal-memory discipline of §IV-A carries over:
 //!   [`ShardedMonitor::with_budget`] splits one budget into `N` equal
@@ -378,9 +378,6 @@ pub struct ShardedMonitor<M> {
     /// its own `shard_panic` out.
     announced: Vec<bool>,
     dispatch_hashes: u64,
-    first_ns: Option<u64>,
-    last_ns: Option<u64>,
-    epoch: u64,
     scratch: DispatchScratch,
     metrics: Option<ShardMetrics>,
     recorder: Option<FlightRecorder>,
@@ -395,7 +392,6 @@ impl<M: std::fmt::Debug> std::fmt::Debug for ShardedMonitor<M> {
             .field("shards", &self.shards)
             .field("faults", &self.faults)
             .field("dispatch_hashes", &self.dispatch_hashes)
-            .field("epoch", &self.epoch)
             .field("queue_policy", &self.queue_policy)
             .finish_non_exhaustive()
     }
@@ -422,9 +418,6 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
             faults: vec![None; count],
             announced: vec![false; count],
             dispatch_hashes: 0,
-            first_ns: None,
-            last_ns: None,
-            epoch: 0,
             scratch: DispatchScratch::default(),
             metrics: None,
             recorder: None,
@@ -524,20 +517,6 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         self.dispatch_hashes
     }
 
-    /// Folds the packets' timestamps into the epoch's span: the observed
-    /// minimum and maximum, whatever order they arrived in — the same
-    /// span [`hashflow_monitor::EpochRotator`] reports.
-    fn note_timestamps(&mut self, packets: &[Packet]) {
-        let Some(first) = packets.first().map(Packet::timestamp_ns) else {
-            return;
-        };
-        let (min, max) = packets.iter().fold((first, first), |(min, max), p| {
-            (min.min(p.timestamp_ns()), max.max(p.timestamp_ns()))
-        });
-        self.first_ns = Some(self.first_ns.map_or(min, |f| f.min(min)));
-        self.last_ns = Some(self.last_ns.map_or(max, |l| l.max(max)));
-    }
-
     /// Hands shard `s` its partition on the caller's thread: routed,
     /// then the guarded feed, and a partition lost to a degraded shard is
     /// shed.
@@ -581,6 +560,11 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// estimates combine via [`MergeableMonitor::combine_cardinality`].
     /// [`FlowMonitor::seal`] freezes the same drain into the shared
     /// [`EpochSnapshot`], which costs nothing.
+    ///
+    /// Like every monitor's seal, the report carries epoch 0 and no
+    /// timestamp span: the monitor keeps no clock. Under an
+    /// `EpochRotator` (what the `hashflow-collector` facade builds) the
+    /// rotator numbers the epoch and stamps the span it observed.
     ///
     /// Everything that runs a shard's own code runs under the panic
     /// guard: a healthy shard goes through its [`FlowMonitor::seal`] (for
@@ -628,24 +612,15 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
             .collect();
         let cardinality = M::combine_cardinality(&estimates);
         let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
-        let merged = EpochReport::merged(reports, cardinality);
+        let mut report = EpochReport::merged(reports, cardinality);
         drop(merge_timer);
-        let report = EpochReport {
-            epoch: self.epoch,
-            start_ns: self.first_ns,
-            end_ns: self.last_ns,
-            partial: partial || merged.partial,
-            ..merged
-        };
+        report.partial |= partial;
         // Whatever is degraded from here on (a shard that panicked in the
         // drain) is a new degradation and announces its first shed.
         self.announced.fill(false);
         if let Some(t) = &mut self.trace {
             t.dispatched.clear();
         }
-        self.epoch += 1;
-        self.first_ns = None;
-        self.last_ns = None;
         report
     }
 
@@ -695,7 +670,6 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
             }
             vec![packets.len() as u64]
         } else {
-            self.note_timestamps(packets);
             self.dispatch_hashes += packets.len() as u64;
             self.ingest_threaded(packets)
         };
@@ -812,7 +786,6 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     /// shard that panics degrades alone, exactly as on the worker lanes
     /// of [`ShardedMonitor::ingest`]; the panic never reaches the caller.
     fn process_batch(&mut self, packets: &[Packet]) {
-        self.note_timestamps(packets);
         let mut scratch = std::mem::take(&mut self.scratch);
         let dispatch_timer = self.metrics.as_ref().map(|m| m.dispatch_ns.start_timer());
         let parts = scratch.split(self.shards.len(), packets, self.trace.as_mut());
@@ -897,9 +870,6 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         if let Some(t) = &mut self.trace {
             t.dispatched.clear();
         }
-        self.first_ns = None;
-        self.last_ns = None;
-        self.epoch = 0;
     }
 
     /// [`Self::seal_epoch`], frozen into the shared snapshot.
@@ -943,8 +913,6 @@ impl<M: MergeableMonitor + Send> MergeableMonitor for ShardedMonitor<M> {
             mine.merge_from(theirs);
         }
         self.dispatch_hashes += other.dispatch_hashes;
-        self.first_ns = (self.first_ns.into_iter().chain(other.first_ns)).min();
-        self.last_ns = (self.last_ns.into_iter().chain(other.last_ns)).max();
     }
 
     fn combine_cardinality(estimates: &[f64]) -> f64 {
@@ -1126,22 +1094,17 @@ mod tests {
             m.process_packet(&pkt(flow, 10 + flow));
         }
         let report = m.seal_epoch();
-        assert_eq!(report.epoch, 0);
         assert_eq!(report.records.len(), 300);
         assert_eq!(report.cost.packets, 300);
-        assert_eq!(report.start_ns, Some(10));
-        assert_eq!(report.end_ns, Some(10 + 299));
         assert!((report.cardinality - 300.0).abs() / 300.0 < 0.2);
-        // Shards are reset; the next epoch starts clean and numbered.
+        // Shards are reset; the next epoch starts clean.
         assert_eq!(m.flow_records().len(), 0);
         m.process_packet(&pkt(1, 1000));
         let next = m.seal_epoch();
-        assert_eq!(next.epoch, 1);
         assert_eq!(next.records.len(), 1);
         // The trait-level seal is the same drain, indexed.
         m.process_packet(&pkt(7, 2000));
         let snapshot = m.seal();
-        assert_eq!(snapshot.epoch(), 2);
         assert_eq!(snapshot.estimate_size(&FlowKey::from_index(7)), 1);
     }
 
@@ -1149,30 +1112,26 @@ mod tests {
     fn span_is_the_observed_min_and_max_exactly_as_the_rotator_reports() {
         use hashflow_monitor::EpochRotator;
 
-        // Neither the first packet of the first batch nor the last of
-        // the last batch is an extreme.
+        // The shard layer keeps no clock: a sharded pipeline's span is
+        // the one its rotator observes. Neither the first packet of the
+        // first batch nor the last of the last batch is an extreme.
         let timestamps = [500u64, 120, 900, 40, 700, 300, 880, 60];
         let packets: Vec<Packet> = (timestamps.iter().zip(0u64..))
             .map(|(&ts, i)| pkt(i % 3, ts))
             .collect();
-        for batch in [1, 3, packets.len()] {
-            let mut sharded = sharded_hashflow(1, 64);
-            let mut threaded = sharded_hashflow(1, 64);
-            let inner = HashFlow::with_memory(MemoryBudget::from_kib(64).unwrap()).unwrap();
-            let mut rotator = EpochRotator::new(inner, u64::MAX);
-            for chunk in packets.chunks(batch) {
-                sharded.process_batch(chunk);
-                threaded.ingest(chunk);
-                rotator.process_batch(chunk);
-            }
-            let expected = rotator.rotate_now();
-            assert_eq!(
-                (expected.start_ns(), expected.end_ns()),
-                (Some(40), Some(900))
-            );
-            for report in [sharded.seal_epoch(), threaded.seal_epoch()] {
-                assert_eq!(report.start_ns, expected.start_ns(), "batch {batch}");
-                assert_eq!(report.end_ns, expected.end_ns(), "batch {batch}");
+        for shards in [1, 2] {
+            for batch in [1, 3, packets.len()] {
+                let mut rotator = EpochRotator::new(sharded_hashflow(shards, 64), u64::MAX);
+                for chunk in packets.chunks(batch) {
+                    rotator.process_batch(chunk);
+                }
+                let sealed = rotator.rotate_now();
+                assert_eq!(
+                    (sealed.start_ns(), sealed.end_ns()),
+                    (Some(40), Some(900)),
+                    "{shards} shard(s), batch {batch}"
+                );
+                assert_eq!(sealed.len(), 3, "{shards} shard(s), batch {batch}");
             }
         }
     }
@@ -1577,8 +1536,6 @@ mod tests {
         assert_eq!(m.flow_records().len(), 0);
         assert_eq!(m.cost().packets, 0);
         assert_eq!(m.dispatch_hashes(), 0);
-        let report = m.seal_epoch();
-        assert_eq!(report.epoch, 0);
-        assert_eq!(report.start_ns, None);
+        assert!(m.seal_epoch().records.is_empty());
     }
 }

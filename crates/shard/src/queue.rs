@@ -73,10 +73,12 @@ pub enum PopOutcome<T> {
 /// # Examples
 ///
 /// ```
-/// use hashflow_shard::BatchQueue;
+/// use hashflow_monitor::BackpressurePolicy;
+/// use hashflow_shard::{BatchQueue, PushOutcome};
 ///
 /// let q: BatchQueue<u32> = BatchQueue::new(2);
-/// assert!(q.push(vec![1, 2, 3]));
+/// let outcome = q.offer(vec![1, 2, 3], BackpressurePolicy::Block);
+/// assert_eq!(outcome, PushOutcome::Enqueued);
 /// q.close();
 /// assert_eq!(q.pop(), Some(vec![1, 2, 3]));
 /// assert_eq!(q.pop(), None); // closed and drained
@@ -96,7 +98,7 @@ struct State<T> {
     /// Consumers parked on `not_empty` (in `pop` or `pop_deadline`'s
     /// timed wait; not in its yield-poll phase).
     consumers_parked: usize,
-    /// Producers parked on `not_full` (in `push` or a `Block` `offer`).
+    /// Producers parked on `not_full` (in a `Block` `offer`).
     producers_parked: usize,
 }
 
@@ -138,24 +140,6 @@ impl<T> BatchQueue<T> {
     /// [`Self::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Enqueues a batch, blocking while the queue is full. Returns `true`
-    /// on success; `false` if the queue is (or becomes) closed, in which
-    /// case the batch is dropped — the consumer is gone, so blocking the
-    /// producer forever would deadlock the pipeline (this is how a
-    /// dispatcher survives a panicking worker: the dying worker closes
-    /// its queue and the dispatcher's pushes turn into no-ops until the
-    /// panic propagates at scope exit).
-    #[must_use = "a false return means the consumer is gone and the batch was dropped"]
-    pub fn push(&self, batch: Vec<T>) -> bool {
-        let mut state = self.wait_for_room(self.lock());
-        if state.closed {
-            return false;
-        }
-        state.batches.push_back(batch);
-        self.filled(state);
-        true
     }
 
     /// Dequeues the next batch, blocking while the queue is empty.
@@ -217,8 +201,7 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Non-blocking [`Self::push`]: enqueues only if there is room right
-    /// now. Returns `false` — dropping the batch — when the queue is full
+    /// Non-blocking enqueue: only if there is room right now. Returns `false` — dropping the batch — when the queue is full
     /// or closed. This is what a best-effort recycling path wants: losing
     /// a spare buffer only costs a future allocation.
     pub fn try_push(&self, batch: Vec<T>) -> bool {
@@ -234,9 +217,10 @@ impl<T> BatchQueue<T> {
     /// Policy-aware enqueue: the uniform backpressure contract applied
     /// to a live producer/consumer queue.
     ///
-    /// - [`BackpressurePolicy::Block`] behaves like [`Self::push`]:
-    ///   waits for room, honoured literally because a consumer drains
-    ///   this queue concurrently.
+    /// - [`BackpressurePolicy::Block`] waits for room, honoured literally
+    ///   because a consumer drains this queue concurrently. A queue that
+    ///   is (or becomes) closed rejects instead: its consumer is gone, and
+    ///   waiting on it would deadlock the producer.
     /// - [`BackpressurePolicy::DropNewest`] behaves like
     ///   [`Self::try_push`] but returns the batch for accounting.
     /// - [`BackpressurePolicy::DropOldest`] evicts the oldest in-flight
@@ -288,8 +272,8 @@ impl<T> BatchQueue<T> {
     }
 
     /// Marks the queue closed: blocked and future `pop`s return `None`
-    /// once the backlog drains, and blocked and future `push`es return
-    /// `false`.
+    /// once the backlog drains, and blocked and future `offer`s reject
+    /// their batch.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
@@ -350,11 +334,19 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// A blocking enqueue: whether `offer` under `Block` took the batch.
+    fn block<T>(q: &BatchQueue<T>, batch: Vec<T>) -> bool {
+        matches!(
+            q.offer(batch, BackpressurePolicy::Block),
+            PushOutcome::Enqueued
+        )
+    }
+
     #[test]
     fn fifo_within_and_across_batches() {
         let q = BatchQueue::new(4);
-        assert!(q.push(vec![1, 2]));
-        assert!(q.push(vec![3]));
+        assert!(block(&q, vec![1, 2]));
+        assert!(block(&q, vec![3]));
         q.close();
         assert_eq!(q.pop(), Some(vec![1, 2]));
         assert_eq!(q.pop(), Some(vec![3]));
@@ -368,8 +360,8 @@ mod tests {
         let popped = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                assert!(q.push(vec![1u32]));
-                assert!(q.push(vec![2])); // must block until the consumer pops
+                assert!(block(&q, vec![1u32]));
+                assert!(block(&q, vec![2])); // must block until the consumer pops
                 q.close();
             });
             scope.spawn(|| {
@@ -396,19 +388,19 @@ mod tests {
     fn push_after_close_drops_batch() {
         let q = BatchQueue::new(1);
         q.close();
-        assert!(!q.push(vec![1u8]));
+        assert!(!block(&q, vec![1u8]));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn close_unblocks_a_full_queue_producer() {
         // The panicking-worker scenario: the producer is blocked on a
-        // full queue when the consumer dies and closes it. The push must
-        // return false instead of waiting forever.
+        // full queue when the consumer dies and closes it. The offer must
+        // reject the batch instead of waiting forever.
         let q = BatchQueue::new(1);
-        assert!(q.push(vec![1u8]));
+        assert!(block(&q, vec![1u8]));
         std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| q.push(vec![2]));
+            let blocked = scope.spawn(|| block(&q, vec![2]));
             std::thread::sleep(std::time::Duration::from_millis(10));
             q.close();
             assert!(!blocked.join().unwrap());
@@ -419,8 +411,8 @@ mod tests {
     fn len_tracks_in_flight_batches() {
         let q = BatchQueue::new(4);
         assert!(q.is_empty());
-        assert!(q.push(vec![1u8]));
-        assert!(q.push(vec![2]));
+        assert!(block(&q, vec![1u8]));
+        assert!(block(&q, vec![2]));
         assert_eq!(q.len(), 2);
         q.close();
         let _ = q.pop();
@@ -519,7 +511,7 @@ mod tests {
     #[test]
     fn pop_deadline_returns_batches_then_closed() {
         let q = BatchQueue::new(2);
-        assert!(q.push(vec![1u8]));
+        assert!(block(&q, vec![1u8]));
         q.close();
         assert_eq!(
             q.pop_deadline(Duration::from_secs(1)),
@@ -534,7 +526,7 @@ mod tests {
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| q.pop_deadline(Duration::from_secs(5)));
             std::thread::sleep(Duration::from_millis(10));
-            assert!(q.push(vec![9u8]));
+            assert!(block(&q, vec![9u8]));
             assert_eq!(waiter.join().unwrap(), PopOutcome::Batch(vec![9]));
         });
     }
@@ -585,15 +577,13 @@ mod tests {
 
     #[derive(Clone, Copy, Debug)]
     enum Fill {
-        Push,
         Offer(BackpressurePolicy),
         TryPush,
         Close,
     }
 
     impl Fill {
-        const ALL: [Fill; 6] = [
-            Fill::Push,
+        const ALL: [Fill; 5] = [
             Fill::Offer(BackpressurePolicy::Block),
             Fill::Offer(BackpressurePolicy::DropNewest),
             Fill::Offer(BackpressurePolicy::DropOldest),
@@ -606,7 +596,6 @@ mod tests {
         fn apply(self, q: &BatchQueue<u32>) -> Option<Vec<u32>> {
             let batch = vec![42];
             match self {
-                Fill::Push => assert!(q.push(batch.clone())),
                 Fill::Offer(policy) => {
                     assert_eq!(q.offer(batch.clone(), policy), PushOutcome::Enqueued);
                 }
@@ -668,35 +657,27 @@ mod tests {
     #[test]
     fn a_blocked_producer_is_woken_by_every_dequeue_and_by_close() {
         for drain in [Drain::Pop, Drain::PopDeadline, Drain::TryPop, Drain::Close] {
-            for via_offer in [false, true] {
-                let q = Arc::new(BatchQueue::<u32>::new(1));
-                assert!(q.push(vec![1]));
-                let producer = spawn_bounded({
-                    let q = Arc::clone(&q);
-                    move || {
-                        if via_offer {
-                            q.offer(vec![2], BackpressurePolicy::Block) == PushOutcome::Enqueued
-                        } else {
-                            q.push(vec![2])
-                        }
-                    }
-                });
-                await_parked(&q, (0, 1));
-                match drain {
-                    Drain::Pop => assert_eq!(q.pop(), Some(vec![1])),
-                    Drain::PopDeadline => {
-                        assert_eq!(q.pop_deadline(HANG), PopOutcome::Batch(vec![1]));
-                    }
-                    Drain::TryPop => assert_eq!(q.try_pop(), Some(vec![1])),
-                    Drain::Close => q.close(),
+            let q = Arc::new(BatchQueue::<u32>::new(1));
+            assert!(block(&q, vec![1]));
+            let producer = spawn_bounded({
+                let q = Arc::clone(&q);
+                move || block(&q, vec![2])
+            });
+            await_parked(&q, (0, 1));
+            match drain {
+                Drain::Pop => assert_eq!(q.pop(), Some(vec![1])),
+                Drain::PopDeadline => {
+                    assert_eq!(q.pop_deadline(HANG), PopOutcome::Batch(vec![1]));
                 }
-                let enqueued = !matches!(drain, Drain::Close);
-                let got = producer.recv_timeout(HANG);
-                assert_eq!(got, Ok(enqueued), "{drain:?} lost the wakeup");
-                assert_eq!(q.parked(), (0, 0));
-                if enqueued {
-                    assert_eq!(q.try_pop(), Some(vec![2]));
-                }
+                Drain::TryPop => assert_eq!(q.try_pop(), Some(vec![1])),
+                Drain::Close => q.close(),
+            }
+            let enqueued = !matches!(drain, Drain::Close);
+            let got = producer.recv_timeout(HANG);
+            assert_eq!(got, Ok(enqueued), "{drain:?} lost the wakeup");
+            assert_eq!(q.parked(), (0, 0));
+            if enqueued {
+                assert_eq!(q.try_pop(), Some(vec![2]));
             }
         }
     }
@@ -764,11 +745,8 @@ mod tests {
                                 let mut shed = Vec::new();
                                 for i in 0..PER_PRODUCER {
                                     let id = p * PER_PRODUCER + i;
-                                    match rng.below(3) {
-                                        0 if policy == BackpressurePolicy::Block => {
-                                            assert!(q.push(vec![id]));
-                                        }
-                                        1 => {
+                                    match rng.below(2) {
+                                        0 => {
                                             if !q.try_push(vec![id]) {
                                                 shed.push(id);
                                             }

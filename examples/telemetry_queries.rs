@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Feed each epoch's banked answers to the applications, in order.
     for epoch_answers in collector.drain_query_answers() {
-        for (app, answer) in apps.iter_mut().zip(&epoch_answers) {
+        for (app, answer) in apps.iter_mut().zip(epoch_answers.iter()) {
             let verdict = app.observe(answer);
             match verdict.scalar {
                 Some(entropy) => println!(

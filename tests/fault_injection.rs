@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn snapshot(epoch: u64, records: usize) -> EpochSnapshot {
     EpochSnapshot::from_parts(
@@ -47,6 +47,15 @@ impl RecordSink for CountingSink {
         self.records
             .fetch_add(snapshot.len() as u64, Ordering::Relaxed);
         Ok(())
+    }
+}
+
+/// A [`MemorySink`] the test still reads once the pipeline owns the box.
+struct SharedSink(Arc<Mutex<MemorySink>>);
+
+impl RecordSink for SharedSink {
+    fn export_epoch(&mut self, snapshot: &EpochSnapshot) -> io::Result<()> {
+        self.0.lock().unwrap().export_epoch(snapshot)
     }
 }
 
@@ -284,8 +293,8 @@ fn an_unfired_panic_injector_seals_like_the_monitor_it_wraps() {
 /// through `process_packet`: shard 0's panic never reaches the caller and
 /// degrades nothing else, the ledger balances, the recorder holds exactly
 /// one `shard_panic` and one `batch_shed` for the dead shard however many
-/// batches follow, the sealed epoch says `partial`, and the seal brings
-/// the shard back.
+/// batches follow, the sealed epoch says `partial` to the caller and the
+/// sinks alike, and the seal brings the shard back.
 #[test]
 fn a_panic_on_the_serial_entries_degrades_one_shard_and_announces_it_once() {
     let trace = TraceGenerator::new(TraceProfile::Caida, 37).generate(6_000);
@@ -303,6 +312,8 @@ fn a_panic_on_the_serial_entries_degrades_one_shard_and_announces_it_once() {
             recorder: Some(recorder.clone()),
             ..Instruments::default()
         });
+        let exported = Arc::new(Mutex::new(MemorySink::new()));
+        rotator.add_sink(Box::new(SharedSink(Arc::clone(&exported))));
 
         // Dozens of batches after the one that kills shard 0.
         for batch in packets.chunks(128) {
@@ -341,6 +352,11 @@ fn a_panic_on_the_serial_entries_degrades_one_shard_and_announces_it_once() {
         let sealed = rotator.rotate_now();
         assert!(sealed.is_partial());
         assert!(!sealed.is_empty(), "three shards kept ingesting");
+        let exported = exported.lock().unwrap();
+        assert!(
+            exported.epochs()[0].is_partial(),
+            "the sinks see it partial"
+        );
         assert!(!rotator.inner().is_degraded(), "seal is the recovery point");
     }
 }
@@ -528,7 +544,6 @@ proptest! {
             .budget(MemoryBudget::from_kib(256).unwrap())
             .shards(shards)
             .retention(cap)
-            .answer_limit(cap)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
             .unwrap();

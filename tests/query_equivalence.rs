@@ -21,6 +21,7 @@ use hashflow_suite::core::{HashFlowConfig, TableScheme};
 use hashflow_suite::prelude::*;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Application thresholds low enough for the small test universe.
 fn apps() -> Vec<TelemetryApp> {
@@ -113,7 +114,7 @@ fn sorted(records: &[FlowRecord]) -> Vec<(FlowKey, u32)> {
 /// Checks one pipeline's banked answers, epoch by epoch, against the
 /// oracle over `truth` (one flow multiset per sealed epoch), then folds
 /// the application verdicts from both sides.
-fn assert_banked_match_oracle(banked: &[Vec<QueryResult>], truth: &[Vec<FlowRecord>]) {
+fn assert_banked_match_oracle(banked: &[Arc<[QueryResult]>], truth: &[Vec<FlowRecord>]) {
     let plans = covered_plans();
     assert_eq!(banked.len(), truth.len(), "one answer set per sealed epoch");
     let mut apps_banked = apps();
@@ -121,7 +122,7 @@ fn assert_banked_match_oracle(banked: &[Vec<QueryResult>], truth: &[Vec<FlowReco
     let first_app = plans.len() - apps_banked.len();
     for (epoch, (answers, truth)) in banked.iter().zip(truth).enumerate() {
         assert_eq!(answers.len(), plans.len());
-        for (plan, answer) in plans.iter().zip(answers) {
+        for (plan, answer) in plans.iter().zip(answers.iter()) {
             let oracle = execute(plan, truth);
             assert_eq!(answer, &oracle, "plan '{plan}', epoch {epoch}");
             let rows: Vec<(FlowKey, u64)> =

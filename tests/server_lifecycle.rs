@@ -8,7 +8,7 @@ use hashflow_server::{IngestPort, ReplayPace, Server, ServerConfig};
 use hashflow_trace::{TraceGenerator, TraceProfile};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Aborts the whole process if a test hangs — a wedged daemon must fail
@@ -37,6 +37,8 @@ struct Counters {
     epochs: AtomicU64,
     records: AtomicU64,
     finishes: AtomicU64,
+    /// Each exported epoch's partial flag, in export order.
+    partial: Mutex<Vec<bool>>,
 }
 
 struct CountingSink(Arc<Counters>);
@@ -47,6 +49,7 @@ impl RecordSink for CountingSink {
         self.0
             .records
             .fetch_add(snapshot.len() as u64, Ordering::SeqCst);
+        self.0.partial.lock().unwrap().push(snapshot.is_partial());
         Ok(())
     }
 
@@ -97,8 +100,14 @@ fn shutdown_mid_epoch_seals_partial_and_flushes_once() {
 
     // Exactly-once flush: the sink saw one epoch and one finish;
     // `Collector::finish` marked the pipeline finished inside the ingest
-    // thread, so the collector's own `Drop` must NOT flush again.
+    // thread, so the collector's own `Drop` must NOT flush again. The
+    // sink saw the epoch as readers do: partial.
     assert_eq!(counters.epochs.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        *counters.partial.lock().unwrap(),
+        [true],
+        "the shutdown epoch reaches the sinks marked partial"
+    );
     assert!(counters.records.load(Ordering::SeqCst) > 0);
     assert_eq!(counters.finishes.load(Ordering::SeqCst), 1);
 }
@@ -162,7 +171,7 @@ fn published_rings_keep_the_newest_epochs_and_ledger_each_eviction() {
     assert_eq!(answered, newest, "answers cover the same two epochs");
 
     let snap = registry.snapshot();
-    for component in ["server_epochs", "server_answers"] {
+    for component in ["epoch_retention", "query_answers"] {
         let ledger = |name: &str| snap.counter(name, &[("component", component)]);
         assert_eq!(
             ledger("hashflow_offered_epochs_total"),
