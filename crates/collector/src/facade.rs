@@ -3,8 +3,8 @@
 
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
-    CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor, HealthPolicy, Instruments,
-    IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
+    BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor,
+    HealthPolicy, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
 };
 use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
 use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
@@ -201,6 +201,14 @@ impl FlowMonitor for Collector {
 
     fn process_batch(&mut self, packets: &[Packet]) {
         self.rotator.process_batch(packets);
+    }
+
+    fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
+        self.rotator.planner()
+    }
+
+    fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
+        self.rotator.process_planned(packets, plan);
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

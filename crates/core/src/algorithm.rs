@@ -1,10 +1,11 @@
 use crate::ancillary::{AncillaryOutcome, AncillaryTable};
 use crate::config::HashFlowConfig;
+use crate::probes::{HashFlowPlanner, PlannedProbes, Probes};
 use crate::scheme::{MainTable, OpCount, ProbeOutcome};
-use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, KernelCopy};
+use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, XxHash64};
 use hashflow_monitor::{
-    CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
-    IntrospectMetric, MemoryBudget, MergeableMonitor, StageTally,
+    BatchPlan, BatchPlanner, CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer,
+    Instruments, IntrospectMetric, MemoryBudget, MergeableMonitor, StageTally,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
@@ -73,10 +74,11 @@ pub struct HashFlow {
     promotions: u64,
     ancillary_replacements: u64,
     // Reusable scratch of `process_batch`, refilled per batch and carrying
-    // no observable state: every packet's probe plan, lane-major — the
-    // main-table slots of `h_1 .. h_d`, then the ancillary slot of `g_1`,
-    // one probe word each; the digest comes out of `h_1`'s word.
-    plans: HashLanes,
+    // no observable state: pass 1's probe words and sampling verdicts.
+    // Boxed, so that taking it out for a batch moves one pointer: moving
+    // the slab itself is a `memcpy` call, which cost `process_packet`
+    // 8–20 % per packet.
+    probes: Option<Box<Probes>>,
     /// Optional sampled flow-path tracer: a sampled flow's first packet
     /// in each Algorithm 1 stage of an epoch (`main_insert`, `main_hit`,
     /// `ancillary`, `promotion`) emits a span, the rest are counted in
@@ -107,7 +109,7 @@ impl HashFlow {
             cost: CostRecorder::new(),
             promotions: 0,
             ancillary_replacements: 0,
-            plans: HashLanes::default(),
+            probes: None,
             tracer: None,
             placements: StageTally::new(PLACEMENTS),
         })
@@ -141,12 +143,6 @@ impl HashFlow {
     /// Number of ancillary-table replacements (evicted summaries) so far.
     pub const fn ancillary_replacements(&self) -> u64 {
         self.ancillary_replacements
-    }
-
-    /// Whether `key` is in the attached tracer's sampled set (false with
-    /// no tracer).
-    fn is_traced(&self, key: &FlowKey) -> bool {
-        self.tracer.as_ref().is_some_and(|t| t.is_sampled(key))
     }
 
     /// Counts a packet of an already-sampled flow in its stage, with a
@@ -195,6 +191,22 @@ impl HashFlow {
         )
     }
 
+    /// The probe lanes of pass 1, `h_1 .. h_d` then `g_1`: each hash
+    /// function with the slot range its probe lands in.
+    fn probe_lanes(&self) -> impl Iterator<Item = (&XxHash64, (u32, u32))> + Clone {
+        (self.main.probe_lanes()).chain([self.ancillary.probe_lane()])
+    }
+
+    /// Whether `plan` can stand in for this monitor's own pass 1 over a
+    /// batch of `rows` packets: the same hash functions over the same slot
+    /// ranges, as many rows, and, with a tracer attached, verdicts drawn
+    /// at its rate.
+    fn accepts(&self, plan: &PlannedProbes, rows: usize) -> bool {
+        plan.probes.words.rows() == rows
+            && (plan.lanes.iter().map(|(hash, range)| (hash, *range))).eq(self.probe_lanes())
+            && (self.tracer.as_ref()).is_none_or(|t| plan.sample_one_in == Some(t.sample_one_in()))
+    }
+
     /// Hints every cell the probe plan of packet `i` names toward L1.
     #[inline(always)]
     fn prefetch_plan(&self, plans: &HashLanes, depth: usize, i: usize) {
@@ -207,15 +219,21 @@ impl HashFlow {
 
     /// One step of Algorithm 1 for packet `i` of a batch, of flow `key`,
     /// on its probe plan (`depth` main-table lanes, then the ancillary
-    /// one). The packet pays one data-dependent branch, settled in the
-    /// main table or lost to it; only a traced flow tells an insert from a
-    /// hit. Returns the step's cost under the lazy schedule: the probes
-    /// made, plus one hash (`g_1`; the digest reuses `h_1`), one read and
-    /// one write when the packet goes on to the ancillary phase.
+    /// one); `traced` is its flow's sampling verdict. The packet pays one
+    /// data-dependent branch, settled in the main table or lost to it;
+    /// only a traced flow tells an insert from a hit. Returns the step's
+    /// cost under the lazy schedule: the probes made, plus one hash
+    /// (`g_1`; the digest reuses `h_1`), one read and one write when the
+    /// packet goes on to the ancillary phase.
     #[inline(always)]
-    fn step(&mut self, key: FlowKey, plans: &HashLanes, depth: usize, i: usize) -> OpCount {
-        // Asked before the probes, so that it overlaps them.
-        let traced = self.is_traced(&key);
+    fn step(
+        &mut self,
+        key: FlowKey,
+        plans: &HashLanes,
+        depth: usize,
+        i: usize,
+        traced: bool,
+    ) -> OpCount {
         // Phase 1: collision resolution in the main table (lines 2-13).
         let path = (0..depth).map(|m| probe_slot(plans.word(m, i)));
         let (outcome, mut ops) = self.main.resolve(&key, path);
@@ -255,17 +273,19 @@ impl HashFlow {
         ops
     }
 
-    /// Pass 2 of [`Self::ingest`]: one Algorithm 1 step per packet while,
+    /// Pass 2 ([`Self::run`]): one Algorithm 1 step per packet while,
     /// [`PREFETCH_AHEAD`] packets further on, the cells each plan names
-    /// are prefetched. One source body compiled once per depth `D` in
-    /// `1..=4`, where the depth is a constant and the `d` reads of a step
-    /// unroll into straight-line code, and once with `D = 0` for every
-    /// other depth, read at run time from `depth`.
+    /// are prefetched; `sampled` holds the verdict of every packet, or
+    /// nothing when none is traced. One source body compiled once per
+    /// depth `D` in `1..=4`, where the depth is a constant and the `d`
+    /// reads of a step unroll into straight-line code, and once with
+    /// `D = 0` for every other depth, read at run time from `depth`.
     #[inline(always)]
     fn steps<const D: usize>(
         &mut self,
         packets: &[Packet],
         plans: &HashLanes,
+        sampled: &[bool],
         depth: usize,
     ) -> OpCount {
         let depth = if D == 0 { depth } else { D };
@@ -278,39 +298,53 @@ impl HashFlow {
             if ahead < packets.len() {
                 self.prefetch_plan(plans, depth, ahead);
             }
-            ops += self.step(packet.key(), plans, depth, i);
+            let traced = sampled.get(i) == Some(&true);
+            ops += self.step(packet.key(), plans, depth, i, traced);
         }
         ops
     }
 
-    /// The one ingestion path. Pass 1 builds every packet's probe plan,
-    /// lane by lane — `h_1..h_d` then `g_1`, each one loop over the whole
-    /// batch — with no table access. Pass 2 ([`Self::steps`], picked once
-    /// per batch by depth) runs the Algorithm 1 steps. Operation counts
-    /// fold into one cost flush and count Algorithm 1's lazy schedule
-    /// (Fig. 11): batching changes when costs are recorded, never what.
-    /// Always inlined, so that `process_packet` is compiled for a batch of
-    /// exactly one.
+    /// The in-place ingestion path: pass 1 ([`Probes::fill`]) into the
+    /// monitor's own scratch, then [`Self::run`]. Always inlined, so that
+    /// `process_packet` is compiled for a batch of exactly one.
     #[inline(always)]
     fn ingest(&mut self, packets: &[Packet]) {
         if packets.is_empty() {
             return;
         }
-        let mut plans = std::mem::take(&mut self.plans);
-        plans.fill_probes(
-            KernelCopy::best(),
-            packets.iter().map(|p| p.key()),
-            (self.main.probe_lanes()).chain([self.ancillary.probe_lane()]),
-        );
+        let mut probes = self.probes.take().unwrap_or_default();
+        probes.fill(packets, self.probe_lanes(), self.tracer.as_ref());
+        self.run(packets, &probes);
+        self.probes = Some(probes);
+    }
+
+    /// The one body after pass 1, wherever pass 1 ran: pass 2
+    /// ([`Self::steps`], picked once per batch by depth) runs the
+    /// Algorithm 1 steps on `probes`. Operation counts fold into one cost
+    /// flush and count Algorithm 1's lazy schedule (Fig. 11): batching
+    /// changes when costs are recorded, never what.
+    #[inline(always)]
+    fn run(&mut self, packets: &[Packet], probes: &Probes) {
+        if packets.is_empty() {
+            return;
+        }
+        let plans = &probes.words;
         // Every `word(m, i)` below stays inside the lane it names.
         let depth = self.main.scheme().depth();
         assert_eq!((plans.lanes(), plans.rows()), (depth + 1, packets.len()));
+        // Verdicts count only with a tracer to record the spans, and then
+        // there is one per packet.
+        let sampled = match &self.tracer {
+            Some(_) => &probes.sampled[..],
+            None => &[],
+        };
+        assert!(self.tracer.is_none() || sampled.len() == packets.len());
         let ops = match depth {
-            1 => self.steps::<1>(packets, &plans, depth),
-            2 => self.steps::<2>(packets, &plans, depth),
-            3 => self.steps::<3>(packets, &plans, depth),
-            4 => self.steps::<4>(packets, &plans, depth),
-            _ => self.steps::<0>(packets, &plans, depth),
+            1 => self.steps::<1>(packets, plans, sampled, depth),
+            2 => self.steps::<2>(packets, plans, sampled, depth),
+            3 => self.steps::<3>(packets, plans, sampled, depth),
+            4 => self.steps::<4>(packets, plans, sampled, depth),
+            _ => self.steps::<0>(packets, plans, sampled, depth),
         };
         self.cost.absorb(&CostSnapshot {
             packets: packets.len() as u64,
@@ -318,7 +352,6 @@ impl HashFlow {
             reads: ops.reads,
             writes: ops.writes,
         });
-        self.plans = plans;
     }
 
     /// Algorithm 1, lines 20–23, for a packet of `key` whose ancillary
@@ -357,6 +390,30 @@ impl FlowMonitor for HashFlow {
     /// A real batch: pass 1 over all of it, then the prefetch window.
     fn process_batch(&mut self, packets: &[Packet]) {
         self.ingest(packets);
+    }
+
+    /// Pass 1 on the planner's thread, with copies of this monitor's hash
+    /// functions and its tracer as they are now.
+    fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
+        Some(Box::new(HashFlowPlanner {
+            lanes: (self.probe_lanes())
+                .map(|(hash, range)| (*hash, range))
+                .collect(),
+            tracer: self.tracer.clone(),
+        }))
+    }
+
+    /// Pass 2 on a plan's probes when they are this monitor's: the same
+    /// hash functions over the same slot ranges, one row per packet, and
+    /// with a tracer attached, verdicts drawn at its rate. Pass 1 in place
+    /// otherwise.
+    fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
+        match plan.get::<PlannedProbes>() {
+            Some(planned) if self.accepts(planned, packets.len()) => {
+                self.run(packets, &planned.probes);
+            }
+            _ => self.ingest(packets),
+        }
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

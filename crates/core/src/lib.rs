@@ -48,6 +48,7 @@ mod algorithm;
 mod ancillary;
 mod config;
 pub mod model;
+mod probes;
 pub mod scheme;
 
 pub use algorithm::{HashFlow, PREFETCH_AHEAD};

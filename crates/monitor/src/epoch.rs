@@ -33,9 +33,9 @@
 
 use crate::sink::SinkSet;
 use crate::{
-    merge_introspection, CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor,
-    HealthPolicy, Instruments, IntrospectMetric, PipelineMetrics, RecordSink, SinkErrors,
-    SinkStatus, SCALAR_FLUSH_PACKETS,
+    merge_introspection, BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRing,
+    EpochSnapshot, FlowMonitor, HealthPolicy, Instruments, IntrospectMetric, PipelineMetrics,
+    RecordSink, SinkErrors, SinkStatus, SCALAR_FLUSH_PACKETS,
 };
 use hashflow_obs::Severity;
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -466,7 +466,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
                 }
                 self.note_rotation_gap(base, ts);
             }
-            self.ingest_run(before, span(before));
+            self.ingest_run(before, span(before), None);
             self.rotate_now();
             self.epoch_base_ns = Some(ts);
         }
@@ -474,29 +474,57 @@ impl<M: FlowMonitor> EpochRotator<M> {
     }
 
     /// Feeds one rotation-free run of packets to the inner monitor's
-    /// batched hot path, folding the run's [`span`] into the epoch's
+    /// batched hot path — planned by `plan` when the run is a whole
+    /// planned batch — folding the run's [`span`] into the epoch's
     /// `start_ns`/`end_ns` first (so a rotation immediately after reports
     /// the same span the per-packet path would have).
-    fn ingest_run(&mut self, run: &[Packet], (first, last): (u64, u64)) {
+    fn ingest_run(&mut self, run: &[Packet], (first, last): (u64, u64), plan: Option<&BatchPlan>) {
         if run.is_empty() {
             return;
         }
         self.first_ns = Some(self.first_ns.map_or(first, |x| x.min(first)));
         self.last_ns = Some(self.last_ns.map_or(last, |x| x.max(last)));
-        self.inner.process_batch(run);
+        match plan {
+            Some(plan) => self.inner.process_planned(run, plan),
+            None => self.inner.process_batch(run),
+        }
     }
 
     /// The batch path for a batch that may cross an epoch edge: every
     /// packet is tested against the edge, and each rotation-free run
-    /// between edges goes to [`Self::ingest_run`].
-    fn ingest_across_edges(&mut self, packets: &[Packet]) {
+    /// between edges goes to [`Self::ingest_run`]. Only a batch that stays
+    /// whole — it anchored an epoch, or its first packet rotated —
+    /// keeps the inner monitor's `plan`; the runs of a batch split at an
+    /// edge are planned in place.
+    fn ingest_across_edges(&mut self, packets: &[Packet], plan: Option<&BatchPlan>) {
         let mut start = 0usize;
         for (i, p) in packets.iter().enumerate() {
             if self.rotate_if_due(p.timestamp_ns(), &packets[start..i]) {
                 start = i;
             }
         }
-        self.ingest_run(&packets[start..], span(&packets[start..]));
+        let plan = plan.filter(|_| start == 0);
+        self.ingest_run(&packets[start..], span(&packets[start..]), plan);
+    }
+
+    /// The one batch body, on a batch's [`BatchFold`] and, when it was
+    /// planned, the inner monitor's `plan`: a batch that stays inside the
+    /// running epoch goes whole to [`Self::ingest_run`]; only one that
+    /// reaches the epoch edge (or is the first ever) is scanned packet by
+    /// packet for where to rotate.
+    fn ingest_batch(&mut self, packets: &[Packet], fold: BatchFold, plan: Option<&BatchPlan>) {
+        match self.epoch_base_ns {
+            Some(base) if fold.span.1 < base.saturating_add(self.epoch_len_ns) => {
+                self.ingest_run(packets, fold.span, plan);
+            }
+            _ => self.ingest_across_edges(packets, plan),
+        }
+        if let Some(m) = &self.metrics {
+            m.batches.inc();
+            self.pending_packets += packets.len() as u64;
+            self.pending_bytes += fold.bytes;
+            self.flush_metrics();
+        }
     }
 }
 
@@ -506,6 +534,49 @@ fn span(packets: &[Packet]) -> (u64, u64) {
     packets.iter().fold((u64::MAX, 0), |(first, last), p| {
         (first.min(p.timestamp_ns()), last.max(p.timestamp_ns()))
     })
+}
+
+/// What the rotation layer folds out of a batch before routing it: its
+/// timestamp [`span`] and its wire bytes (0 when no registry counts them).
+#[derive(Clone, Copy, Debug, Default)]
+struct BatchFold {
+    span: (u64, u64),
+    bytes: u64,
+}
+
+impl BatchFold {
+    fn of(packets: &[Packet], count_bytes: bool) -> BatchFold {
+        BatchFold {
+            span: span(packets),
+            bytes: if count_bytes {
+                packets.iter().map(|p| u64::from(p.wire_len())).sum()
+            } else {
+                0
+            },
+        }
+    }
+}
+
+/// An [`EpochRotator`]'s plan: the batch's row count and [`BatchFold`],
+/// around the inner monitor's plan.
+#[derive(Debug, Default)]
+struct RotatorPlan {
+    rows: usize,
+    fold: BatchFold,
+    inner: BatchPlan,
+}
+
+/// An [`EpochRotator`]'s [`BatchPlanner`]: folds the batch, then plans it
+/// with the inner monitor's planner.
+struct RotatorPlanner(Box<dyn BatchPlanner>);
+
+impl BatchPlanner for RotatorPlanner {
+    fn plan(&self, packets: &[Packet], plan: &mut BatchPlan) {
+        let plan = plan.refill::<RotatorPlan>();
+        plan.rows = packets.len();
+        plan.fold = BatchFold::of(packets, true);
+        self.0.plan(packets, &mut plan.inner);
+    }
 }
 
 impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
@@ -538,21 +609,26 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
     /// scalar loop. Observationally identical to routing every packet
     /// through [`Self::process_packet`].
     fn process_batch(&mut self, packets: &[Packet]) {
-        // The batch's timestamp span in one plain loop; only a batch that
-        // reaches the epoch edge (or is the first ever) is scanned packet
-        // by packet for where to rotate.
-        let (first, last) = span(packets);
-        match self.epoch_base_ns {
-            Some(base) if last < base.saturating_add(self.epoch_len_ns) => {
-                self.ingest_run(packets, (first, last));
+        let fold = BatchFold::of(packets, self.metrics.is_some());
+        self.ingest_batch(packets, fold, None);
+    }
+
+    /// The inner monitor's planner with the batch's span and bytes folded
+    /// in front; `None` when the inner monitor plans nothing.
+    fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
+        let inner = self.inner.planner()?;
+        Some(Box::new(RotatorPlanner(inner)))
+    }
+
+    /// [`Self::process_batch`] on the fold the plan carries; the inner
+    /// monitor checks its own part. A plan of another type or row count
+    /// is ignored.
+    fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
+        match plan.get::<RotatorPlan>() {
+            Some(planned) if planned.rows == packets.len() => {
+                self.ingest_batch(packets, planned.fold, Some(&planned.inner));
             }
-            _ => self.ingest_across_edges(packets),
-        }
-        if let Some(m) = &self.metrics {
-            m.batches.inc();
-            self.pending_packets += packets.len() as u64;
-            self.pending_bytes += packets.iter().map(|p| u64::from(p.wire_len())).sum::<u64>();
-            self.flush_metrics();
+            _ => self.process_batch(packets),
         }
     }
 

@@ -37,6 +37,7 @@ mod fault;
 mod health;
 mod introspect;
 mod merge;
+mod plan;
 mod policy;
 mod retry;
 mod sink;
@@ -51,6 +52,7 @@ pub use fault::{FaultInjectingSink, FaultPlan, PanicInjector};
 pub use health::{classify_io_error, ErrorClass, HealthPolicy, SinkErrors, SinkHealth, SinkStatus};
 pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue};
 pub use merge::MergeableMonitor;
+pub use plan::{BatchPlan, BatchPlanner};
 pub use policy::{BackpressurePolicy, EpochRing};
 pub use retry::{RetryPolicy, RetrySink};
 pub use sink::{JsonLinesSink, MemorySink, RecordSink};
@@ -127,6 +129,30 @@ pub trait FlowMonitor {
         for p in packets {
             self.process_packet(p);
         }
+    }
+
+    /// A handle that plans batches for this monitor on another thread
+    /// ([`BatchPlanner`]): from the packets alone, it computes what
+    /// [`Self::process_batch`] would compute before touching any state.
+    /// `None`, the default, means the monitor has nothing to plan ahead;
+    /// its batches go through [`Self::process_batch`]. A planner reflects
+    /// the monitor as it was when taken (its hash functions, its tracer's
+    /// sampling rate); [`Self::process_planned`] checks every plan against
+    /// the monitor as it is.
+    fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
+        None
+    }
+
+    /// Ingests a batch that a [`Self::planner`] handle planned into
+    /// `plan`. **Contract:** observationally identical to
+    /// [`Self::process_batch`] — the plan moves work to another thread,
+    /// never changes what is recorded. A plan the monitor cannot use (from
+    /// another monitor, of another type, for another row count) is
+    /// ignored and the batch planned in place. `plan` must have been
+    /// planned from `packets`. The default, for monitors without a
+    /// planner, is [`Self::process_batch`].
+    fn process_planned(&mut self, packets: &[Packet], _plan: &BatchPlan) {
+        self.process_batch(packets);
     }
 
     /// Reports every flow record the structure can reconstruct, with the
@@ -242,6 +268,12 @@ impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     }
     fn process_batch(&mut self, packets: &[Packet]) {
         (**self).process_batch(packets);
+    }
+    fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
+        (**self).planner()
+    }
+    fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
+        (**self).process_planned(packets, plan);
     }
     fn flow_records(&self) -> Vec<FlowRecord> {
         (**self).flow_records()

@@ -18,7 +18,8 @@
 use crate::exec::{execute_snapshot, QueryResult};
 use crate::plan::QueryPlan;
 use hashflow_monitor::{
-    CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric,
+    BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRing, EpochSnapshot, FlowMonitor,
+    Instruments, IntrospectMetric,
 };
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 use std::sync::Arc;
@@ -133,6 +134,14 @@ impl<M: FlowMonitor> FlowMonitor for QueryMonitor<M> {
 
     fn process_batch(&mut self, packets: &[Packet]) {
         self.inner.process_batch(packets);
+    }
+
+    fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
+        self.inner.planner()
+    }
+
+    fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
+        self.inner.process_planned(packets, plan);
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

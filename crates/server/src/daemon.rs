@@ -3,21 +3,30 @@
 //! # Thread model
 //!
 //! ```text
-//! UDP listener ──┐                       ┌── HTTP worker 0 ─┐
-//! replay driver ─┼─▶ BatchQueue ─▶ ingest┤     ...          ├─▶ clients
-//! replay driver ─┘    (bounded)    thread└── HTTP worker N ─┘
-//!                                    │
-//!                                    └─▶ Published (Arc swap)
+//! UDP listener ──┐                        ingest   ┌── HTTP worker 0 ─┐
+//! replay driver ─┼─▶ plan ─▶ queue of  ─▶ thread ──┤     ...          ├─▶ clients
+//! replay driver ─┘           (packets,    (steps)  └── HTTP worker N ─┘
+//!        ▲                    plan)         │  │
+//!        └─────────────────── spare plans ◀─┘  └─▶ Published (Arc swap)
 //! ```
 //!
 //! Exactly one thread — the ingest loop — owns the
 //! [`Collector`]; every front-end hands it packets through one bounded
-//! [`BatchQueue`] via [`IngestPort::offer`] (the uniform backpressure
-//! contract: shed batches come back and are ledgered on the spot), and
-//! every reader sees only immutable [`SealedView`]s published behind an
-//! `Arc` swap. There is no lock anywhere that both the ingest path and a
+//! queue via [`IngestPort::offer`] (the uniform backpressure contract:
+//! shed batches come back and are ledgered on the spot), and every
+//! reader sees only immutable [`SealedView`]s published behind an `Arc`
+//! swap. There is no lock anywhere that both the ingest path and a
 //! reader can hold, so slow or numerous HTTP clients cannot stall
 //! ingest.
+//!
+//! Work that depends on the packets alone is done before the hand-off,
+//! on the thread that offers: `offer` plans each batch with the
+//! collector's [`BatchPlanner`] (HashFlow's probe words and sampling
+//! verdicts, the rotator's timestamp span and byte total) and queues the
+//! plan with it. The ingest thread runs Algorithm 1's steps on the plan
+//! ([`FlowMonitor::process_planned`]) and returns it to a bounded list of
+//! spare plans, which `offer` plans into again. A collector without a
+//! planner (a sharded one) queues its batches unplanned.
 //!
 //! # Endpoints
 //!
@@ -65,12 +74,13 @@ use crate::state::{EpochAnswers, HealthView, Published, QueryInfo, SealedView};
 use crate::{wire, ShutdownFlag};
 use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_monitor::{
-    BackpressurePolicy, DropStats, EpochSnapshot, FlowMonitor, FlowTracer, Instruments,
-    IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND,
+    BackpressurePolicy, BatchPlan, BatchPlanner, DropStats, EpochSnapshot, FlowMonitor, FlowTracer,
+    Instruments, IntrospectValue, MemoryBudget, RecordSink, SinkErrors, DEFAULT_TRACE_SAMPLING,
+    FLOW_SPAN_KIND,
 };
 use hashflow_obs::{FlightRecorder, MetricsRegistry, Severity, DEFAULT_RECORDER_CAPACITY};
 use hashflow_query::{QueryId, QueryPlan};
-use hashflow_shard::{BatchQueue, PopOutcome, PushOutcome};
+use hashflow_shard::{BoundedQueue, PopOutcome, PushOutcome};
 use hashflow_types::{ConfigError, FlowKey, Packet};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::str::FromStr;
@@ -209,43 +219,93 @@ impl From<std::io::Error> for ServerError {
     }
 }
 
+/// One offered batch on its way to the ingest thread, with its plan when
+/// the collector has a planner.
+struct Offered {
+    packets: Vec<Packet>,
+    plan: Option<BatchPlan>,
+}
+
 /// The shared front-door every ingest source pushes through: the
-/// bounded queue plus the offer-side conservation ledger.
+/// collector's planner, the bounded queue, and the offer-side
+/// conservation ledger.
 ///
-/// [`IngestPort::offer`] applies the configured
+/// [`IngestPort::offer`] plans the batch on the calling thread (when the
+/// collector has a [`BatchPlanner`]), applies the configured
 /// [`BackpressurePolicy`] and accounts the outcome immediately — every
 /// record is *offered* exactly once, and every record that the policy
 /// sheds (the arriving batch under `DropNewest`, displaced older
 /// batches under `DropOldest`, anything arriving after close) is
 /// *dropped* exactly once, so at quiescence
 /// `offered == processed + dropped`.
-#[derive(Debug)]
 pub struct IngestPort {
-    queue: Arc<BatchQueue<Packet>>,
+    queue: BoundedQueue<Offered>,
+    planner: Option<Box<dyn BatchPlanner>>,
+    /// Plans the ingest thread is done with, for `offer` to plan into
+    /// again; best-effort on both sides, like the shard layer's batch
+    /// free-list: a plan lost here only costs an allocation.
+    spare_plans: BoundedQueue<BatchPlan>,
     policy: BackpressurePolicy,
     drops: DropStats,
     recorder: FlightRecorder,
 }
 
+impl std::fmt::Debug for IngestPort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IngestPort")
+            .field("queued", &self.queue.len())
+            .field("planned", &self.planner.is_some())
+            .field("policy", &self.policy)
+            .finish_non_exhaustive()
+    }
+}
+
 impl IngestPort {
-    /// Offers one batch under the port's policy, ledgering any shed.
-    /// Shed batches also land in the flight recorder (one event per
-    /// shed batch, never per packet, so a sustained overload cannot
-    /// flood the ring faster than the queue turns over).
-    pub fn offer(&self, batch: Vec<Packet>) {
-        self.drops.record_offer(batch.len() as u64);
-        match self.queue.offer(batch, self.policy) {
-            PushOutcome::Enqueued => {}
-            PushOutcome::Displaced(old) => {
-                for b in old {
-                    self.shed(b.len() as u64, "displaced");
-                }
-            }
-            PushOutcome::Rejected(b) => self.shed(b.len() as u64, "rejected"),
+    /// A port in front of a queue of `capacity` batches, planning with
+    /// `planner` (if any).
+    fn new(
+        capacity: usize,
+        planner: Option<Box<dyn BatchPlanner>>,
+        policy: BackpressurePolicy,
+        recorder: FlightRecorder,
+    ) -> IngestPort {
+        IngestPort {
+            queue: BoundedQueue::new(capacity),
+            planner,
+            spare_plans: BoundedQueue::new(capacity),
+            policy,
+            drops: DropStats::new(),
+            recorder,
         }
     }
 
-    fn shed(&self, packets: u64, why: &str) {
+    /// Offers one batch under the port's policy, ledgering any shed. The
+    /// batch is planned here, on the caller's thread, so that the ingest
+    /// thread only runs the monitor's steps. Shed batches also land in
+    /// the flight recorder (one event per shed batch, never per packet,
+    /// so a sustained overload cannot flood the ring faster than the
+    /// queue turns over).
+    pub fn offer(&self, packets: Vec<Packet>) {
+        self.drops.record_offer(packets.len() as u64);
+        let plan = self.planner.as_ref().map(|planner| {
+            let mut plan = self.spare_plans.try_pop().unwrap_or_default();
+            planner.plan(&packets, &mut plan);
+            plan
+        });
+        match self.queue.offer(Offered { packets, plan }, self.policy) {
+            PushOutcome::Enqueued => {}
+            PushOutcome::Displaced(old) => {
+                for batch in old {
+                    self.shed(batch, "displaced");
+                }
+            }
+            PushOutcome::Rejected(batch) => self.shed(batch, "rejected"),
+        }
+    }
+
+    fn shed(&self, batch: Offered, why: &str) {
+        let packets = batch.packets.len() as u64;
+        self.recycle(batch.plan);
         self.drops.record_drop(packets);
         self.recorder.record_with(
             Severity::Warn,
@@ -253,6 +313,13 @@ impl IngestPort {
             format!("ingest queue {why} a batch of {packets} packets"),
             vec![("packets".to_string(), packets.to_string())],
         );
+    }
+
+    /// Hands a used plan back for a later `offer` to plan into.
+    fn recycle(&self, plan: Option<BatchPlan>) {
+        if let Some(plan) = plan {
+            let _ = self.spare_plans.try_push(plan);
+        }
     }
 
     /// The offer-side conservation ledger (shared handles).
@@ -332,7 +399,6 @@ pub struct Server {
     http_addr: SocketAddr,
     udp_addr: Option<SocketAddr>,
     shutdown: Arc<ShutdownFlag>,
-    queue: Arc<BatchQueue<Packet>>,
     port: Arc<IngestPort>,
     published: Arc<Published>,
     registry: MetricsRegistry,
@@ -412,13 +478,12 @@ impl Server {
 
         let shutdown = Arc::new(ShutdownFlag::new());
         let published = Arc::new(Published::new());
-        let queue = Arc::new(BatchQueue::new(config.ingest_capacity.max(1)));
-        let port = Arc::new(IngestPort {
-            queue: Arc::clone(&queue),
-            policy: config.ingest_policy,
-            drops: DropStats::new(),
-            recorder: recorder.clone(),
-        });
+        let port = Arc::new(IngestPort::new(
+            config.ingest_capacity.max(1),
+            collector.planner(),
+            config.ingest_policy,
+            recorder.clone(),
+        ));
         port.drops.register(&registry, "server_ingest");
 
         let listener = TcpListener::bind(&config.http_addr)?;
@@ -432,7 +497,7 @@ impl Server {
         let (command_tx, command_rx) = mpsc::channel();
         let ingest_loop = IngestLoop {
             collector,
-            queue: Arc::clone(&queue),
+            port: Arc::clone(&port),
             commands: command_rx,
             published: Arc::clone(&published),
             epoch_len: Duration::from_millis(config.epoch_ms.max(1)),
@@ -486,7 +551,6 @@ impl Server {
             http_addr,
             udp_addr,
             shutdown,
-            queue,
             port,
             published,
             registry,
@@ -590,7 +654,7 @@ impl Server {
         if let Some(udp) = self.udp_thread.take() {
             let _ = udp.join();
         }
-        self.queue.close();
+        self.port.queue.close();
         let ingest = self
             .ingest
             .take()
@@ -699,7 +763,7 @@ fn run_udp(
 /// command channel, seals on the wall clock, publishes sealed views.
 struct IngestLoop {
     collector: Collector,
-    queue: Arc<BatchQueue<Packet>>,
+    port: Arc<IngestPort>,
     commands: mpsc::Receiver<Command>,
     published: Arc<Published>,
     epoch_len: Duration,
@@ -733,10 +797,14 @@ impl IngestLoop {
                 continue;
             }
             let wait = (next_seal - now).min(INGEST_POLL);
-            match self.queue.pop_deadline(wait) {
-                PopOutcome::Batch(batch) => {
-                    let n = batch.len() as u64;
-                    self.collector.process_batch(&batch);
+            match self.port.queue.pop_deadline(wait) {
+                PopOutcome::Batch(Offered { packets, plan }) => {
+                    match &plan {
+                        Some(plan) => self.collector.process_planned(&packets, plan),
+                        None => self.collector.process_batch(&packets),
+                    }
+                    self.port.recycle(plan);
+                    let n = packets.len() as u64;
                     self.processed += n;
                     self.epoch_packets += n;
                 }
@@ -1327,6 +1395,71 @@ mod tests {
         assert_eq!(report.offered_records, total);
         assert!(report.epochs_sealed >= 1);
         assert!(report.sink_errors.is_none());
+    }
+
+    #[test]
+    fn planned_batches_conserve_packets_and_spare_plans_stay_bounded() {
+        let trace = TraceGenerator::new(TraceProfile::Caida, 9).generate(2_000);
+        let total = trace.packets().len() as u64;
+        for policy in [
+            BackpressurePolicy::DropOldest,
+            BackpressurePolicy::DropNewest,
+        ] {
+            let server = Server::start(ServerConfig {
+                ingest_capacity: 2,
+                ingest_policy: policy,
+                ..small_config()
+            })
+            .expect("boot");
+            let port = server.ingest_port();
+            assert!(port.planner.is_some(), "a HashFlow collector plans");
+            // Three front-ends offer at once into room for two batches, so
+            // the policy sheds planned batches.
+            let most_spare = std::thread::scope(|scope| {
+                let offering = (0..3).map(|_| {
+                    scope.spawn(|| {
+                        let mut most_spare = 0;
+                        for chunk in trace.packets().chunks(REPLAY_BATCH) {
+                            port.offer(chunk.to_vec());
+                            most_spare = most_spare.max(port.spare_plans.len());
+                        }
+                        most_spare
+                    })
+                });
+                let offering: Vec<_> = offering.collect();
+                (offering.into_iter())
+                    .map(|front_end| front_end.join().expect("offers"))
+                    .max()
+            });
+            let report = server.shutdown();
+            assert!(
+                most_spare.is_some_and(|n| n <= 2),
+                "{}: {most_spare:?} spare plans",
+                policy.label()
+            );
+            assert_eq!(report.offered_records, 3 * total, "{}", policy.label());
+            assert!(report.conserved(), "{}: {report:?}", policy.label());
+        }
+    }
+
+    #[test]
+    fn a_sharded_daemon_has_no_planner_and_still_ingests() {
+        let trace = TraceGenerator::new(TraceProfile::Caida, 9).generate(1_000);
+        let total = trace.packets().len() as u64;
+        let server = Server::start(ServerConfig {
+            shards: 2,
+            ..small_config()
+        })
+        .expect("boot");
+        let port = server.ingest_port();
+        assert!(port.planner.is_none(), "sharded monitors plan nothing");
+        for chunk in trace.packets().chunks(REPLAY_BATCH) {
+            port.offer(chunk.to_vec());
+        }
+        let report = server.shutdown();
+        assert_eq!(report.offered_records, total);
+        assert!(report.conserved(), "{report:?}");
+        assert!(report.packets_processed > 0);
     }
 
     #[test]

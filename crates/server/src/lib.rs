@@ -9,11 +9,12 @@
 //! 1. **Ingest front-ends** push packets in from outside: a UDP socket
 //!    speaking the fixed-layout record format of [`wire`], and an
 //!    in-process replay driver ([`Server::start_replay`]) that feeds a
-//!    captured trace at line rate or token-bucket paced. Both go through
-//!    one bounded [`hashflow_shard::BatchQueue`] under the workspace's
-//!    uniform backpressure contract — a slow collector sheds (or stalls)
-//!    by [`hashflow_monitor::BackpressurePolicy`], and every shed batch
-//!    lands in a [`hashflow_monitor::DropStats`] ledger, so
+//!    captured trace at line rate or token-bucket paced. Both plan each
+//!    batch on their own thread ([`hashflow_monitor::BatchPlanner`]) and
+//!    go through one bounded [`hashflow_shard::BoundedQueue`] under the
+//!    workspace's uniform backpressure contract — a slow collector sheds
+//!    (or stalls) by [`hashflow_monitor::BackpressurePolicy`], and every
+//!    shed batch lands in a [`hashflow_monitor::DropStats`] ledger, so
 //!    `offered == processed + dropped` holds for the whole run.
 //! 2. **Wall-clock epoch rotation**: a deployed collector cannot wait for
 //!    packet timestamps to cross an edge (quiet links would never seal),

@@ -72,7 +72,7 @@
 
 mod queue;
 
-pub use queue::{BatchQueue, PopOutcome, PushOutcome};
+pub use queue::{BatchQueue, BoundedQueue, PopOutcome, PushOutcome};
 
 use hashflow_hashing::fast_range;
 use hashflow_monitor::{

@@ -4,7 +4,8 @@
 //! The sharded ingestion path moves packets from one dispatcher thread to
 //! `N` worker threads. Handing packets over one at a time would spend more
 //! time on lock traffic than on measurement, so the unit of transfer is a
-//! batch (a `Vec` of items): the dispatcher accumulates
+//! batch (a `Vec` of items, or whatever the owner pairs with one — the
+//! daemon's batches carry their plans): the dispatcher accumulates
 //! [`crate::BATCH_PACKETS`] packets per shard before publishing them, and
 //! the queue bounds how many batches may be in flight so a slow shard
 //! back-pressures the dispatcher instead of buffering the whole trace.
@@ -42,24 +43,24 @@ const POP_POLL: Duration = Duration::from_micros(50);
 /// queue).
 #[derive(Debug, PartialEq, Eq)]
 #[must_use = "displaced or rejected batches must be accounted as drops"]
-pub enum PushOutcome<T> {
+pub enum PushOutcome<B> {
     /// The batch was enqueued (after blocking, for
     /// [`BackpressurePolicy::Block`]).
     Enqueued,
     /// The batch was enqueued after evicting these older in-flight
     /// batches ([`BackpressurePolicy::DropOldest`]).
-    Displaced(Vec<Vec<T>>),
+    Displaced(Vec<B>),
     /// The arriving batch was not enqueued — the queue is closed, or it
     /// was full under [`BackpressurePolicy::DropNewest`] (and `Block`
     /// degrades to rejection on a closed queue).
-    Rejected(Vec<T>),
+    Rejected(B),
 }
 
 /// The outcome of a bounded wait on [`BatchQueue::pop_deadline`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum PopOutcome<T> {
+pub enum PopOutcome<B> {
     /// A batch was dequeued before the deadline.
-    Batch(Vec<T>),
+    Batch(B),
     /// The wait elapsed with the queue still open and empty. The consumer
     /// should run its periodic work (timer checks, command drains) and
     /// call again.
@@ -68,7 +69,8 @@ pub enum PopOutcome<T> {
     Closed,
 }
 
-/// A bounded blocking queue of `Vec<T>` batches with explicit shutdown.
+/// A [`BoundedQueue`] of `Vec<T>` batches: the queue the shard workers
+/// and the dispatcher's free-list use.
 ///
 /// # Examples
 ///
@@ -83,17 +85,22 @@ pub enum PopOutcome<T> {
 /// assert_eq!(q.pop(), Some(vec![1, 2, 3]));
 /// assert_eq!(q.pop(), None); // closed and drained
 /// ```
+pub type BatchQueue<T> = BoundedQueue<Vec<T>>;
+
+/// A bounded blocking queue of batches with explicit shutdown. A batch is
+/// whatever the owner hands over whole: a `Vec` of items
+/// ([`BatchQueue`]), or one paired with what travels with it.
 #[derive(Debug)]
-pub struct BatchQueue<T> {
-    state: Mutex<State<T>>,
+pub struct BoundedQueue<B> {
+    state: Mutex<State<B>>,
     not_full: Condvar,
     not_empty: Condvar,
     capacity: usize,
 }
 
 #[derive(Debug)]
-struct State<T> {
-    batches: VecDeque<Vec<T>>,
+struct State<B> {
+    batches: VecDeque<B>,
     closed: bool,
     /// Consumers parked on `not_empty` (in `pop` or `pop_deadline`'s
     /// timed wait; not in its yield-poll phase).
@@ -102,7 +109,7 @@ struct State<T> {
     producers_parked: usize,
 }
 
-impl<T> BatchQueue<T> {
+impl<B> BoundedQueue<B> {
     /// Creates a queue holding at most `capacity` in-flight batches.
     ///
     /// # Panics
@@ -111,7 +118,7 @@ impl<T> BatchQueue<T> {
     /// construction).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "batch queue capacity must be positive");
-        BatchQueue {
+        BoundedQueue {
             state: Mutex::new(State {
                 batches: VecDeque::with_capacity(capacity),
                 closed: false,
@@ -144,7 +151,7 @@ impl<T> BatchQueue<T> {
 
     /// Dequeues the next batch, blocking while the queue is empty.
     /// Returns `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<Vec<T>> {
+    pub fn pop(&self) -> Option<B> {
         let mut state = self.lock();
         loop {
             if let Some(batch) = state.batches.pop_front() {
@@ -166,7 +173,7 @@ impl<T> BatchQueue<T> {
     /// timer, a command channel): it blocks while idle yet is guaranteed
     /// to return by the deadline even if no producer ever shows up. An
     /// empty queue is polled for 50 µs before the thread parks.
-    pub fn pop_deadline(&self, timeout: Duration) -> PopOutcome<T> {
+    pub fn pop_deadline(&self, timeout: Duration) -> PopOutcome<B> {
         let start = Instant::now();
         let deadline = start + timeout;
         let park_after = deadline.min(start + POP_POLL);
@@ -201,10 +208,11 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Non-blocking enqueue: only if there is room right now. Returns `false` — dropping the batch — when the queue is full
-    /// or closed. This is what a best-effort recycling path wants: losing
-    /// a spare buffer only costs a future allocation.
-    pub fn try_push(&self, batch: Vec<T>) -> bool {
+    /// Non-blocking enqueue: only if there is room right now. Returns
+    /// `false` — dropping the batch — when the queue is full or closed.
+    /// This is what a best-effort recycling path wants: losing a spare
+    /// buffer only costs a future allocation.
+    pub fn try_push(&self, batch: B) -> bool {
         let mut state = self.lock();
         if state.closed || state.batches.len() >= self.capacity {
             return false;
@@ -228,7 +236,7 @@ impl<T> BatchQueue<T> {
     ///
     /// A closed queue rejects under every policy. The caller owns the
     /// accounting of whatever comes back (see [`PushOutcome`]).
-    pub fn offer(&self, batch: Vec<T>, policy: BackpressurePolicy) -> PushOutcome<T> {
+    pub fn offer(&self, batch: B, policy: BackpressurePolicy) -> PushOutcome<B> {
         let mut state = self.lock();
         if let BackpressurePolicy::Block = policy {
             state = self.wait_for_room(state);
@@ -264,7 +272,7 @@ impl<T> BatchQueue<T> {
 
     /// Non-blocking [`Self::pop`]: returns `None` immediately when the
     /// queue is currently empty (whether or not it is closed).
-    pub fn try_pop(&self) -> Option<Vec<T>> {
+    pub fn try_pop(&self) -> Option<B> {
         let mut state = self.lock();
         let batch = state.batches.pop_front()?;
         self.emptied(state);
@@ -282,13 +290,13 @@ impl<T> BatchQueue<T> {
         self.not_full.notify_all();
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
+    fn lock(&self) -> MutexGuard<'_, State<B>> {
         self.state.lock().expect("queue mutex poisoned")
     }
 
     /// Parks a producer on `not_full`, counted, until the queue has room
     /// or is closed.
-    fn wait_for_room<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+    fn wait_for_room<'a>(&self, mut state: MutexGuard<'a, State<B>>) -> MutexGuard<'a, State<B>> {
         while state.batches.len() >= self.capacity && !state.closed {
             state.producers_parked += 1;
             state = self.not_full.wait(state).expect("queue mutex poisoned");
@@ -301,7 +309,7 @@ impl<T> BatchQueue<T> {
     /// consumer if any is parked. The count is read under the lock a
     /// consumer increments it under before it waits, so a consumer either
     /// saw the batch or is counted here: no wakeup is lost.
-    fn filled(&self, state: MutexGuard<'_, State<T>>) {
+    fn filled(&self, state: MutexGuard<'_, State<B>>) {
         let wake = state.consumers_parked > 0;
         drop(state);
         if wake {
@@ -311,7 +319,7 @@ impl<T> BatchQueue<T> {
 
     /// Releases the lock after a batch was dequeued, then wakes one
     /// producer if any is parked (the mirror of [`Self::filled`]).
-    fn emptied(&self, state: MutexGuard<'_, State<T>>) {
+    fn emptied(&self, state: MutexGuard<'_, State<B>>) {
         let wake = state.producers_parked > 0;
         drop(state);
         if wake {

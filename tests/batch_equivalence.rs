@@ -17,8 +17,18 @@
 //! Every HashFlow comparison is followed by the structural invariants of
 //! Algorithm 1 ([`assert_hashflow_invariants`]), which also run over the
 //! adversarial trace regimes.
+//!
+//! A batch planned on another thread ([`FlowMonitor::process_planned`])
+//! is held to the same contract against `process_batch`: HashFlow and the
+//! epoch rotator record the same records, costs, introspection, epochs and
+//! flight-recorder spans from a plan as without one, and a plan they
+//! cannot use — another monitor's, another row count's, one without the
+//! sampling verdicts their tracer needs, another type — is planned in
+//! place.
 
 use hashflow_suite::core::PREFETCH_AHEAD;
+use hashflow_suite::monitor::{BatchPlan, BatchPlanner, FlowTracer};
+use hashflow_suite::obs::FlightRecorder;
 use hashflow_suite::prelude::*;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -366,5 +376,207 @@ proptest! {
         a.sort_by_key(|r| r.key());
         b.sort_by_key(|r| r.key());
         prop_assert_eq!(a, b);
+    }
+}
+
+/// Every main-table organization at depths 1 to 4.
+fn schemes_of_depth_one_to_four() -> Vec<TableScheme> {
+    (1..=4)
+        .flat_map(|depth| {
+            [
+                TableScheme::MultiHash { depth },
+                TableScheme::Pipelined { depth, alpha: 0.7 },
+            ]
+        })
+        .collect()
+}
+
+fn hashflow_seeded(scheme: TableScheme, seed: u64) -> HashFlow {
+    HashFlow::new(
+        HashFlowConfig::builder()
+            .main_cells(256)
+            .ancillary_cells(256)
+            .scheme(scheme)
+            .seed(seed)
+            .build()
+            .expect("valid config"),
+    )
+    .expect("valid geometry")
+}
+
+/// Attaches a tracer sampling every flow into a recorder of its own, and
+/// returns the recorder.
+fn trace_every_flow<M: FlowMonitor>(monitor: &mut M) -> FlightRecorder {
+    let recorder = FlightRecorder::with_capacity(1 << 16);
+    monitor.instrument(&Instruments {
+        tracer: Some(FlowTracer::new(recorder.clone(), 1)),
+        ..Instruments::default()
+    });
+    recorder
+}
+
+/// An event's kind, message and fields: what a recorder holds, less the
+/// sequence numbers and clocks.
+type Recorded = (&'static str, String, Vec<(String, String)>);
+
+fn recorded(recorder: &FlightRecorder) -> Vec<Recorded> {
+    (recorder.snapshot().into_iter())
+        .map(|e| (e.kind, e.message, e.fields))
+        .collect()
+}
+
+/// Feeds every batch to `monitor` planned by `planner`, into one plan
+/// reused from batch to batch as the daemon reuses its plans.
+fn feed_planned<M: FlowMonitor>(
+    monitor: &mut M,
+    planner: &dyn BatchPlanner,
+    batches: &[&[Packet]],
+) {
+    let mut plan = BatchPlan::default();
+    for batch in batches {
+        planner.plan(batch, &mut plan);
+        monitor.process_planned(batch, &plan);
+    }
+}
+
+/// Asserts that two HashFlows, and what their recorders hold, are
+/// observationally identical: records, cost, introspection and spans,
+/// live and after a seal (which records the `placement` spans).
+fn assert_same_hashflow(
+    expected: &mut HashFlow,
+    expected_spans: &FlightRecorder,
+    got: &mut HashFlow,
+    got_spans: &FlightRecorder,
+    what: &str,
+) {
+    prop_assert_eq!(
+        got.flow_records(),
+        expected.flow_records(),
+        "{}: records",
+        what
+    );
+    prop_assert_eq!(got.cost(), expected.cost(), "{}: cost", what);
+    prop_assert_eq!(
+        got.introspection(),
+        expected.introspection(),
+        "{}: introspection",
+        what
+    );
+    let (a, b) = (expected.seal(), got.seal());
+    prop_assert_eq!(b.as_records(), a.as_records(), "{}: sealed records", what);
+    prop_assert_eq!(
+        recorded(got_spans),
+        recorded(expected_spans),
+        "{}: spans",
+        what
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A plan from a clone's planner, at depths 1 to 4 under both
+    /// schemes and every flow traced, records exactly what
+    /// `process_batch` does.
+    #[test]
+    fn hashflow_records_the_same_from_a_plan(packets in stream(500, 900)) {
+        let batches = batch_plan(&packets);
+        for scheme in schemes_of_depth_one_to_four() {
+            let mut inplace = hashflow_seeded(scheme, 0x51);
+            let inplace_spans = trace_every_flow(&mut inplace);
+            let mut planned = hashflow_seeded(scheme, 0x51);
+            let planned_spans = trace_every_flow(&mut planned);
+            let planner = planned.clone().planner().expect("HashFlow plans");
+            for batch in &batches {
+                inplace.process_batch(batch);
+            }
+            feed_planned(&mut planned, planner.as_ref(), &batches);
+            let what = format!("{scheme:?}");
+            assert_same_hashflow(&mut inplace, &inplace_spans, &mut planned, &planned_spans, &what);
+        }
+    }
+
+    /// Plans a HashFlow must not use — another seed's, one for another
+    /// row count, one without the verdicts its tracer needs, one of
+    /// another type or none — are planned in place, with the same
+    /// results as `process_batch`.
+    #[test]
+    fn hashflow_plans_in_place_what_it_cannot_use(packets in stream(500, 900)) {
+        let scheme = TableScheme::Pipelined { depth: 3, alpha: 0.7 };
+        let batches = batch_plan(&packets);
+        let traced = || {
+            let mut hf = hashflow_seeded(scheme, 0x51);
+            let spans = trace_every_flow(&mut hf);
+            (hf, spans)
+        };
+        // Each case against a fresh in-place twin: a seal records spans.
+        let assert_in_place = |mut got: HashFlow, got_spans: FlightRecorder, what: &str| {
+            let (mut expected, expected_spans) = traced();
+            for batch in &batches {
+                expected.process_batch(batch);
+            }
+            assert_same_hashflow(&mut expected, &expected_spans, &mut got, &got_spans, what);
+        };
+
+        // Taken before `instrument` attaches the tracer: no verdicts.
+        let mut unsampled = hashflow_seeded(scheme, 0x51);
+        let before_tracer = unsampled.planner().expect("HashFlow plans");
+        let spans = trace_every_flow(&mut unsampled);
+        feed_planned(&mut unsampled, before_tracer.as_ref(), &batches);
+        assert_in_place(unsampled, spans, "no verdicts");
+
+        let (mut reseeded, spans) = traced();
+        let mut other = hashflow_seeded(scheme, 0x52);
+        trace_every_flow(&mut other);
+        let other_seed = other.planner().expect("HashFlow plans");
+        feed_planned(&mut reseeded, other_seed.as_ref(), &batches);
+        assert_in_place(reseeded, spans, "another seed");
+
+        let (mut misrowed, spans) = traced();
+        let planner = misrowed.planner().expect("HashFlow plans");
+        let mut plan = BatchPlan::default();
+        for batch in &batches {
+            // One packet more than the batch holds.
+            let longer: Vec<Packet> = batch.iter().chain(&packets[..1]).copied().collect();
+            planner.plan(&longer, &mut plan);
+            misrowed.process_planned(batch, &plan);
+        }
+        assert_in_place(misrowed, spans, "row count");
+
+        let (mut untyped, spans) = traced();
+        let mut foreign = BatchPlan::default();
+        foreign.refill::<Vec<u64>>().push(7);
+        for (i, batch) in batches.iter().enumerate() {
+            let plan = if i % 2 == 0 { &foreign } else { &BatchPlan::default() };
+            untyped.process_planned(batch, plan);
+        }
+        assert_in_place(untyped, spans, "another type");
+    }
+
+    /// An epoch rotator whose edges fall inside batches seals the same
+    /// epochs — numbers, spans, records — and records the same spans from
+    /// plans as from `process_batch`.
+    #[test]
+    fn rotator_seals_the_same_epochs_from_plans(packets in stream(500, 900), len in 40u64..300) {
+        let scheme = TableScheme::MultiHash { depth: 3 };
+        let mut inplace = EpochRotator::new(hashflow_seeded(scheme, 0x51), len);
+        let inplace_spans = trace_every_flow(&mut inplace);
+        let mut planned = EpochRotator::new(hashflow_seeded(scheme, 0x51), len);
+        let planned_spans = trace_every_flow(&mut planned);
+        let planner = planned.planner().expect("a rotator over HashFlow plans");
+        let batches = batch_plan(&packets);
+        for batch in &batches {
+            inplace.process_batch(batch);
+        }
+        feed_planned(&mut planned, planner.as_ref(), &batches);
+        inplace.rotate_now();
+        planned.rotate_now();
+        let epochs = |r: &EpochRotator<HashFlow>| -> Vec<_> {
+            (r.completed_epochs().iter())
+                .map(|e| (e.epoch(), e.start_ns(), e.end_ns(), e.as_records().to_vec(), *e.cost()))
+                .collect()
+        };
+        prop_assert_eq!(epochs(&planned), epochs(&inplace));
+        prop_assert_eq!(recorded(&planned_spans), recorded(&inplace_spans));
     }
 }
