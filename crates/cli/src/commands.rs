@@ -324,9 +324,9 @@ fn analyze(a: &Analyze) -> Result<String, Box<dyn Error>> {
         threshold, shards, ..
     } = a;
     let budget = MemoryBudget::from_kib(a.memory_kib)?;
-    // The registry is the single construction path: shards > 1 wraps the
-    // monitor in the threaded RSS dispatch layer, shards == 1 runs the
-    // bare single-core batched hot path.
+    // The registry is the single construction path: shards > 1 partitions
+    // each batch by flow and feeds the shards one after another on this
+    // thread, shards == 1 runs the bare batched hot path.
     // Analyze prints the flow report and top flows, so the estimate-only
     // sketches are rejected up front with the registry's typed error
     // instead of rendering an empty table.

@@ -75,10 +75,7 @@ pub struct HashFlow {
     ancillary_replacements: u64,
     // Reusable scratch of `process_batch`, refilled per batch and carrying
     // no observable state: pass 1's probe words and sampling verdicts.
-    // Boxed, so that taking it out for a batch moves one pointer: moving
-    // the slab itself is a `memcpy` call, which cost `process_packet`
-    // 8–20 % per packet.
-    probes: Option<Box<Probes>>,
+    probes: Probes,
     /// Optional sampled flow-path tracer: a sampled flow's first packet
     /// in each Algorithm 1 stage of an epoch (`main_insert`, `main_hit`,
     /// `ancillary`, `promotion`) emits a span, the rest are counted in
@@ -109,7 +106,7 @@ impl HashFlow {
             cost: CostRecorder::new(),
             promotions: 0,
             ancillary_replacements: 0,
-            probes: None,
+            probes: Probes::default(),
             tracer: None,
             placements: StageTally::new(PLACEMENTS),
         })
@@ -312,10 +309,10 @@ impl HashFlow {
         if packets.is_empty() {
             return;
         }
-        let mut probes = self.probes.take().unwrap_or_default();
+        let mut probes = std::mem::take(&mut self.probes);
         probes.fill(packets, self.probe_lanes(), self.tracer.as_ref());
         self.run(packets, &probes);
-        self.probes = Some(probes);
+        self.probes = probes;
     }
 
     /// The one body after pass 1, wherever pass 1 ran: pass 2

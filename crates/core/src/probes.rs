@@ -76,3 +76,46 @@ impl BatchPlanner for HashFlowPlanner {
         plan.probes.fill(packets, lanes, self.tracer.as_ref());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::TableScheme;
+    use crate::{HashFlow, HashFlowConfig};
+    use hashflow_monitor::{FlowMonitor, Instruments};
+    use hashflow_types::FlowKey;
+
+    /// A 256-packet plan at depth 3, with a tracer attached, holds the
+    /// probe words of its four lanes and one verdict per packet; its other
+    /// fields are per plan, not per packet. The pattern names every field,
+    /// so a field added to a plan fails to compile here.
+    #[test]
+    fn a_plan_holds_probe_words_and_verdicts_only() {
+        let config = HashFlowConfig::builder()
+            .main_cells(4096)
+            .scheme(TableScheme::MultiHash { depth: 3 })
+            .build()
+            .expect("valid config");
+        let mut hf = HashFlow::new(config).expect("valid geometry");
+        hf.instrument(&Instruments {
+            tracer: Some(FlowTracer::new(Default::default(), 4)),
+            ..Instruments::default()
+        });
+        let packets: Vec<Packet> = (0..256)
+            .map(|i| Packet::new(FlowKey::from_index(i), 0, 64))
+            .collect();
+        let mut plan = BatchPlan::default();
+        hf.planner()
+            .expect("HashFlow plans")
+            .plan(&packets, &mut plan);
+        let PlannedProbes {
+            lanes,
+            sample_one_in,
+            probes: Probes { words, sampled },
+        } = plan.get::<PlannedProbes>().expect("a HashFlow plan");
+        assert_eq!((lanes.len(), *sample_one_in), (4, Some(4)));
+        assert_eq!((words.lanes(), words.rows()), (4, 256));
+        assert!((0..4).all(|m| words.lane(m).len() == 256));
+        assert_eq!(sampled.len(), 256);
+    }
+}

@@ -57,14 +57,14 @@ impl KernelCopy {
     pub(crate) fn fill<'a, H: KeyHasher + 'a, P: Copy>(
         self,
         out: &mut HashLanes,
-        keys: impl Iterator<Item = FlowKey>,
+        keys: impl ExactSizeIterator<Item = FlowKey>,
         lanes: impl Iterator<Item = (&'a H, P)> + Clone,
         finish: impl Fn(u64, P) -> u64,
     ) {
         // A short batch never reaches the vector loops, so it need not
         // leave the caller's code for the feature-gated copy either.
         #[cfg(target_arch = "x86_64")]
-        if self.avx512 && keys.size_hint().1.is_none_or(|n| n >= SHORT_BATCH) {
+        if self.avx512 && keys.len() >= SHORT_BATCH {
             // SAFETY: `avx512` is set by `best` alone, after the CPU
             // reported every feature `fill_avx512` enables.
             return unsafe { fill_avx512(out, keys, lanes, finish) };
@@ -81,7 +81,7 @@ impl KernelCopy {
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn fill_avx512<'a, H: KeyHasher + 'a, P: Copy>(
     out: &mut HashLanes,
-    keys: impl Iterator<Item = FlowKey>,
+    keys: impl ExactSizeIterator<Item = FlowKey>,
     lanes: impl Iterator<Item = (&'a H, P)> + Clone,
     finish: impl Fn(u64, P) -> u64,
 ) {

@@ -2,11 +2,11 @@
 //!
 //! A table probe needs several hash values of one key — `h_1 .. h_d` and
 //! `g_1` in HashFlow. Hashing a batch *lane by lane* — the seed-free part
-//! once per key, then one loop per member over every key — leaves each
-//! loop nothing but arithmetic on contiguous words, which the compiler
-//! vectorises; [`crate::KernelCopy`] picks, once per batch, the widest
-//! compiled copy of those loops the CPU runs. Values are bit for bit
-//! those of `HashFamily::hash`.
+//! once per key, then one loop per member over a block of keys — leaves
+//! each loop nothing but arithmetic on contiguous words, which the
+//! compiler vectorises; [`crate::KernelCopy`] picks, once per batch, the
+//! widest compiled copy of those loops the CPU runs. Values are bit for
+//! bit those of `HashFamily::hash`.
 
 use crate::{fast_range32, HashFamily, KernelCopy, KeyHasher};
 use hashflow_types::FlowKey;
@@ -36,10 +36,11 @@ use hashflow_types::FlowKey;
 pub struct HashLanes {
     rows: usize,
     lanes: usize,
-    // `KeyHasher::key_terms` of every key, one array per term.
-    terms: [Vec<u64>; 3],
     values: Vec<u64>,
 }
+
+// The slab is its output and nothing else: no scratch rides in a plan.
+const _: () = assert!(size_of::<HashLanes>() == 2 * size_of::<usize>() + size_of::<Vec<u64>>());
 
 impl HashLanes {
     /// Number of keys currently held.
@@ -82,7 +83,7 @@ impl HashLanes {
     pub fn fill_probes<'a, H: KeyHasher + 'a>(
         &mut self,
         copy: KernelCopy,
-        keys: impl Iterator<Item = FlowKey>,
+        keys: impl ExactSizeIterator<Item = FlowKey>,
         lanes: impl Iterator<Item = (&'a H, (u32, u32))> + Clone,
     ) {
         copy.fill(self, keys, lanes, |hash, (offset, len)| {
@@ -92,69 +93,61 @@ impl HashLanes {
 
     /// The kernel: `values[m · rows + i] = finish(member_m(key_i), p_m)`.
     /// One source body, always inlined so that each [`KernelCopy`] is
-    /// compiled whole with its caller's instruction set.
+    /// compiled whole with its caller's instruction set. Panics if `keys`
+    /// yields more or fewer keys than its `len()`.
     #[inline(always)]
     pub(crate) fn fill_body<'a, H: KeyHasher + 'a, P: Copy>(
         &mut self,
-        mut keys: impl Iterator<Item = FlowKey>,
+        mut keys: impl ExactSizeIterator<Item = FlowKey>,
         lanes: impl Iterator<Item = (&'a H, P)> + Clone,
         finish: impl Fn(u64, P) -> u64,
     ) {
-        let (low, high) = keys.size_hint();
-        self.lanes = lanes.clone().count();
-        if high == Some(low) && low < SHORT_BATCH {
-            // Too few keys to fill a vector: key by key, with no loop to
-            // set up per lane and no term arrays in between.
-            self.rows = low;
-            self.values.resize(self.lanes * low, 0);
-            let mut seen = 0;
-            for key in keys {
-                assert!(seen < low, "the key iterator understated its length");
-                let terms = H::key_terms(&key);
-                for (m, (member, p)) in lanes.clone().enumerate() {
-                    self.values[m * low + seen] = finish(member.hash_terms(terms), p);
-                }
-                seen += 1;
-            }
-            assert_eq!(seen, low, "the key iterator overstated its length");
-            return;
-        }
-        // Size the term arrays from the iterator's hint and write them in
-        // place, over whatever the last batch left there; a hint that was
-        // too long or too short is corrected afterwards.
-        let hint = high.unwrap_or(low);
-        self.terms.iter_mut().for_each(|t| t.resize(hint, 0));
-        let [a, b, c] = &mut self.terms;
-        let mut rows = 0;
-        for (((a, b), c), key) in (a.iter_mut().zip(b.iter_mut()).zip(c.iter_mut())).zip(&mut keys)
-        {
-            [*a, *b, *c] = H::key_terms(&key);
-            rows += 1;
-        }
-        self.terms.iter_mut().for_each(|t| t.truncate(rows));
-        for key in keys {
-            let terms = H::key_terms(&key);
-            (self.terms.iter_mut().zip(terms)).for_each(|(t, term)| t.push(term));
-            rows += 1;
-        }
+        let rows = keys.len();
         self.rows = rows;
+        self.lanes = lanes.clone().count();
         // Every value is written below before it can be read.
         self.values.resize(self.lanes * rows, 0);
-        let [a, b, c] = &self.terms;
-        let mut rest = self.values.as_mut_slice();
-        for (member, p) in lanes {
-            let lane;
-            (lane, rest) = rest.split_at_mut(rows);
-            for (((value, &a), &b), &c) in lane.iter_mut().zip(a).zip(b).zip(c) {
-                *value = finish(member.hash_terms([a, b, c]), p);
+        let mut next_key = || keys.next().expect("fewer keys than their len()");
+        if rows < SHORT_BATCH {
+            // Too few keys to fill a vector: key by key, with no loop to
+            // set up per lane and no term arrays in between.
+            for i in 0..rows {
+                let terms = H::key_terms(&next_key());
+                for (m, (member, p)) in lanes.clone().enumerate() {
+                    self.values[m * rows + i] = finish(member.hash_terms(terms), p);
+                }
+            }
+        } else {
+            // A block of keys at a time: their terms on the stack, then
+            // one loop per lane over the block.
+            let mut terms = [[0; BLOCK]; 3];
+            for start in (0..rows).step_by(BLOCK) {
+                let n = BLOCK.min(rows - start);
+                let [a, b, c] = &mut terms;
+                for ((a, b), c) in (a.iter_mut().zip(b.iter_mut()).zip(c.iter_mut())).take(n) {
+                    [*a, *b, *c] = H::key_terms(&next_key());
+                }
+                let [a, b, c] = &terms;
+                for (m, (member, p)) in lanes.clone().enumerate() {
+                    let lane = &mut self.values[m * rows + start..][..n];
+                    for (((value, &a), &b), &c) in lane.iter_mut().zip(a).zip(b).zip(c) {
+                        *value = finish(member.hash_terms([a, b, c]), p);
+                    }
+                }
             }
         }
+        assert!(keys.next().is_none(), "more keys than their len()");
     }
 }
 
 /// Batches shorter than this — one AVX-512 vector of 64-bit words — are
 /// hashed key by key, by the baseline copy.
 pub(crate) const SHORT_BATCH: usize = 8;
+
+/// Keys whose terms the kernel holds on the stack at once: half the
+/// deployed 256-packet batch, so that a two-shard partition of one is a
+/// single block (3 KiB of terms).
+const BLOCK: usize = 128;
 
 /// The table position a probe word ([`HashLanes::fill_probes`]) names.
 #[inline]
@@ -174,7 +167,7 @@ pub const fn probe_hash_low(word: u64) -> u32 {
 /// value bit for bit [`HashFamily::hash`]'s.
 pub fn compute_lanes<H: KeyHasher>(
     families: &[&HashFamily<H>],
-    keys: impl Iterator<Item = FlowKey>,
+    keys: impl ExactSizeIterator<Item = FlowKey>,
     lanes: &mut HashLanes,
 ) {
     let members = families.iter().flat_map(|f| f.members()).map(|m| (m, ()));
@@ -218,9 +211,10 @@ mod tests {
     fn refill_reuses_and_resizes() {
         let fam = HashFamily::<XxHash64>::new(2, 9);
         let mut lanes = HashLanes::default();
-        compute_lanes(&[&fam], (0..10).map(FlowKey::from_index), &mut lanes);
+        let keys: Vec<FlowKey> = (0..10).map(FlowKey::from_index).collect();
+        compute_lanes(&[&fam], keys.iter().copied(), &mut lanes);
         assert_eq!(lanes.rows(), 10);
-        compute_lanes(&[&fam], (0..3).map(FlowKey::from_index), &mut lanes);
+        compute_lanes(&[&fam], keys[..3].iter().copied(), &mut lanes);
         assert_eq!(lanes.rows(), 3);
         assert_eq!(lanes.lane(0)[2], fam.hash(0, &FlowKey::from_index(2)));
         assert_eq!(lanes.lane(1).len(), 3);

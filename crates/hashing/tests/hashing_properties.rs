@@ -19,8 +19,8 @@ use hashflow_hashing::{
 use hashflow_types::{FlowKey, Ipv4Addr};
 use proptest::prelude::*;
 
-fn keys(n: u64) -> impl Iterator<Item = FlowKey> {
-    (0..n).map(FlowKey::from_index)
+fn keys(n: u64) -> impl ExactSizeIterator<Item = FlowKey> {
+    (0..n as usize).map(|i| FlowKey::from_index(i as u64))
 }
 
 // --- Murmur3 (widened 64-bit construction) -------------------------------
@@ -298,29 +298,12 @@ proptest! {
     }
 }
 
-/// An iterator whose `size_hint` under- or over-states its length must
-/// still yield exactly one row per key.
-#[test]
-fn compute_lanes_tolerates_inexact_size_hints() {
-    let family = HashFamily::<XxHash64>::new(2, 3);
-    let mut lanes = HashLanes::default();
-    // `filter` reports (0, Some(40)); 20 keys arrive.
-    let evens = (0..40u64).filter(|i| i % 2 == 0).map(FlowKey::from_index);
-    compute_lanes(&[&family], evens, &mut lanes);
-    assert_eq!(lanes.rows(), 20);
-    assert_eq!(lanes.lane(1)[19], family.hash(1, &FlowKey::from_index(38)));
-    // `take_while` reports (0, None); 9 keys arrive.
-    let few = (0..).take_while(|&i| i < 9).map(FlowKey::from_index);
-    compute_lanes(&[&family], few, &mut lanes);
-    assert_eq!(lanes.rows(), 9);
-    assert_eq!(lanes.lane(0)[8], family.hash(0, &FlowKey::from_index(8)));
-}
-
 // --- The lane kernel, copy by copy -----------------------------------------
 
-/// Batch lengths around the short-batch cut, one vector, and a batch of
-/// 256: empty, one key, vector tails of every kind.
-const BATCH_LENGTHS: [usize; 8] = [0, 1, 7, 8, 9, 255, 256, 257];
+/// Batch lengths around the short-batch cut, one vector, the kernel's
+/// 128-key block and a batch of 256: empty, one key, vector and block
+/// tails of every kind.
+const BATCH_LENGTHS: [usize; 14] = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257];
 
 /// The half-word high multiply is the `u128` one, at the corners of both
 /// operands and wherever the sampler lands.
@@ -412,5 +395,65 @@ proptest! {
             let names: Vec<&str> = copies.iter().map(|c| c.name()).collect();
             println!("kernel copies run on this host: {names:?}");
         });
+    }
+}
+
+/// Yields `keys`, but reports `len` as its length.
+struct Misstated {
+    keys: std::vec::IntoIter<FlowKey>,
+    len: usize,
+}
+
+impl Iterator for Misstated {
+    type Item = FlowKey;
+
+    fn next(&mut self) -> Option<FlowKey> {
+        self.keys.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for Misstated {}
+
+/// The row count is the key iterator's `len()`, taken before the first
+/// write: an iterator that yields more or fewer keys than it states makes
+/// every copy panic, on either side of the short-batch cut and of a block
+/// edge, rather than hand back a short or stale slab.
+#[test]
+fn a_misstated_key_count_panics_in_every_copy() {
+    let family = HashFamily::<XxHash64>::new(2, 3);
+    let lanes = || family.members().iter().zip([(0, 1000), (1000, 24)]);
+    let mut copies = vec![KernelCopy::BASELINE, KernelCopy::best()];
+    copies.dedup();
+    let mut slab = HashLanes::default();
+    for copy in copies {
+        for (yields, states) in [
+            (0, 1),
+            (1, 0),
+            (4, 3),
+            (3, 4),
+            (20, 40),
+            (40, 20),
+            (129, 128),
+            (128, 129),
+            (256, 257),
+            (257, 256),
+        ] {
+            let misstated = Misstated {
+                keys: keys(yields).collect::<Vec<_>>().into_iter(),
+                len: states,
+            };
+            let filled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                slab.fill_probes(copy, misstated, lanes());
+            }));
+            assert!(
+                filled.is_err(),
+                "{} copy took {yields} keys stated as {states}",
+                copy.name()
+            );
+        }
     }
 }

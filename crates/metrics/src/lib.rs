@@ -34,7 +34,7 @@
 use hashflow_monitor::FlowMonitor;
 use hashflow_trace::Trace;
 use hashflow_types::{FlowKey, FlowRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 mod ground_truth;
 pub use ground_truth::GroundTruth;
@@ -220,69 +220,68 @@ pub fn evaluate<M: FlowMonitor + ?Sized>(
     }
 }
 
-/// A perfect reference monitor (exact hash map) used to sanity-check the
-/// metric implementations and as the "infinite memory" upper bound in
-/// ablation experiments.
-#[derive(Debug, Clone, Default)]
-pub struct ExactMonitor {
-    flows: HashMap<FlowKey, u32>,
-    cost: hashflow_monitor::CostRecorder,
-}
-
-impl ExactMonitor {
-    /// Creates an empty exact monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl FlowMonitor for ExactMonitor {
-    fn process_packet(&mut self, packet: &hashflow_types::Packet) {
-        self.cost.start_packet();
-        self.cost.record_hashes(1);
-        self.cost.record_reads(1);
-        self.cost.record_writes(1);
-        *self.flows.entry(packet.key()).or_insert(0) += 1;
-    }
-
-    fn flow_records(&self) -> Vec<FlowRecord> {
-        self.flows
-            .iter()
-            .map(|(k, c)| FlowRecord::new(*k, *c))
-            .collect()
-    }
-
-    fn estimate_size(&self, key: &FlowKey) -> u32 {
-        self.flows.get(key).copied().unwrap_or(0)
-    }
-
-    fn estimate_cardinality(&self) -> f64 {
-        self.flows.len() as f64
-    }
-
-    fn memory_bits(&self) -> usize {
-        self.flows.len() * hashflow_types::RECORD_BITS
-    }
-
-    fn name(&self) -> &'static str {
-        "Exact"
-    }
-
-    fn cost(&self) -> hashflow_monitor::CostSnapshot {
-        self.cost.snapshot()
-    }
-
-    fn reset(&mut self) {
-        self.flows.clear();
-        self.cost.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hashflow_trace::{TraceGenerator, TraceProfile};
     use hashflow_types::Packet;
+    use std::collections::HashMap;
+
+    /// A perfect reference monitor (exact hash map) that the metric
+    /// implementations are checked against.
+    #[derive(Debug, Clone, Default)]
+    struct ExactMonitor {
+        flows: HashMap<FlowKey, u32>,
+        cost: hashflow_monitor::CostRecorder,
+    }
+
+    impl ExactMonitor {
+        fn new() -> Self {
+            Self::default()
+        }
+    }
+
+    impl FlowMonitor for ExactMonitor {
+        fn process_packet(&mut self, packet: &Packet) {
+            self.cost.start_packet();
+            self.cost.record_hashes(1);
+            self.cost.record_reads(1);
+            self.cost.record_writes(1);
+            *self.flows.entry(packet.key()).or_insert(0) += 1;
+        }
+
+        fn flow_records(&self) -> Vec<FlowRecord> {
+            self.flows
+                .iter()
+                .map(|(k, c)| FlowRecord::new(*k, *c))
+                .collect()
+        }
+
+        fn estimate_size(&self, key: &FlowKey) -> u32 {
+            self.flows.get(key).copied().unwrap_or(0)
+        }
+
+        fn estimate_cardinality(&self) -> f64 {
+            self.flows.len() as f64
+        }
+
+        fn memory_bits(&self) -> usize {
+            self.flows.len() * hashflow_types::RECORD_BITS
+        }
+
+        fn name(&self) -> &'static str {
+            "Exact"
+        }
+
+        fn cost(&self) -> hashflow_monitor::CostSnapshot {
+            self.cost.snapshot()
+        }
+
+        fn reset(&mut self) {
+            self.flows.clear();
+            self.cost.reset();
+        }
+    }
 
     fn toy_truth() -> GroundTruth {
         GroundTruth::from_records(&[

@@ -164,11 +164,6 @@ impl SinkErrors {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &io::Error)> {
         self.errors.iter().map(|(i, e)| (*i, e))
     }
-
-    /// Consumes the report, returning the parked errors.
-    pub fn into_vec(self) -> Vec<(usize, io::Error)> {
-        self.errors
-    }
 }
 
 impl std::fmt::Display for SinkErrors {

@@ -101,11 +101,6 @@ impl<S: RecordSink> RetrySink<S> {
         }
     }
 
-    /// Wraps `inner` with the default policy (3 attempts, 10 ms base).
-    pub fn with_defaults(inner: S) -> Self {
-        Self::new(inner, RetryPolicy::default())
-    }
-
     /// The wrapped sink.
     pub fn inner(&self) -> &S {
         &self.inner

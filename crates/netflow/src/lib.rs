@@ -184,7 +184,6 @@ pub struct NetFlowV5Sink<W: Write> {
     writer: W,
     exporter: Exporter,
     datagrams: u64,
-    bytes: u64,
 }
 
 impl<W: Write> NetFlowV5Sink<W> {
@@ -199,7 +198,6 @@ impl<W: Write> NetFlowV5Sink<W> {
             writer,
             exporter: Exporter::new(meta),
             datagrams: 0,
-            bytes: 0,
         }
     }
 
@@ -211,11 +209,6 @@ impl<W: Write> NetFlowV5Sink<W> {
     /// Datagrams written so far.
     pub const fn datagrams_written(&self) -> u64 {
         self.datagrams
-    }
-
-    /// Bytes written so far.
-    pub const fn bytes_written(&self) -> u64 {
-        self.bytes
     }
 
     /// Unwraps the sink, returning the underlying writer.
@@ -235,7 +228,6 @@ impl<W: Write> RecordSink for NetFlowV5Sink<W> {
         for datagram in self.exporter.export(&records) {
             self.writer.write_all(&datagram)?;
             self.datagrams += 1;
-            self.bytes += datagram.len() as u64;
         }
         Ok(())
     }

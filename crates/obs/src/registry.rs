@@ -189,25 +189,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Registers an existing histogram handle; see
-    /// [`Self::register_counter`] for the adoption semantics.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        histogram: Histogram,
-    ) -> Histogram {
-        self.get_or_insert(
-            name,
-            labels,
-            |m| match m {
-                Metric::Histogram(h) => Some(h.clone()),
-                _ => None,
-            },
-            move || (Metric::Histogram(histogram.clone()), histogram),
-        )
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.entries

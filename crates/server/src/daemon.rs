@@ -281,12 +281,25 @@ impl IngestPort {
 
     /// Offers one batch under the port's policy, ledgering any shed. The
     /// batch is planned here, on the caller's thread, so that the ingest
-    /// thread only runs the monitor's steps. Shed batches also land in
-    /// the flight recorder (one event per shed batch, never per packet,
-    /// so a sustained overload cannot flood the ring faster than the
-    /// queue turns over).
+    /// thread only runs the monitor's steps; under `DropNewest`, a batch
+    /// that finds the queue full is shed before it is planned. Shed
+    /// batches also land in the flight recorder (one event per shed
+    /// batch, never per packet, so a sustained overload cannot flood the
+    /// ring faster than the queue turns over).
     pub fn offer(&self, packets: Vec<Packet>) {
         self.drops.record_offer(packets.len() as u64);
+        // The length is read before the queue decides, so it may be
+        // stale: a batch that finds room here is still planned and
+        // offered, and the queue's own check rejects it if room is gone.
+        if self.policy == BackpressurePolicy::DropNewest
+            && self.queue.len() >= self.queue.capacity()
+        {
+            let batch = Offered {
+                packets,
+                plan: None,
+            };
+            return self.shed(batch, "rejected");
+        }
         let plan = self.planner.as_ref().map(|planner| {
             let mut plan = self.spare_plans.try_pop().unwrap_or_default();
             planner.plan(&packets, &mut plan);
@@ -1440,6 +1453,48 @@ mod tests {
             assert_eq!(report.offered_records, 3 * total, "{}", policy.label());
             assert!(report.conserved(), "{}: {report:?}", policy.label());
         }
+    }
+
+    /// A planner that only counts its calls.
+    struct CountingPlanner(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl BatchPlanner for CountingPlanner {
+        fn plan(&self, _packets: &[Packet], _plan: &mut BatchPlan) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn drop_newest_sheds_a_batch_before_planning_it() {
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let recorder = FlightRecorder::new();
+        // No ingest thread: the third batch finds both slots taken.
+        let port = IngestPort::new(
+            2,
+            Some(Box::new(CountingPlanner(Arc::clone(&calls)))),
+            BackpressurePolicy::DropNewest,
+            recorder.clone(),
+        );
+        for n in [10, 20, 30] {
+            port.offer(
+                (0..n)
+                    .map(|i| Packet::new(FlowKey::from_index(i), 0, 64))
+                    .collect(),
+            );
+        }
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+        let mut queued = 0;
+        while let Some(batch) = port.queue.try_pop() {
+            queued += batch.packets.len() as u64;
+        }
+        let drops = port.drop_stats();
+        assert_eq!((queued, drops.dropped_records()), (30, 30));
+        assert_eq!(drops.offered_records(), queued + drops.dropped_records());
+        let shed: Vec<_> = (recorder.snapshot().into_iter())
+            .filter(|e| e.kind == "batch_shed")
+            .collect();
+        assert_eq!(shed.len(), 1, "{shed:?}");
+        assert!(shed[0].message.contains("rejected"), "{:?}", shed[0]);
     }
 
     #[test]

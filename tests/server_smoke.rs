@@ -148,3 +148,79 @@ fn udp_ingest_round_trips_to_the_query_api() {
     assert_eq!(report.offered_records, total);
     assert_eq!(report.packets_processed, total);
 }
+
+/// Whether metric family `name` matches a catalog entry, where a `*`
+/// stands for any run of characters.
+fn catalogued(entry: &str, name: &str) -> bool {
+    match entry.split_once('*') {
+        Some((head, tail)) => {
+            name.len() >= head.len() + tail.len() && name.starts_with(head) && name.ends_with(tail)
+        }
+        None => entry == name,
+    }
+}
+
+#[test]
+fn every_exposed_metric_family_has_a_row_in_the_readme_catalog() {
+    let _watchdog = watchdog(Duration::from_secs(120));
+    let readme = include_str!("../README.md");
+    let catalog = (readme.split("### Metric catalog").nth(1)).expect("README has a metric catalog");
+    let entries: Vec<&str> = (catalog.lines())
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|row| row.split('|').nth(1))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .filter(|name| name.starts_with("hashflow_"))
+        .collect();
+    assert!(entries.len() > 20, "{entries:?}");
+
+    // A single-shard HashFlow daemon with every front end it has: UDP
+    // ingest (one junk datagram included), a standing query, sealed
+    // epochs with their introspection gauges, and HTTP reads.
+    let server = Server::start(ServerConfig {
+        epoch_ms: 50,
+        udp_addr: Some("127.0.0.1:0".to_string()),
+        queries: vec!["map dst | reduce count | threshold 1".to_string()],
+        ..ServerConfig::default()
+    })
+    .expect("daemon boots");
+    let (http, udp) = (
+        server.http_addr(),
+        server.udp_addr().expect("udp front-end"),
+    );
+    let socket = UdpSocket::bind("127.0.0.1:0").expect("client socket");
+    let trace = TraceGenerator::new(TraceProfile::Caida, 7).generate(300);
+    for datagram in wire::encode_datagrams(trace.packets()) {
+        socket.send_to(&datagram, udp).expect("send datagram");
+    }
+    socket.send_to(b"not hashflow", udp).expect("send junk");
+    assert!(
+        server.wait_for_sealed(1, Duration::from_secs(30)),
+        "no epoch sealed"
+    );
+    for path in ["/epochs", "/healthz", "/queries"] {
+        assert_eq!(client::get(http, path).expect("GET").0, 200, "{path}");
+    }
+    let (status, metrics) = client::get(http, "/metrics").expect("GET /metrics");
+    assert_eq!(status, 200);
+    server.shutdown();
+
+    let families: Vec<&str> = (metrics.lines())
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|line| line.split(' ').next())
+        .filter(|name| name.starts_with("hashflow_"))
+        .collect();
+    assert!(
+        families
+            .iter()
+            .any(|f| f.starts_with("hashflow_introspect_")),
+        "{metrics}"
+    );
+    let missing: Vec<&&str> = (families.iter())
+        .filter(|family| !entries.iter().any(|entry| catalogued(entry, family)))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "not in README's metric catalog: {missing:?}"
+    );
+}
