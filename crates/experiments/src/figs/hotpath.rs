@@ -23,20 +23,36 @@
 //!   than L2, every probe is a cache miss on the scalar path, and the
 //!   prefetch window does the heavy lifting.
 //!
-//! The run's record is `BENCH_hotpath.json`. Its stamp names the CPU
-//! and which compiled copy of the lane kernel pass 1 ran through
-//! (`baseline` or `avx512`): the batched rate depends on it.
+//! A second table, `hotpath_flowradar_decode`, prices the collector-side
+//! work FlowRadar defers (§II): its peeling decode at the `paper` budget,
+//! loaded at [`DECODE_LOADS`] flows per counting cell. With three hashes
+//! per flow the peel stops working near 0.82 flows per cell: recovery is
+//! whole below that load and collapses above it, and the decode time
+//! peaks at the cliff, then falls past it as the peel stops early.
+//!
+//! The run's record is `BENCH_hotpath.json` (`rows` and `decode_rows`).
+//! Its stamp names the CPU and which compiled copy of the lane kernel
+//! pass 1 ran through (`baseline` or `avx512`): the batched rate depends
+//! on it.
 
 use crate::bench::{best_of, kpps, Bench};
 use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
+use flowradar::FlowRadar;
 use hashflow_core::{HashFlow, HashFlowConfig, TableScheme};
 use hashflow_monitor::{FlowMonitor, MemoryBudget};
 use hashflow_trace::TraceProfile;
+use hashflow_types::{FlowKey, Packet};
 use simswitch::SoftwareSwitch;
+use std::time::Instant;
 
 /// Timed trials per row; each path keeps its fastest ([`best_of`]).
 pub const TRIALS: usize = 3;
+
+/// FlowRadar loads of the decode table, in flows per counting cell:
+/// well below the peeling threshold, just below it, just past it, and
+/// far past it.
+pub const DECODE_LOADS: [f64; 4] = [0.5, 0.8, 0.85, 2.0];
 
 /// One scalar-vs-batched measurement.
 #[derive(Debug, Clone)]
@@ -113,7 +129,52 @@ fn measure(
     }
 }
 
-/// Runs the scalar-vs-batched sweep on the CAIDA profile.
+/// FlowRadar at `budget`, loaded with one packet per flow at each of
+/// [`DECODE_LOADS`]: its decode time (best of [`TRIALS`], each on a fresh
+/// clone, the clone outside the clock) and the share of flows the decode
+/// recovers.
+fn decode_table(budget: MemoryBudget) -> Table {
+    let mut table = Table::new(
+        "hotpath_flowradar_decode",
+        &[
+            "budget_bytes",
+            "cells",
+            "load",
+            "flows",
+            "decode_ms",
+            "recovered",
+        ],
+    );
+    for load in DECODE_LOADS {
+        let mut fr = FlowRadar::with_memory(budget).expect("exhibit budget fits FlowRadar");
+        let cells = fr.counting_cells();
+        let flows = (cells as f64 * load).round() as usize;
+        let packets: Vec<Packet> = (0..flows as u64)
+            .map(|i| Packet::new(FlowKey::from_index(i), 0, 64))
+            .collect();
+        fr.process_trace(&packets);
+        // `fr` itself decodes only after the trials, so no clone starts
+        // with a cached decode; the map drops after the clock stops.
+        let [decode_ns] = best_of(TRIALS, || {
+            let fresh = fr.clone();
+            let start = Instant::now();
+            let _decoded = std::hint::black_box(fresh.decode());
+            [start.elapsed().as_nanos()]
+        });
+        table.push_row(vec![
+            Cell::from(budget.bytes()),
+            Cell::from(cells),
+            Cell::Float(load),
+            Cell::from(flows),
+            Cell::Float(decode_ns as f64 / 1e6),
+            Cell::Float(fr.decode_success_ratio(flows)),
+        ]);
+    }
+    table
+}
+
+/// Runs the scalar-vs-batched sweep on the CAIDA profile, then the
+/// FlowRadar decode table at the `paper` budget.
 pub fn run(cfg: &RunConfig) -> Output {
     let paper_budget = setup::standard_budget(cfg);
     let production_budget =
@@ -186,9 +247,15 @@ pub fn run(cfg: &RunConfig) -> Output {
         ]);
     }
 
+    let decode = decode_table(paper_budget);
+
     Output {
-        bench: Some(Bench::new("hotpath", cfg, TRIALS).table("rows", &table)),
-        tables: vec![table],
+        bench: Some(
+            Bench::new("hotpath", cfg, TRIALS)
+                .table("rows", &table)
+                .table("decode_rows", &decode),
+        ),
+        tables: vec![table, decode],
         violations: Vec::new(),
     }
 }
@@ -214,6 +281,38 @@ mod tests {
         assert!(json.contains("\"kernel_copy\": \"") && json.contains("\"cpu\": \""));
         assert!(json.contains("\"workload\":\"production\""));
         assert_eq!(json.matches("\"batched_kpps\":").count(), 6);
+        assert!(json.contains("\"decode_rows\": ["));
+        assert_eq!(json.matches("\"decode_ms\":").count(), DECODE_LOADS.len());
+    }
+
+    #[test]
+    fn decode_table_straddles_the_cliff() {
+        let budget = setup::standard_budget(&RunConfig::for_tests(0.02));
+        let table = decode_table(budget);
+        assert_eq!(table.name(), "hotpath_flowradar_decode");
+        assert_eq!(
+            table.headers(),
+            [
+                "budget_bytes",
+                "cells",
+                "load",
+                "flows",
+                "decode_ms",
+                "recovered"
+            ]
+        );
+        let float = |cell: &Cell| match cell {
+            Cell::Float(v) => *v,
+            other => panic!("expected a float, got {other:?}"),
+        };
+        let loads: Vec<f64> = table.rows().iter().map(|row| float(&row[2])).collect();
+        assert_eq!(loads, DECODE_LOADS);
+        for row in table.rows() {
+            assert!(float(&row[4]) >= 0.0, "decode time unmeasured");
+        }
+        let recovered = |i: usize| float(&table.rows()[i][5]);
+        assert!(recovered(0) >= 0.999, "underloaded: {}", recovered(0));
+        assert!(recovered(3) <= 0.1, "overloaded: {}", recovered(3));
     }
 
     #[test]

@@ -436,7 +436,8 @@ mod tests {
     #[test]
     fn light_load_decodes_everything() {
         // 1000 cells, 300 flows: decode succeeds with overwhelming
-        // probability (load factor well under the ~1.24 IBLT threshold).
+        // probability (0.3 flows per cell, well under the ≈ 0.82 peeling
+        // threshold of three hashes per flow).
         let mut fr = FlowRadar::new(1000, 1).unwrap();
         for flow in 0..300u64 {
             for _ in 0..=flow % 5 {

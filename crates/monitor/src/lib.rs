@@ -204,7 +204,10 @@ pub trait FlowMonitor {
 
     /// Convenience: processes every packet of a slice in order, feeding
     /// [`Self::process_batch`] in [`INGEST_BATCH`]-sized chunks so
-    /// monitors with a batched hot path get it automatically.
+    /// monitors with a batched hot path get it automatically. No monitor
+    /// overrides it: it runs on the caller's thread for every monitor,
+    /// and a sharded monitor's threaded entry is its own
+    /// `ShardedMonitor::ingest`.
     fn process_trace(&mut self, packets: &[Packet]) {
         for chunk in packets.chunks(INGEST_BATCH) {
             self.process_batch(chunk);
@@ -260,8 +263,8 @@ pub trait FlowMonitor {
 /// everything downstream — epoch rotators, switch pipelines, evaluation
 /// harnesses — must accept the boxed form wherever a concrete monitor
 /// fits. Every method a monitor overrides forwards, so a box wrapping a
-/// monitor with a batched hot path or a threaded `process_trace` keeps
-/// it; `heavy_hitters` keeps the default, which no monitor overrides.
+/// monitor with a batched hot path keeps it; `heavy_hitters` and
+/// `process_trace` keep their defaults, which no monitor overrides.
 impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     fn process_packet(&mut self, packet: &Packet) {
         (**self).process_packet(packet);
@@ -295,9 +298,6 @@ impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     }
     fn reset(&mut self) {
         (**self).reset();
-    }
-    fn process_trace(&mut self, packets: &[Packet]) {
-        (**self).process_trace(packets);
     }
     fn seal(&mut self) -> EpochSnapshot {
         (**self).seal()

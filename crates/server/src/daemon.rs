@@ -619,12 +619,6 @@ impl Server {
         Arc::clone(&self.port)
     }
 
-    /// Requests shutdown without waiting (same flag `POST /shutdown`
-    /// triggers). [`Server::shutdown`] still must run to join threads.
-    pub fn trigger_shutdown(&self) {
-        self.shutdown.trigger();
-    }
-
     /// Whether shutdown has been requested (by any trigger).
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.is_set()

@@ -108,9 +108,9 @@ impl Response {
     }
 }
 
-/// Decodes `%XX` escapes (and `+` as space, form-style) in `s`;
-/// malformed escapes pass through literally rather than erroring — a
-/// path that was never encoded still routes.
+/// Decodes `%XX` escapes (`XX` two ASCII hex digits) and `+` as space,
+/// form-style, in `s`; malformed escapes pass through literally rather
+/// than erroring — a path that was never encoded still routes.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -118,7 +118,10 @@ pub fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
+                // `from_str_radix` alone would take a sign: `%+1` is no escape.
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit));
                 match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
                     Some(b) => {
                         out.push(b);
@@ -532,6 +535,11 @@ mod tests {
             "10.0.0.1:80->10.0.0.2:443/6"
         );
         assert_eq!(percent_decode("a%ZZb"), "a%ZZb", "bad escapes pass through");
+        assert_eq!(
+            percent_decode("/epochs/%+1"),
+            "/epochs/% 1",
+            "a sign is no hex digit"
+        );
     }
 
     #[test]

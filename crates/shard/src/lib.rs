@@ -15,7 +15,9 @@
 //!   one guarded feed of each partition through its shard's batched hot
 //!   path. [`FlowMonitor::process_batch`] runs them on the caller's
 //!   thread, [`FlowMonitor::process_packet`] is that on a batch of one,
-//!   and [`ShardedMonitor::ingest`] runs the same split chunk by chunk in
+//!   and [`FlowMonitor::process_trace`] keeps the trait default, that
+//!   chunk by chunk. [`ShardedMonitor::ingest`] is the one call that
+//!   spawns threads: it runs the same split chunk by chunk in
 //!   front of worker threads (`std::thread::scope`, no unsafe) fed through
 //!   bounded [`BatchQueue`]s, so a slow shard back-pressures the
 //!   dispatcher instead of buffering the trace; drained batch buffers
@@ -800,12 +802,6 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
             }
         }
         self.scratch = scratch;
-    }
-
-    /// The parallel path: trait-level replay (e.g.
-    /// `simswitch::SoftwareSwitch::replay`) automatically runs sharded.
-    fn process_trace(&mut self, packets: &[Packet]) {
-        let _ = self.ingest(packets);
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

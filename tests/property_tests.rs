@@ -205,8 +205,10 @@ proptest! {
     }
 }
 
-// Robustness: the wire-format parsers must never panic on arbitrary bytes.
+// Robustness: the wire-format parsers must never panic on arbitrary bytes,
+// and the HTTP layer's percent decoding holds its laws on any text.
 mod parser_robustness {
+    use hashflow_server::http::percent_decode;
     use hashflow_server::wire::{self, DATAGRAM_RECORDS, MAGIC};
     use hashflow_suite::netflow_export::decode_datagram;
     use hashflow_suite::trace::read_pcap;
@@ -278,6 +280,74 @@ mod parser_robustness {
             let packets = &packets[..n];
             let decoded = wire::decode_datagram(&wire::encode_datagram(packets)).unwrap();
             prop_assert_eq!(decoded.as_slice(), packets);
+        }
+    }
+
+    /// Text from escape-shaped pieces — `%`, signs, hex and non-hex
+    /// digits, escapes of multi-byte characters cut short — and any
+    /// character at all, so escapes, near-escapes and escapes truncated
+    /// by the end of the input all occur.
+    fn url_text() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 12] = [
+            "%", "+", "-", "0", "7", "a", "F", "g", "/", "%2F", "%e2%82", "%ff",
+        ];
+        let piece = (0..PIECES.len() + 2, any::<u32>());
+        prop::collection::vec(piece, 0..40).prop_map(|picks| {
+            let pick = |(i, c): (usize, u32)| match PIECES.get(i) {
+                Some(piece) => (*piece).to_string(),
+                None => char::from_u32(c % 0x11_0000)
+                    .unwrap_or('\u{fffd}')
+                    .to_string(),
+            };
+            picks.into_iter().map(pick).collect()
+        })
+    }
+
+    /// Starts of the text after a `%` that make it no escape: the next
+    /// two characters are not both hex digits, or the input ends first.
+    const NOT_AN_ESCAPE: [&str; 13] = [
+        "+1", "+f", "-1", "g0", "0g", "%4", "F%", "0/", " 0", "\u{e9}0", "", "0", "F",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Request paths and query strings are untrusted text: decoding
+        /// never panics and never grows it (an escape is three bytes for
+        /// one, and an escaped byte that is not valid UTF-8 becomes at
+        /// most one three-byte replacement character).
+        #[test]
+        fn percent_decoding_never_panics_or_grows(text in url_text()) {
+            let decoded = percent_decode(&text);
+            prop_assert!(decoded.len() <= text.len(), "{text:?} -> {decoded:?}");
+        }
+
+        /// Escaping every byte of a string, in either case of hex
+        /// digit, decodes back to the string.
+        #[test]
+        fn percent_encoded_text_decodes_back(text in url_text(), upper in any::<bool>()) {
+            let encoded: String = text
+                .bytes()
+                .map(|b| if upper { format!("%{b:02X}") } else { format!("%{b:02x}") })
+                .collect();
+            prop_assert_eq!(percent_decode(&encoded), text);
+        }
+
+        /// A `%` not followed by two hex digits is kept as it is, and
+        /// the text on either side decodes as it would alone.
+        #[test]
+        fn a_percent_without_two_hex_digits_passes_through(
+            (head, start, rest) in (url_text(), 0..NOT_AN_ESCAPE.len(), url_text()),
+        ) {
+            let start = NOT_AN_ESCAPE[start];
+            // The one- and zero-character starts only hold at the end.
+            let tail = if start.chars().count() < 2 {
+                start.to_string()
+            } else {
+                format!("{start}{rest}")
+            };
+            let whole = percent_decode(&format!("{head}%{tail}"));
+            prop_assert_eq!(whole, format!("{}%{}", percent_decode(&head), percent_decode(&tail)));
         }
     }
 }
