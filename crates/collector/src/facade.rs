@@ -4,7 +4,7 @@
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
     BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor,
-    HealthPolicy, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
+    Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
 };
 use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
 use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
@@ -60,7 +60,6 @@ impl Collector {
             queries: Vec::new(),
             instruments: Instruments::default(),
             retention: None,
-            sink_health: None,
         }
     }
 
@@ -267,7 +266,6 @@ pub struct CollectorBuilder {
     queries: Vec<QueryPlan>,
     instruments: Instruments,
     retention: Option<usize>,
-    sink_health: Option<HealthPolicy>,
 }
 
 impl CollectorBuilder {
@@ -358,14 +356,6 @@ impl CollectorBuilder {
         self
     }
 
-    /// Sets the sink health-state-machine thresholds (see
-    /// [`HealthPolicy`]).
-    #[must_use]
-    pub fn sink_health_policy(mut self, policy: HealthPolicy) -> Self {
-        self.sink_health = Some(policy);
-        self
-    }
-
     /// Builds the pipeline.
     ///
     /// # Errors
@@ -387,9 +377,6 @@ impl CollectorBuilder {
         let mut rotator = EpochRotator::new(queries, self.epoch_len_ns);
         if let Some(max_epochs) = self.retention {
             rotator.set_retention(max_epochs);
-        }
-        if let Some(policy) = self.sink_health {
-            rotator.set_sink_health_policy(policy);
         }
         for sink in self.sinks {
             rotator.add_sink(sink);
@@ -514,7 +501,7 @@ mod tests {
 
     #[test]
     fn sink_faults_park_in_the_health_machine_and_finish_reports_all() {
-        use hashflow_monitor::SinkHealth;
+        use hashflow_monitor::{SinkHealth, SINK_QUARANTINE_AFTER};
         use hashflow_types::{FlowKey, Packet};
 
         struct Broken;
@@ -527,37 +514,34 @@ mod tests {
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(budget())
             .sink(Box::new(Broken))
-            .sink_health_policy(HealthPolicy {
-                quarantine_after: 2,
-                probe_interval: 4,
-            })
             .retention(1)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
             .unwrap();
         let key = FlowKey::new([10, 0, 0, 1].into(), [10, 0, 0, 2].into(), 1, 80, 6);
-        for epoch in 0..3u64 {
+        let strikes = u64::from(SINK_QUARANTINE_AFTER);
+        for epoch in 0..=strikes {
             collector.process_packet(&Packet::new(key, epoch * 1_000, 64));
             collector.seal();
         }
-        // Two consecutive failures quarantined the sink; the third seal
-        // was skipped past it (counted, not exported).
+        // Consecutive failures quarantined the sink; the last seal was
+        // skipped past it (counted, not exported).
         let health = collector.sink_health();
         assert_eq!(health.len(), 1);
         assert_eq!(health[0].health, SinkHealth::Quarantined);
-        assert_eq!(health[0].total_errors, 2);
+        assert_eq!(health[0].total_errors, strikes);
         assert_eq!(health[0].skipped_epochs, 1);
-        // The retention window slid: one report kept, two evicted, ledger
-        // conserved.
+        // The retention window slid: one report kept, the rest evicted,
+        // ledger conserved.
         assert_eq!(collector.completed_epochs().len(), 1);
         let retention = collector.retention_drop_stats();
-        assert_eq!(retention.offered_epochs(), 3);
-        assert_eq!(retention.dropped_epochs(), 2);
+        assert_eq!(retention.offered_epochs(), strikes + 1);
+        assert_eq!(retention.dropped_epochs(), strikes);
         // The answer bank slid the same way.
         assert_eq!(collector.drain_query_answers().len(), 1);
         // finish() reports every parked error, not just the first.
         let errors = collector.finish().unwrap_err();
-        assert_eq!(errors.len(), 2);
+        assert_eq!(errors.len() as u64, strikes);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Beyond the paper: the pipeline under overload and export faults.
 //!
-//! The robustness PR gives every bounded buffer a uniform
-//! [`BackpressurePolicy`] contract, a conserved drop ledger
-//! (`offered == delivered + dropped`, by construction), retry + health
-//! states on the export path and panic isolation in the shard workers.
+//! Every bounded buffer has a conserved drop ledger
+//! (`offered == delivered + dropped`, by construction), the export path
+//! has per-sink health states, and the shard workers isolate panics.
 //! This exhibit turns those mechanisms on under deterministic injected
 //! faults and measures what the paper's continuous-operation story needs
 //! measured:
@@ -12,18 +11,15 @@
 //!   downstream collector). Ingest throughput is timed *around* the
 //!   stalls: the packet path must not pay for a slow export path, and
 //!   not one record may go missing.
-//! * `shard_queue` (one row per policy) — a deliberately slow consumer
-//!   behind the bounded shard queues. `Block` must deliver everything at
-//!   the consumer's pace; `DropNewest` / `DropOldest` must shed at the
-//!   dispatcher's pace with every shed packet on the ledger.
-//! * `sink_outage` / `retry` — a hard outage window narrower than the
-//!   [`RetrySink`] attempt budget: retries absorb the outage entirely,
-//!   zero records lost, zero errors surfaced.
-//! * `sink_outage` / `quarantine` — an outage wider than the retry
-//!   budget would hide, driven into the [`HealthPolicy`] state machine:
-//!   the sink degrades, quarantines, is probed and recovers; every
-//!   record is either delivered, failed or skipped-while-quarantined,
-//!   and the three buckets sum back to what was offered.
+//! * `shard_queue` / `block` — a deliberately slow consumer behind the
+//!   bounded shard queues, which block: everything is delivered at the
+//!   consumer's pace.
+//! * `sink_outage` / `quarantine` — an outage of
+//!   [`SINK_QUARANTINE_AFTER`] exports drives the sink health state
+//!   machine: the sink degrades, quarantines, is probed and recovers;
+//!   every record is either delivered, failed or
+//!   skipped-while-quarantined, and the three buckets sum back to what
+//!   was offered.
 //!
 //! Every row must satisfy the conservation identity
 //! `offered == delivered + dropped`: [`check`] rejects a row that does
@@ -38,7 +34,7 @@ use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_core::HashFlow;
 use hashflow_monitor::{
     BackpressurePolicy, CostSnapshot, EpochSnapshot, FaultInjectingSink, FaultPlan, FlowMonitor,
-    HealthPolicy, MemoryBudget, MergeableMonitor, RecordSink, RetryPolicy, RetrySink, SinkHealth,
+    MemoryBudget, MergeableMonitor, RecordSink, SinkHealth, SINK_QUARANTINE_AFTER,
 };
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceProfile};
@@ -66,12 +62,13 @@ pub const SLOW_BATCH: Duration = Duration::from_millis(1);
 /// Shard count in the `shard_queue` scenario.
 pub const SHARDS: usize = 4;
 
-/// One scenario x policy measurement.
+/// One scenario measurement.
 #[derive(Debug, Clone)]
 pub struct OverloadRow {
     /// Scenario (`stalled_sink`, `shard_queue`, `sink_outage`).
     pub scenario: &'static str,
-    /// Backpressure policy or fault-handling mode exercised.
+    /// Backpressure policy or fault-handling mode exercised (`block`,
+    /// `quarantine`).
     pub policy: &'static str,
     /// Distinct flows in the trace.
     pub flows: usize,
@@ -249,24 +246,18 @@ fn measure_stalled_sink(
 }
 
 /// `shard_queue`: dispatcher vs a consumer that is [`SLOW_BATCH`] slower
-/// per batch, under the given queue policy. Offered/delivered/dropped
-/// come from the shard queue's own [`DropStats`] ledger and are
-/// cross-checked against what the shards actually processed.
+/// per batch, behind queues that block. Offered/delivered/dropped come
+/// from the shard queue's own [`DropStats`] ledger and are cross-checked
+/// against what the shards actually processed.
 ///
 /// [`DropStats`]: hashflow_monitor::DropStats
-fn measure_shard_queue(
-    policy: BackpressurePolicy,
-    budget: MemoryBudget,
-    flows: usize,
-    trace: &Trace,
-) -> OverloadRow {
+fn measure_shard_queue(budget: MemoryBudget, flows: usize, trace: &Trace) -> OverloadRow {
     let mut monitor = ShardedMonitor::with_budget(SHARDS, budget, |_, b| {
         Ok(Slow {
             inner: HashFlow::with_memory(b)?,
         })
     })
     .expect("exhibit budget splits across shards");
-    monitor.set_queue_policy(policy);
 
     let report = monitor.ingest(trace.packets());
     let drops = monitor.queue_drop_stats();
@@ -287,14 +278,12 @@ fn measure_shard_queue(
         monitor.cost().packets,
         "shard_queue: delivered packets must all reach a shard"
     );
-    if policy == BackpressurePolicy::Block {
-        assert_eq!(dropped, 0, "shard_queue: Block never sheds");
-    }
+    assert_eq!(dropped, 0, "shard_queue: blocking lanes never shed");
     assert!(!monitor.is_degraded(), "overload is not a fault");
 
     OverloadRow {
         scenario: "shard_queue",
-        policy: policy.label(),
+        policy: BackpressurePolicy::Block.label(),
         flows,
         packets,
         offered,
@@ -309,74 +298,8 @@ fn measure_shard_queue(
     }
 }
 
-/// `sink_outage` / `retry`: a 3-export outage against a 4-attempt
-/// [`RetrySink`]. The retry loop walks the export index past the outage
-/// window, so the fault never surfaces at all.
-fn measure_outage_retry(
-    cfg: &RunConfig,
-    budget: MemoryBudget,
-    flows: usize,
-    trace: &Trace,
-) -> OverloadRow {
-    let delivered = Arc::new(AtomicU64::new(0));
-    let plan = FaultPlan::new(cfg.seed).with_outage(2..5);
-    let faulty = FaultInjectingSink::new(
-        CountingSink {
-            records: Arc::clone(&delivered),
-        },
-        plan,
-    );
-    let retry = RetrySink::new(
-        faulty,
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(5),
-            jitter_seed: cfg.seed,
-        },
-    );
-    let mut collector = Collector::builder(AlgorithmKind::HashFlow)
-        .budget(budget)
-        .sink(Box::new(retry))
-        .build()
-        .expect("exhibit budget fits HashFlow");
-
-    let mut offered = 0u64;
-    let start = Instant::now();
-    for chunk in epoch_chunks(trace) {
-        collector.process_batch(chunk);
-        offered += collector.seal().len() as u64;
-    }
-    let elapsed_ns = start.elapsed().as_nanos();
-    assert!(
-        collector
-            .sink_health()
-            .iter()
-            .all(|s| s.health == SinkHealth::Healthy && s.total_errors == 0),
-        "outage_retry: retries must absorb the outage entirely"
-    );
-    collector
-        .finish()
-        .expect("no errors surface past the retry budget");
-    let delivered = delivered.load(Ordering::Relaxed);
-    assert_eq!(delivered, offered, "outage_retry: zero loss expected");
-
-    let packets = trace.packets().len() as u64;
-    OverloadRow {
-        scenario: "sink_outage",
-        policy: "retry",
-        flows,
-        packets,
-        offered,
-        delivered,
-        dropped: 0,
-        kpps: packets as f64 * 1e6 / elapsed_ns.max(1) as f64,
-        recovery_epochs: 0,
-    }
-}
-
-/// `sink_outage` / `quarantine`: an outage wider than the retry budget,
-/// driven bare into the health machine. Tracks per-seal health to
+/// `sink_outage` / `quarantine`: an outage of [`SINK_QUARANTINE_AFTER`]
+/// exports, driven into the health machine. Tracks per-seal health to
 /// measure recovery time and buckets every record as delivered, failed
 /// or skipped — the three must sum back to offered.
 fn measure_outage_quarantine(
@@ -386,7 +309,7 @@ fn measure_outage_quarantine(
     trace: &Trace,
 ) -> OverloadRow {
     let delivered = Arc::new(AtomicU64::new(0));
-    let plan = FaultPlan::new(cfg.seed).with_outage(3..6);
+    let plan = FaultPlan::new(cfg.seed).with_outage(3..3 + u64::from(SINK_QUARANTINE_AFTER));
     let sink = FaultInjectingSink::new(
         CountingSink {
             records: Arc::clone(&delivered),
@@ -396,10 +319,6 @@ fn measure_outage_quarantine(
     let mut collector = Collector::builder(AlgorithmKind::HashFlow)
         .budget(budget)
         .sink(Box::new(sink))
-        .sink_health_policy(HealthPolicy {
-            quarantine_after: 2,
-            probe_interval: 2,
-        })
         .build()
         .expect("exhibit budget fits HashFlow");
 
@@ -482,10 +401,7 @@ pub fn run(cfg: &RunConfig) -> Output {
 
     let rows = vec![
         measure_stalled_sink(cfg, budget, flows, &trace),
-        measure_shard_queue(BackpressurePolicy::Block, budget, flows, &trace),
-        measure_shard_queue(BackpressurePolicy::DropNewest, budget, flows, &trace),
-        measure_shard_queue(BackpressurePolicy::DropOldest, budget, flows, &trace),
-        measure_outage_retry(cfg, budget, flows, &trace),
+        measure_shard_queue(budget, flows, &trace),
         measure_outage_quarantine(cfg, budget, flows, &trace),
     ];
     let mut table = Table::new(
@@ -553,22 +469,21 @@ mod tests {
     #[test]
     fn all_scenarios_run_and_conserve_at_smoke_scale() {
         let out = run(&RunConfig::for_tests(0.02));
-        // stalled_sink + 3 shard policies + retry + quarantine.
-        assert_eq!(out.tables[0].len(), 6);
+        // stalled_sink + shard_queue + quarantine.
+        assert_eq!(out.tables[0].len(), 3);
         assert_eq!(out.violations, Vec::<String>::new());
         let json = out.bench.expect("overload writes a record").render();
         assert!(json.contains("\"exhibit\": \"overload\""));
         assert!(json.contains("\"scenario\":\"stalled_sink\""));
-        assert!(json.contains("\"policy\":\"drop_newest\""));
-        assert!(json.contains("\"policy\":\"drop_oldest\""));
+        assert!(json.contains("\"scenario\":\"shard_queue\",\"policy\":\"block\""));
         assert!(json.contains("\"policy\":\"quarantine\""));
     }
 
     #[test]
     fn check_rejects_an_unconserved_row_and_accepts_a_clean_one() {
         let clean = OverloadRow {
-            scenario: "shard_queue",
-            policy: "drop_newest",
+            scenario: "sink_outage",
+            policy: "quarantine",
             flows: 10,
             packets: 100,
             offered: 100,
@@ -584,6 +499,6 @@ mod tests {
         };
         let violations = check(&[clean, leaky]);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("shard_queue/drop_newest: offered 100"));
+        assert!(violations[0].contains("sink_outage/quarantine: offered 100"));
     }
 }

@@ -39,7 +39,7 @@ use hashflow_monitor::{
 };
 use hashflow_primitives::BloomFilter;
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, FLOW_KEY_BITS};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 
 /// Bloom-filter hash count (§IV-A).
@@ -159,9 +159,20 @@ impl FlowRadar {
     /// Flows whose cells never become pure are *not* recovered — under
     /// heavy load this is most of them, the paper's decode cliff.
     pub fn decode(&self) -> HashMap<FlowKey, u32> {
-        if let Some(cached) = self.decoded.borrow().as_ref() {
-            return cached.clone();
+        self.decoded().clone()
+    }
+
+    /// The cached decode, read in place: peeled on the first read after
+    /// an update.
+    fn decoded(&self) -> Ref<'_, HashMap<FlowKey, u32>> {
+        if self.decoded.borrow().is_none() {
+            *self.decoded.borrow_mut() = Some(self.peel());
         }
+        Ref::map(self.decoded.borrow(), |d| d.as_ref().expect("peeled above"))
+    }
+
+    /// The single-flow peeling decode over a copy of the counting table.
+    fn peel(&self) -> HashMap<FlowKey, u32> {
         let mut work = self.cells.clone();
         let mut out = HashMap::new();
         // Queue of candidate pure cells; each pop may create new ones.
@@ -186,7 +197,6 @@ impl FlowRadar {
                 }
             }
         }
-        *self.decoded.borrow_mut() = Some(out.clone());
         out
     }
 
@@ -228,7 +238,7 @@ impl FlowRadar {
         if true_flows == 0 {
             return 1.0;
         }
-        self.decode().len() as f64 / true_flows as f64
+        self.decoded().len() as f64 / true_flows as f64
     }
 }
 
@@ -277,14 +287,13 @@ impl FlowMonitor for FlowRadar {
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {
-        self.decode()
-            .into_iter()
-            .map(|(k, c)| FlowRecord::new(k, c))
+        (self.decoded().iter())
+            .map(|(&k, &c)| FlowRecord::new(k, c))
             .collect()
     }
 
     fn estimate_size(&self, key: &FlowKey) -> u32 {
-        self.decode().get(key).copied().unwrap_or(0)
+        self.decoded().get(key).copied().unwrap_or(0)
     }
 
     fn estimate_cardinality(&self) -> f64 {

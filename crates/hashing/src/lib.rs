@@ -2,10 +2,10 @@
 //!
 //! Every algorithm in the paper needs a family of *independent* hash
 //! functions (`h_1..h_d` plus `g_1` in HashFlow's Algorithm 1). This crate
-//! provides three from-scratch implementations — xxHash64, Murmur3 (x86
-//! 32-bit variant), and Zobrist-style tabulation hashing — behind a common
-//! [`KeyHasher`] trait, plus [`HashFamily`], which derives any number of
-//! independent members from a single seed.
+//! provides two from-scratch implementations — xxHash64 and Zobrist-style
+//! tabulation hashing — behind a common [`KeyHasher`] trait, plus
+//! [`HashFamily`], which derives any number of independent members from a
+//! single seed.
 //!
 //! All hashers are deterministic functions of `(seed, key bytes)` so that
 //! every experiment in the workspace is reproducible.
@@ -33,7 +33,6 @@
 mod dispatch;
 mod family;
 mod lanes;
-mod murmur3;
 mod prefetch;
 mod tabulation;
 mod xxhash;
@@ -41,7 +40,6 @@ mod xxhash;
 pub use dispatch::KernelCopy;
 pub use family::{digest_from_hash, DigestFn, HashFamily};
 pub use lanes::{compute_lanes, probe_hash_low, probe_slot, HashLanes};
-pub use murmur3::Murmur3;
 pub use prefetch::prefetch_read;
 pub use tabulation::TabulationHash;
 pub use xxhash::XxHash64;

@@ -34,8 +34,8 @@
 use crate::sink::SinkSet;
 use crate::{
     merge_introspection, BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRing,
-    EpochSnapshot, FlowMonitor, HealthPolicy, Instruments, IntrospectMetric, PipelineMetrics,
-    RecordSink, SinkErrors, SinkStatus, SCALAR_FLUSH_PACKETS,
+    EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, PipelineMetrics, RecordSink,
+    SinkErrors, SinkStatus, SCALAR_FLUSH_PACKETS,
 };
 use hashflow_obs::Severity;
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -262,12 +262,6 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// machine ([`crate::SinkHealth`]).
     pub fn sink_health(&self) -> Vec<SinkStatus> {
         self.sinks.health()
-    }
-
-    /// Replaces the sink health-machine thresholds
-    /// ([`HealthPolicy`]).
-    pub fn set_sink_health_policy(&mut self, policy: HealthPolicy) {
-        self.sinks.set_health_policy(policy);
     }
 
     /// Flushes every attached sink (end of the collection run); later
@@ -1193,7 +1187,7 @@ mod tests {
 
     #[test]
     fn quarantined_sink_skips_are_counted_in_metrics() {
-        use crate::{HealthPolicy, RecordSink};
+        use crate::{RecordSink, SINK_QUARANTINE_AFTER};
         use hashflow_obs::MetricsRegistry;
 
         struct Broken;
@@ -1206,16 +1200,17 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut r = metered(u64::MAX, &registry);
         r.add_sink(Box::new(Broken));
-        r.set_sink_health_policy(HealthPolicy {
-            quarantine_after: 1,
-            probe_interval: 8,
-        });
         r.process_packet(&pkt(1, 0));
-        r.rotate_now(); // fails once → quarantined
+        for _ in 0..SINK_QUARANTINE_AFTER {
+            r.rotate_now(); // fails; the last failure quarantines
+        }
         r.rotate_now(); // skipped
         r.rotate_now(); // skipped
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("hashflow_sink_errors_total", &[]), Some(1));
+        assert_eq!(
+            snap.counter("hashflow_sink_errors_total", &[]),
+            Some(u64::from(SINK_QUARANTINE_AFTER))
+        );
         assert_eq!(
             snap.counter("hashflow_sink_skipped_epochs_total", &[]),
             Some(2)

@@ -44,8 +44,8 @@ fn unit(v: u64) -> f64 {
 /// 1. `i` inside [`outage`](Self::outage) → `ConnectionReset` (transient,
 ///    models a collector restart — contiguous, so quarantine + probe
 ///    recovery is exercised end to end);
-/// 2. fatal draw → `InvalidData` (fatal, never retried);
-/// 3. failure draw → `TimedOut` (transient, retryable);
+/// 2. fatal draw → `InvalidData` (fatal: quarantines the sink at once);
+/// 3. failure draw → `TimedOut` (transient);
 /// 4. stall draw → sleep [`stall`](Self::stall), then deliver (models a
 ///    slow downstream, exercising sustained-ingest-under-latency).
 ///

@@ -10,23 +10,23 @@
 //! classified errors:
 //!
 //! ```text
-//!                 transient error              quarantine_after
+//!                 transient error         SINK_QUARANTINE_AFTER
 //!                 ┌─────────────┐          consecutive transients,
 //!                 │             │            or any fatal error
 //!   ┌─────────┐   │   ┌─────────▼──┐   ┌──────────────┐
 //!   │ Healthy ◄───┘   │  Degraded  ├───►  Quarantined │
 //!   └────▲────┘       └────────────┘   └──────┬───────┘
 //!        │     successful export               │ skip-and-count;
-//!        └──────────(probe or retry)◄──────────┘ probe every
-//!                                                probe_interval epochs
+//!        └─────────────(probe)◄────────────────┘ probe after
+//!                                            SINK_PROBE_INTERVAL epochs
 //! ```
 //!
 //! Quarantined sinks **skip-and-count**: sealed epochs pass them by
 //! (counted in `hashflow_sink_skipped_epochs_total`) instead of paying a
-//! doomed export on the rotation path, and every `probe_interval` sealed
-//! epochs one real export is attempted as a recovery probe. A probe that
-//! succeeds returns the sink to `Healthy` and it receives every epoch
-//! again.
+//! doomed export on the rotation path, and after every
+//! [`SINK_PROBE_INTERVAL`] skipped epochs one real export is attempted as
+//! a recovery probe. A probe that succeeds returns the sink to `Healthy`
+//! and it receives every epoch again.
 
 use std::io;
 
@@ -56,24 +56,23 @@ impl SinkHealth {
     }
 }
 
-/// Whether an export error is worth retrying.
+/// Whether an export error may go away on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorClass {
     /// Plausibly goes away on its own (timeout, reset, interrupted):
-    /// retried by [`RetrySink`](crate::RetrySink), and tolerated
-    /// [`quarantine_after`](HealthPolicy::quarantine_after) times in a
-    /// row before quarantine.
+    /// tolerated [`SINK_QUARANTINE_AFTER`] − 1 times in a row; the next
+    /// one quarantines the sink.
     Transient,
     /// Will not improve with repetition (permission denied, invalid
-    /// data, unsupported): never retried, quarantines immediately.
+    /// data, unsupported): quarantines immediately.
     Fatal,
 }
 
 /// Classifies an I/O error by [`io::ErrorKind`]: connectivity and timing
 /// kinds are [`ErrorClass::Transient`]; configuration and data kinds are
 /// [`ErrorClass::Fatal`]. Unknown kinds (including [`io::Error::other`])
-/// default to transient — optimism costs a few retries, pessimism
-/// permanently quarantines a sink over a hiccup.
+/// default to transient — optimism costs a few failed exports, pessimism
+/// quarantines a sink over a hiccup.
 pub fn classify_io_error(error: &io::Error) -> ErrorClass {
     use io::ErrorKind as K;
     match error.kind() {
@@ -87,27 +86,13 @@ pub fn classify_io_error(error: &io::Error) -> ErrorClass {
     }
 }
 
-/// Thresholds of the sink health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Consecutive transient failures before a sink is quarantined (a
-    /// fatal error quarantines immediately). Must be at least 1.
-    pub quarantine_after: u32,
-    /// Sealed epochs a quarantined sink skips between recovery probes.
-    /// `0` probes on every sealed epoch (quarantine then only suppresses
-    /// error parking, not export attempts).
-    pub probe_interval: u64,
-}
+/// Consecutive transient failures that quarantine a sink (a fatal error
+/// quarantines it at once).
+pub const SINK_QUARANTINE_AFTER: u32 = 3;
 
-impl Default for HealthPolicy {
-    /// Three strikes, probe every fourth epoch.
-    fn default() -> Self {
-        HealthPolicy {
-            quarantine_after: 3,
-            probe_interval: 4,
-        }
-    }
-}
+/// Sealed epochs a quarantined sink skips between recovery probes: it
+/// tries every fifth epoch.
+pub const SINK_PROBE_INTERVAL: u64 = 4;
 
 /// A point-in-time view of one sink's health, returned by
 /// [`EpochRotator::sink_health`](crate::EpochRotator::sink_health).

@@ -39,7 +39,6 @@ mod introspect;
 mod merge;
 mod plan;
 mod policy;
-mod retry;
 mod sink;
 mod snapshot;
 mod stats;
@@ -49,12 +48,14 @@ pub use budget::MemoryBudget;
 pub use cost::{CostRecorder, CostSnapshot};
 pub use epoch::{EpochReport, EpochRotator};
 pub use fault::{FaultInjectingSink, FaultPlan, PanicInjector};
-pub use health::{classify_io_error, ErrorClass, HealthPolicy, SinkErrors, SinkHealth, SinkStatus};
+pub use health::{
+    classify_io_error, ErrorClass, SinkErrors, SinkHealth, SinkStatus, SINK_PROBE_INTERVAL,
+    SINK_QUARANTINE_AFTER,
+};
 pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue};
 pub use merge::MergeableMonitor;
 pub use plan::{BatchPlan, BatchPlanner};
 pub use policy::{BackpressurePolicy, EpochRing};
-pub use retry::{RetryPolicy, RetrySink};
 pub use sink::{JsonLinesSink, MemorySink, RecordSink};
 pub use snapshot::EpochSnapshot;
 pub use stats::{DropStats, Instruments, PipelineMetrics, SCALAR_FLUSH_PACKETS};

@@ -5,13 +5,13 @@
 //!
 //! - **Queues** have a live consumer: the sharded dispatcher's per-shard
 //!   `BatchQueue`s (`hashflow-shard`) and the daemon's `IngestPort`
-//!   (`hashflow-server`). They take a [`BackpressurePolicy`].
+//!   (`hashflow-server`). They take a [`BackpressurePolicy`]: the shard
+//!   lanes always `Block`, the daemon's port blocks or drops the newest.
 //! - **Sealed history** is filled by the seal path itself, so nothing
-//!   could wait for room: the rotator's completed store, the
-//!   `QueryMonitor` answer bank (`hashflow-query`: each seal runs the
-//!   attached plans over the sealed epoch and pushes their answers) and
-//!   the daemon's published epoch and answer rings. It keeps the newest N
-//!   epochs, in an [`EpochRing`].
+//!   could wait for room: the rotator's completed store (which the daemon
+//!   publishes) and the `QueryMonitor` answer bank (`hashflow-query`: each
+//!   seal runs the attached plans over the sealed epoch and pushes their
+//!   answers). It keeps the newest N epochs, in an [`EpochRing`].
 
 use crate::DropStats;
 
@@ -21,7 +21,6 @@ use crate::DropStats;
 /// |---|---|
 /// | `Block` | the producer waits for the consumer to make room |
 /// | `DropNewest` | the arriving batch is shed (counted) |
-/// | `DropOldest` | the oldest queued batch is evicted (counted) to admit the new one |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackpressurePolicy {
     /// Wait for room.
@@ -29,26 +28,19 @@ pub enum BackpressurePolicy {
     Block,
     /// Shed the arriving item whole, keeping what is already retained.
     DropNewest,
-    /// Evict the oldest retained item(s) to make room for the arriving
-    /// one — a sliding window over the most recent data.
-    DropOldest,
 }
 
 impl BackpressurePolicy {
     /// All policies, for sweeps and property tests.
-    pub const ALL: [BackpressurePolicy; 3] = [
-        BackpressurePolicy::Block,
-        BackpressurePolicy::DropNewest,
-        BackpressurePolicy::DropOldest,
-    ];
+    pub const ALL: [BackpressurePolicy; 2] =
+        [BackpressurePolicy::Block, BackpressurePolicy::DropNewest];
 
-    /// Short lowercase label (`block` / `drop_newest` / `drop_oldest`)
-    /// for metrics labels and experiment tables.
+    /// Short lowercase label (`block` / `drop_newest`) for metrics labels
+    /// and experiment tables.
     pub const fn label(self) -> &'static str {
         match self {
             BackpressurePolicy::Block => "block",
             BackpressurePolicy::DropNewest => "drop_newest",
-            BackpressurePolicy::DropOldest => "drop_oldest",
         }
     }
 }
@@ -139,7 +131,7 @@ mod tests {
         let mut labels: Vec<&str> = BackpressurePolicy::ALL.iter().map(|p| p.label()).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), 3);
+        assert_eq!(labels.len(), 2);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! `netflow-export` crate next to its wire format.
 
 use crate::{
-    classify_io_error, EpochSnapshot, ErrorClass, HealthPolicy, PipelineMetrics, SinkErrors,
-    SinkHealth, SinkStatus,
+    classify_io_error, EpochSnapshot, ErrorClass, PipelineMetrics, SinkErrors, SinkHealth,
+    SinkStatus, SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
 };
 use hashflow_obs::{FlightRecorder, Severity};
 use std::io::{self, Write};
@@ -96,13 +96,11 @@ impl SinkEntry {
 /// [`SinkErrors::MAX_PARKED`]) and driving each sink's
 /// healthy → degraded → quarantined state machine ([`SinkHealth`]).
 /// Quarantined sinks skip-and-count instead of wedging the rotation
-/// path, and recover through periodic probes
-/// ([`HealthPolicy::probe_interval`]).
+/// path, and recover through periodic probes ([`SINK_PROBE_INTERVAL`]).
 #[derive(Default)]
 pub(crate) struct SinkSet {
     entries: Vec<SinkEntry>,
     parked: Vec<(usize, io::Error)>,
-    policy: HealthPolicy,
     metrics: Option<PipelineMetrics>,
     recorder: Option<FlightRecorder>,
 }
@@ -125,7 +123,7 @@ impl std::fmt::Debug for SinkSet {
 }
 
 impl SinkSet {
-    /// An empty set with the default [`HealthPolicy`].
+    /// An empty set.
     pub fn new() -> Self {
         Self::default()
     }
@@ -143,16 +141,6 @@ impl SinkSet {
     /// Whether no sinks are attached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Replaces the health-machine thresholds (applies to subsequent
-    /// exports; current states are kept).
-    pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        assert!(
-            policy.quarantine_after >= 1,
-            "quarantine_after must be at least 1"
-        );
-        self.policy = policy;
     }
 
     /// Attaches the rotator's metric handles and flight recorder. With
@@ -210,7 +198,6 @@ impl SinkSet {
     /// rotation path; they are counted, parked (bounded) and reported by
     /// [`Self::finish`] / [`Self::health`].
     pub fn export(&mut self, snapshot: &EpochSnapshot) {
-        let policy = self.policy;
         let metrics = self.metrics.as_ref();
         let recorder = self.recorder.as_ref();
         let mut fresh_errors: Vec<(usize, io::Error)> = Vec::new();
@@ -263,9 +250,9 @@ impl SinkSet {
                         );
                     }
                     let was = entry.health;
-                    if fatal || entry.consecutive_failures >= policy.quarantine_after {
+                    if fatal || entry.consecutive_failures >= SINK_QUARANTINE_AFTER {
                         entry.health = SinkHealth::Quarantined;
-                        entry.epochs_until_probe = policy.probe_interval;
+                        entry.epochs_until_probe = SINK_PROBE_INTERVAL;
                         if was != SinkHealth::Quarantined {
                             if let Some(r) = recorder {
                                 r.record_with(
@@ -559,40 +546,45 @@ mod tests {
 
     #[test]
     fn transient_failures_degrade_then_quarantine_then_recover() {
+        let strikes = u64::from(SINK_QUARANTINE_AFTER);
         let mut set = SinkSet::new();
-        set.set_health_policy(HealthPolicy {
-            quarantine_after: 2,
-            probe_interval: 2,
-        });
-        set.add(Box::new(FlakySink::new(3, io::ErrorKind::TimedOut)));
+        // Fails every export up to quarantine, and the first probe.
+        set.add(Box::new(FlakySink::new(
+            strikes + 1,
+            io::ErrorKind::TimedOut,
+        )));
         let snap = snapshot(0, 1);
 
-        set.export(&snap); // failure 1 → degraded
-        assert_eq!(set.health()[0].health, SinkHealth::Degraded);
-        set.export(&snap); // failure 2 → quarantined
+        for _ in 1..strikes {
+            set.export(&snap); // below the threshold → degraded
+            assert_eq!(set.health()[0].health, SinkHealth::Degraded);
+        }
+        set.export(&snap); // the last strike → quarantined
         assert_eq!(set.health()[0].health, SinkHealth::Quarantined);
         assert_eq!(set.quarantined(), 1);
 
-        set.export(&snap); // skipped (probe in 2)
-        set.export(&snap); // skipped (probe in 1)
+        for _ in 0..SINK_PROBE_INTERVAL {
+            set.export(&snap); // skipped until the probe
+        }
         let status = &set.health()[0];
-        assert_eq!(status.skipped_epochs, 2);
-        assert_eq!(status.skipped_records, 2);
+        assert_eq!(status.skipped_epochs, SINK_PROBE_INTERVAL);
+        assert_eq!(status.skipped_records, SINK_PROBE_INTERVAL);
         assert_eq!(status.health, SinkHealth::Quarantined);
 
-        set.export(&snap); // probe: third failure, re-quarantined
+        set.export(&snap); // probe: one more failure, re-quarantined
         assert_eq!(set.health()[0].health, SinkHealth::Quarantined);
-        set.export(&snap); // skipped
-        set.export(&snap); // skipped
+        for _ in 0..SINK_PROBE_INTERVAL {
+            set.export(&snap); // skipped
+        }
         set.export(&snap); // probe succeeds → healthy
         let status = &set.health()[0];
         assert_eq!(status.health, SinkHealth::Healthy);
         assert_eq!(status.recoveries, 1);
-        assert_eq!(status.total_errors, 3);
+        assert_eq!(status.total_errors, strikes + 1);
 
         set.export(&snap); // healthy again: delivered normally
         let errors = set.finish().unwrap_err();
-        assert_eq!(errors.len(), 3);
+        assert_eq!(errors.len() as u64, strikes + 1);
     }
 
     #[test]
@@ -606,10 +598,6 @@ mod tests {
     #[test]
     fn finish_collects_every_sink_error_and_flushes_all() {
         let mut set = SinkSet::new();
-        set.set_health_policy(HealthPolicy {
-            quarantine_after: 10,
-            probe_interval: 0,
-        });
         set.add(Box::new(FlakySink::new(u64::MAX, io::ErrorKind::TimedOut)));
         set.add(Box::new(MemorySink::new()));
         set.add(Box::new(FlakySink::new(
@@ -630,17 +618,17 @@ mod tests {
     #[test]
     fn parked_errors_are_bounded() {
         let mut set = SinkSet::new();
-        set.set_health_policy(HealthPolicy {
-            quarantine_after: u32::MAX,
-            probe_interval: 0,
-        });
         set.add(Box::new(FlakySink::new(u64::MAX, io::ErrorKind::TimedOut)));
         let snap = snapshot(0, 1);
-        for _ in 0..(SinkErrors::MAX_PARKED + 10) {
+        // Quarantined, the sink still fails once per probe: seal until it
+        // has failed more often than the parking bound.
+        let failures = (SinkErrors::MAX_PARKED + 10) as u64;
+        while set.health()[0].total_errors < failures {
             set.export(&snap);
         }
         let status = &set.health()[0];
-        assert_eq!(status.total_errors, (SinkErrors::MAX_PARKED + 10) as u64);
+        assert_eq!(status.total_errors, failures);
+        assert!(status.skipped_epochs > 0);
         let errors = set.finish().unwrap_err();
         assert_eq!(errors.len(), SinkErrors::MAX_PARKED);
     }

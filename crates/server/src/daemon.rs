@@ -234,9 +234,8 @@ struct Offered {
 /// collector has a [`BatchPlanner`]), applies the configured
 /// [`BackpressurePolicy`] and accounts the outcome immediately — every
 /// record is *offered* exactly once, and every record that the policy
-/// sheds (the arriving batch under `DropNewest`, displaced older
-/// batches under `DropOldest`, anything arriving after close) is
-/// *dropped* exactly once, so at quiescence
+/// sheds (the arriving batch under `DropNewest`, anything arriving after
+/// close) is *dropped* exactly once, so at quiescence
 /// `offered == processed + dropped`.
 pub struct IngestPort {
     queue: BoundedQueue<Offered>,
@@ -298,32 +297,28 @@ impl IngestPort {
                 packets,
                 plan: None,
             };
-            return self.shed(batch, "rejected");
+            return self.shed(batch);
         }
         let plan = self.planner.as_ref().map(|planner| {
             let mut plan = self.spare_plans.try_pop().unwrap_or_default();
             planner.plan(&packets, &mut plan);
             plan
         });
-        match self.queue.offer(Offered { packets, plan }, self.policy) {
-            PushOutcome::Enqueued => {}
-            PushOutcome::Displaced(old) => {
-                for batch in old {
-                    self.shed(batch, "displaced");
-                }
-            }
-            PushOutcome::Rejected(batch) => self.shed(batch, "rejected"),
+        if let PushOutcome::Rejected(batch) =
+            self.queue.offer(Offered { packets, plan }, self.policy)
+        {
+            self.shed(batch);
         }
     }
 
-    fn shed(&self, batch: Offered, why: &str) {
+    fn shed(&self, batch: Offered) {
         let packets = batch.packets.len() as u64;
         self.recycle(batch.plan);
         self.drops.record_drop(packets);
         self.recorder.record_with(
             Severity::Warn,
             "batch_shed",
-            format!("ingest queue {why} a batch of {packets} packets"),
+            format!("ingest queue rejected a batch of {packets} packets"),
             vec![("packets".to_string(), packets.to_string())],
         );
     }
@@ -1408,10 +1403,7 @@ mod tests {
     fn planned_batches_conserve_packets_and_spare_plans_stay_bounded() {
         let trace = TraceGenerator::new(TraceProfile::Caida, 9).generate(2_000);
         let total = trace.packets().len() as u64;
-        for policy in [
-            BackpressurePolicy::DropOldest,
-            BackpressurePolicy::DropNewest,
-        ] {
+        for policy in [BackpressurePolicy::DropNewest, BackpressurePolicy::Block] {
             let server = Server::start(ServerConfig {
                 ingest_capacity: 2,
                 ingest_policy: policy,
@@ -1421,7 +1413,7 @@ mod tests {
             let port = server.ingest_port();
             assert!(port.planner.is_some(), "a HashFlow collector plans");
             // Three front-ends offer at once into room for two batches, so
-            // the policy sheds planned batches.
+            // `DropNewest` sheds planned batches and `Block` waits.
             let most_spare = std::thread::scope(|scope| {
                 let offering = (0..3).map(|_| {
                     scope.spawn(|| {

@@ -36,17 +36,16 @@
 //!   shard budgets that sum to at most the parent
 //!   ([`MemoryBudget::split_shards`]).
 //! * **Overload and fault behavior is a contract, not an accident.** The
-//!   per-shard queues shed according to a configurable
-//!   [`BackpressurePolicy`] ([`ShardedMonitor::set_queue_policy`]), every
-//!   shed batch is accounted in a [`DropStats`] ledger
+//!   per-shard queues block: a slow shard back-pressures the dispatcher
+//!   and loses nothing. A shard that panics — on a worker lane or on the
+//!   caller's thread, through any entry — degrades **only itself**: the
+//!   panic is caught (`shard_panic`), the batch it died on and all routed
+//!   to it afterwards count as drops on a [`DropStats`] ledger
 //!   ([`ShardedMonitor::queue_drop_stats`], exported as
-//!   `component="shard_queue"`), and a shard that panics — on a worker
-//!   lane or on the caller's thread, through any entry — degrades **only
-//!   itself**: the panic is caught (`shard_panic`), the batch it died on
-//!   and all routed to it afterwards count as drops (one `batch_shed`
-//!   event per degradation), the remaining shards keep ingesting, the
-//!   sealed epoch is flagged [`EpochReport::partial`], and the shard
-//!   recovers at the next epoch boundary when its state resets cleanly.
+//!   `component="shard_queue"`; one `batch_shed` event per degradation),
+//!   the remaining shards keep ingesting, the sealed epoch is flagged
+//!   [`EpochReport::partial`], and the shard recovers at the next epoch
+//!   boundary when its state resets cleanly.
 //!
 //! # Examples
 //!
@@ -140,16 +139,14 @@ fn feed_guarded<M: FlowMonitor>(
     fault.is_some()
 }
 
-/// Records one `batch_shed` warning in the flight recorder. A live lane
-/// whose queue policy displaces or rejects a batch records every such
-/// batch; a degraded shard only its first shed
-/// ([`ShardedMonitor::announced`]).
-fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u64, why: &str) {
+/// Records one `batch_shed` warning in the flight recorder: a degraded
+/// shard's first shed ([`ShardedMonitor::announced`]).
+fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u64) {
     if let Some(r) = recorder {
         r.record_with(
             Severity::Warn,
             "batch_shed",
-            format!("shard {shard} shed {packets} packets ({why})"),
+            format!("shard {shard} shed {packets} packets (shard degraded)"),
             vec![
                 ("shard".to_string(), shard.to_string()),
                 ("packets".to_string(), packets.to_string()),
@@ -282,8 +279,8 @@ pub struct IngestReport {
     pub per_shard_packets: Vec<u64>,
     /// Wall-clock nanoseconds for the whole call (dispatch + workers).
     pub elapsed_ns: u128,
-    /// Packets shed during this call: batches rejected or displaced by
-    /// the queue policy, plus batches lost when a worker panicked. Every
+    /// Packets shed during this call: batches lost to a degraded shard
+    /// (the one it died on, and all routed to it afterwards). Every
     /// one is also in the cumulative [`ShardedMonitor::queue_drop_stats`]
     /// ledger, so `packets == processed + dropped_packets` per call.
     pub dropped_packets: u64,
@@ -384,7 +381,6 @@ pub struct ShardedMonitor<M> {
     metrics: Option<ShardMetrics>,
     recorder: Option<FlightRecorder>,
     trace: Option<DispatchTrace>,
-    queue_policy: BackpressurePolicy,
     queue_drops: DropStats,
 }
 
@@ -394,7 +390,6 @@ impl<M: std::fmt::Debug> std::fmt::Debug for ShardedMonitor<M> {
             .field("shards", &self.shards)
             .field("faults", &self.faults)
             .field("dispatch_hashes", &self.dispatch_hashes)
-            .field("queue_policy", &self.queue_policy)
             .finish_non_exhaustive()
     }
 }
@@ -424,29 +419,14 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
             metrics: None,
             recorder: None,
             trace: None,
-            queue_policy: BackpressurePolicy::default(),
             queue_drops: DropStats::new(),
         })
     }
 
-    /// Sets the backpressure policy of the per-shard ingest queues.
-    /// [`BackpressurePolicy::Block`] — the default — is lossless: the
-    /// dispatcher waits for queue room. The dropping policies bound
-    /// dispatcher latency instead and account every shed batch in
-    /// [`Self::queue_drop_stats`].
-    pub fn set_queue_policy(&mut self, policy: BackpressurePolicy) {
-        self.queue_policy = policy;
-    }
-
-    /// The active ingest-queue backpressure policy.
-    pub fn queue_policy(&self) -> BackpressurePolicy {
-        self.queue_policy
-    }
-
     /// The cumulative shard-queue ledger: batches offered to the worker
     /// queues ("epochs" = batches, "records" = packets) and batches lost
-    /// to policy shedding, displacement, or a degraded shard (whose share
-    /// of the serial entries is offered and dropped in one step).
+    /// to a degraded shard (whose share of the serial entries is offered
+    /// and dropped in one step).
     /// Conservation (`offered == delivered + dropped`) holds by
     /// construction.
     pub fn queue_drop_stats(&self) -> &DropStats {
@@ -540,7 +520,7 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         self.queue_drops.record_offer(packets);
         self.queue_drops.record_drop(packets);
         if !std::mem::replace(&mut self.announced[s], true) {
-            record_batch_shed(self.recorder.as_ref(), s, packets, "shard degraded");
+            record_batch_shed(self.recorder.as_ref(), s, packets);
         }
     }
 
@@ -697,7 +677,6 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
         // both sides (`try_*`): losing a buffer only costs an allocation
         // and is *not* data loss, so it stays out of the drop ledger.
         let free: BatchQueue<Packet> = BatchQueue::new(shard_count * QUEUE_DEPTH);
-        let policy = self.queue_policy;
         let drops = &self.queue_drops;
         let recorder = self.recorder.as_ref();
         let mut trace = self.trace.as_mut();
@@ -724,7 +703,7 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
                             // included (the dispatcher counted the offer).
                             drops.record_drop(n);
                             if !std::mem::replace(announced, true) {
-                                record_batch_shed(recorder, i, n, "shard degraded");
+                                record_batch_shed(recorder, i, n);
                             }
                         }
                         batch.clear();
@@ -732,25 +711,19 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
                     }
                 });
             }
-            // Dispatcher: every published batch is offered under the
-            // configured policy; whatever the queue gives back (rejected
-            // arrival, displaced elders) is accounted as dropped.
+            // Dispatcher: every published batch waits for room. A lane
+            // pops until its queue closes, dead or alive, and the queues
+            // close only after the last offer, so every offer enqueues.
             let publish = |s: usize, batch: Vec<Packet>| {
                 drops.record_offer(batch.len() as u64);
-                let outcome = queues[s].offer(batch, policy);
+                let outcome = queues[s].offer(batch, BackpressurePolicy::Block);
+                assert!(
+                    matches!(outcome, PushOutcome::Enqueued),
+                    "shard queue {s} closed early"
+                );
                 if let Some(m) = metrics {
                     m.queue_depth[s].set(queues[s].len() as i64);
                 }
-                let (lost, why) = match outcome {
-                    PushOutcome::Enqueued => return,
-                    PushOutcome::Displaced(old) => (old, "displaced by queue policy"),
-                    PushOutcome::Rejected(new) => (vec![new], "rejected by queue policy"),
-                };
-                for batch in &lost {
-                    drops.record_drop(batch.len() as u64);
-                }
-                let shed = lost.iter().map(|b| b.len() as u64).sum();
-                record_batch_shed(recorder, s, shed, why);
             };
             for chunk in packets.chunks(shard_count * BATCH_PACKETS) {
                 let parts = (scratch.split(shard_count, chunk, trace.as_deref_mut()))
@@ -1446,12 +1419,11 @@ mod tests {
     }
 
     #[test]
-    fn dropping_policies_shed_under_overload_and_conserve_accounting() {
+    fn a_slow_shard_backpressures_the_dispatcher_and_loses_nothing() {
         use std::time::Duration;
 
         // A deliberately slow consumer: the dispatcher outruns it by far,
-        // so the bounded queues must shed — and the ledger must balance
-        // to the packet under both dropping policies.
+        // so it waits on the bounded queues — and sheds nothing.
         #[derive(Default)]
         struct Slow {
             cost: CostRecorder,
@@ -1492,34 +1464,16 @@ mod tests {
             fn merge_from(&mut self, _other: &Self) {}
         }
 
-        for policy in [
-            BackpressurePolicy::DropNewest,
-            BackpressurePolicy::DropOldest,
-        ] {
-            let mut m =
-                ShardedMonitor::new((0..2).map(|_| Slow::default()).collect::<Vec<_>>()).unwrap();
-            m.set_queue_policy(policy);
-            assert_eq!(m.queue_policy(), policy);
-            let packets: Vec<Packet> = (0..60_000u64).map(|i| pkt(i, i)).collect();
-            let report = m.ingest(&packets);
-            let drops = m.queue_drop_stats();
-            // Every packet was offered exactly once; whatever was not
-            // dropped was processed — conservation to the packet.
-            assert_eq!(drops.offered_records(), 60_000, "{}", policy.label());
-            assert_eq!(report.dropped_packets, drops.dropped_records());
-            assert_eq!(
-                drops.delivered_records(),
-                m.cost().packets,
-                "{}: delivered == processed",
-                policy.label()
-            );
-            assert!(
-                report.dropped_packets > 0,
-                "{}: an overloaded queue must shed",
-                policy.label()
-            );
-            assert!(!m.is_degraded(), "shedding is not a fault");
-        }
+        let mut m =
+            ShardedMonitor::new((0..2).map(|_| Slow::default()).collect::<Vec<_>>()).unwrap();
+        let packets: Vec<Packet> = (0..60_000u64).map(|i| pkt(i, i)).collect();
+        let report = m.ingest(&packets);
+        let drops = m.queue_drop_stats();
+        assert_eq!(drops.offered_records(), 60_000);
+        assert_eq!((report.dropped_packets, drops.dropped_records()), (0, 0));
+        assert_eq!(drops.delivered_records(), m.cost().packets);
+        assert_eq!(m.cost().packets, 60_000);
+        assert!(!m.is_degraded());
     }
 
     #[test]

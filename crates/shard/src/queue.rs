@@ -42,14 +42,11 @@ const POP_POLL: Duration = Duration::from_micros(50);
 /// [`hashflow_monitor::DropStats`] ledger of the stage that owns the
 /// queue).
 #[derive(Debug, PartialEq, Eq)]
-#[must_use = "displaced or rejected batches must be accounted as drops"]
+#[must_use = "rejected batches must be accounted as drops"]
 pub enum PushOutcome<B> {
     /// The batch was enqueued (after blocking, for
     /// [`BackpressurePolicy::Block`]).
     Enqueued,
-    /// The batch was enqueued after evicting these older in-flight
-    /// batches ([`BackpressurePolicy::DropOldest`]).
-    Displaced(Vec<B>),
     /// The arriving batch was not enqueued — the queue is closed, or it
     /// was full under [`BackpressurePolicy::DropNewest`] (and `Block`
     /// degrades to rejection on a closed queue).
@@ -231,8 +228,6 @@ impl<B> BoundedQueue<B> {
     ///   waiting on it would deadlock the producer.
     /// - [`BackpressurePolicy::DropNewest`] behaves like
     ///   [`Self::try_push`] but returns the batch for accounting.
-    /// - [`BackpressurePolicy::DropOldest`] evicts the oldest in-flight
-    ///   batches to make room and returns them for accounting.
     ///
     /// A closed queue rejects under every policy. The caller owns the
     /// accounting of whatever comes back (see [`PushOutcome`]).
@@ -241,33 +236,13 @@ impl<B> BoundedQueue<B> {
         if let BackpressurePolicy::Block = policy {
             state = self.wait_for_room(state);
         }
-        if state.closed {
+        // Past a `Block` wait the queue has room or is closed.
+        if state.closed || state.batches.len() >= self.capacity {
             return PushOutcome::Rejected(batch);
-        }
-        let mut displaced = Vec::new();
-        match policy {
-            BackpressurePolicy::Block => {}
-            BackpressurePolicy::DropNewest => {
-                if state.batches.len() >= self.capacity {
-                    return PushOutcome::Rejected(batch);
-                }
-            }
-            BackpressurePolicy::DropOldest => {
-                while state.batches.len() >= self.capacity {
-                    match state.batches.pop_front() {
-                        Some(old) => displaced.push(old),
-                        None => break,
-                    }
-                }
-            }
         }
         state.batches.push_back(batch);
         self.filled(state);
-        if displaced.is_empty() {
-            PushOutcome::Enqueued
-        } else {
-            PushOutcome::Displaced(displaced)
-        }
+        PushOutcome::Enqueued
     }
 
     /// Non-blocking [`Self::pop`]: returns `None` immediately when the
@@ -461,26 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn offer_drop_oldest_displaces_in_flight_batches() {
-        let q = BatchQueue::new(2);
-        assert_eq!(
-            q.offer(vec![1u8], BackpressurePolicy::DropOldest),
-            PushOutcome::Enqueued
-        );
-        assert_eq!(
-            q.offer(vec![2], BackpressurePolicy::DropOldest),
-            PushOutcome::Enqueued
-        );
-        assert_eq!(
-            q.offer(vec![3], BackpressurePolicy::DropOldest),
-            PushOutcome::Displaced(vec![vec![1]]),
-            "the oldest batch comes back for accounting"
-        );
-        assert_eq!(q.try_pop(), Some(vec![2]));
-        assert_eq!(q.try_pop(), Some(vec![3]));
-    }
-
-    #[test]
     fn offer_block_waits_for_room() {
         let q = BatchQueue::new(1);
         assert_eq!(
@@ -591,10 +546,9 @@ mod tests {
     }
 
     impl Fill {
-        const ALL: [Fill; 5] = [
+        const ALL: [Fill; 4] = [
             Fill::Offer(BackpressurePolicy::Block),
             Fill::Offer(BackpressurePolicy::DropNewest),
-            Fill::Offer(BackpressurePolicy::DropOldest),
             Fill::TryPush,
             Fill::Close,
         ];
@@ -706,7 +660,7 @@ mod tests {
     /// Several producers and consumers on a two-batch queue, each picking
     /// a random operation per step, under each policy: every batch is
     /// either delivered to a consumer or handed back to its producer
-    /// (rejected, displaced, or refused by `try_push`), exactly once.
+    /// (rejected, or refused by `try_push`), exactly once.
     #[test]
     fn randomised_producers_and_consumers_account_every_batch_exactly_once() {
         const PRODUCERS: u32 = 3;
@@ -761,9 +715,6 @@ mod tests {
                                         }
                                         _ => match q.offer(vec![id], policy) {
                                             PushOutcome::Enqueued => {}
-                                            PushOutcome::Displaced(old) => {
-                                                shed.extend(old.into_iter().flatten());
-                                            }
                                             PushOutcome::Rejected(b) => shed.extend(b),
                                         },
                                     }

@@ -1,19 +1,20 @@
 //! Chaos suite: deterministic fault injection across the pipeline.
 //!
 //! Exercises the robustness contract end to end — seeded export faults
-//! through [`RetrySink`] and the sink health state machine, injected
-//! worker panics through the shard isolation path, and queue/buffer
-//! shedding under every [`BackpressurePolicy`] — and checks the one
-//! invariant that makes overload behavior auditable: every unit offered
+//! through the sink health state machine, injected worker panics through
+//! the shard isolation path, and queue/buffer shedding under every
+//! [`BackpressurePolicy`] — and checks the one invariant that makes
+//! overload behavior auditable: every unit offered
 //! to a bounded stage is either delivered or on a drop ledger,
 //! `offered == delivered + dropped`, with the delivered side confirmed
 //! against what actually came out the other end.
 //!
 //! Every fault schedule is seeded, so a failing case replays exactly.
 
+use hashflow_server::{Server, ServerConfig};
 use hashflow_suite::monitor::{
-    BackpressurePolicy, FaultInjectingSink, FaultPlan, HealthPolicy, PanicInjector, RetryPolicy,
-    RetrySink, SinkHealth,
+    BackpressurePolicy, FaultInjectingSink, FaultPlan, PanicInjector, SinkHealth,
+    SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
 };
 use hashflow_suite::prelude::*;
 use hashflow_suite::shard::{BatchQueue, PushOutcome};
@@ -22,19 +23,6 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-fn snapshot(epoch: u64, records: usize) -> EpochSnapshot {
-    EpochSnapshot::from_parts(
-        epoch,
-        None,
-        None,
-        (0..records as u64)
-            .map(|i| FlowRecord::new(FlowKey::from_index(i), 1))
-            .collect(),
-        records as f64,
-        Default::default(),
-    )
-}
 
 /// Terminal sink that counts delivered records through an [`Arc`], so
 /// the count survives being boxed into a collector.
@@ -59,87 +47,102 @@ impl RecordSink for SharedSink {
     }
 }
 
-/// A 40% transient-failure storm against a 5-attempt retry budget:
-/// per-export loss probability drops to under a percent, the whole run
-/// is deterministic in the seed, and every success lands exactly one
-/// epoch in the terminal sink.
+/// A collector exporting to `sink`, with the default sink health rules.
+fn collector_with(sink: impl RecordSink + Send + 'static) -> Collector {
+    Collector::builder(AlgorithmKind::HashFlow)
+        .budget(MemoryBudget::from_kib(512).unwrap())
+        .sink(Box::new(sink))
+        .build()
+        .unwrap()
+}
+
+/// A 40% transient-failure storm through the sink health machine: the
+/// whole trajectory is deterministic in the seed, and every record is
+/// delivered, failed or skipped past a quarantine, exactly once.
 #[test]
-fn retry_absorbs_transient_bursts_and_replays_deterministically() {
-    fn run(seed: u64) -> (u64, usize, Vec<bool>) {
+fn transient_storms_replay_exactly_through_the_health_machine() {
+    fn run(seed: u64) -> (Vec<SinkHealth>, u64, u64, u64) {
+        let delivered = Arc::new(AtomicU64::new(0));
         let plan = FaultPlan::new(seed).with_failures(0.4);
-        let mut sink = RetrySink::new(
-            FaultInjectingSink::new(MemorySink::new(), plan),
-            RetryPolicy::no_delay(5),
-        );
-        let outcomes: Vec<bool> = (0..64)
-            .map(|e| sink.export_epoch(&snapshot(e, 1)).is_ok())
-            .collect();
-        (
-            sink.retries_performed(),
-            sink.inner().inner().epochs().len(),
-            outcomes,
-        )
+        let mut collector = collector_with(FaultInjectingSink::new(
+            CountingSink {
+                records: Arc::clone(&delivered),
+            },
+            plan,
+        ));
+        let (mut states, mut offered, mut failed, mut errors_before) = (Vec::new(), 0, 0, 0);
+        for epoch in 0..64 {
+            collector.process_packet(&Packet::new(FlowKey::from_index(epoch), epoch, 64));
+            let records = collector.seal().len() as u64;
+            offered += records;
+            let status = &collector.sink_health()[0];
+            if status.total_errors > errors_before {
+                failed += records;
+                errors_before = status.total_errors;
+            }
+            states.push(status.health);
+        }
+        let skipped = collector.sink_health()[0].skipped_records;
+        let delivered = delivered.load(Ordering::Relaxed);
+        (states, offered, delivered, failed + skipped)
     }
     let first = run(11);
-    let replay = run(11);
-    assert_eq!(first, replay, "seeded chaos must replay exactly");
-    let (retries, delivered, outcomes) = first;
-    assert!(retries > 0, "a 40% storm must exercise the retry loop");
-    assert_eq!(
-        delivered,
-        outcomes.iter().filter(|ok| **ok).count(),
-        "every surfaced success is exactly one delivered epoch"
-    );
+    assert_eq!(first, run(11), "seeded chaos must replay exactly");
+    let (states, offered, delivered, dropped) = first;
     assert!(
-        outcomes.iter().filter(|ok| **ok).count() >= 60,
-        "5 attempts against p=0.4 must absorb almost every burst"
+        states.contains(&SinkHealth::Degraded),
+        "a 40% storm degrades"
     );
-}
-
-/// Fatal faults (malformed data, permission errors) must fail fast:
-/// retrying cannot fix them, so the budget is not spent.
-#[test]
-fn fatal_faults_spend_no_retry_budget() {
-    let plan = FaultPlan::new(3).with_fatal(1.0);
-    let mut sink = RetrySink::new(
-        FaultInjectingSink::new(MemorySink::new(), plan),
-        RetryPolicy::no_delay(5),
-    );
-    let err = sink.export_epoch(&snapshot(0, 1)).unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(states.contains(&SinkHealth::Healthy), "and the sink heals");
+    assert!(delivered > 0);
     assert_eq!(
-        sink.retries_performed(),
-        0,
-        "fatal errors are never retried"
+        offered,
+        delivered + dropped,
+        "delivered + failed + skipped must equal offered"
     );
 }
 
-/// A hard outage wider than quarantine-after drives the full health
-/// trajectory — degrade, quarantine, probe, re-quarantine, recover —
-/// while every record stays in one of three audited buckets.
+/// Fatal faults (malformed data, permission errors) fail fast: the first
+/// one quarantines the sink, and the sealed epochs after it are skipped
+/// rather than attempted, up to the probe.
+#[test]
+fn fatal_faults_quarantine_on_the_first_attempt() {
+    let plan = FaultPlan::new(3).with_fatal(1.0);
+    let mut collector = collector_with(FaultInjectingSink::new(MemorySink::new(), plan));
+    for epoch in 0..=SINK_PROBE_INTERVAL {
+        collector.process_packet(&Packet::new(FlowKey::from_index(epoch), epoch, 64));
+        collector.seal();
+    }
+    let status = collector.sink_health().remove(0);
+    assert_eq!(status.health, SinkHealth::Quarantined);
+    assert_eq!(status.total_errors, 1, "fatal errors are not repeated");
+    assert_eq!(status.skipped_epochs, SINK_PROBE_INTERVAL);
+    let errors = collector.finish().unwrap_err();
+    let kinds: Vec<io::ErrorKind> = errors.iter().map(|(_, e)| e.kind()).collect();
+    assert_eq!(kinds, [io::ErrorKind::InvalidData]);
+}
+
+/// A hard outage one export wider than quarantine-after drives the full
+/// health trajectory — degrade, quarantine, probe, re-quarantine,
+/// recover — while every record stays in one of three audited buckets.
 #[test]
 fn outage_drives_quarantine_probing_and_recovery_with_conserved_records() {
     let delivered = Arc::new(AtomicU64::new(0));
-    let plan = FaultPlan::new(9).with_outage(3..6);
-    let sink = FaultInjectingSink::new(
+    // Three clean seals, then every strike fails and so does the first
+    // probe; the second probe finds the sink back.
+    let strikes = u64::from(SINK_QUARANTINE_AFTER);
+    let plan = FaultPlan::new(9).with_outage(3..3 + strikes + 1);
+    let seals = 3 + strikes + 2 * (SINK_PROBE_INTERVAL + 1);
+    let mut collector = collector_with(FaultInjectingSink::new(
         CountingSink {
             records: Arc::clone(&delivered),
         },
         plan,
-    );
-    let mut collector = Collector::builder(AlgorithmKind::HashFlow)
-        .budget(MemoryBudget::from_kib(512).unwrap())
-        .sink(Box::new(sink))
-        .sink_health_policy(HealthPolicy {
-            quarantine_after: 2,
-            probe_interval: 2,
-        })
-        .build()
-        .unwrap();
+    ));
 
     let trace = TraceGenerator::new(TraceProfile::Caida, 9).generate(1_500);
     let packets = trace.packets();
-    let chunk = packets.len().div_ceil(16).max(1);
+    let chunk = packets.len().div_ceil(seals as usize).max(1);
 
     let mut offered = 0u64;
     let mut failed_records = 0u64;
@@ -156,6 +159,7 @@ fn outage_drives_quarantine_probing_and_recovery_with_conserved_records() {
         }
         states.push(status.health);
     }
+    assert_eq!(states.len() as u64, seals);
     assert!(states.contains(&SinkHealth::Degraded), "outage degrades");
     assert!(
         states.contains(&SinkHealth::Quarantined),
@@ -163,8 +167,13 @@ fn outage_drives_quarantine_probing_and_recovery_with_conserved_records() {
     );
     let status = collector.sink_health().remove(0);
     assert_eq!(status.health, SinkHealth::Healthy, "the probe recovers");
-    assert!(status.recoveries >= 1);
-    assert!(status.skipped_epochs >= 1, "quarantine skipped seals");
+    assert_eq!(status.recoveries, 1);
+    assert_eq!(status.total_errors, strikes + 1, "the first probe failed");
+    assert_eq!(
+        status.skipped_epochs,
+        2 * SINK_PROBE_INTERVAL,
+        "quarantine skipped seals"
+    );
 
     let dropped = failed_records + status.skipped_records;
     assert_eq!(
@@ -193,7 +202,6 @@ fn worker_panic_is_isolated_ledgered_and_recovered_at_the_seal() {
         })
         .collect();
     let mut chaos = ShardedMonitor::new(chaos_shards).unwrap();
-    chaos.set_queue_policy(BackpressurePolicy::DropOldest);
     let clean_shards: Vec<HashFlow> = (0..4)
         .map(|_| HashFlow::with_memory(budget).unwrap())
         .collect();
@@ -476,9 +484,9 @@ fn a_panic_mid_drain_yields_a_partial_epoch_and_recovers_at_the_next_seal() {
 }
 
 /// The queue-level shedding contract, policy by policy: `DropNewest`
-/// bounces the incoming batch back, `DropOldest` displaces the oldest
-/// enqueued batch, and a closed queue rejects under every policy so
-/// nothing vanishes without an outcome the caller can count.
+/// bounces the incoming batch back, and a closed queue rejects under
+/// every policy so nothing vanishes without an outcome the caller can
+/// count.
 #[test]
 fn batch_queue_offer_outcomes_shed_without_silent_loss() {
     let queue: BatchQueue<u32> = BatchQueue::new(2);
@@ -495,13 +503,8 @@ fn batch_queue_offer_outcomes_shed_without_silent_loss() {
         PushOutcome::Rejected(batch) => assert_eq!(batch, vec![3]),
         other => panic!("expected Rejected, got {other:?}"),
     }
-    // Full + DropOldest: the oldest enqueued batch is handed back.
-    match queue.offer(vec![4], BackpressurePolicy::DropOldest) {
-        PushOutcome::Displaced(old) => assert_eq!(old, vec![vec![1]]),
-        other => panic!("expected Displaced, got {other:?}"),
-    }
+    assert_eq!(queue.try_pop(), Some(vec![1]));
     assert_eq!(queue.try_pop(), Some(vec![2]));
-    assert_eq!(queue.try_pop(), Some(vec![4]));
     // Closed: every policy rejects, including Block (no consumer will
     // ever come back for the batch).
     queue.close();
@@ -527,14 +530,14 @@ proptest! {
 
     /// The conservation invariant, property-tested across every bounded
     /// buffer and every ingest path (scalar, batched, sharded): the shard
-    /// queues under every backpressure policy, and the answer bank and
-    /// epoch retention under the one keep-newest rule. Each ledger's
-    /// delivered side must equal what the stage actually holds or
-    /// processed.
+    /// queues, the daemon's ingest queue under every backpressure policy,
+    /// and the answer bank and epoch retention under the one keep-newest
+    /// rule. Each ledger's delivered side must equal what the stage
+    /// actually holds or processed.
     #[test]
     fn conservation_holds_for_every_policy_buffer_and_ingest_path(
         packets in zero_ts_packets(),
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..2,
         path_idx in 0usize..3,
         cap in 1usize..5,
     ) {
@@ -589,19 +592,35 @@ proptest! {
         prop_assert_eq!(banked, seals.min(cap as u64));
 
         // Shard queues, driven directly so the threaded dispatch path
-        // (with live consumers — Block is safe) runs under each policy.
-        let policy = BackpressurePolicy::ALL[policy_idx];
+        // runs: its lanes block, so nothing is shed.
         let budget = MemoryBudget::from_kib(192).unwrap();
         let mut sharded =
             ShardedMonitor::with_budget(3, budget, |_, b| HashFlow::with_memory(b)).unwrap();
-        sharded.set_queue_policy(policy);
         let report = sharded.ingest(&packets);
         let queue = sharded.queue_drop_stats();
         prop_assert_eq!(queue.offered_records(), packets.len() as u64);
-        prop_assert_eq!(report.dropped_packets, queue.dropped_records());
+        prop_assert_eq!((report.dropped_packets, queue.dropped_records()), (0, 0));
         prop_assert_eq!(queue.delivered_records(), sharded.cost().packets);
+
+        // The daemon's ingest queue, `cap` batches deep, under each
+        // policy, with its ingest thread consuming.
+        let policy = BackpressurePolicy::ALL[policy_idx];
+        let server = Server::start(ServerConfig {
+            http_workers: 1,
+            ingest_capacity: cap,
+            ingest_policy: policy,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let port = server.ingest_port();
+        for batch in packets.chunks(chunk) {
+            port.offer(batch.to_vec());
+        }
+        let report = server.shutdown();
+        prop_assert_eq!(report.offered_records, packets.len() as u64);
+        prop_assert!(report.conserved(), "{:?}", report);
         if policy == BackpressurePolicy::Block {
-            prop_assert_eq!(queue.dropped_records(), 0);
+            prop_assert_eq!(report.dropped_records, 0);
         }
     }
 }

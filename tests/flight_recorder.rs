@@ -16,7 +16,7 @@
 
 use hashflow_suite::collector::{AlgorithmKind, Collector};
 use hashflow_suite::monitor::{
-    BackpressurePolicy, FaultInjectingSink, FaultPlan, HealthPolicy, PanicInjector,
+    FaultInjectingSink, FaultPlan, PanicInjector, SINK_QUARANTINE_AFTER,
 };
 use hashflow_suite::obs::{FlightRecorder, Severity};
 use hashflow_suite::prelude::*;
@@ -115,26 +115,24 @@ proptest! {
 
 /// An injected sink outage drives the health machine through
 /// error → degraded → quarantined, and the quarantine transition
-/// auto-dumps a window that matches the injected schedule: exactly two
-/// export errors (consecutive 1 then 2), one degradation, one
-/// quarantine — in that order, under the dump header.
+/// auto-dumps a window that matches the injected schedule: exactly
+/// `SINK_QUARANTINE_AFTER` export errors (consecutive 1, 2, …), one
+/// degradation, one quarantine — in that order, under the dump header.
 #[test]
 fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
     let buf = SharedBuf::default();
     let recorder = FlightRecorder::new();
     recorder.set_dump_writer(Box::new(buf.clone()));
 
-    // Export attempts 2 and 3 fail; quarantine_after = 2 means attempt 3
-    // latches the quarantine. probe_interval is large enough that the
-    // run never probes back to healthy.
-    let plan = FaultPlan::new(7).with_outage(2..4);
+    // Exports from the third on fail, one per strike: the last strike
+    // latches the quarantine. One more seal is skipped past the sink, too
+    // few to reach a probe.
+    let strikes = u64::from(SINK_QUARANTINE_AFTER);
+    let plan = FaultPlan::new(7).with_outage(2..2 + strikes);
+    let seals = 2 + strikes as usize + 1;
     let mut collector = Collector::builder(AlgorithmKind::HashFlow)
         .budget(MemoryBudget::from_kib(256).unwrap())
         .sink(Box::new(FaultInjectingSink::new(MemorySink::new(), plan)))
-        .sink_health_policy(HealthPolicy {
-            quarantine_after: 2,
-            probe_interval: 100,
-        })
         .instruments(Instruments {
             recorder: Some(recorder.clone()),
             ..Instruments::default()
@@ -143,11 +141,12 @@ fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
         .unwrap();
 
     let trace = TraceGenerator::new(TraceProfile::Caida, 21).generate(1_200);
-    let chunk = trace.packets().len() / 6 + 1;
+    let chunk = trace.packets().len() / seals + 1;
     for batch in trace.packets().chunks(chunk) {
         collector.process_batch(batch);
         collector.seal();
     }
+    assert_eq!(collector.sink_health()[0].skipped_epochs, 1);
 
     assert_eq!(recorder.dumps(), 1, "exactly one fault transition dumped");
     let text = buf.text();
@@ -158,7 +157,7 @@ fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
     );
 
     // The window matches the injected schedule, in order.
-    assert_eq!(text.matches("\"sink_error\"").count(), 2);
+    assert_eq!(text.matches("\"sink_error\"").count() as u64, strikes);
     assert_eq!(text.matches("\"sink_degraded\"").count(), 1);
     assert_eq!(text.matches("\"sink_quarantined\"").count(), 2); // header + event
     let first_error = text.find("\"sink_error\"").unwrap();
@@ -168,8 +167,9 @@ fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
         first_error < degraded && degraded < quarantined,
         "error happens before degradation before quarantine"
     );
-    assert!(text.contains("\"consecutive\":\"1\""));
-    assert!(text.contains("\"consecutive\":\"2\""));
+    for strike in 1..=strikes {
+        assert!(text.contains(&format!("\"consecutive\":\"{strike}\"")));
+    }
 
     // The ring itself serves the same history to /debug/events readers.
     let kinds: Vec<&str> = recorder
@@ -178,15 +178,10 @@ fn sink_quarantine_dumps_the_window_matching_the_fault_schedule() {
         .map(|e| e.kind)
         .filter(|k| k.starts_with("sink_"))
         .collect();
-    assert_eq!(
-        kinds,
-        [
-            "sink_error",
-            "sink_degraded",
-            "sink_error",
-            "sink_quarantined"
-        ]
-    );
+    let mut expected = vec!["sink_error", "sink_degraded"];
+    expected.extend(std::iter::repeat_n("sink_error", strikes as usize - 1));
+    expected.push("sink_quarantined");
+    assert_eq!(kinds, expected);
 
     let _ = collector.finish();
 }
@@ -210,7 +205,6 @@ fn shard_panic_records_events_and_dumps() {
         })
         .collect();
     let mut monitor = ShardedMonitor::new(shards).unwrap();
-    monitor.set_queue_policy(BackpressurePolicy::DropOldest);
     monitor.instrument(&Instruments {
         recorder: Some(recorder.clone()),
         ..Instruments::default()

@@ -191,7 +191,7 @@ fn ledger_accounts_shed_batches_under_overload() {
     let _watchdog = watchdog(Duration::from_secs(120));
     let trace = TraceGenerator::new(TraceProfile::Campus, 31).generate(2_000);
     let total = trace.packets().len() as u64;
-    // A one-batch queue guarantees displacement under a line-rate replay:
+    // A one-batch queue guarantees shedding under a line-rate replay:
     // conservation must hold exactly even when much of the trace sheds.
     let mut server = Server::start(ServerConfig {
         epoch_ms: 3_600_000,
