@@ -6,11 +6,13 @@
 //! of one configuration, the sorted sealed records, the epoch's
 //! `CostSnapshot` and cardinality, the promotion and ancillary-replacement
 //! counts, `estimate_size` of every key of the trace, and every flow-path
-//! span a 1-in-4 tracer recorded. The grid covers depths 1–5 of both table
+//! span the tracer recorded. The grid covers depths 1–5 of both table
 //! schemes over a calibrated, a churn-heavy and a collision-adversarial
 //! trace at a table of a few KiB, plus the promotion-disabled ablation;
 //! every cell is replayed in batches of 256 and of 1 and must give the
-//! same digest both ways.
+//! same digest both ways. The grid is pinned three times: with a 1-in-4
+//! tracer, with no tracer (the loop most callers run) and with a 1-in-1
+//! tracer (every packet takes the traced step).
 //!
 //! A mismatch prints the whole table of digests as computed; update a
 //! constant only when the change in output is intended.
@@ -95,6 +97,147 @@ const NO_PROMOTION: [u64; 3] = [
     0x2188_a977_d4d1_b8b8,
 ];
 
+/// One digest table over the whole grid.
+#[derive(Debug, PartialEq)]
+struct Grid {
+    multi_hash: [[u64; 3]; 5],
+    pipelined: [[u64; 3]; 5],
+    no_promotion: [u64; 3],
+}
+
+/// The grid with a 1-in-4 tracer attached.
+const ONE_IN_FOUR: Grid = Grid {
+    multi_hash: MULTI_HASH,
+    pipelined: PIPELINED,
+    no_promotion: NO_PROMOTION,
+};
+
+/// The grid with no tracer attached.
+const UNTRACED: Grid = Grid {
+    multi_hash: [
+        [
+            0x0b82_e601_e8e2_24af,
+            0x83c0_0212_01a5_0eff,
+            0x8f95_7314_8bd6_4e2d,
+        ],
+        [
+            0x26ca_2343_3495_c7a3,
+            0xb6dc_3327_4a12_921d,
+            0xd4f7_ab18_a808_2afa,
+        ],
+        [
+            0xf216_c35d_7d27_13a4,
+            0xc32d_bde2_6bed_8820,
+            0xbce6_070d_58f3_5550,
+        ],
+        [
+            0x7589_0cae_7713_6a05,
+            0xcc3a_db67_6dd2_27cc,
+            0x7c45_ea60_a9d2_b8d2,
+        ],
+        [
+            0xb5bd_00ea_14ae_fc8e,
+            0xef53_f26b_6f64_bfe7,
+            0x1f60_db5c_a11b_d625,
+        ],
+    ],
+    pipelined: [
+        [
+            0x0b82_e601_e8e2_24af,
+            0x83c0_0212_01a5_0eff,
+            0x8f95_7314_8bd6_4e2d,
+        ],
+        [
+            0x01b7_41dd_c548_89fb,
+            0xf801_06b6_d16e_051f,
+            0x6693_9f15_3f71_b7f8,
+        ],
+        [
+            0x9531_d251_83d9_5020,
+            0x5484_4ad0_cd73_e027,
+            0x752b_d41f_1d62_5d58,
+        ],
+        [
+            0x2e7d_4f51_2bd8_eb2c,
+            0xad2b_721e_d2bb_09a6,
+            0x2729_8a57_d464_8de0,
+        ],
+        [
+            0x8c69_8f0d_8b1e_cfd9,
+            0xeaee_737d_c113_5d1d,
+            0x5527_7c4a_991d_9004,
+        ],
+    ],
+    no_promotion: [
+        0xafa4_6b47_89a1_4aaa,
+        0xf30a_618c_93ec_e544,
+        0xee3d_315b_9492_a608,
+    ],
+};
+
+/// The grid with a 1-in-1 tracer attached: every flow is sampled.
+const ONE_IN_ONE: Grid = Grid {
+    multi_hash: [
+        [
+            0x0b18_65c0_a0b9_2fb2,
+            0xe50f_e5e0_d1af_f3d8,
+            0xb853_44c1_e379_32a5,
+        ],
+        [
+            0xe4c0_eef0_8d29_e2a3,
+            0x18b0_2cab_7344_d404,
+            0x2233_6471_d2e3_87e1,
+        ],
+        [
+            0x7c59_67d5_7020_37dd,
+            0x7fcc_b7ce_2eb2_4758,
+            0x8c24_32f3_beee_dd63,
+        ],
+        [
+            0x5ebd_5291_b1c0_2586,
+            0x3613_e16e_c745_42e9,
+            0x4fe9_9079_e493_dbcc,
+        ],
+        [
+            0x2c8c_edec_ff9b_0405,
+            0xa9a8_7351_12ff_4ff5,
+            0x345e_c258_1a7a_dc96,
+        ],
+    ],
+    pipelined: [
+        [
+            0x0b18_65c0_a0b9_2fb2,
+            0xe50f_e5e0_d1af_f3d8,
+            0xb853_44c1_e379_32a5,
+        ],
+        [
+            0x4700_af8a_b00a_3173,
+            0xacfb_96f7_8314_8f14,
+            0xc893_ca21_2faa_8533,
+        ],
+        [
+            0xec4d_a4ab_8cd9_d13e,
+            0x0bc8_59a1_eb6b_30de,
+            0xc646_e081_7a00_e621,
+        ],
+        [
+            0xb9d9_7530_3d53_8525,
+            0xc3ed_ce3b_f4e2_160c,
+            0x6315_c5fc_09e6_9474,
+        ],
+        [
+            0x3ddd_966e_b8f6_282b,
+            0x21a2_0b90_11f6_931f,
+            0x4a2b_44fb_0aa5_89e9,
+        ],
+    ],
+    no_promotion: [
+        0x2e6e_cc04_7b25_d38a,
+        0x5d2e_1099_54f3_a4e8,
+        0xdb71_74a1_ecb7_ab3c,
+    ],
+};
+
 /// 64-bit FNV-1a, written out by hand: std's `DefaultHasher` does not
 /// promise the same algorithm across Rust releases.
 struct Fnv1a(u64);
@@ -117,8 +260,15 @@ impl Fnv1a {
 }
 
 /// Replays `trace` through one HashFlow of `scheme` as two epochs, in
-/// batches of `batch`, and digests everything the step decides.
-fn digest(scheme: TableScheme, promotion: bool, trace: &Trace, batch: usize) -> u64 {
+/// batches of `batch`, with a 1-in-`sample` tracer attached when `sample`
+/// is given, and digests everything the step decides.
+fn digest(
+    scheme: TableScheme,
+    promotion: bool,
+    trace: &Trace,
+    batch: usize,
+    sample: Option<u64>,
+) -> u64 {
     let config = HashFlowConfig::builder()
         .main_cells(MAIN_CELLS)
         .scheme(scheme)
@@ -129,7 +279,7 @@ fn digest(scheme: TableScheme, promotion: bool, trace: &Trace, batch: usize) -> 
     let mut hf = HashFlow::new(config).expect("constructible");
     let recorder = FlightRecorder::with_capacity(1 << 16);
     hf.instrument(&Instruments {
-        tracer: Some(FlowTracer::new(recorder.clone(), 4)),
+        tracer: sample.map(|one_in| FlowTracer::new(recorder.clone(), one_in)),
         ..Instruments::default()
     });
     let mut keys: Vec<FlowKey> = trace.ground_truth().iter().map(|r| r.key()).collect();
@@ -159,9 +309,10 @@ fn digest(scheme: TableScheme, promotion: bool, trace: &Trace, batch: usize) -> 
         fnv.u64(sealed.cardinality().to_bits());
     }
     let spans = recorder.snapshot();
-    assert!(
+    assert_eq!(
         spans.iter().any(|e| e.kind == FLOW_SPAN_KIND),
-        "1-in-4 sampling must trace some flows"
+        sample.is_some(),
+        "a tracer traces some flows, and only a tracer does"
     );
     for event in spans.into_iter().filter(|e| e.kind == FLOW_SPAN_KIND) {
         fnv.write(event.message.as_bytes());
@@ -175,22 +326,23 @@ fn digest(scheme: TableScheme, promotion: bool, trace: &Trace, batch: usize) -> 
 
 /// The digest of one grid cell, checked to be the same whether the trace
 /// arrives in batches of 256 or one packet at a time.
-fn cell(scheme: TableScheme, promotion: bool, trace: &Trace) -> u64 {
-    let batched = digest(scheme, promotion, trace, 256);
-    let scalar = digest(scheme, promotion, trace, 1);
+fn cell(scheme: TableScheme, promotion: bool, trace: &Trace, sample: Option<u64>) -> u64 {
+    let batched = digest(scheme, promotion, trace, 256, sample);
+    let scalar = digest(scheme, promotion, trace, 1, sample);
     assert_eq!(batched, scalar, "{scheme}: batch of 256 vs batch of 1");
     batched
 }
 
-#[test]
-fn hashflow_output_is_pinned_at_every_depth() {
+/// Computes the whole grid under a 1-in-`sample` tracer (none if `None`)
+/// and checks it against `pinned`.
+fn assert_grid(sample: Option<u64>, pinned: &Grid) {
     let traces: Vec<Trace> = REGIMES.iter().map(|r| r.generate(SEED, FLOWS)).collect();
     let per_regime = |scheme: TableScheme, promotion: bool| -> [u64; 3] {
-        std::array::from_fn(|r| cell(scheme, promotion, &traces[r]))
+        std::array::from_fn(|r| cell(scheme, promotion, &traces[r], sample))
     };
-    let multi_hash: [[u64; 3]; 5] =
+    let multi_hash =
         std::array::from_fn(|d| per_regime(TableScheme::MultiHash { depth: d + 1 }, true));
-    let pipelined: [[u64; 3]; 5] = std::array::from_fn(|d| {
+    let pipelined = std::array::from_fn(|d| {
         let scheme = TableScheme::Pipelined {
             depth: d + 1,
             alpha: 0.7,
@@ -202,14 +354,28 @@ fn hashflow_output_is_pinned_at_every_depth() {
         alpha: 0.7,
     };
     let no_promotion = per_regime(default_scheme, false);
-    let table = format!(
-        "MULTI_HASH = {multi_hash:#018x?}\nPIPELINED = {pipelined:#018x?}\n\
-         NO_PROMOTION = {no_promotion:#018x?}"
-    );
-    assert_eq!(multi_hash, MULTI_HASH, "multi-hash digests moved:\n{table}");
-    assert_eq!(pipelined, PIPELINED, "pipelined digests moved:\n{table}");
+    let grid = Grid {
+        multi_hash,
+        pipelined,
+        no_promotion,
+    };
     assert_eq!(
-        no_promotion, NO_PROMOTION,
-        "promotion-disabled digests moved:\n{table}"
+        &grid, pinned,
+        "digests moved with sampling {sample:?}; as computed:\n{grid:#018x?}"
     );
+}
+
+#[test]
+fn hashflow_output_is_pinned_at_every_depth() {
+    assert_grid(Some(4), &ONE_IN_FOUR);
+}
+
+#[test]
+fn hashflow_output_is_pinned_untraced() {
+    assert_grid(None, &UNTRACED);
+}
+
+#[test]
+fn hashflow_output_is_pinned_with_every_flow_traced() {
+    assert_grid(Some(1), &ONE_IN_ONE);
 }
