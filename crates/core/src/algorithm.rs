@@ -1,7 +1,7 @@
 use crate::ancillary::{AncillaryOutcome, AncillaryTable};
 use crate::config::HashFlowConfig;
 use crate::probes::{HashFlowPlanner, PlannedProbes, Probes};
-use crate::scheme::{MainTable, OpCount, ProbeOutcome};
+use crate::scheme::{MainTable, ProbeOutcome};
 use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, XxHash64};
 use hashflow_monitor::{
     BatchPlan, BatchPlanner, CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer,
@@ -30,6 +30,69 @@ const PLACEMENTS: [&str; 4] = ["main_insert", "main_hit", "ancillary", "promotio
 /// Stage of the span [`FlowMonitor::seal`] records for each sampled flow:
 /// how many of its packets landed in each [`PLACEMENTS`] stage.
 const PLACEMENT_SUMMARY: &str = "placement";
+
+/// What a batch's steps add to the monitor's counters, summed packet by
+/// packet in registers and folded in once per batch ([`HashFlow::run`]).
+#[derive(Default)]
+struct Tally {
+    /// Hashes computed under the lazy schedule, each with one bucket read.
+    probes: u64,
+    /// Main-table buckets filled.
+    main_filled: usize,
+    /// Ancillary buckets filled.
+    ancillary_filled: usize,
+    /// Ancillary summaries replaced by another digest's.
+    replacements: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: Tally) {
+        self.probes += rhs.probes;
+        self.main_filled += rhs.main_filled;
+        self.ancillary_filled += rhs.ancillary_filled;
+        self.replacements += rhs.replacements;
+    }
+}
+
+/// A batch's probe words, lane by lane, each lane cut to the batch's
+/// length once, so that a read at a position below it needs no bounds
+/// check: with `D` in `1..=4`, the `D` main lanes in an array the
+/// compiler keeps in registers; with `D = 0`, as many as the slab holds,
+/// on the heap.
+struct Lanes<'a, const D: usize> {
+    fixed: [&'a [u64]; D],
+    spilled: Vec<&'a [u64]>,
+    /// The `g_1` lane.
+    ancillary: &'a [u64],
+}
+
+impl<'a, const D: usize> Lanes<'a, D> {
+    /// Cuts the lanes of `plans` to their first `n` words: every lane but
+    /// the last is a main one.
+    #[inline(always)]
+    fn cut(plans: &'a HashLanes, n: usize) -> Self {
+        let depth = plans.lanes() - 1;
+        Lanes {
+            fixed: std::array::from_fn(|m| &plans.lane(m)[..n]),
+            spilled: match D {
+                0 => (0..depth).map(|m| &plans.lane(m)[..n]).collect(),
+                _ => Vec::new(),
+            },
+            ancillary: &plans.lane(depth)[..n],
+        }
+    }
+
+    /// The `h_1 .. h_d` lanes.
+    #[inline(always)]
+    fn main(&self) -> &[&'a [u64]] {
+        if D == 0 {
+            &self.spilled
+        } else {
+            &self.fixed
+        }
+    }
+}
 
 /// The HashFlow algorithm (Algorithm 1 of the paper).
 ///
@@ -74,7 +137,7 @@ pub struct HashFlow {
     promotions: u64,
     ancillary_replacements: u64,
     // Reusable scratch of `process_batch`, refilled per batch and carrying
-    // no observable state: pass 1's probe words and sampling verdicts.
+    // no observable state: pass 1's probe words and sampled positions.
     probes: Probes,
     /// Optional sampled flow-path tracer: a sampled flow's first packet
     /// in each Algorithm 1 stage of an epoch (`main_insert`, `main_hit`,
@@ -196,8 +259,8 @@ impl HashFlow {
 
     /// Whether `plan` can stand in for this monitor's own pass 1 over a
     /// batch of `rows` packets: the same hash functions over the same slot
-    /// ranges, as many rows, and, with a tracer attached, verdicts drawn
-    /// at its rate.
+    /// ranges, as many rows, and, with a tracer attached, sampled
+    /// positions drawn at its rate.
     fn accepts(&self, plan: &PlannedProbes, rows: usize) -> bool {
         plan.probes.words.rows() == rows
             && (plan.lanes.iter().map(|(hash, range)| (hash, *range))).eq(self.probe_lanes())
@@ -206,34 +269,35 @@ impl HashFlow {
 
     /// Hints every cell the probe plan of packet `i` names toward L1.
     #[inline(always)]
-    fn prefetch_plan(&self, plans: &HashLanes, depth: usize, i: usize) {
-        for m in 0..depth {
-            self.main.prefetch(probe_slot(plans.word(m, i)));
+    fn prefetch_plan<const D: usize>(&self, lanes: &Lanes<'_, D>, i: usize) {
+        for lane in lanes.main() {
+            self.main.prefetch(probe_slot(lane[i]));
         }
-        self.ancillary
-            .prefetch_slot(probe_slot(plans.word(depth, i)));
+        self.ancillary.prefetch_slot(probe_slot(lanes.ancillary[i]));
     }
 
-    /// One step of Algorithm 1 for packet `i` of a batch, of flow `key`,
-    /// on its probe plan (`depth` main-table lanes, then the ancillary
-    /// one); `traced` is its flow's sampling verdict. The packet pays one
-    /// data-dependent branch, settled in the main table or lost to it;
-    /// only a traced flow tells an insert from a hit. Returns the step's
-    /// cost under the lazy schedule: the probes made, plus one hash
-    /// (`g_1`; the digest reuses `h_1`), one read and one write when the
-    /// packet goes on to the ancillary phase.
+    /// One step of Algorithm 1 for packet `i` of a batch, `packet`, on
+    /// its probe plan in `lanes`; `traced` says whether its flow is
+    /// sampled. The packet pays one data-dependent branch, settled in the
+    /// main table or lost to it; only a traced flow tells an insert from a
+    /// hit. Adds to the batch's `tally`, on each branch only what it
+    /// changes: under the lazy schedule, the probes made, plus one (`g_1`;
+    /// the digest reuses `h_1`) when the packet goes on to the ancillary
+    /// phase. Every outcome writes exactly one cell, so writes are not
+    /// tallied.
     #[inline(always)]
-    fn step(
+    fn step<const D: usize>(
         &mut self,
-        key: FlowKey,
-        plans: &HashLanes,
-        depth: usize,
+        packet: &Packet,
+        lanes: &Lanes<'_, D>,
         i: usize,
         traced: bool,
-    ) -> OpCount {
+        tally: &mut Tally,
+    ) {
         // Phase 1: collision resolution in the main table (lines 2-13).
-        let path = (0..depth).map(|m| probe_slot(plans.word(m, i)));
-        let (outcome, mut ops) = self.main.resolve(&key, path);
+        let main = lanes.main();
+        let path = main.iter().map(|lane| probe_slot(lane[i]));
+        let (outcome, probes) = self.main.resolve(&packet.key(), path);
         let ProbeOutcome::Collision {
             sentinel,
             min_count,
@@ -244,61 +308,98 @@ impl HashFlow {
                     ProbeOutcome::Incremented(count) => (Placement::MainHit, count),
                     _ => (Placement::MainInsert, 1),
                 };
-                self.trace_stage(&key, stage, count);
+                self.trace_stage(&packet.key(), stage, count);
             }
-            return ops;
+            tally.probes += probes;
+            tally.main_filled += usize::from(outcome == ProbeOutcome::Inserted);
+            return;
         };
         // Phases 2+3: ancillary table and promotion (lines 14-23); every
         // outcome writes exactly one cell.
-        let slot = probe_slot(plans.word(depth, i));
-        let h1_low = probe_hash_low(plans.word(0, i));
-        let digest = self.ancillary.digest_of(u64::from(h1_low));
+        let slot = probe_slot(lanes.ancillary[i]);
+        let digest = self
+            .ancillary
+            .digest_of(u64::from(probe_hash_low(main[0][i])));
+        tally.probes += probes + 1;
         match self.ancillary.update(slot, digest, min_count) {
-            AncillaryOutcome::Counted { count, evicted } => {
-                self.ancillary_replacements += u64::from(evicted);
+            AncillaryOutcome::Counted {
+                count,
+                filled,
+                evicted,
+            } => {
+                tally.ancillary_filled += usize::from(filled);
+                tally.replacements += u64::from(evicted);
                 if traced {
-                    self.trace_stage(&key, Placement::Ancillary, count);
+                    self.trace_stage(&packet.key(), Placement::Ancillary, count);
                 }
             }
-            AncillaryOutcome::CaughtUp(count) => self.caught_up(key, slot, sentinel, count, traced),
+            AncillaryOutcome::CaughtUp(count) => {
+                self.caught_up(packet.key(), slot, sentinel, count, traced);
+            }
         }
-        ops += OpCount {
-            hashes: 1,
-            reads: 1,
-            writes: 1,
-        };
-        ops
+    }
+
+    /// [`Self::step`] for packet `i` of a batch planned in `plans`, whose
+    /// flow is sampled: the same body with its spans, out of line and on
+    /// lanes of its own, so that the batch loop holds no trace call and
+    /// its lanes stay in registers. One packet in a thousand gets here.
+    #[cold]
+    #[inline(never)]
+    fn traced_step<const D: usize>(
+        &mut self,
+        packet: &Packet,
+        plans: &HashLanes,
+        i: usize,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        let lanes = Lanes::<D>::cut(plans, plans.rows());
+        self.step(packet, &lanes, i, true, &mut tally);
+        tally
     }
 
     /// Pass 2 ([`Self::run`]): one Algorithm 1 step per packet while,
     /// [`PREFETCH_AHEAD`] packets further on, the cells each plan names
-    /// are prefetched; `sampled` holds the verdict of every packet, or
-    /// nothing when none is traced. One source body compiled once per
-    /// depth `D` in `1..=4`, where the depth is a constant and the `d`
-    /// reads of a step unroll into straight-line code, and once with
-    /// `D = 0` for every other depth, read at run time from `depth`.
+    /// are prefetched. Each lane of `plans` is cut to the batch once
+    /// ([`Lanes`]), so every read of a plan word is in range by
+    /// construction; `sampled` holds the ascending positions of the
+    /// packets whose flows are traced, which step out of line
+    /// ([`Self::traced_step`]). One source body compiled once per depth `D`
+    /// in `1..=4`, where the depth is a constant and the reads of a step
+    /// unroll into straight-line code, and once with `D = 0` for every
+    /// other depth, read at run time from `plans`.
     #[inline(always)]
     fn steps<const D: usize>(
         &mut self,
         packets: &[Packet],
         plans: &HashLanes,
-        sampled: &[bool],
-        depth: usize,
-    ) -> OpCount {
-        let depth = if D == 0 { depth } else { D };
-        for i in 0..PREFETCH_AHEAD.min(packets.len()) {
-            self.prefetch_plan(plans, depth, i);
+        sampled: &[u32],
+    ) -> Tally {
+        let n = packets.len();
+        let lanes = Lanes::<D>::cut(plans, n);
+        // True by construction, and stated here so that the optimiser,
+        // which does not see it through the array, drops the checks of the
+        // reads below `n` in the loop.
+        assert!(lanes.main().iter().all(|lane| lane.len() == n) && lanes.ancillary.len() == n);
+        for i in 0..PREFETCH_AHEAD.min(n) {
+            self.prefetch_plan(&lanes, i);
         }
-        let mut ops = OpCount::default();
+        // The next sampled position; past the batch when there is none.
+        let mut sampled = sampled.iter().map(|&at| at as usize);
+        let mut next = sampled.next().unwrap_or(usize::MAX);
+        let mut tally = Tally::default();
         for (i, packet) in packets.iter().enumerate() {
             let ahead = i + PREFETCH_AHEAD;
-            if ahead < packets.len() {
-                self.prefetch_plan(plans, depth, ahead);
+            if ahead < n {
+                self.prefetch_plan(&lanes, ahead);
             }
-            let traced = sampled.get(i) == Some(&true);
-            ops += self.step(packet.key(), plans, depth, i, traced);
+            if i == next {
+                next = sampled.next().unwrap_or(usize::MAX);
+                tally += self.traced_step::<D>(packet, plans, i);
+            } else {
+                self.step(packet, &lanes, i, false, &mut tally);
+            }
         }
-        ops
+        tally
     }
 
     /// The in-place ingestion path: pass 1 ([`Probes::fill`]) into the
@@ -317,37 +418,48 @@ impl HashFlow {
 
     /// The one body after pass 1, wherever pass 1 ran: pass 2
     /// ([`Self::steps`], picked once per batch by depth) runs the
-    /// Algorithm 1 steps on `probes`. Operation counts fold into one cost
-    /// flush and count Algorithm 1's lazy schedule (Fig. 11): batching
-    /// changes when costs are recorded, never what.
+    /// Algorithm 1 steps on `probes`, and their [`Tally`] is folded into
+    /// the occupancies, the replacement count and one cost flush. Costs
+    /// count Algorithm 1's lazy schedule (Fig. 11): a hash and a read per
+    /// probe, and one write per packet. Batching changes when costs are
+    /// recorded, never what.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `probes` holds one word per lane and packet.
     #[inline(always)]
     fn run(&mut self, packets: &[Packet], probes: &Probes) {
         if packets.is_empty() {
             return;
         }
         let plans = &probes.words;
-        // Every `word(m, i)` below stays inside the lane it names.
         let depth = self.main.scheme().depth();
-        assert_eq!((plans.lanes(), plans.rows()), (depth + 1, packets.len()));
-        // Verdicts count only with a tracer to record the spans, and then
-        // there is one per packet.
+        assert_eq!(
+            (plans.lanes(), plans.rows()),
+            (depth + 1, packets.len()),
+            "need one probe word per lane and packet"
+        );
+        // Positions count only with a tracer to record the spans.
         let sampled = match &self.tracer {
             Some(_) => &probes.sampled[..],
             None => &[],
         };
-        assert!(self.tracer.is_none() || sampled.len() == packets.len());
-        let ops = match depth {
-            1 => self.steps::<1>(packets, plans, sampled, depth),
-            2 => self.steps::<2>(packets, plans, sampled, depth),
-            3 => self.steps::<3>(packets, plans, sampled, depth),
-            4 => self.steps::<4>(packets, plans, sampled, depth),
-            _ => self.steps::<0>(packets, plans, sampled, depth),
+        let tally = match depth {
+            1 => self.steps::<1>(packets, plans, sampled),
+            2 => self.steps::<2>(packets, plans, sampled),
+            3 => self.steps::<3>(packets, plans, sampled),
+            4 => self.steps::<4>(packets, plans, sampled),
+            _ => self.steps::<0>(packets, plans, sampled),
         };
+        self.main.fill(tally.main_filled);
+        self.ancillary.fill(tally.ancillary_filled);
+        self.ancillary_replacements += tally.replacements;
+        let packets = packets.len() as u64;
         self.cost.absorb(&CostSnapshot {
-            packets: packets.len() as u64,
-            hashes: ops.hashes,
-            reads: ops.reads,
-            writes: ops.writes,
+            packets,
+            hashes: tally.probes,
+            reads: tally.probes,
+            writes: packets,
         });
     }
 
@@ -402,8 +514,8 @@ impl FlowMonitor for HashFlow {
 
     /// Pass 2 on a plan's probes when they are this monitor's: the same
     /// hash functions over the same slot ranges, one row per packet, and
-    /// with a tracer attached, verdicts drawn at its rate. Pass 1 in place
-    /// otherwise.
+    /// with a tracer attached, sampled positions drawn at its rate. Pass
+    /// 1 in place otherwise.
     fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
         match plan.get::<PlannedProbes>() {
             Some(planned) if self.accepts(planned, packets.len()) => {
@@ -827,6 +939,34 @@ mod tests {
                 assert_eq!(batched.estimate_size(&k), scalar.estimate_size(&k));
             }
         }
+    }
+
+    /// Runs `hf` on a batch planned with `lanes` probe words per packet,
+    /// cycling through its own lanes.
+    fn run_with_lanes(hf: &mut HashFlow, lanes: usize) {
+        let packets: Vec<Packet> = (0..5).map(pkt).collect();
+        let mut probes = Probes::default();
+        probes.fill(&packets, hf.probe_lanes().cycle().take(lanes), None);
+        hf.run(&packets, &probes);
+    }
+
+    #[test]
+    fn step_takes_plans_of_one_word_per_lane() {
+        let mut hf = small(64);
+        run_with_lanes(&mut hf, 3);
+        assert_eq!(hf.cost().packets, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "one probe word per lane and packet")]
+    fn step_rejects_short_plans() {
+        run_with_lanes(&mut small(64), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one probe word per lane and packet")]
+    fn step_rejects_long_plans() {
+        run_with_lanes(&mut small(64), 4);
     }
 
     #[test]

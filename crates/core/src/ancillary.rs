@@ -44,9 +44,15 @@ pub struct AncillaryTable {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AncillaryOutcome {
     /// The bucket now counts `count` packets of the digest: `(digest, 1)`
-    /// after a store into an empty or differently-keyed bucket (`evicted`
-    /// another digest's summary), or the matching summary incremented.
-    Counted { count: u32, evicted: bool },
+    /// after a store into an empty bucket (`filled`, which the caller
+    /// counts with [`AncillaryTable::fill`]) or a differently-keyed one
+    /// (`evicted` another digest's summary), or the matching summary
+    /// incremented.
+    Counted {
+        count: u32,
+        filled: bool,
+        evicted: bool,
+    },
     /// The matching summary's count (carried) has reached the bound;
     /// nothing was written.
     CaughtUp(u32),
@@ -181,7 +187,8 @@ impl AncillaryTable {
     /// matching one is incremented while below `bound` (the sentinel's
     /// count) and the counter's ceiling, else left for the caller to
     /// promote. Store and increment are one select and one write; only the
-    /// caught-up case branches.
+    /// caught-up case branches. A store into an empty bucket is reported,
+    /// not yet counted: a batch adds its stores with [`Self::fill`].
     #[inline(always)]
     pub(crate) fn update(&mut self, slot: usize, digest: u32, bound: u32) -> AncillaryOutcome {
         let cell = self.cells[slot];
@@ -197,11 +204,18 @@ impl AncillaryTable {
         let matches = (count > 0) & (cell >> self.counter_bits == digest);
         // Below the ceiling, so the carry stays inside the count field.
         self.cells[slot] = select_unpredictable(matches, cell + 1, self.cell(digest, 1));
-        self.occupied += usize::from(count == 0);
         AncillaryOutcome::Counted {
             count: select_unpredictable(matches, count + 1, 1),
+            filled: count == 0,
             evicted: !matches & (count > 0),
         }
+    }
+
+    /// Counts `cells` more buckets as occupied: the empty buckets a batch
+    /// of [`Self::update`]s filled.
+    #[inline]
+    pub(crate) fn fill(&mut self, cells: usize) {
+        self.occupied += cells;
     }
 
     /// Overwrites `slot` with a fresh `(digest, 1)` record — both the
@@ -431,14 +445,27 @@ mod tests {
                     _ => {
                         let bound = (next() % 6) as u32;
                         let outcome = table.update(slot, digest, bound);
+                        if let AncillaryOutcome::Counted { filled, .. } = outcome {
+                            table.fill(usize::from(filled));
+                        }
                         if count == 0 || resident != digest {
-                            let evicted = count > 0;
+                            let (filled, evicted) = (count == 0, count > 0);
                             let count = 1;
-                            assert_eq!(outcome, AncillaryOutcome::Counted { count, evicted });
+                            let expect = AncillaryOutcome::Counted {
+                                count,
+                                filled,
+                                evicted,
+                            };
+                            assert_eq!(outcome, expect);
                             model[slot] = (digest, 1);
                         } else if count < bound.min(max) {
-                            let (count, evicted) = (count + 1, false);
-                            assert_eq!(outcome, AncillaryOutcome::Counted { count, evicted });
+                            let (count, filled, evicted) = (count + 1, false, false);
+                            let expect = AncillaryOutcome::Counted {
+                                count,
+                                filled,
+                                evicted,
+                            };
+                            assert_eq!(outcome, expect);
                             model[slot].1 = count;
                         } else {
                             assert_eq!(outcome, AncillaryOutcome::CaughtUp(count));

@@ -2,11 +2,11 @@
 //!
 //! Everything Algorithm 1 computes before it touches a table depends on
 //! the packets alone: the `d + 1` probe words of each packet and, with a
-//! tracer attached, whether its flow is sampled. [`Probes`] holds them for
-//! one batch. [`HashFlow`](crate::HashFlow) fills its own in place; a
-//! [`HashFlowPlanner`] fills them on whatever thread offers the batch,
-//! stamped with whose hash functions and sampling rate they came from, so
-//! that the monitor can check a plan before it uses one.
+//! tracer attached, which packets' flows are sampled. [`Probes`] holds
+//! them for one batch. [`HashFlow`](crate::HashFlow) fills its own in
+//! place; a [`HashFlowPlanner`] fills them on whatever thread offers the
+//! batch, stamped with whose hash functions and sampling rate they came
+//! from, so that the monitor can check a plan before it uses one.
 
 use hashflow_hashing::{HashLanes, KernelCopy, XxHash64};
 use hashflow_monitor::{BatchPlan, BatchPlanner, FlowTracer};
@@ -23,16 +23,20 @@ pub(crate) struct Probes {
     /// `h_1 .. h_d`, then the ancillary slot of `g_1`; the digest comes out
     /// of `h_1`'s word.
     pub(crate) words: HashLanes,
-    /// Whether each packet's flow is sampled, when a tracer asked; empty
-    /// otherwise.
-    pub(crate) sampled: Vec<bool>,
+    /// The positions in the batch, ascending, of the packets whose flows
+    /// are sampled, when a tracer asked; empty otherwise.
+    pub(crate) sampled: Vec<u32>,
 }
 
 impl Probes {
     /// Pass 1 over `packets`: the probe words of every lane, each one
-    /// loop over the whole batch, with no table access, then the sampling
-    /// verdicts of `tracer`, if any. Always inlined, so that a caller
-    /// whose batch length is a constant is compiled for it.
+    /// loop over the whole batch, with no table access, then the positions
+    /// of the packets `tracer`, if any, samples. Always inlined, so that a
+    /// caller whose batch length is a constant is compiled for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sampled packet sits past position `u32::MAX`.
     #[inline(always)]
     pub(crate) fn fill<'a>(
         &mut self,
@@ -44,7 +48,10 @@ impl Probes {
         self.words.fill_probes(KernelCopy::best(), keys, lanes);
         self.sampled.clear();
         if let Some(tracer) = tracer {
-            (self.sampled).extend(packets.iter().map(|p| tracer.is_sampled(&p.key())));
+            let positions = (packets.iter().enumerate())
+                .filter(|(_, p)| tracer.is_sampled(&p.key()))
+                .map(|(i, _)| u32::try_from(i).expect("batch positions fit 32 bits"));
+            self.sampled.extend(positions);
         }
     }
 }
@@ -85,10 +92,11 @@ mod tests {
     use hashflow_monitor::{FlowMonitor, Instruments};
     use hashflow_types::FlowKey;
 
-    /// A 256-packet plan at depth 3, with a tracer attached, holds the
-    /// probe words of its four lanes and one verdict per packet; its other
-    /// fields are per plan, not per packet. The pattern names every field,
-    /// so a field added to a plan fails to compile here.
+    /// A 256-packet plan at depth 3, with a 1-in-4 tracer attached, holds
+    /// the probe words of its four lanes and the positions of the packets
+    /// sampled, ascending; its other fields are per plan, not per packet.
+    /// The pattern names every field, so a field added to a plan fails to
+    /// compile here.
     #[test]
     fn a_plan_holds_probe_words_and_verdicts_only() {
         let config = HashFlowConfig::builder()
@@ -116,6 +124,11 @@ mod tests {
         assert_eq!((lanes.len(), *sample_one_in), (4, Some(4)));
         assert_eq!((words.lanes(), words.rows()), (4, 256));
         assert!((0..4).all(|m| words.lane(m).len() == 256));
-        assert_eq!(sampled.len(), 256);
+        let tracer = FlowTracer::new(Default::default(), 4);
+        let expect: Vec<u32> = (0..256)
+            .filter(|&i| tracer.is_sampled(&packets[i as usize].key()))
+            .collect();
+        assert!(!expect.is_empty() && expect.len() < 256);
+        assert_eq!(*sampled, expect);
     }
 }

@@ -158,14 +158,6 @@ pub struct OpCount {
     pub writes: u64,
 }
 
-impl std::ops::AddAssign for OpCount {
-    fn add_assign(&mut self, rhs: OpCount) {
-        self.hashes += rhs.hashes;
-        self.reads += rhs.reads;
-        self.writes += rhs.writes;
-    }
-}
-
 /// The main table `M`: exact flow records under non-evicting collision
 /// resolution, in either [`TableScheme`] organization.
 ///
@@ -201,14 +193,16 @@ pub struct MainTable {
     occupied: usize,
 }
 
-/// One main-table bucket: the 13 key bytes padded to 16, then the count as
-/// an aligned `u32` — the layout Algorithm 1's probe loop reads and writes,
-/// wider than the 17-byte [`FlowRecord`] the table reports. A bucket whose
-/// count is 0 is empty, and its key bytes are never read.
+/// One main-table bucket: the 13 key bytes followed by three zero bytes,
+/// as [`key_words`] lays them out, then the count as an aligned `u32` —
+/// the layout Algorithm 1's probe loop reads and writes, wider than the
+/// 17-byte [`FlowRecord`] the table reports. The probe loop compares the
+/// key as two 8-byte words, bytes `0..8` and `8..16`. A bucket whose count
+/// is 0 is empty, whatever key bytes it still holds.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct Bucket {
-    key: FlowKey,
+    key: [u8; 16],
     count: u32,
 }
 
@@ -216,27 +210,48 @@ const _: () = assert!(std::mem::size_of::<Bucket>() == 20 && std::mem::align_of:
 
 impl Bucket {
     const EMPTY: Bucket = Bucket {
-        key: FlowKey::from_bytes([0; FLOW_KEY_BYTES]),
+        key: [0; 16],
         count: 0,
     };
 
+    /// A bucket holding `count` packets of the flow whose key words are
+    /// `key`.
+    #[inline(always)]
+    fn new(key: u128, count: u32) -> Bucket {
+        Bucket {
+            key: key.to_le_bytes(),
+            count,
+        }
+    }
+
+    /// The stored key's words, for comparison with [`key_words`].
+    #[inline(always)]
+    fn key_words(&self) -> u128 {
+        u128::from_le_bytes(self.key)
+    }
+
+    /// The stored key.
+    #[inline]
+    fn key(&self) -> FlowKey {
+        let mut bytes = [0; FLOW_KEY_BYTES];
+        bytes.copy_from_slice(&self.key[..FLOW_KEY_BYTES]);
+        FlowKey::from_bytes(bytes)
+    }
+
     #[inline]
     fn record(self) -> FlowRecord {
-        FlowRecord::new(self.key, self.count)
+        FlowRecord::new(self.key(), self.count)
     }
 }
 
-/// A key's 13 bytes as two overlapping words, bytes `0..8` and `5..13`:
-/// equal pairs, equal keys — two loads and compares per bucket.
+/// A key's 13 bytes zero-padded to 16 and read as one little-endian
+/// 128-bit value: a bucket stores exactly these bytes, so equal values,
+/// equal keys, and a compare is two 8-byte loads against two words
+/// ([`FlowKey::to_words`]) computed once per packet.
 #[inline(always)]
-fn key_words(key: &FlowKey) -> (u64, u64) {
-    let bytes = key.to_bytes();
-    let word = |at: usize| {
-        let mut word = [0; 8];
-        word.copy_from_slice(&bytes[at..at + 8]);
-        u64::from_le_bytes(word)
-    };
-    (word(0), word(FLOW_KEY_BYTES - 8))
+fn key_words(key: &FlowKey) -> u128 {
+    let (lo, hi) = key.to_words();
+    u128::from(lo) | u128::from(hi) << 64
 }
 
 /// The one collision-resolution body (Algorithm 1, lines 2–13): reads
@@ -249,78 +264,63 @@ fn key_words(key: &FlowKey) -> (u64, u64) {
 /// pays one data-dependent branch: settled or lost. This is the
 /// early-exit walk's result by construction — the walk stops at the first
 /// probe that is empty or matching and changes nothing before it, however
-/// often a slot repeats along the path — and the [`OpCount`] is the walk's
-/// too: one hash and one read per bucket up to the settling one, one
-/// write if the packet settles.
+/// often a slot repeats along the path — and so is the probe count
+/// returned with the outcome: the buckets the walk reads (and hashes it
+/// computes), up to the settling one.
 ///
-/// A caller whose path length is a constant gets the reads unrolled into
-/// straight-line code.
+/// A [`ProbeOutcome::Inserted`] packet fills an empty bucket; the caller
+/// counts it into the occupancy. A caller whose path length is a constant
+/// gets the reads unrolled into straight-line code.
 #[inline(always)]
 fn settle(
     buckets: &mut [Bucket],
-    occupied: &mut usize,
     key: &FlowKey,
-    path: impl Iterator<Item = usize>,
-) -> (ProbeOutcome, OpCount) {
-    // Wider than any count, so the first record probed (a path has at
-    // least one: depth >= 1) always becomes the sentinel — a saturated one
-    // too — and `<` keeps the earliest among equals after it.
+    path: impl DoubleEndedIterator<Item = usize> + ExactSizeIterator,
+) -> (ProbeOutcome, u64) {
+    // The walk runs from the last probe back to the first, so the last
+    // marked probe it meets is the first on the path, and `<=` keeps the
+    // earliest of equally small records. Wider than any count, so the
+    // last record probed (a path has at least one: depth >= 1) always
+    // becomes the sentinel — a saturated one too.
     let mut min_count = u64::MAX;
     let mut sentinel = usize::MAX;
-    // The first marked probe (`usize::MAX`: none yet) and its slot.
+    // The first marked probe (`usize::MAX`: none) and its slot.
     let mut first = usize::MAX;
     let mut target = 0;
-    let mut probes = 0;
+    let probes = path.len() as u64;
     let want = key_words(key);
-    for (m, idx) in path.enumerate() {
+    for (m, idx) in path.enumerate().rev() {
         let bucket = buckets[idx];
-        let marked = (bucket.count == 0) | (key_words(&bucket.key) == want);
-        let take = marked & (first == usize::MAX);
+        let marked = (bucket.count == 0) | (bucket.key_words() == want);
         // Where a packet settles is data, not control: a branch here
         // would be mispredicted on every other packet.
-        first = select_unpredictable(take, m, first);
-        target = select_unpredictable(take, idx, target);
+        first = select_unpredictable(marked, m, first);
+        target = select_unpredictable(marked, idx, target);
         let count = u64::from(bucket.count);
-        let smaller = count < min_count;
+        let smaller = count <= min_count;
         min_count = select_unpredictable(smaller, count, min_count);
         sentinel = select_unpredictable(smaller, idx, sentinel);
-        probes = m as u64 + 1;
     }
     if first == usize::MAX {
-        let ops = OpCount {
-            hashes: probes,
-            reads: probes,
-            writes: 0,
-        };
         let min_count = min_count as u32;
         return (
             ProbeOutcome::Collision {
                 sentinel,
                 min_count,
             },
-            ops,
+            probes,
         );
     }
     let bucket = &mut buckets[target];
     let count = bucket.count;
     let new = count.saturating_add(1);
-    *bucket = Bucket {
-        key: *key,
-        count: new,
-    };
-    *occupied += usize::from(count == 0);
-    let probes = first as u64 + 1;
-    let ops = OpCount {
-        hashes: probes,
-        reads: probes,
-        writes: 1,
-    };
+    *bucket = Bucket::new(want, new);
     let outcome = if count == 0 {
         ProbeOutcome::Inserted
     } else {
         ProbeOutcome::Incremented(new)
     };
-    (outcome, ops)
+    (outcome, first as u64 + 1)
 }
 
 impl MainTable {
@@ -424,34 +424,56 @@ impl MainTable {
 
     /// Runs the collision-resolution step of Algorithm 1 (lines 2–13) for
     /// one packet of `key`: hashes its `d` slots, then settles the packet
-    /// with the body [`Self::resolve`] runs. The [`OpCount`] is that of the
-    /// lazy schedule — `h_{i+1}` counted only if the first `i` buckets were
-    /// held by other flows.
+    /// with the body [`HashFlow`](crate::HashFlow)'s batches run. The
+    /// [`OpCount`] is that of the lazy schedule — `h_{i+1}` counted only if
+    /// the first `i` buckets were held by other flows — plus one write if
+    /// the packet settled.
     pub fn probe(&mut self, key: &FlowKey) -> (ProbeOutcome, OpCount) {
         let path = (self.ranges.iter().enumerate())
             .map(|(i, &(offset, len))| offset + self.hashes.bucket(i, key, len));
-        settle(&mut self.buckets, &mut self.occupied, key, path)
+        let settled = settle(&mut self.buckets, key, path);
+        self.account(settled)
+    }
+
+    /// Counts a settled packet's insert into the occupancy and prices its
+    /// `probes` as [`Self::probe`] reports them.
+    fn account(&mut self, (outcome, probes): (ProbeOutcome, u64)) -> (ProbeOutcome, OpCount) {
+        self.fill(usize::from(outcome == ProbeOutcome::Inserted));
+        let writes = u64::from(!matches!(outcome, ProbeOutcome::Collision { .. }));
+        let ops = OpCount {
+            hashes: probes,
+            reads: probes,
+            writes,
+        };
+        (outcome, ops)
     }
 
     /// The same step on a probe path computed beforehand (`path`, the
     /// slots of the packet's probe plan, reduced and prefetched well before
-    /// it gets here): loads, compares and selects, then at most one write.
-    /// The [`OpCount`] is still that of the lazy schedule — see
-    /// [`Self::probe`] — so Fig. 11 accounting does not depend on the path
-    /// having been computed up front.
+    /// it gets here, one per probe — the batch checks that once): loads,
+    /// compares and selects, then at most one write. Returns the outcome
+    /// and the probes of the lazy schedule (see [`Self::probe`]), so Fig. 11
+    /// accounting does not depend on the path having been computed up
+    /// front. An inserted packet is not yet counted as occupying its
+    /// bucket: the batch adds its inserts with [`Self::fill`].
     ///
     /// # Panics
     ///
-    /// Panics if `path` does not hold exactly one slot per probe, or a
-    /// slot is out of range.
+    /// Panics if a slot is out of range.
     #[inline(always)]
-    pub fn resolve(
+    pub(crate) fn resolve(
         &mut self,
         key: &FlowKey,
-        path: impl ExactSizeIterator<Item = usize>,
-    ) -> (ProbeOutcome, OpCount) {
-        assert_eq!(path.len(), self.ranges.len(), "need one slot per probe");
-        settle(&mut self.buckets, &mut self.occupied, key, path)
+        path: impl DoubleEndedIterator<Item = usize> + ExactSizeIterator,
+    ) -> (ProbeOutcome, u64) {
+        settle(&mut self.buckets, key, path)
+    }
+
+    /// Counts `buckets` more buckets as occupied: the inserts of a batch
+    /// of [`Self::resolve`] steps.
+    #[inline]
+    pub(crate) fn fill(&mut self, buckets: usize) {
+        self.occupied += buckets;
     }
 
     /// Replaces the record at flattened index `slot` (the promotion of
@@ -468,10 +490,7 @@ impl MainTable {
             bucket.count > 0,
             "promotion target {slot} is empty; sentinels are always occupied"
         );
-        *bucket = Bucket {
-            key,
-            count: count.max(1),
-        };
+        *bucket = Bucket::new(key_words(&key), count.max(1));
     }
 
     /// Inserts a whole flow record (the collector-side merge counterpart
@@ -486,20 +505,18 @@ impl MainTable {
     /// it into an ancillary summary instead of losing it silently.
     pub fn insert_record(&mut self, record: FlowRecord) -> Option<FlowRecord> {
         let (key, count) = (record.key(), record.count());
+        let words = key_words(&key);
         let mut min_count = u32::MAX;
         let mut sentinel = usize::MAX;
         for i in 0..self.scheme.depth() {
             let idx = self.slot(i, &key);
             let resident = &mut self.buckets[idx];
             if resident.count == 0 {
-                *resident = Bucket {
-                    key,
-                    count: count.max(1),
-                };
+                *resident = Bucket::new(words, count.max(1));
                 self.occupied += 1;
                 return None;
             }
-            if resident.key == key {
+            if resident.key_words() == words {
                 resident.count = resident.count.saturating_add(count);
                 return None;
             }
@@ -509,7 +526,7 @@ impl MainTable {
             }
         }
         if count > min_count {
-            let evicted = std::mem::replace(&mut self.buckets[sentinel], Bucket { key, count });
+            let evicted = std::mem::replace(&mut self.buckets[sentinel], Bucket::new(words, count));
             Some(evicted.record())
         } else {
             Some(record)
@@ -518,9 +535,10 @@ impl MainTable {
 
     /// Looks up the exact count recorded for `key`, if present.
     pub fn lookup(&self, key: &FlowKey) -> Option<u32> {
+        let words = key_words(key);
         for i in 0..self.scheme.depth() {
             let bucket = self.buckets[self.slot(i, key)];
-            if bucket.count > 0 && bucket.key == *key {
+            if bucket.count > 0 && bucket.key_words() == words {
                 return Some(bucket.count);
             }
         }
@@ -550,7 +568,7 @@ impl MainTable {
         for bucket in &mut self.buckets {
             let count = std::mem::take(&mut bucket.count);
             if count > 0 {
-                records.push(FlowRecord::new(bucket.key, count));
+                records.push(FlowRecord::new(bucket.key(), count));
             }
         }
         self.occupied = 0;
@@ -809,15 +827,15 @@ mod tests {
             for i in 0..500 {
                 let k = key(i % 120);
                 plans.fill_probes(KernelCopy::best(), [k].into_iter(), planned.probe_lanes());
-                let slots: Vec<usize> = (0..3).map(|m| probe_slot(plans.word(m, 0))).collect();
+                let slots: Vec<usize> = (0..3).map(|m| probe_slot(plans.lane(m)[0])).collect();
                 slots.iter().for_each(|&slot| planned.prefetch(slot));
                 let (a, ops_a) = lazy.probe(&k);
-                let (b, ops_b) = planned.resolve(&k, slots.iter().copied());
+                let (b, ops_b) = resolve_counted(&mut planned, &k, &slots);
                 assert_eq!(a, b, "outcome diverged at packet {i}");
                 assert_eq!(ops_a, ops_b, "op accounting diverged at packet {i}");
                 // The lazy schedule, worked out from where the packet
                 // settled: one hash and one read per bucket probed.
-                let settled = slots.iter().position(|&s| planned.buckets[s].key == k);
+                let settled = slots.iter().position(|&s| planned.buckets[s].key() == k);
                 let (probes, writes) = match settled {
                     Some(at) => (at as u64 + 1, 1),
                     None => (3, 0),
@@ -839,6 +857,17 @@ mod tests {
         }
     }
 
+    /// [`MainTable::resolve`] along `path`, its insert counted and its cost
+    /// priced as [`MainTable::probe`] does both.
+    fn resolve_counted(
+        t: &mut MainTable,
+        key: &FlowKey,
+        path: &[usize],
+    ) -> (ProbeOutcome, OpCount) {
+        let settled = t.resolve(key, path.iter().copied());
+        t.account(settled)
+    }
+
     /// Algorithm 1's collision resolution as the paper writes it: probe
     /// in order and stop at the first empty or matching bucket.
     fn early_exit_walk(
@@ -857,14 +886,11 @@ mod tests {
             };
             let bucket = &mut t.buckets[idx];
             if bucket.count == 0 {
-                *bucket = Bucket {
-                    key: *key,
-                    count: 1,
-                };
+                *bucket = Bucket::new(key_words(key), 1);
                 t.occupied += 1;
                 return (ProbeOutcome::Inserted, ops);
             }
-            if bucket.key == *key {
+            if bucket.key() == *key {
                 bucket.count = bucket.count.saturating_add(1);
                 return (ProbeOutcome::Incremented(bucket.count), ops);
             }
@@ -894,9 +920,9 @@ mod tests {
     fn resolve_like_walk(t: &mut MainTable, key: &FlowKey, path: &[usize]) -> ProbeOutcome {
         let mut walked = t.clone();
         let expect = early_exit_walk(&mut walked, key, path);
-        let got = t.resolve(key, path.iter().copied());
+        let got = resolve_counted(t, key, path);
         assert_eq!(got, expect, "{key:?} along {path:?}");
-        let cells = |t: &MainTable| -> Vec<(FlowKey, u32)> {
+        let cells = |t: &MainTable| -> Vec<([u8; 16], u32)> {
             t.buckets.iter().map(|b| (b.key, b.count)).collect()
         };
         assert_eq!(cells(t), cells(&walked), "{key:?} along {path:?}");
@@ -955,7 +981,7 @@ mod tests {
         assert_eq!(t.drain().len(), 2);
         // Bucket 0 is empty but still holds key(1)'s bytes, and key(2)'s
         // sit in bucket 1 behind it.
-        assert_eq!(t.buckets[0].key, key(1));
+        assert_eq!(t.buckets[0].key(), key(1));
         for k in [key(1), key(2)] {
             let before = t.occupied();
             let outcome = resolve_like_walk(&mut t, &k, &[0, 1, 2]);
@@ -996,20 +1022,6 @@ mod tests {
         );
         let hit = resolve_like_walk(&mut t, &key(0), &[1, 2, 0]);
         assert_eq!(hit, ProbeOutcome::Incremented(u32::MAX));
-    }
-
-    #[test]
-    #[should_panic(expected = "one slot per probe")]
-    fn step_rejects_short_plans() {
-        let mut t = MainTable::new(TableScheme::MultiHash { depth: 3 }, 16, 0).unwrap();
-        let _ = t.resolve(&key(1), [1, 2].into_iter());
-    }
-
-    #[test]
-    #[should_panic(expected = "one slot per probe")]
-    fn step_rejects_long_plans() {
-        let mut t = MainTable::new(TableScheme::MultiHash { depth: 3 }, 16, 0).unwrap();
-        let _ = t.resolve(&key(1), [1, 2, 3, 4].into_iter());
     }
 
     #[test]

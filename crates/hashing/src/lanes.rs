@@ -30,7 +30,7 @@ use hashflow_types::FlowKey;
 /// assert_eq!(lanes.rows(), 2);
 /// assert_eq!(lanes.lane(0)[0], main.hash(0, &keys[0]));
 /// assert_eq!(lanes.lane(3)[1], anc.hash(0, &keys[1]));
-/// assert_eq!(lanes.word(3, 1), anc.hash(0, &keys[1]));
+/// assert_eq!(lanes.lane(3).len(), lanes.rows());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HashLanes {
@@ -60,15 +60,6 @@ impl HashLanes {
     pub fn lane(&self, m: usize) -> &[u64] {
         assert!(m < self.lanes, "lane {m} out of range {}", self.lanes);
         &self.values[m * self.rows..(m + 1) * self.rows]
-    }
-
-    /// `self.lane(m)[i]` in one bounds check, for callers that walk one
-    /// key's lanes. Panics outside the slab; the caller keeps
-    /// `i < self.rows()`, as a larger `i` names a key of a later lane.
-    #[inline]
-    pub fn word(&self, m: usize, i: usize) -> u64 {
-        debug_assert!(i < self.rows, "key {i} out of range {}", self.rows);
-        self.values[m * self.rows + i]
     }
 
     /// Fills the slab, through compiled copy `copy` of the kernel
@@ -188,6 +179,7 @@ mod tests {
         compute_lanes(&[&main, &anc], keys.iter().copied(), &mut lanes);
         assert_eq!(lanes.lanes(), 4);
         assert_eq!(lanes.rows(), keys.len());
+        assert!((0..4).all(|m| lanes.lane(m).len() == keys.len()));
         for (i, key) in keys.iter().enumerate() {
             for m in 0..3 {
                 assert_eq!(
@@ -201,9 +193,6 @@ mod tests {
                 anc.hash(0, key),
                 "ancillary lane of key {i}"
             );
-            for m in 0..4 {
-                assert_eq!(lanes.word(m, i), lanes.lane(m)[i], "lane {m} of key {i}");
-            }
         }
     }
 

@@ -19,8 +19,11 @@
 /// hinted as well as its first. Elements that cannot straddle a line get
 /// one hint.
 ///
-/// Out-of-range indices are ignored (a prefetch is advisory; the caller's
-/// later real access carries the bounds check that matters).
+/// The index is not checked: the address is only computed (with wrapping
+/// arithmetic) and hinted, never dereferenced, and a hint cannot fault,
+/// so an out-of-range index costs a wasted hint at most. The caller's
+/// later real access carries the bounds check that matters, and a hot
+/// loop pays no second one here.
 ///
 /// # Examples
 ///
@@ -28,17 +31,14 @@
 /// use hashflow_hashing::prefetch_read;
 /// let table = vec![0u64; 1024];
 /// prefetch_read(&table, 512);
-/// prefetch_read(&table, 9999); // out of range: ignored
+/// prefetch_read(&table, 9999); // out of range: a wasted hint, no more
 /// ```
 #[inline(always)]
 pub fn prefetch_read<T>(slice: &[T], index: usize) {
-    if let Some(cell) = slice.get(index) {
-        let first = (cell as *const T).cast::<u8>();
-        prefetch_line(first);
-        if size_of::<T>() > align_of::<T>() {
-            // Still inside `*cell`, so the address stays in bounds.
-            prefetch_line(first.wrapping_add(size_of::<T>() - 1));
-        }
+    let first = slice.as_ptr().wrapping_add(index).cast::<u8>();
+    prefetch_line(first);
+    if size_of::<T>() > align_of::<T>() {
+        prefetch_line(first.wrapping_add(size_of::<T>() - 1));
     }
 }
 
@@ -47,8 +47,8 @@ pub fn prefetch_read<T>(slice: &[T], index: usize) {
 fn prefetch_line(byte: *const u8) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: PREFETCHT0 never dereferences architecturally: it cannot
-    // fault and has no side effects, whatever address it is given (both
-    // callers pass one inside a live `&T`).
+    // fault and has no side effects, whatever address it is given (its
+    // caller computes one with wrapping arithmetic, in or out of range).
     unsafe {
         core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(byte.cast::<i8>());
     }

@@ -2,7 +2,7 @@
 //!
 //! Part of what a monitor does with a batch depends on the packets alone:
 //! HashFlow's probe words (the `d + 1` hashes of Algorithm 1, reduced to
-//! table slots) and the tracer's sampling verdicts, the rotator's
+//! table slots) and which packets the tracer samples, the rotator's
 //! timestamp span and byte total. A switch computes such values in
 //! pipeline stages ahead of the table accesses (§IV-D). A
 //! [`BatchPlanner`] — taken from a monitor with

@@ -21,8 +21,8 @@
 //!
 //! Work that depends on the packets alone is done before the hand-off,
 //! on the thread that offers: `offer` plans each batch with the
-//! collector's [`BatchPlanner`] (HashFlow's probe words and sampling
-//! verdicts, the rotator's timestamp span and byte total) and queues the
+//! collector's [`BatchPlanner`] (HashFlow's probe words and sampled
+//! positions, the rotator's timestamp span and byte total) and queues the
 //! plan with it. The ingest thread runs Algorithm 1's steps on the plan
 //! ([`FlowMonitor::process_planned`]) and returns it to a bounded list of
 //! spare plans, which `offer` plans into again. A collector without a

@@ -23,11 +23,12 @@
 //! epoch rotator record the same records, costs, introspection, epochs and
 //! flight-recorder spans from a plan as without one, and a plan they
 //! cannot use — another monitor's, another row count's, one without the
-//! sampling verdicts their tracer needs, another type — is planned in
-//! place.
+//! sampled positions their tracer needs or with positions drawn at
+//! another rate, another type — is planned in place. Tracing never
+//! changes measurement: no tracer, 1-in-1 and 1-in-4 measure the same.
 
 use hashflow_suite::core::PREFETCH_AHEAD;
-use hashflow_suite::monitor::{BatchPlan, BatchPlanner, FlowTracer};
+use hashflow_suite::monitor::{BatchPlan, BatchPlanner, FlowTracer, IntrospectMetric};
 use hashflow_suite::obs::FlightRecorder;
 use hashflow_suite::prelude::*;
 use proptest::prelude::*;
@@ -407,9 +408,15 @@ fn hashflow_seeded(scheme: TableScheme, seed: u64) -> HashFlow {
 /// Attaches a tracer sampling every flow into a recorder of its own, and
 /// returns the recorder.
 fn trace_every_flow<M: FlowMonitor>(monitor: &mut M) -> FlightRecorder {
+    trace_one_in(monitor, 1)
+}
+
+/// Attaches a tracer sampling one flow in `one_in` into a recorder of its
+/// own, and returns the recorder.
+fn trace_one_in<M: FlowMonitor>(monitor: &mut M, one_in: u64) -> FlightRecorder {
     let recorder = FlightRecorder::with_capacity(1 << 16);
     monitor.instrument(&Instruments {
-        tracer: Some(FlowTracer::new(recorder.clone(), 1)),
+        tracer: Some(FlowTracer::new(recorder.clone(), one_in)),
         ..Instruments::default()
     });
     recorder
@@ -578,5 +585,76 @@ proptest! {
         };
         prop_assert_eq!(epochs(&planned), epochs(&inplace));
         prop_assert_eq!(recorded(&planned_spans), recorded(&inplace_spans));
+    }
+}
+
+/// Batch sizes to cycle through, empty batches among them, never all
+/// empty.
+fn batch_sizes() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..300, 1..8).prop_map(|mut sizes| {
+        sizes[0] = sizes[0].max(1);
+        sizes
+    })
+}
+
+/// What a HashFlow measured: its records, cost and introspection, then
+/// the records of the epoch it seals.
+type Measured = (
+    Vec<FlowRecord>,
+    CostSnapshot,
+    Vec<IntrospectMetric>,
+    Vec<FlowRecord>,
+);
+
+fn measured(hf: &mut HashFlow) -> Measured {
+    let live = (hf.flow_records(), hf.cost(), hf.introspection());
+    let sealed = hf.seal().as_records().to_vec();
+    (live.0, live.1, live.2, sealed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Tracing never changes measurement: at depths 1 to 5 under both
+    /// schemes, in arbitrary batch shapes, a HashFlow with no tracer,
+    /// with a 1-in-1 and with a 1-in-4 tracer measures the same records,
+    /// `CostSnapshot`, introspection and sealed records. And a 1-in-1
+    /// HashFlow handed plans whose sampled positions were drawn at 1 in 4
+    /// plans those batches in place: it measures and traces exactly what
+    /// its `process_batch` twin does.
+    #[test]
+    fn tracing_never_changes_measurement(packets in stream(500, 900), sizes in batch_sizes()) {
+        let batches = batches_of(&packets, &sizes);
+        for depth in 1..=5 {
+            for scheme in [
+                TableScheme::MultiHash { depth },
+                TableScheme::Pipelined { depth, alpha: 0.7 },
+            ] {
+                let mut untraced = hashflow_seeded(scheme, 0x51);
+                let mut every = hashflow_seeded(scheme, 0x51);
+                let every_spans = trace_every_flow(&mut every);
+                let mut quarter = hashflow_seeded(scheme, 0x51);
+                trace_one_in(&mut quarter, 4);
+                let mut replanned = hashflow_seeded(scheme, 0x51);
+                let replanned_spans = trace_every_flow(&mut replanned);
+                let other_rate = quarter.planner().expect("HashFlow plans");
+                for batch in &batches {
+                    untraced.process_batch(batch);
+                    every.process_batch(batch);
+                    quarter.process_batch(batch);
+                }
+                feed_planned(&mut replanned, other_rate.as_ref(), &batches);
+                let expected = measured(&mut untraced);
+                prop_assert_eq!(&measured(&mut every), &expected, "{:?}: 1 in 1", scheme);
+                prop_assert_eq!(&measured(&mut quarter), &expected, "{:?}: 1 in 4", scheme);
+                prop_assert_eq!(&measured(&mut replanned), &expected, "{:?}: replanned", scheme);
+                prop_assert_eq!(
+                    recorded(&replanned_spans),
+                    recorded(&every_spans),
+                    "{:?}: replanned spans",
+                    scheme
+                );
+            }
+        }
     }
 }
