@@ -55,14 +55,15 @@ impl std::ops::AddAssign for Tally {
     }
 }
 
-/// A batch's probe words, lane by lane, each lane cut to the batch's
-/// length once, so that a read at a position below it needs no bounds
-/// check: with `D` in `1..=4`, the `D` main lanes in an array the
-/// compiler keeps in registers; with `D = 0`, as many as the slab holds,
-/// on the heap.
+/// A batch's probe words, each lane cut to the batch's length once, so
+/// that a read at a position below it needs no bounds check. With `D` in
+/// `1..=4` the `D` main lanes sit in an array the compiler keeps in
+/// registers; with `D = 0`, the depth read at run time, a main word is
+/// read through the slab instead.
 struct Lanes<'a, const D: usize> {
-    fixed: [&'a [u64]; D],
-    spilled: Vec<&'a [u64]>,
+    main: [&'a [u64]; D],
+    plans: &'a HashLanes,
+    depth: usize,
     /// The `g_1` lane.
     ancillary: &'a [u64],
 }
@@ -74,22 +75,30 @@ impl<'a, const D: usize> Lanes<'a, D> {
     fn cut(plans: &'a HashLanes, n: usize) -> Self {
         let depth = plans.lanes() - 1;
         Lanes {
-            fixed: std::array::from_fn(|m| &plans.lane(m)[..n]),
-            spilled: match D {
-                0 => (0..depth).map(|m| &plans.lane(m)[..n]).collect(),
-                _ => Vec::new(),
-            },
+            main: std::array::from_fn(|m| &plans.lane(m)[..n]),
+            plans,
+            depth,
             ancillary: &plans.lane(depth)[..n],
         }
     }
 
-    /// The `h_1 .. h_d` lanes.
+    /// The number of main lanes, `d`: a constant unless `D = 0`.
     #[inline(always)]
-    fn main(&self) -> &[&'a [u64]] {
+    fn depth(&self) -> usize {
         if D == 0 {
-            &self.spilled
+            self.depth
         } else {
-            &self.fixed
+            D
+        }
+    }
+
+    /// Word `i` of main lane `m` (`h_{m+1}`).
+    #[inline(always)]
+    fn main(&self, m: usize, i: usize) -> u64 {
+        if D == 0 {
+            self.plans.lane(m)[i]
+        } else {
+            self.main[m][i]
         }
     }
 }
@@ -270,8 +279,8 @@ impl HashFlow {
     /// Hints every cell the probe plan of packet `i` names toward L1.
     #[inline(always)]
     fn prefetch_plan<const D: usize>(&self, lanes: &Lanes<'_, D>, i: usize) {
-        for lane in lanes.main() {
-            self.main.prefetch(probe_slot(lane[i]));
+        for m in 0..lanes.depth() {
+            self.main.prefetch(probe_slot(lanes.main(m, i)));
         }
         self.ancillary.prefetch_slot(probe_slot(lanes.ancillary[i]));
     }
@@ -295,8 +304,7 @@ impl HashFlow {
         tally: &mut Tally,
     ) {
         // Phase 1: collision resolution in the main table (lines 2-13).
-        let main = lanes.main();
-        let path = main.iter().map(|lane| probe_slot(lane[i]));
+        let path = (0..lanes.depth()).map(|m| probe_slot(lanes.main(m, i)));
         let (outcome, probes) = self.main.resolve(&packet.key(), path);
         let ProbeOutcome::Collision {
             sentinel,
@@ -319,7 +327,7 @@ impl HashFlow {
         let slot = probe_slot(lanes.ancillary[i]);
         let digest = self
             .ancillary
-            .digest_of(u64::from(probe_hash_low(main[0][i])));
+            .digest_of(u64::from(probe_hash_low(lanes.main(0, i))));
         tally.probes += probes + 1;
         match self.ancillary.update(slot, digest, min_count) {
             AncillaryOutcome::Counted {
@@ -379,7 +387,7 @@ impl HashFlow {
         // True by construction, and stated here so that the optimiser,
         // which does not see it through the array, drops the checks of the
         // reads below `n` in the loop.
-        assert!(lanes.main().iter().all(|lane| lane.len() == n) && lanes.ancillary.len() == n);
+        assert!(lanes.main.iter().all(|lane| lane.len() == n) && lanes.ancillary.len() == n);
         for i in 0..PREFETCH_AHEAD.min(n) {
             self.prefetch_plan(&lanes, i);
         }
