@@ -16,7 +16,6 @@ use hashflow_server::{ReplayPace, Server, ServerConfig};
 use hashflow_trace::{read_pcap, write_pcap, PcapReader, TraceGenerator};
 use hashflow_types::{FlowRecord, Packet};
 use netflow_export::NetFlowV5Sink;
-use simswitch::SoftwareSwitch;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::Write as _;
@@ -439,7 +438,6 @@ fn compare(
 ) -> Result<String, Box<dyn Error>> {
     let budget = MemoryBudget::from_kib(memory_kib)?;
     let trace = TraceGenerator::new(profile, seed).generate(flows);
-    let switch = SoftwareSwitch::default();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -452,21 +450,21 @@ fn compare(
     );
     let _ = writeln!(
         out,
-        "{:>14}  {:>7}  {:>9}  {:>8}  {:>11}  {:>10}",
-        "algorithm", "fsc", "size_are", "card_re", "kpps(model)", "hashes/pkt"
+        "{:>14}  {:>7}  {:>9}  {:>8}  {:>10}  {:>7}",
+        "algorithm", "fsc", "size_are", "card_re", "hashes/pkt", "mem/pkt"
     );
     for algorithm in AlgorithmKind::ALL {
         let mut monitor = MonitorBuilder::new(algorithm).budget(budget).build()?;
         let report = evaluate(monitor.as_mut(), &trace, &[]);
         let _ = writeln!(
             out,
-            "{:>14}  {:>7.4}  {:>9.4}  {:>8.4}  {:>11.2}  {:>10.2}",
+            "{:>14}  {:>7.4}  {:>9.4}  {:>8.4}  {:>10.2}  {:>7.2}",
             report.algorithm,
             report.fsc,
             report.size_are,
             report.cardinality_re,
-            switch.model().kpps(&report.cost),
             report.cost.avg_hashes_per_packet(),
+            report.cost.avg_memory_accesses_per_packet(),
         );
     }
     Ok(out)
@@ -574,6 +572,15 @@ mod tests {
         ] {
             assert!(out.contains(name), "missing {name} in:\n{out}");
         }
+        let header = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("algorithm"))
+            .expect("column header");
+        assert!(
+            header.contains("hashes/pkt") && header.contains("mem/pkt"),
+            "{header}"
+        );
+        assert!(!out.contains("kpps"), "no modeled rate in:\n{out}");
     }
 
     #[test]

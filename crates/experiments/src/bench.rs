@@ -1,5 +1,5 @@
 //! The one harness behind every perf exhibit: how a number is timed
-//! ([`best_of`]), stamped ([`Bench::new`]) and written
+//! (`timed_replay`, [`best_of`]), stamped ([`Bench::new`]) and written
 //! ([`Bench::write`], [`Bench::publish`]).
 //!
 //! A `BENCH_<name>.json` file is one object: the stamp (`exhibit`, `cpu`,
@@ -10,9 +10,29 @@
 
 use crate::output::{Cell, Table};
 use crate::RunConfig;
+use hashflow_monitor::{CostSnapshot, FlowMonitor};
 use hashflow_obs::json::{self, Obj};
+use hashflow_trace::Trace;
+use hashflow_types::Packet;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
+
+/// Resets `monitor`, then times one `ingest` of `trace`'s packets by this
+/// machine's wall clock: the nanoseconds it took and the costs the
+/// monitor recorded. The caller picks the path: `process_trace` for the
+/// batched hot path, a `process_packet` loop for the scalar one.
+pub(crate) fn timed_replay<M: FlowMonitor + ?Sized>(
+    monitor: &mut M,
+    trace: &Trace,
+    ingest: impl FnOnce(&mut M, &[Packet]),
+) -> (u128, CostSnapshot) {
+    monitor.reset();
+    let start = Instant::now();
+    ingest(monitor, trace.packets());
+    let ns = start.elapsed().as_nanos();
+    (ns, monitor.cost())
+}
 
 /// Runs `trial` `trials` times and keeps, arm by arm, the shortest wall
 /// clock (nanoseconds) — the noise-robust estimator for short serial
@@ -147,6 +167,16 @@ fn cpu_model() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hashflow_collector::{AlgorithmKind, MonitorBuilder};
+    use hashflow_monitor::MemoryBudget;
+    use hashflow_trace::{TraceGenerator, TraceProfile};
+
+    fn registry_hashflow() -> Box<dyn FlowMonitor + Send> {
+        MonitorBuilder::new(AlgorithmKind::HashFlow)
+            .budget(MemoryBudget::from_kib(32).unwrap())
+            .build()
+            .unwrap()
+    }
 
     fn sample() -> Bench {
         let mut table = Table::new("t", &["path", "packets", "kpps"]);
@@ -155,6 +185,46 @@ mod tests {
         Bench::new("unit", &RunConfig::for_tests(0.5), 3)
             .field("top_k", 100)
             .table("rows", &table)
+    }
+
+    fn batched_cost(hf: &mut dyn FlowMonitor, trace: &Trace) -> CostSnapshot {
+        timed_replay(hf, trace, |m, p| m.process_trace(p)).1
+    }
+
+    #[test]
+    fn replay_counts_all_packets() {
+        let trace = TraceGenerator::new(TraceProfile::Isp2, 1).generate(500);
+        let mut hf = registry_hashflow();
+        let (ns, cost) = timed_replay(hf.as_mut(), &trace, |m, p| m.process_trace(p));
+        assert_eq!(cost.packets, trace.packets().len() as u64);
+        assert!(ns > 0);
+        assert!(cost.avg_hashes_per_packet() >= 1.0);
+    }
+
+    #[test]
+    fn replay_resets_monitor_first() {
+        let trace = TraceGenerator::new(TraceProfile::Isp2, 2).generate(200);
+        let mut hf = registry_hashflow();
+        let first = batched_cost(hf.as_mut(), &trace);
+        let second = batched_cost(hf.as_mut(), &trace);
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn batched_and_scalar_replay_agree_on_costs() {
+        // The process_batch contract seen from the harness: batching may
+        // change the schedule, never the recorded costs or records.
+        let trace = TraceGenerator::new(TraceProfile::Caida, 5).generate(1_000);
+        let mut hf = registry_hashflow();
+        let batched = batched_cost(hf.as_mut(), &trace);
+        let batched_records = hf.flow_records();
+        let (_, scalar) = timed_replay(hf.as_mut(), &trace, |m, packets| {
+            for p in packets {
+                m.process_packet(p);
+            }
+        });
+        assert_eq!(batched, scalar);
+        assert_eq!(batched_records, hf.flow_records());
     }
 
     #[test]

@@ -1,25 +1,30 @@
-//! Fig. 11 — throughput (modeled bmv2 Kpps, panel a), average hash
-//! operations per packet (panel b) and average memory accesses per packet
-//! (panel c), per trace and algorithm. Native Rust packet rates are
-//! reported alongside.
+//! Fig. 11 — throughput (panel a), average hash operations per packet
+//! (panel b) and average memory accesses per packet (panel c), per trace
+//! and algorithm.
+//!
+//! The paper measures panel (a) in bmv2 on one isolated core, at about
+//! 20 Kpps of bare forwarding, and explains it by panels (b) and (c).
+//! There is no bmv2 here: panel (a) is reproduced as `native_mpps`, the
+//! native wall-clock rate of one batched replay on the host that ran the
+//! exhibit. Panels (b) and (c) are the counts every monitor records, the
+//! same on any host.
 
+use crate::bench::{kpps, timed_replay};
 use crate::output::{Cell, Table};
 use crate::{setup, RunConfig};
-use simswitch::SoftwareSwitch;
 
 /// Runs the throughput/cost comparison.
 pub fn run(cfg: &RunConfig) -> Vec<Table> {
     let flows = cfg.scaled(100_000, 2_000);
     let budget = setup::standard_budget(cfg);
-    let switch = SoftwareSwitch::default();
 
     let results = setup::per_profile(|profile| {
         let trace = setup::trace_for(cfg, profile, flows);
         setup::comparison_monitors(budget, cfg.seed)
             .iter_mut()
             .map(|monitor| {
-                let report = switch.replay(monitor.as_mut(), &trace);
-                (monitor.name(), report)
+                let (ns, cost) = timed_replay(monitor.as_mut(), &trace, |m, p| m.process_trace(p));
+                (monitor.name(), ns, cost)
             })
             .collect::<Vec<_>>()
     });
@@ -29,21 +34,19 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         &[
             "trace",
             "algorithm",
-            "modeled_kpps",
             "avg_hashes",
             "avg_mem_accesses",
             "native_mpps",
         ],
     );
     for (profile, rows) in &results {
-        for (name, report) in rows {
+        for (name, ns, cost) in rows {
             table.push_row(vec![
                 Cell::from(profile.name()),
                 Cell::from(*name),
-                Cell::Float(report.modeled_kpps),
-                Cell::Float(report.avg_hashes),
-                Cell::Float(report.avg_accesses),
-                Cell::Float(report.native_pps / 1e6),
+                Cell::Float(cost.avg_hashes_per_packet()),
+                Cell::Float(cost.avg_memory_accesses_per_packet()),
+                Cell::Float(kpps(cost.packets, *ns) / 1e3),
             ]);
         }
     }
@@ -68,49 +71,46 @@ mod tests {
     }
 
     #[test]
-    fn flowradar_is_slowest_and_hashes_most() {
+    fn flowradar_hashes_and_accesses_most() {
         let cfg = RunConfig::for_tests(0.05);
         let tables = run(&cfg);
         for trace in ["CAIDA", "Campus", "ISP1", "ISP2"] {
-            let kpps = by_algorithm(&tables[0], trace, 2);
-            let hashes = by_algorithm(&tables[0], trace, 3);
+            let hashes = by_algorithm(&tables[0], trace, 2);
+            let accesses = by_algorithm(&tables[0], trace, 3);
             assert!(
                 (hashes["FlowRadar"] - 7.0).abs() < 1e-9,
                 "FlowRadar 7 hashes"
             );
             for alg in ["HashFlow", "HashPipe", "ElasticSketch"] {
+                assert!(hashes[alg] < hashes["FlowRadar"], "{trace}: {alg} hashes");
                 assert!(
-                    kpps[alg] > kpps["FlowRadar"],
-                    "{trace}: {alg} {} vs FlowRadar {}",
-                    kpps[alg],
-                    kpps["FlowRadar"]
+                    accesses[alg] < accesses["FlowRadar"],
+                    "{trace}: {alg} {} vs FlowRadar {} accesses",
+                    accesses[alg],
+                    accesses["FlowRadar"]
                 );
-                assert!(hashes[alg] < hashes["FlowRadar"]);
             }
         }
     }
 
     #[test]
-    fn hashflow_comparable_to_hashpipe_and_elastic() {
+    fn hashflow_costs_no_more_than_hashpipe_and_elastic() {
         // §IV-D: "HashFlow will perform comparably to HashPipe and
-        // ElasticSketch, and much better than FlowRadar."
+        // ElasticSketch, and much better than FlowRadar." Stated on the
+        // per-packet counts that explain Fig. 11(a), not on a rate.
         let cfg = RunConfig::for_tests(0.05);
         let tables = run(&cfg);
         for trace in ["CAIDA", "Campus", "ISP1", "ISP2"] {
-            let kpps = by_algorithm(&tables[0], trace, 2);
-            let hf = kpps["HashFlow"];
-            for alg in ["HashPipe", "ElasticSketch"] {
-                let ratio = hf / kpps[alg];
-                assert!(
-                    (0.6..=1.7).contains(&ratio),
-                    "{trace}: HashFlow {hf} vs {alg} {} (ratio {ratio})",
-                    kpps[alg]
-                );
-            }
-            // All algorithms land in the single-digit Kpps band of
-            // Fig. 11(a), below the ~20 Kpps bare-forwarding baseline.
-            for v in kpps.values() {
-                assert!((0.5..20.0).contains(v), "kpps {v}");
+            for (col, what) in [(2, "hashes"), (3, "accesses")] {
+                let per_packet = by_algorithm(&tables[0], trace, col);
+                let hf = per_packet["HashFlow"];
+                for alg in ["HashPipe", "ElasticSketch"] {
+                    assert!(
+                        hf <= per_packet[alg],
+                        "{trace}: HashFlow {hf} vs {alg} {} {what} per packet",
+                        per_packet[alg]
+                    );
+                }
             }
         }
     }
@@ -120,7 +120,7 @@ mod tests {
         let cfg = RunConfig::for_tests(0.05);
         let tables = run(&cfg);
         for trace in ["CAIDA", "Campus", "ISP1", "ISP2"] {
-            let hashes = by_algorithm(&tables[0], trace, 3);
+            let hashes = by_algorithm(&tables[0], trace, 2);
             for alg in ["HashFlow", "HashPipe", "ElasticSketch"] {
                 assert!(
                     hashes[alg] <= 4.0 + 1e-9,

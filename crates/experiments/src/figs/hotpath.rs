@@ -35,7 +35,7 @@
 //! pass 1 ran through (`baseline` or `avx512`): the batched rate depends
 //! on it.
 
-use crate::bench::{best_of, kpps, Bench};
+use crate::bench::{best_of, kpps, timed_replay, Bench};
 use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use flowradar::FlowRadar;
@@ -43,7 +43,6 @@ use hashflow_core::{HashFlow, HashFlowConfig, TableScheme};
 use hashflow_monitor::{FlowMonitor, MemoryBudget};
 use hashflow_trace::TraceProfile;
 use hashflow_types::{FlowKey, Packet};
-use simswitch::SoftwareSwitch;
 use std::time::Instant;
 
 /// Timed trials per row; each path keeps its fastest ([`best_of`]).
@@ -100,21 +99,24 @@ fn measure(
     flows: usize,
     trace: &hashflow_trace::Trace,
 ) -> HotpathRow {
-    let switch = SoftwareSwitch::default();
     let mut costs = None;
     let [scalar_ns, batched_ns] = best_of(TRIALS, || {
-        let s = switch.replay_scalar(monitor, trace);
-        let b = switch.replay(monitor, trace);
+        let (scalar_ns, scalar) = timed_replay(monitor, trace, |m, packets| {
+            for p in packets {
+                m.process_packet(p);
+            }
+        });
+        let (batched_ns, batched) = timed_replay(monitor, trace, |m, p| m.process_trace(p));
         // The process_batch contract, enforced at measurement time:
         // batching may change the schedule, never the recorded costs.
         assert_eq!(
-            s.cost,
-            b.cost,
+            scalar,
+            batched,
             "{}: batched cost diverged from scalar",
             monitor.name()
         );
-        costs = Some(s.cost);
-        [s.native_elapsed_ns, b.native_elapsed_ns]
+        costs = Some(scalar);
+        [scalar_ns, batched_ns]
     });
     let packets = costs.expect("at least one trial").packets;
     HotpathRow {

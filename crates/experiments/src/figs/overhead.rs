@@ -42,7 +42,7 @@
 //! exits 2 below either — the CI gate. The ≤ 3 % and ≤ 5 % claims are the
 //! committed full-scale record's.
 
-use crate::bench::{best_of, kpps, Bench};
+use crate::bench::{best_of, kpps, timed_replay, Bench};
 use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_collector::{AlgorithmKind, Collector, MetricsRegistry};
@@ -53,7 +53,6 @@ use hashflow_monitor::{
 use hashflow_obs::FlightRecorder;
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceProfile};
-use simswitch::SoftwareSwitch;
 
 /// Timed trials per row; each arm keeps its fastest ([`best_of`]).
 pub const TRIALS: usize = 7;
@@ -204,14 +203,17 @@ fn measure_pipeline(
             .build()
             .expect("exhibit budget fits HashFlow")
     });
-    let switch = SoftwareSwitch::default();
     let ns = time_arms(&mut arms, passes, |c| {
-        let report = if batched {
-            switch.replay(c, trace)
+        let (ns, _) = if batched {
+            timed_replay(c, trace, |c, packets| c.process_trace(packets))
         } else {
-            switch.replay_scalar(c, trace)
+            timed_replay(c, trace, |c, packets| {
+                for p in packets {
+                    c.process_packet(p);
+                }
+            })
         };
-        report.native_elapsed_ns
+        ns
     });
     // The counter survives the per-trial resets; the snapshot flushes
     // the rotator's pending block first.

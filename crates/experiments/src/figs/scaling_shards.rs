@@ -23,13 +23,14 @@
 //! quietest replay rather than each column's best ([`crate::bench::best_of`]),
 //! so every row's columns come from one run.
 
-use crate::bench::Bench;
+use crate::bench::{kpps, Bench};
 use crate::output::{Cell, Output, Table};
 use crate::{setup, RunConfig};
 use hashflow_core::HashFlow;
+use hashflow_monitor::{FlowMonitor, INGEST_BATCH};
 use hashflow_shard::ShardedMonitor;
-use hashflow_trace::TraceProfile;
-use simswitch::{ShardedReplayReport, SoftwareSwitch};
+use hashflow_trace::{Trace, TraceProfile};
+use std::time::Instant;
 
 /// Shard counts of the scaling sweep.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -42,22 +43,7 @@ pub const TRIALS: usize = 3;
 pub fn run(cfg: &RunConfig) -> Output {
     let flows = cfg.scaled(100_000, 2_000);
     let budget = setup::standard_budget(cfg);
-    let switch = SoftwareSwitch::default();
     let trace = setup::trace_for(cfg, TraceProfile::Caida, flows);
-
-    let reports: Vec<(usize, ShardedReplayReport)> = SHARD_COUNTS
-        .iter()
-        .map(|&shards| {
-            let mut monitor =
-                ShardedMonitor::with_budget(shards, budget, |_, b| HashFlow::with_memory(b))
-                    .expect("standard budget splits across the sweep's shard counts");
-            let quietest = (0..TRIALS)
-                .map(|_| switch.replay_sharded(&mut monitor, &trace))
-                .min_by_key(|r| r.native_elapsed_ns + r.serial_elapsed_ns)
-                .expect("at least one trial");
-            (shards, quietest)
-        })
-        .collect();
 
     let mut table = Table::new(
         "scaling_shards",
@@ -71,16 +57,15 @@ pub fn run(cfg: &RunConfig) -> Output {
             "dispatch_share",
         ],
     );
-    for (shards, report) in &reports {
-        table.push_row(vec![
-            Cell::from("CAIDA"),
-            Cell::from(*shards),
-            Cell::from(report.packets),
-            Cell::Float(report.native_pps / 1e3),
-            Cell::Float(report.serial_pps / 1e3),
-            Cell::Float(report.imbalance),
-            Cell::Float(report.dispatch_elapsed_ns as f64 / report.serial_elapsed_ns as f64),
-        ]);
+    for shards in SHARD_COUNTS {
+        let mut monitor =
+            ShardedMonitor::with_budget(shards, budget, |_, b| HashFlow::with_memory(b))
+                .expect("standard budget splits across the sweep's shard counts");
+        let (_, quietest) = (0..TRIALS)
+            .map(|_| replay(&mut monitor, &trace))
+            .min_by_key(|(ns, _)| *ns)
+            .expect("at least one trial");
+        table.push_row(quietest);
     }
 
     let bench = Bench::new("shard", cfg, TRIALS)
@@ -92,6 +77,46 @@ pub fn run(cfg: &RunConfig) -> Output {
         bench: Some(bench),
         violations: Vec::new(),
     }
+}
+
+/// Replays `trace` through `monitor` in three passes, each timed by this
+/// machine's wall clock: the **serial** batched path
+/// ([`FlowMonitor::process_batch`] in [`INGEST_BATCH`] chunks), the RSS
+/// split alone ([`ShardedMonitor::partition`] of the same chunks; none
+/// for a single shard, which skips dispatch), and last the **threaded**
+/// path ([`ShardedMonitor::ingest`]), which leaves the monitor holding
+/// exactly one replay's state. Returns the table row and its threaded
+/// plus serial wall clock, by which [`run`] picks the quietest trial.
+fn replay(monitor: &mut ShardedMonitor<HashFlow>, trace: &Trace) -> (u128, Vec<Cell>) {
+    let packets = trace.packets();
+    monitor.reset();
+    let start = Instant::now();
+    for chunk in packets.chunks(INGEST_BATCH) {
+        monitor.process_batch(chunk);
+    }
+    let serial_ns = start.elapsed().as_nanos();
+    let dispatch_ns = if monitor.shard_count() == 1 {
+        0
+    } else {
+        let start = Instant::now();
+        for chunk in packets.chunks(INGEST_BATCH) {
+            std::hint::black_box(monitor.partition(chunk));
+        }
+        start.elapsed().as_nanos()
+    };
+    monitor.reset();
+    let ingest = monitor.ingest(packets);
+    let replayed = monitor.cost().packets;
+    let row = vec![
+        Cell::from("CAIDA"),
+        Cell::from(monitor.shard_count()),
+        Cell::from(replayed),
+        Cell::Float(kpps(replayed, ingest.elapsed_ns)),
+        Cell::Float(kpps(replayed, serial_ns)),
+        Cell::Float(ingest.imbalance()),
+        Cell::Float(dispatch_ns as f64 / serial_ns as f64),
+    ];
+    (ingest.elapsed_ns + serial_ns, row)
 }
 
 #[cfg(test)]

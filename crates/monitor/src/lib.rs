@@ -12,8 +12,7 @@
 //! | Cardinality estimation | [`FlowMonitor::estimate_cardinality`] | RE |
 //!
 //! [`CostRecorder`] counts hash operations and memory accesses per packet —
-//! the quantities Fig. 11(b)/(c) report and the input to the throughput model
-//! in the `simswitch` crate.
+//! the quantities Fig. 11(b)/(c) report.
 //!
 //! [`MergeableMonitor`] extends the contract for multi-core deployments:
 //! monitors that observed disjoint RSS flow partitions can be folded back

@@ -37,7 +37,6 @@ pub use hashflow_types as types;
 pub use hashpipe;
 pub use netflow_export;
 pub use sampled_netflow;
-pub use simswitch;
 
 /// The names most programs need, in one import.
 pub mod prelude {
@@ -67,7 +66,6 @@ pub mod prelude {
     pub use hashpipe::HashPipe;
     pub use netflow_export::NetFlowV5Sink;
     pub use sampled_netflow::SampledNetFlow;
-    pub use simswitch::{SoftwareSwitch, ThroughputModel};
 }
 
 #[cfg(test)]

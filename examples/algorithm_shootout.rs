@@ -51,17 +51,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The modeled software-switch throughput of Fig. 11(a).
-    println!("\nmodeled bmv2-like throughput (baseline ~20 Kpps):");
-    let switch = SoftwareSwitch::default();
-    for monitor in monitors.iter_mut() {
-        let report = switch.replay(monitor.as_mut(), &trace);
-        println!(
-            "{:>14}  {:>6.2} Kpps modeled   {:>7.2} Mpps native",
-            monitor.name(),
-            report.modeled_kpps,
-            report.native_pps / 1e6
-        );
-    }
     Ok(())
 }

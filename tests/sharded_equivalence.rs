@@ -188,7 +188,8 @@ proptest! {
 
     /// The threaded ingest path and the one-packet-at-a-time dispatch path
     /// are observationally identical (same records, same merged costs), so
-    /// replaying through `SoftwareSwitch` is order-exact.
+    /// the `scaling_shards` exhibit's threaded and serial rates time the
+    /// same work.
     #[test]
     fn threaded_and_sequential_ingest_agree(packets in stream(300, 500)) {
         let (_, mut threaded) = pair(64);
