@@ -200,8 +200,8 @@ struct Flag {
     /// `--name <value>`, as the usage shows it.
     head: &'static str,
     absent: Absent,
-    /// Help lines; `{algorithms}`, `{sharded}` and `{profiles}` render
-    /// the registry's and the trace generator's names.
+    /// Help lines; `{algorithms}` and `{profiles}` render the registry's
+    /// and the trace generator's names.
     help: &'static str,
 }
 
@@ -255,8 +255,8 @@ const SHARDS: Flag = flag(
      equal shard budgets whose sum never exceeds\n\
      the single-monitor budget (the remainder of\n\
      the division is dropped, not rounded up);\n\
-     supported by:\n\
-     {sharded}",
+     any algorithm shards: the shards hold\n\
+     disjoint flows, so their records concatenate",
 );
 const METRICS_OUT: Flag = flag(
     "--metrics-out <file>",
@@ -696,7 +696,6 @@ pub(crate) fn usage() -> String {
                    commands:\n"
         .to_owned();
     let profiles = ALL_PROFILES.map(|p| p.name().to_lowercase()).join("|");
-    let sharded = names(AlgorithmKind::supports_sharding, ", ");
     for spec in &COMMANDS {
         entry(&mut out, 2, spec.head, spec.about, None);
         let algorithms = if spec.records_only {
@@ -708,9 +707,7 @@ pub(crate) fn usage() -> String {
         };
         for flag in spec.flags {
             let help = flag.help.replace("{algorithms}", &algorithms);
-            let help = help
-                .replace("{sharded}", &sharded)
-                .replace("{profiles}", &profiles);
+            let help = help.replace("{profiles}", &profiles);
             let tag = match flag.absent {
                 Unset => None,
                 Value(default) => Some(format!("[default: {default}]")),
@@ -892,16 +889,7 @@ mod tests {
             .iter()
             .find(|(command, _)| *command == "analyze")
             .expect("analyze documents --shards");
-        for kind in AlgorithmKind::ALL
-            .into_iter()
-            .filter(|k| k.supports_sharding())
-        {
-            assert!(
-                names(analyze).iter().any(|n| n == kind.name()),
-                "--shards omits {}:\n{analyze}",
-                kind.name()
-            );
-        }
+        assert!(analyze.contains("any algorithm shards"), "{analyze}");
     }
 
     /// What a command cannot parse without: its positional argument and

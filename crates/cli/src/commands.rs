@@ -804,23 +804,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("4 shards"), "{out}");
         assert!(out.contains("distinct flows: 400"), "{out}");
-        // Sharded analyze works for every merge-capable algorithm.
-        for alg in ["flowradar", "netflow"] {
+        // Sharded analyze works for every algorithm it accepts.
+        for alg in ["flowradar", "netflow", "elastic", "hashpipe"] {
             let out = run_line(&format!(
                 "analyze {} --algorithm {alg} --memory-kib 256 --shards 2",
                 pcap.display()
             ))
             .unwrap();
             assert!(out.contains("2 shards"), "{alg}: {out}");
-        }
-        // ... and reports a clear error for the rest.
-        for alg in ["elastic", "hashpipe"] {
-            let err = run_line(&format!(
-                "analyze {} --algorithm {alg} --shards 2",
-                pcap.display()
-            ))
-            .unwrap_err();
-            assert!(err.to_string().contains("merge layer"), "{alg}: {err}");
         }
     }
 }

@@ -283,7 +283,7 @@ impl CollectorBuilder {
         self
     }
 
-    /// Sets the shard count (merge-layer algorithms only).
+    /// Sets the shard count (any algorithm).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.monitor = self.monitor.shards(shards);
@@ -336,8 +336,8 @@ impl CollectorBuilder {
     ///   on panic), epoch seals and rotation gaps, and the sinks'
     ///   degrade/quarantine/recover transitions (quarantine entry also
     ///   dumps);
-    /// * `tracer` — sampled flows record `dispatch` spans in the sharded
-    ///   merge layer and placement-stage spans in HashFlow (each once per
+    /// * `tracer` — sampled flows record `dispatch` spans in the shard
+    ///   layer and placement-stage spans in HashFlow (each once per
     ///   flow, stage and epoch, then a `placement` span with the stage
     ///   counts at the seal), and `epoch_seal`/`export` spans at rotation.
     #[must_use]
@@ -716,7 +716,7 @@ mod tests {
             ),
             Some(sealed)
         );
-        // Monitor layer: the sharded merge layer split the same packets.
+        // Monitor layer: the shard layer split the same packets.
         assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), packets);
         // No sink trouble on the happy path.
         assert_eq!(snap.counter("hashflow_sink_errors_total", &[]), Some(0));
@@ -809,12 +809,12 @@ mod tests {
         // Registry errors surface unchanged.
         let err = match Collector::builder(AlgorithmKind::Elastic)
             .budget(budget())
-            .shards(2)
+            .shards(0)
             .build()
         {
             Err(e) => e,
-            Ok(_) => panic!("expected a merge-layer error"),
+            Ok(_) => panic!("expected a shard-count error"),
         };
-        assert!(err.to_string().contains("merge layer"));
+        assert!(err.to_string().contains("at least 1"), "{err}");
     }
 }

@@ -4,7 +4,7 @@
 use elastic_sketch::ElasticSketch;
 use flowradar::FlowRadar;
 use hashflow_core::{HashFlow, HashFlowConfig};
-use hashflow_monitor::{FlowMonitor, Instruments, MemoryBudget, MergeableMonitor};
+use hashflow_monitor::{FlowMonitor, Instruments, MemoryBudget};
 use hashflow_shard::ShardedMonitor;
 use hashflow_sketches::{BeauCoupMonitor, CountMinMonitor, ExactBaselineMonitor, FcmMonitor};
 use hashflow_types::ConfigError;
@@ -117,21 +117,6 @@ impl AlgorithmKind {
             .join(", ")
     }
 
-    /// Whether the algorithm implements the merge layer
-    /// ([`MergeableMonitor`]) and can therefore run sharded.
-    pub const fn supports_sharding(&self) -> bool {
-        matches!(
-            self,
-            AlgorithmKind::HashFlow
-                | AlgorithmKind::FlowRadar
-                | AlgorithmKind::NetFlow
-                | AlgorithmKind::CountMin
-                | AlgorithmKind::Fcm
-                | AlgorithmKind::BeauCoup
-                | AlgorithmKind::Exact
-        )
-    }
-
     /// Whether the algorithm retains flow keys and can therefore answer
     /// the records-derived applications (flow report, heavy hitters,
     /// top-k). The estimate-only sketches answer point size and
@@ -156,17 +141,6 @@ impl AlgorithmKind {
              key-retaining algorithm or drop require_records()"
         )))
     }
-
-    /// The canonical names of the merge-layer algorithms, comma-separated
-    /// (the list the sharding rejection errors with).
-    fn sharded_names() -> String {
-        Self::ALL
-            .iter()
-            .filter(|k| k.supports_sharding())
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 }
 
 impl std::fmt::Display for AlgorithmKind {
@@ -189,10 +163,10 @@ impl std::str::FromStr for AlgorithmKind {
 /// Optional knobs: an explicit hash `seed` (experiments re-derive
 /// monitors per trial; omitting it keeps each algorithm's stable default
 /// seeds), a `shards` count (> 1 wraps the monitor in a
-/// [`ShardedMonitor`] with the budget split equally, for the merge-layer
-/// algorithms), and the [`Instruments`] every layer of the built monitor
-/// is handed. NetFlow is built unsampled (1-in-1); a sampled one comes
-/// from `SampledNetFlow::with_memory(budget, n)`.
+/// [`ShardedMonitor`] with the budget split equally, for any algorithm),
+/// and the [`Instruments`] every layer of the built monitor is handed.
+/// NetFlow is built unsampled (1-in-1); a sampled one comes from
+/// `SampledNetFlow::with_memory(budget, n)`.
 ///
 /// # Examples
 ///
@@ -279,7 +253,7 @@ impl MonitorBuilder {
 
     /// Sets the observability handles the built monitor is instrumented
     /// with ([`FlowMonitor::instrument`], called once by [`Self::build`]).
-    /// Each layer takes what it uses: the sharded merge layer its
+    /// Each layer takes what it uses: the shard layer its
     /// per-shard counters, queue gauges, dispatch/merge/seal histograms,
     /// panic and shed events and `dispatch` spans; HashFlow its
     /// placement-stage spans. Monitors with nothing to report ignore
@@ -300,49 +274,6 @@ impl MonitorBuilder {
         })
     }
 
-    fn build_hashflow(&self, budget: MemoryBudget) -> Result<HashFlow, ConfigError> {
-        let config = HashFlowConfig::with_memory(budget)?;
-        HashFlow::new(match self.seed {
-            Some(seed) => config.rebuild().seed(seed).build()?,
-            None => config,
-        })
-    }
-
-    fn build_flowradar(&self, budget: MemoryBudget) -> Result<FlowRadar, ConfigError> {
-        match self.seed {
-            Some(seed) => FlowRadar::with_memory_seeded(budget, seed),
-            None => FlowRadar::with_memory(budget),
-        }
-    }
-
-    fn build_netflow(&self, budget: MemoryBudget) -> Result<SampledNetFlow, ConfigError> {
-        match self.seed {
-            Some(seed) => SampledNetFlow::with_memory_seeded(budget, 1, seed),
-            None => SampledNetFlow::with_memory(budget, 1),
-        }
-    }
-
-    fn build_countmin(&self, budget: MemoryBudget) -> Result<CountMinMonitor, ConfigError> {
-        match self.seed {
-            Some(seed) => CountMinMonitor::with_memory_seeded(budget, seed),
-            None => CountMinMonitor::with_memory(budget),
-        }
-    }
-
-    fn build_fcm(&self, budget: MemoryBudget) -> Result<FcmMonitor, ConfigError> {
-        match self.seed {
-            Some(seed) => FcmMonitor::with_memory_seeded(budget, seed),
-            None => FcmMonitor::with_memory(budget),
-        }
-    }
-
-    fn build_beaucoup(&self, budget: MemoryBudget) -> Result<BeauCoupMonitor, ConfigError> {
-        match self.seed {
-            Some(seed) => BeauCoupMonitor::with_memory_seeded(budget, seed),
-            None => BeauCoupMonitor::with_memory(budget),
-        }
-    }
-
     /// The records-capability gate behind [`Self::require_records`].
     fn check_records(&self) -> Result<(), ConfigError> {
         if self.require_records {
@@ -356,26 +287,31 @@ impl MonitorBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the budget is missing or too small
-    /// for the algorithm's minimum geometry, when `shards == 0`, or when
-    /// `shards > 1` is requested for an algorithm without the merge layer
-    /// ([`AlgorithmKind::supports_sharding`]).
+    /// for the algorithm's minimum geometry, or when `shards == 0`.
     pub fn build(&self) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
-        let mut monitor = self.build_bare()?;
+        let budget = self.require_budget()?;
+        self.check_records()?;
+        let mut monitor: Box<dyn FlowMonitor + Send> = match self.shards {
+            0 => return Err(ConfigError::new("shard count must be at least 1")),
+            1 => self.build_one(budget)?,
+            n => Box::new(ShardedMonitor::with_budget(n, budget, |_, b| {
+                self.build_one(b)
+            })?),
+        };
         monitor.instrument(&self.instruments);
         Ok(monitor)
     }
 
-    fn build_bare(&self) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
-        let budget = self.require_budget()?;
-        self.check_records()?;
-        if self.shards == 0 {
-            return Err(ConfigError::new("shard count must be at least 1"));
-        }
-        if self.shards > 1 {
-            return self.build_sharded(budget);
-        }
+    /// The unsharded monitor of [`Self::kind`] over `budget`.
+    fn build_one(&self, budget: MemoryBudget) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
         Ok(match self.kind {
-            AlgorithmKind::HashFlow => Box::new(self.build_hashflow(budget)?),
+            AlgorithmKind::HashFlow => {
+                let config = HashFlowConfig::with_memory(budget)?;
+                Box::new(HashFlow::new(match self.seed {
+                    Some(seed) => config.rebuild().seed(seed).build()?,
+                    None => config,
+                })?)
+            }
             AlgorithmKind::HashPipe => Box::new(match self.seed {
                 Some(seed) => HashPipe::with_memory_seeded(budget, seed)?,
                 None => HashPipe::with_memory(budget)?,
@@ -384,48 +320,31 @@ impl MonitorBuilder {
                 Some(seed) => ElasticSketch::with_memory_seeded(budget, seed)?,
                 None => ElasticSketch::with_memory(budget)?,
             }),
-            AlgorithmKind::FlowRadar => Box::new(self.build_flowradar(budget)?),
-            AlgorithmKind::NetFlow => Box::new(self.build_netflow(budget)?),
-            AlgorithmKind::CountMin => Box::new(self.build_countmin(budget)?),
-            AlgorithmKind::Fcm => Box::new(self.build_fcm(budget)?),
-            AlgorithmKind::BeauCoup => Box::new(self.build_beaucoup(budget)?),
+            AlgorithmKind::FlowRadar => Box::new(match self.seed {
+                Some(seed) => FlowRadar::with_memory_seeded(budget, seed)?,
+                None => FlowRadar::with_memory(budget)?,
+            }),
+            AlgorithmKind::NetFlow => Box::new(match self.seed {
+                Some(seed) => SampledNetFlow::with_memory_seeded(budget, 1, seed)?,
+                None => SampledNetFlow::with_memory(budget, 1)?,
+            }),
+            AlgorithmKind::CountMin => Box::new(match self.seed {
+                Some(seed) => CountMinMonitor::with_memory_seeded(budget, seed)?,
+                None => CountMinMonitor::with_memory(budget)?,
+            }),
+            AlgorithmKind::Fcm => Box::new(match self.seed {
+                Some(seed) => FcmMonitor::with_memory_seeded(budget, seed)?,
+                None => FcmMonitor::with_memory(budget)?,
+            }),
+            AlgorithmKind::BeauCoup => Box::new(match self.seed {
+                Some(seed) => BeauCoupMonitor::with_memory_seeded(budget, seed)?,
+                None => BeauCoupMonitor::with_memory(budget)?,
+            }),
             AlgorithmKind::Exact => Box::new(match self.seed {
                 Some(seed) => ExactBaselineMonitor::with_memory_seeded(budget, seed)?,
                 None => ExactBaselineMonitor::with_memory(budget)?,
             }),
         })
-    }
-
-    fn build_sharded(
-        &self,
-        budget: MemoryBudget,
-    ) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
-        fn shard<M: MergeableMonitor + Send + 'static>(
-            builder: &MonitorBuilder,
-            budget: MemoryBudget,
-            build: impl FnMut(usize, MemoryBudget) -> Result<M, ConfigError>,
-        ) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
-            let monitor = ShardedMonitor::with_budget(builder.shards, budget, build)?;
-            Ok(Box::new(monitor))
-        }
-        match self.kind {
-            AlgorithmKind::HashFlow => shard(self, budget, |_, b| self.build_hashflow(b)),
-            AlgorithmKind::FlowRadar => shard(self, budget, |_, b| self.build_flowradar(b)),
-            AlgorithmKind::NetFlow => shard(self, budget, |_, b| self.build_netflow(b)),
-            AlgorithmKind::CountMin => shard(self, budget, |_, b| self.build_countmin(b)),
-            AlgorithmKind::Fcm => shard(self, budget, |_, b| self.build_fcm(b)),
-            AlgorithmKind::BeauCoup => shard(self, budget, |_, b| self.build_beaucoup(b)),
-            AlgorithmKind::Exact => shard(self, budget, |_, b| match self.seed {
-                Some(seed) => ExactBaselineMonitor::with_memory_seeded(b, seed),
-                None => ExactBaselineMonitor::with_memory(b),
-            }),
-            AlgorithmKind::HashPipe | AlgorithmKind::Elastic => Err(ConfigError::new(format!(
-                "{} does not implement the merge layer and cannot run sharded; \
-                 use one of: {}",
-                self.kind,
-                AlgorithmKind::sharded_names()
-            ))),
-        }
     }
 }
 
@@ -508,26 +427,16 @@ mod tests {
 
     #[test]
     fn sharded_builds_split_the_budget() {
-        for kind in AlgorithmKind::ALL
-            .into_iter()
-            .filter(|k| k.supports_sharding())
-        {
-            let sharded = MonitorBuilder::new(kind)
-                .budget(budget())
-                .shards(4)
-                .build()
-                .unwrap();
+        for kind in AlgorithmKind::ALL {
+            let builder = MonitorBuilder::new(kind).budget(budget());
+            let sharded = builder.clone().shards(4).build().unwrap();
+            assert_eq!(sharded.name(), builder.build().unwrap().name(), "{kind}");
             assert!(sharded.memory_bits() <= budget().bits(), "{kind}");
         }
     }
 
     #[test]
-    fn sharding_rejected_for_non_mergeable_algorithms() {
-        for kind in [AlgorithmKind::HashPipe, AlgorithmKind::Elastic] {
-            assert!(!kind.supports_sharding());
-            let err = expect_err(MonitorBuilder::new(kind).budget(budget()).shards(2).build());
-            assert!(err.to_string().contains("merge layer"), "{err}");
-        }
+    fn zero_shards_rejected() {
         let err = expect_err(
             MonitorBuilder::new(AlgorithmKind::HashFlow)
                 .budget(budget())

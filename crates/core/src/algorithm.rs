@@ -5,7 +5,7 @@ use crate::scheme::{MainTable, ProbeOutcome};
 use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, XxHash64};
 use hashflow_monitor::{
     BatchPlan, BatchPlanner, CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer,
-    Instruments, IntrospectMetric, MemoryBudget, MergeableMonitor, StageTally,
+    Instruments, IntrospectMetric, MemoryBudget, StageTally,
 };
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 
@@ -251,8 +251,8 @@ impl HashFlow {
 
     /// The ancillary coordinates of `key`: its `g_1` slot and the digest
     /// derived from its `h_1` hash (Algorithm 1, lines 14–15), for size
-    /// queries and the merge path; ingestion reads the same pair out of
-    /// the packet's probe plan.
+    /// queries; ingestion reads the same pair out of the packet's probe
+    /// plan.
     fn ancillary_coords(&self, key: &FlowKey) -> (usize, u32) {
         (
             self.ancillary.slot_of(key),
@@ -615,46 +615,6 @@ impl FlowMonitor for HashFlow {
     }
 }
 
-impl MergeableMonitor for HashFlow {
-    /// Folds another HashFlow's state into this one.
-    ///
-    /// Main-table records from `other` are re-inserted under the same
-    /// non-evicting preference order the live algorithm uses; a record
-    /// that loses a full collision (the smaller count) is folded into the
-    /// ancillary table rather than dropped. Ancillary summaries merge
-    /// slot-wise. Both instances must share a configuration (geometry and
-    /// seeds) — the [`MergeableMonitor`] contract.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            (self.main.len(), self.ancillary.len(), self.config.seed()),
-            (other.main.len(), other.ancillary.len(), other.config.seed()),
-            "cannot merge HashFlow instances of different configuration"
-        );
-        // Ancillary state first, so main-table losers below land in the
-        // already-merged summaries.
-        self.ancillary.merge_from(&other.ancillary);
-        for record in other.main.records() {
-            if let Some(loser) = self.main.insert_record(record) {
-                let (slot, digest) = self.ancillary_coords(&loser.key());
-                match self.ancillary.entry(slot) {
-                    Some((resident, _)) if resident == digest => {
-                        self.ancillary.add_count(slot, loser.count());
-                    }
-                    Some((_, count)) if count < loser.count() => {
-                        self.ancillary_replacements += 1;
-                        self.ancillary.store_counted(slot, digest, loser.count());
-                    }
-                    Some(_) => {}
-                    None => self.ancillary.store_counted(slot, digest, loser.count()),
-                }
-            }
-        }
-        self.cost.absorb(&other.cost.snapshot());
-        self.promotions += other.promotions;
-        self.ancillary_replacements += other.ancillary_replacements;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,89 +776,6 @@ mod tests {
         let hf = HashFlow::with_memory(MemoryBudget::from_bytes(1 << 20).unwrap()).unwrap();
         assert!(hf.memory_bits() <= 1 << 23);
         assert!(hf.memory_bits() > (1 << 23) * 9 / 10, "budget underused");
-    }
-
-    #[test]
-    fn merge_preserves_what_each_shard_retained() {
-        // Two shards over disjoint flow sets with ample memory: whatever
-        // estimate the owning shard reports before the merge, the merged
-        // monitor reports identically afterwards (the merge itself loses
-        // nothing when the main table absorbs every record).
-        let mut a = small(4096);
-        let mut b = small(4096);
-        for flow in 0..200u64 {
-            let m = if flow % 2 == 0 { &mut a } else { &mut b };
-            for _ in 0..=(flow % 5) {
-                m.process_packet(&pkt(flow));
-            }
-        }
-        let premerge: Vec<u32> = (0..200u64)
-            .map(|flow| {
-                let m = if flow % 2 == 0 { &a } else { &b };
-                m.estimate_size(&FlowKey::from_index(flow))
-            })
-            .collect();
-        let (a_records, b_records) = (a.flow_records().len(), b.flow_records().len());
-        a.merge_from(&b);
-        assert_eq!(a.flow_records().len(), a_records + b_records);
-        for flow in 0..200u64 {
-            assert_eq!(
-                a.estimate_size(&FlowKey::from_index(flow)),
-                premerge[flow as usize],
-                "flow {flow}"
-            );
-        }
-        assert_eq!(
-            a.cost().packets,
-            (0..200u64).map(|f| f % 5 + 1).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn merge_under_pressure_keeps_heavy_records() {
-        // Tiny tables: merging must prefer large counts, and every
-        // surviving main-table record keeps its exact count.
-        let mut a = small(8);
-        let mut b = small(8);
-        for flow in 0..32u64 {
-            a.process_packet(&pkt(2 * flow));
-            b.process_packet(&pkt(2 * flow + 1));
-        }
-        for _ in 0..50 {
-            b.process_packet(&pkt(1001)); // odd: lands in b's partition
-        }
-        let b_heavy = b.estimate_size(&FlowKey::from_index(1001));
-        let before: std::collections::HashMap<_, _> = a
-            .flow_records()
-            .into_iter()
-            .map(|r| (r.key(), r.count()))
-            .collect();
-        a.merge_from(&b);
-        // The elephant from b survives the merge with at least its count.
-        assert!(
-            a.estimate_size(&FlowKey::from_index(1001)) >= b_heavy.min(8),
-            "elephant lost in merge"
-        );
-        // No record invented a count out of thin air.
-        for rec in a.flow_records() {
-            if let Some(&prev) = before.get(&rec.key()) {
-                assert!(rec.count() >= prev.min(1));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_geometry_panics() {
-        let mut a = small(64);
-        let b = small(128);
-        a.merge_from(&b);
-    }
-
-    #[test]
-    fn merged_cardinality_combines_by_sum() {
-        let estimates = [100.0, 120.0, 80.0, 95.0];
-        assert_eq!(HashFlow::combine_cardinality(&estimates), 395.0);
     }
 
     #[test]

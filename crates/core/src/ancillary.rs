@@ -231,9 +231,8 @@ impl AncillaryTable {
         self.add_count(slot, 1)
     }
 
-    /// Overwrites `slot` with `(digest, count)` — the merge-time variant of
-    /// [`Self::store`] for folding an already-accumulated summary in. The
-    /// count is clamped to `1..=max_count`.
+    /// Overwrites `slot` with `(digest, count)`, the count clamped to
+    /// `1..=max_count`: [`Self::store`] with a count other than 1.
     pub fn store_counted(&mut self, slot: usize, digest: u32, count: u32) {
         self.occupied += usize::from(self.entry(slot).is_none());
         let count = count.clamp(1, self.count_mask());
@@ -249,36 +248,6 @@ impl AncillaryTable {
         let count = count.saturating_add(delta).min(self.count_mask());
         self.cells[slot] = self.cell(cell >> self.counter_bits, count);
         count
-    }
-
-    /// Folds `other`'s summaries into `self` slot-wise. Both tables must
-    /// share geometry and seed (the [`crate::HashFlow`] merge contract):
-    /// matching digests add their counts, and a digest conflict keeps the
-    /// larger summary — the same "aggressive replacement" preference the
-    /// live update applies (Algorithm 1, lines 16–17).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables have different cell counts or widths.
-    pub fn merge_from(&mut self, other: &AncillaryTable) {
-        assert_eq!(
-            (self.len(), self.digest_bits, self.counter_bits),
-            (other.len(), other.digest_bits, other.counter_bits),
-            "cannot merge ancillary tables of different geometry"
-        );
-        for slot in 0..self.len() {
-            let Some((digest, count)) = other.entry(slot) else {
-                continue;
-            };
-            match self.entry(slot) {
-                None => self.store_counted(slot, digest, count),
-                Some((mine, _)) if mine == digest => {
-                    self.add_count(slot, count);
-                }
-                Some((_, resident)) if resident < count => self.store_counted(slot, digest, count),
-                Some(_) => {}
-            }
-        }
     }
 
     /// Number of non-empty buckets.
@@ -400,7 +369,6 @@ mod tests {
         const CELLS: usize = 37;
         for (digest_bits, counter_bits) in [(5, 6), (12, 12), (20, 12), (1, 1), (16, 16)] {
             let mut table = AncillaryTable::new(CELLS, digest_bits, counter_bits, 9).unwrap();
-            let mut other = table.clone();
             let mut model = vec![(0u32, 0u32); CELLS];
             let max = table.max_count() as u32;
             assert_eq!(u64::from(max), (1u64 << counter_bits) - 1);
@@ -483,31 +451,9 @@ mod tests {
                     let (resident, count) = model[slot];
                     (count > 0 && resident == digest).then_some(count)
                 });
-                if step == 3_000 {
-                    other = table.clone();
-                }
             }
             let occupied = model.iter().filter(|cell| cell.1 > 0).count();
             assert_eq!(table.occupied(), occupied);
-
-            // `other` is the table as it stood halfway: fold it in.
-            let halfway: Vec<_> = (0..CELLS).map(|slot| other.entry(slot)).collect();
-            table.merge_from(&other);
-            for (slot, theirs) in halfway.into_iter().enumerate() {
-                let (mine, count) = model[slot];
-                let merged = match theirs {
-                    None => (mine, count),
-                    Some(cell) if count == 0 => cell,
-                    Some((digest, more)) if digest == mine => (
-                        mine,
-                        (u64::from(count) + u64::from(more)).min(u64::from(max)) as u32,
-                    ),
-                    Some((digest, more)) if count < more => (digest, more),
-                    Some(_) => (mine, count),
-                };
-                let expect = (merged.1 > 0).then_some(merged);
-                assert_eq!(table.entry(slot), expect, "merged slot {slot}");
-            }
         }
     }
 

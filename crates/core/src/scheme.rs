@@ -493,46 +493,6 @@ impl MainTable {
         *bucket = Bucket::new(key_words(&key), count.max(1));
     }
 
-    /// Inserts a whole flow record (the collector-side merge counterpart
-    /// of [`Self::probe`]): first empty probed bucket takes the record, a
-    /// key match adds the counts, and on full collision the record with
-    /// the *smaller* count loses — exactly the preference order the
-    /// promotion rule enforces during live collection.
-    ///
-    /// Returns `None` when the record was fully absorbed, or
-    /// `Some(loser)` carrying the record that had to be dropped (either
-    /// the incoming one or an evicted sentinel), so the caller can fold
-    /// it into an ancillary summary instead of losing it silently.
-    pub fn insert_record(&mut self, record: FlowRecord) -> Option<FlowRecord> {
-        let (key, count) = (record.key(), record.count());
-        let words = key_words(&key);
-        let mut min_count = u32::MAX;
-        let mut sentinel = usize::MAX;
-        for i in 0..self.scheme.depth() {
-            let idx = self.slot(i, &key);
-            let resident = &mut self.buckets[idx];
-            if resident.count == 0 {
-                *resident = Bucket::new(words, count.max(1));
-                self.occupied += 1;
-                return None;
-            }
-            if resident.key_words() == words {
-                resident.count = resident.count.saturating_add(count);
-                return None;
-            }
-            if resident.count < min_count {
-                min_count = resident.count;
-                sentinel = idx;
-            }
-        }
-        if count > min_count {
-            let evicted = std::mem::replace(&mut self.buckets[sentinel], Bucket::new(words, count));
-            Some(evicted.record())
-        } else {
-            Some(record)
-        }
-    }
-
     /// Looks up the exact count recorded for `key`, if present.
     pub fn lookup(&self, key: &FlowKey) -> Option<u32> {
         let words = key_words(key);
@@ -614,16 +574,26 @@ mod tests {
         }
     }
 
+    /// A pipelined table with one bucket per sub-table, so every key
+    /// probes buckets 0, 1, .. in order: bucket `i` holds `key(i)` with
+    /// `counts[i]` packets, probed in behind the buckets before it and
+    /// given its count by `replace`.
+    fn one_bucket_per_stage(counts: &[u32]) -> MainTable {
+        let depth = counts.len();
+        let scheme = TableScheme::Pipelined { depth, alpha: 1.0 };
+        let mut t = MainTable::new(scheme, depth, 8).unwrap();
+        for (i, &count) in counts.iter().enumerate() {
+            assert_eq!(t.probe(&key(i as u64)).0, ProbeOutcome::Inserted);
+            t.replace(i, key(i as u64), count);
+        }
+        t
+    }
+
     #[test]
     fn saturated_path_still_names_a_sentinel() {
-        // One bucket per sub-table, so every key probes buckets 0, 1, ..
-        // in order; all of them hold records that cannot count higher.
+        // Every bucket holds a record that cannot count higher.
         for depth in [1usize, 3] {
-            let scheme = TableScheme::Pipelined { depth, alpha: 1.0 };
-            let mut t = MainTable::new(scheme, depth, 8).unwrap();
-            for i in 0..depth as u64 {
-                assert!(t.insert_record(FlowRecord::new(key(i), u32::MAX)).is_none());
-            }
+            let mut t = one_bucket_per_stage(&vec![u32::MAX; depth]);
             let outcome = t.probe(&key(99)).0;
             // The first of the equally small records, and a real bucket.
             assert_eq!(
@@ -676,25 +646,6 @@ mod tests {
     fn replace_into_empty_panics() {
         let mut t = MainTable::new(TableScheme::MultiHash { depth: 1 }, 4, 0).unwrap();
         t.replace(0, key(1), 1);
-    }
-
-    #[test]
-    fn insert_record_absorbs_and_prefers_heavy() {
-        let mut t = MainTable::new(TableScheme::MultiHash { depth: 1 }, 1, 2).unwrap();
-        assert!(t.insert_record(FlowRecord::new(key(1), 5)).is_none());
-        // Key match adds counts.
-        assert!(t.insert_record(FlowRecord::new(key(1), 3)).is_none());
-        assert_eq!(t.lookup(&key(1)), Some(8));
-        // Lighter colliding record loses and is returned.
-        let loser = t.insert_record(FlowRecord::new(key(2), 2)).unwrap();
-        assert_eq!(loser.key(), key(2));
-        assert_eq!(t.lookup(&key(1)), Some(8));
-        // Heavier colliding record evicts the resident sentinel.
-        let evicted = t.insert_record(FlowRecord::new(key(3), 100)).unwrap();
-        assert_eq!(evicted.key(), key(1));
-        assert_eq!(evicted.count(), 8);
-        assert_eq!(t.lookup(&key(3)), Some(100));
-        assert_eq!(t.occupied(), 1);
     }
 
     #[test]
@@ -993,14 +944,7 @@ mod tests {
 
     #[test]
     fn resolve_names_a_saturated_sentinel() {
-        let scheme = TableScheme::Pipelined {
-            depth: 3,
-            alpha: 1.0,
-        };
-        let mut t = MainTable::new(scheme, 3, 6).unwrap();
-        for (i, count) in [(0, u32::MAX), (1, u32::MAX), (2, 7)] {
-            assert!(t.insert_record(FlowRecord::new(key(i), count)).is_none());
-        }
+        let mut t = one_bucket_per_stage(&[u32::MAX, u32::MAX, 7]);
         let lost = resolve_like_walk(&mut t, &key(9), &[0, 1, 2]);
         assert_eq!(
             lost,
@@ -1011,7 +955,7 @@ mod tests {
         );
         // A saturated record is still the sentinel when nothing is smaller,
         // and its own flow's packets leave it saturated.
-        assert!(t.insert_record(FlowRecord::new(key(2), u32::MAX)).is_none());
+        t.replace(2, key(2), u32::MAX);
         let lost = resolve_like_walk(&mut t, &key(9), &[1, 2, 0]);
         assert_eq!(
             lost,

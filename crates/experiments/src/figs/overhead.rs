@@ -2,7 +2,7 @@
 //!
 //! Two kinds of instrumentation ride every pipeline stage. A live
 //! [`MetricsRegistry`] carries ingest counters and batch histograms in
-//! the rotator, per-shard packet counters in the merge layer, per-plan
+//! the rotator, per-shard packet counters in the shard layer, per-plan
 //! evaluation counters in the query engine. A [`FlightRecorder`] (a
 //! bounded event ring) and a [`FlowTracer`] (deterministic 1-in-N flow
 //! sampling) leave placement, dispatch and seal spans. Instrumentation a

@@ -34,7 +34,7 @@ use hashflow_collector::{AlgorithmKind, Collector};
 use hashflow_core::HashFlow;
 use hashflow_monitor::{
     BackpressurePolicy, CostSnapshot, EpochSnapshot, FaultInjectingSink, FaultPlan, FlowMonitor,
-    MemoryBudget, MergeableMonitor, RecordSink, SinkHealth, SINK_QUARANTINE_AFTER,
+    MemoryBudget, RecordSink, SinkHealth, SINK_QUARANTINE_AFTER,
 };
 use hashflow_shard::ShardedMonitor;
 use hashflow_trace::{Trace, TraceProfile};
@@ -159,16 +159,6 @@ impl<M: FlowMonitor> FlowMonitor for Slow<M> {
 
     fn reset(&mut self) {
         self.inner.reset();
-    }
-}
-
-impl<M: MergeableMonitor> MergeableMonitor for Slow<M> {
-    fn merge_from(&mut self, other: &Self) {
-        self.inner.merge_from(&other.inner);
-    }
-
-    fn combine_cardinality(estimates: &[f64]) -> f64 {
-        M::combine_cardinality(estimates)
     }
 }
 

@@ -34,9 +34,7 @@
 #![warn(missing_docs)]
 
 use hashflow_hashing::{fast_range, prefetch_read, HashFamily, XxHash64};
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_primitives::BloomFilter;
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, FLOW_KEY_BITS};
 use std::cell::{Ref, RefCell};
@@ -75,9 +73,6 @@ pub struct FlowRadar {
     bloom: BloomFilter,
     cells: Vec<CountingCell>,
     hashes: HashFamily<XxHash64>,
-    // Retained so merge_from can verify hash compatibility: XOR/add
-    // merging cells hashed by different functions corrupts the sketch.
-    seed: u64,
     cost: CostRecorder,
     // Decode output is derived state over an immutable query interface;
     // cache it so estimate_size over many flows decodes once. Invalidated
@@ -94,7 +89,6 @@ impl Clone for FlowRadar {
             bloom: self.bloom.clone(),
             cells: self.cells.clone(),
             hashes: self.hashes.clone(),
-            seed: self.seed,
             cost: self.cost.clone(),
             decoded: RefCell::new(self.decoded.borrow().clone()),
             scratch: Vec::new(),
@@ -121,7 +115,6 @@ impl FlowRadar {
             )?,
             cells: vec![CountingCell::default(); counting_cells],
             hashes: HashFamily::new(COUNTING_HASHES, seed ^ 0xf10a_0002),
-            seed,
             cost: CostRecorder::new(),
             decoded: RefCell::new(None),
             scratch: Vec::new(),
@@ -350,96 +343,12 @@ impl FlowMonitor for FlowRadar {
     }
 }
 
-impl MergeableMonitor for FlowRadar {
-    /// FlowRadar merges losslessly: the counting table is an invertible
-    /// sketch whose fields are linear, so cell-wise `FlowXOR ^ FlowXOR`,
-    /// `FlowCount + FlowCount`, `PacketCount + PacketCount` plus a Bloom
-    /// union gives exactly the state one instance would have reached over
-    /// the combined (disjoint) streams — the merged decode recovers the
-    /// union of flows, subject only to the combined load.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            (self.cells.len(), self.seed),
-            (other.cells.len(), other.seed),
-            "cannot merge FlowRadar instances of different configuration"
-        );
-        self.bloom.union_with(&other.bloom);
-        for (cell, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            cell.flow_xor = cell.flow_xor.xor(&theirs.flow_xor);
-            cell.flow_count = cell.flow_count.saturating_add(theirs.flow_count);
-            cell.packet_count = cell.packet_count.saturating_add(theirs.packet_count);
-        }
-        self.cost.absorb(&other.cost.snapshot());
-        self.decoded.borrow_mut().take();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pkt(flow: u64) -> Packet {
         Packet::new(FlowKey::from_index(flow), 0, 64)
-    }
-
-    #[test]
-    fn merge_decodes_union_of_disjoint_partitions() {
-        // 1000 cells, 150 flows per shard: the merged load (300 flows) is
-        // still under the decode cliff, so the union decodes exactly.
-        let mut a = FlowRadar::new(1000, 1).unwrap();
-        let mut b = FlowRadar::new(1000, 1).unwrap();
-        for flow in 0..300u64 {
-            let m = if flow % 2 == 0 { &mut a } else { &mut b };
-            for _ in 0..=(flow % 4) {
-                m.process_packet(&pkt(flow));
-            }
-        }
-        a.merge_from(&b);
-        let decoded = a.decode();
-        assert_eq!(decoded.len(), 300);
-        for flow in 0..300u64 {
-            assert_eq!(decoded[&FlowKey::from_index(flow)], (flow % 4 + 1) as u32);
-        }
-        assert_eq!(
-            a.cost().packets,
-            (0..300u64).map(|f| f % 4 + 1).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn merge_matches_single_instance_state() {
-        // Merging shards equals one instance that saw everything: same
-        // decode output, same bloom fill.
-        let mut single = FlowRadar::new(512, 9).unwrap();
-        let mut a = FlowRadar::new(512, 9).unwrap();
-        let mut b = FlowRadar::new(512, 9).unwrap();
-        for flow in 0..200u64 {
-            single.process_packet(&pkt(flow));
-            if flow % 2 == 0 {
-                a.process_packet(&pkt(flow));
-            } else {
-                b.process_packet(&pkt(flow));
-            }
-        }
-        a.merge_from(&b);
-        assert_eq!(a.decode(), single.decode());
-        assert_eq!(a.estimate_cardinality(), single.estimate_cardinality());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_geometry_panics() {
-        let mut a = FlowRadar::new(100, 0).unwrap();
-        a.merge_from(&FlowRadar::new(200, 0).unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_seeds_panics() {
-        // Same geometry, different hash functions: XOR/add merging would
-        // silently corrupt the sketch, so it must be rejected loudly.
-        let mut a = FlowRadar::new(100, 1).unwrap();
-        a.merge_from(&FlowRadar::new(100, 2).unwrap());
     }
 
     #[test]

@@ -60,9 +60,8 @@ impl CostRecorder {
         self.writes += n;
     }
 
-    /// Folds a snapshot (e.g. another shard's drained counters) into this
-    /// recorder, so merged monitors account for every packet processed on
-    /// either side.
+    /// Folds a snapshot (e.g. a batch's tallied counters) into this
+    /// recorder.
     pub fn absorb(&mut self, other: &CostSnapshot) {
         self.packets += other.packets;
         self.hashes += other.hashes;

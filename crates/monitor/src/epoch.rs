@@ -77,10 +77,8 @@ impl EpochReport {
     /// span, like any monitor's seal: numbering an epoch and stamping its
     /// span is the rotation layer's job ([`EpochRotator`]).
     ///
-    /// `cardinality` is supplied by the caller because combining per-shard
-    /// estimates is a property of the monitor
-    /// ([`crate::MergeableMonitor::combine_cardinality`]), not of the
-    /// report.
+    /// `cardinality` is supplied by the caller, the sum of the estimates
+    /// of the shards that sealed.
     pub fn merged(reports: Vec<EpochReport>, cardinality: f64) -> EpochReport {
         let cost = CostSnapshot::sum(reports.iter().map(|r| &r.cost));
         let partial = reports.iter().any(|r| r.partial);

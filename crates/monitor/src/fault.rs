@@ -13,10 +13,7 @@
 //! `overload` exhibit, the chaos suite and downstream daemons can all
 //! drive the same faults.
 
-use crate::{
-    CostSnapshot, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, MergeableMonitor,
-    RecordSink,
-};
+use crate::{CostSnapshot, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, RecordSink};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 use std::io;
 use std::ops::Range;
@@ -353,16 +350,6 @@ impl<M: FlowMonitor> FlowMonitor for PanicInjector<M> {
 
     fn instrument(&mut self, instruments: &Instruments) {
         self.inner.instrument(instruments);
-    }
-}
-
-impl<M: MergeableMonitor> MergeableMonitor for PanicInjector<M> {
-    fn merge_from(&mut self, other: &Self) {
-        self.inner.merge_from(&other.inner);
-    }
-
-    fn combine_cardinality(estimates: &[f64]) -> f64 {
-        M::combine_cardinality(estimates)
     }
 }
 

@@ -14,10 +14,6 @@
 //! [`CostRecorder`] counts hash operations and memory accesses per packet —
 //! the quantities Fig. 11(b)/(c) report.
 //!
-//! [`MergeableMonitor`] extends the contract for multi-core deployments:
-//! monitors that observed disjoint RSS flow partitions can be folded back
-//! into one view (the `hashflow-shard` crate builds on it).
-//!
 //! Beyond the paper's single-epoch evaluation, this crate also hosts the
 //! collector pipeline's epoch machinery: [`FlowMonitor::seal`] hands the
 //! current state off as an immutable [`EpochSnapshot`] (iterator records,
@@ -35,7 +31,6 @@ mod epoch;
 mod fault;
 mod health;
 mod introspect;
-mod merge;
 mod plan;
 mod policy;
 mod sink;
@@ -52,7 +47,6 @@ pub use health::{
     SINK_QUARANTINE_AFTER,
 };
 pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue};
-pub use merge::MergeableMonitor;
 pub use plan::{BatchPlan, BatchPlanner};
 pub use policy::{BackpressurePolicy, EpochRing};
 pub use sink::{JsonLinesSink, MemorySink, RecordSink};
@@ -230,7 +224,7 @@ pub trait FlowMonitor {
     }
 
     /// Active degradation in the monitor's machinery, one human-readable
-    /// line per fault — e.g. a sharded merge layer whose worker lane
+    /// line per fault — e.g. a sharded monitor whose worker lane
     /// panicked mid-epoch and is shedding its partition. Empty means
     /// fully operational. Plain single-threaded monitors have no failure
     /// domains, hence the default; adapter layers forward the report of

@@ -95,23 +95,6 @@ impl BitVec {
         self.len - self.count_ones()
     }
 
-    /// Bitwise-ORs `other` into `self` — the union of two occupancy maps,
-    /// the merge operation for Bloom filters and linear-counting bitmaps
-    /// built over the same hash functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &BitVec) {
-        assert_eq!(
-            self.len, other.len,
-            "cannot union bit vectors of different lengths"
-        );
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// Resets every bit to zero.
     pub fn reset(&mut self) {
         self.words.fill(0);
@@ -156,27 +139,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         BitVec::new(10).get(10);
-    }
-
-    #[test]
-    fn union_is_bitwise_or() {
-        let mut a = BitVec::new(130);
-        let mut b = BitVec::new(130);
-        a.set(0);
-        a.set(64);
-        b.set(64);
-        b.set(129);
-        a.union_with(&b);
-        assert!(a.get(0) && a.get(64) && a.get(129));
-        assert_eq!(a.count_ones(), 3);
-        // b is untouched.
-        assert_eq!(b.count_ones(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different lengths")]
-    fn union_of_mismatched_lengths_panics() {
-        BitVec::new(10).union_with(&BitVec::new(11));
     }
 
     #[test]

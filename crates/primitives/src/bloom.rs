@@ -93,18 +93,6 @@ impl BloomFilter {
         -(self.bits.len() as f64 / self.hashes.len() as f64) * (1.0 - fill).ln()
     }
 
-    /// Unions `other` into `self` bit-wise. Valid only for filters built
-    /// with the same size, hash count and seed; afterwards `self` answers
-    /// membership as if it had seen both insert streams (false-positive
-    /// rate reflects the combined fill).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bit counts differ.
-    pub fn union_with(&mut self, other: &BloomFilter) {
-        self.bits.union_with(&other.bits);
-    }
-
     /// Clears the filter.
     pub fn reset(&mut self) {
         self.bits.reset();
@@ -183,20 +171,5 @@ mod tests {
         let bf = BloomFilter::new(100, 3, 0).unwrap();
         assert_eq!(bf.bits(), 100);
         assert_eq!(bf.num_hashes(), 3);
-    }
-
-    #[test]
-    fn union_sees_both_insert_streams() {
-        let mut a = BloomFilter::new(1 << 12, 4, 9).unwrap();
-        let mut b = BloomFilter::new(1 << 12, 4, 9).unwrap();
-        for i in 0..100 {
-            a.insert(&FlowKey::from_index(i));
-            b.insert(&FlowKey::from_index(1000 + i));
-        }
-        a.union_with(&b);
-        for i in 0..100 {
-            assert!(a.contains(&FlowKey::from_index(i)));
-            assert!(a.contains(&FlowKey::from_index(1000 + i)));
-        }
     }
 }

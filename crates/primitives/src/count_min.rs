@@ -103,31 +103,6 @@ impl CountMinSketch {
         self.rows[0].count_zeros()
     }
 
-    /// Merges `other` into `self` by cell-wise saturating addition.
-    ///
-    /// Valid only for sketches of identical geometry *and* hash family
-    /// (same master seed): only then does the merged sketch answer
-    /// exactly as if one sketch had ingested both streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry or the hash seeds differ.
-    pub fn merge_from(&mut self, other: &CountMinSketch) {
-        assert_eq!(
-            (self.rows.len(), self.cols, self.counter_bits()),
-            (other.rows.len(), other.cols, other.counter_bits()),
-            "cannot merge count-min sketches of different geometry"
-        );
-        assert_eq!(
-            self.hashes.master_seed(),
-            other.hashes.master_seed(),
-            "cannot merge count-min sketches with different hash seeds"
-        );
-        for (row, other_row) in self.rows.iter_mut().zip(&other.rows) {
-            row.merge_add(other_row);
-        }
-    }
-
     /// Resets every counter.
     pub fn reset(&mut self) {
         for row in &mut self.rows {
@@ -198,42 +173,6 @@ mod tests {
         assert_eq!(cm.rows(), 2);
         assert_eq!(cm.cols(), 100);
         assert_eq!(cm.counter_bits(), 8);
-    }
-
-    #[test]
-    fn merge_equals_single_sketch_over_union() {
-        let mut single = CountMinSketch::new(3, 512, 32, 9).unwrap();
-        let mut a = CountMinSketch::new(3, 512, 32, 9).unwrap();
-        let mut b = CountMinSketch::new(3, 512, 32, 9).unwrap();
-        for i in 0..400u64 {
-            let k = FlowKey::from_index(i % 80);
-            single.add(&k, 1 + i % 5);
-            if i % 2 == 0 {
-                a.add(&k, 1 + i % 5);
-            } else {
-                b.add(&k, 1 + i % 5);
-            }
-        }
-        a.merge_from(&b);
-        for i in 0..80u64 {
-            let k = FlowKey::from_index(i);
-            assert_eq!(a.query(&k), single.query(&k), "flow {i}");
-        }
-        assert_eq!(a.first_row_zeros(), single.first_row_zeros());
-    }
-
-    #[test]
-    #[should_panic(expected = "different geometry")]
-    fn merge_of_mismatched_geometry_panics() {
-        let mut a = CountMinSketch::new(2, 64, 8, 0).unwrap();
-        a.merge_from(&CountMinSketch::new(2, 128, 8, 0).unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "different hash seeds")]
-    fn merge_of_mismatched_seeds_panics() {
-        let mut a = CountMinSketch::new(2, 64, 8, 0).unwrap();
-        a.merge_from(&CountMinSketch::new(2, 64, 8, 1).unwrap());
     }
 
     #[test]

@@ -180,47 +180,6 @@ impl CounterArray {
         value
     }
 
-    /// Takes the cell-wise maximum of `self` and `other` — the
-    /// HyperLogLog-style register merge: after the merge every cell holds
-    /// the larger of the two observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or widths differ.
-    pub fn merge_max(&mut self, other: &CounterArray) {
-        assert_eq!(
-            (self.len, self.width),
-            (other.len, other.width),
-            "cannot merge counter arrays of different geometry"
-        );
-        for i in 0..self.len {
-            let theirs = other.get(i);
-            if theirs > self.get(i) {
-                self.set(i, theirs);
-            }
-        }
-    }
-
-    /// Adds `other` cell-wise into `self`, saturating per cell — the merge
-    /// for additive sketches (count-min rows, FlowRadar packet counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or widths differ.
-    pub fn merge_add(&mut self, other: &CounterArray) {
-        assert_eq!(
-            (self.len, self.width),
-            (other.len, other.width),
-            "cannot merge counter arrays of different geometry"
-        );
-        for i in 0..self.len {
-            let theirs = other.get(i);
-            if theirs > 0 {
-                self.add(i, theirs);
-            }
-        }
-    }
-
     /// Number of counters currently equal to zero.
     pub fn count_zeros(&self) -> usize {
         (0..self.len).filter(|&i| self.get(i) == 0).count()
@@ -346,40 +305,5 @@ mod tests {
         assert!(CounterArray::new(0, 8).is_err());
         assert!(CounterArray::new(8, 0).is_err());
         assert!(CounterArray::new(8, 65).is_err());
-    }
-
-    #[test]
-    fn merge_max_takes_cellwise_maximum() {
-        let mut a = CounterArray::new(5, 6).unwrap();
-        let mut b = CounterArray::new(5, 6).unwrap();
-        a.set(0, 3);
-        a.set(1, 9);
-        b.set(1, 4);
-        b.set(2, 7);
-        a.merge_max(&b);
-        assert_eq!(a.get(0), 3);
-        assert_eq!(a.get(1), 9);
-        assert_eq!(a.get(2), 7);
-        assert_eq!(a.get(3), 0);
-    }
-
-    #[test]
-    fn merge_add_saturates_per_cell() {
-        let mut a = CounterArray::new(3, 4).unwrap();
-        let mut b = CounterArray::new(3, 4).unwrap();
-        a.set(0, 10);
-        b.set(0, 10); // 20 saturates at 15
-        b.set(1, 2);
-        a.merge_add(&b);
-        assert_eq!(a.get(0), 15);
-        assert_eq!(a.get(1), 2);
-        assert_eq!(a.get(2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different geometry")]
-    fn merge_of_mismatched_geometry_panics() {
-        let mut a = CounterArray::new(4, 8).unwrap();
-        a.merge_max(&CounterArray::new(4, 7).unwrap());
     }
 }

@@ -108,26 +108,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Merges `other` into `self` by register-wise maximum — the classic
-    /// HyperLogLog union. The merged estimator behaves exactly as if one
-    /// estimator had observed both streams, so it is safe for overlapping
-    /// streams as well as disjoint RSS shards.
-    ///
-    /// Both estimators must have been built with the same precision *and*
-    /// seed (same hash function); merging differently-seeded estimators is
-    /// a logic error this method cannot detect beyond the precision check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the precisions differ.
-    pub fn merge(&mut self, other: &HyperLogLog) {
-        assert_eq!(
-            self.precision, other.precision,
-            "cannot merge hyperloglogs of different precision"
-        );
-        self.registers.merge_max(&other.registers);
-    }
-
     /// Clears all registers.
     pub fn reset(&mut self) {
         self.registers.reset();
@@ -235,50 +215,5 @@ mod tests {
         let hll = HyperLogLog::new(10, 0).unwrap();
         assert_eq!(hll.memory_bits(), 1024 * 6);
         assert_eq!(hll.registers(), 1024);
-    }
-
-    #[test]
-    fn merge_equals_single_estimator_over_union() {
-        // Sharded observation: split 60K keys across 4 estimators (same
-        // seed), merge, and compare against one estimator that saw all of
-        // them. Register-max union makes the two *identical*.
-        let mut single = HyperLogLog::new(12, 7).unwrap();
-        let mut shards: Vec<HyperLogLog> =
-            (0..4).map(|_| HyperLogLog::new(12, 7).unwrap()).collect();
-        for i in 0..60_000u64 {
-            let k = FlowKey::from_index(i);
-            single.observe(&k);
-            shards[(i % 4) as usize].observe(&k);
-        }
-        let (first, rest) = shards.split_first_mut().unwrap();
-        for s in rest {
-            first.merge(s);
-        }
-        assert_eq!(first.estimate(), single.estimate());
-    }
-
-    #[test]
-    fn merge_handles_overlapping_streams() {
-        let mut a = HyperLogLog::new(12, 1).unwrap();
-        let mut b = HyperLogLog::new(12, 1).unwrap();
-        for i in 0..20_000u64 {
-            a.observe(&FlowKey::from_index(i));
-        }
-        for i in 10_000..30_000u64 {
-            b.observe(&FlowKey::from_index(i));
-        }
-        a.merge(&b);
-        let est = a.estimate();
-        assert!(
-            (est - 30_000.0).abs() / 30_000.0 < 0.05,
-            "union estimate {est} vs 30000"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different precision")]
-    fn merge_of_mismatched_precision_panics() {
-        let mut a = HyperLogLog::new(10, 0).unwrap();
-        a.merge(&HyperLogLog::new(11, 0).unwrap());
     }
 }

@@ -93,18 +93,6 @@ impl LinearCounter {
         self.bits.len()
     }
 
-    /// Merges `other` into `self` by bitmap union. Valid only for counters
-    /// built with the same cell count and seed (same hash function); like
-    /// the HyperLogLog union it then behaves exactly as if one counter had
-    /// observed both streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell counts differ.
-    pub fn merge(&mut self, other: &LinearCounter) {
-        self.bits.union_with(&other.bits);
-    }
-
     /// Clears all observations.
     pub fn reset(&mut self) {
         self.bits.reset();
@@ -162,24 +150,6 @@ mod tests {
             (est - 10_000.0).abs() / 10_000.0 < 0.05,
             "estimate {est} off by more than 5%"
         );
-    }
-
-    #[test]
-    fn merge_equals_single_counter_over_union() {
-        let mut single = LinearCounter::new(1 << 12, 5);
-        let mut a = LinearCounter::new(1 << 12, 5);
-        let mut b = LinearCounter::new(1 << 12, 5);
-        for i in 0..3000u64 {
-            let k = FlowKey::from_index(i);
-            single.observe(&k);
-            if i % 2 == 0 {
-                a.observe(&k);
-            } else {
-                b.observe(&k);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.estimate(), single.estimate());
     }
 
     #[test]

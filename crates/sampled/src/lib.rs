@@ -28,9 +28,7 @@
 #![warn(missing_docs)]
 
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 use std::collections::HashMap;
 
@@ -256,47 +254,6 @@ impl FlowMonitor for SampledNetFlow {
     }
 }
 
-impl MergeableMonitor for SampledNetFlow {
-    /// Exact-substrate union: the flow cache is a plain map, so merging
-    /// adds matching flows' sampled counts and inserts the rest, evicting
-    /// (deterministically) when the merged cache overflows — the same
-    /// policy live insertion applies.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            (self.capacity, self.sampling_n),
-            (other.capacity, other.sampling_n),
-            "cannot merge SampledNetFlow instances of different configuration"
-        );
-        for (merged, &(key, count)) in other.slots.iter().enumerate() {
-            if let Some(&slot) = self.index.get(&key) {
-                self.slots[slot].1 = self.slots[slot].1.saturating_add(count);
-                continue;
-            }
-            if self.slots.len() >= self.capacity {
-                // Vary the hash input per merged record (live insertion
-                // varies it via sampled_packets), so overflow evictions
-                // spread over the cache instead of churning one slot.
-                let salt = self.sampled_packets.wrapping_add(merged as u64);
-                let victim_idx = fast_range(
-                    self.hash.hash_bytes(1, &salt.to_le_bytes()),
-                    self.slots.len(),
-                );
-                let (victim_key, _) = self.slots.swap_remove(victim_idx);
-                self.index.remove(&victim_key);
-                if let Some(moved) = self.slots.get(victim_idx) {
-                    self.index.insert(moved.0, victim_idx);
-                }
-                self.evictions += 1;
-            }
-            self.index.insert(key, self.slots.len());
-            self.slots.push((key, count));
-        }
-        self.sampled_packets += other.sampled_packets;
-        self.evictions += other.evictions;
-        self.cost.absorb(&other.cost.snapshot());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,61 +268,6 @@ mod tests {
         assert!(SampledNetFlow::with_memory(budget, 0).is_err());
         assert!(SampledNetFlow::with_memory_seeded(budget, 0, 7).is_err());
         assert!(SampledNetFlow::with_memory(budget, 30).is_ok());
-    }
-
-    #[test]
-    fn merge_unions_disjoint_caches() {
-        let mut a = SampledNetFlow::new(100, 1, 0).unwrap();
-        let mut b = SampledNetFlow::new(100, 1, 0).unwrap();
-        for flow in 0..40u64 {
-            let m = if flow % 2 == 0 { &mut a } else { &mut b };
-            for t in 0..=(flow % 3) {
-                m.process_packet(&pkt(flow, t));
-            }
-        }
-        a.merge_from(&b);
-        for flow in 0..40u64 {
-            assert_eq!(
-                a.estimate_size(&FlowKey::from_index(flow)),
-                (flow % 3 + 1) as u32,
-                "flow {flow}"
-            );
-        }
-        assert_eq!(a.evictions(), 0);
-        assert_eq!(a.cost().packets, (0..40u64).map(|f| f % 3 + 1).sum::<u64>());
-    }
-
-    #[test]
-    fn merge_overflow_evicts_to_capacity() {
-        let mut a = SampledNetFlow::new(10, 1, 3).unwrap();
-        let mut b = SampledNetFlow::new(10, 1, 3).unwrap();
-        for flow in 0..10u64 {
-            a.process_packet(&pkt(flow, 0));
-            b.process_packet(&pkt(100 + flow, 0));
-        }
-        a.merge_from(&b);
-        assert_eq!(a.flow_records().len(), 10);
-        assert!(a.evictions() >= 10);
-        // Evictions spread like live insertion's policy: a healthy share
-        // of *b's* flows survives, rather than each merged record churning
-        // through one fixed victim slot.
-        let b_keys: Vec<FlowKey> = (0..10u64).map(|f| FlowKey::from_index(100 + f)).collect();
-        let survivors_from_b = a
-            .flow_records()
-            .iter()
-            .filter(|r| b_keys.contains(&r.key()))
-            .count();
-        assert!(
-            survivors_from_b >= 3,
-            "merge eviction churned one slot: only {survivors_from_b} of b's flows survive"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_config_panics() {
-        let mut a = SampledNetFlow::new(10, 1, 0).unwrap();
-        a.merge_from(&SampledNetFlow::new(10, 2, 0).unwrap());
     }
 
     #[test]

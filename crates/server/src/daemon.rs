@@ -109,7 +109,7 @@ pub struct ServerConfig {
     pub algorithm: AlgorithmKind,
     /// Monitor memory budget in KiB.
     pub memory_kib: usize,
-    /// Shard count (>1 requires a merge-layer algorithm).
+    /// Shard count (any algorithm shards).
     pub shards: usize,
     /// Master hash seed.
     pub seed: u64,

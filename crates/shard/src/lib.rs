@@ -1,10 +1,11 @@
-//! Multi-core sharded ingestion for any mergeable flow monitor.
+//! Multi-core sharded ingestion for any flow monitor.
 //!
 //! The paper evaluates every algorithm on a single bmv2 core (§IV-D,
 //! ~20 Kpps bare forwarding). Real collectors scale out the way
-//! RSS-enabled NICs do: hash the flow key, pin each flow to one worker,
-//! and merge per-worker state at query and epoch boundaries. This crate
-//! provides that scale-out layer for the whole workspace:
+//! RSS-enabled NICs do: hash the flow key and pin each flow to one
+//! worker, so the workers hold disjoint flows and no state is ever
+//! folded together. This crate provides that scale-out layer for the
+//! whole workspace:
 //!
 //! * [`ShardedMonitor<M>`] owns `N` inner monitors ("shards"). Packets are
 //!   dispatched by a dedicated RSS hash over the flow key, so **one flow
@@ -22,10 +23,9 @@
 //!   bounded [`BatchQueue`]s, so a slow shard back-pressures the
 //!   dispatcher instead of buffering the trace; drained batch buffers
 //!   recycle through a free-list.
-//! * Queries merge: flow records concatenate across the disjoint
-//!   partitions, size queries route to the owning shard, cardinality
-//!   estimates combine via
-//!   [`MergeableMonitor::combine_cardinality`], and costs sum.
+//! * Queries need no merge: flow records concatenate across the
+//!   disjoint partitions, size queries route to the owning shard, and
+//!   cardinality estimates and costs sum.
 //! * [`ShardedMonitor::seal_epoch`] drains all shards into **one**
 //!   [`EpochReport`]. The monitor owns no sinks and no clock: the epoch's
 //!   number, timestamp span and retained history belong to an
@@ -78,8 +78,7 @@ pub use queue::{BatchQueue, BoundedQueue, PopOutcome, PushOutcome};
 use hashflow_hashing::fast_range;
 use hashflow_monitor::{
     merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochReport, EpochSnapshot,
-    FlowMonitor, FlowTracer, Instruments, IntrospectMetric, MemoryBudget, MergeableMonitor,
-    StageTally,
+    FlowMonitor, FlowTracer, Instruments, IntrospectMetric, MemoryBudget, StageTally,
 };
 use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Severity};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
@@ -394,13 +393,12 @@ impl<M: std::fmt::Debug> std::fmt::Debug for ShardedMonitor<M> {
     }
 }
 
-impl<M: MergeableMonitor> ShardedMonitor<M> {
-    /// Wraps pre-built shards. All shards must be configured identically —
-    /// same geometry, per-shard budget *and* seeds — so that per-shard
-    /// states commute under [`MergeableMonitor::merge_from`]. Identical
-    /// seeds across shards are safe: shards hold disjoint flow partitions,
-    /// and the dispatch hash is seeded independently of every table hash,
-    /// so shard placement never correlates with in-shard bucket placement.
+impl<M: FlowMonitor + Send> ShardedMonitor<M> {
+    /// Wraps pre-built shards, normally configured identically — same
+    /// geometry, per-shard budget *and* seeds. Identical seeds across
+    /// shards are safe: shards hold disjoint flow partitions, and the
+    /// dispatch hash is seeded independently of every table hash, so
+    /// shard placement never correlates with in-shard bucket placement.
     ///
     /// # Errors
     ///
@@ -452,9 +450,8 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
     /// exceeds what a single monitor would have been granted.
     ///
     /// `build` receives `(shard_index, per_shard_budget)`; the index is
-    /// for diagnostics and labels, **not** for seed derivation — every
-    /// shard must get an identical configuration, seeds included, per the
-    /// [`Self::new`] contract the merge layer depends on.
+    /// for diagnostics and labels, **not** for seed derivation (see
+    /// [`Self::new`]).
     ///
     /// # Errors
     ///
@@ -538,8 +535,8 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
 
     /// Drains every shard into one collector-side [`EpochReport`] and
     /// resets the shards for the next epoch: records concatenate (disjoint
-    /// partitions — no key appears twice), costs sum, and the cardinality
-    /// estimates combine via [`MergeableMonitor::combine_cardinality`].
+    /// partitions — no key appears twice), and costs and cardinality
+    /// estimates sum.
     /// [`FlowMonitor::seal`] freezes the same drain into the shared
     /// [`EpochSnapshot`], which costs nothing.
     ///
@@ -592,7 +589,7 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
                 })
             })
             .collect();
-        let cardinality = M::combine_cardinality(&estimates);
+        let cardinality = estimates.iter().sum();
         let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
         let mut report = EpochReport::merged(reports, cardinality);
         drop(merge_timer);
@@ -606,23 +603,6 @@ impl<M: MergeableMonitor> ShardedMonitor<M> {
         report
     }
 
-    /// Collapses the sharded monitor into a single instance by folding
-    /// every shard into the first via [`MergeableMonitor::merge_from`].
-    /// Note the result keeps shard 0's (per-shard) table sizes: under
-    /// memory pressure the fold demotes records exactly as live insertion
-    /// would. Use the merged *query* surface when lossless reporting
-    /// matters.
-    pub fn collapse(mut self) -> M {
-        let mut iter = self.shards.drain(..);
-        let mut first = iter.next().expect("constructor guarantees >= 1 shard");
-        for shard in iter {
-            first.merge_from(&shard);
-        }
-        first
-    }
-}
-
-impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
     /// Feeds `packets` through all shards in parallel: one scoped worker
     /// thread per shard, each owning its inner monitor, fed through a
     /// bounded [`BatchQueue`] by the dispatcher running on the calling
@@ -746,7 +726,7 @@ impl<M: MergeableMonitor + Send> ShardedMonitor<M> {
     }
 }
 
-impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
+impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     /// A batch of one through [`Self::process_batch`]: the same split,
     /// the same guarded feed, the same shedding of a degraded shard.
     fn process_packet(&mut self, packet: &Packet) {
@@ -778,7 +758,7 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {
-        // Disjoint partitions: concatenation *is* the merge.
+        // Disjoint partitions: no key appears in two shards.
         self.shards.iter().flat_map(|s| s.flow_records()).collect()
     }
 
@@ -786,13 +766,10 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.shards[self.shard_of(key)].estimate_size(key)
     }
 
+    /// Each shard's estimator saw only its own flows, so the sum is the
+    /// estimate of the whole.
     fn estimate_cardinality(&self) -> f64 {
-        let estimates: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|s| s.estimate_cardinality())
-            .collect();
-        M::combine_cardinality(&estimates)
+        self.shards.iter().map(|s| s.estimate_cardinality()).sum()
     }
 
     fn memory_bits(&self) -> usize {
@@ -864,28 +841,6 @@ impl<M: MergeableMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         for shard in &mut self.shards {
             shard.instrument(instruments);
         }
-    }
-}
-
-impl<M: MergeableMonitor + Send> MergeableMonitor for ShardedMonitor<M> {
-    /// Merges shard-wise: shard `i` absorbs the peer's shard `i`. Both
-    /// monitors share the dispatch hash, so shard `i` holds the same key
-    /// partition on both sides — useful for collector trees that fold
-    /// sharded monitors from several vantage points.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.shards.len(),
-            other.shards.len(),
-            "cannot merge sharded monitors with different shard counts"
-        );
-        for (mine, theirs) in self.shards.iter_mut().zip(&other.shards) {
-            mine.merge_from(theirs);
-        }
-        self.dispatch_hashes += other.dispatch_hashes;
-    }
-
-    fn combine_cardinality(estimates: &[f64]) -> f64 {
-        M::combine_cardinality(estimates)
     }
 }
 
@@ -1106,34 +1061,9 @@ mod tests {
     }
 
     #[test]
-    fn collapse_folds_into_single_monitor() {
-        let mut m = sharded_hashflow(2, 512);
-        for flow in 0..100u64 {
-            m.process_packet(&pkt(flow, flow));
-        }
-        let total_packets = m.cost().packets;
-        let single = m.collapse();
-        assert_eq!(single.cost().packets, total_packets);
-        assert_eq!(single.flow_records().len(), 100);
-    }
-
-    #[test]
-    fn sharded_monitors_merge_shard_wise() {
-        let mut a = sharded_hashflow(4, 256);
-        let mut b = sharded_hashflow(4, 256);
-        for flow in 0..100u64 {
-            a.process_packet(&pkt(flow, flow));
-            b.process_packet(&pkt(1000 + flow, flow));
-        }
-        a.merge_from(&b);
-        assert_eq!(a.flow_records().len(), 200);
-        assert_eq!(a.cost().packets, 200);
-    }
-
-    #[test]
     fn works_for_flowradar_too() {
-        // The merge layer is generic: FlowRadar shards decode their own
-        // partitions and the union reports every flow.
+        // The shard layer is generic: FlowRadar shards decode their own
+        // partitions and the concatenation reports every flow.
         let mut m = ShardedMonitor::new(
             (0..4)
                 .map(|_| FlowRadar::new(500, 0xf1).unwrap())
@@ -1290,9 +1220,6 @@ mod tests {
         fn reset(&mut self) {
             self.cost.reset();
         }
-    }
-    impl MergeableMonitor for Bomb {
-        fn merge_from(&mut self, _other: &Self) {}
     }
 
     #[test]
@@ -1459,9 +1386,6 @@ mod tests {
             fn reset(&mut self) {
                 self.cost.reset();
             }
-        }
-        impl MergeableMonitor for Slow {
-            fn merge_from(&mut self, _other: &Self) {}
         }
 
         let mut m =

@@ -2,9 +2,7 @@
 //! packet (SIGCOMM'20), specialized to per-flow packet counting.
 
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_primitives::LinearCounter;
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, FLOW_KEY_BITS};
 use std::collections::HashMap;
@@ -65,7 +63,6 @@ const LC_SHARE: usize = 8;
 pub struct BeauCoupMonitor {
     coupons: HashMap<FlowKey, u32>,
     capacity: usize,
-    seed: u64,
     hash: HashFamily<XxHash64>,
     cardinality: LinearCounter,
     dropped_keys: u64,
@@ -91,7 +88,6 @@ impl BeauCoupMonitor {
         Ok(BeauCoupMonitor {
             coupons: HashMap::with_capacity(capacity),
             capacity,
-            seed,
             hash: HashFamily::new(1, seed ^ 0x00bc_0bc0),
             cardinality: LinearCounter::new(lc_cells, seed),
             dropped_keys: 0,
@@ -263,32 +259,6 @@ impl FlowMonitor for BeauCoupMonitor {
     }
 }
 
-impl MergeableMonitor for BeauCoupMonitor {
-    /// Coupon bitmaps union exactly (a coupon drawn in either partition
-    /// was drawn over the combined stream); new keys insert up to
-    /// capacity with the same drop-when-full policy live insertion
-    /// applies, and the cardinality bitmaps union.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            (self.capacity, self.cardinality.cells(), self.seed),
-            (other.capacity, other.cardinality.cells(), other.seed),
-            "cannot merge BeauCoup monitors of different configuration"
-        );
-        for (key, bitmap) in &other.coupons {
-            if let Some(mine) = self.coupons.get_mut(key) {
-                *mine |= bitmap;
-            } else if self.coupons.len() < self.capacity {
-                self.coupons.insert(*key, *bitmap);
-            } else {
-                self.dropped_keys += 1;
-            }
-        }
-        self.cardinality.merge(&other.cardinality);
-        self.dropped_keys += other.dropped_keys;
-        self.cost.absorb(&other.cost.snapshot());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,38 +342,6 @@ mod tests {
         }
         let est = bc.estimate_cardinality();
         assert!((est - 3_000.0).abs() / 3_000.0 < 0.1, "estimate {est}");
-    }
-
-    #[test]
-    fn merge_equals_single_monitor_over_union() {
-        let make = || BeauCoupMonitor::new(1024, 4096, 9).unwrap();
-        let (mut single, mut a, mut b) = (make(), make(), make());
-        for flow in 0..50u64 {
-            for t in 0..200u64 {
-                let p = pkt(flow, t);
-                single.process_packet(&p);
-                // Disjoint RSS-style partition by flow.
-                if flow % 2 == 0 {
-                    a.process_packet(&p);
-                } else {
-                    b.process_packet(&p);
-                }
-            }
-        }
-        a.merge_from(&b);
-        for flow in 0..50u64 {
-            let k = FlowKey::from_index(flow);
-            assert_eq!(a.estimate_size(&k), single.estimate_size(&k), "flow {flow}");
-        }
-        assert_eq!(a.estimate_cardinality(), single.estimate_cardinality());
-        assert_eq!(a.cost(), single.cost());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_config_panics() {
-        let mut a = BeauCoupMonitor::new(8, 64, 0).unwrap();
-        a.merge_from(&BeauCoupMonitor::new(8, 64, 1).unwrap());
     }
 
     #[test]

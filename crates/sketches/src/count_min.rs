@@ -1,8 +1,6 @@
 //! Count-Min as a registry monitor: the estimate-only end of the zoo.
 
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_primitives::{linear_counting_estimate, CountMinSketch};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 
@@ -47,7 +45,6 @@ pub const CM_COUNTER_BITS: u32 = 32;
 #[derive(Debug, Clone)]
 pub struct CountMinMonitor {
     sketch: CountMinSketch,
-    seed: u64,
     cost: CostRecorder,
 }
 
@@ -61,7 +58,6 @@ impl CountMinMonitor {
     pub fn new(cols: usize, seed: u64) -> Result<Self, ConfigError> {
         Ok(CountMinMonitor {
             sketch: CountMinSketch::new(CM_DEPTH, cols, CM_COUNTER_BITS, seed)?,
-            seed,
             cost: CostRecorder::new(),
         })
     }
@@ -95,11 +91,6 @@ impl CountMinMonitor {
     /// Columns per row.
     pub fn cols(&self) -> usize {
         self.sketch.cols()
-    }
-
-    /// The configured master hash seed.
-    pub const fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -164,20 +155,6 @@ impl FlowMonitor for CountMinMonitor {
     }
 }
 
-impl MergeableMonitor for CountMinMonitor {
-    /// Cell-wise counter addition: Count-Min is a linear sketch, so the
-    /// merged monitor answers exactly as if one sketch had ingested both
-    /// streams.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "cannot merge CountMin monitors of different configuration"
-        );
-        self.sketch.merge_from(&other.sketch);
-        self.cost.absorb(&other.cost.snapshot());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,36 +213,6 @@ mod tests {
         }
         assert!(cm.estimate_cardinality().is_finite());
         assert!(cm.estimate_cardinality() > 0.0);
-    }
-
-    #[test]
-    fn merge_equals_single_monitor_over_union() {
-        let mut single = CountMinMonitor::new(256, 5).unwrap();
-        let mut a = CountMinMonitor::new(256, 5).unwrap();
-        let mut b = CountMinMonitor::new(256, 5).unwrap();
-        for flow in 0..200u64 {
-            let p = pkt(flow, 0);
-            single.process_packet(&p);
-            if flow % 2 == 0 {
-                a.process_packet(&p);
-            } else {
-                b.process_packet(&p);
-            }
-        }
-        a.merge_from(&b);
-        for flow in 0..200u64 {
-            let k = FlowKey::from_index(flow);
-            assert_eq!(a.estimate_size(&k), single.estimate_size(&k), "flow {flow}");
-        }
-        assert_eq!(a.estimate_cardinality(), single.estimate_cardinality());
-        assert_eq!(a.cost(), single.cost());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_config_panics() {
-        let mut a = CountMinMonitor::new(256, 0).unwrap();
-        a.merge_from(&CountMinMonitor::new(256, 1).unwrap());
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The exact baseline: a plain hash map under the shared memory
 //! accounting — the ground-truth row of every accuracy table.
 
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet, RECORD_BITS};
 use std::collections::HashMap;
 
@@ -160,21 +158,6 @@ impl FlowMonitor for ExactBaselineMonitor {
     }
 }
 
-impl MergeableMonitor for ExactBaselineMonitor {
-    /// Exact union: matching flows' counts add, disjoint flows insert.
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "cannot merge ExactBaseline monitors of different configuration"
-        );
-        for (key, count) in &other.flows {
-            let mine = self.flows.entry(*key).or_insert(0);
-            *mine = mine.saturating_add(*count);
-        }
-        self.cost.absorb(&other.cost.snapshot());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,34 +209,6 @@ mod tests {
         assert!(exact.overflowed());
         assert_eq!(exact.tracked_keys(), capacity + 10);
         assert_eq!(exact.memory_bits(), (capacity + 10) * RECORD_BITS);
-    }
-
-    #[test]
-    fn merge_is_exact_union() {
-        let mut a = ExactBaselineMonitor::new(100).unwrap();
-        let mut b = ExactBaselineMonitor::new(100).unwrap();
-        for flow in 0..30u64 {
-            for t in 0..=(flow % 4) {
-                let m = if flow % 2 == 0 { &mut a } else { &mut b };
-                m.process_packet(&pkt(flow, t));
-            }
-        }
-        a.merge_from(&b);
-        for flow in 0..30u64 {
-            assert_eq!(
-                a.estimate_size(&FlowKey::from_index(flow)),
-                (flow % 4 + 1) as u32,
-                "flow {flow}"
-            );
-        }
-        assert_eq!(a.cost().packets, (0..30u64).map(|f| f % 4 + 1).sum::<u64>());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_config_panics() {
-        let mut a = ExactBaselineMonitor::new(10).unwrap();
-        a.merge_from(&ExactBaselineMonitor::new(20).unwrap());
     }
 
     #[test]

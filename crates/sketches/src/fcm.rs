@@ -1,9 +1,7 @@
 //! FCM: the two-layer escalating-counter sketch (SIGCOMM'21).
 
 use hashflow_hashing::{fast_range, HashFamily, XxHash64};
-use hashflow_monitor::{
-    CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget, MergeableMonitor,
-};
+use hashflow_monitor::{CostRecorder, CostSnapshot, FlowMonitor, IntrospectMetric, MemoryBudget};
 use hashflow_primitives::{linear_counting_estimate, CounterArray};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 
@@ -25,10 +23,10 @@ pub const FCM_FANIN: usize = 8;
 const L1_MAX: u64 = (1 << FCM_L1_BITS) - 1;
 
 /// One FCM tree: a narrow first layer and a wide second layer shared
-/// `FCM_FANIN`-to-1. The invariant that makes batching and merging
-/// exact: `l2[p] = sum over p's cells c of max(0, n_c - L1_MAX)` where
-/// `n_c` is the total increments that hit `c` — a pure function of the
-/// per-cell totals, independent of arrival order.
+/// `FCM_FANIN`-to-1. The invariant that makes batching exact:
+/// `l2[p] = sum over p's cells c of max(0, n_c - L1_MAX)` where `n_c` is
+/// the total increments that hit `c` — a pure function of the per-cell
+/// totals, independent of arrival order.
 #[derive(Debug, Clone)]
 struct FcmTree {
     l1: CounterArray,
@@ -64,22 +62,6 @@ impl FcmTree {
             // — never underestimates — like every Count-Min read.
             L1_MAX + self.l2.get(idx / FCM_FANIN)
         }
-    }
-
-    /// Order-exact merge (see the invariant above): the merged first
-    /// layer is the saturating sum, and the second layer needs a
-    /// per-cell correction of `max(0, l1a + l1b - L1_MAX)` — the excess
-    /// that *would* have escalated had one tree seen both streams but is
-    /// still sitting unsaturated in the two first layers.
-    fn merge_from(&mut self, other: &FcmTree) {
-        for idx in 0..self.l1.len() {
-            let correction = (self.l1.get(idx) + other.l1.get(idx)).saturating_sub(L1_MAX);
-            if correction > 0 {
-                self.l2.add(idx / FCM_FANIN, correction);
-            }
-        }
-        self.l1.merge_add(&other.l1);
-        self.l2.merge_add(&other.l2);
     }
 
     fn logical_bits(&self) -> usize {
@@ -121,7 +103,6 @@ impl FcmTree {
 pub struct FcmMonitor {
     trees: Vec<FcmTree>,
     l1_cells: usize,
-    seed: u64,
     hashes: HashFamily<XxHash64>,
     // Increments that escalated into a second layer (all trees), exposed
     // through introspection as a saturation-pressure signal.
@@ -150,7 +131,6 @@ impl FcmMonitor {
                 .map(|_| FcmTree::new(l1_cells))
                 .collect::<Result<Vec<_>, _>>()?,
             l1_cells,
-            seed,
             hashes: HashFamily::new(FCM_TREES, seed ^ 0x00fc_a7e5),
             escalations: 0,
             cost: CostRecorder::new(),
@@ -186,11 +166,6 @@ impl FcmMonitor {
     /// First-layer cells per tree.
     pub const fn l1_cells(&self) -> usize {
         self.l1_cells
-    }
-
-    /// The configured master hash seed.
-    pub const fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -277,24 +252,6 @@ impl FlowMonitor for FcmMonitor {
     }
 }
 
-impl MergeableMonitor for FcmMonitor {
-    /// Order-exact tree-wise merge: the merged monitor answers every
-    /// point query exactly as if one monitor had ingested both streams
-    /// (see `FcmTree::merge_from` for the escalation correction).
-    fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            (self.l1_cells, self.seed),
-            (other.l1_cells, other.seed),
-            "cannot merge FCM monitors of different configuration"
-        );
-        for (tree, other_tree) in self.trees.iter_mut().zip(&other.trees) {
-            tree.merge_from(other_tree);
-        }
-        self.escalations += other.escalations;
-        self.cost.absorb(&other.cost.snapshot());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,39 +306,6 @@ mod tests {
         }
         let est = fcm.estimate_cardinality();
         assert!((est - 5_000.0).abs() / 5_000.0 < 0.1, "estimate {est}");
-    }
-
-    #[test]
-    fn merge_equals_single_monitor_over_union() {
-        // Flow sizes straddle the escalation boundary on both sides of
-        // the split, so the merge correction path is exercised.
-        let make = || FcmMonitor::new(64, 9).unwrap();
-        let (mut single, mut a, mut b) = (make(), make(), make());
-        for flow in 0..40u64 {
-            let size = 200 + flow * 7; // some cells saturate on one side only
-            for t in 0..size {
-                let p = pkt(flow, t);
-                single.process_packet(&p);
-                if t % 2 == 0 {
-                    a.process_packet(&p);
-                } else {
-                    b.process_packet(&p);
-                }
-            }
-        }
-        a.merge_from(&b);
-        for flow in 0..40u64 {
-            let k = FlowKey::from_index(flow);
-            assert_eq!(a.estimate_size(&k), single.estimate_size(&k), "flow {flow}");
-        }
-        assert_eq!(a.estimate_cardinality(), single.estimate_cardinality());
-    }
-
-    #[test]
-    #[should_panic(expected = "different configuration")]
-    fn merge_of_mismatched_config_panics() {
-        let mut a = FcmMonitor::new(64, 0).unwrap();
-        a.merge_from(&FcmMonitor::new(128, 0).unwrap());
     }
 
     #[test]

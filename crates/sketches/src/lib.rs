@@ -1,9 +1,8 @@
 //! The extended sketch zoo for the §IV accuracy comparison: baselines the
 //! related multi-stage-telemetry literature measures against, ported onto
-//! this workspace's [`FlowMonitor`](hashflow_monitor::FlowMonitor) /
-//! [`MergeableMonitor`](hashflow_monitor::MergeableMonitor) contract so every
-//! registry consumer (CLI, sharding, batching, epoch snapshots, sinks,
-//! query plans) runs them with zero extra wiring.
+//! this workspace's [`FlowMonitor`](hashflow_monitor::FlowMonitor)
+//! contract so every registry consumer (CLI, sharding, batching, epoch
+//! snapshots, sinks, query plans) runs them with zero extra wiring.
 //!
 //! * [`CountMinMonitor`] — the textbook Count-Min sketch (Cormode &
 //!   Muthukrishnan, 2005) as an *estimate-only* monitor: point queries

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use hashflow_metrics::{evaluate, EvaluationReport, GroundTruth};
     pub use hashflow_monitor::{
         CostSnapshot, EpochReport, EpochRotator, EpochSnapshot, FlowMonitor, Instruments,
-        JsonLinesSink, MemoryBudget, MemorySink, MergeableMonitor, RecordSink,
+        JsonLinesSink, MemoryBudget, MemorySink, RecordSink,
     };
     pub use hashflow_query::{
         execute, execute_snapshot, Aggregate, AppKind, Predicate, Projection, QueryMonitor,
@@ -86,13 +86,5 @@ mod tests {
         assert_monitor::<BeauCoupMonitor>();
         assert_monitor::<ExactBaselineMonitor>();
         assert_monitor::<ShardedMonitor<HashFlow>>();
-        fn assert_mergeable<T: MergeableMonitor>() {}
-        assert_mergeable::<HashFlow>();
-        assert_mergeable::<FlowRadar>();
-        assert_mergeable::<SampledNetFlow>();
-        assert_mergeable::<CountMinMonitor>();
-        assert_mergeable::<FcmMonitor>();
-        assert_mergeable::<BeauCoupMonitor>();
-        assert_mergeable::<ExactBaselineMonitor>();
     }
 }

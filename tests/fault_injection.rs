@@ -411,12 +411,6 @@ impl FlowMonitor for DrainBomb {
     }
 }
 
-impl MergeableMonitor for DrainBomb {
-    fn merge_from(&mut self, other: &Self) {
-        self.inner.merge_from(&other.inner);
-    }
-}
-
 /// A shard that panics *while being drained* costs its own partition and
 /// nothing else: the seal completes and says `partial`, the panic is
 /// evented, the shard sits out (shedding on the ledger) until the next

@@ -87,9 +87,6 @@ fn every_registered_kind_seals_introspection_into_its_snapshot() {
 fn sharded_builds_merge_introspection_across_shards() {
     let trace = test_trace(9);
     for kind in AlgorithmKind::ALL {
-        if !kind.supports_sharding() {
-            continue;
-        }
         let mut monitor = MonitorBuilder::new(kind)
             .budget(MemoryBudget::from_kib(128).expect("positive"))
             .seed(0x2323)

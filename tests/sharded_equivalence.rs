@@ -252,28 +252,18 @@ proptest! {
         prop_assert_eq!(mixed.shard_faults().iter().flatten().count(), usize::from(dead.is_some()));
     }
 
-    /// Registry sweep: every merge-layer algorithm runs sharded through
-    /// the builder with scalar and batched dispatch observationally
-    /// identical; the non-mergeable kinds are rejected with the typed
-    /// merge-layer error instead of silently building.
+    /// Registry sweep: every algorithm runs sharded through the builder
+    /// with scalar and batched dispatch observationally identical.
     #[test]
     fn registry_sharding_capability_is_honored(packets in stream(300, 500)) {
         let budget = MemoryBudget::from_kib(64).expect("positive");
         for kind in AlgorithmKind::ALL {
-            let built = MonitorBuilder::new(kind)
+            let mut scalar = MonitorBuilder::new(kind)
                 .budget(budget)
                 .seed(0x5a5a)
                 .shards(SHARDS)
-                .build();
-            if !kind.supports_sharding() {
-                let err = built
-                    .err()
-                    .unwrap_or_else(|| panic!("{kind} must reject sharding"))
-                    .to_string();
-                prop_assert!(err.contains("merge layer"), "{}: {}", kind, err);
-                continue;
-            }
-            let mut scalar = built.expect("split budget fits");
+                .build()
+                .expect("split budget fits");
             let mut batched = MonitorBuilder::new(kind)
                 .budget(budget)
                 .seed(0x5a5a)
@@ -301,6 +291,53 @@ proptest! {
             }
             let (ca, cb) = (scalar.estimate_cardinality(), batched.estimate_cardinality());
             prop_assert!((ca - cb).abs() < 1e-9, "{} cardinality diverges: {} vs {}", kind, ca, cb);
+        }
+    }
+
+    /// The partition oracle: for every kind, a sharded monitor is exactly
+    /// its shards' partitions each run alone. Four standalone monitors
+    /// from the same builder, each fed its part of `partition`, report
+    /// the sharded records as a multiset, answer every size query the
+    /// owning shard is asked, and sum to its cardinality and its cost.
+    #[test]
+    fn every_kind_shards_into_its_partitions_run_alone(packets in stream(300, 500)) {
+        const SEED: u64 = 0x0a11_5ea1;
+        let budget = MemoryBudget::from_kib(64).expect("positive");
+        for kind in AlgorithmKind::ALL {
+            let build = |b| MonitorBuilder::new(kind).budget(b).seed(SEED).build();
+            let mut sharded = ShardedMonitor::with_budget(SHARDS, budget, |_, b| build(b))
+                .expect("split budget fits");
+            let mut alone: Vec<_> = budget
+                .split_shards(SHARDS)
+                .expect("four shards")
+                .into_iter()
+                .map(|b| build(b).expect("split budget fits"))
+                .collect();
+            for (monitor, part) in alone.iter_mut().zip(sharded.partition(&packets)) {
+                monitor.process_trace(&part);
+            }
+            sharded.ingest(&packets);
+
+            let mut expected: Vec<FlowRecord> =
+                alone.iter().flat_map(|m| m.flow_records()).collect();
+            let mut records = sharded.flow_records();
+            expected.sort_by_key(|r| (r.key(), r.count()));
+            records.sort_by_key(|r| (r.key(), r.count()));
+            prop_assert_eq!(records, expected, "{} records", kind);
+            // Every flow of the stream, and flows it never carried.
+            for key in (0..310).map(FlowKey::from_index) {
+                prop_assert_eq!(
+                    sharded.estimate_size(&key),
+                    alone[sharded.shard_of(&key)].estimate_size(&key),
+                    "{} size of {:?}",
+                    kind,
+                    key
+                );
+            }
+            let cardinality: f64 = alone.iter().map(|m| m.estimate_cardinality()).sum();
+            prop_assert_eq!(sharded.estimate_cardinality(), cardinality, "{} cardinality", kind);
+            let costs: Vec<CostSnapshot> = alone.iter().map(|m| m.cost()).collect();
+            prop_assert_eq!(sharded.cost(), CostSnapshot::sum(&costs), "{} cost", kind);
         }
     }
 
