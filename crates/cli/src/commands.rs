@@ -739,11 +739,11 @@ mod tests {
         .map(String::from)
         .collect();
         run(&parse(&args).unwrap()).unwrap();
-        // The plan's answer bank took one epoch: the one the run sealed.
+        // The collector retained one epoch: the one the run sealed.
         let jsonl = std::fs::read_to_string(&jsonl_file).unwrap();
         assert!(
             jsonl.contains(
-                r#""name":"hashflow_offered_epochs_total","labels":{"component":"query_answers"},"type":"counter","value":1"#
+                r#""name":"hashflow_offered_epochs_total","labels":{"component":"epoch_retention"},"type":"counter","value":1"#
             ),
             "{jsonl}"
         );

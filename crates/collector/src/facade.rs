@@ -3,15 +3,16 @@
 
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
-    BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRotator, EpochSnapshot, FlowMonitor,
-    Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
+    BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRing, EpochRotator, EpochSnapshot,
+    FlowMonitor, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
 };
 use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
-use hashflow_query::{QueryId, QueryMonitor, QueryPlan, QueryResult};
+use hashflow_query::{execute_snapshot, QueryId, QueryPlan, QueryResult};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 use std::sync::Arc;
 
-/// A running collection pipeline: `monitor → queries → rotator → sinks`.
+/// A running collection pipeline: `monitor → rotator → sinks`, with the
+/// sealed epochs and their query answers retained here.
 ///
 /// Built by [`Collector::builder`]. Ingestion goes through the monitor's
 /// batched hot path; when a packet's timestamp crosses the epoch edge
@@ -21,10 +22,11 @@ use std::sync::Arc;
 /// ingesting into fresh tables.
 ///
 /// Declarative telemetry queries ([`QueryPlan`]) attach to the pipeline
-/// via [`CollectorBuilder::query`] or [`Collector::attach_query`]: each
-/// rotation evaluates every attached plan once over the epoch it sealed
-/// and banks the answers ([`Collector::drain_query_answers`]). Ingestion
-/// pays nothing for them.
+/// via [`CollectorBuilder::query`] or [`Collector::attach_query`]: after
+/// every call that sealed an epoch, each attached plan is evaluated once
+/// over it and the answers are retained beside it
+/// ([`Collector::drain_query_answers`]). Ingestion pays one length check
+/// per call for them.
 ///
 /// `Collector` itself implements [`FlowMonitor`], so anything that drives
 /// a monitor — the software switch, the evaluation harness — can drive a
@@ -32,9 +34,17 @@ use std::sync::Arc;
 /// build time ([`CollectorBuilder::instruments`]), when one call reaches
 /// every layer; there is nothing to attach afterwards.
 pub struct Collector {
-    rotator: EpochRotator<QueryMonitor<Box<dyn FlowMonitor + Send>>>,
+    rotator: EpochRotator<Box<dyn FlowMonitor + Send>>,
     /// The registered algorithm, whose records capability gates plans.
     kind: AlgorithmKind,
+    /// Attached plans, in attach order ([`QueryId`] is the index).
+    plans: Vec<QueryPlan>,
+    /// Sealed epochs taken from the rotator, oldest first, under the one
+    /// retention limit; its ledger is `component="epoch_retention"`.
+    completed: EpochRing<EpochSnapshot>,
+    /// One entry per retained epoch's seal, the plans' answers in attach
+    /// order, under the same limit. Drained independently of `completed`.
+    answers: Vec<Arc<[QueryResult]>>,
     /// Set by [`Collector::finish`]; the `Drop` impl flushes sinks
     /// best-effort when the pipeline is dropped without finishing.
     finished: bool,
@@ -45,7 +55,7 @@ impl std::fmt::Debug for Collector {
         f.debug_struct("Collector")
             .field("algorithm", &self.name())
             .field("epoch_len_ns", &self.rotator.epoch_len_ns())
-            .field("completed", &self.rotator.completed_epochs().len())
+            .field("completed", &self.completed.as_slice().len())
             .finish_non_exhaustive()
     }
 }
@@ -59,7 +69,7 @@ impl Collector {
             sinks: Vec::new(),
             queries: Vec::new(),
             instruments: Instruments::default(),
-            retention: None,
+            retention: usize::MAX,
         }
     }
 
@@ -89,27 +99,57 @@ impl Collector {
     /// empty.
     pub fn attach_query(&mut self, plan: QueryPlan) -> Result<QueryId, ConfigError> {
         self.kind.check_records()?;
-        Ok(self.rotator.inner_mut().attach(plan))
+        self.plans.push(plan);
+        Ok(self.plans.len() - 1)
     }
 
     /// Number of attached query plans.
     pub fn query_count(&self) -> usize {
-        self.rotator.inner().query_count()
+        self.plans.len()
     }
 
-    /// The query answers banked at each rotation and not yet drained or
-    /// evicted, one entry per epoch in attach order, oldest first. Until
-    /// a caller drains either store, entry `i` answers
-    /// `completed_epochs()[i]`: each seal adds one to both, and
-    /// [`CollectorBuilder::retention`] bounds both.
+    /// The query answers of each sealed epoch not yet drained or evicted,
+    /// oldest first, each entry in attach order. Until a caller drains
+    /// either store, entry `i` answers `completed_epochs()[i]`: both are
+    /// pushed at one site, under the one [`CollectorBuilder::retention`].
     pub fn query_answers(&self) -> &[Arc<[QueryResult]>] {
-        self.rotator.inner().sealed_answers()
+        &self.answers
     }
 
-    /// Drains the per-epoch query answers banked at each rotation
-    /// (oldest epoch first; each entry follows attach order).
+    /// Drains [`Self::query_answers`] (oldest epoch first; each entry
+    /// follows attach order), leaving the retained epochs in place.
     pub fn drain_query_answers(&mut self) -> Vec<Arc<[QueryResult]>> {
-        self.rotator.inner_mut().drain_sealed_answers()
+        std::mem::take(&mut self.answers)
+    }
+
+    /// Takes whatever the rotator sealed during the last call (it rotates
+    /// on packet timestamps, so any ingest call can seal): one length
+    /// check when nothing was sealed.
+    #[inline]
+    fn take_sealed(&mut self) {
+        if !self.rotator.completed_epochs().is_empty() {
+            self.retain_sealed();
+        }
+    }
+
+    /// The one push site: answers every plan over each newly sealed
+    /// epoch and retains the epoch with its answers, evicting both
+    /// stores down to the retention limit.
+    fn retain_sealed(&mut self) {
+        for snapshot in self.rotator.drain_completed() {
+            // Without plans the entry is the shared empty slice.
+            let answers = if self.plans.is_empty() {
+                Arc::default()
+            } else {
+                (self.plans.iter())
+                    .map(|plan| execute_snapshot(plan, &snapshot))
+                    .collect()
+            };
+            self.completed.push(snapshot);
+            self.answers.push(answers);
+            let excess = self.answers.len().saturating_sub(self.completed.limit());
+            self.answers.drain(..excess);
+        }
     }
 
     /// Seals the running epoch into an immutable [`EpochSnapshot`]
@@ -119,7 +159,9 @@ impl Collector {
     /// every holder shares that store, and the size-query index its
     /// first `estimate_size` builds — sealing hashes nothing.
     pub fn seal(&mut self) -> EpochSnapshot {
-        self.rotator.seal()
+        let snapshot = self.rotator.rotate_now();
+        self.take_sealed();
+        snapshot
     }
 
     /// Every epoch sealed so far and not yet drained or evicted, oldest
@@ -129,19 +171,19 @@ impl Collector {
     /// or a driving loop calls [`Self::drain_completed`]: a long run with
     /// neither keeps every epoch's records alive.
     pub fn completed_epochs(&self) -> &[EpochSnapshot] {
-        self.rotator.completed_epochs()
+        self.completed.as_slice()
     }
 
     /// Drains [`Self::completed_epochs`], leaving the current epoch
     /// running. The completed store grows without bound until this is
     /// called, unless [`CollectorBuilder::retention`] bounded it.
     pub fn drain_completed(&mut self) -> Vec<EpochSnapshot> {
-        self.rotator.drain_completed()
+        self.completed.drain()
     }
 
-    /// The live monitor (current-epoch state), beneath the query layer.
+    /// The live monitor (current-epoch state).
     pub fn monitor(&self) -> &dyn FlowMonitor {
-        self.rotator.inner().inner()
+        self.rotator.inner()
     }
 
     /// Per-sink health: state-machine position (healthy / degraded /
@@ -154,13 +196,7 @@ impl Collector {
     /// The completed-epoch retention ledger (offered / dropped /
     /// delivered, conserved by construction).
     pub fn retention_drop_stats(&self) -> DropStats {
-        self.rotator.retention_drop_stats()
-    }
-
-    /// The query answer bank's drop ledger (see
-    /// [`CollectorBuilder::retention`]).
-    pub fn answer_drop_stats(&self) -> DropStats {
-        self.rotator.inner().answer_drop_stats().clone()
+        self.completed.drop_stats().clone()
     }
 
     /// Ends the collection run ([`EpochRotator::finish`]): seals a
@@ -176,7 +212,9 @@ impl Collector {
     /// `io::Result` is expected).
     pub fn finish(&mut self) -> Result<(), SinkErrors> {
         self.finished = true;
-        self.rotator.finish()
+        let flushed = self.rotator.finish();
+        self.take_sealed();
+        flushed
     }
 }
 
@@ -196,10 +234,12 @@ impl Drop for Collector {
 impl FlowMonitor for Collector {
     fn process_packet(&mut self, packet: &Packet) {
         self.rotator.process_packet(packet);
+        self.take_sealed();
     }
 
     fn process_batch(&mut self, packets: &[Packet]) {
         self.rotator.process_batch(packets);
+        self.take_sealed();
     }
 
     fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
@@ -208,6 +248,7 @@ impl FlowMonitor for Collector {
 
     fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
         self.rotator.process_planned(packets, plan);
+        self.take_sealed();
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {
@@ -248,8 +289,14 @@ impl FlowMonitor for Collector {
         self.rotator.introspection()
     }
 
+    /// Resets the live monitor **and** the retained epochs and answers:
+    /// a reset is a fresh collection run, so stale epochs must not
+    /// prepend themselves to its drains. The retention ledger restarts
+    /// too, registered views included.
     fn reset(&mut self) {
         self.rotator.reset();
+        self.completed.reset();
+        self.answers.clear();
     }
 
     fn seal(&mut self) -> EpochSnapshot {
@@ -265,7 +312,7 @@ pub struct CollectorBuilder {
     sinks: Vec<Box<dyn RecordSink + Send>>,
     queries: Vec<QueryPlan>,
     instruments: Instruments,
-    retention: Option<usize>,
+    retention: usize,
 }
 
 impl CollectorBuilder {
@@ -328,9 +375,9 @@ impl CollectorBuilder {
     /// [`FlowMonitor::instrument`] call on the rotation layer hands them
     /// to **every** layer, so none can be left bare:
     ///
-    /// * `registry` — the monitor's shards, the query plans, rotation
-    ///   and the sinks register into it, the retention and answer-bank
-    ///   ledgers are exported, and [`Collector::metrics_snapshot`]
+    /// * `registry` — the monitor's shards, rotation and the sinks
+    ///   register into it, the retention ledger is exported under
+    ///   `component="epoch_retention"`, and [`Collector::metrics_snapshot`]
     ///   exposes the combined state;
     /// * `recorder` — shard panics and shed batches (with a window dump
     ///   on panic), epoch seals and rotation gaps, and the sinks'
@@ -346,13 +393,12 @@ impl CollectorBuilder {
         self
     }
 
-    /// Keeps the newest `max_epochs` epochs in the completed-epoch store
-    /// and their answers in the query answer bank; evictions are
-    /// accounted in [`Collector::retention_drop_stats`] and
-    /// [`Collector::answer_drop_stats`].
+    /// Keeps the newest `max_epochs` sealed epochs, and the newest
+    /// `max_epochs` entries of query answers; evicted epochs are
+    /// accounted in [`Collector::retention_drop_stats`].
     #[must_use]
     pub fn retention(mut self, max_epochs: usize) -> Self {
-        self.retention = Some(max_epochs);
+        self.retention = max_epochs;
         self
     }
 
@@ -367,24 +413,22 @@ impl CollectorBuilder {
         if !self.queries.is_empty() {
             kind.check_records()?;
         }
-        let mut queries = QueryMonitor::new(self.monitor.build()?);
-        if let Some(max_epochs) = self.retention {
-            queries.set_answer_limit(max_epochs);
-        }
-        for plan in self.queries {
-            queries.attach(plan);
-        }
-        let mut rotator = EpochRotator::new(queries, self.epoch_len_ns);
-        if let Some(max_epochs) = self.retention {
-            rotator.set_retention(max_epochs);
-        }
+        let mut rotator = EpochRotator::new(self.monitor.build()?, self.epoch_len_ns);
         for sink in self.sinks {
             rotator.add_sink(sink);
         }
         rotator.instrument(&self.instruments);
+        let mut completed = EpochRing::new(|snapshot: &EpochSnapshot| snapshot.len() as u64);
+        completed.set_limit(self.retention);
+        if let Some(registry) = &self.instruments.registry {
+            completed.drop_stats().register(registry, "epoch_retention");
+        }
         Ok(Collector {
             rotator,
             kind,
+            plans: self.queries,
+            completed,
+            answers: Vec::new(),
             finished: false,
         })
     }
@@ -537,7 +581,7 @@ mod tests {
         let retention = collector.retention_drop_stats();
         assert_eq!(retention.offered_epochs(), strikes + 1);
         assert_eq!(retention.dropped_epochs(), strikes);
-        // The answer bank slid the same way.
+        // The answers slid the same way.
         assert_eq!(collector.drain_query_answers().len(), 1);
         // finish() reports every parked error, not just the first.
         let errors = collector.finish().unwrap_err();
@@ -678,6 +722,162 @@ mod tests {
         assert_eq!(banked[1][second], banked[1][0]);
     }
 
+    /// A packet from `10.0.0.src` to `10.0.0.dst` at `ts`.
+    fn pkt(src: u8, dst: u8, ts: u64) -> Packet {
+        let key = FlowKey::new([10, 0, 0, src].into(), [10, 0, 0, dst].into(), 1, 2, 6);
+        Packet::new(key, ts, 64)
+    }
+
+    fn fanout() -> QueryPlan {
+        "map src | distinct dst | reduce count".parse().unwrap()
+    }
+
+    /// The value of the first row of plan 0's answer in entry `epoch`.
+    fn first_value(collector: &Collector, epoch: usize) -> u64 {
+        collector.query_answers()[epoch][0].rows()[0].value
+    }
+
+    #[test]
+    fn answers_track_every_ingestion_path() {
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .epoch_ns(100)
+            .query(fanout())
+            .build()
+            .unwrap();
+        // Each call's first packet crosses an epoch edge, so the scalar,
+        // batched and planned paths each seal an epoch mid-call.
+        collector.process_packet(&pkt(1, 1, 0));
+        assert!(collector.query_answers().is_empty(), "nothing sealed yet");
+        collector.process_batch(&[pkt(1, 1, 100), pkt(1, 2, 100)]);
+        assert_eq!(collector.query_answers().len(), 1, "the batch sealed");
+        let planned = [
+            pkt(1, 1, 200),
+            pkt(1, 2, 200),
+            pkt(1, 3, 200),
+            pkt(2, 1, 200),
+        ];
+        let planner = collector.planner().expect("HashFlow plans");
+        let mut plan = BatchPlan::default();
+        planner.plan(&planned, &mut plan);
+        collector.process_planned(&planned, &plan);
+        assert_eq!(
+            collector.query_answers().len(),
+            2,
+            "the planned batch sealed"
+        );
+        collector.process_packet(&pkt(1, 9, 300));
+        assert_eq!(collector.query_answers().len(), 3, "the packet sealed");
+        collector.seal();
+        let fanouts: Vec<u64> = (0..4).map(|e| first_value(&collector, e)).collect();
+        assert_eq!(fanouts, [1, 2, 3, 1]);
+        // src .2 contacted one destination in the planned epoch.
+        assert_eq!(collector.query_answers()[2][0].rows()[1].value, 1);
+    }
+
+    #[test]
+    fn each_seal_retains_one_answer_entry() {
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .query(fanout())
+            .build()
+            .unwrap();
+        collector.process_batch(&[pkt(1, 1, 0), pkt(1, 2, 0)]);
+        assert_eq!(collector.seal().len(), 2);
+        collector.process_packet(&pkt(1, 7, 0));
+        collector.seal();
+        // An epoch without packets still gets one (empty) answer per plan.
+        collector.seal();
+        let answers = collector.drain_query_answers();
+        assert_eq!(answers.len(), 3);
+        assert_eq!(answers[0][0].rows()[0].value, 2);
+        assert_eq!(
+            answers[1][0].rows()[0].value,
+            1,
+            "the next epoch starts empty"
+        );
+        assert!(answers[2][0].is_empty());
+        assert!(collector.query_answers().is_empty());
+        // The two drains are independent.
+        assert_eq!(collector.completed_epochs().len(), 3);
+        assert_eq!(collector.drain_completed().len(), 3);
+        collector.seal();
+        assert_eq!(collector.query_answers().len(), 1);
+    }
+
+    #[test]
+    fn reset_clears_epochs_and_answers() {
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .query(fanout())
+            .build()
+            .unwrap();
+        collector.process_packet(&pkt(1, 1, 0));
+        collector.seal();
+        collector.process_packet(&pkt(1, 2, 0));
+        collector.reset();
+        assert!(collector.flow_records().is_empty());
+        assert!(collector.completed_epochs().is_empty());
+        assert!(
+            collector.query_answers().is_empty(),
+            "a reset run must not prepend stale epochs"
+        );
+        assert_eq!(collector.retention_drop_stats().offered_epochs(), 0);
+        collector.seal();
+        assert!(
+            collector.query_answers()[0][0].is_empty(),
+            "reset packets are gone"
+        );
+    }
+
+    #[test]
+    fn answers_pair_with_the_epochs_one_batch_sealed() {
+        let plan = fanout();
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .epoch_ns(500)
+            .retention(2)
+            .query(plan.clone())
+            .build()
+            .unwrap();
+        // 256 packets 10 ns apart span 2,550 ns: five edges of 500 ns.
+        let batch: Vec<Packet> = (0..256u64)
+            .map(|i| pkt(1 + (i % 3) as u8, (i % 7) as u8, i * 10))
+            .collect();
+        collector.process_batch(&batch);
+        let ledger = collector.retention_drop_stats();
+        assert!(
+            ledger.offered_epochs() >= 3,
+            "the batch crossed three edges"
+        );
+        let epochs = collector.completed_epochs();
+        assert_eq!(epochs.len(), 2);
+        assert_eq!(collector.query_answers().len(), 2);
+        for (i, epoch) in epochs.iter().enumerate() {
+            assert_eq!(epoch.epoch(), ledger.offered_epochs() - 2 + i as u64);
+            assert_eq!(
+                *collector.query_answers()[i],
+                [execute_snapshot(&plan, epoch)],
+                "entry {i}"
+            );
+        }
+        let conserved = |l: &DropStats| {
+            l.offered_epochs() == l.delivered_epochs() + l.dropped_epochs()
+                && l.offered_records() == l.delivered_records() + l.dropped_records()
+        };
+        assert!(conserved(&ledger));
+        assert_eq!(ledger.dropped_epochs(), ledger.offered_epochs() - 2);
+        let retained: u64 = epochs.iter().map(|e| e.len() as u64).sum();
+        assert_eq!(ledger.delivered_records(), retained);
+        // Draining the answers leaves the epochs; the next seal evicts
+        // one epoch and no answer.
+        collector.drain_query_answers();
+        collector.seal();
+        assert_eq!(collector.completed_epochs().len(), 2);
+        assert_eq!(collector.query_answers().len(), 1);
+        assert!(conserved(&collector.retention_drop_stats()));
+    }
+
     #[test]
     fn metrics_cover_every_pipeline_layer() {
         use hashflow_obs::MetricsRegistry;
@@ -708,14 +908,16 @@ mod tests {
         let sealed = snap.counter("hashflow_epochs_sealed_total", &[]).unwrap();
         assert_eq!(sealed, collector.completed_epochs().len() as u64);
         assert!(sealed >= 2);
-        // Query layer: one banked answer set per sealed epoch.
+        // Retention: every sealed epoch offered once, with one answer
+        // entry beside it.
         assert_eq!(
             snap.counter(
                 "hashflow_offered_epochs_total",
-                &[("component", "query_answers")]
+                &[("component", "epoch_retention")]
             ),
             Some(sealed)
         );
+        assert_eq!(collector.query_answers().len() as u64, sealed);
         // Monitor layer: the shard layer split the same packets.
         assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), packets);
         // No sink trouble on the happy path.

@@ -22,7 +22,8 @@
 //!   sealed epochs stream downstream. Declarative telemetry queries
 //!   ([`QueryPlan`], from the `hashflow-query` crate) attach via
 //!   [`CollectorBuilder::query`] and are answered over each sealed
-//!   epoch at every rotation, the answers banked per epoch.
+//!   epoch at every rotation; the collector retains each epoch with its
+//!   answers, under one retention limit.
 //!
 //! # Examples
 //!

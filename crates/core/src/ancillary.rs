@@ -222,30 +222,17 @@ impl AncillaryTable {
     /// empty-bucket insert and the replace-on-collision of Algorithm 1,
     /// lines 16–17.
     pub fn store(&mut self, slot: usize, digest: u32) {
-        self.store_counted(slot, digest, 1);
-    }
-
-    /// Increments the count at `slot` (Algorithm 1, line 19), saturating.
-    /// Returns the new count.
-    pub fn increment(&mut self, slot: usize) -> u32 {
-        self.add_count(slot, 1)
-    }
-
-    /// Overwrites `slot` with `(digest, count)`, the count clamped to
-    /// `1..=max_count`: [`Self::store`] with a count other than 1.
-    pub fn store_counted(&mut self, slot: usize, digest: u32, count: u32) {
         self.occupied += usize::from(self.entry(slot).is_none());
-        let count = count.clamp(1, self.count_mask());
-        self.cells[slot] = self.cell(digest, count);
+        self.cells[slot] = self.cell(digest, 1);
     }
 
-    /// Adds `delta` to the count at `slot`, saturating at
-    /// [`Self::max_count`]. Returns the new count.
-    pub fn add_count(&mut self, slot: usize, delta: u32) -> u32 {
+    /// Increments the count at `slot` (Algorithm 1, line 19), saturating
+    /// at [`Self::max_count`]. Returns the new count.
+    pub fn increment(&mut self, slot: usize) -> u32 {
         let cell = self.cells[slot];
         let count = cell & self.count_mask();
-        debug_assert!(count > 0, "boosting an empty cell");
-        let count = count.saturating_add(delta).min(self.count_mask());
+        debug_assert!(count > 0, "incrementing an empty cell");
+        let count = count.saturating_add(1).min(self.count_mask());
         self.cells[slot] = self.cell(cell >> self.counter_bits, count);
         count
     }
@@ -389,7 +376,7 @@ mod tests {
                 // Few distinct digests, so matches are as common as misses.
                 let digest = table.digest_of(next() % 4);
                 let (resident, count) = model[slot];
-                match next() % 5 {
+                match next() % 3 {
                     0 => {
                         table.store(slot, digest);
                         model[slot] = (digest, 1);
@@ -397,17 +384,6 @@ mod tests {
                     1 if count > 0 => {
                         let new = count.saturating_add(1).min(max);
                         assert_eq!(table.increment(slot), new, "step {step}");
-                        model[slot].1 = new;
-                    }
-                    2 => {
-                        let given = next() as u32;
-                        table.store_counted(slot, digest, given);
-                        model[slot] = (digest, given.clamp(1, max));
-                    }
-                    3 if count > 0 => {
-                        let delta = (next() % 7) as u32;
-                        let new = (u64::from(count) + u64::from(delta)).min(u64::from(max)) as u32;
-                        assert_eq!(table.add_count(slot, delta), new, "step {step}");
                         model[slot].1 = new;
                     }
                     _ => {

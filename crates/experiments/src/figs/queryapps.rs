@@ -13,9 +13,9 @@
 //!   see through each sketch.
 //! * **Overhead** — the wall-clock time to evaluate the whole
 //!   five-application suite over each sealed epoch (what a seal costs a
-//!   `QueryMonitor` with the suite attached; ingestion itself pays
-//!   nothing), next to the bare monitor's per-packet ingest cost (best of
-//!   [`TRIALS`]).
+//!   `Collector` with the suite attached; ingestion itself pays one
+//!   length check per call), next to the bare monitor's per-packet
+//!   ingest cost (best of [`TRIALS`]).
 //!
 //! The trace spans two epochs (heavy-changer needs a predecessor), with
 //! planted anomalies so every detection has true positives. The run's

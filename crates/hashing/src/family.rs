@@ -23,7 +23,6 @@ use hashflow_types::FlowKey;
 #[derive(Debug, Clone)]
 pub struct HashFamily<H: KeyHasher> {
     members: Vec<H>,
-    master_seed: u64,
 }
 
 impl<H: KeyHasher> HashFamily<H> {
@@ -46,10 +45,7 @@ impl<H: KeyHasher> HashFamily<H> {
                 H::with_seed(z ^ (z >> 31))
             })
             .collect();
-        HashFamily {
-            members,
-            master_seed,
-        }
+        HashFamily { members }
     }
 
     /// Number of hash functions in the family.
@@ -61,11 +57,6 @@ impl<H: KeyHasher> HashFamily<H> {
     /// construction requires at least one).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// The master seed the family was derived from.
-    pub const fn master_seed(&self) -> u64 {
-        self.master_seed
     }
 
     /// Hashes `key` with member `i`.
@@ -205,6 +196,5 @@ mod tests {
         let f = HashFamily::<XxHash64>::new(5, 9);
         assert_eq!(f.len(), 5);
         assert!(!f.is_empty());
-        assert_eq!(f.master_seed(), 9);
     }
 }

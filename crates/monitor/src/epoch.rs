@@ -33,9 +33,9 @@
 
 use crate::sink::SinkSet;
 use crate::{
-    merge_introspection, BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRing,
-    EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, PipelineMetrics, RecordSink,
-    SinkErrors, SinkStatus, SCALAR_FLUSH_PACKETS,
+    merge_introspection, BatchPlan, BatchPlanner, CostSnapshot, EpochSnapshot, FlowMonitor,
+    Instruments, IntrospectMetric, PipelineMetrics, RecordSink, SinkErrors, SinkStatus,
+    SCALAR_FLUSH_PACKETS,
 };
 use hashflow_obs::Severity;
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -160,7 +160,9 @@ pub struct EpochRotator<M> {
     epoch_base_ns: Option<u64>,
     first_ns: Option<u64>,
     last_ns: Option<u64>,
-    completed: EpochRing<EpochSnapshot>,
+    /// Epochs sealed and not yet drained, oldest first; unbounded, so
+    /// whoever drives the rotator drains it.
+    completed: Vec<EpochSnapshot>,
     sinks: SinkSet,
     /// The handles given to [`FlowMonitor::instrument`]; the registry
     /// also receives the sealed introspection report as gauges at each
@@ -182,7 +184,7 @@ impl<M: std::fmt::Debug> std::fmt::Debug for EpochRotator<M> {
             .field("epoch_len_ns", &self.epoch_len_ns)
             .field("current_epoch", &self.current_epoch)
             .field("epoch_base_ns", &self.epoch_base_ns)
-            .field("completed", &self.completed.as_slice().len())
+            .field("completed", &self.completed.len())
             .field("sinks", &self.sinks)
             .finish_non_exhaustive()
     }
@@ -203,7 +205,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
             epoch_base_ns: None,
             first_ns: None,
             last_ns: None,
-            completed: EpochRing::new(|snapshot: &EpochSnapshot| snapshot.len() as u64),
+            completed: Vec::new(),
             sinks: SinkSet::new(),
             instruments: Instruments::default(),
             metrics: None,
@@ -291,36 +293,20 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.finish_sinks()
     }
 
-    /// Keeps the newest `max_epochs` epochs in the completed store
-    /// ([`Self::completed_epochs`]); without a driving loop calling
-    /// [`Self::drain_completed`], a long run would otherwise grow it
-    /// without bound. Evicted epochs are counted in
-    /// [`Self::retention_drop_stats`], which an instrumented rotator
-    /// exports under `component="epoch_retention"`.
-    pub fn set_retention(&mut self, max_epochs: usize) {
-        self.completed.set_limit(max_epochs);
-    }
-
-    /// The report store's drop/delivery ledger (shared handle; counts
-    /// whole reports and their records).
-    pub fn retention_drop_stats(&self) -> DropStats {
-        self.completed.drop_stats().clone()
-    }
-
     /// Epoch length in nanoseconds.
     pub const fn epoch_len_ns(&self) -> u64 {
         self.epoch_len_ns
     }
 
-    /// Every epoch sealed so far and not yet drained or evicted, oldest
-    /// first. Each entry shares its record store and (lazily built)
-    /// index with the snapshot the seal returned and the one the sinks
-    /// received. The store is **unbounded** until
-    /// [`Self::set_retention`] bounds it or a driving loop calls
-    /// [`Self::drain_completed`]: a long run that does neither keeps
-    /// every epoch's records alive.
+    /// Every epoch sealed so far and not yet drained, oldest first. Each
+    /// entry shares its record store and (lazily built) index with the
+    /// snapshot the seal returned and the one the sinks received. The
+    /// store is **unbounded**: a long run whose driving loop never calls
+    /// [`Self::drain_completed`] keeps every epoch's records alive (the
+    /// `Collector` drains it after every call that can seal, and bounds
+    /// what it keeps).
     pub fn completed_epochs(&self) -> &[EpochSnapshot] {
-        self.completed.as_slice()
+        &self.completed
     }
 
     /// Seals the current epoch immediately (end-of-capture flush),
@@ -331,11 +317,9 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// whichever holder first asks a size query, never here.
     ///
     /// Rotation drains the monitor through its own [`FlowMonitor::seal`]
-    /// hook, so adapters layered under the rotator (e.g. a query-monitor
-    /// wrapper answering its plans over each sealed epoch) observe
-    /// **every** epoch boundary, not just explicit seals. For monitors
-    /// with the default `seal` (capture + reset) this is the same drain
-    /// as reading the report and resetting.
+    /// hook at **every** epoch boundary, not just explicit seals. For
+    /// monitors with the default `seal` (capture + reset) this is the
+    /// same drain as reading the report and resetting.
     pub fn rotate_now(&mut self) -> EpochSnapshot {
         self.rotate(false)
     }
@@ -412,9 +396,9 @@ impl<M: FlowMonitor> EpochRotator<M> {
 
     /// Drains [`Self::completed_epochs`], leaving the current epoch
     /// running. The completed store grows without bound until this is
-    /// called or [`Self::set_retention`] bounds it.
+    /// called.
     pub fn drain_completed(&mut self) -> Vec<EpochSnapshot> {
-        self.completed.drain()
+        std::mem::take(&mut self.completed)
     }
 
     /// Records a rotation-gap event: the boundary packet skipped at
@@ -658,8 +642,7 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
 
     /// Wires the rotation layer and its sinks, then forwards inward.
     /// With a registry: the ingest/seal/sink catalog of
-    /// [`PipelineMetrics`], the completed-store ledger under
-    /// `component="epoch_retention"`, and the sealed introspection report
+    /// [`PipelineMetrics`] and the sealed introspection report
     /// as `hashflow_introspect_*` gauges at every rotation. With a
     /// recorder: `epoch_sealed`, `rotation_gap` and the sinks' health
     /// transitions (quarantine entry dumps the recent window). With a
@@ -667,12 +650,7 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
     /// the epoch streamed to sinks. Sinks added before or after report
     /// into the same counters.
     fn instrument(&mut self, instruments: &Instruments) {
-        self.metrics = instruments.registry.as_ref().map(|registry| {
-            self.completed
-                .drop_stats()
-                .register(registry, "epoch_retention");
-            PipelineMetrics::register(registry)
-        });
+        self.metrics = instruments.registry.as_ref().map(PipelineMetrics::register);
         self.sinks
             .instrument(self.metrics.clone(), instruments.recorder.clone());
         self.instruments = instruments.clone();
@@ -686,7 +664,7 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         self.epoch_base_ns = None;
         self.first_ns = None;
         self.last_ns = None;
-        self.completed.reset();
+        self.completed.clear();
     }
 
     /// Seals the *current epoch* (rotating it through the sinks like any
@@ -974,30 +952,6 @@ mod tests {
         assert!(errors
             .iter()
             .all(|(i, e)| i == 0 && e.to_string().contains("wire cut")));
-    }
-
-    #[test]
-    fn retention_bounds_the_completed_store() {
-        // A sliding window over the most recent reports.
-        let mut r = EpochRotator::new(Exact::default(), 10);
-        r.set_retention(2);
-        for t in 0..5u64 {
-            r.process_packet(&pkt(t, t * 10)); // seals epochs 0..=3
-        }
-        let retained: Vec<u64> = r.completed_epochs().iter().map(|e| e.epoch()).collect();
-        assert_eq!(retained, vec![2, 3]);
-        let ledger = r.retention_drop_stats();
-        assert_eq!(ledger.offered_epochs(), 4, "each sealed epoch offered once");
-        assert_eq!(ledger.dropped_epochs(), 2, "two evicted by the window");
-        assert_eq!(ledger.delivered_epochs(), 2);
-        // Conservation: delivered (derived) equals what is retained.
-        assert_eq!(
-            ledger.delivered_records(),
-            r.completed_epochs()
-                .iter()
-                .map(|e| e.len() as u64)
-                .sum::<u64>()
-        );
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   (`hashflow-server`). They take a [`BackpressurePolicy`]: the shard
 //!   lanes always `Block`, the daemon's port blocks or drops the newest.
 //! - **Sealed history** is filled by the seal path itself, so nothing
-//!   could wait for room: the rotator's completed store (which the daemon
-//!   publishes) and the `QueryMonitor` answer bank (`hashflow-query`: each
-//!   seal runs the attached plans over the sealed epoch and pushes their
-//!   answers). It keeps the newest N epochs, in an [`EpochRing`].
+//!   could wait for room: the `Collector`'s retained epochs
+//!   (`hashflow-collector`, which the daemon publishes), each pushed
+//!   with the attached plans' answers over it. It keeps the newest N
+//!   epochs, in an [`EpochRing`].
 
 use crate::DropStats;
 
@@ -88,6 +88,12 @@ impl<T> EpochRing<T> {
     /// push.
     pub fn set_limit(&mut self, limit: usize) {
         self.limit = limit;
+    }
+
+    /// The most epochs the ring keeps (`usize::MAX` until
+    /// [`Self::set_limit`]).
+    pub const fn limit(&self) -> usize {
+        self.limit
     }
 
     /// Appends `item`, then evicts the oldest epochs beyond the limit.

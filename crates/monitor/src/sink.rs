@@ -404,8 +404,8 @@ impl<W: Write> RecordSink for JsonLinesSink<W> {
 /// In-memory sink: retains every sealed snapshot it is handed, for tests
 /// and in-process consumers (dashboards, anomaly detectors) that want the
 /// full query surface of past epochs rather than a serialized stream. It
-/// has no cap: to keep only recent history, bound the rotator's completed
-/// store instead ([`crate::EpochRotator::set_retention`]).
+/// has no cap: to keep only recent history, bound the `Collector`'s
+/// retained epochs instead (`CollectorBuilder::retention`).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     epochs: Vec<EpochSnapshot>,

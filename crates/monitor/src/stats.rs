@@ -288,11 +288,11 @@ mod tests {
     fn drop_stats_register_under_component_label() {
         let registry = MetricsRegistry::new();
         let store = DropStats::new();
-        let bank = DropStats::new();
+        let queue = DropStats::new();
         store.register(&registry, "epoch_retention");
-        bank.register(&registry, "query_answers");
+        queue.register(&registry, "shard_queue");
         store.record_drop(3);
-        bank.record_drop(1);
+        queue.record_drop(1);
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter(
@@ -304,7 +304,7 @@ mod tests {
         assert_eq!(
             snap.counter(
                 "hashflow_dropped_records_total",
-                &[("component", "query_answers")]
+                &[("component", "shard_queue")]
             ),
             Some(1)
         );

@@ -3,9 +3,9 @@
 //! state some of them need.
 //!
 //! Each [`TelemetryApp`] owns one per-epoch [`QueryPlan`] and a fold over
-//! the sequence of epoch answers. Attach the plan to a
-//! [`crate::QueryMonitor`] (or a collector) to have it answered at every
-//! seal, or run [`crate::execute_snapshot`] over sealed epochs yourself —
+//! the sequence of epoch answers. Attach the plan to a `Collector`
+//! (`hashflow-collector`) to have it answered at every seal, or run
+//! [`crate::execute_snapshot`] over sealed epochs yourself —
 //! the same executor either way — and feed every epoch's
 //! [`QueryResult`] to [`TelemetryApp::observe`] in order.
 //!

@@ -24,6 +24,10 @@ use hashflow_monitor::EpochSnapshot;
 use hashflow_types::{FlowKey, FlowRecord};
 use std::collections::{HashMap, HashSet};
 
+/// Identifier of a plan attached to a pipeline (its attach order): the
+/// index of its answer in each sealed epoch's entry.
+pub type QueryId = usize;
+
 /// One group of a query answer: the projected key and its aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryRow {

@@ -17,10 +17,9 @@
 //! * [`execute`] / [`execute_snapshot`] — the one executor, over flow
 //!   record reports and sealed
 //!   [`EpochSnapshot`](hashflow_monitor::EpochSnapshot)s.
-//! * [`QueryMonitor`] — a [`FlowMonitor`](hashflow_monitor::FlowMonitor)
-//!   wrapper that answers its attached plans with [`execute_snapshot`]
-//!   over every epoch it seals, so plans ride every ingestion path
-//!   (scalar, batched, sharded, collector/rotator) at no per-packet cost.
+//!   The `Collector` (`hashflow-collector`) runs it over every epoch it
+//!   seals, for each plan attached to it, so plans ride every ingestion
+//!   path (scalar, batched, planned, sharded) at no per-packet cost.
 //! * [`TelemetryApp`] — the built-in application library (superspreader,
 //!   DDoS victim, port scan, heavy changer, flow-size entropy) as plans
 //!   plus cross-epoch state.
@@ -37,13 +36,11 @@
 
 mod apps;
 mod exec;
-mod monitor;
 mod parse;
 mod plan;
 
 pub use apps::{shannon_entropy_bits, AppKind, AppVerdict, TelemetryApp};
-pub use exec::{execute, execute_snapshot, QueryResult, QueryRow};
-pub use monitor::{QueryId, QueryMonitor};
+pub use exec::{execute, execute_snapshot, QueryId, QueryResult, QueryRow};
 pub use plan::{Aggregate, CmpOp, Field, PlanBuilder, PlanOp, Predicate, Projection, QueryPlan};
 
 // Doctests name error types from the types crate; re-export it so

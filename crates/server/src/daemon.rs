@@ -37,7 +37,7 @@
 //! | `GET /epochs/{n}` | one epoch's summary |
 //! | `GET /epochs/{n}/top` | top-`k` flows of epoch `n` (`?k=K`, default 10) |
 //! | `GET /epochs/{n}/flows/{key}` | size estimate of one flow (the first on an epoch builds its index) |
-//! | `GET /queries` | attached plans + banked per-epoch answers |
+//! | `GET /queries` | attached plans + retained per-epoch answers |
 //! | `POST /queries` | attach a plan (body = plan text) at runtime; `409` once [`MAX_QUERIES`] are attached |
 //! | `GET /metrics` | Prometheus exposition of the runtime registry |
 //! | `GET /healthz` | sink + shard health (`503` when unhealthy) |
@@ -865,11 +865,10 @@ impl IngestLoop {
     /// flow counts or answer rows.
     fn publish(&self, finished: bool) {
         let epochs = self.collector.completed_epochs();
-        // Answers pair with epochs by position: every seal retains one
-        // epoch and banks one entry of answers, both stores keep the
-        // newest `retention`, and nothing drains either.
+        // Answers pair with epochs by position: the collector pushes each
+        // sealed epoch with its answers at one site, under one retention
+        // limit, and nothing here drains either store.
         let answers = self.collector.query_answers();
-        debug_assert_eq!(epochs.len(), answers.len());
         self.published.store(Arc::new(SealedView {
             epochs: epochs.iter().cloned().map(Arc::new).collect(),
             queries: self.queries.clone(),

@@ -52,8 +52,8 @@ pub mod prelude {
         JsonLinesSink, MemoryBudget, MemorySink, RecordSink,
     };
     pub use hashflow_query::{
-        execute, execute_snapshot, Aggregate, AppKind, Predicate, Projection, QueryMonitor,
-        QueryPlan, QueryResult, TelemetryApp,
+        execute, execute_snapshot, Aggregate, AppKind, Predicate, Projection, QueryPlan,
+        QueryResult, TelemetryApp,
     };
     pub use hashflow_shard::ShardedMonitor;
     pub use hashflow_sketches::{

@@ -525,8 +525,8 @@ proptest! {
     /// The conservation invariant, property-tested across every bounded
     /// buffer and every ingest path (scalar, batched, sharded): the shard
     /// queues, the daemon's ingest queue under every backpressure policy,
-    /// and the answer bank and epoch retention under the one keep-newest
-    /// rule. Each ledger's delivered side must equal what the stage
+    /// and the collector's retained epochs and answers under the one
+    /// keep-newest rule. Each ledger's delivered side must equal what the stage
     /// actually holds or processed.
     #[test]
     fn conservation_holds_for_every_policy_buffer_and_ingest_path(
@@ -535,7 +535,8 @@ proptest! {
         path_idx in 0usize..3,
         cap in 1usize..5,
     ) {
-        // Full pipeline: answer bank + retention inside the collector.
+        // Full pipeline: retained epochs and their answers in the
+        // collector.
         let shards = [1usize, 1, 3][path_idx];
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(MemoryBudget::from_kib(256).unwrap())
@@ -574,16 +575,11 @@ proptest! {
             Some(seals)
         );
 
-        // Answer bank: one query per seal; the bank holds min(seals, cap).
-        let answers = collector.answer_drop_stats();
-        prop_assert_eq!(answers.offered_records(), seals);
-        let banked: u64 = collector
-            .drain_query_answers()
-            .iter()
-            .map(|bank| bank.len() as u64)
-            .sum();
-        prop_assert_eq!(banked, answers.delivered_records());
-        prop_assert_eq!(banked, seals.min(cap as u64));
+        // Answers: one entry of one answer per retained epoch, under the
+        // same bound.
+        let answers = collector.drain_query_answers();
+        prop_assert_eq!(answers.len() as u64, retention.delivered_epochs());
+        prop_assert!(answers.iter().all(|entry| entry.len() == 1));
 
         // Shard queues, driven directly so the threaded dispatch path
         // runs: its lanes block, so nothing is shed.

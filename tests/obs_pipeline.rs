@@ -84,13 +84,18 @@ fn one_registry_watches_every_stage() {
         Some(0)
     );
 
-    // Queries: the attached plan was answered once per sealed epoch.
+    // Retention and queries: every sealed epoch was offered to the
+    // retention ledger once, and the attached plan answered it once.
     assert_eq!(
         snapshot.counter(
             "hashflow_offered_epochs_total",
-            &[("component", "query_answers")]
+            &[("component", "epoch_retention")]
         ),
         Some(collector.completed_epochs().len() as u64)
+    );
+    assert_eq!(
+        collector.query_answers().len(),
+        collector.completed_epochs().len()
     );
 
     // Sinks: a MemorySink export path reports zero errors.
@@ -162,9 +167,13 @@ fn one_builder_call_instruments_every_layer() {
     assert_eq!(
         snapshot.counter(
             "hashflow_offered_epochs_total",
-            &[("component", "query_answers")]
+            &[("component", "epoch_retention")]
         ),
         Some(collector.completed_epochs().len() as u64)
+    );
+    assert_eq!(
+        collector.query_answers().len(),
+        collector.completed_epochs().len()
     );
     assert_eq!(
         snapshot.counter_sum("hashflow_shard_packets_total"),

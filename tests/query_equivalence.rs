@@ -3,7 +3,7 @@
 //!
 //! Plans are answered at every seal, over the sealed records. For each
 //! covered plan (hand-picked shapes plus every application plan), every
-//! answer a pipeline banks for an epoch must equal the oracle: the same
+//! answer over a sealed epoch must equal the oracle: the same
 //! plan over the **per-epoch flow multiset of the raw packets**, computed
 //! twice — by [`execute`], and by [`reference`], a naive evaluator written
 //! in this file from the plan semantics alone (no shared code with the
@@ -14,8 +14,8 @@
 //! The oracle only holds where the record report equals the true flow
 //! multiset ("exact mode"), so every case checks that precondition
 //! rather than assuming it. Covered pipelines: HashFlow under both main-
-//! table schemes with tables well above the flow universe, the 4-shard
-//! merge path, `ExactBaselineMonitor`, and the rotating `Collector`.
+//! table schemes with tables well above the flow universe, 4 shards,
+//! `ExactBaselineMonitor`, and the rotating `Collector`.
 
 use hashflow_suite::core::{HashFlowConfig, TableScheme};
 use hashflow_suite::prelude::*;
@@ -141,29 +141,33 @@ fn assert_banked_match_oracle(banked: &[Arc<[QueryResult]>], truth: &[Vec<FlowRe
     }
 }
 
-/// Runs each epoch's packets through a [`QueryMonitor`] wrapping
-/// `monitor` with every covered plan attached, sealing after each, and
-/// checks the banked answers against the oracle.
-fn assert_answers_match_oracle<M: FlowMonitor>(monitor: M, epochs: &[Vec<Packet>]) {
-    let mut qm = QueryMonitor::new(monitor);
-    for plan in covered_plans() {
-        qm.attach(plan);
-    }
+/// Runs each epoch's packets through `monitor`, seals after each and
+/// answers every covered plan over the sealed epoch with
+/// [`execute_snapshot`], then checks those answers against the oracle.
+fn assert_answers_match_oracle<M: FlowMonitor>(mut monitor: M, epochs: &[Vec<Packet>]) {
+    let plans = covered_plans();
+    let mut answered: Vec<Arc<[QueryResult]>> = Vec::new();
     let mut truth = Vec::new();
     for packets in epochs {
-        qm.process_trace(packets);
+        monitor.process_trace(packets);
         let epoch_truth = flow_multiset(packets);
         // Exact-mode precondition: a violation would make the property
         // vacuous, so check it rather than assume it.
         assert_eq!(
-            sorted(&qm.flow_records()),
+            sorted(&monitor.flow_records()),
             sorted(&epoch_truth),
             "monitor not in exact mode at this load"
         );
-        qm.seal();
+        let sealed = monitor.seal();
+        answered.push(
+            plans
+                .iter()
+                .map(|plan| execute_snapshot(plan, &sealed))
+                .collect(),
+        );
         truth.push(epoch_truth);
     }
-    assert_banked_match_oracle(&qm.drain_sealed_answers(), &truth);
+    assert_banked_match_oracle(&answered, &truth);
 }
 
 /// A packet stream over a small five-tuple universe with repetition, so
@@ -231,8 +235,8 @@ proptest! {
         );
     }
 
-    /// The 4-shard merge path: the QueryMonitor wraps the whole
-    /// ShardedMonitor and answers over its merged seal.
+    /// The 4-shard path: plans answer over the ShardedMonitor's seal,
+    /// the shards' partitions concatenated.
     #[test]
     fn sharded_streaming_matches_snapshot(epochs in two_epochs(500)) {
         let sharded = ShardedMonitor::with_budget(4, budget(), |_, b| HashFlow::with_memory(b))

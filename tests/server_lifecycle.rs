@@ -171,19 +171,17 @@ fn published_rings_keep_the_newest_epochs_and_ledger_each_eviction() {
     assert_eq!(answered, newest, "answers cover the same two epochs");
 
     let snap = registry.snapshot();
-    for component in ["epoch_retention", "query_answers"] {
-        let ledger = |name: &str| snap.counter(name, &[("component", component)]);
-        assert_eq!(
-            ledger("hashflow_offered_epochs_total"),
-            Some(sealed),
-            "{component}: every seal offered once"
-        );
-        assert_eq!(
-            ledger("hashflow_dropped_epochs_total"),
-            Some(sealed - 2),
-            "{component}: every eviction dropped once"
-        );
-    }
+    let ledger = |name: &str| snap.counter(name, &[("component", "epoch_retention")]);
+    assert_eq!(
+        ledger("hashflow_offered_epochs_total"),
+        Some(sealed),
+        "every seal offered once"
+    );
+    assert_eq!(
+        ledger("hashflow_dropped_epochs_total"),
+        Some(sealed - 2),
+        "every eviction dropped once"
+    );
 }
 
 #[test]
