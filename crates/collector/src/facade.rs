@@ -879,6 +879,107 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_attached_mid_epoch_answers_the_whole_epoch() {
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .build()
+            .unwrap();
+        collector.process_packet(&pkt(1, 1, 0));
+        let id = collector.attach_query(fanout()).unwrap();
+        collector.process_packet(&pkt(1, 2, 0));
+        collector.seal();
+        assert_eq!(
+            collector.query_answers()[0][id].rows()[0].value,
+            2,
+            "pre-attach packets count"
+        );
+    }
+
+    #[test]
+    fn retention_evicts_whole_epochs_with_their_answers_and_counts_them() {
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .retention(2)
+            .query(fanout())
+            .build()
+            .unwrap();
+        for epoch in 0..4u8 {
+            collector.process_packet(&pkt(1, epoch, 0));
+            collector.seal();
+        }
+        assert_eq!(collector.query_answers().len(), 2);
+        assert_eq!(collector.completed_epochs().len(), 2);
+        assert_eq!(collector.retention_drop_stats().dropped_epochs(), 2);
+        // Draining the answers empties them; the next seal evicts the
+        // oldest retained epoch, and no answer with it.
+        assert_eq!(collector.drain_query_answers().len(), 2);
+        collector.process_packet(&pkt(1, 9, 0));
+        collector.seal();
+        assert_eq!(collector.query_answers().len(), 1);
+        assert_eq!(first_value(&collector, 0), 1);
+        assert_eq!(collector.completed_epochs().len(), 2);
+        assert_eq!(collector.retention_drop_stats().dropped_epochs(), 3);
+    }
+
+    #[test]
+    fn retention_keeps_the_answers_of_the_freshest_epochs() {
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .retention(2)
+            .query(fanout())
+            .build()
+            .unwrap();
+        for epoch in 0..4u8 {
+            for dst in 0..=epoch {
+                collector.process_packet(&pkt(1, dst, 0));
+            }
+            collector.seal();
+        }
+        // The window slid: the two freshest epochs (3 and 4 distinct
+        // dsts) remain, the oldest were evicted and counted.
+        assert_eq!(collector.query_answers().len(), 2);
+        assert_eq!(first_value(&collector, 0), 3);
+        assert_eq!(first_value(&collector, 1), 4);
+        let drops = collector.retention_drop_stats();
+        assert_eq!(drops.offered_epochs(), 4);
+        assert_eq!(drops.dropped_epochs(), 2);
+        assert_eq!(drops.delivered_epochs(), 2);
+    }
+
+    #[test]
+    fn retention_bounds_the_completed_store() {
+        // A sliding window over the most recent epochs.
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .epoch_ns(10)
+            .retention(2)
+            .build()
+            .unwrap();
+        for t in 0..5u64 {
+            collector.process_packet(&pkt(1, t as u8, t * 10)); // seals epochs 0..=3
+        }
+        let retained: Vec<u64> = collector
+            .completed_epochs()
+            .iter()
+            .map(|e| e.epoch())
+            .collect();
+        assert_eq!(retained, vec![2, 3]);
+        let ledger = collector.retention_drop_stats();
+        assert_eq!(ledger.offered_epochs(), 4, "each sealed epoch offered once");
+        assert_eq!(ledger.dropped_epochs(), 2, "two evicted by the window");
+        assert_eq!(ledger.delivered_epochs(), 2);
+        // Conservation: delivered (derived) equals what is retained.
+        assert_eq!(
+            ledger.delivered_records(),
+            collector
+                .completed_epochs()
+                .iter()
+                .map(|e| e.len() as u64)
+                .sum::<u64>()
+        );
+    }
+
+    #[test]
     fn metrics_cover_every_pipeline_layer() {
         use hashflow_obs::MetricsRegistry;
 
