@@ -103,9 +103,10 @@ impl Collector {
         Ok(self.plans.len() - 1)
     }
 
-    /// Number of attached query plans.
-    pub fn query_count(&self) -> usize {
-        self.plans.len()
+    /// The attached query plans, in attach order: entry `i` is the plan
+    /// with [`QueryId`] `i`.
+    pub fn queries(&self) -> &[QueryPlan] {
+        &self.plans
     }
 
     /// The query answers of each sealed epoch not yet drained or evicted,
@@ -697,7 +698,7 @@ mod tests {
             .query(fanout.clone())
             .build()
             .unwrap();
-        assert_eq!(collector.query_count(), 1);
+        assert_eq!(collector.queries().len(), 1);
         let key = |d: u32| FlowKey::new([10, 0, 0, 1].into(), d.into(), 1, 80, 6);
         for d in 0..5u32 {
             collector.process_packet(&Packet::new(key(d), 10, 64));
@@ -1095,7 +1096,7 @@ mod tests {
             let mut bare = Collector::builder(kind).budget(budget()).build().unwrap();
             let at_attach = bare.attach_query(plan.clone()).unwrap_err();
             assert_eq!(refused.to_string(), at_attach.to_string(), "{kind}");
-            assert_eq!(bare.query_count(), 0, "{kind}: nothing attached");
+            assert_eq!(bare.queries().len(), 0, "{kind}: nothing attached");
         }
     }
 

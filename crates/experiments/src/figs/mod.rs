@@ -24,10 +24,8 @@ pub mod fig10_hh_are;
 pub mod fig11_throughput;
 pub mod hotpath;
 pub mod overhead;
-pub mod overload;
 pub mod query;
 pub mod queryapps;
-pub mod scaling_shards;
 pub mod server_load;
 pub mod table01_traces;
 
@@ -47,9 +45,9 @@ impl Exhibit {
 }
 
 /// Every exhibit, in `run_all` order: the paper's table and figures, the
-/// exhibits beyond the paper, the ablations, and last the two that
-/// inject faults and boot daemons.
-pub const EXHIBITS: [Exhibit; 23] = [
+/// exhibits beyond the paper, the ablations, and last `server_load`,
+/// which boots daemons.
+pub const EXHIBITS: [Exhibit; 21] = [
     Exhibit::new("table01_traces", |cfg| table01_traces::run(cfg).into()),
     Exhibit::new("fig02_utilization", |cfg| {
         fig02_utilization::run(cfg).into()
@@ -64,7 +62,6 @@ pub const EXHIBITS: [Exhibit; 23] = [
     Exhibit::new("fig09_hh_f1", |cfg| fig09_hh_f1::run(cfg).into()),
     Exhibit::new("fig10_hh_are", |cfg| fig10_hh_are::run(cfg).into()),
     Exhibit::new("fig11_throughput", |cfg| fig11_throughput::run(cfg).into()),
-    Exhibit::new("scaling_shards", scaling_shards::run),
     Exhibit::new("hotpath", hotpath::run),
     Exhibit::new("overhead", overhead::run),
     Exhibit::new("query", query::run),
@@ -81,6 +78,5 @@ pub const EXHIBITS: [Exhibit; 23] = [
         ablation_ordering::run(cfg).into()
     }),
     Exhibit::new("ablation_elastic", |cfg| ablation_elastic::run(cfg).into()),
-    Exhibit::new("overload", overload::run),
     Exhibit::new("server_load", server_load::run),
 ];

@@ -239,13 +239,6 @@ impl<M: FlowMonitor> EpochRotator<M> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped monitor, for configuring adapter
-    /// layers (e.g. attaching query plans) — mutating measurement state
-    /// mid-epoch is the caller's responsibility.
-    pub fn inner_mut(&mut self) -> &mut M {
-        &mut self.inner
-    }
-
     /// Attaches a sink; every epoch sealed from now on is streamed to it
     /// (in addition to being retained in [`Self::completed_epochs`]).
     pub fn add_sink(&mut self, sink: Box<dyn RecordSink + Send>) {

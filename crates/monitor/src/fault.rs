@@ -9,8 +9,8 @@
 //! deterministic for a given seed, so a chaos run that finds a bug
 //! replays exactly.
 //!
-//! The injectors live in the library (not the test tree) so the
-//! `overload` exhibit, the chaos suite and downstream daemons can all
+//! The injectors live in the library (not the test tree) so the chaos
+//! suite, the other integration suites and downstream daemons can all
 //! drive the same faults.
 
 use crate::{CostSnapshot, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, RecordSink};

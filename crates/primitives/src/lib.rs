@@ -34,12 +34,10 @@ mod bitvec;
 mod bloom;
 mod count_min;
 mod counters;
-mod hyperloglog;
 mod linear;
 
 pub use bitvec::BitVec;
 pub use bloom::BloomFilter;
 pub use count_min::CountMinSketch;
 pub use counters::CounterArray;
-pub use hyperloglog::HyperLogLog;
 pub use linear::{linear_counting_estimate, LinearCounter};

@@ -394,7 +394,6 @@ impl ServerReport {
 enum Command {
     AttachQuery {
         plan: QueryPlan,
-        text: String,
         /// The plan's id, or the HTTP status and message refusing it.
         reply: mpsc::Sender<Result<QueryId, (u16, String)>>,
     },
@@ -474,14 +473,8 @@ impl Server {
             builder = builder.sink(sink);
         }
         let mut collector = builder.build()?;
-        let mut queries = Vec::with_capacity(config.queries.len());
         for text in &config.queries {
-            let plan = QueryPlan::from_str(text)?;
-            let id = collector.attach_query(plan.clone())?;
-            queries.push(QueryInfo {
-                id,
-                plan: plan.to_string(),
-            });
+            collector.attach_query(QueryPlan::from_str(text)?)?;
         }
 
         let shutdown = Arc::new(ShutdownFlag::new());
@@ -509,7 +502,6 @@ impl Server {
             commands: command_rx,
             published: Arc::clone(&published),
             epoch_len: Duration::from_millis(config.epoch_ms.max(1)),
-            queries,
             processed: 0,
             epoch_packets: 0,
         };
@@ -769,7 +761,6 @@ struct IngestLoop {
     commands: mpsc::Receiver<Command>,
     published: Arc<Published>,
     epoch_len: Duration,
-    queries: Vec<QueryInfo>,
     processed: u64,
     /// Packets ingested since the last seal: an epoch with none is
     /// skipped, not sealed empty.
@@ -784,8 +775,8 @@ impl IngestLoop {
         let mut next_seal = Instant::now() + self.epoch_len;
         self.publish(false);
         loop {
-            while let Ok(Command::AttachQuery { plan, text, reply }) = self.commands.try_recv() {
-                let _ = reply.send(self.attach(plan, text));
+            while let Ok(Command::AttachQuery { plan, reply }) = self.commands.try_recv() {
+                let _ = reply.send(self.attach(plan));
                 self.publish(false);
             }
             let now = Instant::now();
@@ -830,19 +821,16 @@ impl IngestLoop {
 
     /// Attaches a client's plan unless [`MAX_QUERIES`] are attached
     /// (`409`) or the collector refuses it (`400`).
-    fn attach(&mut self, plan: QueryPlan, text: String) -> Result<QueryId, (u16, String)> {
-        if self.queries.len() >= MAX_QUERIES {
+    fn attach(&mut self, plan: QueryPlan) -> Result<QueryId, (u16, String)> {
+        if self.collector.queries().len() >= MAX_QUERIES {
             return Err((
                 409,
                 format!("at most {MAX_QUERIES} query plans may be attached"),
             ));
         }
-        let id = self
-            .collector
+        self.collector
             .attach_query(plan)
-            .map_err(|e| (400, e.to_string()))?;
-        self.queries.push(QueryInfo { id, plan: text });
-        Ok(id)
+            .map_err(|e| (400, e.to_string()))
     }
 
     /// Seals the running epoch, unless no packet arrived in it.
@@ -871,7 +859,12 @@ impl IngestLoop {
         let answers = self.collector.query_answers();
         self.published.store(Arc::new(SealedView {
             epochs: epochs.iter().cloned().map(Arc::new).collect(),
-            queries: self.queries.clone(),
+            queries: (self.collector.queries().iter().enumerate())
+                .map(|(id, plan)| QueryInfo {
+                    id,
+                    plan: plan.to_string(),
+                })
+                .collect(),
             answers: (epochs.iter().zip(answers))
                 .map(|(epoch, answers)| EpochAnswers {
                     epoch: epoch.epoch(),
@@ -1184,7 +1177,6 @@ fn attach_query(state: &RouterState, req: &Request) -> Response {
         .expect("command sender poisoned")
         .send(Command::AttachQuery {
             plan,
-            text: canonical.clone(),
             reply: reply_tx,
         })
         .is_ok();
@@ -1548,7 +1540,14 @@ mod tests {
 
         let (status, body) = client::get(addr, "/queries").expect("GET queries");
         assert_eq!(status, 200);
-        assert!(body.contains("\"queries\""));
+        // The boot plan and the POSTed one, each in its canonical form.
+        assert!(
+            body.contains(
+                "\"queries\":[{\"id\":0,\"plan\":\"map dst | reduce count | threshold 1\"},\
+                 {\"id\":1,\"plan\":\"filter proto=6 | map src | reduce count | threshold 1\"}]"
+            ),
+            "{body}"
+        );
 
         let (status, _) = client::get(addr, "/nope").expect("GET unknown");
         assert_eq!(status, 404);

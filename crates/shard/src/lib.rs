@@ -375,7 +375,6 @@ pub struct ShardedMonitor<M> {
     /// a dead shard under load cannot turn the event ring over and push
     /// its own `shard_panic` out.
     announced: Vec<bool>,
-    dispatch_hashes: u64,
     scratch: DispatchScratch,
     metrics: Option<ShardMetrics>,
     recorder: Option<FlightRecorder>,
@@ -388,7 +387,6 @@ impl<M: std::fmt::Debug> std::fmt::Debug for ShardedMonitor<M> {
         f.debug_struct("ShardedMonitor")
             .field("shards", &self.shards)
             .field("faults", &self.faults)
-            .field("dispatch_hashes", &self.dispatch_hashes)
             .finish_non_exhaustive()
     }
 }
@@ -412,7 +410,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
             shards,
             faults: vec![None; count],
             announced: vec![false; count],
-            dispatch_hashes: 0,
             scratch: DispatchScratch::default(),
             metrics: None,
             recorder: None,
@@ -486,14 +483,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
     #[inline]
     pub fn shard_of(&self, key: &FlowKey) -> usize {
         fast_range(dispatch_hash(key), self.shards.len())
-    }
-
-    /// Dispatch-hash evaluations performed so far. Tracked separately from
-    /// [`FlowMonitor::cost`], which reports only in-shard work (the
-    /// quantity comparable to the paper's single-core Fig. 11 numbers); a
-    /// single-shard monitor skips dispatch hashing entirely.
-    pub const fn dispatch_hashes(&self) -> u64 {
-        self.dispatch_hashes
     }
 
     /// Hands shard `s` its partition on the caller's thread: routed,
@@ -632,7 +621,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
             }
             vec![packets.len() as u64]
         } else {
-            self.dispatch_hashes += packets.len() as u64;
             self.ingest_threaded(packets)
         };
         IngestReport {
@@ -748,7 +736,6 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         match parts {
             None => self.feed(0, packets),
             Some(parts) => {
-                self.dispatch_hashes += packets.len() as u64;
                 for (s, part) in parts.iter().enumerate() {
                     self.feed(s, part);
                 }
@@ -812,7 +799,6 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.faults.fill(None);
         self.announced.fill(false);
         self.queue_drops.reset();
-        self.dispatch_hashes = 0;
         if let Some(t) = &mut self.trace {
             t.dispatched.clear();
         }
@@ -938,7 +924,6 @@ mod tests {
         b.sort_by_key(|r| r.key());
         assert_eq!(a, b);
         assert_eq!(threaded.cost(), sequential.cost());
-        assert_eq!(threaded.dispatch_hashes(), sequential.dispatch_hashes());
     }
 
     #[test]
@@ -990,20 +975,18 @@ mod tests {
         b.sort_by_key(|r| r.key());
         assert_eq!(a, b);
         assert_eq!(batched.cost(), sequential.cost());
-        assert_eq!(batched.dispatch_hashes(), sequential.dispatch_hashes());
     }
 
     #[test]
     fn single_shard_is_transparent() {
-        // N = 1 must behave exactly like the bare monitor: no dispatch
-        // hashes, identical records.
+        // N = 1 must behave exactly like the bare monitor: identical
+        // records.
         let trace = TraceGenerator::new(TraceProfile::Campus, 1).generate(800);
         let budget = MemoryBudget::from_kib(64).unwrap();
         let mut bare = HashFlow::with_memory(budget).unwrap();
         let mut sharded = sharded_hashflow(1, 64);
         bare.process_trace(trace.packets());
         sharded.ingest(trace.packets());
-        assert_eq!(sharded.dispatch_hashes(), 0);
         let mut a = bare.flow_records();
         let mut b = sharded.flow_records();
         a.sort_by_key(|r| r.key());
@@ -1409,7 +1392,6 @@ mod tests {
         m.reset();
         assert_eq!(m.flow_records().len(), 0);
         assert_eq!(m.cost().packets, 0);
-        assert_eq!(m.dispatch_hashes(), 0);
         assert!(m.seal_epoch().records.is_empty());
     }
 }

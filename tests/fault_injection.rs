@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Terminal sink that counts delivered records through an [`Arc`], so
 /// the count survives being boxed into a collector.
@@ -184,6 +185,62 @@ fn outage_drives_quarantine_probing_and_recovery_with_conserved_records() {
     // Every parked outage error surfaces at finish, not just the first.
     let errors = collector.finish().unwrap_err();
     assert_eq!(errors.len() as u64, status.total_errors);
+}
+
+/// A sink that stalls on every export (a slow downstream collector)
+/// delays each seal by the stall but loses and duplicates nothing: every
+/// sealed record is delivered, the sink never degrades, and the
+/// retention window sheds older epochs only on its ledger.
+#[test]
+fn stalled_exports_deliver_every_record() {
+    const SEALS: u32 = 8;
+    let stall = Duration::from_millis(1);
+    let delivered = Arc::new(AtomicU64::new(0));
+    let plan = FaultPlan::new(13).with_stalls(1.0, stall);
+    let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+        .budget(MemoryBudget::from_kib(512).unwrap())
+        .sink(Box::new(FaultInjectingSink::new(
+            CountingSink {
+                records: Arc::clone(&delivered),
+            },
+            plan,
+        )))
+        .retention(4)
+        .build()
+        .unwrap();
+
+    let trace = TraceGenerator::new(TraceProfile::Caida, 13).generate(1_500);
+    let packets = trace.packets();
+    let chunk = packets.len().div_ceil(SEALS as usize);
+    let mut sealed = 0u64;
+    let mut sealing = Duration::ZERO;
+    for batch in packets.chunks(chunk) {
+        collector.process_batch(batch);
+        let start = Instant::now();
+        sealed += collector.seal().len() as u64;
+        sealing += start.elapsed();
+    }
+
+    assert!(sealed > 0);
+    assert_eq!(
+        delivered.load(Ordering::Relaxed),
+        sealed,
+        "stalls delay exports, they never lose one"
+    );
+    let status = &collector.sink_health()[0];
+    assert_eq!(status.health, SinkHealth::Healthy, "a stall is no error");
+    assert_eq!(status.total_errors, 0);
+    let retention = collector.retention_drop_stats();
+    assert_eq!(retention.offered_epochs(), u64::from(SEALS));
+    assert_eq!(retention.dropped_epochs(), u64::from(SEALS) - 4);
+    assert_eq!(
+        retention.offered_epochs(),
+        retention.delivered_epochs() + retention.dropped_epochs()
+    );
+    collector.finish().expect("stalls surface no error");
+    // `sleep` never returns early, so this shows every stall ran inside
+    // a seal without bounding the run from above.
+    assert!(sealing >= stall * SEALS, "seals took {sealing:?}");
 }
 
 /// An injected worker panic mid-ingest degrades only its own shard: the

@@ -188,8 +188,8 @@ proptest! {
 
     /// The threaded ingest path and the one-packet-at-a-time dispatch path
     /// are observationally identical (same records, same merged costs), so
-    /// the `scaling_shards` exhibit's threaded and serial rates time the
-    /// same work.
+    /// the threaded rate the benchmark reports (`lib-caida-8m-s2`,
+    /// `shard.ingest_ns_per_pkt`) times the same work as the serial path.
     #[test]
     fn threaded_and_sequential_ingest_agree(packets in stream(300, 500)) {
         let (_, mut threaded) = pair(64);
