@@ -2,7 +2,7 @@ use crate::ancillary::{AncillaryOutcome, AncillaryTable};
 use crate::config::HashFlowConfig;
 use crate::probes::{HashFlowPlanner, PlannedProbes, Probes};
 use crate::scheme::{MainTable, ProbeOutcome};
-use hashflow_hashing::{probe_hash_low, probe_slot, HashLanes, XxHash64};
+use hashflow_hashing::{fast_range, probe_hash_low, probe_slot, HashLanes};
 use hashflow_monitor::{
     BatchPlan, BatchPlanner, CostRecorder, CostSnapshot, EpochSnapshot, FlowMonitor, FlowTracer,
     Instruments, IntrospectMetric, MemoryBudget, StageTally,
@@ -172,7 +172,6 @@ impl HashFlow {
                 config.ancillary_cells(),
                 config.digest_bits(),
                 config.ancillary_counter_bits(),
-                config.seed().wrapping_add(1),
             )?,
             config,
             cost: CostRecorder::new(),
@@ -249,30 +248,33 @@ impl HashFlow {
         &self.ancillary
     }
 
-    /// The ancillary coordinates of `key`: its `g_1` slot and the digest
-    /// derived from its `h_1` hash (Algorithm 1, lines 14–15), for size
-    /// queries; ingestion reads the same pair out of the packet's probe
-    /// plan.
-    fn ancillary_coords(&self, key: &FlowKey) -> (usize, u32) {
+    /// The ancillary identity of `key`: its `g_1` bucket and the digest
+    /// of its `h_1` hash (Algorithm 1, lines 14–15), the two things an
+    /// ancillary summary is keyed by. Size queries use it; ingestion reads
+    /// the same pair out of the packet's probe plan.
+    pub fn ancillary_coords(&self, key: &FlowKey) -> (usize, u32) {
+        let hashes = self.main.probe_hashes(key);
+        let depth = self.main.scheme().depth();
         (
-            self.ancillary.slot_of(key),
-            self.ancillary.digest_of(self.main.first_hash(key)),
+            fast_range(hashes(depth), self.ancillary.len()),
+            self.ancillary.digest_of(hashes(0)),
         )
     }
 
-    /// The probe lanes of pass 1, `h_1 .. h_d` then `g_1`: each hash
-    /// function with the slot range its probe lands in.
-    fn probe_lanes(&self) -> impl Iterator<Item = (&XxHash64, (u32, u32))> + Clone {
-        (self.main.probe_lanes()).chain([self.ancillary.probe_lane()])
+    /// The slot ranges of pass 1's probes, `h_1 .. h_d` then `g_1`.
+    fn probe_ranges(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        // `AncillaryTable::new` checked that every slot fits 32 bits.
+        (self.main.probe_ranges()).chain([(0, self.ancillary.len() as u32)])
     }
 
     /// Whether `plan` can stand in for this monitor's own pass 1 over a
-    /// batch of `rows` packets: the same hash functions over the same slot
+    /// batch of `rows` packets: the same hash pair over the same slot
     /// ranges, as many rows, and, with a tracer attached, sampled
     /// positions drawn at its rate.
     fn accepts(&self, plan: &PlannedProbes, rows: usize) -> bool {
         plan.probes.words.rows() == rows
-            && (plan.lanes.iter().map(|(hash, range)| (hash, *range))).eq(self.probe_lanes())
+            && plan.pair == Some(self.main.pair().map(|hash| *hash))
+            && plan.ranges.iter().copied().eq(self.probe_ranges())
             && (self.tracer.as_ref()).is_none_or(|t| plan.sample_one_in == Some(t.sample_one_in()))
     }
 
@@ -292,8 +294,9 @@ impl HashFlow {
     /// hit. Adds to the batch's `tally`, on each branch only what it
     /// changes: under the lazy schedule, the probes made, plus one (`g_1`;
     /// the digest reuses `h_1`) when the packet goes on to the ancillary
-    /// phase. Every outcome writes exactly one cell, so writes are not
-    /// tallied.
+    /// phase. Each probe counts as one hash, as Algorithm 1's `d + 1`
+    /// functions do, however pass 1 derived it. Every outcome writes
+    /// exactly one cell, so writes are not tallied.
     #[inline(always)]
     fn step<const D: usize>(
         &mut self,
@@ -419,9 +422,19 @@ impl HashFlow {
             return;
         }
         let mut probes = std::mem::take(&mut self.probes);
-        probes.fill(packets, self.probe_lanes(), self.tracer.as_ref());
+        let (pair, ranges) = (self.main.pair(), self.probe_ranges());
+        probes.fill(packets, pair, ranges, self.tracer.as_ref());
         self.run(packets, &probes);
         self.probes = probes;
+    }
+
+    /// [`Self::ingest`] for a batch whose plan this monitor cannot use.
+    /// Out of line, so that pass 1's kernel and its stack arrays are not
+    /// compiled into [`FlowMonitor::process_planned`], which every planned
+    /// batch runs.
+    #[inline(never)]
+    fn ingest_unplanned(&mut self, packets: &[Packet]) {
+        self.ingest(packets);
     }
 
     /// The one body after pass 1, wherever pass 1 ran: pass 2
@@ -513,23 +526,22 @@ impl FlowMonitor for HashFlow {
     /// functions and its tracer as they are now.
     fn planner(&self) -> Option<Box<dyn BatchPlanner>> {
         Some(Box::new(HashFlowPlanner {
-            lanes: (self.probe_lanes())
-                .map(|(hash, range)| (*hash, range))
-                .collect(),
+            pair: self.main.pair().map(|hash| *hash),
+            ranges: self.probe_ranges().collect(),
             tracer: self.tracer.clone(),
         }))
     }
 
     /// Pass 2 on a plan's probes when they are this monitor's: the same
-    /// hash functions over the same slot ranges, one row per packet, and
-    /// with a tracer attached, sampled positions drawn at its rate. Pass
-    /// 1 in place otherwise.
+    /// hash pair over the same slot ranges, one row per packet, and with a
+    /// tracer attached, sampled positions drawn at its rate. Pass 1 in
+    /// place, out of line, otherwise.
     fn process_planned(&mut self, packets: &[Packet], plan: &BatchPlan) {
         match plan.get::<PlannedProbes>() {
             Some(planned) if self.accepts(planned, packets.len()) => {
                 self.run(packets, &planned.probes);
             }
-            _ => self.ingest(packets),
+            _ => self.ingest_unplanned(packets),
         }
     }
 
@@ -539,6 +551,9 @@ impl FlowMonitor for HashFlow {
         records
     }
 
+    /// The main-table record of `key`, or else the count of the
+    /// ancillary summary at its [`HashFlow::ancillary_coords`], if the
+    /// digest there is its own.
     fn estimate_size(&self, key: &FlowKey) -> u32 {
         if let Some(count) = self.main.lookup(key) {
             return count;
@@ -827,11 +842,12 @@ mod tests {
     }
 
     /// Runs `hf` on a batch planned with `lanes` probe words per packet,
-    /// cycling through its own lanes.
+    /// cycling through its own slot ranges.
     fn run_with_lanes(hf: &mut HashFlow, lanes: usize) {
         let packets: Vec<Packet> = (0..5).map(pkt).collect();
         let mut probes = Probes::default();
-        probes.fill(&packets, hf.probe_lanes().cycle().take(lanes), None);
+        let ranges: Vec<(u32, u32)> = hf.probe_ranges().cycle().take(lanes).collect();
+        probes.fill(&packets, hf.main.pair(), ranges.into_iter(), None);
         hf.run(&packets, &probes);
     }
 

@@ -1,6 +1,6 @@
-use hashflow_hashing::{digest_from_hash, fast_range, prefetch_read, HashFamily, XxHash64};
+use hashflow_hashing::{digest_from_hash, prefetch_read};
 use hashflow_primitives::linear_counting_estimate;
-use hashflow_types::{ConfigError, FlowKey};
+use hashflow_types::ConfigError;
 use std::hint::select_unpredictable;
 
 /// The ancillary table `A`: summarized `(digest, count)` records for flows
@@ -10,21 +10,22 @@ use std::hint::select_unpredictable;
 /// may mix flows up, but with a small chance"), counts saturate at
 /// `2^counter_bits - 1`, and a colliding new flow *replaces* the incumbent
 /// (Algorithm 1, lines 16–17). Digest value `0` is reserved for empty cells;
-/// [`digest_from_hash`] never produces it.
+/// [`digest_from_hash`] never produces it. The table hashes nothing: a
+/// flow's bucket and digest come from the main table's probe hashes
+/// ([`HashFlow::ancillary_coords`](crate::HashFlow::ancillary_coords)).
 ///
 /// # Examples
 ///
 /// ```
-/// use hashflow_core::AncillaryTable;
+/// use hashflow_core::{AncillaryTable, HashFlow, HashFlowConfig};
 /// use hashflow_types::FlowKey;
 ///
-/// let mut anc = AncillaryTable::new(256, 8, 8, 1)?;
-/// let key = FlowKey::from_index(4);
-/// let digest = anc.digest_of(0x1234_5678);
-/// let slot = anc.slot_of(&key);
+/// let hf = HashFlow::new(HashFlowConfig::builder().main_cells(256).build()?)?;
+/// let mut anc = AncillaryTable::new(256, 8, 8)?;
+/// let (slot, digest) = hf.ancillary_coords(&FlowKey::from_index(4));
 /// anc.store(slot, digest); // (digest, 1)
 /// assert_eq!(anc.count_if_match(slot, digest), Some(1));
-/// # Ok::<(), hashflow_types::ConfigError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AncillaryTable {
@@ -36,7 +37,6 @@ pub struct AncillaryTable {
     cells: Vec<u32>,
     digest_bits: u32,
     counter_bits: u32,
-    hash: HashFamily<XxHash64>,
     occupied: usize,
 }
 
@@ -79,12 +79,7 @@ impl AncillaryTable {
     /// Returns [`ConfigError`] if `cells == 0`, `cells` is too large for
     /// the 32-bit slots of a probe plan, a width is 0, or the two widths
     /// add up to more than 32 bits.
-    pub fn new(
-        cells: usize,
-        digest_bits: u32,
-        counter_bits: u32,
-        seed: u64,
-    ) -> Result<Self, ConfigError> {
+    pub fn new(cells: usize, digest_bits: u32, counter_bits: u32) -> Result<Self, ConfigError> {
         if cells == 0 {
             return Err(ConfigError::new("ancillary table needs at least one cell"));
         }
@@ -98,7 +93,6 @@ impl AncillaryTable {
             cells: vec![0; cells],
             digest_bits,
             counter_bits,
-            hash: HashFamily::new(1, seed ^ 0xa4c1_11a5),
             occupied: 0,
         })
     }
@@ -131,18 +125,6 @@ impl AncillaryTable {
     const fn count_mask(&self) -> u32 {
         // `new` keeps `counter_bits` in 1..=31.
         u32::MAX >> (32 - self.counter_bits)
-    }
-
-    /// The bucket `g_1` maps `key` to (Algorithm 1, line 14).
-    pub fn slot_of(&self, key: &FlowKey) -> usize {
-        fast_range(self.hash.hash(0, key), self.len())
-    }
-
-    /// The `g_1` lane of a batch's probe plans
-    /// ([`hashflow_hashing::HashLanes::fill_probes`]).
-    pub(crate) fn probe_lane(&self) -> (&XxHash64, (u32, u32)) {
-        // `new` checked that every slot fits 32 bits.
-        (&self.hash.members()[0], (0, self.len() as u32))
     }
 
     /// Hints the CPU to pull `slot`'s cell toward L1 for a future access
@@ -266,9 +248,10 @@ impl AncillaryTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hashflow_types::FlowKey;
 
     fn table() -> AncillaryTable {
-        AncillaryTable::new(64, 8, 8, 0).unwrap()
+        AncillaryTable::new(64, 8, 8).unwrap()
     }
 
     #[test]
@@ -284,7 +267,7 @@ mod tests {
 
     #[test]
     fn increment_saturates_at_counter_max() {
-        let mut t = AncillaryTable::new(4, 8, 4, 0).unwrap();
+        let mut t = AncillaryTable::new(4, 8, 4).unwrap();
         t.store(0, 5);
         for _ in 0..100 {
             t.increment(0);
@@ -313,13 +296,18 @@ mod tests {
 
     #[test]
     fn linear_counting_on_occupancy() {
-        let mut t = AncillaryTable::new(1000, 8, 8, 3).unwrap();
+        let mut t = AncillaryTable::new(1000, 8, 8).unwrap();
+        let config = crate::HashFlowConfig::builder()
+            .main_cells(1000)
+            .seed(3)
+            .build()
+            .unwrap();
+        let hf = crate::HashFlow::new(config).unwrap();
         // Insert 500 distinct flows through the real slot mapping.
         for i in 0..500u64 {
-            let k = FlowKey::from_index(i);
-            let slot = t.slot_of(&k);
+            let (slot, digest) = hf.ancillary_coords(&FlowKey::from_index(i));
             if t.entry(slot).is_none() {
-                t.store(slot, t.digest_of(i));
+                t.store(slot, digest);
             }
         }
         // Occupancy-based estimate should be near 500 (collisions make
@@ -333,9 +321,9 @@ mod tests {
 
     #[test]
     fn memory_accounting() {
-        let t = AncillaryTable::new(100, 8, 8, 0).unwrap();
+        let t = AncillaryTable::new(100, 8, 8).unwrap();
         assert_eq!(t.memory_bits(), 100 * 16);
-        let t = AncillaryTable::new(100, 12, 4, 0).unwrap();
+        let t = AncillaryTable::new(100, 12, 4).unwrap();
         assert_eq!(t.memory_bits(), 100 * 16);
     }
 
@@ -355,7 +343,7 @@ mod tests {
     fn packed_cells_agree_with_a_pair_model() {
         const CELLS: usize = 37;
         for (digest_bits, counter_bits) in [(5, 6), (12, 12), (20, 12), (1, 1), (16, 16)] {
-            let mut table = AncillaryTable::new(CELLS, digest_bits, counter_bits, 9).unwrap();
+            let mut table = AncillaryTable::new(CELLS, digest_bits, counter_bits).unwrap();
             let mut model = vec![(0u32, 0u32); CELLS];
             let max = table.max_count() as u32;
             assert_eq!(u64::from(max), (1u64 << counter_bits) - 1);
@@ -435,10 +423,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_config() {
-        assert!(AncillaryTable::new(0, 8, 8, 0).is_err());
-        assert!(AncillaryTable::new(8, 0, 8, 0).is_err());
-        assert!(AncillaryTable::new(8, 8, 0, 0).is_err());
-        assert!(AncillaryTable::new(8, 8, 33, 0).is_err());
+        assert!(AncillaryTable::new(0, 8, 8).is_err());
+        assert!(AncillaryTable::new(8, 0, 8).is_err());
+        assert!(AncillaryTable::new(8, 8, 0).is_err());
+        assert!(AncillaryTable::new(8, 8, 33).is_err());
     }
 
     /// A cell is one `u32`: digest and counter must fit it together, in
@@ -447,7 +435,7 @@ mod tests {
     fn widths_must_share_one_word() {
         for (digest_bits, counter_bits) in [(32, 32), (17, 16), (1, 32), (32, 1)] {
             assert!(
-                AncillaryTable::new(8, digest_bits, counter_bits, 0).is_err(),
+                AncillaryTable::new(8, digest_bits, counter_bits).is_err(),
                 "{digest_bits} + {counter_bits}"
             );
             let config = crate::HashFlowConfig::builder()
@@ -458,7 +446,7 @@ mod tests {
             assert!(config.is_err(), "config {digest_bits} + {counter_bits}");
         }
         for (digest_bits, counter_bits) in [(16, 16), (24, 8), (8, 24), (31, 1)] {
-            assert!(AncillaryTable::new(8, digest_bits, counter_bits, 0).is_ok());
+            assert!(AncillaryTable::new(8, digest_bits, counter_bits).is_ok());
             let config = crate::HashFlowConfig::builder()
                 .main_cells(8)
                 .digest_bits(digest_bits)

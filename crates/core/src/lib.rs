@@ -4,7 +4,9 @@
 //! cooperating structures (§III-A):
 //!
 //! * a **main table** `M` holding exact `(flow ID, count)` records, probed
-//!   with `d` independent hash functions under a *non-evicting* collision
+//!   with `d` hash functions (the paper's are independent; here they and
+//!   the ancillary table's `g_1` are derived from one pair of hashes by
+//!   double hashing, see [`MainTable`]) under a *non-evicting* collision
 //!   resolution strategy — a record, once placed, is never split or displaced
 //!   by the resolution procedure, so every main-table record is accurate;
 //! * an **ancillary table** `A` holding `(digest, count)` summaries for the

@@ -11,15 +11,14 @@
 //!   along the probe path (Algorithm 1, lines 9–11), which the promotion
 //!   rule may later evict.
 
-use hashflow_hashing::{HashFamily, XxHash64};
+use hashflow_hashing::{fast_range, pair_hash, HashFamily, XxHash64};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, FLOW_KEY_BYTES};
 use std::hint::select_unpredictable;
 
 /// How the main table is organized (§III-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TableScheme {
-    /// One table of `n` buckets probed by `depth` independent hash
-    /// functions.
+    /// One table of `n` buckets probed by `depth` hash functions.
     MultiHash {
         /// Number of hash functions `d`.
         depth: usize,
@@ -167,6 +166,13 @@ pub struct OpCount {
 /// 17-byte [`FlowRecord`]s only where they leave the table
 /// ([`Self::drain`], [`Self::records`]).
 ///
+/// The table's `d` probes are not `d` independent hashes. A key is hashed
+/// by two seeded xxHash64 functions, `a` and `b`, and probe `i` is
+/// [`pair_hash`]`(a, b, i) = a + i·(b | 1)`; hash `d` of the same key is
+/// the ancillary table's `g_1`. Double hashing costs d-choice placement
+/// nothing against independent choices (Mitzenmacher, SPAA 2014), and
+/// `h_1 = a` is what the first independent member used to be.
+///
 /// # Examples
 ///
 /// ```
@@ -189,7 +195,9 @@ pub struct MainTable {
     // `(offset, len)`: pipelined sub-table `i`, or the whole table for
     // every probe of the multi-hash scheme.
     ranges: Vec<(usize, usize)>,
-    hashes: HashFamily<XxHash64>,
+    // The two hashes `a` and `b` that every probe of a key derives from
+    // ([`Self::probe_hashes`]).
+    pair: HashFamily<XxHash64>,
     occupied: usize,
 }
 
@@ -353,7 +361,7 @@ impl MainTable {
             buckets: vec![Bucket::EMPTY; total_cells],
             sizes,
             ranges,
-            hashes: HashFamily::new(scheme.depth(), seed ^ 0x3a1d_77f0),
+            pair: HashFamily::new(2, seed ^ 0x3a1d_77f0),
             occupied: 0,
         })
     }
@@ -394,26 +402,42 @@ impl MainTable {
     /// result of the flow ID with any `h_i`") without an extra hash
     /// evaluation.
     pub fn first_hash(&self, key: &FlowKey) -> u64 {
-        self.hashes.hash(0, key)
+        self.probe_hashes(key)(0)
     }
 
-    /// Bucket index probed by `h_{i+1}` for `key`, flattened.
-    fn slot(&self, i: usize, key: &FlowKey) -> usize {
-        let (offset, len) = self.ranges[i];
-        offset + self.hashes.bucket(i, key, len)
+    /// `key`'s probe hashes, from one evaluation of the pair: hash `i` is
+    /// [`pair_hash`]`(a, b, i)`, `h_{i+1}` for `i < d` and, for `i = d`,
+    /// `g_1`, the ancillary table's. Every scalar path derives its probes
+    /// here, and pass 1 derives the same ones in the lane kernel
+    /// ([`hashflow_hashing::HashLanes::fill_probes`] over [`Self::pair`]).
+    pub(crate) fn probe_hashes(&self, key: &FlowKey) -> impl Fn(usize) -> u64 {
+        let (a, b) = (self.pair.hash(0, key), self.pair.hash(1, key));
+        move |i| pair_hash(a, b, i as u64)
     }
 
-    /// The `h_1 .. h_d` lanes of a batch's probe plans
-    /// ([`hashflow_hashing::HashLanes::fill_probes`]): each member with the
-    /// bucket range its probe lands in. Slots are reduced there, once, and
-    /// then serve [`Self::prefetch`] and [`Self::resolve`] alike.
-    pub(crate) fn probe_lanes(&self) -> impl Iterator<Item = (&XxHash64, (u32, u32))> + Clone {
+    /// The buckets `h_1 .. h_d` name, in probe order, for a key whose
+    /// probe hashes are `hashes` ([`Self::probe_hashes`]).
+    fn path<'a>(
+        ranges: &'a [(usize, usize)],
+        hashes: impl Fn(usize) -> u64 + 'a,
+    ) -> impl DoubleEndedIterator<Item = usize> + ExactSizeIterator + 'a {
+        (ranges.iter().enumerate())
+            .map(move |(i, &(offset, len))| offset + fast_range(hashes(i), len))
+    }
+
+    /// The two hash functions every probe derives from, `a` then `b`.
+    pub(crate) fn pair(&self) -> [&XxHash64; 2] {
+        let members = self.pair.members();
+        [&members[0], &members[1]]
+    }
+
+    /// The bucket range of each of `h_1 .. h_d`, for a batch's probe plans
+    /// ([`hashflow_hashing::HashLanes::fill_probes`]). Slots are reduced
+    /// there, once, and then serve [`Self::prefetch`] and
+    /// [`Self::resolve`] alike.
+    pub(crate) fn probe_ranges(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
         // `new` checked that every bucket index fits 32 bits.
-        let ranges = self
-            .ranges
-            .iter()
-            .map(|&(offset, len)| (offset as u32, len as u32));
-        self.hashes.members().iter().zip(ranges)
+        (self.ranges.iter()).map(|&(offset, len)| (offset as u32, len as u32))
     }
 
     /// Hints the CPU to pull bucket `slot` toward L1.
@@ -429,8 +453,7 @@ impl MainTable {
     /// the first `i` buckets were held by other flows — plus one write if
     /// the packet settled.
     pub fn probe(&mut self, key: &FlowKey) -> (ProbeOutcome, OpCount) {
-        let path = (self.ranges.iter().enumerate())
-            .map(|(i, &(offset, len))| offset + self.hashes.bucket(i, key, len));
+        let path = Self::path(&self.ranges, self.probe_hashes(key));
         let settled = settle(&mut self.buckets, key, path);
         self.account(settled)
     }
@@ -496,13 +519,11 @@ impl MainTable {
     /// Looks up the exact count recorded for `key`, if present.
     pub fn lookup(&self, key: &FlowKey) -> Option<u32> {
         let words = key_words(key);
-        for i in 0..self.scheme.depth() {
-            let bucket = self.buckets[self.slot(i, key)];
-            if bucket.count > 0 && bucket.key_words() == words {
-                return Some(bucket.count);
-            }
-        }
-        None
+        let mut path = Self::path(&self.ranges, self.probe_hashes(key));
+        path.find_map(|slot| {
+            let bucket = self.buckets[slot];
+            (bucket.count > 0 && bucket.key_words() == words).then_some(bucket.count)
+        })
     }
 
     /// Iterates over the stored records.
@@ -539,7 +560,7 @@ impl MainTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashflow_hashing::{probe_slot, HashLanes, KernelCopy};
+    use hashflow_hashing::{probe_slot, HashLanes, KernelCopy, KeyHasher};
 
     fn key(i: u64) -> FlowKey {
         FlowKey::from_index(i)
@@ -777,7 +798,8 @@ mod tests {
             let mut plans = HashLanes::default();
             for i in 0..500 {
                 let k = key(i % 120);
-                plans.fill_probes(KernelCopy::best(), [k].into_iter(), planned.probe_lanes());
+                let (pair, ranges) = (planned.pair(), planned.probe_ranges());
+                plans.fill_probes(KernelCopy::best(), [k].into_iter(), pair, ranges);
                 let slots: Vec<usize> = (0..3).map(|m| probe_slot(plans.lane(m)[0])).collect();
                 slots.iter().for_each(|&slot| planned.prefetch(slot));
                 let (a, ops_a) = lazy.probe(&k);
@@ -975,10 +997,17 @@ mod tests {
         assert!(MainTable::new(scheme, u32::MAX as usize + 1, 0).is_err());
     }
 
+    /// `h_1` is the pair's member `a`, itself member 0 of the table's
+    /// family: the hash (and so the digest) that independent members gave
+    /// `h_1` before the probes were derived from a pair.
     #[test]
     fn first_hash_matches_member_zero() {
         let t = MainTable::new(TableScheme::MultiHash { depth: 2 }, 8, 9).unwrap();
-        // Determinism smoke check: repeated calls agree.
-        assert_eq!(t.first_hash(&key(3)), t.first_hash(&key(3)));
+        let independent = HashFamily::<XxHash64>::new(3, 9 ^ 0x3a1d_77f0);
+        for i in 0..50 {
+            let h1 = t.first_hash(&key(i));
+            assert_eq!(h1, independent.hash(0, &key(i)));
+            assert_eq!(h1, t.pair()[0].hash_key(&key(i)));
+        }
     }
 }

@@ -58,7 +58,7 @@ impl KernelCopy {
         self,
         out: &mut HashLanes,
         keys: impl ExactSizeIterator<Item = FlowKey>,
-        lanes: impl Iterator<Item = (&'a H, P)> + Clone,
+        lanes: impl Iterator<Item = ([&'a H; 2], P)> + Clone,
         finish: impl Fn(u64, P) -> u64,
     ) {
         // A short batch never reaches the vector loops, so it need not
@@ -71,9 +71,9 @@ impl KernelCopy {
         }
         // No 64-bit vector multiply below AVX-512 (nor in NEON), and the
         // stand-in a vectoriser builds from 32-bit ones loses to the
-        // scalar multiplier: an opaque identity on every hash keeps this
-        // copy's lane loops scalar.
-        out.fill_body(keys, lanes, |hash, p| finish(std::hint::black_box(hash), p));
+        // scalar multiplier: an opaque identity on every member hash
+        // keeps this copy's hash loops scalar.
+        out.fill_body(keys, lanes, std::hint::black_box, finish);
     }
 }
 
@@ -82,10 +82,10 @@ impl KernelCopy {
 fn fill_avx512<'a, H: KeyHasher + 'a, P: Copy>(
     out: &mut HashLanes,
     keys: impl ExactSizeIterator<Item = FlowKey>,
-    lanes: impl Iterator<Item = (&'a H, P)> + Clone,
+    lanes: impl Iterator<Item = ([&'a H; 2], P)> + Clone,
     finish: impl Fn(u64, P) -> u64,
 ) {
-    out.fill_body(keys, lanes, finish);
+    out.fill_body(keys, lanes, |hash| hash, finish);
 }
 
 #[cfg(test)]

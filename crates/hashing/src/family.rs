@@ -1,13 +1,17 @@
 use crate::{fast_range, KeyHasher};
 use hashflow_types::FlowKey;
 
-/// A family of `d` independent seeded hash functions.
+/// A family of `d` independently seeded hash functions.
 ///
-/// HashFlow's Algorithm 1 needs `h_1 .. h_d` for the main table plus `g_1`
-/// for the ancillary table, and every baseline needs its own independent set.
-/// A `HashFamily` derives each member from `(master_seed, member_index)` with
-/// a SplitMix64 expansion, so one seed fully determines the behaviour of an
-/// algorithm instance.
+/// Every baseline hashes a key once per member of its own family. HashFlow
+/// holds a family of two, `a` and `b`, and derives Algorithm 1's
+/// `h_1 .. h_d` and `g_1` from them by double hashing
+/// ([`crate::pair_hash`]): its probes are not independent functions, which
+/// Kirsch and Mitzenmacher (ESA 2006) and Mitzenmacher (SPAA 2014) show
+/// costs d-choice placement and Bloom-style probing nothing. A `HashFamily`
+/// derives each member from `(master_seed, member_index)` with a SplitMix64
+/// expansion, so one seed fully determines the behaviour of an algorithm
+/// instance, and a family's first members do not change as it grows.
 ///
 /// # Examples
 ///
@@ -26,8 +30,8 @@ pub struct HashFamily<H: KeyHasher> {
 }
 
 impl<H: KeyHasher> HashFamily<H> {
-    /// Creates a family of `members` independent hash functions derived from
-    /// `master_seed`.
+    /// Creates a family of `members` independently seeded hash functions
+    /// derived from `master_seed`.
     ///
     /// # Panics
     ///

@@ -1,11 +1,13 @@
-//! Seeded, independent hash functions for flow keys.
+//! Seeded hash functions for flow keys.
 //!
-//! Every algorithm in the paper needs a family of *independent* hash
-//! functions (`h_1..h_d` plus `g_1` in HashFlow's Algorithm 1). This crate
-//! provides two from-scratch implementations — xxHash64 and Zobrist-style
+//! Every algorithm in the paper needs a family of hash functions
+//! (`h_1..h_d` plus `g_1` in HashFlow's Algorithm 1). This crate provides
+//! two hand-written implementations — xxHash64 and Zobrist-style
 //! tabulation hashing — behind a common [`KeyHasher`] trait, plus
-//! [`HashFamily`], which derives any number of independent members from a
-//! single seed.
+//! [`HashFamily`], which derives any number of independently seeded
+//! members from a single seed, and [`pair_hash`], which derives any number
+//! of hashes from two by double hashing (how HashFlow's probes are made).
+//! The lane kernel ([`HashLanes`]) computes either for a whole batch.
 //!
 //! All hashers are deterministic functions of `(seed, key bytes)` so that
 //! every experiment in the workspace is reproducible.
@@ -39,7 +41,7 @@ mod xxhash;
 
 pub use dispatch::KernelCopy;
 pub use family::{digest_from_hash, DigestFn, HashFamily};
-pub use lanes::{compute_lanes, probe_hash_low, probe_slot, HashLanes};
+pub use lanes::{compute_lanes, pair_hash, probe_hash_low, probe_slot, HashLanes};
 pub use prefetch::prefetch_read;
 pub use tabulation::TabulationHash;
 pub use xxhash::XxHash64;

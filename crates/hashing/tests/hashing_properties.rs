@@ -10,11 +10,12 @@
 //! * the fixed-width key path: `hash_key` against its `hash_bytes` oracle,
 //!   and `compute_lanes` against `HashFamily::hash`,
 //! * the lane kernel: every compiled copy this host runs against the
-//!   scalar `offset + fast_range(hash_key(k), len)`.
+//!   scalar derivation of probe `i` from a hash pair,
+//!   `offset + fast_range(pair_hash(a(k), b(k), i), len)`.
 
 use hashflow_hashing::{
-    compute_lanes, digest_from_hash, fast_range, fast_range32, probe_hash_low, probe_slot,
-    HashFamily, HashLanes, KernelCopy, KeyHasher, TabulationHash, XxHash64,
+    compute_lanes, digest_from_hash, fast_range, fast_range32, pair_hash, probe_hash_low,
+    probe_slot, HashFamily, HashLanes, KernelCopy, KeyHasher, TabulationHash, XxHash64,
 };
 use hashflow_types::{FlowKey, Ipv4Addr};
 use proptest::prelude::*;
@@ -331,22 +332,24 @@ proptest! {
 }
 
 /// Runs `fill_probes` through `copy` on a dirty slab and holds every
-/// probe word to the scalar definition.
+/// probe word to the scalar derivation from the pair of `seed`'s family.
 fn assert_copy_matches_scalar<H: KeyHasher>(
     copy: KernelCopy,
     seed: u64,
-    lanes_spec: &[(u32, u32)],
+    ranges: &[(u32, u32)],
     batch: &[FlowKey],
     slab: &mut HashLanes,
 ) {
-    let family = HashFamily::<H>::new(lanes_spec.len(), seed);
-    let lanes = family.members().iter().zip(lanes_spec.iter().copied());
-    slab.fill_probes(copy, batch.iter().copied(), lanes);
-    assert_eq!((slab.rows(), slab.lanes()), (batch.len(), lanes_spec.len()));
-    for (m, &(offset, len)) in lanes_spec.iter().enumerate() {
+    let pair = HashFamily::<H>::new(2, seed);
+    let [a, b] = pair.members() else {
+        unreachable!("a family of two")
+    };
+    slab.fill_probes(copy, batch.iter().copied(), [a, b], ranges.iter().copied());
+    assert_eq!((slab.rows(), slab.lanes()), (batch.len(), ranges.len()));
+    for (m, &(offset, len)) in ranges.iter().enumerate() {
         assert_eq!(slab.lane(m).len(), batch.len());
         for (i, key) in batch.iter().enumerate() {
-            let hash = family.hash(m, key);
+            let hash = pair_hash(pair.hash(0, key), pair.hash(1, key), m as u64);
             let word = slab.lane(m)[i];
             assert_eq!(
                 probe_slot(word),
@@ -364,14 +367,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every compiled copy of the kernel this host runs — the baseline
-    /// always, the AVX-512 one where the CPU has it — computes, for random
-    /// seeds, keys, offsets and lengths up to 2³² − 1, exactly what the
-    /// scalar query path does. Prints which copies ran (CI runners differ).
+    /// always, the AVX-512 one where the CPU has it — derives, for random
+    /// seeds, keys, offsets and lengths up to 2³² − 1, and at depths 1–5
+    /// (`d + 1` probes), exactly the probes the scalar query path does.
+    /// Prints which copies ran (CI runners differ).
     #[test]
     fn every_kernel_copy_equals_the_scalar_path(
         seed in any::<u64>(),
         first in five_tuple(),
-        spec in prop::collection::vec((any::<u32>(), 1u32..=u32::MAX), 1..6),
+        spec in prop::collection::vec((any::<u32>(), 1u32..=u32::MAX), 6),
     ) {
         // `offset + len` must stay within 32 bits: shrink the offset.
         let spec: Vec<(u32, u32)> =
@@ -388,8 +392,11 @@ proptest! {
                     .chain(keys(n as u64))
                     .take(n)
                     .collect();
-                assert_copy_matches_scalar::<XxHash64>(copy, seed, &spec, &batch, &mut slab);
-                assert_copy_matches_scalar::<TabulationHash>(copy, seed, &spec[..1], &batch, &mut slab);
+                for depth in 1..=5 {
+                    let ranges = &spec[..depth + 1];
+                    assert_copy_matches_scalar::<XxHash64>(copy, seed, ranges, &batch, &mut slab);
+                }
+                assert_copy_matches_scalar::<TabulationHash>(copy, seed, &spec[..2], &batch, &mut slab);
             }
         }
         static PRINTED: std::sync::Once = std::sync::Once::new();
@@ -423,15 +430,21 @@ impl ExactSizeIterator for Misstated {}
 /// The row count is the key iterator's `len()`, taken before the first
 /// write: an iterator that yields more or fewer keys than it states makes
 /// every copy panic, on either side of the short-batch cut and of a block
-/// edge, rather than hand back a short or stale slab.
+/// edge, rather than hand back a short or stale slab — through
+/// `fill_probes` in each copy and through `compute_lanes`.
 #[test]
 fn a_misstated_key_count_panics_in_every_copy() {
     let family = HashFamily::<XxHash64>::new(2, 3);
-    let lanes = || family.members().iter().zip([(0, 1000), (1000, 24)]);
+    let [a, b] = family.members() else {
+        unreachable!("a family of two")
+    };
+    let ranges = [(0, 1000), (1000, 24)];
     let mut copies = vec![KernelCopy::BASELINE, KernelCopy::best()];
     copies.dedup();
     let mut slab = HashLanes::default();
-    for copy in copies {
+    // `None`: `compute_lanes`, through the copy `best` picks.
+    for copy in copies.into_iter().map(Some).chain([None]) {
+        let name = copy.map_or("compute_lanes", KernelCopy::name);
         for (yields, states) in [
             (0, 1),
             (1, 0),
@@ -448,13 +461,13 @@ fn a_misstated_key_count_panics_in_every_copy() {
                 keys: keys(yields).collect::<Vec<_>>().into_iter(),
                 len: states,
             };
-            let filled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                slab.fill_probes(copy, misstated, lanes());
+            let filled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match copy {
+                Some(copy) => slab.fill_probes(copy, misstated, [a, b], ranges.into_iter()),
+                None => compute_lanes(&[&family], misstated, &mut slab),
             }));
             assert!(
                 filled.is_err(),
-                "{} copy took {yields} keys stated as {states}",
-                copy.name()
+                "{name} took {yields} keys stated as {states}"
             );
         }
     }

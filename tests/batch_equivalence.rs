@@ -140,7 +140,7 @@ fn assert_equivalent_over<M: FlowMonitor>(
 ///   sits in one of them, where `lookup` finds it);
 /// * `occupied()` equals the number of non-empty buckets;
 /// * every main-table count is at most that flow's true packet count —
-///   or, for a flow whose ancillary identity `(g_1 slot, h_1 digest)` is
+///   or, for a flow whose ancillary identity (`HashFlow::ancillary_coords`) is
 ///   shared with others in the trace, theirs together: a promoted record
 ///   starts from the ancillary summary, which §III-A keys by digest
 ///   knowing it "may mix flows up, but with a small chance";
@@ -152,16 +152,12 @@ fn assert_hashflow_invariants(hf: &HashFlow, packets: &[Packet]) {
     for p in packets {
         *truth.entry(p.key()).or_default() += 1;
     }
-    let (table, ancillary) = (hf.main_table(), hf.ancillary_table());
-    let identity = |key: &FlowKey| {
-        (
-            ancillary.slot_of(key),
-            ancillary.digest_of(table.first_hash(key)),
-        )
-    };
+    let table = hf.main_table();
     let mut sent_by_identity: HashMap<(usize, u32), u32> = HashMap::new();
     for (key, sent) in &truth {
-        *sent_by_identity.entry(identity(key)).or_default() += sent;
+        *sent_by_identity
+            .entry(hf.ancillary_coords(key))
+            .or_default() += sent;
     }
     let mut resident = HashMap::new();
     for record in table.records() {
@@ -176,7 +172,7 @@ fn assert_hashflow_invariants(hf: &HashFlow, packets: &[Packet]) {
             "{key:?} is not on its own probe path"
         );
         prop_assert!(truth.contains_key(&key), "{key:?} was never sent");
-        let sent = sent_by_identity[&identity(&key)];
+        let sent = sent_by_identity[&hf.ancillary_coords(&key)];
         prop_assert!(
             record.count() <= sent,
             "{key:?} counts {} of {sent} packets",

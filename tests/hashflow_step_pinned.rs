@@ -37,64 +37,64 @@ const REGIMES: [TraceRegime; 3] = [
 const MULTI_HASH: [[u64; 3]; 5] = [
     // CAIDA, churn-heavy, collision-adversarial
     [
-        0xa199_9299_da81_a6cb,
-        0xdddc_bb2b_35c6_b0aa,
-        0x35af_408f_21b0_7ec6,
+        0xb5e3_65a4_cafd_c500,
+        0x42b1_d2ba_81a4_e3e6,
+        0xc00a_2652_6b6e_128d,
     ], // d = 1
     [
-        0x732a_3b68_fc29_3289,
-        0x4495_f9d4_5b82_3e5f,
-        0xee45_49f0_7b85_f1ed,
+        0x68f9_cf48_70ad_2049,
+        0x52d3_70c5_8438_384c,
+        0x50d3_240e_c148_c7e1,
     ], // d = 2
     [
-        0x8e06_9a7c_c6aa_cc2c,
-        0x8cc3_a883_b8c9_8892,
-        0x63ac_186e_d812_622b,
+        0xf480_1e94_1d90_5df6,
+        0xf1bf_7bf8_cb5f_e328,
+        0xaf91_eadc_dea1_c40c,
     ], // d = 3
     [
-        0x908b_1742_8213_40c3,
-        0xc1b1_41a3_5c37_6072,
-        0x14de_de56_271f_131c,
+        0x3c73_fe07_19b5_00d7,
+        0xfb82_021a_f7fc_add9,
+        0x01ff_7e0b_cb77_8d68,
     ], // d = 4
     [
-        0x88fb_724a_8af0_e47d,
-        0x2f2c_43b6_5196_ab85,
-        0xe7b6_46d1_04bd_4a31,
+        0x70d0_47af_64b0_e5a0,
+        0x27d6_7dfb_1ad1_2771,
+        0xd06c_9e73_bb9c_4230,
     ], // d = 5
 ];
 const PIPELINED: [[u64; 3]; 5] = [
     // CAIDA, churn-heavy, collision-adversarial
     [
-        0xa199_9299_da81_a6cb,
-        0xdddc_bb2b_35c6_b0aa,
-        0x35af_408f_21b0_7ec6,
+        0xb5e3_65a4_cafd_c500,
+        0x42b1_d2ba_81a4_e3e6,
+        0xc00a_2652_6b6e_128d,
     ], // d = 1
     [
-        0xbbb6_3698_ba48_fb61,
-        0x3b6f_e084_46cf_4735,
-        0x0b22_9f64_a9b9_d886,
+        0xd994_6c62_319d_5315,
+        0x6fdf_b48f_06bc_0f33,
+        0xdcd9_2c03_e663_f693,
     ], // d = 2
     [
-        0x6b48_7a41_d7f1_e334,
-        0xd09f_21ad_7d8e_2fb9,
-        0xe9bf_df19_7000_a618,
+        0x1801_ad81_dfe5_c8c6,
+        0xed82_433b_7946_fab5,
+        0xebe5_f2ae_a0e1_78c9,
     ], // d = 3
     [
-        0x2214_3fec_6363_6f5b,
-        0x45c4_10bf_1440_3f82,
-        0x1eda_1aed_509a_7236,
+        0x4103_d24c_43dc_ba5d,
+        0x384e_5f2f_55e6_f157,
+        0x586e_15f6_b340_3ccd,
     ], // d = 4
     [
-        0x1dc0_49d6_648b_f16c,
-        0x11bc_dc9e_89e7_04a2,
-        0xd37b_e20c_f719_af48,
+        0xd764_9218_c940_405b,
+        0xa080_48af_21fc_2ce1,
+        0x60b5_b1f1_9f20_b90e,
     ], // d = 5
 ];
 /// Pipelined depth 3 without record promotion, per regime.
 const NO_PROMOTION: [u64; 3] = [
-    0x295f_c85c_f061_49cb,
-    0xf37d_8eac_363f_775b,
-    0x2188_a977_d4d1_b8b8,
+    0x6719_fe42_09e3_2930,
+    0xa36c_121f_07e1_9338,
+    0x3041_6832_bbc0_6296,
 ];
 
 /// One digest table over the whole grid.
@@ -116,62 +116,62 @@ const ONE_IN_FOUR: Grid = Grid {
 const UNTRACED: Grid = Grid {
     multi_hash: [
         [
-            0x0b82_e601_e8e2_24af,
-            0x83c0_0212_01a5_0eff,
-            0x8f95_7314_8bd6_4e2d,
+            0xcf6b_66ca_49c3_7ea2,
+            0x6d4c_f1f8_96cd_a003,
+            0x27e9_7677_9609_20c2,
         ],
         [
-            0x26ca_2343_3495_c7a3,
-            0xb6dc_3327_4a12_921d,
-            0xd4f7_ab18_a808_2afa,
+            0x5cc8_d2ec_574f_55a4,
+            0x8089_ed98_825f_78a6,
+            0xf346_2a0c_3f9f_5e96,
         ],
         [
-            0xf216_c35d_7d27_13a4,
-            0xc32d_bde2_6bed_8820,
-            0xbce6_070d_58f3_5550,
+            0xac0b_a238_b008_cb90,
+            0x46c7_0153_bac6_1fa7,
+            0x8705_2b7f_d6c4_310a,
         ],
         [
-            0x7589_0cae_7713_6a05,
-            0xcc3a_db67_6dd2_27cc,
-            0x7c45_ea60_a9d2_b8d2,
+            0x1375_2490_f1c9_625b,
+            0xce6f_b4d3_cad2_9f4c,
+            0x7fe0_8f48_c002_d7d0,
         ],
         [
-            0xb5bd_00ea_14ae_fc8e,
-            0xef53_f26b_6f64_bfe7,
-            0x1f60_db5c_a11b_d625,
+            0xd582_510d_f37c_0147,
+            0x96e0_3fc8_5e73_9e06,
+            0xe07c_a510_e066_fcec,
         ],
     ],
     pipelined: [
         [
-            0x0b82_e601_e8e2_24af,
-            0x83c0_0212_01a5_0eff,
-            0x8f95_7314_8bd6_4e2d,
+            0xcf6b_66ca_49c3_7ea2,
+            0x6d4c_f1f8_96cd_a003,
+            0x27e9_7677_9609_20c2,
         ],
         [
-            0x01b7_41dd_c548_89fb,
-            0xf801_06b6_d16e_051f,
-            0x6693_9f15_3f71_b7f8,
+            0x2297_1b3f_81b9_4b93,
+            0x8977_3a05_cd63_d233,
+            0xebce_c448_c787_4fda,
         ],
         [
-            0x9531_d251_83d9_5020,
-            0x5484_4ad0_cd73_e027,
-            0x752b_d41f_1d62_5d58,
+            0x96e4_bd28_dd3e_b4dc,
+            0x2418_b937_81e3_bab3,
+            0xcab5_bb03_266d_9ad0,
         ],
         [
-            0x2e7d_4f51_2bd8_eb2c,
-            0xad2b_721e_d2bb_09a6,
-            0x2729_8a57_d464_8de0,
+            0x4164_c1ef_dceb_a194,
+            0xffa2_c51d_5c1a_459d,
+            0x6f8b_3f55_33f3_e99a,
         ],
         [
-            0x8c69_8f0d_8b1e_cfd9,
-            0xeaee_737d_c113_5d1d,
-            0x5527_7c4a_991d_9004,
+            0x2c8c_ee45_54bf_e4f6,
+            0xed20_0175_949a_ec5c,
+            0x77f6_9bc2_696a_c832,
         ],
     ],
     no_promotion: [
-        0xafa4_6b47_89a1_4aaa,
-        0xf30a_618c_93ec_e544,
-        0xee3d_315b_9492_a608,
+        0x06ea_0af2_f5cb_22a3,
+        0x46e3_f3ff_7dd2_4fa2,
+        0x9e3d_618a_812b_f728,
     ],
 };
 
@@ -179,62 +179,62 @@ const UNTRACED: Grid = Grid {
 const ONE_IN_ONE: Grid = Grid {
     multi_hash: [
         [
-            0x0b18_65c0_a0b9_2fb2,
-            0xe50f_e5e0_d1af_f3d8,
-            0xb853_44c1_e379_32a5,
+            0xc218_36d7_0815_a041,
+            0x537b_5a77_afb0_df49,
+            0x891f_b8e8_f3ed_ea07,
         ],
         [
-            0xe4c0_eef0_8d29_e2a3,
-            0x18b0_2cab_7344_d404,
-            0x2233_6471_d2e3_87e1,
+            0xc799_3b60_4941_ca29,
+            0x5b2e_6030_85c5_39f7,
+            0x5f8b_21c7_87ed_efea,
         ],
         [
-            0x7c59_67d5_7020_37dd,
-            0x7fcc_b7ce_2eb2_4758,
-            0x8c24_32f3_beee_dd63,
+            0x9e7b_9b8b_cdde_b7b7,
+            0xdca9_9e63_6fc4_76d6,
+            0xaabd_0dfc_91f1_9a91,
         ],
         [
-            0x5ebd_5291_b1c0_2586,
-            0x3613_e16e_c745_42e9,
-            0x4fe9_9079_e493_dbcc,
+            0x3ace_f030_7869_6593,
+            0x6702_f3af_6100_fb40,
+            0x604e_be30_4ad5_0cfa,
         ],
         [
-            0x2c8c_edec_ff9b_0405,
-            0xa9a8_7351_12ff_4ff5,
-            0x345e_c258_1a7a_dc96,
+            0xe231_7efa_5cd5_8d71,
+            0x5d14_f9a0_cd0f_07d3,
+            0x478f_14ec_3802_4795,
         ],
     ],
     pipelined: [
         [
-            0x0b18_65c0_a0b9_2fb2,
-            0xe50f_e5e0_d1af_f3d8,
-            0xb853_44c1_e379_32a5,
+            0xc218_36d7_0815_a041,
+            0x537b_5a77_afb0_df49,
+            0x891f_b8e8_f3ed_ea07,
         ],
         [
-            0x4700_af8a_b00a_3173,
-            0xacfb_96f7_8314_8f14,
-            0xc893_ca21_2faa_8533,
+            0x64b3_0ae7_3b13_a70b,
+            0x50c3_1a27_1113_fac7,
+            0x5996_8e97_3638_ebc5,
         ],
         [
-            0xec4d_a4ab_8cd9_d13e,
-            0x0bc8_59a1_eb6b_30de,
-            0xc646_e081_7a00_e621,
+            0x3ad4_0978_4169_69ce,
+            0x858b_238a_a4ee_090e,
+            0x253c_a485_c548_635a,
         ],
         [
-            0xb9d9_7530_3d53_8525,
-            0xc3ed_ce3b_f4e2_160c,
-            0x6315_c5fc_09e6_9474,
+            0xc466_8792_6929_6f83,
+            0xc6ba_162d_21fd_353e,
+            0xc90b_bddd_545b_344b,
         ],
         [
-            0x3ddd_966e_b8f6_282b,
-            0x21a2_0b90_11f6_931f,
-            0x4a2b_44fb_0aa5_89e9,
+            0x2179_541a_995c_2feb,
+            0x6ae4_8ad3_8d4e_9aa1,
+            0x8147_ddda_916a_42b0,
         ],
     ],
     no_promotion: [
-        0x2e6e_cc04_7b25_d38a,
-        0x5d2e_1099_54f3_a4e8,
-        0xdb71_74a1_ecb7_ab3c,
+        0xdf06_c970_ad22_53eb,
+        0xf5ed_542d_274a_3c3f,
+        0x3dde_0463_3291_7835,
     ],
 };
 
