@@ -75,3 +75,22 @@ fi
 if grep -rnE 'mod (overload|scaling_shards)|BENCH_(overload|shard)|HyperLogLog|fn inner_mut|dispatch_hashes' crates tests examples; then
     fail "a retired exhibit or an unused item"
 fi
+
+# The chaos harness is test support, not runtime: `FaultPlan`,
+# `FaultInjectingSink` and `PanicInjector` live in `crates/suite` beside
+# the suites that drive them.
+if grep -rnE 'FaultPlan|FaultInjectingSink|PanicInjector' crates/monitor; then
+    fail "the chaos harness in the runtime"
+fi
+
+# SampledNetFlow keeps one ingest body: its batched sampler pass gained
+# under 10 %, so batches take the trait's per-packet loop.
+if grep -n 'fn process_batch' crates/sampled/src/lib.rs; then
+    fail "a second SampledNetFlow ingest body"
+fi
+
+# Public API has a reader outside tests: these accessors had none and
+# were deleted with the tests of their own.
+if grep -rnE 'fn (sink_count|total_records|into_epochs|lines_written|span_if_sampled|key_set|src_eq|dst_eq|is_key_level|first_hash|datagrams_written|has_dump_writer|same_as|storage_bits|fraction_at|tracked_keys)\b' crates tests examples; then
+    fail "a public item without a reader"
+fi

@@ -397,14 +397,6 @@ impl MainTable {
         &self.sizes
     }
 
-    /// Hash of `key` under `h_1` — reused by the caller to derive the
-    /// ancillary digest (§III-A: "a digest can be generated from the hashing
-    /// result of the flow ID with any `h_i`") without an extra hash
-    /// evaluation.
-    pub fn first_hash(&self, key: &FlowKey) -> u64 {
-        self.probe_hashes(key)(0)
-    }
-
     /// `key`'s probe hashes, from one evaluation of the pair: hash `i` is
     /// [`pair_hash`]`(a, b, i)`, `h_{i+1}` for `i < d` and, for `i = d`,
     /// `g_1`, the ancillary table's. Every scalar path derives its probes
@@ -560,7 +552,7 @@ impl MainTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashflow_hashing::{probe_slot, HashLanes, KernelCopy, KeyHasher};
+    use hashflow_hashing::{probe_slot, HashLanes, KernelCopy};
 
     fn key(i: u64) -> FlowKey {
         FlowKey::from_index(i)
@@ -995,19 +987,5 @@ mod tests {
     fn oversized_table_rejected() {
         let scheme = TableScheme::MultiHash { depth: 1 };
         assert!(MainTable::new(scheme, u32::MAX as usize + 1, 0).is_err());
-    }
-
-    /// `h_1` is the pair's member `a`, itself member 0 of the table's
-    /// family: the hash (and so the digest) that independent members gave
-    /// `h_1` before the probes were derived from a pair.
-    #[test]
-    fn first_hash_matches_member_zero() {
-        let t = MainTable::new(TableScheme::MultiHash { depth: 2 }, 8, 9).unwrap();
-        let independent = HashFamily::<XxHash64>::new(3, 9 ^ 0x3a1d_77f0);
-        for i in 0..50 {
-            let h1 = t.first_hash(&key(i));
-            assert_eq!(h1, independent.hash(0, &key(i)));
-            assert_eq!(h1, t.pair()[0].hash_key(&key(i)));
-        }
     }
 }

@@ -245,11 +245,6 @@ impl<M: FlowMonitor> EpochRotator<M> {
         self.sinks.add(sink);
     }
 
-    /// Number of attached sinks.
-    pub fn sink_count(&self) -> usize {
-        self.sinks.len()
-    }
-
     /// Point-in-time health of every attached sink, in attach order —
     /// the per-sink view of the healthy → degraded → quarantined state
     /// machine ([`crate::SinkHealth`]).
@@ -915,7 +910,7 @@ mod tests {
         let mut r = EpochRotator::new(Exact::default(), 1_000);
         r.add_sink(Box::new(MemorySink::new()));
         r.add_sink(Box::new(JsonLinesSink::new(Vec::new())));
-        assert_eq!(r.sink_count(), 2);
+        assert_eq!(r.sink_health().len(), 2);
         for t in 0..3u64 {
             r.process_packet(&pkt(t, t * 1_000)); // one epoch per packet
         }

@@ -28,7 +28,6 @@
 mod budget;
 mod cost;
 mod epoch;
-mod fault;
 mod health;
 mod introspect;
 mod plan;
@@ -41,7 +40,6 @@ mod trace;
 pub use budget::MemoryBudget;
 pub use cost::{CostRecorder, CostSnapshot};
 pub use epoch::{EpochReport, EpochRotator};
-pub use fault::{FaultInjectingSink, FaultPlan, PanicInjector};
 pub use health::{
     classify_io_error, ErrorClass, SinkErrors, SinkHealth, SinkStatus, SINK_PROBE_INTERVAL,
     SINK_QUARANTINE_AFTER,

@@ -133,11 +133,6 @@ impl SinkSet {
         self.entries.push(SinkEntry::new(sink));
     }
 
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether no sinks are attached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -355,18 +350,12 @@ impl SinkSet {
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
     writer: W,
-    lines: u64,
 }
 
 impl<W: Write> JsonLinesSink<W> {
     /// Wraps a writer.
     pub fn new(writer: W) -> Self {
-        JsonLinesSink { writer, lines: 0 }
-    }
-
-    /// Lines (records) written so far.
-    pub const fn lines_written(&self) -> u64 {
-        self.lines
+        JsonLinesSink { writer }
     }
 
     /// Unwraps the sink, returning the underlying writer.
@@ -391,7 +380,6 @@ impl<W: Write> RecordSink for JsonLinesSink<W> {
                 key.protocol(),
                 rec.count(),
             )?;
-            self.lines += 1;
         }
         Ok(())
     }
@@ -420,16 +408,6 @@ impl MemorySink {
     /// Sealed epochs received so far, in arrival order.
     pub fn epochs(&self) -> &[EpochSnapshot] {
         &self.epochs
-    }
-
-    /// Total records across all retained epochs.
-    pub fn total_records(&self) -> usize {
-        self.epochs.iter().map(EpochSnapshot::len).sum()
-    }
-
-    /// Consumes the sink, returning the retained epochs.
-    pub fn into_epochs(self) -> Vec<EpochSnapshot> {
-        self.epochs
     }
 }
 
@@ -464,7 +442,6 @@ mod tests {
         sink.export_epoch(&snapshot(0, 3)).unwrap();
         sink.export_epoch(&snapshot(1, 2)).unwrap();
         sink.finish().unwrap();
-        assert_eq!(sink.lines_written(), 5);
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 5);
         // Every line is a flat JSON object carrying its epoch.
@@ -484,9 +461,9 @@ mod tests {
         let mut sink = MemorySink::new();
         sink.export_epoch(&snapshot(0, 4)).unwrap();
         sink.export_epoch(&snapshot(1, 1)).unwrap();
-        assert_eq!(sink.epochs().len(), 2);
-        assert_eq!(sink.total_records(), 5);
-        let epochs = sink.into_epochs();
+        let epochs = sink.epochs();
+        assert_eq!(epochs.len(), 2);
+        assert_eq!((epochs[0].len(), epochs[1].len()), (4, 1));
         assert_eq!(epochs[1].epoch(), 1);
     }
 
@@ -496,8 +473,8 @@ mod tests {
         for e in 0..50 {
             sink.export_epoch(&snapshot(e, 10)).unwrap();
         }
-        assert_eq!(sink.total_records(), 500);
         assert_eq!(sink.epochs().len(), 50);
+        assert!(sink.epochs().iter().all(|e| e.len() == 10));
     }
 
     #[test]

@@ -103,22 +103,6 @@ impl FlowTracer {
             ],
         );
     }
-
-    /// Checks sampling and records the span in one call; returns whether
-    /// the flow was sampled. For paths that emit at most one span per
-    /// packet.
-    pub fn span_if_sampled(
-        &self,
-        key: &FlowKey,
-        stage: &'static str,
-        detail: impl Into<String>,
-    ) -> bool {
-        let sampled = self.is_sampled(key);
-        if sampled {
-            self.span(key, stage, detail);
-        }
-        sampled
-    }
 }
 
 /// One epoch's tally of the `N` per-packet stages each sampled flow
@@ -216,7 +200,8 @@ mod tests {
         let recorder = FlightRecorder::with_capacity(16);
         let tracer = FlowTracer::new(recorder.clone(), 1);
         let key = FlowKey::from_index(7);
-        assert!(tracer.span_if_sampled(&key, "dispatch", "shard 3"));
+        assert!(tracer.is_sampled(&key));
+        tracer.span(&key, "dispatch", "shard 3");
         tracer.span(&key, "main_hit", "count 2");
         let events = recorder.snapshot();
         assert_eq!(events.len(), 2);
@@ -233,7 +218,9 @@ mod tests {
         let tracer = FlowTracer::new(recorder.clone(), 1 << 40);
         let mut traced = 0;
         for i in 0..1000u64 {
-            if tracer.span_if_sampled(&FlowKey::from_index(i), "dispatch", "x") {
+            let key = FlowKey::from_index(i);
+            if tracer.is_sampled(&key) {
+                tracer.span(&key, "dispatch", "x");
                 traced += 1;
             }
         }

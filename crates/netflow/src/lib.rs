@@ -183,7 +183,6 @@ fn write_record(buf: &mut Vec<u8>, rec: &FlowRecord) {
 pub struct NetFlowV5Sink<W: Write> {
     writer: W,
     exporter: Exporter,
-    datagrams: u64,
 }
 
 impl<W: Write> NetFlowV5Sink<W> {
@@ -197,18 +196,12 @@ impl<W: Write> NetFlowV5Sink<W> {
         NetFlowV5Sink {
             writer,
             exporter: Exporter::new(meta),
-            datagrams: 0,
         }
     }
 
     /// Total flows exported so far (the running v5 sequence number).
     pub const fn flow_sequence(&self) -> u32 {
         self.exporter.flow_sequence()
-    }
-
-    /// Datagrams written so far.
-    pub const fn datagrams_written(&self) -> u64 {
-        self.datagrams
     }
 
     /// Unwraps the sink, returning the underlying writer.
@@ -227,7 +220,6 @@ impl<W: Write> RecordSink for NetFlowV5Sink<W> {
         let records: Vec<FlowRecord> = snapshot.records().copied().collect();
         for datagram in self.exporter.export(&records) {
             self.writer.write_all(&datagram)?;
-            self.datagrams += 1;
         }
         Ok(())
     }
@@ -482,11 +474,10 @@ mod tests {
         sink.export_epoch(&epoch(1, 3)).unwrap();
         sink.finish().unwrap();
         assert_eq!(sink.flow_sequence(), 38);
-        assert_eq!(sink.datagrams_written(), 3); // 30 + 5, then 3
         let bytes = sink.into_inner();
 
         // Re-parse the concatenated byte stream datagram by datagram.
-        assert_eq!(split_datagrams(&bytes).unwrap().len(), 3);
+        assert_eq!(split_datagrams(&bytes).unwrap().len(), 3); // 30 + 5, then 3
         let parsed = decode_stream(&bytes).unwrap();
         let mut expected = records(35);
         expected.extend(records(3));

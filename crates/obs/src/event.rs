@@ -278,15 +278,6 @@ impl FlightRecorder {
         *self.inner.dump_writer.lock().expect("dump writer poisoned") = Some(writer);
     }
 
-    /// Whether a dump writer is attached.
-    pub fn has_dump_writer(&self) -> bool {
-        self.inner
-            .dump_writer
-            .lock()
-            .expect("dump writer poisoned")
-            .is_some()
-    }
-
     /// Dumps triggered so far (attempted, writer attached or not).
     pub fn dumps(&self) -> u64 {
         self.lock().dumps
@@ -437,7 +428,6 @@ mod tests {
         }
         let sink = Shared::default();
         r.set_dump_writer(Box::new(sink.clone()));
-        assert!(r.has_dump_writer());
         assert!(r.dump("quarantine"));
         assert_eq!(r.dumps(), 2);
         let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();

@@ -59,11 +59,6 @@ impl Counter {
     pub fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
     }
-
-    /// Whether `other` is a handle to this same underlying counter.
-    pub fn same_as(&self, other: &Counter) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 /// A value that can go up and down (queue depth, live epoch number).
@@ -232,11 +227,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Whether `other` is a handle to this same underlying histogram.
-    pub fn same_as(&self, other: &Histogram) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// The value at quantile `q` in `[0, 1]`, as the inclusive upper
     /// bound of the log2 bucket holding the `ceil(q·count)`-th smallest
     /// observation — an upper estimate with at most one-bucket (2×)
@@ -335,8 +325,6 @@ mod tests {
         h.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(h.get(), 10);
-        assert!(c.same_as(&h));
-        assert!(!c.same_as(&Counter::new()));
         c.reset();
         assert_eq!(h.get(), 0);
     }

@@ -99,11 +99,6 @@ impl BitVec {
     pub fn reset(&mut self) {
         self.words.fill(0);
     }
-
-    /// Memory footprint of the backing store in bits (a multiple of 64).
-    pub fn storage_bits(&self) -> usize {
-        self.words.len() * 64
-    }
 }
 
 #[cfg(test)]
@@ -112,6 +107,7 @@ mod tests {
 
     #[test]
     fn set_get_clear() {
+        assert!(BitVec::new(0).is_empty());
         let mut bv = BitVec::new(130);
         for i in [0, 1, 63, 64, 65, 127, 128, 129] {
             assert!(!bv.get(i));
@@ -139,13 +135,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         BitVec::new(10).get(10);
-    }
-
-    #[test]
-    fn storage_is_word_granular() {
-        assert_eq!(BitVec::new(1).storage_bits(), 64);
-        assert_eq!(BitVec::new(64).storage_bits(), 64);
-        assert_eq!(BitVec::new(65).storage_bits(), 128);
-        assert!(BitVec::new(0).is_empty());
     }
 }

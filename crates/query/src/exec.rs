@@ -86,11 +86,6 @@ impl QueryResult {
     pub fn get(&self, key: &FlowKey) -> Option<u64> {
         self.rows.iter().find(|r| r.key == *key).map(|r| r.value)
     }
-
-    /// The surviving group keys as a set (detection-style consumption).
-    pub fn key_set(&self) -> HashSet<FlowKey> {
-        self.rows.iter().map(|r| r.key).collect()
-    }
 }
 
 /// Evaluates `plan` over a flow record report, post hoc.
@@ -292,7 +287,6 @@ mod tests {
         assert_eq!(result.group(), Projection::Src);
         assert_eq!(result.len(), 2);
         assert!(!result.is_empty());
-        assert_eq!(result.key_set().len(), 2);
         assert_eq!(result.get(&key(9, 9, 9, 9)), None);
         // Sorted by value descending.
         assert!(result.rows()[0].value >= result.rows()[1].value);

@@ -202,7 +202,7 @@ mod tests {
         assert_eq!(preds.len(), 3);
         assert_eq!(
             preds[0],
-            Predicate::src_eq(Ipv4Addr::from([192, 168, 0, 1]))
+            Predicate::key(Field::SrcIp, CmpOp::Eq, 0xc0a8_0001)
         );
         assert_eq!(preds[1], Predicate::key(Field::Protocol, CmpOp::Ne, 17));
         assert_eq!(preds[2], Predicate::count(CmpOp::Le, 9));

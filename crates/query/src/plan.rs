@@ -146,33 +146,9 @@ impl Predicate {
         }
     }
 
-    /// `src = addr`.
-    pub const fn src_eq(addr: Ipv4Addr) -> Self {
-        Predicate::Key {
-            field: Field::SrcIp,
-            op: CmpOp::Eq,
-            value: addr.to_bits() as u64,
-        }
-    }
-
-    /// `dst = addr`.
-    pub const fn dst_eq(addr: Ipv4Addr) -> Self {
-        Predicate::Key {
-            field: Field::DstIp,
-            op: CmpOp::Eq,
-            value: addr.to_bits() as u64,
-        }
-    }
-
     /// `count op value` over the final epoch packet count.
     pub const fn count(op: CmpOp, value: u64) -> Self {
         Predicate::Count { op, value }
-    }
-
-    /// Whether the predicate can be decided from the key alone (i.e. per
-    /// packet, without the final count).
-    pub const fn is_key_level(&self) -> bool {
-        matches!(self, Predicate::Key { .. })
     }
 
     /// Tests the predicate against a `(key, count)` flow observation.
@@ -550,8 +526,7 @@ mod tests {
         assert_eq!(plan.distinct(), Some(Projection::DstPort));
         assert_eq!(plan.aggregate(), Aggregate::Count);
         assert_eq!(plan.threshold(), Some(10));
-        assert!(plan.filters().all(Predicate::is_key_level));
-        assert_eq!(plan.filters().count(), 1);
+        assert!(plan.filters().eq([&Predicate::proto_eq(6)]));
     }
 
     #[test]
@@ -605,7 +580,7 @@ mod tests {
             .reduce(Aggregate::Count)
             .build()
             .unwrap();
-        assert!(plan.filters().any(|p| !p.is_key_level()));
+        assert!(plan.filters().eq([&Predicate::count(CmpOp::Ge, 5)]));
     }
 
     #[test]
@@ -626,8 +601,8 @@ mod tests {
         let key = FlowKey::new([10, 0, 0, 1].into(), [10, 0, 0, 2].into(), 80, 443, 6);
         assert!(Predicate::proto_eq(6).test(&key, 1));
         assert!(!Predicate::proto_eq(17).test(&key, 1));
-        assert!(Predicate::src_eq([10, 0, 0, 1].into()).test(&key, 1));
-        assert!(Predicate::dst_eq([10, 0, 0, 2].into()).test(&key, 1));
+        assert!(Predicate::key(Field::SrcIp, CmpOp::Eq, 0x0a00_0001).test(&key, 1));
+        assert!(Predicate::key(Field::DstIp, CmpOp::Eq, 0x0a00_0002).test(&key, 1));
         assert!(Predicate::key(Field::DstPort, CmpOp::Ge, 400).test(&key, 1));
         assert!(Predicate::count(CmpOp::Gt, 3).test(&key, 4));
         assert!(!Predicate::count(CmpOp::Gt, 3).test(&key, 3));

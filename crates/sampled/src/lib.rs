@@ -46,9 +46,6 @@ pub struct SampledNetFlow {
     sampled_packets: u64,
     evictions: u64,
     cost: CostRecorder,
-    // Reusable sampling-flag scratch for `process_batch`; carries no
-    // observable state (cleared and refilled per batch).
-    scratch: Vec<bool>,
 }
 
 impl SampledNetFlow {
@@ -74,7 +71,6 @@ impl SampledNetFlow {
             sampled_packets: 0,
             evictions: 0,
             cost: CostRecorder::new(),
-            scratch: Vec::new(),
         })
     }
 
@@ -130,10 +126,11 @@ impl SampledNetFlow {
         fast_range(self.hash.hash_bytes(0, &bytes), self.sampling_n as usize) == 0
     }
 
-    /// The per-packet update, behind both ingestion entries, for a packet
-    /// whose sampler verdict is `take`: one sampler hash, and for a
-    /// sampled packet the flow-cache update — one cache read and one cache
-    /// write in every branch — with the packet's cost added to `cost`.
+    /// The per-packet update for a packet whose sampler verdict is
+    /// `take`: one sampler hash, and for a sampled packet the flow-cache
+    /// update — one cache read and one cache write in every branch — with
+    /// the packet's cost added to `cost`. Batches take the trait's
+    /// per-packet loop: a batched sampler pass gained under 10 %.
     #[inline]
     fn update(&mut self, key: FlowKey, take: bool, cost: &mut CostSnapshot) {
         cost.packets += 1;
@@ -179,24 +176,6 @@ impl FlowMonitor for SampledNetFlow {
         let mut cost = CostSnapshot::default();
         self.update(packet.key(), self.sampled(packet), &mut cost);
         self.cost.absorb(&cost);
-    }
-
-    /// The batched hot path: the 1-in-N sampling decision is a pure
-    /// function of the packet, so pass 1 evaluates the sampler for the
-    /// whole batch in one sweep; pass 2 runs the same per-packet `update`
-    /// the scalar entry runs, in arrival order, and flushes one cost
-    /// record per batch. State and recorded costs are identical to the
-    /// scalar loop.
-    fn process_batch(&mut self, packets: &[Packet]) {
-        let mut flags = std::mem::take(&mut self.scratch);
-        flags.clear();
-        flags.extend(packets.iter().map(|p| self.sampled(p)));
-        let mut cost = CostSnapshot::default();
-        for (p, &take) in packets.iter().zip(&flags) {
-            self.update(p.key(), take, &mut cost);
-        }
-        self.cost.absorb(&cost);
-        self.scratch = flags;
     }
 
     fn flow_records(&self) -> Vec<FlowRecord> {

@@ -89,11 +89,6 @@ impl ExactBaselineMonitor {
         self.capacity
     }
 
-    /// Flows currently tracked.
-    pub fn tracked_keys(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Whether the workload outgrew the budgeted capacity (the reported
     /// [`FlowMonitor::memory_bits`] then exceeds the nominal budget).
     pub fn overflowed(&self) -> bool {
@@ -207,7 +202,7 @@ mod tests {
             exact.process_packet(&pkt(flow, 0));
         }
         assert!(exact.overflowed());
-        assert_eq!(exact.tracked_keys(), capacity + 10);
+        assert_eq!(exact.flow_records().len(), capacity + 10);
         assert_eq!(exact.memory_bits(), (capacity + 10) * RECORD_BITS);
     }
 
@@ -217,7 +212,7 @@ mod tests {
         let mut exact = ExactBaselineMonitor::new(10).unwrap();
         exact.process_packet(&pkt(1, 0));
         exact.reset();
-        assert_eq!(exact.tracked_keys(), 0);
+        assert!(exact.flow_records().is_empty());
         assert_eq!(exact.cost().packets, 0);
         assert_eq!(exact.capacity(), 10);
     }

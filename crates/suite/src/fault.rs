@@ -9,11 +9,14 @@
 //! deterministic for a given seed, so a chaos run that finds a bug
 //! replays exactly.
 //!
-//! The injectors live in the library (not the test tree) so the chaos
-//! suite, the other integration suites and downstream daemons can all
-//! drive the same faults.
+//! The injectors are test harness, not runtime: they live here, beside
+//! the integration suites that drive them (`fault_injection`,
+//! `flight_recorder`, `sharded_equivalence`), and use only the public
+//! API of `hashflow-monitor`.
 
-use crate::{CostSnapshot, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, RecordSink};
+use hashflow_monitor::{
+    CostSnapshot, EpochSnapshot, FlowMonitor, Instruments, IntrospectMetric, RecordSink,
+};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 use std::io;
 use std::ops::Range;
@@ -175,11 +178,6 @@ impl<S: RecordSink> FaultInjectingSink<S> {
         self.inner
     }
 
-    /// Exports offered to this sink so far (failed or not).
-    pub fn exports_seen(&self) -> u64 {
-        self.exports_seen
-    }
-
     /// Exports failed by injection (outage + fatal + transient).
     pub fn injected_failures(&self) -> u64 {
         self.injected_failures
@@ -248,7 +246,7 @@ impl<S: RecordSink> RecordSink for FaultInjectingSink<S> {
 /// introspection, faults and instruments included, so a chaos test
 /// drives the code a deployment runs; the panic fires
 /// *inside* `process_packet`/`process_batch` on the packet that crosses
-/// [`panic_at`](Self::panic_at), exactly where a buggy algorithm would
+/// its `panic_at` threshold, exactly where a buggy algorithm would
 /// blow up. Wrapping in `ShardedMonitor` therefore exercises the
 /// `catch_unwind` isolation path deterministically: the shard whose
 /// partition reaches the threshold first dies, the others keep going.
@@ -269,11 +267,6 @@ impl<M: FlowMonitor> PanicInjector<M> {
             panic_at,
             processed: 0,
         }
-    }
-
-    /// The configured panic threshold.
-    pub fn panic_at(&self) -> u64 {
-        self.panic_at
     }
 
     /// Packets processed so far without reaching the threshold.
@@ -356,7 +349,7 @@ impl<M: FlowMonitor> FlowMonitor for PanicInjector<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemorySink;
+    use hashflow_monitor::{CostRecorder, MemorySink};
     use hashflow_types::{FlowKey, FlowRecord};
 
     fn snapshot(epoch: u64, n: usize) -> EpochSnapshot {
@@ -422,12 +415,12 @@ mod tests {
         sink.export_epoch(&snapshot(0, 2)).unwrap();
         assert_eq!(sink.injected_stalls(), 1);
         assert_eq!(sink.delivered(), 1);
-        assert_eq!(sink.inner().total_records(), 2);
+        assert_eq!(sink.inner().epochs()[0].len(), 2);
     }
 
     #[derive(Default)]
     struct Noop {
-        cost: crate::CostRecorder,
+        cost: CostRecorder,
     }
 
     impl FlowMonitor for Noop {

@@ -15,7 +15,8 @@
 //!
 //! The workspace-level `examples/` directory (run via
 //! `cargo run -p hashflow-suite --example quickstart`) and `tests/`
-//! integration suite are hosted by this crate.
+//! integration suite are hosted by this crate, and so is their chaos
+//! harness, [`fault`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +38,8 @@ pub use hashflow_types as types;
 pub use hashpipe;
 pub use netflow_export;
 pub use sampled_netflow;
+
+pub mod fault;
 
 /// The names most programs need, in one import.
 pub mod prelude {

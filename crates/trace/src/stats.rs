@@ -109,16 +109,6 @@ impl SizeCdf {
     pub fn points(&self) -> &[(u64, f64)] {
         &self.points
     }
-
-    /// The fraction of flows at or below `size`, interpolated from the
-    /// nearest sampled point at or below it (0 when below the support).
-    pub fn fraction_at(&self, size: u64) -> f64 {
-        match self.points.binary_search_by_key(&size, |&(s, _)| s) {
-            Ok(i) => self.points[i].1,
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,9 +150,8 @@ mod tests {
         let pts = cdf.points();
         assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(pts.last().unwrap().1, 1.0);
-        assert!((cdf.fraction_at(1) - 0.4).abs() < 1e-12);
-        assert_eq!(cdf.fraction_at(0), 0.0);
-        assert_eq!(cdf.fraction_at(60), cdf.fraction_at(50));
+        assert_eq!(pts[0].0, 1);
+        assert!((pts[0].1 - 0.4).abs() < 1e-12);
     }
 
     #[test]

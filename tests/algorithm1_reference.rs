@@ -16,12 +16,30 @@
 //! compares the main table in bucket order, every ancillary cell,
 //! promotions, replacements, `cost()`, `flow_records` and `estimate_size`
 //! of every key sent so far.
+//!
+//! The reference also tags each main-table record with its
+//! [`Provenance`] and holds the exactness claim per kind of record: a
+//! record inserted at its flow's first packet of the epoch, and never
+//! evicted since, equals the flow's true count. A promoted record starts
+//! from an ancillary count and may be off either way.
 
 use hashflow_suite::hashing::{fast_range, HashFamily, XxHash64};
 use hashflow_suite::monitor::FlowTracer;
 use hashflow_suite::prelude::*;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+
+/// How a main-table record got to its bucket.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Provenance {
+    /// At an empty bucket, on its flow's first packet of the epoch.
+    Inserted,
+    /// Over the sentinel, from the flow's ancillary count (lines 18–20).
+    Promoted,
+    /// At an empty bucket on a later packet. Buckets never empty within
+    /// an epoch, so the flow had a record that a promotion evicted.
+    Reinserted,
+}
 
 /// HashFlow's two tables as §III-A describes them, updated by Algorithm 1.
 struct Reference {
@@ -33,7 +51,11 @@ struct Reference {
     /// from (Kirsch and Mitzenmacher's double hashing).
     pair: HashFamily<XxHash64>,
     main: Vec<Option<(FlowKey, u32)>>,
+    /// How each bucket's record got there.
+    provenance: Vec<Provenance>,
     ancillary: Vec<Option<(u32, u32)>>,
+    /// Every flow's true packet count in the epoch.
+    truth: HashMap<FlowKey, u32>,
     promotions: u64,
     replacements: u64,
     cost: CostSnapshot,
@@ -55,7 +77,9 @@ impl Reference {
             ranges,
             pair: HashFamily::new(2, config.seed() ^ 0x3a1d_77f0),
             main: vec![None; config.main_cells()],
+            provenance: vec![Provenance::Inserted; config.main_cells()],
             ancillary: vec![None; config.ancillary_cells()],
+            truth: HashMap::new(),
             promotions: 0,
             replacements: 0,
             cost: CostSnapshot::default(),
@@ -93,6 +117,9 @@ impl Reference {
 
     fn process(&mut self, key: FlowKey) {
         self.cost.packets += 1;
+        let seen = self.truth.entry(key).or_insert(0);
+        let first = *seen == 0;
+        *seen += 1;
         // Lines 2–13: collision resolution, forward, exiting early.
         let mut sentinel: Option<(usize, u32)> = None;
         for idx in self.path(&key) {
@@ -101,6 +128,11 @@ impl Reference {
             match &mut self.main[idx] {
                 None => {
                     self.main[idx] = Some((key, 1));
+                    self.provenance[idx] = if first {
+                        Provenance::Inserted
+                    } else {
+                        Provenance::Reinserted
+                    };
                     self.cost.writes += 1;
                     return;
                 }
@@ -132,6 +164,7 @@ impl Reference {
             Some((resident, count)) if resident == digest && count >= min.min(max) => {
                 if self.config.promotion_enabled() {
                     self.main[sentinel] = Some((key, count.saturating_add(1)));
+                    self.provenance[sentinel] = Provenance::Promoted;
                     self.promotions += 1;
                 } else {
                     self.ancillary[slot] = Some((digest, (count + 1).min(max)));
@@ -165,6 +198,18 @@ impl Reference {
         (self.main.iter().flatten())
             .map(|&(key, count)| FlowRecord::new(key, count))
             .collect()
+    }
+
+    /// The exactness claim for inserted records: one inserted at its
+    /// flow's first packet of the epoch and never evicted (an evicted
+    /// record leaves its bucket) holds the flow's true count, as every
+    /// later packet of the flow walks the same occupied buckets to it.
+    fn assert_inserted_exact(&self, at: usize) {
+        for (cell, provenance) in self.main.iter().zip(&self.provenance) {
+            if let (Some((key, count)), Provenance::Inserted) = (cell, provenance) {
+                assert_eq!(*count, self.truth[key], "inserted {key:?}, batch {at}");
+            }
+        }
     }
 
     /// A seal: the records leave, both tables and every counter clear.
@@ -258,6 +303,7 @@ proptest! {
                     keys.insert(p.key());
                 }
                 assert_agree(&hf, &reference, &keys, at);
+                reference.assert_inserted_exact(at);
                 (at, rest) = (at + 1, tail);
             }
         }

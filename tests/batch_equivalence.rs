@@ -9,10 +9,10 @@
 //! plans are built and prefetched `PREFETCH_AHEAD` packets ahead), so for
 //! it the suite checks that the window's bookkeeping never leaks into
 //! the result, whatever the batch shape. FlowRadar overrides
-//! `process_batch` with a batched hot path of its own, SampledNetFlow
-//! batches its sampler pass, and HashPipe and ElasticSketch ride the
-//! default scalar-loop implementation — the suite pins the contract for
-//! all of them so a future override cannot silently diverge.
+//! `process_batch` with a batched hot path of its own, and HashPipe,
+//! ElasticSketch and SampledNetFlow ride the default scalar-loop
+//! implementation — the suite pins the contract for all of them so a
+//! future override cannot silently diverge.
 //!
 //! Every HashFlow comparison is followed by the structural invariants of
 //! Algorithm 1 ([`assert_hashflow_invariants`]), which also run over the
@@ -294,8 +294,9 @@ proptest! {
         );
     }
 
-    /// SampledNetFlow's batched sampler pass, with eviction pressure
-    /// (capacity far below the flow count) and N > 1 sampling.
+    /// SampledNetFlow rides the default scalar-loop process_batch, here
+    /// with eviction pressure (capacity far below the flow count) and
+    /// N > 1 sampling.
     #[test]
     fn sampled_netflow_batches_equivalently(packets in stream(400, 800)) {
         let make = || SampledNetFlow::new(64, 4, 0x5a).expect("valid");

@@ -12,9 +12,9 @@
 //! Every fault schedule is seeded, so a failing case replays exactly.
 
 use hashflow_server::{Server, ServerConfig};
+use hashflow_suite::fault::{FaultInjectingSink, FaultPlan, PanicInjector};
 use hashflow_suite::monitor::{
-    BackpressurePolicy, FaultInjectingSink, FaultPlan, PanicInjector, SinkHealth,
-    SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
+    BackpressurePolicy, SinkHealth, SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
 };
 use hashflow_suite::prelude::*;
 use hashflow_suite::shard::{BatchQueue, PushOutcome};

@@ -15,9 +15,8 @@
 //! dump from the shard layer.
 
 use hashflow_suite::collector::{AlgorithmKind, Collector};
-use hashflow_suite::monitor::{
-    FaultInjectingSink, FaultPlan, PanicInjector, SINK_QUARANTINE_AFTER,
-};
+use hashflow_suite::fault::{FaultInjectingSink, FaultPlan, PanicInjector};
+use hashflow_suite::monitor::SINK_QUARANTINE_AFTER;
 use hashflow_suite::obs::{FlightRecorder, Severity};
 use hashflow_suite::prelude::*;
 use hashflow_suite::shard::ShardedMonitor;
