@@ -7,14 +7,16 @@
 # Prints one row per crate, the five runtime crates' sum and the total;
 # gates nothing.
 #
+# Sourced (`. nontest_lines.sh`), it only defines `non_test_source`, the
+# filter `structure_guards.sh` greps through.
+#
 # Usage: .github/scripts/nontest_lines.sh
-set -euo pipefail
-cd "$(dirname "$0")/../.."
 
-# Lines of one source file outside its `#[cfg(test)] mod` blocks. A
-# block opens with the attribute line and `mod name {` at the same
-# indent, and closes at the first `}` at that indent (rustfmt's layout).
-non_test_lines() {
+# Prints the lines of one source file outside its `#[cfg(test)] mod`
+# blocks. A block opens with the attribute line and `mod name {` at the
+# same indent, and closes at the first `}` at that indent (rustfmt's
+# layout).
+non_test_source() {
     awk '
         closing != "" { if ($0 == closing) closing = ""; next }
         armed {
@@ -24,18 +26,24 @@ non_test_lines() {
                 closing = indent "}"
                 next
             }
-            n++
+            print held
         }
         /^[ \t]*#\[cfg\(test\)\]$/ {
             armed = 1
+            held = $0
             match($0, /^[ \t]*/)
             indent = substr($0, 1, RLENGTH)
             next
         }
-        { n++ }
-        END { print n + armed }
+        { print }
+        END { if (armed) print held }
     ' "$1"
 }
+
+[ "${BASH_SOURCE[0]}" = "$0" ] || return 0
+
+set -euo pipefail
+cd "$(dirname "$0")/../.."
 
 runtime="monitor shard collector server query"
 runtime_sum=0
@@ -44,7 +52,7 @@ for dir in crates/*/ vendor/*/; do
     dir=${dir%/}
     lines=0
     while IFS= read -r f; do
-        lines=$((lines + $(non_test_lines "$f")))
+        lines=$((lines + $(non_test_source "$f" | wc -l)))
     done < <(find "$dir/src" -name '*.rs' | sort)
     if [ "${dir%%/*}" = crates ] && [ -d "$dir/tests" ]; then
         lines=$((lines + $(find "$dir/tests" -name '*.rs' -exec cat {} + | wc -l)))

@@ -6,6 +6,8 @@
 # Usage: .github/scripts/structure_guards.sh
 set -euo pipefail
 cd "$(dirname "$0")/../.."
+# `non_test_source FILE`: FILE without its `#[cfg(test)] mod` blocks.
+. .github/scripts/nontest_lines.sh
 
 # Prints `what` and fails.
 fail() {
@@ -89,8 +91,36 @@ if grep -n 'fn process_batch' crates/sampled/src/lib.rs; then
     fail "a second SampledNetFlow ingest body"
 fi
 
-# Public API has a reader outside tests: these accessors had none and
+# Public API has a reader outside tests: these items had none and
 # were deleted with the tests of their own.
-if grep -rnE 'fn (sink_count|total_records|into_epochs|lines_written|span_if_sampled|key_set|src_eq|dst_eq|is_key_level|first_hash|datagrams_written|has_dump_writer|same_as|storage_bits|fraction_at|tracked_keys)\b' crates tests examples; then
+if grep -rnE 'fn (add_sink|sink_count|total_records|into_epochs|lines_written|span_if_sampled|key_set|src_eq|dst_eq|is_key_level|first_hash|datagrams_written|has_dump_writer|same_as|storage_bits|fraction_at|tracked_keys)\b' crates tests examples; then
     fail "a public item without a reader"
+fi
+
+# One way in per layer: the shard layer tests for a single shard in at
+# most two places — the split's short-circuit and `ingest` not spawning
+# a worker for it — not once per entry.
+if [ "$(non_test_source crates/shard/src/lib.rs | grep -cE 'shards\.len\(\) == 1|shard_count == 1')" -gt 2 ]; then
+    fail "a single-shard fork in the shard layer"
+fi
+
+# A sealed epoch has one owner: the rotator seals and numbers it, and
+# the `Collector` exports, announces, answers and retains it. The shard
+# layer keeps no clock; no runtime code outside the `Collector` banks
+# query answers; the rotator has no sink API and emits no seal spans;
+# and the shard seal times no merge (records concatenate inside the
+# seal `hashflow_shard_seal_ns` already times).
+if non_test_source crates/shard/src/lib.rs | grep -nE 'first_ns|last_ns|note_timestamps'; then
+    fail "a clock in the shard layer"
+fi
+for f in $(grep -rlF --exclude-dir=tests '"query_answers"' crates examples); do
+    if non_test_source "$f" | grep -nF '"query_answers"'; then
+        fail "query answers banked outside the Collector, in $f"
+    fi
+done
+if grep -nE 'SinkSet|fn add_sink|fn sink_health|fn finish_sinks|instruments\.tracer' crates/monitor/src/epoch.rs; then
+    fail "sealed-side work in the rotator"
+fi
+if grep -rn 'hashflow_shard_merge_ns' crates tests examples; then
+    fail "the shard merge timer"
 fi

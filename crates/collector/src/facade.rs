@@ -1,25 +1,29 @@
 //! The `Collector` facade: a registry-built monitor behind an epoch
-//! rotator with export sinks — the whole pipeline in one handle.
+//! rotator, and everything that happens to a sealed epoch — the whole
+//! pipeline in one handle.
 
 use crate::registry::{AlgorithmKind, MonitorBuilder};
 use hashflow_monitor::{
     BatchPlan, BatchPlanner, CostSnapshot, DropStats, EpochRing, EpochRotator, EpochSnapshot,
-    FlowMonitor, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkStatus,
+    FlowMonitor, Instruments, IntrospectMetric, MemoryBudget, RecordSink, SinkErrors, SinkSet,
+    SinkStatus,
 };
-use hashflow_obs::{MetricsRegistry, MetricsSnapshot};
+use hashflow_obs::{MetricsRegistry, MetricsSnapshot, Severity};
 use hashflow_query::{execute_snapshot, QueryId, QueryPlan, QueryResult};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 use std::sync::Arc;
 
-/// A running collection pipeline: `monitor → rotator → sinks`, with the
-/// sealed epochs and their query answers retained here.
+/// A running collection pipeline: `monitor → rotator → Collector →
+/// sinks`. The rotator seals and numbers each epoch; the `Collector`
+/// exports, announces, answers and retains it.
 ///
 /// Built by [`Collector::builder`]. Ingestion goes through the monitor's
 /// batched hot path; when a packet's timestamp crosses the epoch edge
-/// (or [`Collector::seal`] is called) the epoch is sealed into an
-/// immutable [`EpochSnapshot`], streamed to every attached sink, and
-/// retained in [`Collector::completed_epochs`], while the live side keeps
-/// ingesting into fresh tables.
+/// (or [`Collector::seal`] is called) the rotator seals the epoch into an
+/// immutable [`EpochSnapshot`] while the live side keeps ingesting into
+/// fresh tables. When the call returns, the `Collector` streams the
+/// epoch to every attached sink and retains it in
+/// [`Collector::completed_epochs`].
 ///
 /// Declarative telemetry queries ([`QueryPlan`]) attach to the pipeline
 /// via [`CollectorBuilder::query`] or [`Collector::attach_query`]: after
@@ -39,13 +43,19 @@ pub struct Collector {
     kind: AlgorithmKind,
     /// Attached plans, in attach order ([`QueryId`] is the index).
     plans: Vec<QueryPlan>,
+    /// Attached sinks, each with its health machine.
+    sinks: SinkSet,
+    /// The handles fixed at build time: the sealed side announces each
+    /// epoch on them, and [`Collector::metrics_snapshot`] reads the
+    /// registry.
+    instruments: Instruments,
     /// Sealed epochs taken from the rotator, oldest first, under the one
     /// retention limit; its ledger is `component="epoch_retention"`.
     completed: EpochRing<EpochSnapshot>,
     /// One entry per retained epoch's seal, the plans' answers in attach
     /// order, under the same limit. Drained independently of `completed`.
     answers: Vec<Arc<[QueryResult]>>,
-    /// Set by [`Collector::finish`]; the `Drop` impl flushes sinks
+    /// Set by [`Collector::finish`]; the `Drop` impl flushes the sinks
     /// best-effort when the pipeline is dropped without finishing.
     finished: bool,
 }
@@ -56,6 +66,7 @@ impl std::fmt::Debug for Collector {
             .field("algorithm", &self.name())
             .field("epoch_len_ns", &self.rotator.epoch_len_ns())
             .field("completed", &self.completed.as_slice().len())
+            .field("sinks", &self.sinks)
             .finish_non_exhaustive()
     }
 }
@@ -79,13 +90,8 @@ impl Collector {
     /// Returns `None` when no registry is attached.
     pub fn metrics_snapshot(&mut self) -> Option<MetricsSnapshot> {
         self.rotator.flush_metrics();
-        let registry = self.rotator.instruments().registry.as_ref();
+        let registry = self.instruments.registry.as_ref();
         registry.map(MetricsRegistry::snapshot)
-    }
-
-    /// Attaches a sink; every epoch sealed from now on streams to it.
-    pub fn add_sink(&mut self, sink: Box<dyn RecordSink + Send>) {
-        self.rotator.add_sink(sink);
     }
 
     /// Attaches a query plan to the pipeline; it is first answered when
@@ -133,11 +139,15 @@ impl Collector {
         }
     }
 
-    /// The one push site: answers every plan over each newly sealed
-    /// epoch and retains the epoch with its answers, evicting both
-    /// stores down to the retention limit.
+    /// The sealed side, and its one push site. For each epoch the
+    /// rotator sealed, in order: export to the sinks, the `epoch_sealed`
+    /// event, the introspection gauges, the tracer's seal spans, the
+    /// plans' answers, and retention of the epoch with its answers,
+    /// evicting both stores down to the retention limit.
     fn retain_sealed(&mut self) {
         for snapshot in self.rotator.drain_completed() {
+            self.sinks.export(&snapshot);
+            announce(&self.instruments, &snapshot, !self.sinks.is_empty());
             // Without plans the entry is the shared empty slice.
             let answers = if self.plans.is_empty() {
                 Arc::default()
@@ -191,7 +201,7 @@ impl Collector {
     /// quarantined), failure counts, epochs skipped while quarantined and
     /// the most recent error. Indexed in attach order.
     pub fn sink_health(&self) -> Vec<SinkStatus> {
-        self.rotator.sink_health()
+        self.sinks.health()
     }
 
     /// The completed-epoch retention ledger (offered / dropped /
@@ -202,8 +212,9 @@ impl Collector {
 
     /// Ends the collection run ([`EpochRotator::finish`]): seals a
     /// running epoch, marked [partial](EpochSnapshot::is_partial) before
-    /// the sinks see it, then flushes every sink, quarantined ones
-    /// included. After [`Self::seal`] nothing is running to seal.
+    /// the sinks see it, exports and retains it, then flushes every sink,
+    /// quarantined ones included. After [`Self::seal`] nothing is running
+    /// to seal.
     ///
     /// # Errors
     ///
@@ -213,9 +224,61 @@ impl Collector {
     /// `io::Result` is expected).
     pub fn finish(&mut self) -> Result<(), SinkErrors> {
         self.finished = true;
-        let flushed = self.rotator.finish();
+        self.rotator.finish();
         self.take_sealed();
-        flushed
+        self.sinks.finish()
+    }
+}
+
+/// Announces one sealed epoch on the pipeline's handles: the
+/// `epoch_sealed` event, the introspection report as
+/// `hashflow_introspect_*` gauges (one per metric name), and an
+/// `epoch_seal` span for each sampled flow, with an `export` span when
+/// sinks are attached.
+fn announce(instruments: &Instruments, snapshot: &EpochSnapshot, exported: bool) {
+    if let Some(recorder) = &instruments.recorder {
+        let partial = snapshot.is_partial();
+        recorder.record_with(
+            if partial {
+                Severity::Warn
+            } else {
+                Severity::Info
+            },
+            "epoch_sealed",
+            format!(
+                "epoch {} sealed: {} records{}",
+                snapshot.epoch(),
+                snapshot.len(),
+                if partial { " (partial)" } else { "" }
+            ),
+            vec![
+                ("epoch".to_string(), snapshot.epoch().to_string()),
+                ("records".to_string(), snapshot.len().to_string()),
+                ("partial".to_string(), partial.to_string()),
+            ],
+        );
+    }
+    if let Some(registry) = &instruments.registry {
+        for metric in snapshot.introspection() {
+            registry
+                .gauge(&metric.gauge_name(), &[])
+                .set(metric.gauge_value());
+        }
+    }
+    if let Some(tracer) = &instruments.tracer {
+        for rec in snapshot.records() {
+            let key = rec.key();
+            if tracer.is_sampled(&key) {
+                tracer.span(
+                    &key,
+                    "epoch_seal",
+                    format!("epoch {} count {}", snapshot.epoch(), rec.count()),
+                );
+                if exported {
+                    tracer.span(&key, "export", format!("epoch {}", snapshot.epoch()));
+                }
+            }
+        }
     }
 }
 
@@ -227,7 +290,7 @@ impl Drop for Collector {
     /// so call `finish()` explicitly when you need to observe them.
     fn drop(&mut self) {
         if !self.finished {
-            let _ = self.rotator.finish_sinks();
+            let _ = self.sinks.finish();
         }
     }
 }
@@ -374,20 +437,23 @@ impl CollectorBuilder {
 
     /// Sets the pipeline's observability handles. At build time one
     /// [`FlowMonitor::instrument`] call on the rotation layer hands them
-    /// to **every** layer, so none can be left bare:
+    /// to **every** layer below it, and the `Collector` keeps them for
+    /// its sinks and its sealed side, so none can be left bare:
     ///
     /// * `registry` — the monitor's shards, rotation and the sinks
-    ///   register into it, the retention ledger is exported under
-    ///   `component="epoch_retention"`, and [`Collector::metrics_snapshot`]
-    ///   exposes the combined state;
+    ///   register into it, each sealed epoch's introspection report
+    ///   lands in `hashflow_introspect_*` gauges, the retention ledger is
+    ///   exported under `component="epoch_retention"`, and
+    ///   [`Collector::metrics_snapshot`] exposes the combined state;
     /// * `recorder` — shard panics and shed batches (with a window dump
-    ///   on panic), epoch seals and rotation gaps, and the sinks'
+    ///   on panic), rotation gaps, epoch seals, and the sinks'
     ///   degrade/quarantine/recover transitions (quarantine entry also
     ///   dumps);
     /// * `tracer` — sampled flows record `dispatch` spans in the shard
     ///   layer and placement-stage spans in HashFlow (each once per
     ///   flow, stage and epoch, then a `placement` span with the stage
-    ///   counts at the seal), and `epoch_seal`/`export` spans at rotation.
+    ///   counts at the seal), and `epoch_seal`/`export` spans on the
+    ///   sealed side.
     #[must_use]
     pub fn instruments(mut self, instruments: Instruments) -> Self {
         self.instruments = instruments;
@@ -415,10 +481,12 @@ impl CollectorBuilder {
             kind.check_records()?;
         }
         let mut rotator = EpochRotator::new(self.monitor.build()?, self.epoch_len_ns);
-        for sink in self.sinks {
-            rotator.add_sink(sink);
-        }
         rotator.instrument(&self.instruments);
+        let mut sinks = SinkSet::default();
+        sinks.instrument(&self.instruments);
+        for sink in self.sinks {
+            sinks.add(sink);
+        }
         let mut completed = EpochRing::new(|snapshot: &EpochSnapshot| snapshot.len() as u64);
         completed.set_limit(self.retention);
         if let Some(registry) = &self.instruments.registry {
@@ -428,6 +496,8 @@ impl CollectorBuilder {
             rotator,
             kind,
             plans: self.queries,
+            sinks,
+            instruments: self.instruments,
             completed,
             answers: Vec::new(),
             finished: false,
@@ -549,16 +619,9 @@ mod tests {
         use hashflow_monitor::{SinkHealth, SINK_QUARANTINE_AFTER};
         use hashflow_types::{FlowKey, Packet};
 
-        struct Broken;
-        impl RecordSink for Broken {
-            fn export_epoch(&mut self, _s: &EpochSnapshot) -> io::Result<()> {
-                Err(io::Error::other("export target down"))
-            }
-        }
-
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(budget())
-            .sink(Box::new(Broken))
+            .sink(Box::new(Broken("export target down")))
             .retention(1)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
@@ -587,6 +650,121 @@ mod tests {
         // finish() reports every parked error, not just the first.
         let errors = collector.finish().unwrap_err();
         assert_eq!(errors.len() as u64, strikes);
+    }
+
+    /// A sink whose every export fails with `message`.
+    struct Broken(&'static str);
+    impl RecordSink for Broken {
+        fn export_epoch(&mut self, _s: &EpochSnapshot) -> io::Result<()> {
+            Err(io::Error::other(self.0))
+        }
+    }
+
+    /// A never-rotating HashFlow collector over `registry`, exporting to
+    /// a sink that always fails.
+    fn metered(registry: &MetricsRegistry) -> Collector {
+        Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .sink(Box::new(Broken("down")))
+            .instruments(Instruments {
+                registry: Some(registry.clone()),
+                ..Instruments::default()
+            })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sinks_receive_every_sealed_epoch() {
+        use hashflow_monitor::JsonLinesSink;
+
+        let mut collector = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .epoch_ns(1_000)
+            .sink(Box::new(MemorySink::new()))
+            .sink(Box::new(JsonLinesSink::new(Vec::new())))
+            .build()
+            .unwrap();
+        assert_eq!(collector.sink_health().len(), 2);
+        for t in 0..3u64 {
+            collector.process_packet(&pkt(1, t as u8, t * 1_000)); // one epoch per packet
+        }
+        collector.seal(); // flush the tail
+        assert!(collector.sink_health().iter().all(|s| s.total_errors == 0));
+        assert!(collector.finish().is_ok());
+        // Sealed history and the epoch counter agree with what streamed.
+        assert_eq!(collector.completed_epochs().len(), 3);
+
+        let mut broken = Collector::builder(AlgorithmKind::HashFlow)
+            .budget(budget())
+            .sink(Box::new(Broken("wire cut")))
+            .build()
+            .unwrap();
+        broken.process_packet(&pkt(1, 1, 0));
+        broken.seal();
+        broken.process_packet(&pkt(1, 2, 5));
+        broken.seal();
+        // Every failure is visible: per-sink health plus the full error
+        // list from finish — not just the first parked error.
+        let health = broken.sink_health();
+        assert_eq!(health[0].total_errors, 2);
+        assert_eq!(
+            health[0].last_error.as_deref(),
+            Some("wire cut"),
+            "latest error message is surfaced"
+        );
+        let errors = broken.finish().unwrap_err();
+        assert_eq!(errors.len(), 2);
+        assert!(errors
+            .iter()
+            .all(|(i, e)| i == 0 && e.to_string().contains("wire cut")));
+    }
+
+    #[test]
+    fn metrics_time_sink_exports_and_count_errors() {
+        let registry = MetricsRegistry::new();
+        let mut collector = metered(&registry);
+        collector.process_packet(&pkt(1, 1, 0));
+        collector.seal();
+        collector.process_packet(&pkt(1, 2, 5));
+        collector.seal();
+        let snap = registry.snapshot();
+        // Every failed export counts (not just the first parked error).
+        assert_eq!(snap.counter("hashflow_sink_errors_total", &[]), Some(2));
+        assert_eq!(collector.sink_health()[0].total_errors, 2);
+        // Each sealed epoch's fan-out was timed once.
+        let timed = snap.samples().iter().find_map(|s| match &s.value {
+            hashflow_obs::SampleValue::Histogram(h) if s.name == "hashflow_sink_export_ns" => {
+                Some(h.count)
+            }
+            _ => None,
+        });
+        assert_eq!(timed, Some(2));
+    }
+
+    #[test]
+    fn quarantined_sink_skips_are_counted_in_metrics() {
+        use hashflow_monitor::SINK_QUARANTINE_AFTER;
+
+        let registry = MetricsRegistry::new();
+        let mut collector = metered(&registry);
+        collector.process_packet(&pkt(1, 1, 0));
+        for _ in 0..SINK_QUARANTINE_AFTER {
+            collector.seal(); // fails; the last failure quarantines
+        }
+        collector.seal(); // skipped
+        collector.seal(); // skipped
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("hashflow_sink_errors_total", &[]),
+            Some(u64::from(SINK_QUARANTINE_AFTER))
+        );
+        assert_eq!(
+            snap.counter("hashflow_sink_skipped_epochs_total", &[]),
+            Some(2)
+        );
+        assert_eq!(snap.gauge("hashflow_sinks_quarantined", &[]), Some(1));
+        assert_eq!(collector.sink_health()[0].skipped_epochs, 2);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the pipeline a deployment actually runs:
 //!
 //! ```text
-//! source ──> collector (monitor / shards) ──> rotator (sealed epochs) ──> sinks
-//!            MonitorBuilder                   EpochRotator                RecordSink
+//! source ──> rotator (monitor / shards) ──> Collector (sealed side) ──> sinks
+//!            EpochRotator around a          exports, announces,         RecordSink
+//!            MonitorBuilder-built monitor   answers, retains
 //! ```
 //!
 //! * [`AlgorithmKind`] + [`MonitorBuilder`] form the **algorithm
@@ -17,12 +18,12 @@
 //!   benches and the software switch all build monitors here — there is
 //!   no other string→constructor path to drift out of sync.
 //! * [`Collector`] is the operational loop: a registry-built monitor
-//!   behind an [`EpochRotator`](hashflow_monitor::EpochRotator), with
-//!   [`RecordSink`]s attached, ingesting via the batched hot path while
-//!   sealed epochs stream downstream. Declarative telemetry queries
-//!   ([`QueryPlan`], from the `hashflow-query` crate) attach via
-//!   [`CollectorBuilder::query`] and are answered over each sealed
-//!   epoch at every rotation; the collector retains each epoch with its
+//!   behind an [`EpochRotator`](hashflow_monitor::EpochRotator),
+//!   ingesting via the batched hot path. The rotator seals and numbers
+//!   each epoch; the `Collector` exports it to its [`RecordSink`]s,
+//!   announces it on its instruments, answers the declarative telemetry
+//!   queries ([`QueryPlan`], from the `hashflow-query` crate, attached
+//!   via [`CollectorBuilder::query`]) over it, and retains it with its
 //!   answers, under one retention limit.
 //!
 //! # Examples

@@ -254,11 +254,12 @@ impl MonitorBuilder {
     /// Sets the observability handles the built monitor is instrumented
     /// with ([`FlowMonitor::instrument`], called once by [`Self::build`]).
     /// Each layer takes what it uses: the shard layer its
-    /// per-shard counters, queue gauges, dispatch/merge/seal histograms,
+    /// per-shard counters, queue gauges, dispatch/seal histograms,
     /// panic and shed events and `dispatch` spans; HashFlow its
     /// placement-stage spans. Monitors with nothing to report ignore
-    /// them — pipeline-level counters live in the rotation layer
-    /// ([`hashflow_monitor::PipelineMetrics`]).
+    /// them — the ingest counters live in the rotation layer
+    /// ([`hashflow_monitor::PipelineMetrics`]), the sinks' in the
+    /// `Collector`'s [`hashflow_monitor::SinkSet`].
     #[must_use]
     pub fn instruments(mut self, instruments: Instruments) -> Self {
         self.instruments = instruments;

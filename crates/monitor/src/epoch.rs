@@ -5,8 +5,12 @@
 //! cleared for the next interval. The paper's evaluation is single-epoch;
 //! its conclusion lists "make it adaptive to traffic variation" as future
 //! work — [`EpochRotator`] provides the epoch scaffolding any such policy
-//! needs: time-based rotation driven by packet timestamps, with drained
-//! per-epoch reports streamed to attached [`RecordSink`]s.
+//! needs: time-based rotation driven by packet timestamps. It seals and
+//! numbers each epoch and hands it on ([`EpochRotator::drain_completed`]);
+//! what happens to a sealed epoch next — export to the sinks, the
+//! `epoch_sealed` event, the introspection gauges, the tracer's seal
+//! spans, the query plans and the retained history — is the
+//! `hashflow-collector` facade's.
 //!
 //! # Rotation contract
 //!
@@ -31,13 +35,11 @@
 //!    epoch's reported `start_ns`/`end_ns` span the *observed* min/max
 //!    timestamps, which may extend before `base`.
 
-use crate::sink::SinkSet;
 use crate::{
     merge_introspection, BatchPlan, BatchPlanner, CostSnapshot, EpochSnapshot, FlowMonitor,
-    Instruments, IntrospectMetric, PipelineMetrics, RecordSink, SinkErrors, SinkStatus,
-    SCALAR_FLUSH_PACKETS,
+    Instruments, IntrospectMetric, PipelineMetrics, SCALAR_FLUSH_PACKETS,
 };
-use hashflow_obs::Severity;
+use hashflow_obs::{FlightRecorder, Severity};
 use hashflow_types::{FlowKey, FlowRecord, Packet};
 
 /// One epoch's drained records and bookkeeping as plain, mutable data —
@@ -133,9 +135,10 @@ impl EpochReport {
 /// crosses the epoch boundary, the monitor is drained into an
 /// [`EpochReport`] and reset before the packet is processed (see the
 /// module docs above for the precise rotation contract). Queries
-/// always reflect the *current* epoch. Attached [`RecordSink`]s receive
-/// every sealed epoch as an [`EpochSnapshot`] the moment it rotates —
-/// the `source → collector → rotator → sinks` pipeline.
+/// always reflect the *current* epoch. Each sealed epoch waits, as an
+/// [`EpochSnapshot`] numbered and stamped with its span, in
+/// [`Self::completed_epochs`] until the driving loop drains it — the
+/// `Collector` does after every call, then exports it to its sinks.
 ///
 /// # Examples
 ///
@@ -163,13 +166,11 @@ pub struct EpochRotator<M> {
     /// Epochs sealed and not yet drained, oldest first; unbounded, so
     /// whoever drives the rotator drains it.
     completed: Vec<EpochSnapshot>,
-    sinks: SinkSet,
-    /// The handles given to [`FlowMonitor::instrument`]; the registry
-    /// also receives the sealed introspection report as gauges at each
-    /// rotation (one gauge per metric name).
-    instruments: Instruments,
-    /// Metric handles resolved from `instruments.registry`, once.
+    /// Ingest metric handles, resolved once from the registry given to
+    /// [`FlowMonitor::instrument`].
     metrics: Option<PipelineMetrics>,
+    /// Where `rotation_gap` events go.
+    recorder: Option<FlightRecorder>,
     // Packet/byte counts accumulated locally and flushed to the shared
     // atomic counters per batch (or per SCALAR_FLUSH_PACKETS packets on
     // the scalar path), keeping instrumentation off the per-packet path.
@@ -185,7 +186,6 @@ impl<M: std::fmt::Debug> std::fmt::Debug for EpochRotator<M> {
             .field("current_epoch", &self.current_epoch)
             .field("epoch_base_ns", &self.epoch_base_ns)
             .field("completed", &self.completed.len())
-            .field("sinks", &self.sinks)
             .finish_non_exhaustive()
     }
 }
@@ -206,18 +206,11 @@ impl<M: FlowMonitor> EpochRotator<M> {
             first_ns: None,
             last_ns: None,
             completed: Vec::new(),
-            sinks: SinkSet::new(),
-            instruments: Instruments::default(),
             metrics: None,
+            recorder: None,
             pending_packets: 0,
             pending_bytes: 0,
         }
-    }
-
-    /// The handles this rotator was instrumented with
-    /// ([`FlowMonitor::instrument`]); all `None` until then.
-    pub fn instruments(&self) -> &Instruments {
-        &self.instruments
     }
 
     /// Pushes locally accumulated packet/byte counts into the shared
@@ -239,46 +232,15 @@ impl<M: FlowMonitor> EpochRotator<M> {
         &self.inner
     }
 
-    /// Attaches a sink; every epoch sealed from now on is streamed to it
-    /// (in addition to being retained in [`Self::completed_epochs`]).
-    pub fn add_sink(&mut self, sink: Box<dyn RecordSink + Send>) {
-        self.sinks.add(sink);
-    }
-
-    /// Point-in-time health of every attached sink, in attach order —
-    /// the per-sink view of the healthy → degraded → quarantined state
-    /// machine ([`crate::SinkHealth`]).
-    pub fn sink_health(&self) -> Vec<SinkStatus> {
-        self.sinks.health()
-    }
-
-    /// Flushes every attached sink (end of the collection run); later
-    /// sinks are still flushed after a failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns **every** collected I/O error — export errors parked from
-    /// earlier rotations and flush errors from this call, in occurrence
-    /// order with their sink indices ([`SinkErrors`], which converts
-    /// into a plain [`std::io::Error`] for `?`-style call sites).
-    pub fn finish_sinks(&mut self) -> Result<(), SinkErrors> {
-        self.sinks.finish()
-    }
-
-    /// Ends the collection run: seals the running epoch if it holds any
-    /// packet, marked [partial](EpochSnapshot::is_partial) before the
-    /// sinks see it — the run cut it short, not its edge — then flushes
-    /// every sink ([`Self::finish_sinks`]). After an explicit
-    /// [`Self::rotate_now`] nothing is running and nothing more is sealed.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Self::finish_sinks`], the tail epoch's export included.
-    pub fn finish(&mut self) -> Result<(), SinkErrors> {
+    /// Ends the collection run: seals the running epoch into
+    /// [`Self::completed_epochs`] if it holds any packet, marked
+    /// [partial](EpochSnapshot::is_partial) — the run cut it short, not
+    /// its edge. After an explicit [`Self::rotate_now`] nothing is
+    /// running and nothing more is sealed.
+    pub fn finish(&mut self) {
         if self.first_ns.is_some() {
             self.rotate(true);
         }
-        self.finish_sinks()
     }
 
     /// Epoch length in nanoseconds.
@@ -288,21 +250,19 @@ impl<M: FlowMonitor> EpochRotator<M> {
 
     /// Every epoch sealed so far and not yet drained, oldest first. Each
     /// entry shares its record store and (lazily built) index with the
-    /// snapshot the seal returned and the one the sinks received. The
-    /// store is **unbounded**: a long run whose driving loop never calls
-    /// [`Self::drain_completed`] keeps every epoch's records alive (the
-    /// `Collector` drains it after every call that can seal, and bounds
-    /// what it keeps).
+    /// snapshot the seal returned. The store is **unbounded**: a long
+    /// run whose driving loop never calls [`Self::drain_completed`] keeps
+    /// every epoch's records alive (the `Collector` drains it after every
+    /// call that can seal, and bounds what it keeps).
     pub fn completed_epochs(&self) -> &[EpochSnapshot] {
         &self.completed
     }
 
     /// Seals the current epoch immediately (end-of-capture flush),
-    /// streams it to every attached sink, retains it in
-    /// [`Self::completed_epochs`] and returns it. All three hold the
-    /// same record store and the same index slot: the records are copied
-    /// once, out of the monitor's tables, and indexed at most once — by
-    /// whichever holder first asks a size query, never here.
+    /// retains it in [`Self::completed_epochs`] and returns it. Both hold
+    /// the same record store and the same index slot: the records are
+    /// copied once, out of the monitor's tables, and indexed at most
+    /// once — by whichever holder first asks a size query, never here.
     ///
     /// Rotation drains the monitor through its own [`FlowMonitor::seal`]
     /// hook at **every** epoch boundary, not just explicit seals. For
@@ -314,65 +274,15 @@ impl<M: FlowMonitor> EpochRotator<M> {
 
     /// The one seal: numbers and stamps the drained epoch, marks it
     /// partial when the run `truncated` it (a flag the monitor may
-    /// already have set stays set), and hands it to the sinks, the
-    /// instruments and the completed store.
+    /// already have set stays set), counts it and hands it to the
+    /// completed store.
     fn rotate(&mut self, truncated: bool) -> EpochSnapshot {
         self.flush_metrics();
         let snapshot = (self.inner.seal())
             .with_epoch_span(self.current_epoch, self.first_ns, self.last_ns)
             .with_partial(truncated);
-        let exported = !self.sinks.is_empty();
-        if exported {
-            let export_timer = self.metrics.as_ref().map(|m| m.export_ns.start_timer());
-            self.sinks.export(&snapshot);
-            drop(export_timer);
-        }
         if let Some(m) = &self.metrics {
             m.epochs_sealed.inc();
-        }
-        if let Some(recorder) = &self.instruments.recorder {
-            let partial = snapshot.is_partial();
-            recorder.record_with(
-                if partial {
-                    Severity::Warn
-                } else {
-                    Severity::Info
-                },
-                "epoch_sealed",
-                format!(
-                    "epoch {} sealed: {} records{}",
-                    snapshot.epoch(),
-                    snapshot.len(),
-                    if partial { " (partial)" } else { "" }
-                ),
-                vec![
-                    ("epoch".to_string(), snapshot.epoch().to_string()),
-                    ("records".to_string(), snapshot.len().to_string()),
-                    ("partial".to_string(), partial.to_string()),
-                ],
-            );
-        }
-        if let Some(registry) = &self.instruments.registry {
-            for metric in snapshot.introspection() {
-                registry
-                    .gauge(&metric.gauge_name(), &[])
-                    .set(metric.gauge_value());
-            }
-        }
-        if let Some(tracer) = &self.instruments.tracer {
-            for rec in snapshot.records() {
-                let key = rec.key();
-                if tracer.is_sampled(&key) {
-                    tracer.span(
-                        &key,
-                        "epoch_seal",
-                        format!("epoch {} count {}", snapshot.epoch(), rec.count()),
-                    );
-                    if exported {
-                        tracer.span(&key, "export", format!("epoch {}", snapshot.epoch()));
-                    }
-                }
-            }
         }
         self.completed.push(snapshot.clone());
         self.current_epoch += 1;
@@ -392,7 +302,7 @@ impl<M: FlowMonitor> EpochRotator<M> {
     /// Records a rotation-gap event: the boundary packet skipped at
     /// least one whole quiet window beyond the epoch it sealed.
     fn note_rotation_gap(&self, base: u64, ts: u64) {
-        if let Some(recorder) = &self.instruments.recorder {
+        if let Some(recorder) = &self.recorder {
             recorder.record_with(
                 Severity::Warn,
                 "rotation_gap",
@@ -628,20 +538,13 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         self.inner.introspection()
     }
 
-    /// Wires the rotation layer and its sinks, then forwards inward.
-    /// With a registry: the ingest/seal/sink catalog of
-    /// [`PipelineMetrics`] and the sealed introspection report
-    /// as `hashflow_introspect_*` gauges at every rotation. With a
-    /// recorder: `epoch_sealed`, `rotation_gap` and the sinks' health
-    /// transitions (quarantine entry dumps the recent window). With a
-    /// tracer: `epoch_seal` spans for sampled flows, and `export` when
-    /// the epoch streamed to sinks. Sinks added before or after report
-    /// into the same counters.
+    /// Wires the rotation layer, then forwards inward. With a registry:
+    /// the ingest and seal counters of [`PipelineMetrics`]. With a
+    /// recorder: `rotation_gap` events. The tracer only reaches the inner
+    /// monitor.
     fn instrument(&mut self, instruments: &Instruments) {
         self.metrics = instruments.registry.as_ref().map(PipelineMetrics::register);
-        self.sinks
-            .instrument(self.metrics.clone(), instruments.recorder.clone());
-        self.instruments = instruments.clone();
+        self.recorder = instruments.recorder.clone();
         self.inner.instrument(instruments);
     }
 
@@ -655,8 +558,8 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         self.completed.clear();
     }
 
-    /// Seals the *current epoch* (rotating it through the sinks like any
-    /// other boundary) rather than capture-and-wipe: sealed history in
+    /// Seals the *current epoch* (numbering it like any other boundary)
+    /// rather than capture-and-wipe: sealed history in
     /// [`Self::completed_epochs`] is preserved and the epoch counter
     /// advances.
     fn seal(&mut self) -> crate::EpochSnapshot {
@@ -896,53 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn sinks_receive_every_sealed_epoch() {
-        use crate::{JsonLinesSink, MemorySink, RecordSink};
-
-        // A sink that always fails, to exercise the parked-error path.
-        struct Broken;
-        impl RecordSink for Broken {
-            fn export_epoch(&mut self, _s: &crate::EpochSnapshot) -> std::io::Result<()> {
-                Err(std::io::Error::other("wire cut"))
-            }
-        }
-
-        let mut r = EpochRotator::new(Exact::default(), 1_000);
-        r.add_sink(Box::new(MemorySink::new()));
-        r.add_sink(Box::new(JsonLinesSink::new(Vec::new())));
-        assert_eq!(r.sink_health().len(), 2);
-        for t in 0..3u64 {
-            r.process_packet(&pkt(t, t * 1_000)); // one epoch per packet
-        }
-        r.rotate_now(); // flush the tail
-        assert!(r.sink_health().iter().all(|s| s.total_errors == 0));
-        assert!(r.finish_sinks().is_ok());
-        // Sealed history and the epoch counter agree with what streamed.
-        assert_eq!(r.completed_epochs().len(), 3);
-
-        let mut broken = EpochRotator::new(Exact::default(), u64::MAX);
-        broken.add_sink(Box::new(Broken));
-        broken.process_packet(&pkt(1, 0));
-        broken.rotate_now();
-        broken.process_packet(&pkt(2, 5));
-        broken.rotate_now();
-        // Every failure is visible: per-sink health plus the full error
-        // list from finish_sinks — not just the first parked error.
-        let health = broken.sink_health();
-        assert_eq!(health[0].total_errors, 2);
-        assert_eq!(
-            health[0].last_error.as_deref(),
-            Some("wire cut"),
-            "latest error message is surfaced"
-        );
-        let errors = broken.finish_sinks().unwrap_err();
-        assert_eq!(errors.len(), 2);
-        assert!(errors
-            .iter()
-            .all(|(i, e)| i == 0 && e.to_string().contains("wire cut")));
-    }
-
-    #[test]
     fn merged_report_propagates_the_partial_flag() {
         let clean = EpochReport::merged(vec![report(Vec::new(), None)], 0.0);
         assert!(!clean.partial);
@@ -1040,9 +896,7 @@ mod tests {
 
     #[test]
     fn seal_rotates_through_the_pipeline() {
-        use crate::MemorySink;
         let mut r = EpochRotator::new(Exact::default(), u64::MAX);
-        r.add_sink(Box::new(MemorySink::new()));
         r.process_packet(&pkt(1, 10));
         r.process_packet(&pkt(1, 20));
         let snapshot = r.seal();
@@ -1098,65 +952,6 @@ mod tests {
                 .counter("hashflow_ingest_packets_total", &[]),
             Some(9)
         );
-    }
-
-    #[test]
-    fn metrics_time_sink_exports_and_count_errors() {
-        use crate::RecordSink;
-        use hashflow_obs::MetricsRegistry;
-
-        struct Broken;
-        impl RecordSink for Broken {
-            fn export_epoch(&mut self, _s: &crate::EpochSnapshot) -> std::io::Result<()> {
-                Err(std::io::Error::other("down"))
-            }
-        }
-
-        let registry = MetricsRegistry::new();
-        let mut r = metered(u64::MAX, &registry);
-        r.add_sink(Box::new(Broken));
-        r.process_packet(&pkt(1, 0));
-        r.rotate_now();
-        r.process_packet(&pkt(2, 5));
-        r.rotate_now();
-        let snap = registry.snapshot();
-        // Every failed export counts (not just the first parked error).
-        assert_eq!(snap.counter("hashflow_sink_errors_total", &[]), Some(2));
-        assert_eq!(r.sink_health()[0].total_errors, 2);
-    }
-
-    #[test]
-    fn quarantined_sink_skips_are_counted_in_metrics() {
-        use crate::{RecordSink, SINK_QUARANTINE_AFTER};
-        use hashflow_obs::MetricsRegistry;
-
-        struct Broken;
-        impl RecordSink for Broken {
-            fn export_epoch(&mut self, _s: &crate::EpochSnapshot) -> std::io::Result<()> {
-                Err(std::io::Error::other("down"))
-            }
-        }
-
-        let registry = MetricsRegistry::new();
-        let mut r = metered(u64::MAX, &registry);
-        r.add_sink(Box::new(Broken));
-        r.process_packet(&pkt(1, 0));
-        for _ in 0..SINK_QUARANTINE_AFTER {
-            r.rotate_now(); // fails; the last failure quarantines
-        }
-        r.rotate_now(); // skipped
-        r.rotate_now(); // skipped
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("hashflow_sink_errors_total", &[]),
-            Some(u64::from(SINK_QUARANTINE_AFTER))
-        );
-        assert_eq!(
-            snap.counter("hashflow_sink_skipped_epochs_total", &[]),
-            Some(2)
-        );
-        assert_eq!(snap.gauge("hashflow_sinks_quarantined", &[]), Some(1));
-        assert_eq!(r.sink_health()[0].skipped_epochs, 2);
     }
 
     #[test]

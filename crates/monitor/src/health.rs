@@ -23,15 +23,15 @@
 //!
 //! Quarantined sinks **skip-and-count**: sealed epochs pass them by
 //! (counted in `hashflow_sink_skipped_epochs_total`) instead of paying a
-//! doomed export on the rotation path, and after every
+//! doomed export on the sealed side, and after every
 //! [`SINK_PROBE_INTERVAL`] skipped epochs one real export is attempted as
 //! a recovery probe. A probe that succeeds returns the sink to `Healthy`
 //! and it receives every epoch again.
 
 use std::io;
 
-/// The health of one attached sink, as maintained by the rotation
-/// layer ([`EpochRotator`](crate::EpochRotator)).
+/// The health of one attached sink, as maintained by its
+/// [`SinkSet`](crate::SinkSet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SinkHealth {
     /// Exports succeed; every sealed epoch is delivered.
@@ -95,7 +95,8 @@ pub const SINK_QUARANTINE_AFTER: u32 = 3;
 pub const SINK_PROBE_INTERVAL: u64 = 4;
 
 /// A point-in-time view of one sink's health, returned by
-/// [`EpochRotator::sink_health`](crate::EpochRotator::sink_health).
+/// [`SinkSet::health`](crate::SinkSet::health) and the `Collector`'s
+/// `sink_health`.
 #[derive(Debug, Clone)]
 pub struct SinkStatus {
     /// Attach order of the sink in its set.
@@ -117,9 +118,10 @@ pub struct SinkStatus {
 }
 
 /// Every sink error of a collection run, in occurrence order — the
-/// multi-error result of `finish_sinks` that replaces first-error
-/// parking. Converts into [`io::Error`] (carrying the full list in its
-/// message) so existing `?`-style call sites keep compiling.
+/// multi-error result of [`SinkSet::finish`](crate::SinkSet::finish)
+/// that replaces first-error parking. Converts into [`io::Error`]
+/// (carrying the full list in its message) so existing `?`-style call
+/// sites keep compiling.
 #[derive(Debug)]
 pub struct SinkErrors {
     errors: Vec<(usize, io::Error)>,

@@ -18,9 +18,13 @@
 //! collector pipeline's epoch machinery: [`FlowMonitor::seal`] hands the
 //! current state off as an immutable [`EpochSnapshot`] (iterator records,
 //! batched size estimation, bounded-heap top-k) while the live side keeps
-//! ingesting, [`EpochRotator`] drives time-based rotation, and
+//! ingesting, and [`EpochRotator`] drives time-based rotation: it seals
+//! and numbers each epoch, stamps its span and `partial` flag, and hands
+//! it on. The `hashflow-collector` facade does the rest with the pieces
+//! kept here: it exports each sealed epoch through a [`SinkSet`] of
 //! [`RecordSink`]s ([`JsonLinesSink`], [`MemorySink`], NetFlow v5 in
-//! `netflow-export`) stream every sealed epoch downstream.
+//! `netflow-export`), announces it on the [`Instruments`], answers the
+//! attached query plans over it and retains it in an [`EpochRing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +51,7 @@ pub use health::{
 pub use introspect::{merge_introspection, IntrospectMetric, IntrospectValue};
 pub use plan::{BatchPlan, BatchPlanner};
 pub use policy::{BackpressurePolicy, EpochRing};
-pub use sink::{JsonLinesSink, MemorySink, RecordSink};
+pub use sink::{JsonLinesSink, MemorySink, RecordSink, SinkSet};
 pub use snapshot::EpochSnapshot;
 pub use stats::{DropStats, Instruments, PipelineMetrics, SCALAR_FLUSH_PACKETS};
 pub use trace::{FlowTracer, StageTally, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND};

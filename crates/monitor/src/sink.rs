@@ -3,10 +3,10 @@
 //! A deployed collector does not stop at sealing epochs — every sealed
 //! epoch is *shipped*: to a NetFlow collector, a log pipeline, a
 //! long-term store. [`RecordSink`] is the contract for that last stage of
-//! the pipeline (`source → collector → rotator → sinks`): the rotation
-//! layer ([`crate::EpochRotator`], and the `hashflow-collector` facade
-//! built on it) streams each sealed [`EpochSnapshot`] to its attached
-//! sinks.
+//! the pipeline (`source → rotator → Collector → sinks`): the rotator
+//! ([`crate::EpochRotator`]) seals and numbers an epoch, and the
+//! `hashflow-collector` facade streams each sealed [`EpochSnapshot`]
+//! through its [`SinkSet`].
 //!
 //! Two reference sinks live here (no I/O-format dependencies needed):
 //! [`JsonLinesSink`] for log pipelines and [`MemorySink`] for tests and
@@ -14,16 +14,16 @@
 //! `netflow-export` crate next to its wire format.
 
 use crate::{
-    classify_io_error, EpochSnapshot, ErrorClass, PipelineMetrics, SinkErrors, SinkHealth,
-    SinkStatus, SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
+    classify_io_error, EpochSnapshot, ErrorClass, Instruments, SinkErrors, SinkHealth, SinkStatus,
+    SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
 };
-use hashflow_obs::{FlightRecorder, Severity};
+use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Severity};
 use std::io::{self, Write};
 
 /// A destination for sealed measurement epochs.
 ///
 /// Implementations serialize each epoch's record report to their medium.
-/// Sinks are driven by the epoch-rotation layer: one
+/// Sinks are driven through a [`SinkSet`] by the `Collector`: one
 /// [`export_epoch`](Self::export_epoch) call per sealed epoch, in epoch
 /// order, and a final [`finish`](Self::finish) when the collection run
 /// ends (flush buffers, write trailers).
@@ -89,19 +89,46 @@ impl SinkEntry {
     }
 }
 
-/// The sinks of an [`crate::EpochRotator`] with per-sink health tracking:
-/// export fan-out, infallible from the caller's side (a broken export
-/// target must not stall measurement), with every I/O error classified
+/// The metric handles of an instrumented [`SinkSet`].
+///
+/// | Metric | Type | Meaning |
+/// |---|---|---|
+/// | `hashflow_sink_export_ns` | histogram | sink fan-out time per sealed epoch |
+/// | `hashflow_sink_errors_total` | counter | sink export/flush errors |
+/// | `hashflow_sink_skipped_epochs_total` | counter | sealed epochs skipped past quarantined sinks |
+/// | `hashflow_sinks_quarantined` | gauge | sinks currently quarantined |
+#[derive(Clone, Debug)]
+struct SinkMetrics {
+    export_ns: Histogram,
+    errors: Counter,
+    skipped_epochs: Counter,
+    quarantined: Gauge,
+}
+
+impl SinkMetrics {
+    fn register(registry: &MetricsRegistry) -> Self {
+        SinkMetrics {
+            export_ns: registry.histogram("hashflow_sink_export_ns", &[]),
+            errors: registry.counter("hashflow_sink_errors_total", &[]),
+            skipped_epochs: registry.counter("hashflow_sink_skipped_epochs_total", &[]),
+            quarantined: registry.gauge("hashflow_sinks_quarantined", &[]),
+        }
+    }
+}
+
+/// A pipeline's sinks with per-sink health tracking: export fan-out,
+/// infallible from the caller's side (a broken export target must not
+/// stall measurement), with every I/O error classified
 /// ([`classify_io_error`]), collected (bounded by
 /// [`SinkErrors::MAX_PARKED`]) and driving each sink's
 /// healthy → degraded → quarantined state machine ([`SinkHealth`]).
-/// Quarantined sinks skip-and-count instead of wedging the rotation
-/// path, and recover through periodic probes ([`SINK_PROBE_INTERVAL`]).
+/// Quarantined sinks skip-and-count instead of wedging the sealed side,
+/// and recover through periodic probes ([`SINK_PROBE_INTERVAL`]).
 #[derive(Default)]
-pub(crate) struct SinkSet {
+pub struct SinkSet {
     entries: Vec<SinkEntry>,
     parked: Vec<(usize, io::Error)>,
-    metrics: Option<PipelineMetrics>,
+    metrics: Option<SinkMetrics>,
     recorder: Option<FlightRecorder>,
 }
 
@@ -110,24 +137,12 @@ impl std::fmt::Debug for SinkSet {
         f.debug_struct("SinkSet")
             .field("sinks", &self.entries.len())
             .field("errors", &self.parked.len())
-            .field(
-                "quarantined",
-                &self
-                    .entries
-                    .iter()
-                    .filter(|e| e.health == SinkHealth::Quarantined)
-                    .count(),
-            )
+            .field("quarantined", &self.quarantined())
             .finish()
     }
 }
 
 impl SinkSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds a sink (starting [`SinkHealth::Healthy`]).
     pub fn add(&mut self, sink: Box<dyn RecordSink + Send>) {
         self.entries.push(SinkEntry::new(sink));
@@ -138,22 +153,20 @@ impl SinkSet {
         self.entries.is_empty()
     }
 
-    /// Attaches the rotator's metric handles and flight recorder. With
-    /// metrics, every failed export or flush counts in
+    /// Takes the registry and the flight recorder of `instruments`. With
+    /// a registry, each export's fan-out time lands in
+    /// `hashflow_sink_export_ns`, every failed export or flush counts in
     /// `hashflow_sink_errors_total`, epochs skipped past quarantined sinks
     /// in `hashflow_sink_skipped_epochs_total`, and
     /// `hashflow_sinks_quarantined` tracks the quarantined count. With a
     /// recorder, every export failure and health transition (degrade,
     /// quarantine, recover) is a structured event, and a sink *entering*
     /// quarantine auto-dumps the recent window — the lead-up is captured
-    /// the moment the fault latches.
-    pub fn instrument(
-        &mut self,
-        metrics: Option<PipelineMetrics>,
-        recorder: Option<FlightRecorder>,
-    ) {
-        self.metrics = metrics;
-        self.recorder = recorder;
+    /// the moment the fault latches. Sinks added before or after report
+    /// into the same handles.
+    pub fn instrument(&mut self, instruments: &Instruments) {
+        self.metrics = instruments.registry.as_ref().map(SinkMetrics::register);
+        self.recorder = instruments.recorder.clone();
     }
 
     /// Point-in-time health of every attached sink, in attach order.
@@ -166,7 +179,7 @@ impl SinkSet {
     }
 
     /// Sinks currently quarantined.
-    pub fn quarantined(&self) -> usize {
+    fn quarantined(&self) -> usize {
         self.entries
             .iter()
             .filter(|e| e.health == SinkHealth::Quarantined)
@@ -181,7 +194,7 @@ impl SinkSet {
 
     fn update_gauge(&self) {
         if let Some(m) = &self.metrics {
-            m.sinks_quarantined.set(self.quarantined() as i64);
+            m.quarantined.set(self.quarantined() as i64);
         }
     }
 
@@ -190,10 +203,15 @@ impl SinkSet {
     /// success heals them), quarantined sinks skip-and-count until their
     /// probe countdown reaches zero, at which point one export is
     /// attempted as a recovery probe. Errors never propagate out of the
-    /// rotation path; they are counted, parked (bounded) and reported by
-    /// [`Self::finish`] / [`Self::health`].
+    /// sealed side; they are counted, parked (bounded) and reported by
+    /// [`Self::finish`] / [`Self::health`]. With no sink attached it does
+    /// nothing, and times nothing.
     pub fn export(&mut self, snapshot: &EpochSnapshot) {
+        if self.entries.is_empty() {
+            return;
+        }
         let metrics = self.metrics.as_ref();
+        let _timer = metrics.map(|m| m.export_ns.start_timer());
         let recorder = self.recorder.as_ref();
         let mut fresh_errors: Vec<(usize, io::Error)> = Vec::new();
         for (index, entry) in self.entries.iter_mut().enumerate() {
@@ -205,7 +223,7 @@ impl SinkSet {
                 entry.skipped_epochs += 1;
                 entry.skipped_records += snapshot.len() as u64;
                 if let Some(m) = metrics {
-                    m.sink_skipped_epochs.inc();
+                    m.skipped_epochs.inc();
                 }
                 continue;
             }
@@ -279,7 +297,7 @@ impl SinkSet {
                         }
                     }
                     if let Some(m) = metrics {
-                        m.sink_errors.inc();
+                        m.errors.inc();
                     }
                     fresh_errors.push((index, error));
                 }
@@ -299,7 +317,7 @@ impl SinkSet {
     /// # Errors
     ///
     /// Returns **every** collected I/O error — export errors from earlier
-    /// rotations and flush errors from this call, in occurrence order
+    /// epochs and flush errors from this call, in occurrence order
     /// with their sink indices ([`SinkErrors`]).
     pub fn finish(&mut self) -> Result<(), SinkErrors> {
         for index in 0..self.entries.len() {
@@ -308,7 +326,7 @@ impl SinkSet {
                 entry.total_errors += 1;
                 entry.last_error = Some(error.to_string());
                 if let Some(m) = &self.metrics {
-                    m.sink_errors.inc();
+                    m.errors.inc();
                 }
                 self.park(index, error);
             }
@@ -524,7 +542,7 @@ mod tests {
     #[test]
     fn transient_failures_degrade_then_quarantine_then_recover() {
         let strikes = u64::from(SINK_QUARANTINE_AFTER);
-        let mut set = SinkSet::new();
+        let mut set = SinkSet::default();
         // Fails every export up to quarantine, and the first probe.
         set.add(Box::new(FlakySink::new(
             strikes + 1,
@@ -566,7 +584,7 @@ mod tests {
 
     #[test]
     fn fatal_error_quarantines_immediately() {
-        let mut set = SinkSet::new();
+        let mut set = SinkSet::default();
         set.add(Box::new(FlakySink::new(1, io::ErrorKind::PermissionDenied)));
         set.export(&snapshot(0, 1));
         assert_eq!(set.health()[0].health, SinkHealth::Quarantined);
@@ -574,7 +592,7 @@ mod tests {
 
     #[test]
     fn finish_collects_every_sink_error_and_flushes_all() {
-        let mut set = SinkSet::new();
+        let mut set = SinkSet::default();
         set.add(Box::new(FlakySink::new(u64::MAX, io::ErrorKind::TimedOut)));
         set.add(Box::new(MemorySink::new()));
         set.add(Box::new(FlakySink::new(
@@ -594,7 +612,7 @@ mod tests {
 
     #[test]
     fn parked_errors_are_bounded() {
-        let mut set = SinkSet::new();
+        let mut set = SinkSet::default();
         set.add(Box::new(FlakySink::new(u64::MAX, io::ErrorKind::TimedOut)));
         let snap = snapshot(0, 1);
         // Quarantined, the sink still fails once per probe: seal until it

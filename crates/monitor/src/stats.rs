@@ -1,6 +1,6 @@
 //! Runtime self-telemetry for the rotation pipeline: the uniform drop
-//! accounting every bounded buffer shares ([`DropStats`]) and the metric
-//! handles the epoch layer updates ([`PipelineMetrics`]).
+//! accounting every bounded buffer shares ([`DropStats`]) and the ingest
+//! metric handles the rotator updates ([`PipelineMetrics`]).
 //!
 //! These are thin compositions over `hashflow-obs` primitives. A pipeline
 //! runs un-instrumented by default — stages hold `Option<PipelineMetrics>`
@@ -10,7 +10,7 @@
 //! snapshot covers the whole pipeline.
 
 use crate::FlowTracer;
-use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry};
+use hashflow_obs::{Counter, FlightRecorder, MetricsRegistry};
 
 /// The observability handles of a pipeline, handed to every stage by one
 /// [`crate::FlowMonitor::instrument`] call. Each handle is optional and
@@ -204,6 +204,7 @@ impl DropStats {
 }
 
 /// The metric handles an instrumented [`crate::EpochRotator`] updates.
+/// The sinks' own metrics belong to the [`crate::SinkSet`].
 ///
 /// | Metric | Type | Meaning |
 /// |---|---|---|
@@ -212,10 +213,6 @@ impl DropStats {
 /// | `hashflow_ingest_batches_total` | counter | `process_batch` calls |
 /// | `hashflow_epochs_sealed_total` | counter | epochs sealed |
 /// | `hashflow_rotation_gaps_total` | counter | rotations that skipped ≥ 1 quiet window |
-/// | `hashflow_sink_export_ns` | histogram | sink fan-out time per sealed epoch |
-/// | `hashflow_sink_errors_total` | counter | sink export/flush errors |
-/// | `hashflow_sink_skipped_epochs_total` | counter | sealed epochs skipped past quarantined sinks |
-/// | `hashflow_sinks_quarantined` | gauge | sinks currently quarantined |
 #[derive(Clone, Debug)]
 pub struct PipelineMetrics {
     pub(crate) packets: Counter,
@@ -223,10 +220,6 @@ pub struct PipelineMetrics {
     pub(crate) batches: Counter,
     pub(crate) epochs_sealed: Counter,
     pub(crate) rotation_gaps: Counter,
-    pub(crate) export_ns: Histogram,
-    pub(crate) sink_errors: Counter,
-    pub(crate) sink_skipped_epochs: Counter,
-    pub(crate) sinks_quarantined: Gauge,
 }
 
 impl PipelineMetrics {
@@ -240,31 +233,12 @@ impl PipelineMetrics {
             batches: registry.counter("hashflow_ingest_batches_total", &[]),
             epochs_sealed: registry.counter("hashflow_epochs_sealed_total", &[]),
             rotation_gaps: registry.counter("hashflow_rotation_gaps_total", &[]),
-            export_ns: registry.histogram("hashflow_sink_export_ns", &[]),
-            sink_errors: registry.counter("hashflow_sink_errors_total", &[]),
-            sink_skipped_epochs: registry.counter("hashflow_sink_skipped_epochs_total", &[]),
-            sinks_quarantined: registry.gauge("hashflow_sinks_quarantined", &[]),
         }
     }
 
     /// Packets-ingested counter (shared handle).
     pub fn packets(&self) -> &Counter {
         &self.packets
-    }
-
-    /// Bytes-ingested counter (shared handle).
-    pub fn bytes(&self) -> &Counter {
-        &self.bytes
-    }
-
-    /// Epochs-sealed counter (shared handle).
-    pub fn epochs_sealed(&self) -> &Counter {
-        &self.epochs_sealed
-    }
-
-    /// Sink-error counter (shared handle).
-    pub fn sink_errors(&self) -> &Counter {
-        &self.sink_errors
     }
 }
 

@@ -62,11 +62,12 @@
 //! empty snapshots), mirroring the timestamp-driven rotator's quiet-gap
 //! rule. At shutdown [`Collector::finish`] seals the final epoch, if it
 //! holds packets, marked [`EpochSnapshot::is_partial`] before the sinks
-//! see it: it was truncated by the shutdown, not by the timer. Each seal
-//! answers every attached plan over the epoch it sealed, on the ingest
-//! thread. The collector numbers, stamps and flags every epoch and keeps
-//! the newest [`ServerConfig::retention`] with their answers; each
-//! publish hands readers that history as it stands.
+//! see it: it was truncated by the shutdown, not by the timer. The
+//! collector's rotator numbers, stamps and flags every epoch; the
+//! collector then exports it to the sinks, announces it, answers every
+//! attached plan over it — all on the ingest thread — and keeps the
+//! newest [`ServerConfig::retention`] with their answers; each publish
+//! hands readers that history as it stands.
 
 use crate::http::{self, Request, Response};
 use crate::json::{self, Obj};
@@ -1073,11 +1074,13 @@ fn top_flows(view: &SealedView, n: &str, req: &Request) -> Response {
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    let k = req
-        .query_param("k")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(10)
-        .min(10_000);
+    let k = match req.query_param("k").map(str::parse::<usize>) {
+        None => 10,
+        Some(Ok(k)) => k.min(10_000),
+        Some(Err(_)) => {
+            return Response::json(400, Obj::new().str("error", "k must be a number").build())
+        }
+    };
     let rows = snapshot.top_k(k);
     Response::json(
         200,
@@ -1374,6 +1377,48 @@ mod tests {
         ] {
             assert_eq!(route_pattern(&segments(path)), pattern, "{path}");
         }
+    }
+
+    #[test]
+    fn top_k_must_be_a_number_and_defaults_to_ten() {
+        use hashflow_types::FlowRecord;
+
+        let records = (0..20u64)
+            .map(|i| FlowRecord::new(FlowKey::from_index(i), i as u32 + 1))
+            .collect();
+        let snapshot = EpochSnapshot::from_parts(0, None, None, records, 20.0, Default::default());
+        let view = SealedView {
+            epochs: vec![Arc::new(snapshot)],
+            sealed_total: 1,
+            ..SealedView::default()
+        };
+        let top = |query: &[(&str, &str)]| {
+            let req = Request {
+                method: "GET".to_string(),
+                path: "/epochs/0/top".to_string(),
+                query: (query.iter())
+                    .map(|&(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                body: Vec::new(),
+            };
+            let resp = top_flows(&view, "0", &req);
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+        for bad in ["abc", "-1", "", "3.5"] {
+            let (status, body) = top(&[("k", bad)]);
+            assert_eq!(status, 400, "k={bad}");
+            assert_eq!(body, "{\"error\":\"k must be a number\"}", "k={bad}");
+        }
+        let (status, body) = top(&[]);
+        assert_eq!(status, 200);
+        assert!(body.contains("\"k\":10,"), "{body}");
+        assert_eq!(body.matches("\"count\"").count(), 10);
+        let (status, body) = top(&[("k", "3")]);
+        assert_eq!(status, 200);
+        assert_eq!(body.matches("\"count\"").count(), 3);
+        let (status, body) = top(&[("k", "99999")]);
+        assert_eq!(status, 200);
+        assert!(body.contains("\"k\":10000,"), "the cap stays: {body}");
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //!   disjoint partitions, size queries route to the owning shard, and
 //!   cardinality estimates and costs sum.
 //! * [`ShardedMonitor::seal_epoch`] drains all shards into **one**
-//!   [`EpochReport`]. The monitor owns no sinks and no clock: the epoch's
-//!   number, timestamp span and retained history belong to an
-//!   `EpochRotator::new(sharded, epoch_len_ns)`, given sinks with
-//!   `add_sink(..)`, which is what the `hashflow-collector` facade builds.
+//!   [`EpochReport`]. The monitor owns no sinks and no clock: an
+//!   `EpochRotator::new(sharded, epoch_len_ns)` seals and numbers the
+//!   epoch and stamps its span, and the `hashflow-collector` facade
+//!   built around it exports, announces, answers and retains it.
 //! * The equal-memory discipline of §IV-A carries over:
 //!   [`ShardedMonitor::with_budget`] splits one budget into `N` equal
 //!   shard budgets that sum to at most the parent
@@ -204,7 +204,6 @@ impl DispatchTrace {
 /// | `hashflow_shard_packets_total{shard=i}` | counter | packets owned by shard `i` |
 /// | `hashflow_shard_queue_depth{shard=i}` | gauge | in-flight batches on shard `i`'s queue |
 /// | `hashflow_shard_dispatch_ns` | histogram | RSS split time per `process_batch` call (a batch of one included) |
-/// | `hashflow_shard_merge_ns` | histogram | per-seal merge of shard reports |
 /// | `hashflow_shard_seal_ns` | histogram | whole [`ShardedMonitor::seal_epoch`] |
 ///
 /// Counter updates are batched (per published batch or per seal), so the
@@ -213,7 +212,6 @@ impl DispatchTrace {
 #[derive(Clone, Debug)]
 pub struct ShardMetrics {
     dispatch_ns: Histogram,
-    merge_ns: Histogram,
     seal_ns: Histogram,
     lane_packets: Vec<Counter>,
     queue_depth: Vec<Gauge>,
@@ -225,7 +223,6 @@ impl ShardMetrics {
     pub fn register(registry: &MetricsRegistry, shards: usize) -> Self {
         ShardMetrics {
             dispatch_ns: registry.histogram("hashflow_shard_dispatch_ns", &[]),
-            merge_ns: registry.histogram("hashflow_shard_merge_ns", &[]),
             seal_ns: registry.histogram("hashflow_shard_seal_ns", &[]),
             lane_packets: (0..shards)
                 .map(|i| {
@@ -579,9 +576,7 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
             })
             .collect();
         let cardinality = estimates.iter().sum();
-        let merge_timer = self.metrics.as_ref().map(|m| m.merge_ns.start_timer());
         let mut report = EpochReport::merged(reports, cardinality);
-        drop(merge_timer);
         report.partial |= partial;
         // Whatever is degraded from here on (a shard that panicked in the
         // drain) is a new degradation and announces its first shed.
@@ -1105,7 +1100,7 @@ mod tests {
         assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), expected);
         // Every `process_batch` call recorded one dispatch split — the
         // serial batch and each of the 50 batches of one; the seal
-        // recorded one merge and one seal duration.
+        // recorded one seal duration.
         let hist_count = |name: &str| {
             snap.samples()
                 .iter()
@@ -1117,7 +1112,6 @@ mod tests {
                 .sum::<u64>()
         };
         assert_eq!(hist_count("hashflow_shard_dispatch_ns"), 51);
-        assert_eq!(hist_count("hashflow_shard_merge_ns"), 1);
         assert_eq!(hist_count("hashflow_shard_seal_ns"), 1);
         // The shard-queue ledger is registered: the threaded path offered
         // every one of its packets, nothing dropped, and the healthy

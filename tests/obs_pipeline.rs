@@ -181,7 +181,7 @@ fn one_builder_call_instruments_every_layer() {
     );
     assert_eq!(snapshot.counter("hashflow_sink_errors_total", &[]), Some(0));
 
-    // The rotation layer, in the recorder.
+    // The Collector's sealed side, in the recorder.
     let events = recorder.snapshot();
     assert!(events.iter().any(|e| e.kind == "epoch_sealed"));
 
