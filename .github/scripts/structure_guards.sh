@@ -93,7 +93,7 @@ fi
 
 # Public API has a reader outside tests: these items had none and
 # were deleted with the tests of their own.
-if grep -rnE 'fn (add_sink|sink_count|total_records|into_epochs|lines_written|span_if_sampled|key_set|src_eq|dst_eq|is_key_level|first_hash|datagrams_written|has_dump_writer|same_as|storage_bits|fraction_at|tracked_keys)\b' crates tests examples; then
+if grep -rnE 'fn (add_sink|sink_count|total_records|into_epochs|lines_written|span_if_sampled|key_set|src_eq|dst_eq|is_key_level|first_hash|datagrams_written|has_dump_writer|same_as|storage_bits|fraction_at|tracked_keys|shard_count)\b' crates tests examples; then
     fail "a public item without a reader"
 fi
 
@@ -124,3 +124,21 @@ fi
 if grep -rn 'hashflow_shard_merge_ns' crates tests examples; then
     fail "the shard merge timer"
 fi
+
+# A deployed collector runs one monitor: no shard count on the registry
+# or the `Collector`, in the daemon's configuration or health view, or
+# on the CLI. `ShardedMonitor` is the library type that shards.
+if grep -rn 'fn shards(' crates/collector/src; then
+    fail "a shard count on the registry or the Collector"
+fi
+if non_test_source crates/server/src/daemon.rs | grep -nE '\bshards\b'; then
+    fail "a shard count in the daemon"
+fi
+if non_test_source crates/server/src/state.rs | grep -n 'faults'; then
+    fail "monitor faults in the daemon's health view"
+fi
+for f in crates/cli/src/*.rs; do
+    if non_test_source "$f" | grep -nF -- '--shards'; then
+        fail "a --shards option in $f"
+    fi
+done

@@ -85,7 +85,6 @@ pub(crate) struct Analyze {
     pub algorithm: AlgorithmKind,
     pub threshold: u32,
     pub top: usize,
-    pub shards: usize,
     pub metrics_out: Option<String>,
 }
 
@@ -94,7 +93,6 @@ pub(crate) struct Stats {
     pub path: String,
     pub memory_kib: usize,
     pub algorithm: AlgorithmKind,
-    pub shards: usize,
     /// 0 seals one epoch at the end of the capture.
     pub epoch_ms: u64,
     pub format: MetricsFormat,
@@ -140,7 +138,6 @@ pub(crate) struct Serve {
     pub udp: Option<String>,
     pub algorithm: AlgorithmKind,
     pub memory_kib: usize,
-    pub shards: usize,
     pub epoch_ms: u64,
     pub retention: usize,
     pub workers: usize,
@@ -244,20 +241,6 @@ impl Spec {
 
 const MEMORY_KIB: Flag = flag("--memory-kib <N>", Value("256"), "memory budget in KiB");
 const ALGORITHM: Flag = flag("--algorithm <name>", Value("hashflow"), "{algorithms}");
-const SHARDS: Flag = flag(
-    "--shards <N>",
-    Value("1"),
-    "flow-partitioned shards\n\
-     fed in turn on one thread (the threaded\n\
-     replay is ShardedMonitor::ingest)\n\
-     each flow is pinned to one shard by hashing\n\
-     its key; the memory budget is split into N\n\
-     equal shard budgets whose sum never exceeds\n\
-     the single-monitor budget (the remainder of\n\
-     the division is dropped, not rounded up);\n\
-     any algorithm shards: the shards hold\n\
-     disjoint flows, so their records concatenate",
-);
 const METRICS_OUT: Flag = flag(
     "--metrics-out <file>",
     Unset,
@@ -279,7 +262,6 @@ static COMMANDS: [Spec; 8] = [
             ALGORITHM,
             flag("--threshold <T>", Value("100"), "heavy-hitter threshold"),
             flag("--top <K>", Value("10"), "flows to list"),
-            SHARDS,
             METRICS_OUT,
         ],
         build: |m| {
@@ -289,7 +271,6 @@ static COMMANDS: [Spec; 8] = [
                 algorithm: m.value("algorithm")?,
                 threshold: m.value("threshold")?,
                 top: m.value("top")?,
-                shards: m.nonzero("shards")?,
                 metrics_out: m.opt("metrics-out")?,
             }))
         },
@@ -297,13 +278,12 @@ static COMMANDS: [Spec; 8] = [
     Spec {
         head: "stats <capture.pcap>",
         about: "stream a capture and report the pipeline's\n\
-                runtime metrics (ingest/rotation/sink/shard/\n\
-                query counters, gauges and histograms)",
+                runtime metrics (ingest/rotation/sink/query\n\
+                counters, gauges and histograms)",
         records_only: false,
         flags: &[
             MEMORY_KIB,
             ALGORITHM,
-            SHARDS,
             flag(
                 "--epoch-ms <N>",
                 Value("0"),
@@ -325,7 +305,6 @@ static COMMANDS: [Spec; 8] = [
                 path: m.positional()?,
                 memory_kib: m.value("memory-kib")?,
                 algorithm: m.value("algorithm")?,
-                shards: m.nonzero("shards")?,
                 epoch_ms: m.value("epoch-ms")?,
                 format: m.value("format")?,
                 out: m.opt("out")?,
@@ -443,7 +422,6 @@ static COMMANDS: [Spec; 8] = [
             ),
             ALGORITHM,
             MEMORY_KIB,
-            SHARDS,
             flag("--epoch-ms <N>", Value("1000"), "wall-clock epoch length"),
             flag(
                 "--retention <N>",
@@ -490,8 +468,7 @@ static COMMANDS: [Spec; 8] = [
                 "--dump-path <file>",
                 Unset,
                 "append flight-recorder JSONL dumps here on\n\
-                 fault transitions (sink quarantine, shard\n\
-                 panic)",
+                 fault transitions (sink quarantine)",
             ),
         ],
         build: |m| {
@@ -508,7 +485,6 @@ static COMMANDS: [Spec; 8] = [
                 udp: m.opt("udp")?,
                 algorithm: m.value("algorithm")?,
                 memory_kib: m.value("memory-kib")?,
-                shards: m.nonzero("shards")?,
                 epoch_ms: m.nonzero("epoch-ms")?,
                 retention: m.nonzero("retention")?,
                 workers: m.value("workers")?,
@@ -798,7 +774,6 @@ mod tests {
             algorithm: AlgorithmKind::HashFlow,
             threshold: 100,
             top: 10,
-            shards: 1,
             metrics_out: None,
         };
         assert_eq!(p, Command::Analyze(expected.clone()));
@@ -817,17 +792,14 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_is_validated() {
-        let Command::Analyze(a) = parse(&argv("analyze cap.pcap --shards 4")).unwrap() else {
-            panic!("analyze");
-        };
-        assert_eq!(a.shards, 4);
-        assert!(parse(&argv("analyze cap.pcap --shards 0")).is_err());
-        assert!(parse(&argv("analyze cap.pcap --shards -1")).is_err());
-        assert!(parse(&argv("analyze cap.pcap --shards many")).is_err());
-        // Documented in --help, including the budget-splitting rule.
-        assert!(usage().contains("--shards"));
-        assert!(usage().contains("split into N"));
+    fn shards_is_an_unknown_option() {
+        // A deployed collector runs one monitor; no command takes a
+        // shard count.
+        for line in ["analyze cap.pcap", "stats cap.pcap", "serve"] {
+            let args = argv(&format!("{line} --shards 2"));
+            assert!(err(&args).contains("unknown option --shards"), "{args:?}");
+        }
+        assert!(!usage().contains("--shards"));
     }
 
     /// Every `flag` entry of the usage with its continuation lines,
@@ -884,12 +856,6 @@ mod tests {
                 );
             }
         }
-        let shards = usage_entries(&usage, "--shards");
-        let (_, analyze) = shards
-            .iter()
-            .find(|(command, _)| *command == "analyze")
-            .expect("analyze documents --shards");
-        assert!(analyze.contains("any algorithm shards"), "{analyze}");
     }
 
     /// What a command cannot parse without: its positional argument and
@@ -969,7 +935,7 @@ mod tests {
             ("model --load 0.5 extra junk", "extra"),
             ("generate campus --flows 50 --out t.pcap", "campus"),
             ("analyze a.pcap b.pcap", "b.pcap"),
-            ("stats a.pcap --shards 2 b.pcap", "b.pcap"),
+            ("stats a.pcap --epoch-ms 2 b.pcap", "b.pcap"),
             ("export a.pcap b.pcap --out x", "b.pcap"),
             ("compare caida", "caida"),
             ("serve t.pcap", "t.pcap"),
@@ -996,7 +962,6 @@ mod tests {
         let config = ServerConfig::default();
         assert_eq!(serve.algorithm, config.algorithm);
         assert_eq!(serve.memory_kib, config.memory_kib);
-        assert_eq!(serve.shards, config.shards);
         assert_eq!(serve.seed, config.seed);
         assert_eq!(serve.epoch_ms, config.epoch_ms);
         assert_eq!(serve.retention, config.retention);
@@ -1107,18 +1072,16 @@ mod tests {
             path: "cap.pcap".to_owned(),
             memory_kib: 256,
             algorithm: AlgorithmKind::HashFlow,
-            shards: 1,
             epoch_ms: 0,
             format: MetricsFormat::Prometheus,
             out: None,
         };
         assert_eq!(p, Command::Stats(expected.clone()));
         let p = parse(&argv(
-            "stats cap.pcap --shards 4 --epoch-ms 10 --format jsonl --out m.jsonl",
+            "stats cap.pcap --epoch-ms 10 --format jsonl --out m.jsonl",
         ))
         .unwrap();
         let expected = Stats {
-            shards: 4,
             epoch_ms: 10,
             format: MetricsFormat::JsonLines,
             out: Some("m.jsonl".to_owned()),
@@ -1126,7 +1089,6 @@ mod tests {
         };
         assert_eq!(p, Command::Stats(expected));
         assert!(parse(&argv("stats")).is_err());
-        assert!(parse(&argv("stats cap.pcap --shards 0")).is_err());
         assert!(parse(&argv("stats cap.pcap --format xml")).is_err());
         assert!(usage().contains("stats <capture.pcap>"));
     }
@@ -1196,7 +1158,6 @@ mod tests {
         assert_eq!(serve.trace_sample_one_in, None);
         assert!(parse(&argv("serve --epoch-ms 0")).is_err());
         assert!(parse(&argv("serve --retention 0")).is_err());
-        assert!(parse(&argv("serve --shards 0")).is_err());
         assert!(parse(&argv("serve --replay t.pcap --pps 0")).is_err());
         // --pps only makes sense with a replay source.
         assert!(err(&argv("serve --pps 1000")).contains("needs --replay"));

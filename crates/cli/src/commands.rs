@@ -132,7 +132,6 @@ fn serve(s: &Serve) -> Result<String, Box<dyn Error>> {
     let mut server = Server::start(ServerConfig {
         algorithm: s.algorithm,
         memory_kib: s.memory_kib,
-        shards: s.shards,
         seed: s.seed,
         epoch_ms: s.epoch_ms,
         retention: s.retention,
@@ -319,19 +318,13 @@ fn query_capture(q: &Query) -> Result<String, Box<dyn Error>> {
 }
 
 fn analyze(a: &Analyze) -> Result<String, Box<dyn Error>> {
-    let &Analyze {
-        threshold, shards, ..
-    } = a;
+    let threshold = a.threshold;
     let budget = MemoryBudget::from_kib(a.memory_kib)?;
-    // The registry is the single construction path: shards > 1 partitions
-    // each batch by flow and feeds the shards one after another on this
-    // thread, shards == 1 runs the bare batched hot path.
     // Analyze prints the flow report and top flows, so the estimate-only
     // sketches are rejected up front with the registry's typed error
     // instead of rendering an empty table.
     let mut collector = Collector::builder(a.algorithm)
         .budget(budget)
-        .shards(shards)
         .require_records()
         .instruments(metered())
         .build()?;
@@ -349,18 +342,7 @@ fn analyze(a: &Analyze) -> Result<String, Box<dyn Error>> {
         packets,
         truth.flow_count()
     );
-    if shards > 1 {
-        let _ = writeln!(
-            out,
-            "algorithm: {} ({} budget over {} shards of {} each)\n",
-            collector.name(),
-            budget,
-            shards,
-            budget.split(shards)?,
-        );
-    } else {
-        let _ = writeln!(out, "algorithm: {} ({} budget)\n", collector.name(), budget);
-    }
+    let _ = writeln!(out, "algorithm: {} ({} budget)\n", collector.name(), budget);
     let records = collector.flow_records();
     let _ = writeln!(out, "records reported:    {}", records.len());
     let _ = writeln!(
@@ -394,13 +376,12 @@ fn analyze(a: &Analyze) -> Result<String, Box<dyn Error>> {
 
 /// Streams a capture through a fully instrumented pipeline and renders
 /// the resulting runtime metrics — the operational "what did the
-/// collector actually do" view (packets, bytes, epochs, drops, shard
-/// split, latencies) next to `analyze`'s accuracy view.
+/// collector actually do" view (packets, bytes, epochs, drops,
+/// latencies) next to `analyze`'s accuracy view.
 fn stats(s: &Stats) -> Result<String, Box<dyn Error>> {
     let budget = MemoryBudget::from_kib(s.memory_kib)?;
     let mut builder = Collector::builder(s.algorithm)
         .budget(budget)
-        .shards(s.shards)
         .instruments(metered());
     if s.epoch_ms > 0 {
         builder = builder.epoch_ns(s.epoch_ms.saturating_mul(1_000_000));
@@ -663,16 +644,12 @@ mod tests {
         ))
         .unwrap();
         let prom = run_line(&format!(
-            "stats {} --memory-kib 64 --shards 2 --epoch-ms 1",
+            "stats {} --memory-kib 64 --epoch-ms 1",
             pcap.display()
         ))
         .unwrap();
         assert!(
             prom.contains("# TYPE hashflow_ingest_packets_total counter"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("hashflow_shard_packets_total{shard=\"1\"}"),
             "{prom}"
         );
         assert!(prom.contains("hashflow_epochs_sealed_total"), "{prom}");
@@ -785,33 +762,5 @@ mod tests {
     #[test]
     fn analyze_missing_file_errors() {
         assert!(run_line("analyze /definitely/not/here.pcap").is_err());
-    }
-
-    #[test]
-    fn analyze_sharded_matches_flow_universe() {
-        let dir = std::env::temp_dir().join("hashflow-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let pcap = dir.join("sharded.pcap");
-        run_line(&format!(
-            "generate --profile caida --flows 400 --out {}",
-            pcap.display()
-        ))
-        .unwrap();
-        let out = run_line(&format!(
-            "analyze {} --memory-kib 256 --shards 4 --threshold 5",
-            pcap.display()
-        ))
-        .unwrap();
-        assert!(out.contains("4 shards"), "{out}");
-        assert!(out.contains("distinct flows: 400"), "{out}");
-        // Sharded analyze works for every algorithm it accepts.
-        for alg in ["flowradar", "netflow", "elastic", "hashpipe"] {
-            let out = run_line(&format!(
-                "analyze {} --algorithm {alg} --memory-kib 256 --shards 2",
-                pcap.display()
-            ))
-            .unwrap();
-            assert!(out.contains("2 shards"), "{alg}: {out}");
-        }
     }
 }

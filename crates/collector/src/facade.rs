@@ -339,14 +339,6 @@ impl FlowMonitor for Collector {
         self.rotator.cost()
     }
 
-    /// Degradation report of the wrapped pipeline — for a sharded build
-    /// this surfaces any lane whose worker died mid-epoch, which is what
-    /// a service health endpoint wants to know before trusting the
-    /// current epoch's numbers.
-    fn faults(&self) -> Vec<String> {
-        self.rotator.faults()
-    }
-
     /// Live-state introspection of the wrapped monitor (the sealed
     /// per-epoch report travels in each [`EpochSnapshot`]).
     fn introspection(&self) -> Vec<IntrospectMetric> {
@@ -394,13 +386,6 @@ impl CollectorBuilder {
         self
     }
 
-    /// Sets the shard count (any algorithm).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.monitor = self.monitor.shards(shards);
-        self
-    }
-
     /// Sets the epoch length in nanoseconds. The default (`u64::MAX`)
     /// never rotates on time — the paper's single-epoch mode, sealed
     /// explicitly via [`Collector::seal`].
@@ -440,20 +425,18 @@ impl CollectorBuilder {
     /// to **every** layer below it, and the `Collector` keeps them for
     /// its sinks and its sealed side, so none can be left bare:
     ///
-    /// * `registry` — the monitor's shards, rotation and the sinks
-    ///   register into it, each sealed epoch's introspection report
+    /// * `registry` — the rotation layer and the sinks register into
+    ///   it, each sealed epoch's introspection report
     ///   lands in `hashflow_introspect_*` gauges, the retention ledger is
     ///   exported under `component="epoch_retention"`, and
     ///   [`Collector::metrics_snapshot`] exposes the combined state;
-    /// * `recorder` — shard panics and shed batches (with a window dump
-    ///   on panic), rotation gaps, epoch seals, and the sinks'
+    /// * `recorder` — rotation gaps, epoch seals, and the sinks'
     ///   degrade/quarantine/recover transitions (quarantine entry also
     ///   dumps);
-    /// * `tracer` — sampled flows record `dispatch` spans in the shard
-    ///   layer and placement-stage spans in HashFlow (each once per
-    ///   flow, stage and epoch, then a `placement` span with the stage
-    ///   counts at the seal), and `epoch_seal`/`export` spans on the
-    ///   sealed side.
+    /// * `tracer` — sampled flows record placement-stage spans in
+    ///   HashFlow (each once per flow, stage and epoch, then a
+    ///   `placement` span with the stage counts at the seal), and
+    ///   `epoch_seal`/`export` spans on the sealed side.
     #[must_use]
     pub fn instruments(mut self, instruments: Instruments) -> Self {
         self.instruments = instruments;
@@ -561,14 +544,12 @@ mod tests {
         }
 
         let trace = TraceGenerator::new(TraceProfile::Isp2, 3).generate(2_000);
-        for (shards, sink_count) in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)] {
-            let case = format!("{shards} shard(s), {sink_count} sink(s)");
+        for sink_count in 0..=2 {
+            let case = format!("{sink_count} sink(s)");
             let sinks: Vec<Arc<Mutex<MemorySink>>> = (0..sink_count)
                 .map(|_| Arc::new(Mutex::new(MemorySink::new())))
                 .collect();
-            let mut builder = Collector::builder(AlgorithmKind::HashFlow)
-                .budget(budget())
-                .shards(shards);
+            let mut builder = Collector::builder(AlgorithmKind::HashFlow).budget(budget());
             for sink in &sinks {
                 builder = builder.sink(Box::new(Shared(Arc::clone(sink))));
             }
@@ -1166,7 +1147,6 @@ mod tests {
         let trace = TraceGenerator::new(TraceProfile::Isp2, 3).generate(2_000);
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(budget())
-            .shards(2)
             .epoch_ns(500_000)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .sink(Box::new(MemorySink::new()))
@@ -1198,8 +1178,6 @@ mod tests {
             Some(sealed)
         );
         assert_eq!(collector.query_answers().len() as u64, sealed);
-        // Monitor layer: the shard layer split the same packets.
-        assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), packets);
         // No sink trouble on the happy path.
         assert_eq!(snap.counter("hashflow_sink_errors_total", &[]), Some(0));
     }
@@ -1280,23 +1258,18 @@ mod tests {
 
     #[test]
     fn builder_knobs_reach_the_registry() {
-        // Sharded + seeded through the facade.
+        // Seeded through the facade.
         let collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(budget())
             .seed(11)
-            .shards(2)
             .build()
             .unwrap();
         assert!(collector.monitor().memory_bits() <= budget().bits());
         // Registry errors surface unchanged.
-        let err = match Collector::builder(AlgorithmKind::Elastic)
-            .budget(budget())
-            .shards(0)
-            .build()
-        {
+        let err = match Collector::builder(AlgorithmKind::Elastic).build() {
             Err(e) => e,
-            Ok(_) => panic!("expected a shard-count error"),
+            Ok(_) => panic!("expected a missing-budget error"),
         };
-        assert!(err.to_string().contains("at least 1"), "{err}");
+        assert!(err.to_string().contains("memory budget"), "{err}");
     }
 }

@@ -6,17 +6,20 @@
 //! the pipeline a deployment actually runs:
 //!
 //! ```text
-//! source ──> rotator (monitor / shards) ──> Collector (sealed side) ──> sinks
-//!            EpochRotator around a          exports, announces,         RecordSink
-//!            MonitorBuilder-built monitor   answers, retains
+//! source ──> rotator ────────────> Collector (sealed side) ──> sinks
+//!            EpochRotator around   exports, announces,         RecordSink
+//!            a registry-built      answers, retains
+//!            monitor
 //! ```
 //!
 //! * [`AlgorithmKind`] + [`MonitorBuilder`] form the **algorithm
 //!   registry**: the only place in the workspace that maps an algorithm
-//!   name/config plus a [`MemoryBudget`] (and an optional shard count)
-//!   onto a constructed monitor. The CLI, the experiment harness, the
-//!   benches and the software switch all build monitors here — there is
-//!   no other string→constructor path to drift out of sync.
+//!   name/config plus a [`MemoryBudget`] onto a constructed monitor.
+//!   The CLI, the experiment harness, the daemon and the benchmark all
+//!   build monitors here — there is no other string→constructor path
+//!   to drift out of sync. A deployed collector
+//!   runs one monitor; `hashflow_shard::ShardedMonitor` is the library
+//!   type that splits a budget over flow-partitioned shards.
 //! * [`Collector`] is the operational loop: a registry-built monitor
 //!   behind an [`EpochRotator`](hashflow_monitor::EpochRotator),
 //!   ingesting via the batched hot path. The rotator seals and numbers

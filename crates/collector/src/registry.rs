@@ -5,7 +5,6 @@ use elastic_sketch::ElasticSketch;
 use flowradar::FlowRadar;
 use hashflow_core::{HashFlow, HashFlowConfig};
 use hashflow_monitor::{FlowMonitor, Instruments, MemoryBudget};
-use hashflow_shard::ShardedMonitor;
 use hashflow_sketches::{BeauCoupMonitor, CountMinMonitor, ExactBaselineMonitor, FcmMonitor};
 use hashflow_types::ConfigError;
 use hashpipe::HashPipe;
@@ -162,9 +161,10 @@ impl std::str::FromStr for AlgorithmKind {
 ///
 /// Optional knobs: an explicit hash `seed` (experiments re-derive
 /// monitors per trial; omitting it keeps each algorithm's stable default
-/// seeds), a `shards` count (> 1 wraps the monitor in a
-/// [`ShardedMonitor`] with the budget split equally, for any algorithm),
-/// and the [`Instruments`] every layer of the built monitor is handed.
+/// seeds) and the [`Instruments`] the built monitor is handed. It builds
+/// one monitor over the whole budget; `hashflow_shard::ShardedMonitor`
+/// is the library type that splits a budget over flow-partitioned
+/// shards, each built here.
 /// NetFlow is built unsampled (1-in-1); a sampled one comes from
 /// `SampledNetFlow::with_memory(budget, n)`.
 ///
@@ -180,12 +180,6 @@ impl std::str::FromStr for AlgorithmKind {
 ///     let monitor = MonitorBuilder::new(kind).budget(budget).seed(42).build()?;
 ///     assert!(monitor.memory_bits() <= budget.bits());
 /// }
-/// // Sharded ingestion at the same total budget:
-/// let sharded = MonitorBuilder::new(AlgorithmKind::HashFlow)
-///     .budget(budget)
-///     .shards(4)
-///     .build()?;
-/// assert_eq!(sharded.name(), "HashFlow");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -193,7 +187,6 @@ pub struct MonitorBuilder {
     kind: AlgorithmKind,
     budget: Option<MemoryBudget>,
     seed: Option<u64>,
-    shards: usize,
     require_records: bool,
     instruments: Instruments,
 }
@@ -205,7 +198,6 @@ impl MonitorBuilder {
             kind,
             budget: None,
             seed: None,
-            shards: 1,
             require_records: false,
             instruments: Instruments::default(),
         }
@@ -231,15 +223,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Sets the shard count. `1` (the default) builds the bare monitor;
-    /// `> 1` wraps it in a [`ShardedMonitor`] with the budget split into
-    /// equal per-shard budgets summing to at most the total.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Declares that the caller will run records-derived queries (flow
     /// report, heavy hitters, `top_k`). [`Self::build`] then rejects the
     /// estimate-only sketches ([`AlgorithmKind::supports_records`] is
@@ -253,11 +236,9 @@ impl MonitorBuilder {
 
     /// Sets the observability handles the built monitor is instrumented
     /// with ([`FlowMonitor::instrument`], called once by [`Self::build`]).
-    /// Each layer takes what it uses: the shard layer its
-    /// per-shard counters, queue gauges, dispatch/seal histograms,
-    /// panic and shed events and `dispatch` spans; HashFlow its
-    /// placement-stage spans. Monitors with nothing to report ignore
-    /// them — the ingest counters live in the rotation layer
+    /// HashFlow takes its placement-stage spans from them; monitors with
+    /// nothing to report ignore them — the ingest counters live in the
+    /// rotation layer
     /// ([`hashflow_monitor::PipelineMetrics`]), the sinks' in the
     /// `Collector`'s [`hashflow_monitor::SinkSet`].
     #[must_use]
@@ -288,22 +269,16 @@ impl MonitorBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the budget is missing or too small
-    /// for the algorithm's minimum geometry, or when `shards == 0`.
+    /// for the algorithm's minimum geometry.
     pub fn build(&self) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
         let budget = self.require_budget()?;
         self.check_records()?;
-        let mut monitor: Box<dyn FlowMonitor + Send> = match self.shards {
-            0 => return Err(ConfigError::new("shard count must be at least 1")),
-            1 => self.build_one(budget)?,
-            n => Box::new(ShardedMonitor::with_budget(n, budget, |_, b| {
-                self.build_one(b)
-            })?),
-        };
+        let mut monitor = self.build_one(budget)?;
         monitor.instrument(&self.instruments);
         Ok(monitor)
     }
 
-    /// The unsharded monitor of [`Self::kind`] over `budget`.
+    /// The monitor of [`Self::kind`] over `budget`.
     fn build_one(&self, budget: MemoryBudget) -> Result<Box<dyn FlowMonitor + Send>, ConfigError> {
         Ok(match self.kind {
             AlgorithmKind::HashFlow => {
@@ -428,23 +403,16 @@ mod tests {
 
     #[test]
     fn sharded_builds_split_the_budget() {
+        use hashflow_shard::ShardedMonitor;
         for kind in AlgorithmKind::ALL {
-            let builder = MonitorBuilder::new(kind).budget(budget());
-            let sharded = builder.clone().shards(4).build().unwrap();
-            assert_eq!(sharded.name(), builder.build().unwrap().name(), "{kind}");
+            let sharded = ShardedMonitor::with_budget(4, budget(), |_, b| {
+                MonitorBuilder::new(kind).budget(b).build()
+            })
+            .unwrap();
+            let single = MonitorBuilder::new(kind).budget(budget()).build().unwrap();
+            assert_eq!(sharded.name(), single.name(), "{kind}");
             assert!(sharded.memory_bits() <= budget().bits(), "{kind}");
         }
-    }
-
-    #[test]
-    fn zero_shards_rejected() {
-        let err = expect_err(
-            MonitorBuilder::new(AlgorithmKind::HashFlow)
-                .budget(budget())
-                .shards(0)
-                .build(),
-        );
-        assert!(err.to_string().contains("at least 1"), "{err}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! plan with it. The ingest thread runs Algorithm 1's steps on the plan
 //! ([`FlowMonitor::process_planned`]) and returns it to a bounded list of
 //! spare plans, which `offer` plans into again. A collector without a
-//! planner (a sharded one) queues its batches unplanned.
+//! planner (every kind but HashFlow) queues its batches unplanned.
 //!
 //! # Endpoints
 //!
@@ -40,7 +40,7 @@
 //! | `GET /queries` | attached plans + retained per-epoch answers |
 //! | `POST /queries` | attach a plan (body = plan text) at runtime; `409` once [`MAX_QUERIES`] are attached |
 //! | `GET /metrics` | Prometheus exposition of the runtime registry |
-//! | `GET /healthz` | sink + shard health (`503` when unhealthy) |
+//! | `GET /healthz` | sink health (`503` when unhealthy) |
 //! | `GET /debug/events` | flight-recorder events after seq `N` (`?since=N`) |
 //! | `GET /debug/flows/{key}` | sampling verdict + recorded spans of one flow |
 //! | `GET /debug/introspect` | sketch-internal gauges of the latest epoch |
@@ -103,15 +103,13 @@ const INGEST_POLL: Duration = Duration::from_millis(50);
 /// add to every seal.
 pub const MAX_QUERIES: usize = 16;
 
-/// Daemon configuration. `Default` is a runnable single-shard HashFlow
-/// collector on ephemeral loopback ports with no UDP front-end.
+/// Daemon configuration. `Default` is a runnable HashFlow collector on
+/// ephemeral loopback ports with no UDP front-end.
 pub struct ServerConfig {
     /// Algorithm to build ([`AlgorithmKind`]).
     pub algorithm: AlgorithmKind,
     /// Monitor memory budget in KiB.
     pub memory_kib: usize,
-    /// Shard count (any algorithm shards).
-    pub shards: usize,
     /// Master hash seed.
     pub seed: u64,
     /// Wall-clock epoch length in milliseconds.
@@ -138,13 +136,13 @@ pub struct ServerConfig {
     pub sinks: Vec<Box<dyn RecordSink + Send>>,
     /// Flow-path tracing: `Some(n)` samples 1-in-`n` flows (by key hash,
     /// so the same flows are sampled on every path) and records their
-    /// placement/dispatch/export spans in the flight recorder (a ring of
+    /// placement/seal/export spans in the flight recorder (a ring of
     /// the newest [`DEFAULT_RECORDER_CAPACITY`] events). `None`
     /// disables tracing entirely (zero per-packet cost beyond a branch).
     pub trace_sampling: Option<u64>,
-    /// File that automatic fault dumps (sink quarantine, shard panic)
-    /// append to as JSONL; `None` keeps dumps in-memory only (the ring
-    /// is still served by `/debug/events`).
+    /// File that automatic fault dumps (sink quarantine) append to as
+    /// JSONL; `None` keeps dumps in-memory only (the ring is still
+    /// served by `/debug/events`).
     pub dump_path: Option<String>,
 }
 
@@ -153,7 +151,6 @@ impl Default for ServerConfig {
         ServerConfig {
             algorithm: AlgorithmKind::HashFlow,
             memory_kib: 256,
-            shards: 1,
             seed: 0xC0FFEE,
             epoch_ms: 1_000,
             retention: 64,
@@ -175,7 +172,6 @@ impl std::fmt::Debug for ServerConfig {
         f.debug_struct("ServerConfig")
             .field("algorithm", &self.algorithm)
             .field("memory_kib", &self.memory_kib)
-            .field("shards", &self.shards)
             .field("epoch_ms", &self.epoch_ms)
             .field("retention", &self.retention)
             .field("http_addr", &self.http_addr)
@@ -467,9 +463,6 @@ impl Server {
                 recorder: Some(recorder.clone()),
                 tracer: tracer.clone(),
             });
-        if config.shards > 1 {
-            builder = builder.shards(config.shards);
-        }
         for sink in config.sinks {
             builder = builder.sink(sink);
         }
@@ -500,7 +493,6 @@ impl Server {
         let ingest_loop = IngestLoop {
             collector,
             port: Arc::clone(&port),
-            commands: command_rx,
             published: Arc::clone(&published),
             epoch_len: Duration::from_millis(config.epoch_ms.max(1)),
             processed: 0,
@@ -508,7 +500,7 @@ impl Server {
         };
         let ingest = std::thread::Builder::new()
             .name("hf-ingest".to_string())
-            .spawn(move || ingest_loop.run())
+            .spawn(move || ingest_loop.run(command_rx))
             .map_err(ServerError::Io)?;
 
         let udp_thread = match udp_socket {
@@ -759,7 +751,6 @@ fn run_udp(
 struct IngestLoop {
     collector: Collector,
     port: Arc<IngestPort>,
-    commands: mpsc::Receiver<Command>,
     published: Arc<Published>,
     epoch_len: Duration,
     processed: u64,
@@ -771,12 +762,12 @@ struct IngestLoop {
 impl IngestLoop {
     /// Runs until the queue is closed and drained, then finishes the
     /// collector: it seals the truncated final epoch and flushes the
-    /// sinks.
-    fn run(mut self) -> IngestReport {
+    /// sinks. Every command it takes from `commands` is answered.
+    fn run(mut self, commands: mpsc::Receiver<Command>) -> IngestReport {
         let mut next_seal = Instant::now() + self.epoch_len;
         self.publish(false);
         loop {
-            while let Ok(Command::AttachQuery { plan, reply }) = self.commands.try_recv() {
+            while let Ok(Command::AttachQuery { plan, reply }) = commands.try_recv() {
                 let _ = reply.send(self.attach(plan));
                 self.publish(false);
             }
@@ -806,6 +797,9 @@ impl IngestLoop {
                 PopOutcome::Closed => break,
             }
         }
+        // Commands never taken drop their reply senders here, so their
+        // requests answer "shutting down" instead of waiting out `finish`.
+        drop(commands);
         // Shutdown: the queue is closed and fully drained. `finish` seals
         // whatever the truncated final epoch holds, marked partial, and
         // flushes the sinks exactly once: it marks the collector finished,
@@ -874,7 +868,6 @@ impl IngestLoop {
                 .collect(),
             health: HealthView {
                 sinks: self.collector.sink_health(),
-                faults: self.collector.faults(),
                 finished,
             },
             sealed_total: self.sealed_total(),
@@ -1181,28 +1174,25 @@ fn attach_query(state: &RouterState, req: &Request) -> Response {
         .send(Command::AttachQuery {
             plan,
             reply: reply_tx,
-        })
-        .is_ok();
-    if !sent {
-        return Response::json(
-            503,
-            Obj::new()
-                .str("error", "collector is shutting down")
-                .build(),
-        );
-    }
-    match reply_rx.recv_timeout(Duration::from_secs(2)) {
-        Ok(Ok(id)) => Response::json(
+        });
+    // The ingest thread answers every command it takes, however long a
+    // seal holds it; one it never takes drops the reply sender.
+    match sent.ok().and_then(|()| reply_rx.recv().ok()) {
+        Some(Ok(id)) => Response::json(
             201,
             Obj::new()
                 .u64("id", id as u64)
                 .str("plan", &canonical)
                 .build(),
         ),
-        Ok(Err((status, error))) => Response::json(status, Obj::new().str("error", &error).build()),
-        Err(_) => Response::json(
+        Some(Err((status, error))) => {
+            Response::json(status, Obj::new().str("error", &error).build())
+        }
+        None => Response::json(
             503,
-            Obj::new().str("error", "collector did not confirm").build(),
+            Obj::new()
+                .str("error", "collector is shutting down")
+                .build(),
         ),
     }
 }
@@ -1241,10 +1231,6 @@ fn healthz(view: &SealedView, uptime_s: u64) -> Response {
                     )
                     .build()
             })),
-        )
-        .raw(
-            "faults",
-            json::array(health.faults.iter().map(|f| json::string(f))),
         )
         .build();
     let code = if health.is_unhealthy() { 503 } else { 200 };
@@ -1520,26 +1506,6 @@ mod tests {
     }
 
     #[test]
-    fn a_sharded_daemon_has_no_planner_and_still_ingests() {
-        let trace = TraceGenerator::new(TraceProfile::Caida, 9).generate(1_000);
-        let total = trace.packets().len() as u64;
-        let server = Server::start(ServerConfig {
-            shards: 2,
-            ..small_config()
-        })
-        .expect("boot");
-        let port = server.ingest_port();
-        assert!(port.planner.is_none(), "sharded monitors plan nothing");
-        for chunk in trace.packets().chunks(REPLAY_BATCH) {
-            port.offer(chunk.to_vec());
-        }
-        let report = server.shutdown();
-        assert_eq!(report.offered_records, total);
-        assert!(report.conserved(), "{report:?}");
-        assert!(report.packets_processed > 0);
-    }
-
-    #[test]
     fn http_api_serves_epochs_queries_and_health() {
         let trace = TraceGenerator::new(TraceProfile::Campus, 9).generate(800);
         let mut server = Server::start(small_config()).expect("boot");
@@ -1616,7 +1582,6 @@ mod tests {
         assert!(packets.len() > 6 * DEFAULT_RECORDER_CAPACITY);
         let mut server = Server::start(ServerConfig {
             trace_sampling: Some(1), // sample every flow
-            shards: 2,               // so packets leave `dispatch` spans
             sinks: vec![Box::new(hashflow_monitor::MemorySink::new())], // and `export`
             epoch_ms: 200,
             ingest_policy: BackpressurePolicy::Block, // every packet counts
@@ -1643,8 +1608,8 @@ mod tests {
         assert_eq!(status, 400);
 
         // Flow debug: with 1-in-1 sampling every key reports sampled, and
-        // a flow's spans name its shard, its placement stages with their
-        // counts, its seal and its export.
+        // a flow's spans name its placement stages with their counts, its
+        // seal and its export.
         let view = server.view();
         let key = view.epochs.first().unwrap().as_records()[0].key();
         let encoded = key.to_string().replace('/', "%2F").replace('>', "%3E");
@@ -1653,13 +1618,7 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"sampled\":true"), "{body}");
         assert!(body.contains("\"sample_one_in\":1"));
-        for stage in [
-            "dispatch",
-            "main_insert",
-            "placement",
-            "epoch_seal",
-            "export",
-        ] {
+        for stage in ["main_insert", "placement", "epoch_seal", "export"] {
             assert!(body.contains(&format!("\"stage\":\"{stage}\"")), "{body}");
         }
         assert!(
@@ -1694,9 +1653,9 @@ mod tests {
         assert_eq!(report.packets_processed, packets.len() as u64);
 
         // Nothing was pushed out of the ring, and per flow and epoch the
-        // spans are bounded by the stages, not by the packets: `dispatch`
-        // and up to four placement stages, then at the seal `placement`,
-        // `epoch_seal` and `export`.
+        // spans are bounded by the stages, not by the packets: up to four
+        // placement stages, then at the seal `placement`, `epoch_seal` and
+        // `export`.
         let events = recorder.snapshot();
         assert_eq!(
             events.first().map(|e| e.seq),
@@ -1712,7 +1671,7 @@ mod tests {
             .count() as u64;
         let per_packet_stages = stages.len() as u64 - seal_spans;
         assert!(
-            per_packet_stages <= FLOWS * 5 * report.epochs_sealed,
+            per_packet_stages <= FLOWS * 4 * report.epochs_sealed,
             "{per_packet_stages} spans over {FLOWS} flows in {} epochs",
             report.epochs_sealed
         );
@@ -1756,6 +1715,72 @@ mod tests {
             refused.is_err(),
             "a boot-time plan over CountMin is refused"
         );
+    }
+
+    #[test]
+    fn post_queries_waits_out_a_long_seal_and_agrees_with_get_queries() {
+        use std::sync::Condvar;
+
+        /// A sink whose export announces itself, then waits until the
+        /// gate opens: it holds the ingest thread inside a seal.
+        struct Gated {
+            entered: mpsc::Sender<()>,
+            gate: Arc<(Mutex<bool>, Condvar)>,
+        }
+        impl RecordSink for Gated {
+            fn export_epoch(&mut self, _: &EpochSnapshot) -> std::io::Result<()> {
+                let _ = self.entered.send(());
+                let (open, opened) = &*self.gate;
+                let guard = open.lock().unwrap();
+                let _ = opened.wait_timeout_while(guard, Duration::from_secs(30), |o| !*o);
+                Ok(())
+            }
+        }
+
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (entered_tx, entered) = mpsc::channel();
+        let server = Server::start(ServerConfig {
+            sinks: vec![Box::new(Gated {
+                entered: entered_tx,
+                gate: Arc::clone(&gate),
+            })],
+            ..small_config()
+        })
+        .expect("boot");
+        let addr = server.http_addr();
+        let flows = |n: u64| (0..n).map(|i| Packet::new(FlowKey::from_index(i), 0, 64));
+        server.ingest_port().offer(flows(50).collect());
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first seal reaches the sink");
+
+        // POST while the seal holds the ingest thread; keep the gate shut
+        // until the POST returns or 3 s pass.
+        let (posted_tx, posted) = mpsc::channel();
+        let poster = std::thread::spawn(move || {
+            let _ = posted_tx.send(client::post(addr, "/queries", "map src | reduce sum"));
+        });
+        let early = posted.recv_timeout(Duration::from_secs(3)).ok();
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let (status, body) = early
+            .unwrap_or_else(|| posted.recv().expect("the POST thread reports"))
+            .expect("POST query");
+        poster.join().unwrap();
+
+        // A later seal follows the attach: the ingest thread drains its
+        // commands before every seal, and publishes after each.
+        server.ingest_port().offer(flows(50).collect());
+        assert!(server.wait_for_sealed(2, Duration::from_secs(10)));
+        let (_, listing) = client::get(addr, "/queries").expect("GET queries");
+        let listed = listing.contains("map src | reduce sum");
+        assert_eq!(
+            status == 201,
+            listed,
+            "POST answered {status} {body}; GET /queries lists the plan: {listed}"
+        );
+        assert_eq!(status, 201, "{body}");
+        assert!(server.shutdown().conserved());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! 3. **A concurrent query API**: a hand-rolled HTTP/1.1 server
 //!    (`std::net` + a fixed worker pool, no external crates) exposing
 //!    the sealed history, per-flow size estimates, the runtime metrics
-//!    registry in Prometheus exposition format, sink/shard health and
+//!    registry in Prometheus exposition format, sink health and
 //!    runtime query registration. See [`daemon`] for the endpoint table.
 //!
 //! Shutdown is cooperative: one [`ShutdownFlag`] is checked by every

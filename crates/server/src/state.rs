@@ -43,9 +43,6 @@ pub struct EpochAnswers {
 pub struct HealthView {
     /// Per-sink health in attach order.
     pub sinks: Vec<SinkStatus>,
-    /// Active monitor-side degradation (e.g. dead shard lanes), one
-    /// line each ([`hashflow_monitor::FlowMonitor::faults`]).
-    pub faults: Vec<String>,
     /// Whether the daemon has finished (final epoch sealed, sinks
     /// flushed).
     pub finished: bool,
@@ -54,13 +51,11 @@ pub struct HealthView {
 impl HealthView {
     /// Whether anything is degraded enough that `/healthz` should turn
     /// the daemon unhealthy: a quarantined sink (epochs are being
-    /// skipped) or a monitor fault (the current epoch is losing data).
+    /// skipped).
     pub fn is_unhealthy(&self) -> bool {
-        !self.faults.is_empty()
-            || self
-                .sinks
-                .iter()
-                .any(|s| s.health == hashflow_monitor::SinkHealth::Quarantined)
+        self.sinks
+            .iter()
+            .any(|s| s.health == hashflow_monitor::SinkHealth::Quarantined)
     }
 
     /// Whether any sink is degraded (still delivering, recently
@@ -210,10 +205,27 @@ mod tests {
 
     #[test]
     fn health_rollup_rules() {
+        use hashflow_monitor::SinkHealth;
         let mut h = HealthView::default();
         assert!(!h.is_unhealthy());
         assert!(!h.is_degraded());
-        h.faults.push("shard 0: worker panicked".into());
-        assert!(h.is_unhealthy());
+        for (health, degraded, unhealthy) in [
+            (SinkHealth::Healthy, false, false),
+            (SinkHealth::Degraded, true, false),
+            (SinkHealth::Quarantined, true, true),
+        ] {
+            h.sinks = vec![SinkStatus {
+                index: 0,
+                health,
+                consecutive_failures: 0,
+                total_errors: 0,
+                skipped_epochs: 0,
+                skipped_records: 0,
+                recoveries: 0,
+                last_error: None,
+            }];
+            assert_eq!(h.is_degraded(), degraded, "{health:?}");
+            assert_eq!(h.is_unhealthy(), unhealthy, "{health:?}");
+        }
     }
 }

@@ -29,8 +29,7 @@
 //! * [`ShardedMonitor::seal_epoch`] drains all shards into **one**
 //!   [`EpochReport`]. The monitor owns no sinks and no clock: an
 //!   `EpochRotator::new(sharded, epoch_len_ns)` seals and numbers the
-//!   epoch and stamps its span, and the `hashflow-collector` facade
-//!   built around it exports, announces, answers and retains it.
+//!   epoch and stamps its span.
 //! * The equal-memory discipline of §IV-A carries over:
 //!   [`ShardedMonitor::with_budget`] splits one budget into `N` equal
 //!   shard budgets that sum to at most the parent
@@ -46,6 +45,12 @@
 //!   the remaining shards keep ingesting, the sealed epoch is flagged
 //!   [`EpochReport::partial`], and the shard recovers at the next epoch
 //!   boundary when its state resets cleanly.
+//!
+//! This is a library type. A deployed collector (the registry's
+//! `MonitorBuilder`, the `Collector`, the daemon and the CLI) runs one
+//! monitor over the whole budget: on two cores the shards, fed in turn
+//! on the caller's thread, only slowed it down. The benchmark's
+//! `lib-caida-8m-s2` workload and its `shard.*` rungs measure this type.
 //!
 //! # Examples
 //!
@@ -210,7 +215,7 @@ impl DispatchTrace {
 /// threaded ingest path pays a handful of relaxed atomics per thousand
 /// packets, not per packet.
 #[derive(Clone, Debug)]
-pub struct ShardMetrics {
+struct ShardMetrics {
     dispatch_ns: Histogram,
     seal_ns: Histogram,
     lane_packets: Vec<Counter>,
@@ -220,7 +225,7 @@ pub struct ShardMetrics {
 impl ShardMetrics {
     /// Registers the per-shard and per-stage metrics for a monitor of
     /// `shards` shards.
-    pub fn register(registry: &MetricsRegistry, shards: usize) -> Self {
+    fn register(registry: &MetricsRegistry, shards: usize) -> Self {
         ShardMetrics {
             dispatch_ns: registry.histogram("hashflow_shard_dispatch_ns", &[]),
             seal_ns: registry.histogram("hashflow_shard_seal_ns", &[]),
@@ -239,10 +244,10 @@ impl ShardMetrics {
 /// Average packets per batch published to a shard's queue (amortizes one
 /// lock round-trip over about this many packets): [`ShardedMonitor::ingest`]
 /// splits the trace in chunks of this many packets per shard.
-pub const BATCH_PACKETS: usize = 1024;
+const BATCH_PACKETS: usize = 1024;
 
 /// Batches that may be in flight per shard before the dispatcher blocks.
-pub const QUEUE_DEPTH: usize = 8;
+const QUEUE_DEPTH: usize = 8;
 
 /// Seed of the dispatch hash. Deliberately distinct from every table seed
 /// in the workspace so shard placement is independent of in-shard bucket
@@ -463,11 +468,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
             .map(|(i, b)| build(i, b))
             .collect::<Result<Vec<M>, ConfigError>>()?;
         Self::new(monitors)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Read-only view of the shards.
@@ -805,8 +805,7 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     }
 
     /// Registers the per-shard counters, queue-depth gauges and
-    /// dispatch/merge/seal histograms ([`ShardMetrics`] lists the
-    /// catalog) and the shard-queue ledger (`component="shard_queue"`);
+    /// dispatch/seal histograms (the `hashflow_shard_*` catalog) and the shard-queue ledger (`component="shard_queue"`);
     /// with a recorder, shard panics record an error event and dump the
     /// recent window and shed batches record warnings; with a tracer, a
     /// sampled flow's first dispatch of each epoch records a `dispatch`

@@ -14,7 +14,7 @@
 use hashflow_server::{Server, ServerConfig};
 use hashflow_suite::fault::{FaultInjectingSink, FaultPlan, PanicInjector};
 use hashflow_suite::monitor::{
-    BackpressurePolicy, SinkHealth, SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
+    BackpressurePolicy, BatchPlan, SinkHealth, SINK_PROBE_INTERVAL, SINK_QUARANTINE_AFTER,
 };
 use hashflow_suite::prelude::*;
 use hashflow_suite::shard::{BatchQueue, PushOutcome};
@@ -568,7 +568,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The conservation invariant, property-tested across every bounded
-    /// buffer and every ingest path (scalar, batched, sharded): the shard
+    /// buffer and every ingest path (scalar, batched, planned): the shard
     /// queues, the daemon's ingest queue under every backpressure policy,
     /// and the collector's retained epochs and answers under the one
     /// keep-newest rule. Each ledger's delivered side must equal what the stage
@@ -582,21 +582,25 @@ proptest! {
     ) {
         // Full pipeline: retained epochs and their answers in the
         // collector.
-        let shards = [1usize, 1, 3][path_idx];
         let mut collector = Collector::builder(AlgorithmKind::HashFlow)
             .budget(MemoryBudget::from_kib(256).unwrap())
-            .shards(shards)
             .retention(cap)
             .query("map src | distinct dst | reduce count".parse().unwrap())
             .build()
             .unwrap();
 
+        let planner = collector.planner().expect("HashFlow plans");
+        let mut plan = BatchPlan::default();
         let chunk = packets.len().div_ceil(4).max(1);
         let mut seals = 0u64;
         for batch in packets.chunks(chunk) {
             match path_idx {
                 0 => batch.iter().for_each(|p| collector.process_packet(p)),
-                _ => collector.process_batch(batch),
+                1 => collector.process_batch(batch),
+                _ => {
+                    planner.plan(batch, &mut plan);
+                    collector.process_planned(batch, &plan);
+                }
             }
             collector.seal();
             seals += 1;

@@ -87,12 +87,11 @@ fn every_registered_kind_seals_introspection_into_its_snapshot() {
 fn sharded_builds_merge_introspection_across_shards() {
     let trace = test_trace(9);
     for kind in AlgorithmKind::ALL {
-        let mut monitor = MonitorBuilder::new(kind)
-            .budget(MemoryBudget::from_kib(128).expect("positive"))
-            .seed(0x2323)
-            .shards(4)
-            .build()
-            .expect("sharded build fits");
+        let budget = MemoryBudget::from_kib(128).expect("positive");
+        let mut monitor = ShardedMonitor::with_budget(4, budget, |_, b| {
+            MonitorBuilder::new(kind).budget(b).seed(0x2323).build()
+        })
+        .expect("sharded build fits");
         monitor.process_batch(trace.packets());
         let merged = monitor.introspection();
         assert!(!merged.is_empty(), "{kind:?}: sharded introspection empty");

@@ -1,6 +1,6 @@
 //! Integration: the runtime observability layer across the whole
 //! pipeline — one [`Instruments`] handed to the builder reaching ingest,
-//! shards, rotation, sinks and queries at once, with both exposition
+//! the monitor, rotation, sinks and queries at once, with both exposition
 //! formats rendered from the same sealed snapshot.
 
 use hashflow_suite::monitor::{FlowTracer, FLOW_SPAN_KIND};
@@ -11,29 +11,25 @@ use hashflow_suite::prelude::*;
 /// multi-epoch run on a few thousand flows.
 const EPOCH_NS: u64 = 1_000_000;
 
-fn collector_with(instruments: Instruments, shards: usize) -> Collector {
+fn collector_with(instruments: Instruments) -> Collector {
     let plan: QueryPlan = "map src | distinct dst | reduce count"
         .parse()
         .expect("valid plan");
     Collector::builder(AlgorithmKind::HashFlow)
         .budget(MemoryBudget::from_kib(256).expect("positive budget"))
-        .shards(shards)
         .epoch_ns(EPOCH_NS)
         .query(plan)
         .sink(Box::new(MemorySink::new()))
         .instruments(instruments)
         .build()
-        .expect("256 KiB splits across shards")
+        .expect("256 KiB builds a HashFlow")
 }
 
-fn instrumented_collector(registry: &MetricsRegistry, shards: usize) -> Collector {
-    collector_with(
-        Instruments {
-            registry: Some(registry.clone()),
-            ..Instruments::default()
-        },
-        shards,
-    )
+fn instrumented_collector(registry: &MetricsRegistry) -> Collector {
+    collector_with(Instruments {
+        registry: Some(registry.clone()),
+        ..Instruments::default()
+    })
 }
 
 #[test]
@@ -42,7 +38,7 @@ fn one_registry_watches_every_stage() {
     let packets = trace.packets().len() as u64;
 
     let registry = MetricsRegistry::new();
-    let mut collector = instrumented_collector(&registry, 4);
+    let mut collector = instrumented_collector(&registry);
     collector.process_trace(trace.packets());
     collector.seal();
     collector.finish().expect("memory sink never fails");
@@ -63,13 +59,6 @@ fn one_registry_watches_every_stage() {
                 .map(|p| u64::from(p.wire_len()))
                 .sum()
         )
-    );
-
-    // Shards: the dispatcher's per-shard counters partition the same
-    // packet stream — they must sum back to it.
-    assert_eq!(
-        snapshot.counter_sum("hashflow_shard_packets_total"),
-        packets
     );
 
     // Rotation: sealed-epoch count matches the pipeline's own history,
@@ -106,7 +95,7 @@ fn one_registry_watches_every_stage() {
 fn expositions_render_the_same_sealed_numbers() {
     let trace = TraceGenerator::new(TraceProfile::Isp1, 42).generate(1_500);
     let registry = MetricsRegistry::new();
-    let mut collector = instrumented_collector(&registry, 2);
+    let mut collector = instrumented_collector(&registry);
     collector.process_trace(trace.packets());
     collector.seal();
 
@@ -143,19 +132,16 @@ fn one_builder_call_instruments_every_layer() {
     let recorder = FlightRecorder::with_capacity(1 << 16);
     let tracer = FlowTracer::new(recorder.clone(), 64);
 
-    let mut collector = collector_with(
-        Instruments {
-            registry: Some(registry.clone()),
-            recorder: Some(recorder.clone()),
-            tracer: Some(tracer.clone()),
-        },
-        2,
-    );
+    let mut collector = collector_with(Instruments {
+        registry: Some(registry.clone()),
+        recorder: Some(recorder.clone()),
+        tracer: Some(tracer.clone()),
+    });
     collector.process_trace(trace.packets());
     collector.seal();
     let snapshot = collector.metrics_snapshot().expect("registry attached");
 
-    // Rotation, query, shard and sink layers, in the registry.
+    // Rotation, query and sink layers, in the registry.
     assert_eq!(
         snapshot.counter("hashflow_ingest_packets_total", &[]),
         Some(packets)
@@ -175,18 +161,14 @@ fn one_builder_call_instruments_every_layer() {
         collector.query_answers().len(),
         collector.completed_epochs().len()
     );
-    assert_eq!(
-        snapshot.counter_sum("hashflow_shard_packets_total"),
-        packets
-    );
     assert_eq!(snapshot.counter("hashflow_sink_errors_total", &[]), Some(0));
 
     // The Collector's sealed side, in the recorder.
     let events = recorder.snapshot();
     assert!(events.iter().any(|e| e.kind == "epoch_sealed"));
 
-    // One sampled flow's journey: the sharded dispatcher, HashFlow's
-    // placement, the seal and the export each left a span.
+    // One sampled flow's journey: HashFlow's placement, the seal and the
+    // export each left a span.
     let sampled = trace
         .packets()
         .iter()
@@ -199,7 +181,7 @@ fn one_builder_call_instruments_every_layer() {
         .filter(|e| e.kind == FLOW_SPAN_KIND && e.field("flow") == Some(flow.as_str()))
         .filter_map(|e| e.field("stage"))
         .collect();
-    for stage in ["dispatch", "epoch_seal", "export"] {
+    for stage in ["epoch_seal", "export"] {
         assert!(stages.contains(&stage), "no {stage} span in {stages:?}");
     }
     assert!(
@@ -212,7 +194,7 @@ fn one_builder_call_instruments_every_layer() {
     // The bare twin touches neither the registry nor the recorder.
     let (metrics_before, events_before) =
         (registry.snapshot().to_prometheus(), recorder.last_seq());
-    let mut bare = collector_with(Instruments::default(), 2);
+    let mut bare = collector_with(Instruments::default());
     bare.process_trace(trace.packets());
     bare.seal();
     assert!(bare.metrics_snapshot().is_none());

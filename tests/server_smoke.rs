@@ -174,7 +174,7 @@ fn every_exposed_metric_family_has_a_row_in_the_readme_catalog() {
         .collect();
     assert!(entries.len() > 20, "{entries:?}");
 
-    // A single-shard HashFlow daemon with every front end it has: UDP
+    // A HashFlow daemon with every front end it has: UDP
     // ingest (one junk datagram included), a standing query, sealed
     // epochs with their introspection gauges, and HTTP reads.
     let server = Server::start(ServerConfig {

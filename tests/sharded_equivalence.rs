@@ -296,24 +296,19 @@ proptest! {
         prop_assert_eq!(mixed.shard_faults().iter().flatten().count(), usize::from(dead.is_some()));
     }
 
-    /// Registry sweep: every algorithm runs sharded through the builder
-    /// with scalar and batched dispatch observationally identical.
+    /// Registry sweep: every algorithm runs sharded over registry-built
+    /// shards with scalar and batched dispatch observationally identical.
     #[test]
     fn registry_sharding_capability_is_honored(packets in stream(300, 500)) {
         let budget = MemoryBudget::from_kib(64).expect("positive");
         for kind in AlgorithmKind::ALL {
-            let mut scalar = MonitorBuilder::new(kind)
-                .budget(budget)
-                .seed(0x5a5a)
-                .shards(SHARDS)
-                .build()
-                .expect("split budget fits");
-            let mut batched = MonitorBuilder::new(kind)
-                .budget(budget)
-                .seed(0x5a5a)
-                .shards(SHARDS)
-                .build()
-                .expect("split budget fits");
+            let build = || {
+                ShardedMonitor::with_budget(SHARDS, budget, |_, b| {
+                    MonitorBuilder::new(kind).budget(b).seed(0x5a5a).build()
+                })
+                .expect("split budget fits")
+            };
+            let (mut scalar, mut batched) = (build(), build());
             for p in &packets {
                 scalar.process_packet(p);
             }
