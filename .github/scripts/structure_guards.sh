@@ -96,6 +96,13 @@ fi
 if grep -rnE 'fn (add_sink|sink_count|total_records|into_epochs|lines_written|span_if_sampled|key_set|src_eq|dst_eq|is_key_level|first_hash|datagrams_written|has_dump_writer|same_as|storage_bits|fraction_at|tracked_keys|shard_count)\b' crates tests examples; then
     fail "a public item without a reader"
 fi
+if grep -nE 'fn split\(' crates/monitor/src/budget.rs || grep -nE 'fn packets\(' crates/monitor/src/stats.rs; then
+    fail "a public item without a reader (MemoryBudget::split, PipelineMetrics::packets)"
+fi
+# Read only inside `hashflow-monitor`, so not public.
+if grep -nE 'pub (struct PipelineMetrics|const SCALAR_FLUSH_PACKETS)' crates/monitor/src/stats.rs; then
+    fail "PipelineMetrics or SCALAR_FLUSH_PACKETS public again"
+fi
 
 # One way in per layer: the shard layer tests for a single shard in at
 # most two places — the split's short-circuit and `ingest` not spawning
@@ -108,8 +115,7 @@ fi
 # the `Collector` exports, announces, answers and retains it. The shard
 # layer keeps no clock; no runtime code outside the `Collector` banks
 # query answers; the rotator has no sink API and emits no seal spans;
-# and the shard seal times no merge (records concatenate inside the
-# seal `hashflow_shard_seal_ns` already times).
+# and the shard seal times no merge (records concatenate inside it).
 if non_test_source crates/shard/src/lib.rs | grep -nE 'first_ns|last_ns|note_timestamps'; then
     fail "a clock in the shard layer"
 fi
@@ -140,5 +146,15 @@ fi
 for f in crates/cli/src/*.rs; do
     if non_test_source "$f" | grep -nF -- '--shards'; then
         fail "a --shards option in $f"
+    fi
+done
+
+# The shard layer keeps only what its callers read: no metric families
+# of its own (its `shard_queue` ledger stays), no `dispatch` span, and no
+# `FlowMonitor::faults` report (`ShardedMonitor::shard_faults` is the
+# accessor).
+for f in $(grep -rlE --include='*.rs' 'hashflow_shard_|ShardMetrics|DispatchTrace|fn faults\(|"dispatch"' crates/*/src); do
+    if non_test_source "$f" | grep -nE 'hashflow_shard_(packets_total|queue_depth|dispatch_ns|seal_ns)|ShardMetrics|DispatchTrace|fn faults\(|"dispatch"'; then
+        fail "a shard metric, the dispatch span or a faults report, in $f"
     fi
 done

@@ -238,9 +238,8 @@ impl MonitorBuilder {
     /// with ([`FlowMonitor::instrument`], called once by [`Self::build`]).
     /// HashFlow takes its placement-stage spans from them; monitors with
     /// nothing to report ignore them — the ingest counters live in the
-    /// rotation layer
-    /// ([`hashflow_monitor::PipelineMetrics`]), the sinks' in the
-    /// `Collector`'s [`hashflow_monitor::SinkSet`].
+    /// rotation layer ([`hashflow_monitor::EpochRotator`]), the sinks' in
+    /// the `Collector`'s [`hashflow_monitor::SinkSet`].
     #[must_use]
     pub fn instruments(mut self, instruments: Instruments) -> Self {
         self.instruments = instruments;

@@ -2,10 +2,10 @@
 //!
 //! Two kinds of instrumentation ride every pipeline stage. A live
 //! [`MetricsRegistry`] carries ingest counters and batch histograms in
-//! the rotator, per-shard packet counters in the shard layer, per-plan
+//! the rotator, the shard-queue ledger in the shard layer, per-plan
 //! evaluation counters in the query engine. A [`FlightRecorder`] (a
 //! bounded event ring) and a [`FlowTracer`] (deterministic 1-in-N flow
-//! sampling) leave placement, dispatch and seal spans. Instrumentation a
+//! sampling) leave placement and seal spans. Instrumentation a
 //! collector cannot afford to leave on gets turned off, so this exhibit
 //! prices both on the same monitor, CAIDA trace and production-tier
 //! budget. Each trial replays three arms back to back:
@@ -22,11 +22,14 @@
 //!   pending block, so the per-packet cost is a couple of integer adds.
 //! * `batched` — the batched hot path; counters flush once per batch.
 //! * `sharded4` — a 4-shard [`ShardedMonitor`] on the threaded ingest
-//!   path, where the dispatcher and each shard make the sampling check and
-//!   each worker owns its shard's counter.
+//!   path. The metered arm prices the shard-queue ledger (a few relaxed
+//!   atomics per published batch); the traced arm prices each shard's
+//!   HashFlow sampling check and placement spans, on its worker thread.
+//!   The shard layer records no span of its own.
 //!
 //! Every row also proves its instruments were live: the metered arm's
-//! packet counter must read exactly `TRIALS x` the trace's packets (a
+//! packet counter (on `sharded4`, the packets its shard-queue ledger was
+//! offered) must read exactly `TRIALS x` the trace's packets (a
 //! registry that drops counts under load would be worse than none), and
 //! the recorder must hold events (a tracer that recorded nothing measured
 //! a no-op).
@@ -234,14 +237,20 @@ fn measure_sharded(budget: MemoryBudget, trace: &Trace, passes: usize) -> Overhe
         monitor.instrument(&instruments);
         monitor
     });
+    // The seal empties the shards as a reset would, but keeps the
+    // ledger's counts; neither runs inside the timed `ingest`.
     let ns = time_arms(&mut arms, passes, |m| {
-        m.reset();
+        let _ = m.seal_epoch();
         m.ingest(trace.packets()).elapsed_ns
     });
     let counted = sinks
         .registry
         .snapshot()
-        .counter_sum("hashflow_shard_packets_total");
+        .counter(
+            "hashflow_offered_records_total",
+            &[("component", "shard_queue")],
+        )
+        .unwrap_or(0);
     sinks.row("sharded4", budget, trace, passes, ns, counted)
 }
 

@@ -64,19 +64,6 @@ impl MemoryBudget {
         self.bits() / cell_bits
     }
 
-    /// Splits the budget into `parts` equal sub-budgets (the remainder is
-    /// dropped, mirroring how fixed-size tables truncate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the split would produce an empty budget.
-    pub fn split(&self, parts: usize) -> Result<MemoryBudget, ConfigError> {
-        if parts == 0 {
-            return Err(ConfigError::new("cannot split a budget into zero parts"));
-        }
-        MemoryBudget::from_bytes(self.bytes / parts)
-    }
-
     /// Splits the budget into `shards` equal per-shard budgets for an
     /// RSS-partitioned monitor.
     ///
@@ -95,7 +82,7 @@ impl MemoryBudget {
         if shards == 0 {
             return Err(ConfigError::new("cannot split a budget across zero shards"));
         }
-        let per_shard = self.split(shards)?;
+        let per_shard = MemoryBudget::from_bytes(self.bytes / shards)?;
         Ok(vec![per_shard; shards])
     }
 }
@@ -137,14 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn split_divides() {
-        let b = MemoryBudget::from_bytes(1000).unwrap();
-        assert_eq!(b.split(4).unwrap().bytes(), 250);
-        assert!(b.split(0).is_err());
-        assert!(b.split(2000).is_err());
-    }
-
-    #[test]
     fn shard_split_round_trips_without_inflation() {
         // The satellite contract: N shard budgets sum to <= the parent
         // budget for every (bytes, N), with no per-shard rounding up.
@@ -180,6 +159,9 @@ mod tests {
         assert!(b.split_shards(0).is_err());
         assert!(b.split_shards(8).is_err());
         assert_eq!(b.split_shards(4).unwrap().len(), 4);
+        let b = MemoryBudget::from_bytes(1000).unwrap();
+        assert_eq!(b.split_shards(4).unwrap()[0].bytes(), 250);
+        assert!(b.split_shards(2000).is_err());
     }
 
     #[test]

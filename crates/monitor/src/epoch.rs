@@ -530,16 +530,13 @@ impl<M: FlowMonitor> FlowMonitor for EpochRotator<M> {
         self.inner.cost()
     }
 
-    fn faults(&self) -> Vec<String> {
-        self.inner.faults()
-    }
-
     fn introspection(&self) -> Vec<IntrospectMetric> {
         self.inner.introspection()
     }
 
     /// Wires the rotation layer, then forwards inward. With a registry:
-    /// the ingest and seal counters of [`PipelineMetrics`]. With a
+    /// the `hashflow_ingest_*`, `hashflow_epochs_sealed_total` and
+    /// `hashflow_rotation_gaps_total` counters. With a
     /// recorder: `rotation_gap` events. The tracer only reaches the inner
     /// monitor.
     fn instrument(&mut self, instruments: &Instruments) {

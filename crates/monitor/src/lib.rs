@@ -53,7 +53,8 @@ pub use plan::{BatchPlan, BatchPlanner};
 pub use policy::{BackpressurePolicy, EpochRing};
 pub use sink::{JsonLinesSink, MemorySink, RecordSink, SinkSet};
 pub use snapshot::EpochSnapshot;
-pub use stats::{DropStats, Instruments, PipelineMetrics, SCALAR_FLUSH_PACKETS};
+pub use stats::{DropStats, Instruments};
+pub(crate) use stats::{PipelineMetrics, SCALAR_FLUSH_PACKETS};
 pub use trace::{FlowTracer, StageTally, DEFAULT_TRACE_SAMPLING, FLOW_SPAN_KIND};
 
 use hashflow_types::{FlowKey, FlowRecord, Packet};
@@ -225,17 +226,6 @@ pub trait FlowMonitor {
         snapshot
     }
 
-    /// Active degradation in the monitor's machinery, one human-readable
-    /// line per fault — e.g. a sharded monitor whose worker lane
-    /// panicked mid-epoch and is shedding its partition. Empty means
-    /// fully operational. Plain single-threaded monitors have no failure
-    /// domains, hence the default; adapter layers forward the report of
-    /// whatever they wrap so a health endpoint can ask the outermost
-    /// facade.
-    fn faults(&self) -> Vec<String> {
-        Vec::new()
-    }
-
     /// The monitor's structure-internal saturation report
     /// ([`IntrospectMetric`]s), sealed into every [`EpochSnapshot`] and
     /// exported as gauges at rotation. Names must be stable across epochs
@@ -297,9 +287,6 @@ impl<M: FlowMonitor + ?Sized> FlowMonitor for Box<M> {
     }
     fn seal(&mut self) -> EpochSnapshot {
         (**self).seal()
-    }
-    fn faults(&self) -> Vec<String> {
-        (**self).faults()
     }
     fn introspection(&self) -> Vec<IntrospectMetric> {
         (**self).introspection()

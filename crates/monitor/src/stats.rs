@@ -41,9 +41,9 @@ pub struct Instruments {
     /// Ring of structured events: epoch seals, rotation gaps, sink health
     /// transitions, shard panics and shed batches.
     pub recorder: Option<FlightRecorder>,
-    /// Sampled flow-path tracer: `dispatch`, HashFlow placement,
-    /// `epoch_seal` and `export` spans for the flows it samples, the
-    /// per-packet stages once per flow and epoch.
+    /// Sampled flow-path tracer: HashFlow placement, `epoch_seal` and
+    /// `export` spans for the flows it samples, the per-packet stages
+    /// once per flow and epoch.
     pub tracer: Option<FlowTracer>,
 }
 
@@ -55,7 +55,7 @@ pub struct Instruments {
 /// instrumentation stays far under the pipeline's 3% overhead budget.
 /// Registry reads may therefore lag the scalar path by at most this many
 /// packets until the next batch boundary, rotation or explicit flush.
-pub const SCALAR_FLUSH_PACKETS: u64 = 4096;
+pub(crate) const SCALAR_FLUSH_PACKETS: u64 = 4096;
 
 /// Uniform offer/drop accounting for bounded buffers — the ledger behind
 /// the pipeline's backpressure contract.
@@ -214,7 +214,7 @@ impl DropStats {
 /// | `hashflow_epochs_sealed_total` | counter | epochs sealed |
 /// | `hashflow_rotation_gaps_total` | counter | rotations that skipped ≥ 1 quiet window |
 #[derive(Clone, Debug)]
-pub struct PipelineMetrics {
+pub(crate) struct PipelineMetrics {
     pub(crate) packets: Counter,
     pub(crate) bytes: Counter,
     pub(crate) batches: Counter,
@@ -234,11 +234,6 @@ impl PipelineMetrics {
             epochs_sealed: registry.counter("hashflow_epochs_sealed_total", &[]),
             rotation_gaps: registry.counter("hashflow_rotation_gaps_total", &[]),
         }
-    }
-
-    /// Packets-ingested counter (shared handle).
-    pub fn packets(&self) -> &Counter {
-        &self.packets
     }
 }
 
@@ -290,8 +285,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         let a = PipelineMetrics::register(&registry);
         let b = PipelineMetrics::register(&registry);
-        a.packets().add(5);
-        b.packets().add(7);
+        a.packets.add(5);
+        b.packets.add(7);
         assert_eq!(
             registry
                 .snapshot()

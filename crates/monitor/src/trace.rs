@@ -2,15 +2,15 @@
 //! pipeline stage.
 //!
 //! Aggregate metrics say the pipeline is healthy; a trace says what
-//! happened to *this flow*: which shard its packets dispatched to, which
-//! HashFlow placement stage (§III Algorithm 1) each packet landed in —
-//! main-table hit, digest promotion, ancillary fallback — which epochs it
-//! was sealed into, and whether its records were exported. Tracing every
+//! happened to *this flow*: which HashFlow placement stage (§III
+//! Algorithm 1) each packet landed in — main-table hit, digest promotion,
+//! ancillary fallback — which epochs it was sealed into, and whether its
+//! records were exported. Tracing every
 //! flow would dwarf the measurement itself, so the [`FlowTracer`] samples
 //! deterministically: flow `k` is traced iff its key hash
 //! ([`FlowKey::mix64`] under one fixed seed) falls in the first of `N`
 //! equal slices of the hash space, so a sampled flow is sampled on
-//! **every** path — scalar, batched and sharded stages all agree on the
+//! **every** path — scalar, batched and planned ingest all agree on the
 //! same flow set, and its journey assembles into one coherent span
 //! sequence in the shared [`FlightRecorder`].
 //!
@@ -201,13 +201,13 @@ mod tests {
         let tracer = FlowTracer::new(recorder.clone(), 1);
         let key = FlowKey::from_index(7);
         assert!(tracer.is_sampled(&key));
-        tracer.span(&key, "dispatch", "shard 3");
+        tracer.span(&key, "main_insert", "bucket 3");
         tracer.span(&key, "main_hit", "count 2");
         let events = recorder.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, FLOW_SPAN_KIND);
         assert_eq!(events[0].field("flow"), Some(key.to_string().as_str()));
-        assert_eq!(events[0].field("stage"), Some("dispatch"));
+        assert_eq!(events[0].field("stage"), Some("main_insert"));
         assert_eq!(events[1].field("stage"), Some("main_hit"));
         assert_eq!(events[1].severity, Severity::Debug);
     }
@@ -220,7 +220,7 @@ mod tests {
         for i in 0..1000u64 {
             let key = FlowKey::from_index(i);
             if tracer.is_sampled(&key) {
-                tracer.span(&key, "dispatch", "x");
+                tracer.span(&key, "main_insert", "x");
                 traced += 1;
             }
         }

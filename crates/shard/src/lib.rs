@@ -83,9 +83,9 @@ pub use queue::{BatchQueue, BoundedQueue, PopOutcome, PushOutcome};
 use hashflow_hashing::fast_range;
 use hashflow_monitor::{
     merge_introspection, BackpressurePolicy, CostSnapshot, DropStats, EpochReport, EpochSnapshot,
-    FlowMonitor, FlowTracer, Instruments, IntrospectMetric, MemoryBudget, StageTally,
+    FlowMonitor, Instruments, IntrospectMetric, MemoryBudget,
 };
-use hashflow_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Severity};
+use hashflow_obs::{FlightRecorder, Severity};
 use hashflow_types::{ConfigError, FlowKey, FlowRecord, Packet};
 use std::time::Instant;
 
@@ -156,88 +156,6 @@ fn record_batch_shed(recorder: Option<&FlightRecorder>, shard: usize, packets: u
                 ("packets".to_string(), packets.to_string()),
             ],
         );
-    }
-}
-
-/// Accounts one partition as routed to `shard`, whatever becomes of it,
-/// on the shard's packet counter.
-fn note_routed(metrics: Option<&ShardMetrics>, shard: usize, part: &[Packet]) {
-    if let Some(m) = metrics {
-        m.lane_packets[shard].add(part.len() as u64);
-    }
-}
-
-/// The dispatcher's half of flow tracing: a sampled flow's first packet
-/// of each epoch records a `dispatch` span naming the shard that owns it.
-#[derive(Debug)]
-struct DispatchTrace {
-    tracer: FlowTracer,
-    /// Sampled flows that recorded their `dispatch` span this epoch.
-    dispatched: StageTally<1>,
-}
-
-impl DispatchTrace {
-    fn new(tracer: FlowTracer) -> Self {
-        DispatchTrace {
-            tracer,
-            dispatched: StageTally::new(["dispatch"]),
-        }
-    }
-
-    /// Checks the flow of one packet routed to `shard`.
-    #[inline]
-    fn note(&mut self, key: &FlowKey, shard: usize) {
-        if self.tracer.is_sampled(key) {
-            self.span(key, shard);
-        }
-    }
-
-    /// Kept out of line: one packet in a thousand gets here.
-    #[cold]
-    #[inline(never)]
-    fn span(&mut self, key: &FlowKey, shard: usize) {
-        self.dispatched
-            .note(&self.tracer, key, 0, || format!("shard {shard}"));
-    }
-}
-
-/// Metric handles of an instrumented [`ShardedMonitor`] — registered
-/// when [`FlowMonitor::instrument`] brings a registry.
-///
-/// | Metric | Type | Meaning |
-/// |---|---|---|
-/// | `hashflow_shard_packets_total{shard=i}` | counter | packets owned by shard `i` |
-/// | `hashflow_shard_queue_depth{shard=i}` | gauge | in-flight batches on shard `i`'s queue |
-/// | `hashflow_shard_dispatch_ns` | histogram | RSS split time per `process_batch` call (a batch of one included) |
-/// | `hashflow_shard_seal_ns` | histogram | whole [`ShardedMonitor::seal_epoch`] |
-///
-/// Counter updates are batched (per published batch or per seal), so the
-/// threaded ingest path pays a handful of relaxed atomics per thousand
-/// packets, not per packet.
-#[derive(Clone, Debug)]
-struct ShardMetrics {
-    dispatch_ns: Histogram,
-    seal_ns: Histogram,
-    lane_packets: Vec<Counter>,
-    queue_depth: Vec<Gauge>,
-}
-
-impl ShardMetrics {
-    /// Registers the per-shard and per-stage metrics for a monitor of
-    /// `shards` shards.
-    fn register(registry: &MetricsRegistry, shards: usize) -> Self {
-        ShardMetrics {
-            dispatch_ns: registry.histogram("hashflow_shard_dispatch_ns", &[]),
-            seal_ns: registry.histogram("hashflow_shard_seal_ns", &[]),
-            lane_packets: (0..shards)
-                .map(|i| {
-                    registry.counter("hashflow_shard_packets_total", &[("shard", &i.to_string())])
-                })
-                .collect(),
-            queue_depth: (0..shards)
-                .map(|i| registry.gauge("hashflow_shard_queue_depth", &[("shard", &i.to_string())]))
-                .collect(),
-        }
     }
 }
 
@@ -318,25 +236,13 @@ impl DispatchScratch {
     /// partitions. Two passes, one dispatch hash per key: pass A
     /// evaluates the hash for every packet exactly once and keeps the
     /// derived owner alongside the batch; pass B scatters into
-    /// exactly-sized partitions without re-hashing anything. With a
-    /// `trace`, pass A also makes the dispatcher's sampling check, on the
-    /// key it has already loaded.
+    /// exactly-sized partitions without re-hashing anything.
     ///
     /// Returns the partitions in shard order, or `None` for a single
     /// shard: partition 0 is then the caller's slice itself — no dispatch
     /// hash, nothing copied.
-    fn split(
-        &mut self,
-        shards: usize,
-        packets: &[Packet],
-        mut trace: Option<&mut DispatchTrace>,
-    ) -> Option<&mut [Vec<Packet>]> {
+    fn split(&mut self, shards: usize, packets: &[Packet]) -> Option<&mut [Vec<Packet>]> {
         if shards == 1 {
-            if let Some(t) = trace {
-                for p in packets {
-                    t.note(&p.key(), 0);
-                }
-            }
             return None;
         }
         self.counts.clear();
@@ -344,13 +250,9 @@ impl DispatchScratch {
         self.owners.clear();
         self.owners.reserve(packets.len());
         for p in packets {
-            let key = p.key();
-            let s = fast_range(dispatch_hash(&key), shards);
+            let s = fast_range(dispatch_hash(&p.key()), shards);
             self.counts[s] += 1;
             self.owners.push(s as u32);
-            if let Some(t) = trace.as_deref_mut() {
-                t.note(&key, s);
-            }
         }
         self.parts.resize_with(shards, Vec::new);
         for (part, &count) in self.parts.iter_mut().zip(&self.counts) {
@@ -378,9 +280,7 @@ pub struct ShardedMonitor<M> {
     /// its own `shard_panic` out.
     announced: Vec<bool>,
     scratch: DispatchScratch,
-    metrics: Option<ShardMetrics>,
     recorder: Option<FlightRecorder>,
-    trace: Option<DispatchTrace>,
     queue_drops: DropStats,
 }
 
@@ -413,9 +313,7 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
             faults: vec![None; count],
             announced: vec![false; count],
             scratch: DispatchScratch::default(),
-            metrics: None,
             recorder: None,
-            trace: None,
             queue_drops: DropStats::new(),
         })
     }
@@ -482,14 +380,12 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
         fast_range(dispatch_hash(key), self.shards.len())
     }
 
-    /// Hands shard `s` its partition on the caller's thread: routed,
-    /// then the guarded feed, and a partition lost to a degraded shard is
-    /// shed.
+    /// Hands shard `s` its partition on the caller's thread: the guarded
+    /// feed, and a partition lost to a degraded shard is shed.
     fn feed(&mut self, s: usize, part: &[Packet]) {
         if part.is_empty() {
             return;
         }
-        note_routed(self.metrics.as_ref(), s, part);
         let recorder = self.recorder.as_ref();
         if feed_guarded(recorder, s, &mut self.shards[s], &mut self.faults[s], part) {
             self.shed(s, part.len() as u64);
@@ -513,7 +409,7 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
     /// against reusable monitor-owned buffers instead of fresh allocations.
     pub fn partition(&self, packets: &[Packet]) -> Vec<Vec<Packet>> {
         let mut scratch = DispatchScratch::default();
-        match scratch.split(self.shards.len(), packets, None) {
+        match scratch.split(self.shards.len(), packets) {
             Some(_) => scratch.parts,
             None => vec![packets.to_vec()],
         }
@@ -540,7 +436,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
     /// Sealing is also the recovery point: a degraded shard is only
     /// reset, and a clean reset returns it to service for the next epoch.
     pub fn seal_epoch(&mut self) -> EpochReport {
-        let _seal_timer = self.metrics.as_ref().map(|m| m.seal_ns.start_timer());
         let recorder = self.recorder.as_ref();
         let mut partial = false;
         // Cardinality estimates of the shards that sealed, in shard order.
@@ -581,9 +476,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
         // Whatever is degraded from here on (a shard that panicked in the
         // drain) is a new degradation and announces its first shed.
         self.announced.fill(false);
-        if let Some(t) = &mut self.trace {
-            t.dispatched.clear();
-        }
         report
     }
 
@@ -631,7 +523,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
     fn ingest_threaded(&mut self, packets: &[Packet]) -> Vec<u64> {
         let shard_count = self.shards.len();
         let mut per_shard = vec![0u64; shard_count];
-        let metrics = self.metrics.as_ref();
         let queues: Vec<BatchQueue<Packet>> = (0..shard_count)
             .map(|_| BatchQueue::new(QUEUE_DEPTH))
             .collect();
@@ -642,7 +533,6 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
         let free: BatchQueue<Packet> = BatchQueue::new(shard_count * QUEUE_DEPTH);
         let drops = &self.queue_drops;
         let recorder = self.recorder.as_ref();
-        let mut trace = self.trace.as_mut();
         let scratch = &mut self.scratch;
         let lanes = (self.shards.iter_mut())
             .zip(self.faults.iter_mut())
@@ -650,13 +540,8 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
         std::thread::scope(|scope| {
             for (i, (((shard, fault), announced), queue)) in lanes.zip(&queues).enumerate() {
                 let free = &free;
-                // Both sides of a queue update its depth gauge.
-                let depth = metrics.map(|m| &m.queue_depth[i]);
                 scope.spawn(move || {
                     while let Some(mut batch) = queue.pop() {
-                        if let Some(d) = depth {
-                            d.set(queue.len() as i64);
-                        }
                         let n = batch.len() as u64;
                         if feed_guarded(recorder, i, shard, fault, &batch) {
                             // Panic isolation: a dead lane — dead just now
@@ -684,19 +569,14 @@ impl<M: FlowMonitor + Send> ShardedMonitor<M> {
                     matches!(outcome, PushOutcome::Enqueued),
                     "shard queue {s} closed early"
                 );
-                if let Some(m) = metrics {
-                    m.queue_depth[s].set(queues[s].len() as i64);
-                }
             };
             for chunk in packets.chunks(shard_count * BATCH_PACKETS) {
-                let parts = (scratch.split(shard_count, chunk, trace.as_deref_mut()))
-                    .expect("several shards");
+                let parts = scratch.split(shard_count, chunk).expect("several shards");
                 for (s, part) in parts.iter_mut().enumerate() {
                     if part.is_empty() {
                         continue;
                     }
                     per_shard[s] += part.len() as u64;
-                    note_routed(metrics, s, part);
                     let fresh = free.try_pop().unwrap_or_default();
                     publish(s, std::mem::replace(part, fresh));
                 }
@@ -725,10 +605,7 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
     /// of [`ShardedMonitor::ingest`]; the panic never reaches the caller.
     fn process_batch(&mut self, packets: &[Packet]) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let dispatch_timer = self.metrics.as_ref().map(|m| m.dispatch_ns.start_timer());
-        let parts = scratch.split(self.shards.len(), packets, self.trace.as_mut());
-        drop(dispatch_timer);
-        match parts {
+        match scratch.split(self.shards.len(), packets) {
             None => self.feed(0, packets),
             Some(parts) => {
                 for (s, part) in parts.iter().enumerate() {
@@ -777,16 +654,6 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         merge_introspection(&per_shard)
     }
 
-    /// One line per degraded shard (see [`ShardedMonitor::shard_faults`]);
-    /// empty while every lane is live.
-    fn faults(&self) -> Vec<String> {
-        self.faults
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.as_ref().map(|msg| format!("shard {i}: {msg}")))
-            .collect()
-    }
-
     fn reset(&mut self) {
         for s in &mut self.shards {
             s.reset();
@@ -794,9 +661,6 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.faults.fill(None);
         self.announced.fill(false);
         self.queue_drops.reset();
-        if let Some(t) = &mut self.trace {
-            t.dispatched.clear();
-        }
     }
 
     /// [`Self::seal_epoch`], frozen into the shared snapshot.
@@ -804,20 +668,16 @@ impl<M: FlowMonitor + Send> FlowMonitor for ShardedMonitor<M> {
         self.seal_epoch().into_snapshot()
     }
 
-    /// Registers the per-shard counters, queue-depth gauges and
-    /// dispatch/seal histograms (the `hashflow_shard_*` catalog) and the shard-queue ledger (`component="shard_queue"`);
+    /// Registers the shard-queue ledger (`component="shard_queue"`);
     /// with a recorder, shard panics record an error event and dump the
-    /// recent window and shed batches record warnings; with a tracer, a
-    /// sampled flow's first dispatch of each epoch records a `dispatch`
-    /// span naming the owning shard. The shards themselves are instrumented with the
-    /// same handles.
+    /// recent window and shed batches record warnings. The shards
+    /// themselves are instrumented with the same handles, tracer
+    /// included.
     fn instrument(&mut self, instruments: &Instruments) {
-        self.metrics = instruments.registry.as_ref().map(|registry| {
+        if let Some(registry) = &instruments.registry {
             self.queue_drops.register(registry, "shard_queue");
-            ShardMetrics::register(registry, self.shards.len())
-        });
+        }
         self.recorder = instruments.recorder.clone();
-        self.trace = instruments.tracer.clone().map(DispatchTrace::new);
         for shard in &mut self.shards {
             shard.instrument(instruments);
         }
@@ -838,45 +698,6 @@ mod tests {
 
     fn pkt(flow: u64, ts: u64) -> Packet {
         Packet::new(FlowKey::from_index(flow), ts, 64)
-    }
-
-    /// A sampled flow's `dispatch` span is recorded on its first packet
-    /// of each epoch, on the caller's thread and on the worker lanes
-    /// alike, and names the shard that owns it.
-    #[test]
-    fn dispatch_spans_once_per_flow_and_epoch_on_both_paths() {
-        let packets: Vec<Packet> = (0..2_000u64).map(|i| pkt(i % 50, i)).collect();
-        for threaded in [false, true] {
-            let recorder = FlightRecorder::with_capacity(1 << 14);
-            let mut m = sharded_hashflow(4, 256);
-            m.instrument(&Instruments {
-                tracer: Some(FlowTracer::new(recorder.clone(), 1)),
-                ..Instruments::default()
-            });
-            for epoch in 0..2 {
-                let since = recorder.last_seq();
-                if threaded {
-                    let _ = m.ingest(&packets);
-                } else {
-                    m.process_batch(&packets);
-                }
-                let _ = m.seal_epoch();
-                let mut flows = std::collections::BTreeSet::new();
-                for e in recorder.events_since(since) {
-                    if e.field("stage") != Some("dispatch") {
-                        continue;
-                    }
-                    let flow = e.field("flow").unwrap().to_string();
-                    let key = (0..50u64)
-                        .map(FlowKey::from_index)
-                        .find(|k| k.to_string() == flow)
-                        .unwrap();
-                    assert_eq!(e.message, format!("shard {}", m.shard_of(&key)));
-                    assert!(flows.insert(flow), "threaded {threaded}, epoch {epoch}");
-                }
-                assert_eq!(flows.len(), 50, "threaded {threaded}, epoch {epoch}");
-            }
-        }
     }
 
     #[test]
@@ -1093,25 +914,10 @@ mod tests {
         for p in &trace.packets()[..50] {
             m.process_packet(p); // scalar dispatch path
         }
+        // Every packet of every path reached exactly one shard.
+        assert_eq!(m.cost().packets, expected);
         m.seal_epoch();
         let snap = registry.snapshot();
-        // Every packet of every path lands in exactly one shard counter.
-        assert_eq!(snap.counter_sum("hashflow_shard_packets_total"), expected);
-        // Every `process_batch` call recorded one dispatch split — the
-        // serial batch and each of the 50 batches of one; the seal
-        // recorded one seal duration.
-        let hist_count = |name: &str| {
-            snap.samples()
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| match &s.value {
-                    hashflow_obs::SampleValue::Histogram(h) => h.count,
-                    _ => 0,
-                })
-                .sum::<u64>()
-        };
-        assert_eq!(hist_count("hashflow_shard_dispatch_ns"), 51);
-        assert_eq!(hist_count("hashflow_shard_seal_ns"), 1);
         // The shard-queue ledger is registered: the threaded path offered
         // every one of its packets, nothing dropped, and the healthy
         // serial paths bypass the ledger entirely.
@@ -1129,14 +935,6 @@ mod tests {
             ),
             Some(0)
         );
-        // Queue-depth gauges exist for every shard (back to 0 once the
-        // scope joins and the queues drain).
-        for i in 0..4 {
-            assert_eq!(
-                snap.gauge("hashflow_shard_queue_depth", &[("shard", &i.to_string())]),
-                Some(0)
-            );
-        }
     }
 
     #[test]
@@ -1249,9 +1047,8 @@ mod tests {
     fn a_degraded_shard_still_counts_the_packets_routed_to_it() {
         use hashflow_obs::MetricsRegistry;
 
-        // `hashflow_shard_packets_total` is packets *routed* to the
-        // shard on every path; what a degraded shard sheds is the
-        // queue ledger's to report.
+        // The shard-queue ledger is offered every packet routed to a
+        // degraded shard, on every path, and holds what it shed.
         let registry = MetricsRegistry::new();
         let mut m = ShardedMonitor::new(vec![Bomb::armed()]).unwrap();
         m.instrument(&Instruments {
@@ -1264,9 +1061,10 @@ mod tests {
         m.ingest(&packets[..4]); // degraded: 4 routed, 4 shed
         m.process_batch(&packets[..3]);
         m.process_packet(&packets[0]);
-        let routed = registry
-            .snapshot()
-            .counter("hashflow_shard_packets_total", &[("shard", "0")]);
+        let routed = registry.snapshot().counter(
+            "hashflow_offered_records_total",
+            &[("component", "shard_queue")],
+        );
         assert_eq!(routed, Some(10 + 4 + 3 + 1));
         assert_eq!(
             m.queue_drop_stats().dropped_records(),

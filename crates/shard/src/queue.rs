@@ -135,7 +135,7 @@ impl<B> BoundedQueue<B> {
 
     /// Batches currently in flight (pushed, not yet popped). A racing
     /// producer or consumer can change the answer immediately — use it
-    /// for telemetry (queue-depth gauges), not for flow control.
+    /// for diagnostics, not for flow control.
     pub fn len(&self) -> usize {
         self.lock().batches.len()
     }

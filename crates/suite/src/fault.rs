@@ -243,7 +243,7 @@ impl<S: RecordSink> RecordSink for FaultInjectingSink<S> {
 /// isolation.
 ///
 /// Forwards every trait method to the wrapped monitor — its own `seal`,
-/// introspection, faults and instruments included, so a chaos test
+/// introspection and instruments included, so a chaos test
 /// drives the code a deployment runs; the panic fires
 /// *inside* `process_packet`/`process_batch` on the packet that crosses
 /// its `panic_at` threshold, exactly where a buggy algorithm would
@@ -331,10 +331,6 @@ impl<M: FlowMonitor> FlowMonitor for PanicInjector<M> {
 
     fn seal(&mut self) -> EpochSnapshot {
         self.inner.seal()
-    }
-
-    fn faults(&self) -> Vec<String> {
-        self.inner.faults()
     }
 
     fn introspection(&self) -> Vec<IntrospectMetric> {

@@ -333,7 +333,6 @@ fn an_unfired_panic_injector_seals_like_the_monitor_it_wraps() {
     wrapped.process_trace(trace.packets());
     assert!(!bare.introspection().is_empty());
     assert_eq!(wrapped.introspection(), bare.introspection());
-    assert!(wrapped.faults().is_empty());
 
     let (sealed, expected) = (wrapped.seal(), bare.seal());
     assert!(!expected.is_empty());

@@ -7,7 +7,7 @@
 //! never go dark for any monitor the registry can build. The tracing
 //! half pins the property the sampled flow-path tracer is built on:
 //! sampling is a deterministic function of the flow key, so the same
-//! flows are traced on the scalar, batched and sharded ingest paths.
+//! flows are traced on the scalar and batched ingest paths.
 
 use hashflow_suite::collector::{AlgorithmKind, Collector, MetricsRegistry, MonitorBuilder};
 use hashflow_suite::monitor::{FlowTracer, IntrospectValue, FLOW_SPAN_KIND};

@@ -62,8 +62,8 @@ fn instrumented(
 }
 
 /// Everything the three entries must agree on: sorted records, merged
-/// cost, packets routed per shard, packets the ledger dropped, and the
-/// sorted kinds of the recorded events.
+/// cost, packets each shard processed, packets the exported ledger
+/// dropped, and the sorted kinds of the recorded events.
 type Observed = (
     Vec<FlowRecord>,
     CostSnapshot,
@@ -79,15 +79,7 @@ fn observe(
 ) -> Observed {
     let mut records = sharded.flow_records();
     records.sort_by_key(|r| r.key());
-    let metrics = registry.snapshot();
-    let routed = (0..SHARDS)
-        .map(|i| {
-            let shard = i.to_string();
-            metrics
-                .counter("hashflow_shard_packets_total", &[("shard", &shard)])
-                .expect("registered per shard")
-        })
-        .collect();
+    let per_shard = sharded.shards().iter().map(|s| s.cost().packets).collect();
     let mut kinds: Vec<_> = recorder.snapshot().into_iter().map(|e| e.kind).collect();
     kinds.sort();
     let drops = sharded.queue_drop_stats();
@@ -95,13 +87,15 @@ fn observe(
         drops.offered_records(),
         drops.delivered_records() + drops.dropped_records()
     );
-    (
-        records,
-        sharded.cost(),
-        routed,
-        drops.dropped_records(),
-        kinds,
-    )
+    let dropped = registry
+        .snapshot()
+        .counter(
+            "hashflow_dropped_records_total",
+            &[("component", "shard_queue")],
+        )
+        .expect("the ledger is registered");
+    assert_eq!(dropped, drops.dropped_records());
+    (records, sharded.cost(), per_shard, dropped, kinds)
 }
 
 fn truth_of(packets: &[Packet]) -> HashMap<FlowKey, u32> {
